@@ -104,7 +104,7 @@ func runKernelDemo(cfg core.Config, name string, w io.Writer) error {
 	sa := k.Gen(4096, seed)
 	t0 = time.Now()
 	for i := 0; i < reqs; i++ {
-		if err := s.Call("demo", k, sa); err != nil {
+		if err := s.CallBudget("demo", k, sa, 0); err != nil {
 			return fmt.Errorf("serve request %d: %w", i, err)
 		}
 	}

@@ -114,7 +114,7 @@ func main() {
 		cacheFlag = flag.String("cache", "",
 			"with -serve: 'on' puts the generation-stamped result cache in front of the server (repeat requests are served from cached output with zero kernel work; cache stats printed) or 'off' (the default)")
 		deltaFlag = flag.String("delta", "",
-			"with -serve -cache on (closed-loop only): 'on' mixes incremental standing-query traffic into the demo — each client maintains a sorted record through CallDelta appends instead of re-sorting — or 'off' (the default)")
+			"with -serve -cache on (closed-loop only): 'on' mixes incremental standing-query traffic into the demo — each client maintains a sorted record through delta appends instead of re-sorting — or 'off' (the default)")
 		sloFlag = flag.Duration("slo", 0,
 			"with -serve: per-request deadline budget (e.g. 10ms); requests predicted or observed to miss it are refused with ErrDeadlineExceeded instead of served late (0 = no deadlines)")
 		wireFlag = flag.String("wire", "",
@@ -318,23 +318,21 @@ func runPipelineDemo(cfg core.Config, w io.Writer) error {
 	return nil
 }
 
-// serveFront is the request surface the serve demo drives — satisfied
-// by both the single serve.Server and the sharded serve.Sharded, so
-// one traffic loop exercises whichever -shards selected.
-type serveFront interface {
-	Sort(tenant string, xs []int64) error
-	Histogram(tenant string, hist []int, xs []int64, bucket func(int64) int) error
-	Scan(tenant string, dst, xs []int64) error
-	Sum(tenant string, xs []int64) (int64, error)
-	CallDelta(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta) error
+// serveAdmin is the server-side state a demo reads or pokes that the
+// wire protocol does not carry: nil against a remote parserve, the
+// in-process server (single or sharded) otherwise.
+type serveAdmin interface {
 	BumpGeneration(tenant string) uint64
 	TenantStats() []serve.TenantStats
 }
 
 // demoFront bundles whichever server flavor a -serve demo built, with
-// the bits both the closed-loop and open-loop drivers need.
+// the bits both the closed-loop and open-loop drivers need: front is
+// where the traffic goes (the server itself, or a wire client pool in
+// front of it), admin the local server behind it.
 type demoFront struct {
-	front   serveFront
+	front   serve.Front
+	admin   serveAdmin
 	single  *serve.Server
 	sharded *serve.Sharded
 	workers int
@@ -360,7 +358,7 @@ type demoFront struct {
 func buildServeFront(cfg core.Config, shards int, slo time.Duration, maxQueue int, cacheOn bool, wireAddr string) *demoFront {
 	if wireAddr != "" && wireAddr != "loopback" {
 		network, addr := wireTarget(wireAddr)
-		wf := newWireFront(network, addr, nil)
+		wf := &wireFront{network: network, addr: addr}
 		return &demoFront{front: wf, wf: wf}
 	}
 	workers := 4
@@ -401,24 +399,18 @@ func buildServeFront(cfg core.Config, shards int, slo time.Duration, maxQueue in
 			MigrateHysteresis: 2, // small: the demo queues are shallow
 			Config:            sc,
 		})
-		d.front = d.sharded
+		d.front, d.admin = d.sharded, d.sharded
 	} else {
 		d.single = serve.New(scfg)
-		d.front = d.single
+		d.front, d.admin = d.single, d.single
 	}
 	if wireAddr == "loopback" {
-		var backend wire.Backend = d.single
-		if d.sharded != nil {
-			backend = d.sharded
-		}
-		wl, err := wire.Listen("tcp", "127.0.0.1:0", backend, wire.Config{})
+		wl, err := wire.Listen("tcp", "127.0.0.1:0", d.front, wire.Config{})
 		if err != nil {
 			fatalf("wire: listen: %v", err)
 		}
 		d.wl = wl
-		// The local front stays reachable through the client pool for
-		// the surfaces the protocol does not carry.
-		d.wf = newWireFront("tcp", wl.Addr().String(), d.front)
+		d.wf = &wireFront{network: "tcp", addr: wl.Addr().String()}
 		d.front = d.wf
 	}
 	return d
@@ -537,8 +529,9 @@ func demoPayload(n int, seed uint64) []int64 {
 // -openloop mode exists to print the honest number.
 // With cacheOn the result cache fronts the server (most of the demo's
 // repeated-payload requests become hits) and with deltaOn each client
-// additionally maintains a standing sorted record through CallDelta
-// appends — the incremental path — instead of re-sorting from scratch.
+// additionally maintains a standing sorted record through
+// CallDeltaBudget appends — the incremental path — instead of
+// re-sorting from scratch.
 func runServeDemo(cfg core.Config, shards int, slo time.Duration, cacheOn, deltaOn bool, wireAddr string, w io.Writer) error {
 	// Small queue bound: lets the hot tenant's backpressure show.
 	d := buildServeFront(cfg, shards, slo, 4, cacheOn, wireAddr)
@@ -575,7 +568,7 @@ func runServeDemo(cfg core.Config, shards int, slo time.Duration, cacheOn, delta
 			tIdx := demoTenantIdx(tenant)
 			backoff := backoffMin
 			// Standing-query state for -delta traffic: a sorted record
-			// this client grows through CallDelta appends, re-seeded
+			// this client grows through delta appends, re-seeded
 			// (full sort) whenever it outgrows its budget.
 			kSort := kernel.MustLookup("sort")
 			var standing kernel.Args
@@ -589,7 +582,7 @@ func runServeDemo(cfg core.Config, shards int, slo time.Duration, cacheOn, delta
 					// Midway, one tenant's data "changes": its cached
 					// entries die at once and the invalidations
 					// counter in the stats line goes live.
-					srv.BumpGeneration("t2")
+					d.admin.BumpGeneration("t2")
 				}
 				copy(xs, base)
 				t0 := time.Now()
@@ -599,7 +592,7 @@ func runServeDemo(cfg core.Config, shards int, slo time.Duration, cacheOn, delta
 					case deltaOn && i%8 == 5:
 						if len(standing.Xs) == 0 || len(standing.Xs) > 4*n {
 							standing.Xs = append(standing.Xs[:0], base...)
-							if err = srv.Sort(tenant, standing.Xs); err != nil {
+							if err = serve.Sort(srv, tenant, standing.Xs); err != nil {
 								standing.Xs = standing.Xs[:0] // not sorted; re-seed on retry
 								break
 							}
@@ -607,7 +600,7 @@ func runServeDemo(cfg core.Config, shards int, slo time.Duration, cacheOn, delta
 						for j := range chunk {
 							chunk[j] = int64(rg.Uint64n(100003))
 						}
-						err = srv.CallDelta(tenant, kSort, &standing, &kernel.Delta{Append: chunk})
+						err = srv.CallDeltaBudget(tenant, kSort, &standing, &kernel.Delta{Append: chunk}, 0)
 						if err == nil {
 							deltas.Add(1)
 						}
@@ -618,15 +611,15 @@ func runServeDemo(cfg core.Config, shards int, slo time.Duration, cacheOn, delta
 						for j := range big {
 							big[j] = base[j%n]
 						}
-						err = srv.Sort(tenant, big)
+						err = serve.Sort(srv, tenant, big)
 					case i%4 == 0:
-						err = srv.Sort(tenant, xs)
+						err = serve.Sort(srv, tenant, xs)
 					case i%4 == 1:
-						err = srv.Histogram(tenant, hist, xs, bucket)
+						err = serve.Histogram(srv, tenant, hist, xs, bucket)
 					case i%4 == 2:
-						err = srv.Scan(tenant, dst, xs)
+						err = serve.Scan(srv, tenant, dst, xs)
 					default:
-						_, err = srv.Sum(tenant, xs)
+						_, err = serve.Sum(srv, tenant, xs)
 					}
 					if errors.Is(err, serve.ErrRejected) || errors.Is(err, serve.ErrDeadlineExceeded) {
 						// Backpressure: back off and retry the same
@@ -693,7 +686,7 @@ func runServeDemo(cfg core.Config, shards int, slo time.Duration, cacheOn, delta
 		perf.FormatDuration(perf.Percentile(all, 95)),
 		perf.FormatDuration(perf.Percentile(all, 99)),
 		float64(len(all))/wall.Seconds(), wall.Round(time.Millisecond))
-	printTenantStats(w, srv)
+	printTenantStats(w, d.admin)
 	if len(all) == 0 {
 		// Errored clients keep serving so the denominator stays
 		// honest, but a run where *nothing* succeeded is a dead
@@ -705,9 +698,13 @@ func runServeDemo(cfg core.Config, shards int, slo time.Duration, cacheOn, delta
 }
 
 // printTenantStats prints the per-tenant fair-share split including
-// the deadline counters.
-func printTenantStats(w io.Writer, srv serveFront) {
-	for _, ts := range srv.TenantStats() {
+// the deadline counters; against a remote server (nil admin) that
+// state lives on the far side and nothing is printed.
+func printTenantStats(w io.Writer, admin serveAdmin) {
+	if admin == nil {
+		return
+	}
+	for _, ts := range admin.TenantStats() {
 		fmt.Fprintf(w, "tenant %-4s accepted=%-6d completed=%-6d rejected=%-5d dlrej=%-5d expired=%-3d cachehits=%d\n",
 			ts.Name, ts.Accepted, ts.Completed, ts.Rejected, ts.DeadlineRejected, ts.Expired, ts.CacheHits)
 	}
@@ -768,13 +765,13 @@ func runOpenLoopDemo(cfg core.Config, shards int, rate float64, poisson bool, sl
 		tenant := demoTenants[i%len(demoTenants)]
 		switch i % 4 {
 		case 0:
-			return srv.Sort(tenant, bf.xs)
+			return serve.Sort(srv, tenant, bf.xs)
 		case 1:
-			return srv.Histogram(tenant, bf.hist, bf.xs, bucket)
+			return serve.Histogram(srv, tenant, bf.hist, bf.xs, bucket)
 		case 2:
-			return srv.Scan(tenant, bf.dst, bf.xs)
+			return serve.Scan(srv, tenant, bf.dst, bf.xs)
 		default:
-			_, err := srv.Sum(tenant, bf.xs)
+			_, err := serve.Sum(srv, tenant, bf.xs)
 			return err
 		}
 	})
@@ -806,7 +803,7 @@ func runOpenLoopDemo(cfg core.Config, shards int, rate float64, poisson bool, sl
 		perf.FormatDuration(rep.CorrectedP50),
 		perf.FormatDuration(rep.CorrectedP95),
 		perf.FormatDuration(rep.CorrectedP99))
-	printTenantStats(w, srv)
+	printTenantStats(w, d.admin)
 	if rep.OK == 0 {
 		// Same dead-backend guard as the closed-loop demo: percentile
 		// rows over zero samples prove nothing, and a CI smoke against

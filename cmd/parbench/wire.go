@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/serve"
@@ -21,34 +22,17 @@ func wireTarget(flagVal string) (network, addr string) {
 	return "tcp", flagVal
 }
 
-// wireFront adapts a pool of wire clients to the serveFront surface,
-// so the existing closed-loop and open-loop demo drivers run
-// unchanged over a socket. Each concurrent request borrows a client
-// (one connection, serialized round trips) from the freelist, dialing
-// a new one when all are busy — connection count scales with
-// concurrency exactly as the listener is designed for. In loopback
-// mode local holds the in-process server behind the listener, so the
-// surfaces the protocol does not carry (BumpGeneration, TenantStats)
-// still work; against a remote parserve they are unavailable and the
-// flag guards in main keep the demos off them.
+// wireFront is a pool of wire clients presented as one serve.Front, so
+// the closed-loop and open-loop demo drivers run unchanged over a
+// socket. Each concurrent request borrows a client (one connection,
+// serialized round trips) from the freelist, dialing a new one when
+// all are busy — connection count scales with concurrency exactly as
+// the listener is designed for.
 type wireFront struct {
 	network, addr string
-	local         serveFront
-
-	kSort, kHist, kScan, kSum *kernel.Kernel
 
 	mu   sync.Mutex
 	free []*wire.Client
-}
-
-func newWireFront(network, addr string, local serveFront) *wireFront {
-	return &wireFront{
-		network: network, addr: addr, local: local,
-		kSort: kernel.MustLookup("sort"),
-		kHist: kernel.MustLookup("histogram"),
-		kScan: kernel.MustLookup("scan"),
-		kSum:  kernel.MustLookup("sum"),
-	}
 }
 
 func (f *wireFront) get() (*wire.Client, error) {
@@ -60,7 +44,11 @@ func (f *wireFront) get() (*wire.Client, error) {
 		return cl, nil
 	}
 	f.mu.Unlock()
-	return wire.Dial(f.network, f.addr)
+	cl, err := wire.Dial(f.network, f.addr)
+	if err != nil {
+		return nil, fmt.Errorf("wire: dial: %w", err)
+	}
+	return cl, nil
 }
 
 // put returns a client to the freelist — unless err says the
@@ -78,16 +66,6 @@ func (f *wireFront) put(cl *wire.Client, err error) {
 	f.mu.Unlock()
 }
 
-func (f *wireFront) call(fn func(cl *wire.Client) error) error {
-	cl, err := f.get()
-	if err != nil {
-		return fmt.Errorf("wire: dial: %w", err)
-	}
-	err = fn(cl)
-	f.put(cl, err)
-	return err
-}
-
 func (f *wireFront) closeClients() {
 	f.mu.Lock()
 	free := f.free
@@ -98,46 +76,22 @@ func (f *wireFront) closeClients() {
 	}
 }
 
-func (f *wireFront) Sort(tenant string, xs []int64) error {
-	a := kernel.Args{Xs: xs}
-	return f.call(func(cl *wire.Client) error { return cl.Call(tenant, f.kSort, &a) })
-}
-
-func (f *wireFront) Histogram(tenant string, hist []int, xs []int64, bucket func(int64) int) error {
-	a := kernel.Args{Xs: xs, Hist: hist, Bucket: bucket}
-	return f.call(func(cl *wire.Client) error { return cl.Call(tenant, f.kHist, &a) })
-}
-
-func (f *wireFront) Scan(tenant string, dst, xs []int64) error {
-	a := kernel.Args{Xs: xs, Dst: dst}
-	return f.call(func(cl *wire.Client) error { return cl.Call(tenant, f.kScan, &a) })
-}
-
-func (f *wireFront) Sum(tenant string, xs []int64) (int64, error) {
-	a := kernel.Args{Xs: xs}
-	err := f.call(func(cl *wire.Client) error { return cl.Call(tenant, f.kSum, &a) })
-	return a.Out, err
-}
-
-func (f *wireFront) CallDelta(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta) error {
-	return f.call(func(cl *wire.Client) error { return cl.CallDelta(tenant, k, a, d) })
-}
-
-// BumpGeneration is not part of the wire protocol; in loopback mode
-// it reaches the in-process server directly. The -cache flag guard
-// keeps remote demos from ever calling it.
-func (f *wireFront) BumpGeneration(tenant string) uint64 {
-	if f.local != nil {
-		return f.local.BumpGeneration(tenant)
+func (f *wireFront) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, budget time.Duration) error {
+	cl, err := f.get()
+	if err != nil {
+		return err
 	}
-	return 0
+	err = cl.CallBudget(tenant, k, a, budget)
+	f.put(cl, err)
+	return err
 }
 
-// TenantStats is server-side state; nil against a remote server (the
-// per-tenant lines are simply not printed).
-func (f *wireFront) TenantStats() []serve.TenantStats {
-	if f.local != nil {
-		return f.local.TenantStats()
+func (f *wireFront) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error {
+	cl, err := f.get()
+	if err != nil {
+		return err
 	}
-	return nil
+	err = cl.CallDeltaBudget(tenant, k, a, d, budget)
+	f.put(cl, err)
+	return err
 }

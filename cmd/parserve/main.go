@@ -68,7 +68,7 @@ func main() {
 	}
 
 	scfg := serve.Config{Workers: *workers, SLO: *slo, Cache: cache}
-	var backend wire.Backend
+	var backend serve.Front
 	var closeBackend func()
 	var stats func() serve.Stats
 	var sharded *serve.Sharded

@@ -90,14 +90,14 @@ func E28WireDoor(cfg Config) *perf.Table {
 		}},
 	}
 
-	timeFloor := func(k *kernel.Kernel, newArgs func(xs []int64) *kernel.Args, call func(a *kernel.Args) error) time.Duration {
+	timeFloor := func(f serve.Front, k *kernel.Kernel, newArgs func(xs []int64) *kernel.Args) time.Duration {
 		best := time.Duration(0)
 		xs := make([]int64, n)
 		for rep := 0; rep < reps; rep++ {
 			copy(xs, base)
 			a := newArgs(xs)
 			t0 := time.Now()
-			err := call(a)
+			err := f.CallBudget(tenant, k, a, 0)
 			d := time.Since(t0)
 			if err != nil {
 				continue
@@ -111,9 +111,9 @@ func E28WireDoor(cfg Config) *perf.Table {
 
 	for _, c := range cases {
 		k := kernel.MustLookup(c.name)
-		inproc := timeFloor(k, c.newArgs, func(a *kernel.Args) error { return srv.Call(tenant, k, a) })
-		wired := timeFloor(k, c.newArgs, func(a *kernel.Args) error { return cl.Call(tenant, k, a) })
-		streamed := timeFloor(k, c.newArgs, func(a *kernel.Args) error { return cls.Call(tenant, k, a) })
+		inproc := timeFloor(srv, k, c.newArgs)
+		wired := timeFloor(cl, k, c.newArgs)
+		streamed := timeFloor(cls, k, c.newArgs)
 		cost := 0.0
 		if inproc > 0 {
 			cost = float64(wired) / float64(inproc)

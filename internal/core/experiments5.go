@@ -82,25 +82,25 @@ func E23Serve(cfg Config) *perf.Table {
 						switch i % 4 {
 						case 0:
 							if srv != nil {
-								_ = srv.Sort(tenant, xs)
+								_ = serve.Sort(srv, tenant, xs)
 							} else {
 								psort.SampleSort(xs, naiveOpts)
 							}
 						case 1:
 							if srv != nil {
-								_ = srv.Histogram(tenant, hist, xs, bucket)
+								_ = serve.Histogram(srv, tenant, hist, xs, bucket)
 							} else {
 								par.HistogramInto(hist, xs, naiveOpts, bucket)
 							}
 						case 2:
 							if srv != nil {
-								_ = srv.Scan(tenant, dst, xs)
+								_ = serve.Scan(srv, tenant, dst, xs)
 							} else {
 								par.ScanInclusive(dst, xs, naiveOpts, 0, add)
 							}
 						case 3:
 							if srv != nil {
-								_, _ = srv.Sum(tenant, xs)
+								_, _ = serve.Sum(srv, tenant, xs)
 							} else {
 								par.Sum(xs, naiveOpts)
 							}

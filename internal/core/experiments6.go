@@ -102,9 +102,9 @@ func E24ShardedServe(cfg Config) *perf.Table {
 					t0 := time.Now()
 					switch i % 2 {
 					case 0:
-						_ = g.Sort(tenant, xs)
+						_ = serve.Sort(g, tenant, xs)
 					case 1:
-						_ = g.Histogram(tenant, hist, xs, bucket)
+						_ = serve.Histogram(g, tenant, hist, xs, bucket)
 					}
 					lat[i] = time.Since(t0).Seconds()
 				}

@@ -62,20 +62,20 @@ func E25KernelRegistry(cfg Config) *perf.Table {
 
 		small := k.Gen(nSmall, cfg.seed())
 		perReq := 0.0
-		if err := s.Call("e25", k, small); err != nil {
+		if err := s.CallBudget("e25", k, small, 0); err != nil {
 			t.AddRowf(k.Name, len(k.Variants), perf.FormatDuration(one), "error: "+err.Error(), "-")
 			continue
 		}
 		perReq = r.Time(func(int) {
 			for i := 0; i < reqs; i++ {
-				_ = s.Call("e25", k, small)
+				_ = s.CallBudget("e25", k, small, 0)
 			}
 		}).Median / float64(reqs)
 
 		stream := "-"
 		if k.Stream != nil {
 			big := k.Gen(nBig, cfg.seed())
-			st := r.Time(func(int) { _ = s.Call("e25", k, big) }).Median
+			st := r.Time(func(int) { _ = s.CallBudget("e25", k, big, 0) }).Median
 			stream = perf.FormatDuration(st)
 		}
 		t.AddRowf(k.Name, len(k.Variants), perf.FormatDuration(one), perReq*1e6, stream)

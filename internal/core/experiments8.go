@@ -83,9 +83,9 @@ func E26OpenLoop(cfg Config) *perf.Table {
 				copy(xs, base)
 				t0 := time.Now()
 				if i%2 == 0 {
-					_ = srv.Sort(tenant, xs)
+					_ = serve.Sort(srv, tenant, xs)
 				} else {
-					_ = srv.Histogram(tenant, hist, xs, bucket)
+					_ = serve.Histogram(srv, tenant, hist, xs, bucket)
 				}
 				lat[i] = time.Since(t0).Seconds()
 			}
@@ -134,9 +134,9 @@ func E26OpenLoop(cfg Config) *perf.Table {
 			copy(bf.xs, base)
 			tenant := string(rune('a' + i%4))
 			if i%2 == 0 {
-				return srv.Sort(tenant, bf.xs)
+				return serve.Sort(srv, tenant, bf.xs)
 			}
-			return srv.Histogram(tenant, bf.hist, bf.xs, bucket)
+			return serve.Histogram(srv, tenant, bf.hist, bf.xs, bucket)
 		})
 		srv.Close()
 		rep := res.Summarize(sched)

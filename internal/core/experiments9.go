@@ -35,7 +35,7 @@ func init() {
 // warm-load ratio — the speedup column — is queueing bypass on top of
 // compute elision and clears an order of magnitude for every kernel.
 // The delta column updates a standing record through the kernel's
-// incremental adapter (serve.CallDelta) under the same load: a
+// incremental adapter (CallDeltaBudget) under the same load: a
 // 16-element append rides the normal batch path, so it pays the queue
 // but not the rerun, landing between the warm and cold columns. The
 // idle column is a floor, so it takes the minimum over reps; the
@@ -99,11 +99,11 @@ func E27ResultCache(cfg Config) *perf.Table {
 			if delta {
 				app := gen.Ints(chunk, gen.Uniform, cfg.seed()+uint64(100+rep))
 				t0 := time.Now()
-				err = srv.CallDelta(tenant, k, a, &kernel.Delta{Append: app})
+				err = srv.CallDeltaBudget(tenant, k, a, &kernel.Delta{Append: app}, 0)
 				d = time.Since(t0)
 			} else {
 				t0 := time.Now()
-				err = srv.Call(tenant, k, a)
+				err = srv.CallBudget(tenant, k, a, 0)
 				d = time.Since(t0)
 			}
 			if err == nil {
@@ -153,7 +153,7 @@ func E27ResultCache(cfg Config) *perf.Table {
 		xs := make([]int64, n)
 		copy(xs, base)
 		a := c.newArgs(xs)
-		if err := srv.Call(tenant, k, a); err != nil {
+		if err := srv.CallBudget(tenant, k, a, 0); err != nil {
 			continue // row impossible; leave it out rather than lie
 		}
 		rows = append(rows, row{name: c.name, idle: idle, warmArgs: a, k: k})
@@ -178,7 +178,7 @@ func E27ResultCache(cfg Config) *perf.Table {
 					return
 				default:
 				}
-				_ = srv.Histogram("bg", hist, xs, bucket)
+				_ = serve.Histogram(srv, "bg", hist, xs, bucket)
 			}
 		}(b)
 	}

@@ -75,7 +75,7 @@ func TestKernelConformance(t *testing.T) {
 					// Warm the pools and the variant lattice's exploration
 					// sweep so steady state is what gets measured.
 					for i := 0; i < 64; i++ {
-						if err := s.Call("conformance", k, a); err != nil {
+						if err := s.CallBudget("conformance", k, a, 0); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -84,7 +84,7 @@ func TestKernelConformance(t *testing.T) {
 					var allocs float64
 					for attempt := 0; attempt < 3; attempt++ {
 						allocs = testing.AllocsPerRun(100, func() {
-							if err := s.Call("conformance", k, a); err != nil {
+							if err := s.CallBudget("conformance", k, a, 0); err != nil {
 								t.Fatal(err)
 							}
 						})

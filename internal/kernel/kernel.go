@@ -74,7 +74,7 @@ type Kernel struct {
 	// Delta, when non-nil, is the kernel's incremental adapter: it
 	// applies a Delta to a record whose outputs are current, leaving
 	// the record as if Run had executed on the updated input. Invoked
-	// through RunDelta; serves the standing-query path (serve.CallDelta).
+	// through RunDelta; serves the standing-query path (CallDeltaBudget).
 	Delta func(a *Args, d *Delta, opts par.Options) error
 	// Cache, when non-nil, declares the kernel's output a pure
 	// function of its fingerprintable inputs, cacheable by a
@@ -132,6 +132,17 @@ func Lookup(name string) *Kernel {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	return reg[name]
+}
+
+// LookupBytes is Lookup for a name still in a decode buffer: indexing
+// the registry map with a converted []byte key does not allocate, so a
+// wire decoder resolves kernels per frame without a name index of its
+// own, and a kernel registered while connections are live resolves on
+// the next frame.
+func LookupBytes(name []byte) *Kernel {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	return reg[string(name)]
 }
 
 // MustLookup is Lookup that panics when the kernel is missing; for

@@ -216,3 +216,19 @@ func TestArgsLen(t *testing.T) {
 		t.Errorf("graph Len = %d, want 17", b.Len())
 	}
 }
+
+// TestLookupBytes pins the decoder's entry to the registry: the same
+// kernels as Lookup, nil for unknown names, and no allocation for the
+// []byte key.
+func TestLookupBytes(t *testing.T) {
+	name := []byte("sort")
+	if got := LookupBytes(name); got == nil || got != Lookup("sort") {
+		t.Fatalf("LookupBytes(sort) = %v, want the registered sort kernel", got)
+	}
+	if got := LookupBytes([]byte("no-such-kernel")); got != nil {
+		t.Fatalf("LookupBytes(unknown) = %v, want nil", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = LookupBytes(name) }); allocs != 0 {
+		t.Fatalf("LookupBytes allocates %.1f per call, want 0", allocs)
+	}
+}

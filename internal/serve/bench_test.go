@@ -66,6 +66,7 @@ func benchTrafficServe(b *testing.B, mode string, clients int) {
 	base := randInts(n, 42)
 
 	var (
+		f         Front // nil in naive mode: the kernels are called directly
 		s         *Server
 		g         *Sharded
 		naiveOpts par.Options
@@ -77,6 +78,7 @@ func benchTrafficServe(b *testing.B, mode string, clients int) {
 		s = New(Config{Executor: e, Scratch: scratch.New(), Workers: trafficWorkers,
 			BatchWindow: 200 * time.Microsecond})
 		defer s.Close()
+		f = s
 	case "sharded":
 		g = NewSharded(ShardedConfig{
 			Shards:     trafficShards,
@@ -84,6 +86,7 @@ func benchTrafficServe(b *testing.B, mode string, clients int) {
 			Config:     Config{BatchWindow: 200 * time.Microsecond},
 		})
 		defer g.Close()
+		f = g
 	default:
 		e := exec.New(trafficWorkers)
 		defer e.Close()
@@ -104,50 +107,40 @@ func benchTrafficServe(b *testing.B, mode string, clients int) {
 			hist := make([]int, 1024)
 			bucket := func(v int64) int { return int(uint64(v) % 1024) }
 			add := func(a, b int64) int64 { return a + b }
+			// One record per client, reused: a record built per request
+			// escapes when submitted through an interface-typed front.
+			var a kernel.Args
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= b.N {
 					return
 				}
 				copy(xs, base)
-				switch i % 4 {
-				case 0:
-					switch mode {
-					case "batched":
-						_ = s.Sort(tenant, xs)
-					case "sharded":
-						_ = g.Sort(tenant, xs)
-					default:
+				if f == nil {
+					switch i % 4 {
+					case 0:
 						psort.SampleSort(xs, naiveOpts)
-					}
-				case 1:
-					switch mode {
-					case "batched":
-						_ = s.Histogram(tenant, hist, xs, bucket)
-					case "sharded":
-						_ = g.Histogram(tenant, hist, xs, bucket)
-					default:
+					case 1:
 						par.HistogramInto(hist, xs, naiveOpts, bucket)
-					}
-				case 2:
-					switch mode {
-					case "batched":
-						_ = s.Scan(tenant, dst, xs)
-					case "sharded":
-						_ = g.Scan(tenant, dst, xs)
-					default:
+					case 2:
 						par.ScanInclusive(dst, xs, naiveOpts, 0, add)
-					}
-				case 3:
-					switch mode {
-					case "batched":
-						_, _ = s.Sum(tenant, xs)
-					case "sharded":
-						_, _ = g.Sum(tenant, xs)
-					default:
+					case 3:
 						par.Sum(xs, naiveOpts)
 					}
+					continue
 				}
+				var k *kernel.Kernel
+				switch i % 4 {
+				case 0:
+					k, a = kernelSort, kernel.Args{Xs: xs}
+				case 1:
+					k, a = kernelHistogram, kernel.Args{Xs: xs, Hist: hist, Bucket: bucket}
+				case 2:
+					k, a = kernelScan, kernel.Args{Xs: xs, Dst: dst}
+				case 3:
+					k, a = kernelSum, kernel.Args{Xs: xs}
+				}
+				_ = f.CallBudget(tenant, k, &a, 0)
 			}
 		}(c)
 	}
@@ -236,9 +229,9 @@ func benchTrafficOpenLoop(b *testing.B, poisson bool, slo time.Duration) {
 		copy(bf.xs, base)
 		tenant := string(rune('a' + i%4))
 		if i%2 == 0 {
-			return s.Sort(tenant, bf.xs)
+			return Sort(s, tenant, bf.xs)
 		}
-		return s.Histogram(tenant, bf.hist, bf.xs, bucket)
+		return Histogram(s, tenant, bf.hist, bf.xs, bucket)
 	})
 	b.StopTimer()
 
@@ -297,9 +290,9 @@ func benchTrafficSkew(b *testing.B, disableMigration bool) {
 				copy(xs, base)
 				switch i % 2 {
 				case 0:
-					_ = g.Sort(tenant, xs)
+					_ = Sort(g, tenant, xs)
 				case 1:
-					_ = g.Histogram(tenant, hist, xs, bucket)
+					_ = Histogram(g, tenant, hist, xs, bucket)
 				}
 			}
 		}(c)
@@ -360,7 +353,7 @@ func benchTrafficCache(b *testing.B, mode string) {
 	// output it left behind.
 	sorted := make([]int64, n)
 	copy(sorted, base)
-	if err := s.Sort(tenant, sorted); err != nil {
+	if err := Sort(s, tenant, sorted); err != nil {
 		b.Fatal(err)
 	}
 
@@ -376,12 +369,12 @@ func benchTrafficCache(b *testing.B, mode string) {
 		case "cold":
 			copy(xs, base)
 			xs[0] = int64(i) // distinct fingerprint every iteration
-			if err := s.Sort(tenant, xs); err != nil {
+			if err := Sort(s, tenant, xs); err != nil {
 				b.Fatal(err)
 			}
 		case "warm":
 			copy(xs, base) // the hit restored sorted output in place
-			if err := s.Sort(tenant, xs); err != nil {
+			if err := Sort(s, tenant, xs); err != nil {
 				b.Fatal(err)
 			}
 		case "delta":
@@ -393,7 +386,7 @@ func benchTrafficCache(b *testing.B, mode string) {
 			for j := range chunk {
 				chunk[j] = int64((i*16+j)*2654435761) % 100003
 			}
-			if err := s.CallDelta(tenant, kSort, &a, &kernel.Delta{Append: chunk}); err != nil {
+			if err := s.CallDeltaBudget(tenant, kSort, &a, &kernel.Delta{Append: chunk}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

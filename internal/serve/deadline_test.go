@@ -31,7 +31,7 @@ func TestDeadlineDoorRejection(t *testing.T) {
 	s.svcNanos.Store(int64(10 * time.Millisecond))
 	s.svcStamp.Store(int64(time.Since(serveEpoch)))
 
-	err := s.Sort("t", []int64{3, 1, 2})
+	err := Sort(s, "t", []int64{3, 1, 2})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -52,7 +52,7 @@ func TestDeadlineColdDoorAdmits(t *testing.T) {
 	s := New(Config{SLO: 50 * time.Millisecond})
 	defer s.Close()
 	xs := []int64{3, 1, 2}
-	if err := s.Sort("t", xs); err != nil {
+	if err := Sort(s, "t", xs); err != nil {
 		t.Fatalf("cold submit: %v", err)
 	}
 	if xs[0] != 1 || xs[2] != 3 {
@@ -78,7 +78,7 @@ func TestDeadlineStaleEstimateAdmits(t *testing.T) {
 	s.svcStamp.Store(int64(time.Since(serveEpoch)) - 2*int64(svcStaleAfter))
 
 	xs := []int64{3, 1, 2}
-	if err := s.Sort("t", xs); err != nil {
+	if err := Sort(s, "t", xs); err != nil {
 		t.Fatalf("idle-server submit bounced on a stale estimate: %v", err)
 	}
 	if xs[0] != 1 || xs[2] != 3 {
@@ -99,7 +99,7 @@ func TestDeadlineStaleEstimateResets(t *testing.T) {
 	s.svcNanos.Store(fossil)
 	s.svcStamp.Store(int64(time.Since(serveEpoch)) - 2*int64(svcStaleAfter))
 
-	if err := s.Sort("t", []int64{3, 1, 2}); err != nil {
+	if err := Sort(s, "t", []int64{3, 1, 2}); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	// A fold (alpha 1/4) would leave ~45 minutes; a reset leaves the
@@ -127,7 +127,7 @@ func TestDeadlineExpiredDroppedBeforeBatching(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		hist := make([]int, 1)
-		if err := s.Histogram("blocker", hist, []int64{1}, bucket); err != nil {
+		if err := Histogram(s, "blocker", hist, []int64{1}, bucket); err != nil {
 			t.Errorf("blocker: %v", err)
 		}
 	}()
@@ -144,7 +144,7 @@ func TestDeadlineExpiredDroppedBeforeBatching(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		victimErr = s.Sort("victim", []int64{2, 1})
+		victimErr = Sort(s, "victim", []int64{2, 1})
 	}()
 	// Let the victim's budget lapse while the dispatcher is stuck,
 	// then release the blocker; the next batch formation must expire
@@ -190,7 +190,7 @@ func TestMigrationKeepsDeadlineStamps(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		hist := make([]int, 1)
-		_ = home.Histogram("blocker", hist, []int64{1}, bucket)
+		_ = Histogram(home, "blocker", hist, []int64{1}, bucket)
 	}()
 	for i := 0; home.Stats().Batches == 0; i++ {
 		if i > 2000 {
@@ -206,7 +206,7 @@ func TestMigrationKeepsDeadlineStamps(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = home.Sort("mig", []int64{2, 1})
+			errs[i] = Sort(home, "mig", []int64{2, 1})
 		}()
 	}
 	for i := 0; home.queueDepth() < k; i++ {
@@ -267,7 +267,7 @@ func TestDeadlineBatchPathZeroAllocs(t *testing.T) {
 		xs[i] = int64((i * 2654435761) % 100003)
 	}
 	for i := 0; i < 64; i++ {
-		if err := s.Sort("t", xs); err != nil {
+		if err := Sort(s, "t", xs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,7 +276,7 @@ func TestDeadlineBatchPathZeroAllocs(t *testing.T) {
 	var allocs float64
 	for attempt := 0; attempt < 3; attempt++ {
 		allocs = testing.AllocsPerRun(100, func() {
-			if err := s.Sort("t", xs); err != nil {
+			if err := Sort(s, "t", xs); err != nil {
 				t.Fatal(err)
 			}
 		})

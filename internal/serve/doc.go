@@ -8,7 +8,11 @@
 // issuing a small sort, selection, histogram, scan or graph query —
 // that model pays one fork/join, one adaptive decision and one set of
 // scratch acquisitions per tiny call, and lets any one caller flood
-// the shared executor. serve replaces it with three mechanisms, in
+// the shared executor. serve replaces it with one request interface,
+// Front — CallBudget and CallDeltaBudget, implemented by Server,
+// Sharded and (in internal/wire) the socket Client, with the typed
+// Sort/Select/Histogram/Scan/Sum/BFS helpers written once as package
+// functions over it — and, behind that interface, three mechanisms in
 // request order:
 //
 //   - Admission control, driven by exec.Executor.Occupancy. Each
@@ -61,8 +65,10 @@
 // Layering: serve sits above internal/exec (occupancy gauge, pooled
 // fork/join), internal/scratch (request temporaries), internal/adapt
 // (the batch site), internal/pipeline (long-request route) and the
-// kernel packages (seq, par, psel, pgraph); it feeds the repro facade
-// (repro.NewServer) and cmd/parbench's -serve traffic mode.
+// kernel packages (seq, par, psel, pgraph); it feeds internal/wire
+// (the listener serves onto a Front, the client is one), the repro
+// facade (repro.NewServer, repro.Front, repro.ServeSort...) and
+// cmd/parbench's -serve traffic mode.
 // BenchmarkTrafficServe quantifies the batching win over naive
 // per-request dispatch at equal worker count.
 package serve

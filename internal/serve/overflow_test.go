@@ -26,7 +26,7 @@ func TestFoldedTenantAccountingBalances(t *testing.T) {
 		go func(name string) {
 			defer wg.Done()
 			for i := 0; i < perTenant; i++ {
-				if _, err := s.Sum(name, []int64{1, 2, 3}); err != nil && !errors.Is(err, ErrRejected) {
+				if _, err := Sum(s, name, []int64{1, 2, 3}); err != nil && !errors.Is(err, ErrRejected) {
 					t.Errorf("%s: %v", name, err)
 				}
 			}
@@ -66,7 +66,7 @@ func TestMigrateInDoesNotResurrectFoldedTenant(t *testing.T) {
 	defer home.Close()
 
 	// Fill home's tenant table so the next distinct name folds.
-	if _, err := home.Sum("resident", []int64{1}); err != nil {
+	if _, err := Sum(home, "resident", []int64{1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +137,7 @@ func TestShardedMigrationWithTenantFold(t *testing.T) {
 		go func(name string) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if _, err := g.Sum(name, []int64{4, 5, 6}); err != nil {
+				if _, err := Sum(g, name, []int64{4, 5, 6}); err != nil {
 					t.Errorf("%s: %v", name, err)
 					return
 				}

@@ -4,26 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/rescache"
-)
-
-// The kernels behind the typed convenience methods, resolved once at
-// init (the kernel package registers its built-ins in its own init,
-// which runs first because serve imports it). Everything the server
-// needs to execute, validate or pipeline-route a request comes from
-// the descriptor — adding a kernel to the registry makes it servable
-// through Call with no edits here.
-var (
-	kernelSort      = kernel.MustLookup("sort")
-	kernelSelect    = kernel.MustLookup("select")
-	kernelHistogram = kernel.MustLookup("histogram")
-	kernelScan      = kernel.MustLookup("scan")
-	kernelSum       = kernel.MustLookup("sum")
-	kernelBFS       = kernel.MustLookup("bfs")
 )
 
 // request is one queued unit of work: a kernel descriptor plus its
@@ -48,7 +32,7 @@ type request struct {
 	budget time.Duration
 
 	args kernel.Args
-	// delta rides incremental requests (CallDelta): when isDelta is
+	// delta rides incremental requests (CallDeltaBudget): when isDelta is
 	// set, the batch slot runs the kernel's delta adapter over (args,
 	// delta) instead of a full Run.
 	delta   kernel.Delta
@@ -172,23 +156,18 @@ func (s *Server) streamOne(tenantName string, k *kernel.Kernel, a *kernel.Args) 
 	return err
 }
 
-// Call submits one request for kernel k with argument record a on
-// behalf of tenant and waits for it: the generic entrypoint every
-// typed method wraps, and the only dispatch path — the server knows
-// nothing about individual kernels beyond their descriptors. Results
-// are copied back into a. Inputs at or above the pipeline cutoff
-// route through k.Stream when the kernel has one. Small requests
-// batch with other tenants' and keep the steady state allocation-
-// free: the request record is pooled and a's fields move by value.
-func (s *Server) Call(tenant string, k *kernel.Kernel, a *kernel.Args) error {
-	return s.CallBudget(tenant, k, a, 0)
-}
-
-// CallBudget is Call with a per-request deadline budget: when budget
-// is positive it replaces Config.SLO for this request's admission
-// prediction and queue-expiry stamp (the wire front door sets it from
-// frame metadata so a remote client's own SLO governs). A zero budget
-// inherits the server SLO, making Call a budget-0 wrapper.
+// CallBudget submits one request for kernel k with argument record a
+// on behalf of tenant and waits for it: the only dispatch path — the
+// server knows nothing about individual kernels beyond their
+// descriptors, and the typed helpers (Sort, Select, ...) only build a
+// for it. Results are copied back into a. Inputs at or above the
+// pipeline cutoff route through k.Stream when the kernel has one.
+// Small requests batch with other tenants' and keep the steady state
+// allocation-free: the request record is pooled and a's fields move by
+// value. A positive budget replaces Config.SLO for this request's
+// admission prediction and queue-expiry stamp (the wire front door
+// sets it from frame metadata so a remote client's own SLO governs);
+// a zero budget inherits the server SLO.
 func (s *Server) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, budget time.Duration) error {
 	if k == nil {
 		return fmt.Errorf("serve: Call with nil kernel")
@@ -239,19 +218,13 @@ func (s *Server) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, bud
 	return err
 }
 
-// CallDelta submits one incremental request: the kernel's delta
+// CallDeltaBudget submits one incremental request: the kernel's delta
 // adapter folds d into the already-computed record a inside a batch
-// slot, with the same admission, fairness, deadline and migration
-// semantics as Call — for the cost of the delta instead of a full
-// recompute. Kernels without a delta adapter fail loudly. The delta
-// path never touches the result cache: entries describing the
-// pre-delta input remain correct for that input.
-func (s *Server) CallDelta(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta) error {
-	return s.CallDeltaBudget(tenant, k, a, d, 0)
-}
-
-// CallDeltaBudget is CallDelta with a per-request deadline budget,
-// with the same override semantics as CallBudget.
+// slot, with the same admission, fairness, deadline, budget and
+// migration semantics as CallBudget — for the cost of the delta
+// instead of a full recompute. Kernels without a delta adapter fail
+// loudly. The delta path never touches the result cache: entries
+// describing the pre-delta input remain correct for that input.
 func (s *Server) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error {
 	if k == nil {
 		return fmt.Errorf("serve: CallDelta with nil kernel")
@@ -267,59 +240,4 @@ func (s *Server) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args
 	*a = r.args
 	s.putRequest(r)
 	return err
-}
-
-// Sort sorts xs in place. Small inputs batch with other requests;
-// inputs of PipelineCutoff elements or more stream through the
-// pipeline runtime instead so they cannot stall a batch.
-func (s *Server) Sort(tenant string, xs []int64) error {
-	a := kernel.Args{Xs: xs}
-	return s.Call(tenant, kernelSort, &a)
-}
-
-// Select returns the k-th smallest element of xs (0-based) without
-// modifying xs.
-func (s *Server) Select(tenant string, xs []int64, k int) (int64, error) {
-	a := kernel.Args{Xs: xs, K: k}
-	err := s.Call(tenant, kernelSelect, &a)
-	if err != nil {
-		return 0, err
-	}
-	return a.Out, nil
-}
-
-// Histogram counts bucket(x) occurrences over xs into hist (fully
-// overwritten; len(hist) is the bucket count). bucket must return
-// values in [0, len(hist)).
-func (s *Server) Histogram(tenant string, hist []int, xs []int64, bucket func(int64) int) error {
-	a := kernel.Args{Xs: xs, Hist: hist, Bucket: bucket}
-	return s.Call(tenant, kernelHistogram, &a)
-}
-
-// Scan writes inclusive prefix sums of xs into dst (len(dst) must
-// equal len(xs); dst may alias xs). Long scans stream through the
-// pipeline runtime.
-func (s *Server) Scan(tenant string, dst, xs []int64) error {
-	a := kernel.Args{Xs: xs, Dst: dst}
-	return s.Call(tenant, kernelScan, &a)
-}
-
-// Sum returns the sum of xs.
-func (s *Server) Sum(tenant string, xs []int64) (int64, error) {
-	a := kernel.Args{Xs: xs}
-	err := s.Call(tenant, kernelSum, &a)
-	if err != nil {
-		return 0, err
-	}
-	return a.Out, nil
-}
-
-// BFS returns hop distances from src in g (-1 when unreachable).
-func (s *Server) BFS(tenant string, g *graph.Graph, src int) ([]int32, error) {
-	a := kernel.Args{G: g, Src: src}
-	err := s.Call(tenant, kernelBFS, &a)
-	if err != nil {
-		return nil, err
-	}
-	return a.Dist, nil
 }

@@ -94,7 +94,7 @@ type Config struct {
 	// <= 0 means DefaultSaturation.
 	Saturation float64
 	// Cache, when non-nil, is the generation-stamped result cache
-	// consulted by Call before any queueing: a repeat of a cacheable
+	// consulted by CallBudget before any queueing: a repeat of a cacheable
 	// request (same tenant, kernel and input since the tenant's last
 	// BumpGeneration) is served from the cached output with zero
 	// kernel work, counted in CacheHits and in neither Accepted nor
@@ -299,9 +299,9 @@ type TenantStats struct {
 }
 
 // Server is the multi-tenant request-serving runtime. Create one with
-// New, submit requests with the typed methods (Sort, Select,
-// Histogram, Scan, Sum, BFS) from any number of goroutines, and Close
-// it when done. See the package comment for the admission, batching
+// New, submit requests through the Front methods or the typed helpers
+// (Sort, Select, Histogram, Scan, Sum, BFS) from any number of
+// goroutines, and Close it when done. See the package comment for the admission, batching
 // and fairness semantics.
 type Server struct {
 	cfg Config

@@ -58,7 +58,7 @@ func TestServeMixedConcurrent(t *testing.T) {
 				switch i % 6 {
 				case 0:
 					want := sortedOracle(xs)
-					if err := s.Sort(name, xs); err != nil {
+					if err := Sort(s, name, xs); err != nil {
 						errs <- err
 						continue
 					}
@@ -70,7 +70,7 @@ func TestServeMixedConcurrent(t *testing.T) {
 					}
 				case 1:
 					k := int(seed) % n
-					got, err := s.Select(name, xs, k)
+					got, err := Select(s, name, xs, k)
 					if err != nil {
 						errs <- err
 						continue
@@ -81,7 +81,7 @@ func TestServeMixedConcurrent(t *testing.T) {
 				case 2:
 					hist := make([]int, 64)
 					bucket := func(v int64) int { return int(uint64(v) % 64) }
-					if err := s.Histogram(name, hist, xs, bucket); err != nil {
+					if err := Histogram(s, name, hist, xs, bucket); err != nil {
 						errs <- err
 						continue
 					}
@@ -97,7 +97,7 @@ func TestServeMixedConcurrent(t *testing.T) {
 					}
 				case 3:
 					dst := make([]int64, n)
-					if err := s.Scan(name, dst, xs); err != nil {
+					if err := Scan(s, name, dst, xs); err != nil {
 						errs <- err
 						continue
 					}
@@ -110,7 +110,7 @@ func TestServeMixedConcurrent(t *testing.T) {
 						}
 					}
 				case 4:
-					got, err := s.Sum(name, xs)
+					got, err := Sum(s, name, xs)
 					if err != nil {
 						errs <- err
 						continue
@@ -123,7 +123,7 @@ func TestServeMixedConcurrent(t *testing.T) {
 						t.Errorf("sum = %d, want %d", got, want)
 					}
 				case 5:
-					dist, err := s.BFS(name, g, 0)
+					dist, err := BFS(s, name, g, 0)
 					if err != nil {
 						errs <- err
 						continue
@@ -174,7 +174,7 @@ func TestServeBatchCoalescing(t *testing.T) {
 			defer wg.Done()
 			xs := randInts(512, uint64(c))
 			for i := 0; i < each; i++ {
-				if _, err := s.Sum("t", xs); err != nil {
+				if _, err := Sum(s, "t", xs); err != nil {
 					t.Errorf("sum: %v", err)
 					return
 				}
@@ -214,7 +214,7 @@ func TestServeFairShare(t *testing.T) {
 					return
 				default:
 				}
-				if err := s.Sort("hot", xs); errors.Is(err, ErrRejected) {
+				if err := Sort(s, "hot", xs); errors.Is(err, ErrRejected) {
 					hotRejected.Add(1)
 				} else if err != nil {
 					t.Errorf("hot: %v", err)
@@ -227,7 +227,7 @@ func TestServeFairShare(t *testing.T) {
 	xs := randInts(2048, 99)
 	for i := 0; i < 30; i++ {
 		hist := make([]int, 16)
-		if err := s.Histogram("light", hist, xs, func(v int64) int { return int(uint64(v) % 16) }); err != nil {
+		if err := Histogram(s, "light", hist, xs, func(v int64) int { return int(uint64(v) % 16) }); err != nil {
 			t.Fatalf("light request %d failed under hot-tenant flood: %v", i, err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestServeBackpressure(t *testing.T) {
 			xs := randInts(2048, uint64(c))
 			for i := 0; i < 20; i++ {
 				want := sortedOracle(xs)
-				err := s.Sort("t", xs)
+				err := Sort(s, "t", xs)
 				switch {
 				case errors.Is(err, ErrRejected):
 					rejected.Add(1)
@@ -316,7 +316,7 @@ func TestServeShedUnderSaturation(t *testing.T) {
 			defer wg.Done()
 			xs := randInts(1024, uint64(c))
 			want := sortedOracle(xs)
-			if err := s.Sort("t", xs); err != nil {
+			if err := Sort(s, "t", xs); err != nil {
 				t.Errorf("sort under saturation: %v", err)
 				return
 			}
@@ -350,7 +350,7 @@ func TestServePipelineRoute(t *testing.T) {
 
 	xs := randInts(20000, 5)
 	want := sortedOracle(xs)
-	if err := s.Sort("t", xs); err != nil {
+	if err := Sort(s, "t", xs); err != nil {
 		t.Fatalf("pipelined sort: %v", err)
 	}
 	for j := range want {
@@ -366,7 +366,7 @@ func TestServePipelineRoute(t *testing.T) {
 		run += v
 		wantScan[j] = run
 	}
-	if err := s.Scan("t", ys, ys); err != nil { // dst aliases xs
+	if err := Scan(s, "t", ys, ys); err != nil { // dst aliases xs
 		t.Fatalf("pipelined scan: %v", err)
 	}
 	for j := range wantScan {
@@ -393,18 +393,18 @@ func TestServeClose(t *testing.T) {
 	defer e.Close()
 	s := New(Config{Executor: e})
 	xs := randInts(1000, 1)
-	if _, err := s.Sum("t", xs); err != nil {
+	if _, err := Sum(s, "t", xs); err != nil {
 		t.Fatalf("sum: %v", err)
 	}
 	s.Close()
 	s.Close() // idempotent
-	if err := s.Sort("t", xs); !errors.Is(err, ErrClosed) {
+	if err := Sort(s, "t", xs); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sort after Close = %v, want ErrClosed", err)
 	}
-	if _, err := s.Select("t", xs, 0); !errors.Is(err, ErrClosed) {
+	if _, err := Select(s, "t", xs, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Select after Close = %v, want ErrClosed", err)
 	}
-	if err := s.Sort("t", make([]int64, 1<<18)); !errors.Is(err, ErrClosed) {
+	if err := Sort(s, "t", make([]int64, 1<<18)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("pipelined Sort after Close = %v, want ErrClosed", err)
 	}
 }
@@ -415,19 +415,19 @@ func TestServeValidation(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
 	xs := []int64{3, 1, 2}
-	if _, err := s.Select("t", xs, 3); err == nil {
+	if _, err := Select(s, "t", xs, 3); err == nil {
 		t.Fatal("Select rank out of range accepted")
 	}
-	if _, err := s.Select("t", xs, -1); err == nil {
+	if _, err := Select(s, "t", xs, -1); err == nil {
 		t.Fatal("Select negative rank accepted")
 	}
-	if err := s.Histogram("t", make([]int, 4), xs, nil); err == nil {
+	if err := Histogram(s, "t", make([]int, 4), xs, nil); err == nil {
 		t.Fatal("Histogram nil bucket accepted")
 	}
-	if err := s.Scan("t", make([]int64, 2), xs); err == nil {
+	if err := Scan(s, "t", make([]int64, 2), xs); err == nil {
 		t.Fatal("Scan length mismatch accepted")
 	}
-	if _, err := s.BFS("t", nil, 0); err == nil {
+	if _, err := BFS(s, "t", nil, 0); err == nil {
 		t.Fatal("BFS nil graph accepted")
 	}
 	if st := s.Stats(); st.Accepted != 0 {
@@ -442,12 +442,12 @@ func TestServePanicConfined(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
 	xs := randInts(5000, 2)
-	err := s.Histogram("t", make([]int, 4), xs, func(v int64) int { return 1 << 30 })
+	err := Histogram(s, "t", make([]int, 4), xs, func(v int64) int { return 1 << 30 })
 	if err == nil {
 		t.Fatal("out-of-range bucket function did not error")
 	}
 	// Server still healthy afterwards.
-	if _, err := s.Sum("t", xs); err != nil {
+	if _, err := Sum(s, "t", xs); err != nil {
 		t.Fatalf("sum after confined panic: %v", err)
 	}
 }
@@ -460,7 +460,7 @@ func TestServeTenantBound(t *testing.T) {
 	defer s.Close()
 	for i := 0; i < 10; i++ {
 		name := string(rune('a' + i))
-		if _, err := s.Sum(name, []int64{int64(i), 1}); err != nil {
+		if _, err := Sum(s, name, []int64{int64(i), 1}); err != nil {
 			t.Fatalf("sum from tenant %q: %v", name, err)
 		}
 	}

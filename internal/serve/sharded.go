@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/exec"
-	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/rescache"
 	"repro/internal/scratch"
@@ -114,8 +113,8 @@ type ShardedStats struct {
 // dispatcher pulls before parking), so no dedicated balancer
 // goroutine or ticker exists.
 //
-// Create one with NewSharded, submit with the same typed methods as
-// Server, and Close it when done.
+// Create one with NewSharded, submit through the Front methods or the
+// typed helpers exactly as with a Server, and Close it when done.
 type Sharded struct {
 	cfg    ShardedConfig
 	execs  *exec.Sharded
@@ -339,30 +338,18 @@ func (g *Sharded) TenantStats() []TenantStats {
 	return out
 }
 
-// Call submits one request for any registered kernel on the tenant's
-// home shard — the generic entrypoint the typed methods wrap. Under
-// skew the request may execute on a migrated-to sibling, but its
-// accounting stays with the home shard's tenant entry.
-func (g *Sharded) Call(tenant string, k *kernel.Kernel, a *kernel.Args) error {
-	return g.home(tenant).Call(tenant, k, a)
-}
-
-// CallBudget is Call with a per-request deadline budget (see
-// Server.CallBudget) on the tenant's home shard. The absolute stamp
-// derived from the budget rides migration, so a thief shard enforces
-// the remote client's budget exactly as it enforces a home SLO.
+// CallBudget submits one request for any registered kernel on the
+// tenant's home shard (see Server.CallBudget). Under skew the request
+// may execute on a migrated-to sibling, but its accounting stays with
+// the home shard's tenant entry, and the absolute stamp derived from
+// the budget rides migration, so a thief shard enforces a remote
+// client's budget exactly as it enforces a home SLO.
 func (g *Sharded) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, budget time.Duration) error {
 	return g.home(tenant).CallBudget(tenant, k, a, budget)
 }
 
-// CallDelta submits one incremental request (see Server.CallDelta) on
-// the tenant's home shard.
-func (g *Sharded) CallDelta(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta) error {
-	return g.home(tenant).CallDelta(tenant, k, a, d)
-}
-
-// CallDeltaBudget is CallDelta with a per-request deadline budget on
-// the tenant's home shard.
+// CallDeltaBudget submits one incremental request (see
+// Server.CallDeltaBudget) on the tenant's home shard.
 func (g *Sharded) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error {
 	return g.home(tenant).CallDeltaBudget(tenant, k, a, d, budget)
 }
@@ -380,37 +367,4 @@ func (g *Sharded) BumpGeneration(tenant string) uint64 {
 		return c.Bump(tenant)
 	}
 	return 0
-}
-
-// Sort sorts xs in place on the tenant's home shard (or migrated
-// siblings under skew); long inputs stream through the home shard's
-// pipeline route.
-func (g *Sharded) Sort(tenant string, xs []int64) error {
-	return g.home(tenant).Sort(tenant, xs)
-}
-
-// Select returns the k-th smallest element of xs (0-based) without
-// modifying xs.
-func (g *Sharded) Select(tenant string, xs []int64, k int) (int64, error) {
-	return g.home(tenant).Select(tenant, xs, k)
-}
-
-// Histogram counts bucket(x) occurrences over xs into hist.
-func (g *Sharded) Histogram(tenant string, hist []int, xs []int64, bucket func(int64) int) error {
-	return g.home(tenant).Histogram(tenant, hist, xs, bucket)
-}
-
-// Scan writes inclusive prefix sums of xs into dst.
-func (g *Sharded) Scan(tenant string, dst, xs []int64) error {
-	return g.home(tenant).Scan(tenant, dst, xs)
-}
-
-// Sum returns the sum of xs.
-func (g *Sharded) Sum(tenant string, xs []int64) (int64, error) {
-	return g.home(tenant).Sum(tenant, xs)
-}
-
-// BFS returns hop distances from src in g (-1 when unreachable).
-func (g *Sharded) BFS(tenant string, gr *graph.Graph, src int) ([]int32, error) {
-	return g.home(tenant).BFS(tenant, gr, src)
 }

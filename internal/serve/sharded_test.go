@@ -59,7 +59,7 @@ func TestShardedMigrationExactlyOnce(t *testing.T) {
 					sent.Add(1)
 					if i%2 == 0 {
 						want := sortedOracle(xs)
-						if err := g.Sort(tenant, xs); err != nil {
+						if err := Sort(g, tenant, xs); err != nil {
 							t.Errorf("sort: %v", err)
 							return
 						}
@@ -74,7 +74,7 @@ func TestShardedMigrationExactlyOnce(t *testing.T) {
 						for _, v := range xs {
 							want += v
 						}
-						got, err := g.Sum(tenant, xs)
+						got, err := Sum(g, tenant, xs)
 						if err != nil {
 							t.Errorf("sum: %v", err)
 							return
@@ -168,7 +168,7 @@ func TestShardedAffinityBalanced(t *testing.T) {
 			defer wg.Done()
 			xs := randInts(1024, uint64(c))
 			for i := 0; i < each; i++ {
-				if _, err := g.Sum(tenant, xs); err != nil {
+				if _, err := Sum(g, tenant, xs); err != nil {
 					t.Errorf("sum: %v", err)
 					return
 				}
@@ -218,7 +218,7 @@ func TestShardedFairShareUnderMigration(t *testing.T) {
 					return
 				default:
 				}
-				if err := g.Sort(hot, xs); err != nil && !errors.Is(err, ErrRejected) {
+				if err := Sort(g, hot, xs); err != nil && !errors.Is(err, ErrRejected) {
 					t.Errorf("hot: %v", err)
 					return
 				}
@@ -229,7 +229,7 @@ func TestShardedFairShareUnderMigration(t *testing.T) {
 	xs := randInts(1024, 99)
 	for i := 0; i < 30; i++ {
 		hist := make([]int, 16)
-		if err := g.Histogram(light, hist, xs, func(v int64) int { return int(uint64(v) % 16) }); err != nil {
+		if err := Histogram(g, light, hist, xs, func(v int64) int { return int(uint64(v) % 16) }); err != nil {
 			t.Fatalf("light request %d failed under hot flood: %v", i, err)
 		}
 	}
@@ -280,15 +280,15 @@ func TestMigrateInClosedRunsInline(t *testing.T) {
 func TestShardedClose(t *testing.T) {
 	g := NewSharded(ShardedConfig{Shards: 2, ShardProcs: 1})
 	xs := randInts(512, 1)
-	if _, err := g.Sum("a", xs); err != nil {
+	if _, err := Sum(g, "a", xs); err != nil {
 		t.Fatalf("sum: %v", err)
 	}
 	g.Close()
 	g.Close() // idempotent
-	if _, err := g.Sum("a", xs); !errors.Is(err, ErrClosed) {
+	if _, err := Sum(g, "a", xs); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sum after Close = %v, want ErrClosed", err)
 	}
-	if err := g.Sort("b", xs); !errors.Is(err, ErrClosed) {
+	if err := Sort(g, "b", xs); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sort after Close = %v, want ErrClosed", err)
 	}
 }
@@ -306,7 +306,7 @@ func TestShardedMixedOps(t *testing.T) {
 
 		want := sortedOracle(xs)
 		sorted := append([]int64(nil), xs...)
-		if err := g.Sort(tenant, sorted); err != nil {
+		if err := Sort(g, tenant, sorted); err != nil {
 			t.Fatalf("sort: %v", err)
 		}
 		for j := range want {
@@ -316,13 +316,13 @@ func TestShardedMixedOps(t *testing.T) {
 		}
 
 		k := 1500
-		if got, err := g.Select(tenant, xs, k); err != nil || got != want[k] {
+		if got, err := Select(g, tenant, xs, k); err != nil || got != want[k] {
 			t.Fatalf("select = %d, %v; want %d", got, err, want[k])
 		}
 
 		hist := make([]int, 32)
 		bucket := func(v int64) int { return int(uint64(v) % 32) }
-		if err := g.Histogram(tenant, hist, xs, bucket); err != nil {
+		if err := Histogram(g, tenant, hist, xs, bucket); err != nil {
 			t.Fatalf("histogram: %v", err)
 		}
 		wantHist := make([]int, 32)
@@ -336,7 +336,7 @@ func TestShardedMixedOps(t *testing.T) {
 		}
 
 		dst := make([]int64, len(xs))
-		if err := g.Scan(tenant, dst, xs); err != nil {
+		if err := Scan(g, tenant, dst, xs); err != nil {
 			t.Fatalf("scan: %v", err)
 		}
 		var run int64
@@ -351,7 +351,7 @@ func TestShardedMixedOps(t *testing.T) {
 		for _, v := range xs {
 			wantSum += v
 		}
-		if got, err := g.Sum(tenant, xs); err != nil || got != wantSum {
+		if got, err := Sum(g, tenant, xs); err != nil || got != wantSum {
 			t.Fatalf("sum = %d, %v; want %d", got, err, wantSum)
 		}
 	}

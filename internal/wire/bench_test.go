@@ -134,9 +134,9 @@ func benchWireOpenLoop(b *testing.B, mode int) {
 			k = histK
 		}
 		if mode == modeInproc {
-			return s.Call(tenant, k, a)
+			return s.CallBudget(tenant, k, a, 0)
 		}
-		return bf.cl.Call(tenant, k, a)
+		return bf.cl.CallBudget(tenant, k, a, 0)
 	})
 	b.StopTimer()
 

@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/serve"
 )
 
 // Client speaks the wire protocol from the caller's side of a socket.
-// It presents the same budget-carrying call surface as the serving
-// layer (it satisfies Backend), so code written against a
-// serve.Server runs unchanged against a remote one. Calls are
-// serialized per client — the protocol is strictly request/response
+// It is a serve.Front, so code written against a serve.Server — the
+// typed helpers included — runs unchanged against a remote one. Calls
+// are serialized per client — the protocol is strictly request/response
 // on one connection — so concurrency comes from one Client per
 // goroutine (or a small pool), mirroring how the listener scales by
 // connection.
@@ -29,7 +29,7 @@ type Client struct {
 	maxFrame         int
 }
 
-var _ Backend = (*Client)(nil)
+var _ serve.Front = (*Client)(nil)
 
 // Dial connects to a wire listener ("tcp", "host:port" or "unix",
 // "/path.sock").
@@ -47,34 +47,23 @@ func NewClient(c net.Conn) *Client {
 	return &Client{c: c, maxFrame: DefaultMaxFrame}
 }
 
-// Close closes the underlying connection.
-func (cl *Client) Close() error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.c.Close()
-}
+// Close closes the underlying connection. It does not wait for the
+// call mutex: roundTrip holds that across its socket reads, and closing
+// the connection under it is what makes a call stalled on a silent
+// server return (with a read error) instead of blocking Close forever.
+func (cl *Client) Close() error { return cl.c.Close() }
 
-// Call sends one request and decodes the reply into a — the remote
-// mirror of serve's Call, inheriting the server-side SLO.
-func (cl *Client) Call(tenant string, k *kernel.Kernel, a *kernel.Args) error {
-	return cl.roundTrip(tenant, k, a, nil, 0)
-}
-
-// CallBudget is Call with a per-request deadline budget carried in
-// the frame metadata: the server's admission ladder enforces it as if
-// it were that request's SLO.
+// CallBudget sends one request and decodes the reply into a. A
+// positive budget rides the frame metadata and the server's admission
+// ladder enforces it as that request's SLO; zero inherits the
+// server-side SLO.
 func (cl *Client) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, budget time.Duration) error {
 	return cl.roundTrip(tenant, k, a, nil, budget)
 }
 
-// CallDelta sends one incremental request (serve.CallDelta over the
-// wire). The reply may be larger than the request — a sorted-merge
-// append grows Xs — in which case the decoded slice grows too.
-func (cl *Client) CallDelta(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta) error {
-	return cl.roundTrip(tenant, k, a, d, 0)
-}
-
-// CallDeltaBudget is CallDelta with a deadline budget.
+// CallDeltaBudget sends one incremental request. The reply may be
+// larger than the request — a sorted-merge append grows Xs — in which
+// case the decoded slice grows too.
 func (cl *Client) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error {
 	return cl.roundTrip(tenant, k, a, d, budget)
 }

@@ -1,7 +1,10 @@
 // Package wire is the network front door: a length-prefixed binary
 // frame codec plus a Listener that serves framed requests over TCP or
-// Unix sockets onto an existing serve.Server or serve.Sharded, and a
-// Client that speaks the same frames from the other end.
+// Unix sockets onto any serve.Front (a serve.Server or serve.Sharded),
+// and a Client that speaks the same frames from the other end and is
+// itself a serve.Front — so the typed serve.Sort...BFS helpers, and
+// anything else written against the interface, run unchanged on either
+// side of the socket.
 //
 // The codec is built for the read path to be zero-copy: a request
 // frame's body is read into a connection-owned slab drawn from

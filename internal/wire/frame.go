@@ -69,7 +69,7 @@ const (
 
 // Header flag bits.
 const (
-	flagDelta  = 1 << 0 // request carries delta sections (CallDelta)
+	flagDelta  = 1 << 0 // request carries delta sections (CallDeltaBudget)
 	flagBucket = 1 << 1 // install the canonical histogram bucket
 )
 
@@ -752,7 +752,7 @@ func (d *Decoder) DecodeRequest(body []byte) (Request, error) {
 	}
 	req.Tenant = d.intern(body[off : off+tlen])
 	off = align8(off + tlen)
-	req.Kernel = lookupKernel(kname)
+	req.Kernel = kernel.LookupBytes(kname)
 	if req.Kernel == nil {
 		return Request{}, fmt.Errorf("%w: unknown kernel %q", ErrBadFrame, string(kname))
 	}
@@ -805,37 +805,6 @@ func (d *Decoder) DecodeRequest(body []byte) (Request, error) {
 		return Request{}, fmt.Errorf("%w: delta flag without delta sections", ErrBadFrame)
 	}
 	return req, nil
-}
-
-// lookupKernel resolves a kernel name from raw bytes without
-// allocating: the registry snapshot is keyed by string, and a map
-// index with a converted []byte key stays on the stack.
-var kernelByName map[string]*kernel.Kernel
-
-func lookupKernel(name []byte) *kernel.Kernel {
-	if k, ok := kernelByName[string(name)]; ok {
-		return k
-	}
-	// Late registrations (tests registering ad-hoc kernels) fall back
-	// to the registry; cache the hit for next time.
-	k := kernel.Lookup(string(name))
-	if k != nil {
-		m := make(map[string]*kernel.Kernel, len(kernelByName)+1)
-		for n, v := range kernelByName {
-			m[n] = v
-		}
-		m[k.Name] = k
-		kernelByName = m
-	}
-	return k
-}
-
-func init() {
-	m := make(map[string]*kernel.Kernel)
-	for _, k := range kernel.All() {
-		m[k.Name] = k
-	}
-	kernelByName = m
 }
 
 // DecodeResponseInto decodes a one-shot response body (frameResponse)

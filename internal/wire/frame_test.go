@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -304,4 +305,60 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("codec round trip allocates %.1f per run, want 0", allocs)
 	}
+}
+
+// TestDecodeLateRegisteredKernelConcurrently pins that kernel-name
+// resolution has no state of its own to race on: a kernel registered
+// after this package initialised resolves from many decoding
+// goroutines at once (the benchmark's `<kernel>.traced` twins arrive
+// exactly this way, on live connections). Run under -race.
+func TestDecodeLateRegisteredKernelConcurrently(t *testing.T) {
+	const name = "wirelate"
+	k := kernel.Lookup(name)
+	if k == nil { // -count>1 reruns in one process; register once
+		sum := func(a *kernel.Args) {
+			a.Out = 0
+			for _, x := range a.Xs {
+				a.Out += x
+			}
+		}
+		k = kernel.Register(kernel.Kernel{
+			Name:     name,
+			Title:    "test kernel registered after wire's package init",
+			Variants: []kernel.Variant{{Name: "serial", Run: func(a *kernel.Args, _ par.Options) { sum(a) }}},
+			Serial:   sum,
+			Gen:      func(n int, seed uint64) *kernel.Args { return &kernel.Args{Xs: make([]int64, n), Seed: seed} },
+			Check:    func(got, want *kernel.Args) error { return nil },
+		})
+	}
+	frame, err := AppendRequest(nil, 1, "t", k, k.Gen(8, 1), nil, 0)
+	if err != nil {
+		t.Fatalf("AppendRequest: %v", err)
+	}
+	body := decodeFrame(t, frame)
+
+	const decoders = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < decoders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dec := NewDecoder()
+			<-start
+			for i := 0; i < 100; i++ {
+				req, err := dec.DecodeRequest(body)
+				if err != nil {
+					t.Errorf("DecodeRequest: %v", err)
+					return
+				}
+				if req.Kernel != k {
+					t.Errorf("decoded kernel %v, want %s", req.Kernel, name)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

@@ -23,19 +23,11 @@ var (
 	errClosed   = serve.ErrClosed
 )
 
-// Backend is what the listener serves onto: the budget-carrying call
-// surface shared by serve.Server and serve.Sharded. The listener
-// passes each frame's deadline budget straight through, so the
-// admission ladder sees the remote client's SLO.
-type Backend interface {
-	CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, budget time.Duration) error
-	CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error
-}
-
-var (
-	_ Backend = (*serve.Server)(nil)
-	_ Backend = (*serve.Sharded)(nil)
-)
+// Backend is what the listener serves onto: serve.Front under the
+// name this package's callers already use. The listener passes each
+// frame's deadline budget straight through, so the admission ladder
+// sees the remote client's SLO.
+type Backend = serve.Front
 
 // Config shapes a Listener. The zero value is ready: default frame
 // bound, default streaming thresholds, the process-default scratch

@@ -85,44 +85,13 @@ func TestWireEndToEnd(t *testing.T) {
 			local := k.Gen(301, 7)
 			remote := k.Gen(301, 7)
 			k.Run(local, parOptions())
-			if err := cl.Call("tenant-e2e", k, remote); err != nil {
+			if err := cl.CallBudget("tenant-e2e", k, remote, 0); err != nil {
 				t.Fatalf("wire call: %v", err)
 			}
 			if err := k.Check(remote, local); err != nil {
 				t.Fatalf("wire result differs from local: %v", err)
 			}
 		})
-	}
-}
-
-// TestWireCallDelta pins the incremental path over the socket: the
-// response to a delta request carries the grown, merged output.
-func TestWireCallDelta(t *testing.T) {
-	s := serve.New(serve.Config{})
-	defer s.Close()
-	_, cl := newWire(t, s, Config{})
-
-	k := kernel.MustLookup("sort")
-	a := k.Gen(128, 3)
-	if err := cl.Call("t", k, a); err != nil {
-		t.Fatalf("initial sort: %v", err)
-	}
-	want := append([]int64(nil), a.Xs...)
-	want = append(want, -7, 1000, 5)
-	local := &kernel.Args{Xs: append([]int64(nil), a.Xs...)}
-	if err := k.RunDelta(local, &kernel.Delta{Append: []int64{-7, 1000, 5}}, parOptions()); err != nil {
-		t.Fatalf("local delta: %v", err)
-	}
-	if err := cl.CallDelta("t", k, a, &kernel.Delta{Append: []int64{-7, 1000, 5}}); err != nil {
-		t.Fatalf("wire delta: %v", err)
-	}
-	if len(a.Xs) != len(local.Xs) {
-		t.Fatalf("delta reply len %d, want %d", len(a.Xs), len(local.Xs))
-	}
-	for i := range a.Xs {
-		if a.Xs[i] != local.Xs[i] {
-			t.Fatalf("Xs[%d] = %d, want %d", i, a.Xs[i], local.Xs[i])
-		}
 	}
 }
 
@@ -139,10 +108,10 @@ func TestWireStreamedByteIdentical(t *testing.T) {
 	k := kernel.MustLookup("sort")
 	a1 := k.Gen(50_000, 21)
 	a2 := k.Gen(50_000, 21)
-	if err := clOne.Call("t", k, a1); err != nil {
+	if err := clOne.CallBudget("t", k, a1, 0); err != nil {
 		t.Fatalf("one-shot: %v", err)
 	}
-	if err := clStream.Call("t", k, a2); err != nil {
+	if err := clStream.CallBudget("t", k, a2, 0); err != nil {
 		t.Fatalf("streamed: %v", err)
 	}
 	if len(a1.Xs) != len(a2.Xs) {
@@ -174,7 +143,7 @@ func TestWireDeadlineDoorRefusal(t *testing.T) {
 	k := kernel.MustLookup("sort")
 	for i := 0; i < 5; i++ {
 		a := k.Gen(4096, uint64(i))
-		if err := cl.Call("t", k, a); err != nil {
+		if err := cl.CallBudget("t", k, a, 0); err != nil {
 			t.Fatalf("warm call %d: %v", i, err)
 		}
 	}
@@ -206,7 +175,7 @@ func TestWireBudgetlessInheritsSLO(t *testing.T) {
 	if err := cl.CallBudget("t", k, a, time.Minute); err != nil {
 		t.Fatalf("budgeted call must override the 1ns SLO: %v", err)
 	}
-	err := cl.Call("t", k, k.Gen(64, 2))
+	err := cl.CallBudget("t", k, k.Gen(64, 2), 0)
 	if !errors.Is(err, serve.ErrDeadlineExceeded) {
 		t.Fatalf("budget-less err = %v, want ErrDeadlineExceeded (inherited SLO)", err)
 	}
@@ -227,7 +196,7 @@ func TestWireBudgetExpiresInQueue(t *testing.T) {
 	_, clB := newWire1(t, l)
 
 	done := make(chan error, 1)
-	go func() { done <- clGate.Call("t", gateKernel, &kernel.Args{Xs: []int64{1}}) }()
+	go func() { done <- clGate.CallBudget("t", gateKernel, &kernel.Args{Xs: []int64{1}}, 0) }()
 	waitFor(t, time.Second, func() bool { return s.Stats().Batches >= 1 })
 
 	k := kernel.MustLookup("sort")
@@ -311,7 +280,7 @@ func TestWireMigrationCarriesStamps(t *testing.T) {
 	}
 	defer clGate.Close()
 	done := make(chan error, 1)
-	go func() { done <- clGate.Call(tenant, gateKernel, &kernel.Args{Xs: []int64{1}}) }()
+	go func() { done <- clGate.CallBudget(tenant, gateKernel, &kernel.Args{Xs: []int64{1}}, 0) }()
 	waitFor(t, time.Second, func() bool { return g.Stats().PerShard[0].Batches >= 1 })
 
 	// Six concurrent budget-stamped victims: admitted cold (EWMA
@@ -413,13 +382,13 @@ func TestWireRaceSuite(t *testing.T) {
 					record(i, cl.CallBudget(tenant, k, a, time.Nanosecond))
 				case i%13 == 7 && k.Name == "sort":
 					// Two wire requests, two outcomes.
-					err := cl.Call(tenant, k, a)
+					err := cl.CallBudget(tenant, k, a, 0)
 					record(i, err)
 					if err == nil {
-						record(i, cl.CallDelta(tenant, k, a, &kernel.Delta{Append: []int64{int64(i), -int64(i)}}))
+						record(i, cl.CallDeltaBudget(tenant, k, a, &kernel.Delta{Append: []int64{int64(i), -int64(i)}}, 0))
 					}
 				default:
-					record(i, cl.Call(tenant, k, a))
+					record(i, cl.CallBudget(tenant, k, a, 0))
 				}
 			}
 		}(c)
@@ -472,7 +441,7 @@ func TestWireAbruptDisconnect(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	k := kernel.MustLookup("sort")
-	if err := cl.Call("t", k, k.Gen(65_536, 1)); err != nil {
+	if err := cl.CallBudget("t", k, k.Gen(65_536, 1), 0); err != nil {
 		t.Fatalf("priming call: %v", err)
 	}
 	cl.Close()
@@ -536,7 +505,7 @@ func TestWireCloseDrains(t *testing.T) {
 	addr := l.Addr().String()
 
 	done := make(chan error, 1)
-	go func() { done <- cl.Call("t", gateKernel, &kernel.Args{Xs: []int64{1}}) }()
+	go func() { done <- cl.CallBudget("t", gateKernel, &kernel.Args{Xs: []int64{1}}, 0) }()
 	waitFor(t, time.Second, func() bool { return s.Stats().Batches >= 1 })
 
 	closed := make(chan struct{})

@@ -159,12 +159,15 @@ type (
 	// request and response counters.
 	WireListenerStats = wire.Stats
 	// WireClient is the matching client: one connection, synchronous
-	// framed round trips, with the same typed Call/CallBudget surface
-	// the in-process servers expose. Build one with DialClient.
+	// framed round trips. It is a Front like the in-process servers,
+	// so the ServeSort...ServeBFS helpers work on it unchanged. Build
+	// one with DialClient.
 	WireClient = wire.Client
-	// WireBackend is the call surface a WireListener serves onto —
-	// satisfied by both *Server and *ShardedServer.
-	WireBackend = wire.Backend
+	// Front is the one request interface of the serving stack —
+	// CallBudget and CallDeltaBudget — implemented by *Server,
+	// *ShardedServer and *WireClient. A WireListener serves onto one;
+	// the ServeSort...ServeBFS helpers submit through one.
+	Front = serve.Front
 	// Kernel is one entry of the typed kernel registry — the unit a
 	// WireClient names in a call. Look builtins up with LookupKernel.
 	Kernel = kernel.Kernel
@@ -260,13 +263,14 @@ func DefaultAdaptiveStats() AdaptiveStats { return adapt.Default().Stats() }
 func NewPipeline(cfg PipelineConfig) *Pipeline { return pipeline.New(cfg) }
 
 // NewServer creates a request-serving runtime and starts its batch
-// dispatcher; Close it when done. Requests are submitted with the
-// typed methods from any number of goroutines:
+// dispatcher; Close it when done. Requests are submitted through the
+// typed ServeSort...ServeBFS helpers (or CallBudget, for any
+// registered kernel) from any number of goroutines:
 //
 //	srv := repro.NewServer(repro.ServerConfig{})
 //	defer srv.Close()
-//	if err := srv.Sort("tenant-a", xs); err != nil { ... }
-//	med, err := srv.Select("tenant-b", ys, len(ys)/2)
+//	if err := repro.ServeSort(srv, "tenant-a", xs); err != nil { ... }
+//	med, err := repro.ServeSelect(srv, "tenant-b", ys, len(ys)/2)
 //
 // The zero ServerConfig serves on the process-wide executor and
 // scratch pool with default batching and admission bounds; see
@@ -282,8 +286,8 @@ func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 //
 //	srv := repro.NewServer(repro.ServerConfig{Cache: repro.NewResultCache(repro.ResultCacheConfig{})})
 //	defer srv.Close()
-//	_ = srv.Sort("tenant-a", xs) // cold: runs, result stored
-//	_ = srv.Sort("tenant-a", xs) // warm: restored, zero kernel work
+//	_ = repro.ServeSort(srv, "tenant-a", xs) // cold: runs, result stored
+//	_ = repro.ServeSort(srv, "tenant-a", xs) // warm: restored, zero kernel work
 //	srv.BumpGeneration("tenant-a") // tenant-a's data changed: entries die
 //
 // The zero ResultCacheConfig draws entry buffers from the process-wide
@@ -294,15 +298,15 @@ func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 func NewResultCache(cfg ResultCacheConfig) *ResultCache { return rescache.New(cfg) }
 
 // NewShardedServer creates a sharded request-serving runtime and
-// starts one batch dispatcher per shard; Close it when done. It
-// serves the same typed methods as Server. Each request routes to its
+// starts one batch dispatcher per shard; Close it when done. It is a
+// Front exactly like Server. Each request routes to its
 // tenant's home shard (stable hash), so balanced tenants never share
 // queues, executors or scratch pools; under tenant skew the diffusive
 // balancer migrates queued requests to adjacent shards:
 //
 //	srv := repro.NewShardedServer(repro.ShardedServerConfig{})
 //	defer srv.Close()
-//	if err := srv.Sort("tenant-a", xs); err != nil { ... }
+//	if err := repro.ServeSort(srv, "tenant-a", xs); err != nil { ... }
 //	fmt.Println(srv.Stats().Migrated)
 //
 // The zero ShardedServerConfig picks min(GOMAXPROCS/4, 8) shards
@@ -314,7 +318,7 @@ func NewShardedServer(cfg ShardedServerConfig) *ShardedServer { return serve.New
 
 // NewListener starts a wire-protocol front door on network/addr
 // ("tcp", "127.0.0.1:7070" or "unix", "/tmp/parserve.sock") serving
-// backend — a *Server or *ShardedServer. Close it to drain in-flight
+// backend — any Front, usually a *Server or *ShardedServer. Close it to drain in-flight
 // requests and shut the socket:
 //
 //	srv := repro.NewShardedServer(repro.ShardedServerConfig{})
@@ -327,7 +331,7 @@ func NewShardedServer(cfg ShardedServerConfig) *ShardedServer { return serve.New
 // responses past 1 MiB as 64 KiB chunks, and draws connection buffers
 // from the process-wide scratch pool. See internal/wire for the frame
 // format and `cmd/parserve` for a standalone server binary.
-func NewListener(network, addr string, backend WireBackend, cfg WireListenerConfig) (*WireListener, error) {
+func NewListener(network, addr string, backend Front, cfg WireListenerConfig) (*WireListener, error) {
 	return wire.Listen(network, addr, backend, cfg)
 }
 
@@ -338,7 +342,8 @@ func NewListener(network, addr string, backend WireBackend, cfg WireListenerConf
 //	cl, err := repro.DialClient("tcp", l.Addr().String())
 //	if err != nil { ... }
 //	defer cl.Close()
-//	a := repro.KernelArgs{Xs: xs}
+//	err = repro.ServeSort(cl, "tenant-a", xs) // the helpers take any Front
+//	a := repro.KernelArgs{Xs: ys}
 //	err = cl.CallBudget("tenant-a", repro.LookupKernel("sort"), &a, 5*time.Millisecond)
 //
 // CallBudget's budget rides the frame as deadline metadata: the
@@ -346,6 +351,39 @@ func NewListener(network, addr string, backend WireBackend, cfg WireListenerConf
 // queue wait would blow it, exactly as for an in-process caller.
 func DialClient(network, addr string) (*WireClient, error) {
 	return wire.Dial(network, addr)
+}
+
+// ServeSort sorts xs in place through f on behalf of tenant. (Sort,
+// Sum, Select and BFS without the prefix are the direct parallel
+// kernels; the Serve forms go through a Front's admission, batching
+// and caching.)
+func ServeSort(f Front, tenant string, xs []int64) error { return serve.Sort(f, tenant, xs) }
+
+// ServeSelect returns the k-th smallest element of xs (0-based)
+// through f, without modifying xs.
+func ServeSelect(f Front, tenant string, xs []int64, k int) (int64, error) {
+	return serve.Select(f, tenant, xs, k)
+}
+
+// ServeHistogram counts bucket(x) occurrences over xs into hist
+// through f. Over a WireClient the bucket function itself cannot
+// cross; the server applies the canonical uniform bucketing.
+func ServeHistogram(f Front, tenant string, hist []int, xs []int64, bucket func(int64) int) error {
+	return serve.Histogram(f, tenant, hist, xs, bucket)
+}
+
+// ServeScan writes inclusive prefix sums of xs into dst through f.
+func ServeScan(f Front, tenant string, dst, xs []int64) error {
+	return serve.Scan(f, tenant, dst, xs)
+}
+
+// ServeSum returns the sum of xs through f.
+func ServeSum(f Front, tenant string, xs []int64) (int64, error) { return serve.Sum(f, tenant, xs) }
+
+// ServeBFS returns hop distances from src in g (-1 when unreachable)
+// through f.
+func ServeBFS(f Front, tenant string, g *Graph, src int) ([]int32, error) {
+	return serve.BFS(f, tenant, g, src)
 }
 
 // LookupKernel returns the registered kernel named name (nil when

@@ -248,10 +248,10 @@ func ExampleNewServer() {
 	srv := NewServer(ServerConfig{})
 	defer srv.Close()
 	xs := []int64{5, 3, 1, 4, 2}
-	if err := srv.Sort("tenant-a", xs); err != nil {
+	if err := ServeSort(srv, "tenant-a", xs); err != nil {
 		panic(err)
 	}
-	median, err := srv.Select("tenant-b", []int64{9, 7, 8, 6, 5}, 2)
+	median, err := ServeSelect(srv, "tenant-b", []int64{9, 7, 8, 6, 5}, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -266,7 +266,7 @@ func TestFacadeServerSLO(t *testing.T) {
 	srv := NewServer(ServerConfig{SLO: time.Second})
 	defer srv.Close()
 	xs := []int64{5, 3, 1, 4, 2}
-	if err := srv.Sort("tenant-a", xs); err != nil {
+	if err := ServeSort(srv, "tenant-a", xs); err != nil {
 		t.Fatalf("sort under SLO: %v", err)
 	}
 	if xs[0] != 1 || xs[4] != 5 {
@@ -288,7 +288,7 @@ func TestFacadeResultCache(t *testing.T) {
 	xs := []int64{9, 1, 7}
 	for i := 0; i < 3; i++ {
 		copy(xs, []int64{9, 1, 7})
-		if err := srv.Sort("tenant-a", xs); err != nil {
+		if err := ServeSort(srv, "tenant-a", xs); err != nil {
 			t.Fatalf("sort %d: %v", i, err)
 		}
 		if xs[0] != 1 || xs[2] != 9 {
@@ -306,7 +306,7 @@ func TestFacadeResultCache(t *testing.T) {
 	// and the same bytes must recompute.
 	srv.BumpGeneration("tenant-a")
 	copy(xs, []int64{9, 1, 7})
-	if err := srv.Sort("tenant-a", xs); err != nil {
+	if err := ServeSort(srv, "tenant-a", xs); err != nil {
 		t.Fatalf("post-bump sort: %v", err)
 	}
 	if cs := cache.Stats(); cs.Invalidations != 1 || cs.Hits != 2 {
@@ -323,7 +323,7 @@ func TestFacadeShardedServer(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		tenant := fmt.Sprintf("tenant-%d", c)
 		ys := append([]int64(nil), xs...)
-		if err := srv.Sort(tenant, ys); err != nil {
+		if err := ServeSort(srv, tenant, ys); err != nil {
 			t.Fatalf("sort: %v", err)
 		}
 		for i := range want {
@@ -344,14 +344,27 @@ func TestFacadeShardedServer(t *testing.T) {
 	}
 }
 
+// ExampleNewShardedServer submits through the typed helpers twice:
+// in-process on the sharded server, and — the helpers take any Front —
+// through a client dialled at a wire listener in front of it.
 func ExampleNewShardedServer() {
 	srv := NewShardedServer(ShardedServerConfig{Shards: 2, ShardProcs: 1})
 	defer srv.Close()
 	xs := []int64{5, 3, 1, 4, 2}
-	if err := srv.Sort("tenant-a", xs); err != nil {
+	if err := ServeSort(srv, "tenant-a", xs); err != nil {
 		panic(err)
 	}
-	sum, err := srv.Sum("tenant-b", []int64{9, 7, 8})
+	l, err := NewListener("tcp", "127.0.0.1:0", srv, WireListenerConfig{})
+	if err != nil {
+		panic(err)
+	}
+	defer l.Close()
+	cl, err := DialClient("tcp", l.Addr().String())
+	if err != nil {
+		panic(err)
+	}
+	defer cl.Close()
+	sum, err := ServeSum(cl, "tenant-b", []int64{9, 7, 8})
 	if err != nil {
 		panic(err)
 	}
