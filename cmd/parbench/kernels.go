@@ -53,10 +53,7 @@ func runKernelDemo(cfg core.Config, name string, w io.Writer) error {
 	if cfg.Quick {
 		n = 1 << 13
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 42
-	}
+	seed := cfg.WorkloadSeed()
 	opts := par.Options{Procs: procs, Executor: cfg.Executor, Scratch: cfg.Scratch}
 	if cfg.Adaptive {
 		opts.Adaptive = adapt.Default()
@@ -91,11 +88,7 @@ func runKernelDemo(cfg core.Config, name string, w io.Writer) error {
 	}
 
 	// The serve batch path: the same kernel behind admission control.
-	scfg := serve.Config{Executor: cfg.Executor, Scratch: cfg.Scratch, Workers: procs}
-	if cfg.Adaptive {
-		scfg.Adaptive = adapt.Default()
-	}
-	s := serve.New(scfg)
+	s := serve.New(cfg.ServeConfig(procs))
 	defer s.Close()
 	reqs := 64
 	if cfg.Quick {

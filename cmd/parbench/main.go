@@ -1,6 +1,6 @@
 // Command parbench regenerates the evaluation's tables and figures
-// (experiments E1–E23; see DESIGN.md for the index) and hosts the
-// runtime traffic demos.
+// (parbench -list prints the experiment index; DESIGN.md describes
+// each) and hosts the runtime traffic demos.
 //
 // Usage:
 //
@@ -85,7 +85,7 @@ import (
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiment ids (E1..E14) or 'all'")
+		expFlag   = flag.String("exp", "all", "comma-separated experiment ids (see -list) or 'all'")
 		quick     = flag.Bool("quick", false, "use smoke-test problem sizes")
 		procsFlag = flag.String("procs", "", "comma-separated worker counts (default 1,2,4,8)")
 		vprocs    = flag.String("vprocs", "", "comma-separated virtual BSP processor counts")
@@ -156,11 +156,11 @@ func main() {
 	if arrErr != nil {
 		fatalf("%v", arrErr)
 	}
-	cacheOn, cacheErr := cacheFor(*cacheFlag)
+	cacheOn, cacheErr := onOff("cache", *cacheFlag, false)
 	if cacheErr != nil {
 		fatalf("%v", cacheErr)
 	}
-	deltaOn, deltaErr := deltaFor(*deltaFlag)
+	deltaOn, deltaErr := onOff("delta", *deltaFlag, false)
 	if deltaErr != nil {
 		fatalf("%v", deltaErr)
 	}
@@ -201,10 +201,12 @@ func main() {
 	if cfg.Executor, err = executorFor(*executor); err != nil {
 		fatalf("%v", err)
 	}
-	if cfg.Scratch, err = scratchFor(*scratchMode); err != nil {
+	if scratchOn, err := onOff("scratch", *scratchMode, true); err != nil {
 		fatalf("%v", err)
+	} else if !scratchOn {
+		cfg.Scratch = scratch.Off // nil = the shared process-wide scratch pool
 	}
-	if cfg.Adaptive, err = adaptFor(*adaptMode); err != nil {
+	if cfg.Adaptive, err = onOff("adapt", *adaptMode, false); err != nil {
 		fatalf("%v", err)
 	}
 	if cfg.Procs, err = parseInts(*procsFlag); err != nil {
@@ -231,15 +233,14 @@ func main() {
 	}
 
 	if *serveMode {
-		if *openLoop {
-			rate := *rateFlag
-			if rate == 0 {
-				rate = 2000
-			}
-			if err := runOpenLoopDemo(cfg, *shardsFlag, rate, poissonArrivals, *sloFlag, cacheOn, *wireFlag, os.Stdout); err != nil {
-				fatalf("serve: %v", err)
-			}
-		} else if err := runServeDemo(cfg, *shardsFlag, *sloFlag, cacheOn, deltaOn, *wireFlag, os.Stdout); err != nil {
+		demo := serveDemo{
+			shards: *shardsFlag, slo: *sloFlag, cacheOn: cacheOn, deltaOn: deltaOn, wireAddr: *wireFlag,
+			openLoop: *openLoop, rate: *rateFlag, poisson: poissonArrivals,
+		}
+		if demo.openLoop && demo.rate == 0 {
+			demo.rate = 2000
+		}
+		if err := runServeDemo(cfg, demo, os.Stdout); err != nil {
 			fatalf("serve: %v", err)
 		}
 		printRuntimeStats(cfg)
@@ -365,21 +366,14 @@ func buildServeFront(cfg core.Config, shards int, slo time.Duration, maxQueue in
 	if len(cfg.Procs) > 0 {
 		workers = cfg.Procs[len(cfg.Procs)-1]
 	}
-	scfg := serve.Config{
-		Executor:       cfg.Executor,
-		Scratch:        cfg.Scratch,
-		Workers:        workers,
-		MaxQueue:       maxQueue,
-		PipelineCutoff: 1 << 15, // the demos' "long request" threshold
-		SLO:            slo,
-	}
+	scfg := cfg.ServeConfig(workers)
+	scfg.MaxQueue = maxQueue
+	scfg.PipelineCutoff = 1 << 15 // the demos' "long request" threshold
+	scfg.SLO = slo
 	if cacheOn {
 		// One cache in front of everything; a sharded server's shards
 		// all share it (the Config template copies the pointer).
 		scfg.Cache = rescache.New(rescache.Config{Pool: cfg.Scratch})
-	}
-	if cfg.Adaptive {
-		scfg.Adaptive = adapt.Default()
 	}
 	d := &demoFront{workers: workers, scfg: scfg}
 	if shards > 0 {
@@ -501,200 +495,235 @@ func demoTenantIdx(name string) int {
 	return 0
 }
 
+// demoN is the demos' request payload length.
+const demoN = 2048
+
 // demoPayload derives the demo's shared 2K-element request payload.
-func demoPayload(n int, seed uint64) []int64 {
-	base := make([]int64, n)
+func demoPayload(seed uint64) []int64 {
+	base := make([]int64, demoN)
 	for i := range base {
 		base[i] = int64((uint64(i)*2654435761 + seed) % 100003)
 	}
 	return base
 }
 
-// runServeDemo drives closed-loop multi-tenant request traffic — one
-// hot tenant with 8 clients and three light tenants with 2 each,
-// issuing mixed 2K-element sort/histogram/scan/sum requests plus an
-// occasional long sort that routes through the streaming pipeline —
-// through the request-serving runtime, then prints the server's
-// admission/batching counters, client-observed latency percentiles,
-// request throughput, and the per-tenant fair-share split. Rejected
-// requests are retried under capped exponential backoff with rng
-// jitter (a fixed sleep would wake every backpressured client in
-// lockstep and re-flood the door); unexpected errors are counted and
-// reported rather than silently shrinking the sample, so the printed
-// percentiles' denominator is every issued request. With shards > 0
-// the traffic runs through the sharded server instead and per-shard
-// stats lines are printed. It honors the -executor, -scratch, -adapt,
-// -procs and -quick flags through cfg. Closed-loop percentiles
-// understate the tail under saturation (coordinated omission): the
-// -openloop mode exists to print the honest number.
-// With cacheOn the result cache fronts the server (most of the demo's
-// repeated-payload requests become hits) and with deltaOn each client
-// additionally maintains a standing sorted record through
-// CallDeltaBudget appends — the incremental path — instead of
-// re-sorting from scratch.
-func runServeDemo(cfg core.Config, shards int, slo time.Duration, cacheOn, deltaOn bool, wireAddr string, w io.Writer) error {
-	// Small queue bound: lets the hot tenant's backpressure show.
-	d := buildServeFront(cfg, shards, slo, 4, cacheOn, wireAddr)
+// demoBufs is one in-flight demo request's payload: the input it
+// refreshes from the shared payload before each call, and the outputs.
+type demoBufs struct {
+	xs, dst []int64
+	hist    []int
+}
+
+func newDemoBufs() *demoBufs {
+	return &demoBufs{xs: make([]int64, demoN), dst: make([]int64, demoN), hist: make([]int, 1024)}
+}
+
+func demoBucket(v int64) int { return int(uint64(v) % 1024) }
+
+// demoRequest issues request i of the mix both drivers share: mixed
+// 2K-element sort/histogram/scan/sum over the payload in b.xs.
+func demoRequest(f serve.Front, tenant string, i int, b *demoBufs) error {
+	switch i % 4 {
+	case 0:
+		return serve.Sort(f, tenant, b.xs)
+	case 1:
+		return serve.Histogram(f, tenant, b.hist, b.xs, demoBucket)
+	case 2:
+		return serve.Scan(f, tenant, b.dst, b.xs)
+	}
+	_, err := serve.Sum(f, tenant, b.xs)
+	return err
+}
+
+// serveDemo is the -serve demo's flag set: which server to build
+// (shards, slo, cacheOn, wireAddr), which driver to run against it
+// (openLoop, with its rate and arrival process) and, closed-loop only,
+// whether to mix in standing-query delta traffic.
+type serveDemo struct {
+	shards   int
+	slo      time.Duration
+	cacheOn  bool
+	deltaOn  bool
+	wireAddr string
+	openLoop bool
+	rate     float64
+	poisson  bool
+}
+
+// demoRun is what a traffic driver hands the shared demo body: the
+// two halves of the header line that sit around the server
+// description, the loadgen report, and the driver's own summary rows.
+type demoRun struct {
+	title, load string
+	rep         loadgen.Report
+	rows        func(w io.Writer)
+}
+
+// runServeDemo drives multi-tenant request traffic through the
+// request-serving runtime — one batched server, a sharded group with
+// p.shards > 0, either behind a wire listener or a remote parserve
+// with p.wireAddr — and prints the server's admission/batching
+// counters, the driver's client-side summary rows and the per-tenant
+// fair-share split. The driver is closedLoopDemo (loadgen.Closed), or
+// openLoopDemo (loadgen.Run) with p.openLoop; everything else is
+// shared. It honors the -executor, -scratch, -adapt, -procs, -seed and
+// -quick flags through cfg.
+func runServeDemo(cfg core.Config, p serveDemo, w io.Writer) error {
+	// Closed loop: a small queue bound lets the hot tenant's
+	// backpressure show. Open loop: serve's default, so queueing (the
+	// thing the corrected clock exists to see) is not clipped.
+	drive, maxQueue := closedLoopDemo, 4
+	if p.openLoop {
+		drive, maxQueue = openLoopDemo, 0
+	}
+	d := buildServeFront(cfg, p.shards, p.slo, maxQueue, p.cacheOn, p.wireAddr)
 	defer d.close()
-	srv := d.front
 
 	total := 20000
 	if cfg.Quick {
 		total = 2000
 	}
-	const n = 2048
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	base := demoPayload(n, seed)
-	const backoffMin, backoffMax = 20 * time.Microsecond, 2 * time.Millisecond
-	var next atomic.Int64
-	var retried, errored, deadlined, deltas atomic.Int64
-	tenantRetries := make([]atomic.Int64, len(demoTenantNames))
-	lats := make([][]float64, len(demoTenants))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c, tenant := range demoTenants {
-		wg.Add(1)
-		go func(c int, tenant string) {
-			defer wg.Done()
-			rg := rng.New(seed + uint64(c))
-			xs := make([]int64, n)
-			dst := make([]int64, n)
-			hist := make([]int, 1024)
-			var big []int64 // lazily sized for the occasional long sort
-			bucket := func(v int64) int { return int(uint64(v) % 1024) }
-			tIdx := demoTenantIdx(tenant)
-			backoff := backoffMin
-			// Standing-query state for -delta traffic: a sorted record
-			// this client grows through delta appends, re-seeded
-			// (full sort) whenever it outgrows its budget.
-			kSort := kernel.MustLookup("sort")
-			var standing kernel.Args
-			chunk := make([]int64, 16)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				if cacheOn && i == total/2 {
-					// Midway, one tenant's data "changes": its cached
-					// entries die at once and the invalidations
-					// counter in the stats line goes live.
-					d.admin.BumpGeneration("t2")
-				}
-				copy(xs, base)
-				t0 := time.Now()
-				for {
-					var err error
-					switch {
-					case deltaOn && i%8 == 5:
-						if len(standing.Xs) == 0 || len(standing.Xs) > 4*n {
-							standing.Xs = append(standing.Xs[:0], base...)
-							if err = serve.Sort(srv, tenant, standing.Xs); err != nil {
-								standing.Xs = standing.Xs[:0] // not sorted; re-seed on retry
-								break
-							}
-						}
-						for j := range chunk {
-							chunk[j] = int64(rg.Uint64n(100003))
-						}
-						err = srv.CallDeltaBudget(tenant, kSort, &standing, &kernel.Delta{Append: chunk}, 0)
-						if err == nil {
-							deltas.Add(1)
-						}
-					case i%512 == 511:
-						if big == nil {
-							big = make([]int64, d.scfg.PipelineCutoff)
-						}
-						for j := range big {
-							big[j] = base[j%n]
-						}
-						err = serve.Sort(srv, tenant, big)
-					case i%4 == 0:
-						err = serve.Sort(srv, tenant, xs)
-					case i%4 == 1:
-						err = serve.Histogram(srv, tenant, hist, xs, bucket)
-					case i%4 == 2:
-						err = serve.Scan(srv, tenant, dst, xs)
-					default:
-						_, err = serve.Sum(srv, tenant, xs)
-					}
-					if errors.Is(err, serve.ErrRejected) || errors.Is(err, serve.ErrDeadlineExceeded) {
-						// Backpressure: back off and retry the same
-						// request — the latency sample keeps accruing,
-						// so the tail reflects the retries. Capped
-						// exponential with equal jitter: half the
-						// window is deterministic, half uniform, so
-						// backpressured clients fan out instead of
-						// waking in lockstep and re-flooding the door.
-						retried.Add(1)
-						tenantRetries[tIdx].Add(1)
-						if errors.Is(err, serve.ErrDeadlineExceeded) {
-							deadlined.Add(1)
-						}
-						time.Sleep(backoff/2 + time.Duration(rg.Uint64n(uint64(backoff)/2+1)))
-						if backoff *= 2; backoff > backoffMax {
-							backoff = backoffMax
-						}
-						continue
-					}
-					if err != nil {
-						// Count and move on: a dying client would
-						// silently shrink the sample and flatter every
-						// percentile printed below.
-						errored.Add(1)
-						break
-					}
-					backoff = backoffMin
-					lats[c] = append(lats[c], time.Since(t0).Seconds())
-					break
-				}
-			}
-		}(c, tenant)
-	}
-	wg.Wait()
-	wall := time.Since(start)
+	run := drive(d, p, total, cfg.WorkloadSeed())
 
-	var all []float64
-	for _, l := range lats {
-		all = append(all, l...)
-	}
+	where := "remote server"
 	switch {
 	case d.sharded != nil:
-		fmt.Fprintf(w, "== request-serving traffic demo — 4 tenants (hot ×8 clients, t1..t3 ×2), %d shards × W=%d, %d requests\n",
-			d.sharded.Shards(), d.sharded.Executors().Shard(0).Procs(), total)
+		where = fmt.Sprintf("%d shards × W=%d", d.sharded.Shards(), d.sharded.Executors().Shard(0).Procs())
 	case d.single != nil:
-		fmt.Fprintf(w, "== request-serving traffic demo — 4 tenants (hot ×8 clients, t1..t3 ×2), W=%d, %d requests\n",
-			d.workers, total)
-	default:
-		fmt.Fprintf(w, "== request-serving traffic demo — 4 tenants (hot ×8 clients, t1..t3 ×2), remote server, %d requests\n",
-			total)
+		where = fmt.Sprintf("W=%d", d.workers)
 	}
+	fmt.Fprintf(w, "== %s, %s, %s\n", run.title, where, run.load)
 	d.printServeStats(w)
-	fmt.Fprintf(w, "clients: issued=%d ok=%d errored=%d retried=%d (hot=%d t1=%d t2=%d t3=%d) deadline-refused=%d",
-		total, len(all), errored.Load(), retried.Load(),
-		tenantRetries[0].Load(), tenantRetries[1].Load(),
-		tenantRetries[2].Load(), tenantRetries[3].Load(), deadlined.Load())
-	if deltaOn {
-		fmt.Fprintf(w, " delta-updates=%d", deltas.Load())
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "latency: p50=%s p95=%s p99=%s | throughput=%.0f req/s over %s\n",
-		perf.FormatDuration(perf.Percentile(all, 50)),
-		perf.FormatDuration(perf.Percentile(all, 95)),
-		perf.FormatDuration(perf.Percentile(all, 99)),
-		float64(len(all))/wall.Seconds(), wall.Round(time.Millisecond))
+	run.rows(w)
 	printTenantStats(w, d.admin)
-	if len(all) == 0 {
-		// Errored clients keep serving so the denominator stays
-		// honest, but a run where *nothing* succeeded is a dead
-		// server, not a demo — exiting 0 here would let a CI smoke
-		// against an unreachable backend pass silently.
-		return fmt.Errorf("no request succeeded (%d issued, %d errored) — backend unreachable or every call failed", total, errored.Load())
+	if run.rep.OK == 0 {
+		// Errored requests are counted, not fatal, so the denominator
+		// stays honest — but a run where *nothing* succeeded is a dead
+		// server, not a demo: percentile rows over zero samples prove
+		// nothing, and a CI smoke against an unreachable backend must
+		// fail, not print empty stats and exit 0.
+		return fmt.Errorf("no request succeeded (%d sent, %d errored) — backend unreachable or every call failed", run.rep.Sent, run.rep.Errors)
 	}
 	return nil
+}
+
+// closedLoopDemo is the closed-loop driver: one hot tenant with 8
+// clients and three light tenants with 2 each, issuing the demoRequest
+// mix plus an occasional long sort that routes through the streaming
+// pipeline. Rejected requests are retried under capped exponential
+// backoff with rng jitter (a fixed sleep would wake every
+// backpressured client in lockstep and re-flood the door) with the
+// latency sample still accruing, so the tail reflects the retries;
+// unexpected errors are recorded rather than silently shrinking the
+// sample, so the percentiles' denominator is every issued request.
+// With p.cacheOn most of the repeated-payload requests become hits,
+// and with p.deltaOn each client additionally maintains a standing
+// sorted record through CallDeltaBudget appends — the incremental
+// path — instead of re-sorting from scratch. Closed-loop percentiles
+// understate the tail under saturation (coordinated omission): the
+// open-loop driver exists to print the honest number.
+func closedLoopDemo(d *demoFront, p serveDemo, total int, seed uint64) demoRun {
+	const backoffMin, backoffMax = 20 * time.Microsecond, 2 * time.Millisecond
+	base := demoPayload(seed)
+	kSort := kernel.MustLookup("sort")
+	var retried, deadlined, deltas atomic.Int64
+	tenantRetries := make([]atomic.Int64, len(demoTenantNames))
+	// Per-client state, indexed by loadgen.Closed's client number.
+	type client struct {
+		*demoBufs
+		rg      *rng.Rand
+		tIdx    int
+		backoff time.Duration
+		big     []int64 // lazily sized for the occasional long sort
+		// Standing-query state for -delta traffic: a sorted record this
+		// client grows through delta appends, re-seeded (full sort)
+		// whenever it outgrows its budget.
+		standing kernel.Args
+		chunk    []int64
+	}
+	clients := make([]client, len(demoTenants))
+	for c := range clients {
+		clients[c] = client{demoBufs: newDemoBufs(), rg: rng.New(seed + uint64(c)),
+			tIdx: demoTenantIdx(demoTenants[c]), backoff: backoffMin, chunk: make([]int64, 16)}
+	}
+	res := loadgen.Closed(len(clients), total, func(c, i int) error {
+		cl, tenant := &clients[c], demoTenants[c]
+		if p.cacheOn && i == total/2 {
+			// Midway, one tenant's data "changes": its cached entries
+			// die at once and the invalidations counter in the stats
+			// line goes live.
+			d.admin.BumpGeneration("t2")
+		}
+		copy(cl.xs, base)
+		for {
+			var err error
+			switch {
+			case p.deltaOn && i%8 == 5:
+				if len(cl.standing.Xs) == 0 || len(cl.standing.Xs) > 4*demoN {
+					cl.standing.Xs = append(cl.standing.Xs[:0], base...)
+					if err = serve.Sort(d.front, tenant, cl.standing.Xs); err != nil {
+						cl.standing.Xs = cl.standing.Xs[:0] // not sorted; re-seed on retry
+						break
+					}
+				}
+				for j := range cl.chunk {
+					cl.chunk[j] = int64(cl.rg.Uint64n(100003))
+				}
+				err = d.front.CallDeltaBudget(tenant, kSort, &cl.standing, &kernel.Delta{Append: cl.chunk}, 0)
+				if err == nil {
+					deltas.Add(1)
+				}
+			case i%512 == 511:
+				if cl.big == nil {
+					cl.big = make([]int64, d.scfg.PipelineCutoff)
+				}
+				for j := range cl.big {
+					cl.big[j] = base[j%demoN]
+				}
+				err = serve.Sort(d.front, tenant, cl.big)
+			default:
+				err = demoRequest(d.front, tenant, i, cl.demoBufs)
+			}
+			if !errors.Is(err, serve.ErrRejected) && !errors.Is(err, serve.ErrDeadlineExceeded) {
+				if err == nil {
+					cl.backoff = backoffMin
+				}
+				return err
+			}
+			// Backpressure: back off and retry the same request. Capped
+			// exponential with equal jitter: half the window is
+			// deterministic, half uniform, so backpressured clients fan
+			// out instead of waking in lockstep.
+			retried.Add(1)
+			tenantRetries[cl.tIdx].Add(1)
+			if errors.Is(err, serve.ErrDeadlineExceeded) {
+				deadlined.Add(1)
+			}
+			time.Sleep(cl.backoff/2 + time.Duration(cl.rg.Uint64n(uint64(cl.backoff)/2+1)))
+			cl.backoff = min(2*cl.backoff, backoffMax)
+		}
+	})
+	rep := res.Summarize(loadgen.Schedule{})
+	return demoRun{
+		title: "request-serving traffic demo — 4 tenants (hot ×8 clients, t1..t3 ×2)",
+		load:  fmt.Sprintf("%d requests", total),
+		rep:   rep,
+		rows: func(w io.Writer) {
+			fmt.Fprintf(w, "clients: issued=%d ok=%d errored=%d retried=%d (hot=%d t1=%d t2=%d t3=%d) deadline-refused=%d",
+				rep.Sent, rep.OK, rep.Errors, retried.Load(),
+				tenantRetries[0].Load(), tenantRetries[1].Load(),
+				tenantRetries[2].Load(), tenantRetries[3].Load(), deadlined.Load())
+			if p.deltaOn {
+				fmt.Fprintf(w, " delta-updates=%d", deltas.Load())
+			}
+			fmt.Fprintln(w)
+			fmt.Fprintf(w, "latency: p50=%s p95=%s p99=%s | throughput=%.0f req/s over %s\n",
+				perf.FormatDuration(rep.UncorrectedP50),
+				perf.FormatDuration(rep.UncorrectedP95),
+				perf.FormatDuration(rep.UncorrectedP99),
+				rep.AchievedRate, res.Wall.Round(time.Millisecond))
+		},
+	}
 }
 
 // printTenantStats prints the per-tenant fair-share split including
@@ -710,107 +739,56 @@ func printTenantStats(w io.Writer, admin serveAdmin) {
 	}
 }
 
-// runOpenLoopDemo drives the same tenant mix through the server from
-// a fixed open-loop arrival schedule (internal/loadgen): requests
-// fire at their scheduled instants whether or not earlier ones have
-// finished, so a stalled batch cannot slow the offered load down, and
-// every sample carries two latencies — uncorrected (send→done, what a
-// closed-loop client would have measured) and corrected
-// (intended-arrival→done, charging queue delay to the system). Both
-// percentile rows are printed side by side; the corrected row is the
-// honest one and the gap between them is the coordinated-omission
-// error made visible. Open-loop clients never retry: a rejected or
-// deadline-refused arrival is an error by design, counted in the
-// clients line. The queue bound stays at serve's default so queueing
-// (the thing the corrected clock exists to see) is not clipped by the
-// demo's backpressure setting.
-func runOpenLoopDemo(cfg core.Config, shards int, rate float64, poisson bool, slo time.Duration, cacheOn bool, wireAddr string, w io.Writer) error {
-	d := buildServeFront(cfg, shards, slo, 0, cacheOn, wireAddr)
-	defer d.close()
-	srv := d.front
-
-	total := 20000
-	if cfg.Quick {
-		total = 2000
-	}
-	const n = 2048
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	base := demoPayload(n, seed)
-
-	arrival := "const"
+// openLoopDemo is the open-loop driver: the same tenant mix fired from
+// a fixed arrival schedule (internal/loadgen), whether or not earlier
+// requests have finished, so a stalled batch cannot slow the offered
+// load down and every sample carries two latencies — uncorrected
+// (send→done, what a closed-loop client would have measured) and
+// corrected (intended-arrival→done, charging queue delay to the
+// system). Both percentile rows are printed side by side; the
+// corrected row is the honest one and the gap between them is the
+// coordinated-omission error made visible. Open-loop clients never
+// retry: a rejected or deadline-refused arrival is an error by design,
+// counted in the clients line.
+func openLoopDemo(d *demoFront, p serveDemo, total int, seed uint64) demoRun {
+	base := demoPayload(seed)
 	var sched loadgen.Schedule
-	if poisson {
-		arrival = "poisson"
-		sched = loadgen.Poisson(total, rate, seed)
+	arrival := "const"
+	if p.poisson {
+		arrival, sched = "poisson", loadgen.Poisson(total, p.rate, seed)
 	} else {
-		sched = loadgen.Constant(total, rate)
+		sched = loadgen.Constant(total, p.rate)
 	}
 	// Open-loop arrivals overlap, so in-flight requests each need
 	// their own payload buffers (harness overhead, pooled).
-	type bufs struct {
-		xs, dst []int64
-		hist    []int
-	}
-	pool := sync.Pool{New: func() any {
-		return &bufs{xs: make([]int64, n), dst: make([]int64, n), hist: make([]int, 1024)}
-	}}
-	bucket := func(v int64) int { return int(uint64(v) % 1024) }
+	pool := sync.Pool{New: func() any { return newDemoBufs() }}
 	res := loadgen.Run(sched, func(i int) error {
-		bf := pool.Get().(*bufs)
+		bf := pool.Get().(*demoBufs)
 		defer pool.Put(bf)
 		copy(bf.xs, base)
-		tenant := demoTenants[i%len(demoTenants)]
-		switch i % 4 {
-		case 0:
-			return serve.Sort(srv, tenant, bf.xs)
-		case 1:
-			return serve.Histogram(srv, tenant, bf.hist, bf.xs, bucket)
-		case 2:
-			return serve.Scan(srv, tenant, bf.dst, bf.xs)
-		default:
-			_, err := serve.Sum(srv, tenant, bf.xs)
-			return err
-		}
+		return demoRequest(d.front, demoTenants[i%len(demoTenants)], i, bf)
 	})
-
 	rep := res.Summarize(sched)
-	rejected := res.Failed(func(err error) bool { return errors.Is(err, serve.ErrRejected) })
-	deadlined := res.Failed(func(err error) bool { return errors.Is(err, serve.ErrDeadlineExceeded) })
-	other := rep.Errors - rejected - deadlined
-	switch {
-	case d.sharded != nil:
-		fmt.Fprintf(w, "== open-loop serving demo — 4 tenants (hot-weighted), %d shards × W=%d, %d arrivals at %.0f req/s (%s), slo=%v\n",
-			d.sharded.Shards(), d.sharded.Executors().Shard(0).Procs(), total, rate, arrival, slo)
-	case d.single != nil:
-		fmt.Fprintf(w, "== open-loop serving demo — 4 tenants (hot-weighted), W=%d, %d arrivals at %.0f req/s (%s), slo=%v\n",
-			d.workers, total, rate, arrival, slo)
-	default:
-		fmt.Fprintf(w, "== open-loop serving demo — 4 tenants (hot-weighted), remote server, %d arrivals at %.0f req/s (%s), slo=%v\n",
-			total, rate, arrival, slo)
+	return demoRun{
+		title: "open-loop serving demo — 4 tenants (hot-weighted)",
+		load:  fmt.Sprintf("%d arrivals at %.0f req/s (%s), slo=%v", total, p.rate, arrival, p.slo),
+		rep:   rep,
+		rows: func(w io.Writer) {
+			rejected := res.Failed(func(err error) bool { return errors.Is(err, serve.ErrRejected) })
+			deadlined := res.Failed(func(err error) bool { return errors.Is(err, serve.ErrDeadlineExceeded) })
+			fmt.Fprintf(w, "clients: sent=%d ok=%d rejected=%d deadline-refused=%d errors=%d | offered=%.0f req/s achieved=%.0f req/s over %s\n",
+				rep.Sent, rep.OK, rejected, deadlined, rep.Errors-rejected-deadlined,
+				rep.OfferedRate, rep.AchievedRate, res.Wall.Round(time.Millisecond))
+			fmt.Fprintf(w, "latency (uncorrected, send->done):    p50=%s p95=%s p99=%s\n",
+				perf.FormatDuration(rep.UncorrectedP50),
+				perf.FormatDuration(rep.UncorrectedP95),
+				perf.FormatDuration(rep.UncorrectedP99))
+			fmt.Fprintf(w, "latency (corrected, intended->done):  p50=%s p95=%s p99=%s  <- the honest tail\n",
+				perf.FormatDuration(rep.CorrectedP50),
+				perf.FormatDuration(rep.CorrectedP95),
+				perf.FormatDuration(rep.CorrectedP99))
+		},
 	}
-	d.printServeStats(w)
-	fmt.Fprintf(w, "clients: sent=%d ok=%d rejected=%d deadline-refused=%d errors=%d | offered=%.0f req/s achieved=%.0f req/s over %s\n",
-		rep.Sent, rep.OK, rejected, deadlined, other,
-		rep.OfferedRate, rep.AchievedRate, res.Wall.Round(time.Millisecond))
-	fmt.Fprintf(w, "latency (uncorrected, send->done):    p50=%s p95=%s p99=%s\n",
-		perf.FormatDuration(rep.UncorrectedP50),
-		perf.FormatDuration(rep.UncorrectedP95),
-		perf.FormatDuration(rep.UncorrectedP99))
-	fmt.Fprintf(w, "latency (corrected, intended->done):  p50=%s p95=%s p99=%s  <- the honest tail\n",
-		perf.FormatDuration(rep.CorrectedP50),
-		perf.FormatDuration(rep.CorrectedP95),
-		perf.FormatDuration(rep.CorrectedP99))
-	printTenantStats(w, d.admin)
-	if rep.OK == 0 {
-		// Same dead-backend guard as the closed-loop demo: percentile
-		// rows over zero samples prove nothing, and a CI smoke against
-		// an unreachable server must fail, not print empty stats.
-		return fmt.Errorf("no arrival succeeded (%d sent, %d rejected, %d errors) — backend unreachable or every call failed", rep.Sent, rejected, other)
-	}
-	return nil
 }
 
 // executorFor resolves the -executor flag mode; unknown values are an
@@ -827,38 +805,19 @@ func executorFor(mode string) (*exec.Executor, error) {
 	return nil, fmt.Errorf("bad -executor %q: want pooled, dedicated, or spawn", mode)
 }
 
-// scratchFor resolves the -scratch flag mode.
-func scratchFor(mode string) (*scratch.Pool, error) {
-	switch mode {
-	case "on", "":
-		return nil, nil // nil = the shared process-wide scratch pool
-	case "off":
-		return scratch.Off, nil
-	}
-	return nil, fmt.Errorf("bad -scratch %q: want on or off", mode)
-}
-
-// cacheFor resolves the -cache flag mode; unknown values are an
+// onOff resolves one of the on/off mode flags (-scratch, -adapt,
+// -cache, -delta); an empty mode means def. Unknown values are an
 // error, never a silent default.
-func cacheFor(mode string) (bool, error) {
+func onOff(flagName, mode string, def bool) (bool, error) {
 	switch mode {
 	case "on":
 		return true, nil
-	case "off", "":
+	case "off":
 		return false, nil
+	case "":
+		return def, nil
 	}
-	return false, fmt.Errorf("bad -cache %q: want on or off", mode)
-}
-
-// deltaFor resolves the -delta flag mode.
-func deltaFor(mode string) (bool, error) {
-	switch mode {
-	case "on":
-		return true, nil
-	case "off", "":
-		return false, nil
-	}
-	return false, fmt.Errorf("bad -delta %q: want on or off", mode)
+	return false, fmt.Errorf("bad -%s %q: want on or off", flagName, mode)
 }
 
 // arrivalFor resolves the -arrival flag mode into "poisson?".
@@ -870,17 +829,6 @@ func arrivalFor(mode string) (bool, error) {
 		return false, nil
 	}
 	return false, fmt.Errorf("bad -arrival %q: want const or poisson", mode)
-}
-
-// adaptFor resolves the -adapt flag mode.
-func adaptFor(mode string) (bool, error) {
-	switch mode {
-	case "on":
-		return true, nil
-	case "off", "":
-		return false, nil
-	}
-	return false, fmt.Errorf("bad -adapt %q: want on or off", mode)
 }
 
 // printRuntimeStats reports the executor's steal counters alongside

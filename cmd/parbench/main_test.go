@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/scratch"
 )
 
 // TestFlagModesRejectUnknownValues pins the CLI contract: a mistyped
@@ -14,11 +13,12 @@ import (
 // silent fall-back to the default behavior.
 func TestFlagModesRejectUnknownValues(t *testing.T) {
 	for _, bad := range []string{"maybe", "ON", "1", "true", " on"} {
-		if _, err := scratchFor(bad); err == nil {
-			t.Errorf("scratchFor(%q) accepted", bad)
-		}
-		if _, err := adaptFor(bad); err == nil {
-			t.Errorf("adaptFor(%q) accepted", bad)
+		for _, flagName := range onOffFlags {
+			for _, def := range []bool{false, true} {
+				if _, err := onOff(flagName, bad, def); err == nil || !strings.Contains(err.Error(), "-"+flagName) {
+					t.Errorf("onOff(%s, %q, %v) err = %v, want one naming -%s", flagName, bad, def, err, flagName)
+				}
+			}
 		}
 		if _, err := executorFor(bad); err == nil {
 			t.Errorf("executorFor(%q) accepted", bad)
@@ -26,27 +26,27 @@ func TestFlagModesRejectUnknownValues(t *testing.T) {
 		if _, err := arrivalFor(bad); err == nil {
 			t.Errorf("arrivalFor(%q) accepted", bad)
 		}
-		if _, err := cacheFor(bad); err == nil {
-			t.Errorf("cacheFor(%q) accepted", bad)
-		}
-		if _, err := deltaFor(bad); err == nil {
-			t.Errorf("deltaFor(%q) accepted", bad)
-		}
 	}
 }
 
+// onOffFlags are the flags parsed by onOff.
+var onOffFlags = []string{"scratch", "adapt", "cache", "delta"}
+
 func TestFlagModesAcceptKnownValues(t *testing.T) {
-	if p, err := scratchFor("on"); err != nil || p != nil {
-		t.Errorf("scratchFor(on) = %v, %v", p, err)
-	}
-	if p, err := scratchFor("off"); err != nil || p != scratch.Off {
-		t.Errorf("scratchFor(off) = %v, %v", p, err)
-	}
-	if on, err := adaptFor("on"); err != nil || !on {
-		t.Errorf("adaptFor(on) = %v, %v", on, err)
-	}
-	if on, err := adaptFor("off"); err != nil || on {
-		t.Errorf("adaptFor(off) = %v, %v", on, err)
+	for _, flagName := range onOffFlags {
+		for _, def := range []bool{false, true} {
+			if on, err := onOff(flagName, "on", def); err != nil || !on {
+				t.Errorf("onOff(%s, on, %v) = %v, %v", flagName, def, on, err)
+			}
+			if on, err := onOff(flagName, "off", def); err != nil || on {
+				t.Errorf("onOff(%s, off, %v) = %v, %v", flagName, def, on, err)
+			}
+			// The empty mode is the flag's default: scratch defaults on,
+			// adapt, cache and delta off.
+			if on, err := onOff(flagName, "", def); err != nil || on != def {
+				t.Errorf("onOff(%s, \"\", %v) = %v, %v", flagName, def, on, err)
+			}
+		}
 	}
 	if e, err := executorFor("pooled"); err != nil || e != nil {
 		t.Errorf("executorFor(pooled) = %v, %v", e, err)
@@ -69,21 +69,6 @@ func TestFlagModesAcceptKnownValues(t *testing.T) {
 	}
 	if p, err := arrivalFor("const"); err != nil || p {
 		t.Errorf("arrivalFor(const) = %v, %v", p, err)
-	}
-	// Cache and delta default off; "" and "off" are the same answer.
-	for _, mode := range []string{"", "off"} {
-		if on, err := cacheFor(mode); err != nil || on {
-			t.Errorf("cacheFor(%q) = %v, %v", mode, on, err)
-		}
-		if on, err := deltaFor(mode); err != nil || on {
-			t.Errorf("deltaFor(%q) = %v, %v", mode, on, err)
-		}
-	}
-	if on, err := cacheFor("on"); err != nil || !on {
-		t.Errorf("cacheFor(on) = %v, %v", on, err)
-	}
-	if on, err := deltaFor("on"); err != nil || !on {
-		t.Errorf("deltaFor(on) = %v, %v", on, err)
 	}
 }
 
@@ -113,7 +98,7 @@ func TestPipelineDemo(t *testing.T) {
 // lines appear with every request accounted for.
 func TestServeDemo(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, 0, 0, false, false, "", &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -133,7 +118,7 @@ func TestServeDemo(t *testing.T) {
 // request accounted for across shards.
 func TestServeDemoSharded(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, 2, 0, false, false, "", &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{shards: 2}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -154,8 +139,8 @@ func TestServeDemoSharded(t *testing.T) {
 // offered/achieved rate accounting appear.
 func TestOpenLoopDemo(t *testing.T) {
 	var buf strings.Builder
-	if err := runOpenLoopDemo(core.Config{Quick: true}, 0, 4000, true, 0, false, "", &buf); err != nil {
-		t.Fatalf("runOpenLoopDemo: %v", err)
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{openLoop: true, rate: 4000, poisson: true}, &buf); err != nil {
+		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
 	for _, want := range []string{"open-loop serving demo", "(poisson)",
@@ -173,8 +158,8 @@ func TestOpenLoopDemo(t *testing.T) {
 // with the corrected/uncorrected rows.
 func TestOpenLoopDemoConstSharded(t *testing.T) {
 	var buf strings.Builder
-	if err := runOpenLoopDemo(core.Config{Quick: true}, 2, 4000, false, 0, false, "", &buf); err != nil {
-		t.Fatalf("runOpenLoopDemo: %v", err)
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{openLoop: true, rate: 4000, shards: 2}, &buf); err != nil {
+		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
 	for _, want := range []string{"2 shards", "(const)", "shard 0: accepted=",
@@ -190,7 +175,7 @@ func TestOpenLoopDemoConstSharded(t *testing.T) {
 // deadline counters must be reported.
 func TestServeDemoWithSLO(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, 0, 50*time.Millisecond, false, false, "", &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{slo: 50 * time.Millisecond}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -206,7 +191,7 @@ func TestServeDemoWithSLO(t *testing.T) {
 // hit, and the cache stats line must be printed.
 func TestServeDemoWithCache(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, 0, 0, true, false, "", &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{cacheOn: true}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -227,7 +212,7 @@ func TestServeDemoWithCache(t *testing.T) {
 // mix, sharded, and checks the standing-query traffic is counted.
 func TestServeDemoWithCacheAndDelta(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, 2, 0, true, true, "", &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{shards: 2, cacheOn: true, deltaOn: true}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -245,8 +230,8 @@ func TestServeDemoWithCacheAndDelta(t *testing.T) {
 // cache on (delta stays closed-loop-only by flag validation).
 func TestOpenLoopDemoWithCache(t *testing.T) {
 	var buf strings.Builder
-	if err := runOpenLoopDemo(core.Config{Quick: true}, 0, 4000, true, 0, true, "", &buf); err != nil {
-		t.Fatalf("runOpenLoopDemo: %v", err)
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{openLoop: true, rate: 4000, poisson: true, cacheOn: true}, &buf); err != nil {
+		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
 	for _, want := range []string{"cache: hits=", "latency (corrected"} {
@@ -262,7 +247,7 @@ func TestOpenLoopDemoWithCache(t *testing.T) {
 // every request still drains.
 func TestServeDemoWire(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, 0, 0, false, false, "loopback", &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{wireAddr: "loopback"}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -279,8 +264,8 @@ func TestServeDemoWire(t *testing.T) {
 // stack: socket, listener, shard routing, corrected percentiles.
 func TestOpenLoopDemoWireSharded(t *testing.T) {
 	var buf strings.Builder
-	if err := runOpenLoopDemo(core.Config{Quick: true}, 2, 4000, false, 0, false, "loopback", &buf); err != nil {
-		t.Fatalf("runOpenLoopDemo: %v", err)
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{openLoop: true, rate: 4000, shards: 2, wireAddr: "loopback"}, &buf); err != nil {
+		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
 	for _, want := range []string{"wire: loopback", "2 shards", "latency (corrected"} {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -138,17 +139,20 @@ func TestByID(t *testing.T) {
 
 func TestExperimentRegistryComplete(t *testing.T) {
 	if len(Experiments) != 28 {
-		t.Fatalf("suite has %d experiments, want 28 (14 core + 14 extensions)", len(Experiments))
+		t.Fatalf("suite has %d experiments, want 28", len(Experiments))
 	}
-	seen := map[string]bool{}
-	for _, e := range Experiments {
+	refs := map[string]string{}
+	for i, e := range Experiments {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Fatalf("Experiments[%d].ID = %q, want %q (ids run E1..E28 in order)", i, e.ID, want)
+		}
 		if e.Run == nil || e.Title == "" || e.Ref == "" {
 			t.Fatalf("experiment %q incomplete", e.ID)
 		}
-		if seen[e.ID] {
-			t.Fatalf("duplicate id %q", e.ID)
+		if prev, dup := refs[e.Ref]; dup {
+			t.Fatalf("%s and %s both regenerate %q", prev, e.ID, e.Ref)
 		}
-		seen[e.ID] = true
+		refs[e.Ref] = e.ID
 	}
 }
 

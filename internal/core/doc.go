@@ -2,10 +2,11 @@
 // together into the methodology's workflow — tune (grain size, schedule
 // policy), calibrate (fit machine-model parameters from measurements),
 // predict (evaluate model costs), and experiment (regenerate every table
-// and figure of the reconstructed evaluation, E1–E14).
+// and figure of the evaluation; Experiments is the index, printed by
+// `parbench -list`).
 //
 // Layering: core is the top of the internal stack — it consumes
-// every kernel package plus gen, perf, machine, pipeline and serve
-// to regenerate the evaluation (experiments E1–E23), and feeds the
-// repro facade (RunExperiment) and cmd/parbench.
+// every kernel package plus gen, perf, machine, pipeline, serve and
+// loadgen to regenerate the evaluation, and feeds the repro facade
+// (RunExperiment) and cmd/parbench.
 package core

@@ -1,25 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
-
 	"repro/internal/adapt"
-	"repro/internal/bsp"
 	"repro/internal/exec"
-	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/machine"
 	"repro/internal/par"
 	"repro/internal/perf"
-	"repro/internal/pgraph"
-	"repro/internal/plist"
-	"repro/internal/pmat"
-	"repro/internal/psort"
-	"repro/internal/pstencil"
-	"repro/internal/sched"
 	"repro/internal/scratch"
-	"repro/internal/seq"
+	"repro/internal/serve"
 )
 
 // Config scales the experiment suite. The zero value runs the full-size
@@ -68,6 +55,19 @@ func (c Config) opts(procs int, pol par.Policy, grain int) par.Options {
 	return o
 }
 
+// ServeConfig is opts' serving-side sibling: the serve.Config for a
+// server of the given batch parallelism on the harness executor,
+// scratch pool and (with Adaptive) the process-wide controller.
+// Callers set the per-table fields (SLO, Cache, PipelineCutoff, …) on
+// the result.
+func (c Config) ServeConfig(workers int) serve.Config {
+	sc := serve.Config{Executor: c.Executor, Scratch: c.Scratch, Workers: workers}
+	if c.Adaptive {
+		sc.Adaptive = adapt.Default()
+	}
+	return sc
+}
+
 func (c Config) procs() []int {
 	if len(c.Procs) > 0 {
 		return c.Procs
@@ -89,7 +89,8 @@ func (c Config) reps() int {
 	return 3
 }
 
-func (c Config) seed() uint64 {
+// WorkloadSeed returns Seed, or its default 42 when unset.
+func (c Config) WorkloadSeed() uint64 {
 	if c.Seed != 0 {
 		return c.Seed
 	}
@@ -108,13 +109,16 @@ func (c Config) runner() perf.Runner { return perf.Runner{Warmup: 1, Reps: c.rep
 
 // Experiment is one reproducible table/figure of the evaluation.
 type Experiment struct {
-	ID    string // "E1".."E14"
+	ID    string // "E<n>"; `parbench -list` prints the index
 	Ref   string // the table/figure it regenerates
 	Title string
 	Run   func(cfg Config) *perf.Table
 }
 
-// Experiments lists the full suite in evaluation order.
+// Experiments lists the full suite in evaluation order: E1–E14 are the
+// reconstructed evaluation, E15 onward the extensions. The Run
+// functions live in the topic files kernels.go, scheduling.go,
+// models.go and serving.go; a new experiment is one row here.
 var Experiments = []Experiment{
 	{"E1", "Table 1", "Parallel scan: measured scaling and BSP-simulated scaling", E1Scan},
 	{"E2", "Table 2", "Sorting case study across algorithms and input distributions", E2Sort},
@@ -130,6 +134,20 @@ var Experiments = []Experiment{
 	{"E12", "Table 7", "Work stealing vs static loops on irregular trees", E12Steal},
 	{"E13", "Figure 6", "BSP cost model: broadcast algorithm crossover", E13Models},
 	{"E14", "Table 8", "Parallel overhead: T1 vs best sequential", E14Overhead},
+	{"E15", "Figure 7", "Weak scaling on the simulated machine (scan, matmul)", E15WeakScaling},
+	{"E16", "Table 9", "Selection: parallel quickselect vs sequential vs full sort", E16Selection},
+	{"E17", "Table 10", "Iterative graph kernels: PageRank and triangle counting", E17GraphIterative},
+	{"E18", "Figure 8", "Message aggregation: LogGP bulk advantage and BSP per-word fidelity", E18Aggregation},
+	{"E19", "Figure 9", "Stencil relaxation ablation: Jacobi vs red-black Gauss-Seidel", E19Relaxation},
+	{"E20", "Table 11", "Task-parallel quicksort (work stealing) vs loop-parallel sorters", E20StealSort},
+	{"E21", "Figure 10", "BFS direction ablation: top-down vs direction-optimizing", E21BFSDirection},
+	{"E22", "Table 12", "Streaming pipeline vs one-shot kernel composition", E22Pipeline},
+	{"E23", "Table 13", "Request serving: batched admission vs per-request dispatch", E23Serve},
+	{"E24", "Table 14", "Sharded serving under tenant skew: 1 shard vs N shards vs N shards + migration", E24ShardedServe},
+	{"E25", "Table 15", "Registry kernel ladder: one-shot vs serve batch path vs streamed pipeline, per registered kernel", E25KernelRegistry},
+	{"E26", "Table 16", "Coordinated omission: closed-loop vs open-loop serving at matched offered load", E26OpenLoop},
+	{"E27", "Table 17", "Result cache: cold vs warm-hit vs delta-update serving latency", E27ResultCache},
+	{"E28", "Table 18", "Wire front door: in-process vs framed-socket vs chunk-streamed serving latency", E28WireDoor},
 }
 
 // ByID returns the experiment with the given id.
@@ -140,530 +158,4 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// E1Scan regenerates Table 1: strong scaling of the parallel prefix-sum
-// against the sequential sweep, on real workers and on the simulated BSP
-// machine.
-func E1Scan(cfg Config) *perf.Table {
-	n := cfg.size(1<<22, 1<<16)
-	xs := gen.Ints(n, gen.Uniform, cfg.seed())
-	dst := make([]int64, n)
-	r := cfg.runner()
-
-	tseq := r.Time(func(int) { seq.Scan(dst, xs) }).Median
-	t := perf.NewTable(
-		fmt.Sprintf("Table 1: parallel scan, n=%d (seq sweep %s)", n, perf.FormatDuration(tseq)),
-		"machine", "P", "time", "speedup-vs-seq", "efficiency")
-	t1 := 0.0
-	for _, p := range cfg.procs() {
-		opts := cfg.opts(p, par.Static, 4096)
-		m := r.Time(func(int) {
-			par.ScanInclusive(dst, xs, opts, 0, func(a, b int64) int64 { return a + b })
-		}).Median
-		if p == 1 {
-			t1 = m
-		}
-		t.AddRowf("real", p, perf.FormatDuration(m), perf.Speedup(tseq, m), perf.Efficiency(t1, m, p))
-	}
-	// Simulated machine: cost units, speedup relative to P=1 cost.
-	params := machine.BSPParams{G: 2, L: 2000}
-	cost1 := 0.0
-	for _, p := range cfg.vprocs() {
-		_, stats := bsp.ScanOn(cfg.Executor, xs[:min(n, cfg.size(1<<18, 1<<14))], p)
-		params.P = p
-		cost := stats.Cost(params)
-		if p == 1 {
-			cost1 = cost
-		}
-		t.AddRowf("bsp-sim", p, fmt.Sprintf("%.4g ops", cost), cost1/cost/2, cost1/cost/2/float64(p))
-	}
-	return t
-}
-
-// E2Sort regenerates Table 2: every sorter on every input distribution.
-func E2Sort(cfg Config) *perf.Table {
-	n := cfg.size(1<<20, 1<<14)
-	p := runtime.GOMAXPROCS(0)
-	r := cfg.runner()
-	t := perf.NewTable(
-		fmt.Sprintf("Table 2: sorting %d keys, P=%d", n, p),
-		"algorithm", "distribution", "time", "Mkeys/s")
-	for _, s := range psort.Sorters {
-		for _, d := range []gen.Distribution{gen.Uniform, gen.Sorted, gen.Zipf, gen.FewUnique} {
-			master := gen.Ints(n, d, cfg.seed())
-			buf := make([]int64, n)
-			m := r.Time(func(int) {
-				copy(buf, master)
-				s.Sort(buf, cfg.opts(p, par.Static, 0))
-			}).Median
-			t.AddRowf(s.Name, d.String(), perf.FormatDuration(m),
-				perf.Throughput(n, m)/1e6)
-		}
-	}
-	return t
-}
-
-// E3SortScaling regenerates Figure 1: speedup of the parallel sorters
-// over worker counts, with Karp–Flatt serial-fraction diagnostics.
-func E3SortScaling(cfg Config) *perf.Table {
-	n := cfg.size(1<<20, 1<<14)
-	master := gen.Ints(n, gen.Uniform, cfg.seed())
-	buf := make([]int64, n)
-	r := cfg.runner()
-	t := perf.NewTable(
-		fmt.Sprintf("Figure 1: sorting strong scaling, n=%d uniform keys", n),
-		"algorithm", "P", "time", "speedup", "karp-flatt")
-	for _, s := range psort.Sorters {
-		if s.Name == "seq-quicksort" || s.Name == "seq-mergesort" || s.Name == "seq-radix" || s.Name == "stdlib" {
-			continue
-		}
-		t1 := 0.0
-		for _, p := range cfg.procs() {
-			m := r.Time(func(int) {
-				copy(buf, master)
-				s.Sort(buf, cfg.opts(p, par.Static, 0))
-			}).Median
-			if p == 1 {
-				t1 = m
-			}
-			t.AddRowf(s.Name, p, perf.FormatDuration(m), perf.Speedup(t1, m),
-				perf.KarpFlatt(perf.Speedup(t1, m), p))
-		}
-	}
-	return t
-}
-
-// E4ListRank regenerates Table 3: the work-inefficiency crossover of
-// pointer jumping, with the PRAM model's predicted time alongside.
-func E4ListRank(cfg Config) *perf.Table {
-	r := cfg.runner()
-	p := runtime.GOMAXPROCS(0)
-	t := perf.NewTable(
-		fmt.Sprintf("Table 3: list ranking, P=%d", p),
-		"n", "seq-sweep", "pointer-jump", "ratio-seq/par", "model-work-ratio", "model-ratio-P64")
-	sizes := []int{1 << 12, 1 << 14, 1 << 16, 1 << 18}
-	if cfg.Quick {
-		sizes = []int{1 << 10, 1 << 12}
-	}
-	for _, n := range sizes {
-		l := gen.RandomList(n, cfg.seed())
-		ts := r.Time(func(int) { seq.ListRank(l) }).Median
-		tp := r.Time(func(int) { plist.Rank(l, cfg.opts(p, par.Static, 2048)) }).Median
-		wd := machine.ListRankWD(n)
-		seqWork := float64(n)
-		t.AddRowf(n, perf.FormatDuration(ts), perf.FormatDuration(tp),
-			ts/tp, wd.Work/seqWork, seqWork/wd.Brent(64))
-	}
-	return t
-}
-
-// E5CC regenerates Table 4: connected components across algorithm and
-// graph class.
-func E5CC(cfg Config) *perf.Table {
-	scale := cfg.size(16, 10)
-	gridSide := cfg.size(360, 48)
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"er-deg4", gen.ErdosRenyi(1<<scale, 4, false, cfg.seed())},
-		{"er-deg16", gen.ErdosRenyi(1<<scale, 16, false, cfg.seed()+1)},
-		{"rmat", gen.RMAT(scale, 8, false, cfg.seed()+2)},
-		{"grid", gen.Grid2D(gridSide, gridSide, false, cfg.seed()+3)},
-	}
-	p := runtime.GOMAXPROCS(0)
-	opts := cfg.opts(p, par.Static, 2048)
-	r := cfg.runner()
-	t := perf.NewTable(
-		fmt.Sprintf("Table 4: connected components, P=%d", p),
-		"graph", "n", "m", "algorithm", "time", "Medges/s", "components")
-	for _, tc := range graphs {
-		type alg struct {
-			name string
-			run  func() int
-		}
-		algs := []alg{
-			{"par-labelprop", func() int { return pgraph.CountComponents(pgraph.CCLabelProp(tc.g, opts)) }},
-			{"par-hook", func() int { return pgraph.CountComponents(pgraph.CCHook(tc.g, opts)) }},
-			{"seq-bfs", func() int { return maxLabel(seq.ConnectedComponentsBFS(tc.g)) }},
-			{"seq-unionfind", func() int { return maxLabel(seq.ConnectedComponentsUF(tc.g)) }},
-		}
-		for _, a := range algs {
-			comps := 0
-			m := r.Time(func(int) { comps = a.run() }).Median
-			t.AddRowf(tc.name, tc.g.N(), tc.g.M(), a.name, perf.FormatDuration(m),
-				perf.Throughput(tc.g.M(), m)/1e6, comps)
-		}
-	}
-	return t
-}
-
-func maxLabel(labels []int) int {
-	m := -1
-	for _, l := range labels {
-		if l > m {
-			m = l
-		}
-	}
-	return m + 1
-}
-
-// E6MST regenerates Table 5: minimum spanning forest algorithms.
-func E6MST(cfg Config) *perf.Table {
-	n := cfg.size(1<<15, 1<<10)
-	r := cfg.runner()
-	p := runtime.GOMAXPROCS(0)
-	opts := cfg.opts(p, par.Static, 2048)
-	t := perf.NewTable(
-		fmt.Sprintf("Table 5: minimum spanning forest, P=%d", p),
-		"graph", "n", "m", "algorithm", "time", "weight")
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"er-deg8", gen.ErdosRenyi(n, 8, true, cfg.seed())},
-		{"er-deg32", gen.ErdosRenyi(n/2, 32, true, cfg.seed()+1)},
-		{"grid", gen.Grid2D(isqrt(n), isqrt(n), true, cfg.seed()+2)},
-	}
-	for _, tc := range graphs {
-		for _, a := range []struct {
-			name string
-			run  func() float64
-		}{
-			{"par-boruvka", func() float64 { return pgraph.MSTBoruvka(tc.g, opts) }},
-			{"seq-kruskal", func() float64 { return seq.MSTKruskal(tc.g) }},
-			{"seq-prim", func() float64 { return seq.MSTPrim(tc.g) }},
-		} {
-			w := 0.0
-			m := r.Time(func(int) { w = a.run() }).Median
-			t.AddRowf(tc.name, tc.g.N(), tc.g.M(), a.name, perf.FormatDuration(m), w)
-		}
-	}
-	return t
-}
-
-func isqrt(n int) int {
-	r := 1
-	for r*r < n {
-		r++
-	}
-	return r
-}
-
-// E7Matmul regenerates Figure 2: blocked matmul block-size ablation plus
-// the naive kernel.
-func E7Matmul(cfg Config) *perf.Table {
-	n := cfg.size(384, 96)
-	a := gen.RandomMatrix(n, n, cfg.seed())
-	b := gen.RandomMatrix(n, n, cfg.seed()+1)
-	p := runtime.GOMAXPROCS(0)
-	r := cfg.runner()
-	flops := 2 * float64(n) * float64(n) * float64(n)
-	// Idealized L1 (32 KiB, 64 B lines) miss model: the design-time
-	// prediction E7 validates. model-adv is predicted naive/blocked miss
-	// ratio (> 1 means blocking should win at this cache size).
-	l1 := machine.CacheModel{Words: 4096, Line: 8}
-	t := perf.NewTable(
-		fmt.Sprintf("Figure 2: matmul %dx%d, P=%d (model best block %d)", n, n, p, l1.BestBlock()),
-		"kernel", "block", "time", "GFLOP/s", "model-adv-L1")
-	m := r.Time(func(int) { seq.Matmul(a, b) }).Median
-	t.AddRowf("seq-naive", "-", perf.FormatDuration(m), flops/m/1e9, 1.0)
-	m = r.Time(func(int) { pmat.MulNaive(a, b, cfg.opts(p, par.Static, 0)) }).Median
-	t.AddRowf("par-naive", "-", perf.FormatDuration(m), flops/m/1e9, 1.0)
-	for _, bs := range []int{16, 32, 64, 128} {
-		m := r.Time(func(int) { pmat.Mul(a, b, pmat.Config{Block: bs, Opts: cfg.opts(p, par.Static, 0)}) }).Median
-		t.AddRowf("par-blocked", bs, perf.FormatDuration(m), flops/m/1e9,
-			l1.BlockingSpeedupModel(n, bs))
-	}
-	return t
-}
-
-// E8Stencil regenerates Figure 3: Jacobi strong scaling over workers.
-func E8Stencil(cfg Config) *perf.Table {
-	n := cfg.size(1024, 128)
-	iters := cfg.size(20, 5)
-	g := gen.HotPlateGrid(n)
-	r := cfg.runner()
-	t := perf.NewTable(
-		fmt.Sprintf("Figure 3: Jacobi %dx%d, %d sweeps", n, n, iters),
-		"P", "time", "speedup", "Mcell-updates/s")
-	cells := float64(n-2) * float64(n-2) * float64(iters)
-	t1 := 0.0
-	for _, p := range cfg.procs() {
-		m := r.Time(func(int) { pstencil.Jacobi(g, iters, cfg.opts(p, par.Static, 8)) }).Median
-		if p == 1 {
-			t1 = m
-		}
-		t.AddRowf(p, perf.FormatDuration(m), perf.Speedup(t1, m), cells/m/1e6)
-	}
-	return t
-}
-
-// E9BSPPredict regenerates Table 6: calibrate (A,B,C) from scan traces,
-// then predict the wall time of other kernels from their cost traces
-// alone and report relative error.
-func E9BSPPredict(cfg Config) *perf.Table {
-	n := cfg.size(1<<18, 1<<13)
-	xs := gen.Ints(n, gen.Uniform, cfg.seed())
-	r := cfg.runner()
-
-	// Calibration observations: scan over several virtual machine sizes
-	// and problem sizes, so W, H and the superstep count vary
-	// independently enough to fit 3 parameters.
-	var obs []Observation
-	for _, p := range []int{1, 2, 4, 8, 16, 32} {
-		for _, frac := range []int{1, 4, 16} {
-			in := xs[:n/frac]
-			var stats *bsp.Stats
-			secs := r.Time(func(int) { _, stats = bsp.ScanOn(cfg.Executor, in, p) }).Median
-			obs = append(obs, Observation{Stats: stats, Seconds: secs})
-			// Allreduce contributes a 3-superstep, low-h point so the
-			// barrier term is identifiable (scan alone pins S at 2).
-			secs = r.Time(func(int) { _, stats = bsp.SumAllReduceOn(cfg.Executor, in, p) }).Median
-			obs = append(obs, Observation{Stats: stats, Seconds: secs})
-		}
-	}
-	cal, err := Fit(obs)
-	t := perf.NewTable(
-		fmt.Sprintf("Table 6: BSP prediction vs measurement (n=%d; A=%.3g s/op, B=%.3g s/word, C=%.3g s/barrier)",
-			n, cal.SecPerOp, cal.SecPerWord, cal.SecPerBarrier),
-		"kernel", "P", "measured", "predicted", "rel-err")
-	if err != nil {
-		t.AddRowf("calibration-failed", "-", err.Error(), "-", "-")
-		return t
-	}
-	type kernel struct {
-		name string
-		run  func(p int) *bsp.Stats
-	}
-	kernels := []kernel{
-		{"scan", func(p int) *bsp.Stats { _, s := bsp.ScanOn(cfg.Executor, xs, p); return s }},
-		{"allreduce", func(p int) *bsp.Stats { _, s := bsp.SumAllReduceOn(cfg.Executor, xs, p); return s }},
-		{"samplesort", func(p int) *bsp.Stats { _, s := bsp.SampleSortOn(cfg.Executor, xs[:min(n, 1<<15)], p); return s }},
-	}
-	for _, k := range kernels {
-		for _, p := range []int{4, 16} {
-			var stats *bsp.Stats
-			secs := r.Time(func(int) { stats = k.run(p) }).Median
-			pred := cal.Predict(stats)
-			t.AddRowf(k.name, p, perf.FormatDuration(secs), perf.FormatDuration(pred),
-				RelativeError(pred, secs))
-		}
-	}
-	return t
-}
-
-// E10Schedule regenerates Figure 4: scheduling policies on uniform vs
-// skewed per-iteration work.
-func E10Schedule(cfg Config) *perf.Table {
-	n := cfg.size(1<<14, 1<<10)
-	totalWork := cfg.size(1<<24, 1<<18)
-	p := runtime.GOMAXPROCS(0)
-	r := cfg.runner()
-	uniform := make([]int, n)
-	for i := range uniform {
-		uniform[i] = totalWork / n
-	}
-	skewed := gen.SkewedWork(n, totalWork, 0.001, cfg.seed())
-	t := perf.NewTable(
-		fmt.Sprintf("Figure 4: loop schedules, n=%d iterations, P=%d", n, p),
-		"workload", "policy", "time", "vs-static")
-	for _, w := range []struct {
-		name string
-		work []int
-	}{{"uniform", uniform}, {"skewed", skewed}} {
-		staticT := 0.0
-		for _, pol := range par.Policies {
-			opts := cfg.opts(p, pol, 16)
-			m := r.Time(func(int) {
-				par.For(n, opts, func(i int) { spin(w.work[i]) })
-			}).Median
-			if pol == par.Static {
-				staticT = m
-			}
-			t.AddRowf(w.name, pol.String(), perf.FormatDuration(m), m/staticT)
-		}
-	}
-	return t
-}
-
-// spin burns approximately units of arithmetic work.
-func spin(units int) {
-	acc := uint64(1)
-	for i := 0; i < units; i++ {
-		acc = acc*6364136223846793005 + 1442695040888963407
-	}
-	if acc == 0 { // defeat dead-code elimination
-		panic("unreachable")
-	}
-}
-
-// E11Grain regenerates Figure 5: the grain-size U-curve for a cheap-body
-// parallel reduction.
-func E11Grain(cfg Config) *perf.Table {
-	n := cfg.size(1<<22, 1<<16)
-	xs := gen.Ints(n, gen.Uniform, cfg.seed())
-	p := runtime.GOMAXPROCS(0)
-	t := perf.NewTable(
-		fmt.Sprintf("Figure 5: grain-size tuning for dynamic-schedule sum, n=%d, P=%d", n, p),
-		"grain", "time", "vs-best")
-	grains := PowersOfTwo(6, 20)
-	res := TuneGrain(grains, cfg.reps(), func(grain int) {
-		par.Sum(xs, cfg.opts(p, par.Dynamic, grain))
-	})
-	best := res.Seconds[res.Best]
-	for _, g := range grains {
-		t.AddRowf(g, perf.FormatDuration(res.Seconds[g]), res.Seconds[g]/best)
-	}
-	t.AddRowf(fmt.Sprintf("best=%d", res.Best), perf.FormatDuration(best), 1.0)
-	return t
-}
-
-// E12Steal regenerates Table 7: work stealing vs static loop partitioning
-// on a skewed task tree.
-func E12Steal(cfg Config) *perf.Table {
-	depth := cfg.size(22, 14)
-	p := runtime.GOMAXPROCS(0)
-	r := cfg.runner()
-	t := perf.NewTable(
-		fmt.Sprintf("Table 7: irregular tree (depth %d), P=%d", depth, p),
-		"scheduler", "time", "steals", "steal-attempts")
-
-	// The workload: an unbalanced recursion (a second child only every
-	// third level) — static partitioning over its leaf list clusters
-	// the heavy subtrees onto few workers.
-	pool := sched.NewPoolOn(cfg.Executor, p)
-	var root func(d int) sched.Task
-	root = func(d int) sched.Task {
-		return func(w *sched.Worker) {
-			if d <= 0 {
-				spin(20000)
-				return
-			}
-			w.Spawn(root(d - 1))
-			if d%3 == 0 {
-				w.Spawn(root(d - 2))
-			}
-		}
-	}
-	m := r.Time(func(int) { pool.Run(root(depth)) }).Median
-	t.AddRowf("work-stealing", perf.FormatDuration(m), int(pool.Steals()), int(pool.StealAttempts()))
-
-	// Static emulation: expand the same tree sequentially to a task
-	// list, then par.For over it with static scheduling. The list order
-	// clusters heavy subtrees, reproducing the imbalance.
-	var tasks []int
-	var expand func(d int)
-	expand = func(d int) {
-		if d <= 0 {
-			tasks = append(tasks, 20000)
-			return
-		}
-		expand(d - 1)
-		if d%3 == 0 {
-			expand(d - 2)
-		}
-	}
-	expand(depth)
-	for _, pol := range []par.Policy{par.Static, par.Guided} {
-		m := r.Time(func(int) {
-			par.For(len(tasks), cfg.opts(p, pol, 64), func(i int) { spin(tasks[i]) })
-		}).Median
-		t.AddRowf("loop-"+pol.String(), perf.FormatDuration(m), "-", "-")
-	}
-	return t
-}
-
-// E13Models regenerates Figure 6: the broadcast-algorithm crossover
-// under the BSP cost model, plus the LogP prediction for the same
-// pattern. Model-only: deterministic, no timing.
-func E13Models(cfg Config) *perf.Table {
-	t := perf.NewTable(
-		"Figure 6: broadcast cost under BSP (direct vs tree) and LogP",
-		"P", "g", "l", "bsp-direct", "bsp-tree", "winner", "logp-tree")
-	for _, p := range cfg.vprocs() {
-		if p < 2 {
-			continue
-		}
-		_, direct := bsp.BroadcastDirectOn(cfg.Executor, 1, p)
-		_, tree := bsp.BroadcastTreeOn(cfg.Executor, 1, p)
-		for _, gl := range []struct{ g, l float64 }{{1, 10}, {1, 10000}, {50, 10}} {
-			params := machine.BSPParams{P: p, G: gl.g, L: gl.l}
-			cd, ct := direct.Cost(params), tree.Cost(params)
-			winner := "direct"
-			if ct < cd {
-				winner = "tree"
-			}
-			logp := machine.LogPParams{L: gl.l, O: 1, G: gl.g, P: p}
-			t.AddRowf(p, gl.g, gl.l, cd, ct, winner, logp.Broadcast())
-		}
-	}
-	return t
-}
-
-// E14Overhead regenerates Table 8: single-worker parallel time over best
-// sequential time for every kernel (the price of parallelization).
-func E14Overhead(cfg Config) *perf.Table {
-	r := cfg.runner()
-	t := perf.NewTable(
-		"Table 8: parallel overhead T1/Tseq",
-		"kernel", "Tseq", "T1", "overhead")
-	one := cfg.opts(1, par.Static, 0)
-
-	n := cfg.size(1<<20, 1<<14)
-	xs := gen.Ints(n, gen.Uniform, cfg.seed())
-	dst := make([]int64, n)
-	buf := make([]int64, n)
-
-	addRow := func(name string, fseq, fpar func()) {
-		ts := r.Time(func(int) { fseq() }).Median
-		t1 := r.Time(func(int) { fpar() }).Median
-		t.AddRowf(name, perf.FormatDuration(ts), perf.FormatDuration(t1), t1/ts)
-	}
-	addRow("scan",
-		func() { seq.Scan(dst, xs) },
-		func() { par.ScanInclusive(dst, xs, one, 0, func(a, b int64) int64 { return a + b }) })
-	addRow("sort",
-		func() { copy(buf, xs); seq.Quicksort(buf) },
-		func() { copy(buf, xs); psort.SampleSort(buf, one) })
-	l := gen.RandomList(cfg.size(1<<16, 1<<12), cfg.seed())
-	addRow("listrank",
-		func() { seq.ListRank(l) },
-		func() { plist.Rank(l, one) })
-	g := gen.ErdosRenyi(cfg.size(1<<14, 1<<10), 8, false, cfg.seed())
-	addRow("connected-components",
-		func() { seq.ConnectedComponentsUF(g) },
-		func() { pgraph.CCHook(g, one) })
-	wgr := gen.ErdosRenyi(cfg.size(1<<13, 1<<9), 8, true, cfg.seed())
-	addRow("mst",
-		func() { seq.MSTKruskal(wgr) },
-		func() { pgraph.MSTBoruvka(wgr, one) })
-	mm := cfg.size(256, 64)
-	ma := gen.RandomMatrix(mm, mm, cfg.seed())
-	mb := gen.RandomMatrix(mm, mm, cfg.seed()+1)
-	addRow("matmul",
-		func() { seq.Matmul(ma, mb) },
-		func() { pmat.Mul(ma, mb, pmat.Config{Opts: one}) })
-	grid := gen.HotPlateGrid(cfg.size(512, 64))
-	addRow("jacobi",
-		func() { seq.Jacobi(grid, 10) },
-		func() { pstencil.Jacobi(grid, 10, one) })
-	return t
-}
-
-// RunAll executes every experiment and returns the tables in order.
-func RunAll(cfg Config) []*perf.Table {
-	out := make([]*perf.Table, 0, len(Experiments))
-	for _, e := range Experiments {
-		out = append(out, e.Run(cfg))
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,32 +1,97 @@
 package core
 
+// The machine-model experiments: BSP calibration and prediction, the
+// broadcast crossover, weak scaling on the simulated machine, and
+// message aggregation under LogGP.
+
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/bsp"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/machine"
-	"repro/internal/par"
 	"repro/internal/perf"
-	"repro/internal/pgraph"
-	"repro/internal/psel"
-	"repro/internal/seq"
 )
 
-// Extension experiments (E15–E18): beyond the core reconstructed
-// evaluation, these cover weak scaling, the selection case study, the
-// iterative graph kernels, and the message-aggregation analysis that
-// E9's misprediction motivates. DESIGN.md lists them under "extensions".
+// E9BSPPredict regenerates Table 6: calibrate (A,B,C) from scan traces,
+// then predict the wall time of other kernels from their cost traces
+// alone and report relative error.
+func E9BSPPredict(cfg Config) *perf.Table {
+	n := cfg.size(1<<18, 1<<13)
+	xs := gen.Ints(n, gen.Uniform, cfg.WorkloadSeed())
+	r := cfg.runner()
 
-func init() {
-	Experiments = append(Experiments,
-		Experiment{"E15", "Figure 7", "Weak scaling on the simulated machine (scan, matmul)", E15WeakScaling},
-		Experiment{"E16", "Table 9", "Selection: parallel quickselect vs sequential vs full sort", E16Selection},
-		Experiment{"E17", "Table 10", "Iterative graph kernels: PageRank and triangle counting", E17GraphIterative},
-		Experiment{"E18", "Figure 8", "Message aggregation: LogGP bulk advantage and BSP per-word fidelity", E18Aggregation},
-	)
+	// Calibration observations: scan over several virtual machine sizes
+	// and problem sizes, so W, H and the superstep count vary
+	// independently enough to fit 3 parameters.
+	var obs []Observation
+	for _, p := range []int{1, 2, 4, 8, 16, 32} {
+		for _, frac := range []int{1, 4, 16} {
+			in := xs[:n/frac]
+			var stats *bsp.Stats
+			secs := r.Time(func(int) { _, stats = bsp.ScanOn(cfg.Executor, in, p) }).Median
+			obs = append(obs, Observation{Stats: stats, Seconds: secs})
+			// Allreduce contributes a 3-superstep, low-h point so the
+			// barrier term is identifiable (scan alone pins S at 2).
+			secs = r.Time(func(int) { _, stats = bsp.SumAllReduceOn(cfg.Executor, in, p) }).Median
+			obs = append(obs, Observation{Stats: stats, Seconds: secs})
+		}
+	}
+	cal, err := Fit(obs)
+	t := perf.NewTable(
+		fmt.Sprintf("Table 6: BSP prediction vs measurement (n=%d; A=%.3g s/op, B=%.3g s/word, C=%.3g s/barrier)",
+			n, cal.SecPerOp, cal.SecPerWord, cal.SecPerBarrier),
+		"kernel", "P", "measured", "predicted", "rel-err")
+	if err != nil {
+		t.AddRowf("calibration-failed", "-", err.Error(), "-", "-")
+		return t
+	}
+	type kernel struct {
+		name string
+		run  func(p int) *bsp.Stats
+	}
+	kernels := []kernel{
+		{"scan", func(p int) *bsp.Stats { _, s := bsp.ScanOn(cfg.Executor, xs, p); return s }},
+		{"allreduce", func(p int) *bsp.Stats { _, s := bsp.SumAllReduceOn(cfg.Executor, xs, p); return s }},
+		{"samplesort", func(p int) *bsp.Stats { _, s := bsp.SampleSortOn(cfg.Executor, xs[:min(n, 1<<15)], p); return s }},
+	}
+	for _, k := range kernels {
+		for _, p := range []int{4, 16} {
+			var stats *bsp.Stats
+			secs := r.Time(func(int) { stats = k.run(p) }).Median
+			pred := cal.Predict(stats)
+			t.AddRowf(k.name, p, perf.FormatDuration(secs), perf.FormatDuration(pred),
+				RelativeError(pred, secs))
+		}
+	}
+	return t
+}
+
+// E13Models regenerates Figure 6: the broadcast-algorithm crossover
+// under the BSP cost model, plus the LogP prediction for the same
+// pattern. Model-only: deterministic, no timing.
+func E13Models(cfg Config) *perf.Table {
+	t := perf.NewTable(
+		"Figure 6: broadcast cost under BSP (direct vs tree) and LogP",
+		"P", "g", "l", "bsp-direct", "bsp-tree", "winner", "logp-tree")
+	for _, p := range cfg.vprocs() {
+		if p < 2 {
+			continue
+		}
+		_, direct := bsp.BroadcastDirectOn(cfg.Executor, 1, p)
+		_, tree := bsp.BroadcastTreeOn(cfg.Executor, 1, p)
+		for _, gl := range []struct{ g, l float64 }{{1, 10}, {1, 10000}, {50, 10}} {
+			params := machine.BSPParams{P: p, G: gl.g, L: gl.l}
+			cd, ct := direct.Cost(params), tree.Cost(params)
+			winner := "direct"
+			if ct < cd {
+				winner = "tree"
+			}
+			logp := machine.LogPParams{L: gl.l, O: 1, G: gl.g, P: p}
+			t.AddRowf(p, gl.g, gl.l, cd, ct, winner, logp.Broadcast())
+		}
+	}
+	return t
 }
 
 // E15WeakScaling regenerates Figure 7: grow the problem with the
@@ -44,7 +109,7 @@ func E15WeakScaling(cfg Config) *perf.Table {
 	// decays slowly with P.
 	cost1 := 0.0
 	for _, p := range cfg.vprocs() {
-		xs := gen.Ints(n0*p, gen.Uniform, cfg.seed())
+		xs := gen.Ints(n0*p, gen.Uniform, cfg.WorkloadSeed())
 		_, stats := bsp.ScanOn(cfg.Executor, xs, p)
 		params.P = p
 		cost := stats.Cost(params)
@@ -64,8 +129,8 @@ func E15WeakScaling(cfg Config) *perf.Table {
 		for side*side*side < side0*side0*side0*p {
 			side++
 		}
-		a := gen.RandomMatrix(side, side, cfg.seed())
-		b := gen.RandomMatrix(side, side, cfg.seed()+1)
+		a := gen.RandomMatrix(side, side, cfg.WorkloadSeed())
+		b := gen.RandomMatrix(side, side, cfg.WorkloadSeed()+1)
 		_, stats := bsp.MatmulRowBlockOn(cfg.Executor, a.Data, b.Data, side, p)
 		params.P = p
 		cost := stats.Cost(params)
@@ -81,8 +146,8 @@ func E15WeakScaling(cfg Config) *perf.Table {
 		for side*side*side < side0*side0*side0*p {
 			side++
 		}
-		a := gen.RandomMatrix(side, side, cfg.seed())
-		b := gen.RandomMatrix(side, side, cfg.seed()+1)
+		a := gen.RandomMatrix(side, side, cfg.WorkloadSeed())
+		b := gen.RandomMatrix(side, side, cfg.WorkloadSeed()+1)
 		_, stats := bsp.MatmulSUMMAOn(cfg.Executor, a.Data, b.Data, side, q)
 		params.P = p
 		cost := stats.Cost(params)
@@ -90,70 +155,6 @@ func E15WeakScaling(cfg Config) *perf.Table {
 			cost1 = cost
 		}
 		t.AddRowf("matmul-2d", p, side, cost, cost1/cost, perf.Gustafson(0.05, p)/float64(p))
-	}
-	return t
-}
-
-// E16Selection regenerates Table 9: k-th smallest via parallel
-// count/pack quickselect vs the sequential baseline vs the "sort then
-// index" strawman.
-func E16Selection(cfg Config) *perf.Table {
-	n := cfg.size(1<<21, 1<<14)
-	p := runtime.GOMAXPROCS(0)
-	opts := cfg.opts(p, par.Static, 4096)
-	r := cfg.runner()
-	t := perf.NewTable(
-		fmt.Sprintf("Table 9: median selection, n=%d, P=%d", n, p),
-		"distribution", "algorithm", "time", "vs-seq")
-	for _, d := range []gen.Distribution{gen.Uniform, gen.Zipf, gen.Sorted} {
-		xs := gen.Ints(n, d, cfg.seed())
-		k := (n - 1) / 2
-		var want int64
-		tseq := r.Time(func(int) { want = psel.SelectSeq(xs, k) }).Median
-		t.AddRowf(d.String(), "seq-quickselect", perf.FormatDuration(tseq), 1.0)
-		var got int64
-		tpar := r.Time(func(int) { got = psel.Select(xs, k, opts) }).Median
-		if got != want {
-			t.AddRowf(d.String(), "par-select", "WRONG RESULT", 0.0)
-			continue
-		}
-		t.AddRowf(d.String(), "par-select", perf.FormatDuration(tpar), tpar/tseq)
-		buf := make([]int64, n)
-		tsort := r.Time(func(int) {
-			copy(buf, xs)
-			seq.Quicksort(buf)
-			got = buf[k]
-		}).Median
-		t.AddRowf(d.String(), "sort-then-index", perf.FormatDuration(tsort), tsort/tseq)
-	}
-	return t
-}
-
-// E17GraphIterative regenerates Table 10: PageRank convergence and
-// triangle counting across graph classes.
-func E17GraphIterative(cfg Config) *perf.Table {
-	scale := cfg.size(14, 9)
-	p := runtime.GOMAXPROCS(0)
-	opts := cfg.opts(p, par.Static, 1024)
-	r := cfg.runner()
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"er-deg8", gen.ErdosRenyi(1<<scale, 8, false, cfg.seed())},
-		{"rmat", gen.RMAT(scale, 8, false, cfg.seed()+1)},
-		{"grid", gen.Grid2D(1<<(scale/2), 1<<(scale/2), false, cfg.seed()+2)},
-	}
-	t := perf.NewTable(
-		fmt.Sprintf("Table 10: iterative graph kernels, P=%d", p),
-		"graph", "n", "m", "pagerank-time", "pr-iters", "triangles", "tri-time")
-	for _, tc := range graphs {
-		var pr pgraph.PageRankResult
-		prT := r.Time(func(int) { pr = pgraph.PageRank(tc.g, 0.85, 1e-8, 200, opts) }).Median
-		var tris int64
-		triT := r.Time(func(int) { tris = pgraph.TriangleCount(tc.g, opts) }).Median
-		t.AddRowf(tc.name, tc.g.N(), tc.g.M(), perf.FormatDuration(prT), pr.Iters,
-			int(tris), perf.FormatDuration(triT))
 	}
 	return t
 }
@@ -176,7 +177,7 @@ func E18Aggregation(cfg Config) *perf.Table {
 	// kernel (1 for scan/allreduce/samplesort as implemented; n²/P for
 	// the matmul panels). Derived from the cost traces.
 	n := cfg.size(1<<12, 1<<8)
-	xs := gen.Ints(n, gen.Uniform, cfg.seed())
+	xs := gen.Ints(n, gen.Uniform, cfg.WorkloadSeed())
 	_, scanStats := bsp.ScanOn(cfg.Executor, xs, 8)
 	_, sortStats := bsp.SampleSortOn(cfg.Executor, xs, 8)
 	side := cfg.size(64, 16)

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/perf"
@@ -106,8 +107,9 @@ func (s Sample) Corrected() time.Duration { return s.Done - s.Intended }
 // recorded: time from the actual send to completion.
 func (s Sample) Uncorrected() time.Duration { return s.Done - s.Sent }
 
-// Result is one open-loop run's full record: every sample in schedule
-// order plus the wall-clock span from start to last completion.
+// Result is one run's full record: every sample in request-index
+// (for Run, schedule) order plus the wall-clock span from start to
+// last completion.
 type Result struct {
 	Samples []Sample
 	Wall    time.Duration
@@ -142,6 +144,47 @@ func Run(sched Schedule, do func(i int) error) Result {
 				Err:      err,
 			}
 		}(i, sent)
+	}
+	wg.Wait()
+	res.Wall = time.Since(start)
+	return res
+}
+
+// Closed drives do closed-loop: clients goroutines each draw the next
+// request index from one shared ticket counter, call do(client, i),
+// wait for it to return, and draw again until all n indices have been
+// handed out. In-flight calls never exceed clients, so a stalled system
+// slows its own arrivals down — the feedback Run removes. There is no
+// schedule to fall behind, so every Sample has Intended == Sent and
+// Corrected() == Uncorrected(); Summarize with the zero Schedule
+// reports OfferedRate 0. client is in [0, clients): do may index
+// per-client state with it without locking. do must be safe for
+// concurrent calls across clients. It panics if clients <= 0 or n < 0.
+func Closed(clients, n int, do func(client, i int) error) Result {
+	if clients <= 0 {
+		panic("loadgen: Closed clients <= 0")
+	}
+	if n < 0 {
+		panic("loadgen: Closed n < 0")
+	}
+	res := Result{Samples: make([]Sample, n)}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	start := time.Now()
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				sent := time.Since(start)
+				err := do(c, i)
+				res.Samples[i] = Sample{Intended: sent, Sent: sent, Done: time.Since(start), Err: err}
+			}
+		}(c)
 	}
 	wg.Wait()
 	res.Wall = time.Since(start)

@@ -3,7 +3,9 @@ package loadgen
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,6 +107,86 @@ func TestRunRecordsEverySample(t *testing.T) {
 	}
 }
 
+// TestClosedHandsOutEveryIndexOnce pins the closed-loop driver's
+// contract: each index in [0, n) reaches do exactly once, never more
+// than clients calls overlap, the two clocks agree on every sample
+// (there is no schedule to fall behind), and errored samples are
+// recorded but kept out of the success percentiles.
+func TestClosedHandsOutEveryIndexOnce(t *testing.T) {
+	const clients, n = 4, 400
+	sentinel := errors.New("boom")
+	var seen [n]atomic.Int32
+	var inflight, peak atomic.Int32
+	res := Closed(clients, n, func(c, i int) error {
+		if c < 0 || c >= clients {
+			t.Errorf("client index %d outside [0, %d)", c, clients)
+		}
+		cur := inflight.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		seen[i].Add(1)
+		runtime.Gosched() // give the other clients a chance to overlap
+		inflight.Add(-1)
+		if i%4 == 3 {
+			return sentinel
+		}
+		return nil
+	})
+	for i := range seen {
+		if got := seen[i].Load(); got != 1 {
+			t.Fatalf("index %d handed out %d times", i, got)
+		}
+	}
+	if p := peak.Load(); p < 1 || p > clients {
+		t.Fatalf("peak in-flight = %d with %d clients", p, clients)
+	}
+	if len(res.Samples) != n || res.OK() != n-n/4 || res.Failed(nil) != n/4 {
+		t.Fatalf("samples=%d OK=%d Failed=%d", len(res.Samples), res.OK(), res.Failed(nil))
+	}
+	for i, s := range res.Samples {
+		if s.Corrected() != s.Uncorrected() || s.Done < s.Sent || s.Done > res.Wall {
+			t.Fatalf("sample %d clocks: %+v (wall %v)", i, s, res.Wall)
+		}
+		if (s.Err != nil) != (i%4 == 3) {
+			t.Fatalf("sample %d err = %v", i, s.Err)
+		}
+	}
+	if got := len(res.Latencies(false, false)); got != n-n/4 {
+		t.Fatalf("Latencies(_, false) kept %d samples, want %d", got, n-n/4)
+	}
+	if got := len(res.Latencies(true, true)); got != n {
+		t.Fatalf("Latencies(_, true) kept %d samples, want %d", got, n)
+	}
+	rep := res.Summarize(Schedule{})
+	if rep.Sent != n || rep.Errors != n/4 || rep.OfferedRate != 0 || rep.AchievedRate <= 0 {
+		t.Fatalf("report = %+v", rep)
+	}
+	if rep.CorrectedP99 != rep.UncorrectedP99 {
+		t.Fatalf("closed-loop p99 differs across clocks: %+v", rep)
+	}
+}
+
+// TestClosedDegenerateShapes: no requests at all, and more clients
+// than requests, both return cleanly with every request accounted for.
+func TestClosedDegenerateShapes(t *testing.T) {
+	res := Closed(3, 0, func(c, i int) error {
+		t.Errorf("do called (client %d, i %d) with n = 0", c, i)
+		return nil
+	})
+	if rep := res.Summarize(Schedule{}); len(res.Samples) != 0 || rep.Sent != 0 || rep.AchievedRate != 0 {
+		t.Fatalf("n=0: samples=%d report=%+v", len(res.Samples), rep)
+	}
+	var calls atomic.Int32
+	res = Closed(8, 3, func(c, i int) error { calls.Add(1); return nil })
+	if calls.Load() != 3 || res.OK() != 3 {
+		t.Fatalf("clients > n: %d calls, OK=%d", calls.Load(), res.OK())
+	}
+}
+
 func TestRunFastServiceKeepsUp(t *testing.T) {
 	// A no-op service at a slack rate: corrected and uncorrected agree
 	// to well under the inter-arrival gap, and nothing queues.
@@ -182,11 +264,13 @@ func TestNegativeCountPanics(t *testing.T) {
 	}{
 		{"Constant", func() { Constant(-1, 100) }},
 		{"Poisson", func() { Poisson(-1, 100, 0) }},
+		{"Closed", func() { Closed(1, -1, func(int, int) error { return nil }) }},
+		{"ClosedClients", func() { Closed(-1, 1, func(int, int) error { return nil }) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s accepted n = -1", tc.name)
+					t.Fatalf("%s accepted a negative count", tc.name)
 				}
 			}()
 			tc.call()

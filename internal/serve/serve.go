@@ -72,7 +72,7 @@ type Config struct {
 	BatchWindow time.Duration
 	// MaxQueue bounds each tenant's admission queue; <= 0 means
 	// DefaultMaxQueue. The effective bound halves while the executor
-	// is saturated (see Saturation).
+	// is saturated (occupancy at or above DefaultSaturation).
 	MaxQueue int
 	// MaxTenants bounds how many distinct tenant accounting entries
 	// the server keeps (<= 0 means DefaultMaxTenants): tenant names
@@ -86,13 +86,6 @@ type Config struct {
 	// runtime; <= 0 means DefaultPipelineCutoff, negative disables
 	// routing.
 	PipelineCutoff int
-	// HighLoad is the executor occupancy above which batch worker
-	// counts are shed proportionally; <= 0 means DefaultHighLoad.
-	HighLoad float64
-	// Saturation is the executor occupancy at or above which batches
-	// are shed to serial execution and admission bounds tighten;
-	// <= 0 means DefaultSaturation.
-	Saturation float64
 	// Cache, when non-nil, is the generation-stamped result cache
 	// consulted by CallBudget before any queueing: a repeat of a cacheable
 	// request (same tenant, kernel and input since the tenant's last
@@ -133,8 +126,15 @@ const (
 	DefaultMaxQueue       = 256
 	DefaultMaxTenants     = 1024
 	DefaultPipelineCutoff = 1 << 17
-	DefaultHighLoad       = 0.75
-	DefaultSaturation     = 0.95
+)
+
+// The load rungs of the admission ladder, as executor occupancy:
+// above DefaultHighLoad batch worker counts are shed proportionally;
+// at or above DefaultSaturation batches run serially and every
+// tenant's queue bound halves.
+const (
+	DefaultHighLoad   = 0.75
+	DefaultSaturation = 0.95
 )
 
 // OverflowTenant is the shared accounting entry that absorbs requests
@@ -203,20 +203,6 @@ func (c Config) pipelineCutoff() int {
 		return 0 // disabled
 	}
 	return DefaultPipelineCutoff
-}
-
-func (c Config) highLoad() float64 {
-	if c.HighLoad > 0 {
-		return c.HighLoad
-	}
-	return DefaultHighLoad
-}
-
-func (c Config) saturation() float64 {
-	if c.Saturation > 0 {
-		return c.Saturation
-	}
-	return DefaultSaturation
 }
 
 func (c Config) workers() int {
@@ -480,7 +466,7 @@ func (s *Server) submit(r *request) error {
 	r.tenantName = t.name
 	r.acct = t
 	bound := s.cfg.maxQueue()
-	if s.cfg.executor().Occupancy() >= s.cfg.saturation() {
+	if s.cfg.executor().Occupancy() >= DefaultSaturation {
 		// Backpressure rises with saturation: a busy executor halves
 		// every tenant's queue bound, so rejection starts before the
 		// backlog (and its latency) doubles.
@@ -793,10 +779,10 @@ func (s *Server) execute(batch []*request) {
 	}
 	load := s.cfg.executor().Occupancy()
 	workers := s.cfg.workers()
-	if load >= s.cfg.saturation() {
+	if load >= DefaultSaturation {
 		s.shed.Add(1)
 		workers = 1
-	} else if load >= s.cfg.highLoad() {
+	} else if load >= DefaultHighLoad {
 		s.degraded.Add(1)
 		if scaled := int(float64(workers)*(1-load) + 0.5); scaled < workers {
 			workers = max(1, scaled)

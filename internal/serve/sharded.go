@@ -44,18 +44,16 @@ type ShardedConfig struct {
 	// preserves affinity: balanced traffic never diverges past it, so
 	// tenants stay home and their scratch/adaptive state stays hot.
 	MigrateHysteresis int
-	// MigrateHeadroom is the occupancy EWMA at or below which a shard
-	// is considered to have room for migrated work; a busier target
-	// refuses migration (moving work between two saturated shards
-	// only destroys locality). <= 0 means DefaultMigrateHeadroom.
-	MigrateHeadroom float64
 }
 
-// Sharding defaults.
-const (
-	DefaultMigrateHysteresis = 8
-	DefaultMigrateHeadroom   = 0.75
-)
+// DefaultMigrateHysteresis is the MigrateHysteresis default.
+const DefaultMigrateHysteresis = 8
+
+// DefaultMigrateHeadroom is the occupancy EWMA at or below which a
+// shard is considered to have room for migrated work; a busier target
+// refuses migration (moving work between two saturated shards only
+// destroys locality).
+const DefaultMigrateHeadroom = 0.75
 
 func (c ShardedConfig) numShards() int {
 	if c.Shards > 0 {
@@ -69,13 +67,6 @@ func (c ShardedConfig) hysteresis() int {
 		return c.MigrateHysteresis
 	}
 	return DefaultMigrateHysteresis
-}
-
-func (c ShardedConfig) headroom() float64 {
-	if c.MigrateHeadroom > 0 {
-		return c.MigrateHeadroom
-	}
-	return DefaultMigrateHeadroom
 }
 
 // ShardedStats is a snapshot of a sharded server's counters: the
@@ -229,7 +220,7 @@ func (g *Sharded) pull(to int) int {
 // tryMigrate is one diffusive exchange between adjacent shards: if
 // from's queue exceeds to's by at least the hysteresis threshold and
 // to's executor has headroom (occupancy EWMA at or below
-// MigrateHeadroom — the smoothing is what keeps one idle probe
+// DefaultMigrateHeadroom — the smoothing is what keeps one idle probe
 // between batches from reading as an idle shard), move half the
 // divergence (capped at one batch). It returns the number of requests
 // moved. The popped requests are owned exclusively by this goroutine
@@ -244,7 +235,7 @@ func (g *Sharded) tryMigrate(from, to int) int {
 	if diff < g.cfg.hysteresis() {
 		return 0
 	}
-	if g.execs.Shard(to).OccupancyEWMA() > g.cfg.headroom() {
+	if g.execs.Shard(to).OccupancyEWMA() > DefaultMigrateHeadroom {
 		return 0
 	}
 	take := diff / 2

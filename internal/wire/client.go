@@ -102,6 +102,11 @@ func (cl *Client) roundTrip(tenant string, k *kernel.Kernel, a *kernel.Args, d *
 		if err != nil {
 			return err
 		}
+		if h.Type == frameError && h.ID == 0 {
+			// Request ids start at 1: id 0 is the server refusing a
+			// frame whose header it could not read, or the stream itself.
+			return fmt.Errorf("wire: connection error: %w", DecodeError(h, body))
+		}
 		if h.ID != cl.id {
 			return fmt.Errorf("%w: response id %d, want %d", ErrBadFrame, h.ID, cl.id)
 		}

@@ -718,52 +718,54 @@ func (d *Decoder) intern(b []byte) string {
 // DecodeRequest decodes a request frame body in place. The returned
 // Request's slices alias body; the kernel must finish with them
 // before body is reused. Arbitrary input never panics: malformed
-// frames return a typed error.
+// frames return a typed error — alongside a Request carrying only the
+// ID when the header itself decoded, so the reply can name the request
+// it refuses (ID 0 means the header was bad and no id is known).
 func (d *Decoder) DecodeRequest(body []byte) (Request, error) {
 	h, err := DecodeHeader(body)
 	if err != nil {
 		return Request{}, err
 	}
 	if h.Type != frameRequest {
-		return Request{}, fmt.Errorf("%w: frame type %d, want request", ErrBadFrame, h.Type)
+		return Request{ID: h.ID}, fmt.Errorf("%w: frame type %d, want request", ErrBadFrame, h.Type)
 	}
 	if h.Aux > uint64(math.MaxInt64) {
-		return Request{}, fmt.Errorf("%w: deadline budget overflow", ErrBadFrame)
+		return Request{ID: h.ID}, fmt.Errorf("%w: deadline budget overflow", ErrBadFrame)
 	}
 	req := Request{ID: h.ID, Budget: time.Duration(h.Aux), IsDelta: h.Flags&flagDelta != 0}
 	off := headerSize
 	if off >= len(body) {
-		return Request{}, fmt.Errorf("%w: missing kernel name", ErrTruncated)
+		return Request{ID: h.ID}, fmt.Errorf("%w: missing kernel name", ErrTruncated)
 	}
 	klen := int(body[off])
 	off++
 	if off+klen > len(body) {
-		return Request{}, fmt.Errorf("%w: kernel name", ErrTruncated)
+		return Request{ID: h.ID}, fmt.Errorf("%w: kernel name", ErrTruncated)
 	}
 	kname := body[off : off+klen]
 	off += klen
 	if off >= len(body) {
-		return Request{}, fmt.Errorf("%w: missing tenant name", ErrTruncated)
+		return Request{ID: h.ID}, fmt.Errorf("%w: missing tenant name", ErrTruncated)
 	}
 	tlen := int(body[off])
 	off++
 	if off+tlen > len(body) {
-		return Request{}, fmt.Errorf("%w: tenant name", ErrTruncated)
+		return Request{ID: h.ID}, fmt.Errorf("%w: tenant name", ErrTruncated)
 	}
 	req.Tenant = d.intern(body[off : off+tlen])
 	off = align8(off + tlen)
 	req.Kernel = kernel.LookupBytes(kname)
 	if req.Kernel == nil {
-		return Request{}, fmt.Errorf("%w: unknown kernel %q", ErrBadFrame, string(kname))
+		return Request{ID: h.ID}, fmt.Errorf("%w: unknown kernel %q", ErrBadFrame, string(kname))
 	}
 	sawScalars := false
 	for off < len(body) {
 		s, next, err := nextSection(body, off)
 		if err != nil {
-			return Request{}, err
+			return Request{ID: h.ID}, err
 		}
 		if s.flags&secFlagStreamed != 0 {
-			return Request{}, fmt.Errorf("%w: streamed section in request", ErrBadFrame)
+			return Request{ID: h.ID}, fmt.Errorf("%w: streamed section in request", ErrBadFrame)
 		}
 		switch s.tag {
 		case secXs:
@@ -776,7 +778,7 @@ func (d *Decoder) DecodeRequest(body []byte) (Request, error) {
 			req.Args.Dist = asInt32s(s.payload, s.count)
 		case secGraph:
 			if req.Args.G, err = decodeGraph(s.payload); err != nil {
-				return Request{}, err
+				return Request{ID: h.ID}, err
 			}
 		case secScalars:
 			decodeScalars(s.payload, &req.Args)
@@ -796,13 +798,13 @@ func (d *Decoder) DecodeRequest(body []byte) (Request, error) {
 		off = next
 	}
 	if !sawScalars {
-		return Request{}, fmt.Errorf("%w: missing scalar section", ErrBadFrame)
+		return Request{ID: h.ID}, fmt.Errorf("%w: missing scalar section", ErrBadFrame)
 	}
 	if h.Flags&flagBucket != 0 && len(req.Args.Hist) > 0 {
 		req.Args.Bucket = CanonicalBucket(len(req.Args.Hist))
 	}
 	if req.IsDelta && req.Delta.Append == nil && req.Delta.Edges == nil {
-		return Request{}, fmt.Errorf("%w: delta flag without delta sections", ErrBadFrame)
+		return Request{ID: h.ID}, fmt.Errorf("%w: delta flag without delta sections", ErrBadFrame)
 	}
 	return req, nil
 }

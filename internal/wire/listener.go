@@ -298,7 +298,7 @@ func (l *Listener) serveConn(c net.Conn) {
 		req, err := dec.DecodeRequest(body)
 		if err != nil {
 			wbuf = slabFor(pool, wbuf, &wh, 4+headerSize+len(err.Error()))
-			out := AppendError(wbuf[:0], 0, codeOther, err.Error())
+			out := AppendError(wbuf[:0], req.ID, codeOther, err.Error())
 			if _, werr := c.Write(out); werr != nil {
 				return
 			}

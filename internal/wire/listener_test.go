@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,6 +93,30 @@ func TestWireEndToEnd(t *testing.T) {
 				t.Fatalf("wire result differs from local: %v", err)
 			}
 		})
+	}
+}
+
+// TestWireDecodeErrorEchoesID pins the per-request error contract: a
+// frame whose header decodes but whose body does not (here an
+// unregistered kernel name) is answered with the request's own id, so
+// the client reports the server's message rather than an id mismatch,
+// and the connection stays usable.
+func TestWireDecodeErrorEchoesID(t *testing.T) {
+	s := serve.New(serve.Config{})
+	defer s.Close()
+	_, cl := newWire(t, s, Config{})
+
+	err := cl.CallBudget("tenant-bad", &kernel.Kernel{Name: "nope"}, &kernel.Args{Xs: []int64{3, 1, 2}}, 0)
+	if err == nil || !strings.Contains(err.Error(), "unknown kernel") {
+		t.Fatalf("unregistered kernel: err = %v, want one containing %q", err, "unknown kernel")
+	}
+	k := kernel.MustLookup("sort")
+	a := &kernel.Args{Xs: []int64{3, 1, 2}}
+	if err := cl.CallBudget("tenant-bad", k, a, 0); err != nil {
+		t.Fatalf("call after a decode error on the same client: %v", err)
+	}
+	if a.Xs[0] != 1 || a.Xs[1] != 2 || a.Xs[2] != 3 {
+		t.Fatalf("sorted = %v", a.Xs)
 	}
 }
 

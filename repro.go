@@ -468,7 +468,8 @@ func PowerLawGraph(scale, edgeFactor int, weighted bool, seed uint64) *Graph {
 func RandomLinkedList(n int, seed uint64) *List { return gen.RandomList(n, seed) }
 
 // RunExperiment regenerates one table/figure of the evaluation (ids
-// "E1".."E18") and writes it to w. It reports whether the id exists.
+// as listed by ExperimentIDs, or `parbench -list`) and writes it to w.
+// It reports whether the id exists.
 func RunExperiment(id string, cfg ExperimentConfig, w io.Writer) bool {
 	e, ok := core.ByID(id)
 	if !ok {
