@@ -43,10 +43,14 @@
 //     complete counters (TenantStats) make the shares observable.
 //
 // Requests whose inputs are large enough that batching them would
-// stall the batch (Config.PipelineCutoff) bypass the queues and route
-// through the streaming pipeline runtime (internal/pipeline) on the
-// caller's goroutine, so the batch path stays reserved for the small
-// requests that benefit from it.
+// stall the batch (Config.PipelineCutoff) run through the streaming
+// pipeline runtime (internal/pipeline) on the caller's goroutine. They
+// enter through the same door as every other request (closed check,
+// tenant fold under MaxTenants, Accepted) and leave through the same
+// exit (Completed, a kernel panic on the caller's goroutine confined to
+// the request's error; a panic inside a pipeline stage goroutine is out
+// of scope), and Close waits for them. Never waiting on a queue, they
+// stay outside the queue bound and the deadline rung.
 //
 // With Config.SLO set, a deadline rung joins the admission ladder.
 // The door refuses a request with ErrDeadlineExceeded when the

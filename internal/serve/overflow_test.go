@@ -60,37 +60,32 @@ func TestFoldedTenantAccountingBalances(t *testing.T) {
 // and its completion is credited to the home shard's overflow entry,
 // where the acceptance was counted.
 func TestMigrateInDoesNotResurrectFoldedTenant(t *testing.T) {
-	home := New(Config{MaxTenants: 1})
+	// home is built but its dispatcher never starts: what it admits
+	// stays queued, so the test plays the balancer's role and hands the
+	// backlog straight to the thief shard.
+	home := build(Config{MaxTenants: 1})
 	thief := New(Config{})
 	defer thief.Close()
-	defer home.Close()
 
-	// Fill home's tenant table so the next distinct name folds.
-	if _, err := Sum(home, "resident", []int64{1}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Admission stamping as submit performs it, without enqueueing on
-	// home (the test plays the balancer's role and hands the request
-	// straight to the thief shard).
+	// The first name fills home's tenant table, so the next one folds.
+	resident := home.getRequest(kernelSum, "resident", &kernel.Args{Xs: []int64{1}})
 	r := home.getRequest(kernelSum, "newcomer", &kernel.Args{Xs: []int64{2, 3, 5}})
-	home.mu.Lock()
-	tt := home.tenantLocked(r.tenantName)
-	r.tenantName = tt.name
-	r.acct = tt
-	home.mu.Unlock()
-	tt.accepted.Add(1)
-	home.accepted.Add(1)
-
+	for _, q := range []*request{resident, r} {
+		if err := home.admit(q); err != nil {
+			t.Fatalf("admit %q: %v", q.tenantName, err)
+		}
+	}
 	if r.tenantName != OverflowTenant {
 		t.Fatalf("admission stamped name %q; want %q", r.tenantName, OverflowTenant)
 	}
 
-	thief.migrateIn([]*request{r})
-	select {
-	case <-r.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("migrated request never completed")
+	thief.migrateIn(home.migrateOut(nil, 2))
+	for _, q := range []*request{resident, r} {
+		select {
+		case <-q.done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("migrated request of %q never completed", q.tenantName)
+		}
 	}
 	if r.err != nil || r.args.Out != 10 {
 		t.Fatalf("migrated result = %d, %v; want 10, nil", r.args.Out, r.err)
@@ -112,6 +107,7 @@ func TestMigrateInDoesNotResurrectFoldedTenant(t *testing.T) {
 			t.Errorf("thief entry %q credited %d completions; accounting belongs to the home entry", ts.Name, ts.Completed)
 		}
 	}
+	home.putRequest(resident)
 	home.putRequest(r)
 }
 

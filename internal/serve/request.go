@@ -17,8 +17,7 @@ import (
 type request struct {
 	k          *kernel.Kernel
 	tenantName string   // accounting name, stamped at admission (folded names become OverflowTenant)
-	t          *tenant  // queue entry on the server currently holding the request
-	acct       *tenant  // accounting entry on the admitting server; completion credits it
+	acct       *tenant  // accounting entry on the admitting server; finish credits it
 	next       *request // intrusive tenant-queue link
 
 	// deadline is the SLO stamp set at admission (zero when the
@@ -37,8 +36,11 @@ type request struct {
 	// delta) instead of a full Run.
 	delta   kernel.Delta
 	isDelta bool
-	err     error
-	done    chan struct{} // cap 1; signaled exactly once per execution
+	// stream marks the pipeline route: the request is admitted like any
+	// other but never queued — its caller runs k.Stream itself.
+	stream bool
+	err    error
+	done   chan struct{} // cap 1; signaled exactly once per execution
 }
 
 // getRequest takes a pooled request and stamps its identity fields.
@@ -73,31 +75,29 @@ func (s *Server) serialOpts() par.Options {
 	}
 }
 
-// runOne executes one request serially inside its batch slot and
-// signals its waiter. Kernel panics (a bucket function out of range,
-// a malformed graph) are confined to the request: they become its
-// error instead of killing a pooled worker. Completion credits the
-// accounting entry stamped at admission, so a migrated request counts
-// under the tenant entry (and name) it was accepted under no matter
-// where it executes.
+// runOne executes one admitted request — serially inside its batch
+// slot, or through the kernel's streaming adapter on its caller's
+// goroutine when marked stream — and finishes it. Kernel panics on this
+// goroutine (a bucket function out of range, a malformed graph) are
+// confined to the request: they become its error instead of killing a
+// pooled worker or the caller. A panic inside a pipeline stage
+// goroutine is out of reach of this recover and stays out of scope.
 func (s *Server) runOne(r *request) {
+	var err error
 	defer func() {
 		if p := recover(); p != nil {
-			r.err = fmt.Errorf("serve: request panicked: %v", p)
+			err = fmt.Errorf("serve: request panicked: %v", p)
 		}
-		acct := r.acct
-		if acct == nil {
-			acct = r.t
-		}
-		acct.completed.Add(1)
-		s.completed.Add(1)
-		r.done <- struct{}{}
+		s.finish(r, err)
 	}()
-	if r.isDelta {
-		r.err = r.k.RunDelta(&r.args, &r.delta, s.serialOpts())
-		return
+	switch {
+	case r.stream:
+		err = r.k.Stream(&r.args, s.pipelineOpts())
+	case r.isDelta:
+		err = r.k.RunDelta(&r.args, &r.delta, s.serialOpts())
+	default:
+		r.k.Run(&r.args, s.serialOpts())
 	}
-	r.k.Run(&r.args, s.serialOpts())
 }
 
 // pipelineOpts are the Options the long-request pipeline route runs
@@ -115,45 +115,20 @@ func (s *Server) pipelineOpts() par.Options {
 	return opts
 }
 
-// admitted wraps the counters for a request that bypasses the queues
-// (the pipeline route): it is accepted and completed but never
-// batched.
-func (s *Server) admitted(tenant string) (*tenant, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	t := s.tenantLocked(tenant)
-	s.mu.Unlock()
-	t.accepted.Add(1)
-	s.accepted.Add(1)
-	s.pipelined.Add(1)
-	return t, nil
-}
-
-// streamOne runs one long request through the kernel's streaming
-// pipeline adapter on the caller's goroutine, with the same
-// validate-then-admit accounting as the batch path. It works on a
-// local copy of the record: passing the caller's pointer to the
-// Validate/Stream func values would leak it and force every Call
-// site's record onto the heap, breaking the batch path's 0 allocs/op.
-func (s *Server) streamOne(tenantName string, k *kernel.Kernel, a *kernel.Args) error {
-	cp := *a
-	if k.Validate != nil {
-		if err := k.Validate(&cp); err != nil {
-			return err
-		}
-	}
-	t, err := s.admitted(tenantName)
-	if err != nil {
+// do admits r and waits for it to finish: in a batch slot for queued
+// requests, right here for a pipeline-route one. The caller still owns
+// r afterwards: it reads any result fields and then returns r to the
+// pool (results live in the pooled struct, so releasing here would race
+// the read).
+func (s *Server) do(r *request) error {
+	if err := s.admit(r); err != nil {
 		return err
 	}
-	err = k.Stream(&cp, s.pipelineOpts())
-	*a = cp
-	t.completed.Add(1)
-	s.completed.Add(1)
-	return err
+	if r.stream {
+		s.runOne(r)
+	}
+	<-r.done
+	return r.err
 }
 
 // CallBudget submits one request for kernel k with argument record a
@@ -172,11 +147,9 @@ func (s *Server) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, bud
 	if k == nil {
 		return fmt.Errorf("serve: Call with nil kernel")
 	}
-	if c := s.cfg.pipelineCutoff(); c > 0 && k.Stream != nil && a.Len() >= c {
-		return s.streamOne(tenant, k, a)
-	}
+	stream := s.cfg.PipelineCutoff > 0 && k.Stream != nil && a.Len() >= s.cfg.PipelineCutoff
 	var tok rescache.Token
-	if c := s.cfg.Cache; c != nil && rescache.Cacheable(k, a) {
+	if c := s.cfg.Cache; c != nil && !stream && rescache.Cacheable(k, a) {
 		// Fast path: a hit restores the cached output into a and skips
 		// validation, admission, queueing and the kernel entirely (a
 		// cached entry can only have come from a validated run of the
@@ -184,12 +157,11 @@ func (s *Server) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, bud
 		// Hits stay allocation-free: the token and key live on the
 		// stack, and Lookup copies into the caller's existing slices.
 		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		t := s.tenantLocked(tenant)
+		t, err := s.doorLocked(tenant)
 		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
 		var hit bool
 		if tok, hit = c.Lookup(tenant, k, a); hit {
 			t.cacheHits.Add(1)
@@ -200,13 +172,14 @@ func (s *Server) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, bud
 	}
 	r := s.getRequest(k, tenant, a)
 	r.budget = budget
+	r.stream = stream
 	if k.Validate != nil {
 		if err := k.Validate(&r.args); err != nil {
 			s.putRequest(r)
 			return err
 		}
 	}
-	err := s.submit(r)
+	err := s.do(r)
 	if err == nil && tok.Valid() {
 		// Store under the token captured before the kernel mutated the
 		// input; Insert drops the result if the tenant's generation was
@@ -236,7 +209,7 @@ func (s *Server) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args
 	r.budget = budget
 	r.delta = *d
 	r.isDelta = true
-	err := s.submit(r)
+	err := s.do(r)
 	*a = r.args
 	s.putRequest(r)
 	return err

@@ -83,8 +83,9 @@ type Config struct {
 	MaxTenants int
 	// PipelineCutoff is the input length at or above which a request
 	// bypasses batching and routes through the streaming pipeline
-	// runtime; <= 0 means DefaultPipelineCutoff, negative disables
-	// routing.
+	// runtime (admitted like any other, but exempt from MaxQueue and
+	// the SLO rung: it never waits on a queue); 0 means
+	// DefaultPipelineCutoff, negative disables routing.
 	PipelineCutoff int
 	// Cache, when non-nil, is the generation-stamped result cache
 	// consulted by CallBudget before any queueing: a repeat of a cacheable
@@ -157,59 +158,33 @@ func (s *Server) svcFresh(now time.Time) bool {
 	return int64(now.Sub(serveEpoch))-s.svcStamp.Load() <= int64(svcStaleAfter)
 }
 
-func (c Config) executor() *exec.Executor {
-	if c.Executor != nil {
-		return c.Executor
+// withDefaults resolves every "means default" value once, at
+// construction, so the request path reads plain fields. Values that
+// mean "off" (a negative BatchWindow or PipelineCutoff) are kept, and a
+// nil Scratch stays nil: par resolves it per call. Idempotent.
+func (c Config) withDefaults() Config {
+	if c.Executor == nil {
+		c.Executor = exec.Default()
 	}
-	return exec.Default()
-}
-
-func (c Config) maxBatch() int {
-	if c.MaxBatch > 0 {
-		return c.MaxBatch
+	if c.Workers <= 0 {
+		c.Workers = c.Executor.Procs()
 	}
-	return DefaultMaxBatch
-}
-
-func (c Config) window() time.Duration {
-	if c.BatchWindow < 0 {
-		return 0
+	if c.MaxBatch <= 0 {
+		c.MaxBatch = DefaultMaxBatch
 	}
 	if c.BatchWindow == 0 {
-		return DefaultBatchWindow
+		c.BatchWindow = DefaultBatchWindow
 	}
-	return c.BatchWindow
-}
-
-func (c Config) maxQueue() int {
-	if c.MaxQueue > 0 {
-		return c.MaxQueue
+	if c.MaxQueue <= 0 {
+		c.MaxQueue = DefaultMaxQueue
 	}
-	return DefaultMaxQueue
-}
-
-func (c Config) maxTenants() int {
-	if c.MaxTenants > 0 {
-		return c.MaxTenants
+	if c.MaxTenants <= 0 {
+		c.MaxTenants = DefaultMaxTenants
 	}
-	return DefaultMaxTenants
-}
-
-func (c Config) pipelineCutoff() int {
-	if c.PipelineCutoff > 0 {
-		return c.PipelineCutoff
+	if c.PipelineCutoff == 0 {
+		c.PipelineCutoff = DefaultPipelineCutoff
 	}
-	if c.PipelineCutoff < 0 {
-		return 0 // disabled
-	}
-	return DefaultPipelineCutoff
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return c.executor().Procs()
+	return c
 }
 
 // tenant is one admission queue plus its accounting. Queue links are
@@ -300,6 +275,9 @@ type Server struct {
 	queued  int
 	closed  bool
 	drained chan struct{} // closed when the dispatcher exits
+	// streams counts in-flight pipeline-route requests. Add runs under
+	// mu while !closed, so the Wait in Close sees every one of them.
+	streams sync.WaitGroup
 
 	reqPool sync.Pool
 
@@ -354,28 +332,38 @@ func (s *Server) BumpGeneration(tenant string) uint64 {
 // on an executor-accounted goroutine (exec.Executor.Go), not a pooled
 // worker: it blocks on the queues, and pooled workers must not.
 func New(cfg Config) *Server {
+	s := build(cfg)
+	s.start()
+	return s
+}
+
+// build creates a Server whose dispatcher is not running yet, so
+// NewSharded can finish every shard before any dispatcher probes a
+// neighbor.
+func build(cfg Config) *Server {
 	s := &Server{
-		cfg:     cfg,
+		cfg:     cfg.withDefaults(),
 		tenants: make(map[string]*tenant),
 		drained: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.reqPool.New = func() any { return &request{done: make(chan struct{}, 1)} }
-	cfg.executor().Go(s.dispatch)
 	return s
 }
 
-// Close stops admission, waits for every queued request to finish
-// executing, and returns. Requests admitted before Close complete
-// normally; requests submitted after it fail with ErrClosed.
+func (s *Server) start() { s.cfg.Executor.Go(s.dispatch) }
+
+// Close stops admission, waits for every admitted request to finish —
+// queued ones through the dispatcher, pipeline-route ones on their
+// callers' goroutines — and returns, so the executor may be closed
+// after it. Requests submitted after Close fail with ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		s.cond.Broadcast()
-	}
+	s.closed = true
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	<-s.drained
+	s.streams.Wait()
 }
 
 // Stats returns a racy snapshot of the server's counters — gauges for
@@ -435,7 +423,7 @@ func (s *Server) tenantLocked(name string) *tenant {
 	if t != nil {
 		return t
 	}
-	if len(s.tenants) >= s.cfg.maxTenants() {
+	if len(s.tenants) >= s.cfg.MaxTenants {
 		name = OverflowTenant
 		if t = s.tenants[name]; t != nil {
 			return t
@@ -446,34 +434,71 @@ func (s *Server) tenantLocked(name string) *tenant {
 	return t
 }
 
-// submit runs one request through admission and waits for its
-// execution. The caller still owns r afterwards: it reads any result
-// fields and then returns r to the pool (results live in the pooled
-// struct, so releasing here would race the read).
-func (s *Server) submit(r *request) error {
-	s.mu.Lock()
+// doorLocked is the door itself: a closed server refuses, anything
+// else resolves to its (possibly folded) tenant entry.
+func (s *Server) doorLocked(name string) (*tenant, error) {
 	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	t := s.tenantLocked(r.tenantName)
-	// Stamp the accounting identity at admission. Folding rewrites the
-	// name (t.name is OverflowTenant when MaxTenants bounded it), and
-	// both stamps must survive migration: the name keeps a thief shard's
-	// migrateIn from resurrecting a folded tenant as a fresh per-name
-	// entry, and acct keeps the completion credit on the entry that
-	// counted the acceptance, so merged TenantStats balance exactly.
+	return s.tenantLocked(name), nil
+}
+
+// admit is the one way into the server, for all three routes. It
+// stamps the accounting identity — folding rewrites the name (t.name is
+// OverflowTenant when MaxTenants bounded it), and both stamps must
+// survive migration: the name keeps a thief shard's migrateIn from
+// resurrecting a folded tenant as a fresh per-name entry, and acct
+// keeps the completion credit on the entry that counted the
+// acceptance, so merged TenantStats balance exactly. A pipeline-route
+// request never waits on a queue, so it skips the queue rungs and is
+// instead counted in flight, under the lock Close takes, until finish.
+func (s *Server) admit(r *request) error {
+	s.mu.Lock()
+	t, err := s.doorLocked(r.tenantName)
+	if err == nil && !r.stream {
+		err = s.queueRungsLocked(t, r)
+	}
+	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
 	r.tenantName = t.name
 	r.acct = t
-	bound := s.cfg.maxQueue()
-	if s.cfg.executor().Occupancy() >= DefaultSaturation {
+	t.accepted.Add(1)
+	s.accepted.Add(1)
+	if r.stream {
+		s.streams.Add(1)
+		s.pipelined.Add(1)
+		s.mu.Unlock()
+		return nil
+	}
+	s.enqueueLocked(t, r)
+	s.cond.Signal()
+	queued := s.queued
+	s.mu.Unlock()
+
+	// Diffusion's push edge: a submitter that just deepened the
+	// backlog is exactly the goroutine that should pay to spread it.
+	// The hook piggybacks on this existing event, so no balancer
+	// goroutine or ticker exists anywhere.
+	if ov := s.cfg.overflow; ov != nil {
+		ov(queued)
+	}
+	return nil
+}
+
+// queueRungsLocked is the part of the admission ladder that guards the
+// queues: the tenant's queue bound, then the deadline rung (which also
+// stamps r.deadline). Each refusal is counted here.
+func (s *Server) queueRungsLocked(t *tenant, r *request) error {
+	bound := s.cfg.MaxQueue
+	if s.cfg.Executor.Occupancy() >= DefaultSaturation {
 		// Backpressure rises with saturation: a busy executor halves
 		// every tenant's queue bound, so rejection starts before the
 		// backlog (and its latency) doubles.
 		bound = max(1, bound/2)
 	}
 	if t.qlen >= bound {
-		s.mu.Unlock()
 		t.rejected.Add(1)
 		s.rejected.Add(1)
 		return ErrRejected
@@ -498,14 +523,18 @@ func (s *Server) submit(r *request) error {
 		// against it.
 		now := time.Now()
 		if per := s.svcNanos.Load(); per > 0 && s.svcFresh(now) && int64(s.queued+1)*per > int64(slo) {
-			s.mu.Unlock()
 			t.deadlineRejected.Add(1)
 			s.deadlineRejected.Add(1)
 			return ErrDeadlineExceeded
 		}
 		r.deadline = now.Add(slo)
 	}
-	r.t = t
+	return nil
+}
+
+// enqueueLocked links r at the tail of tenant entry t's FIFO — the one
+// place a request joins a queue, for admission and migrateIn alike.
+func (s *Server) enqueueLocked(t *tenant, r *request) {
 	r.next = nil
 	if t.tail == nil {
 		t.head = r
@@ -516,40 +545,51 @@ func (s *Server) submit(r *request) error {
 	t.tail = r
 	t.qlen++
 	s.queued++
-	t.accepted.Add(1)
-	s.accepted.Add(1)
-	s.cond.Signal()
-	queued := s.queued
-	s.mu.Unlock()
-
-	// Diffusion's push edge: a submitter that just deepened the
-	// backlog is exactly the goroutine that should pay to spread it.
-	// The hook piggybacks on this existing event, so no balancer
-	// goroutine or ticker exists anywhere.
-	if ov := s.cfg.overflow; ov != nil {
-		ov(queued)
-	}
-	<-r.done
-	return r.err
 }
 
-// popLocked removes and returns the head request of the active tenant
-// at index ti, unlinking the tenant from the ring when its queue
-// empties (reported so the ring walk knows whether the index now
-// names the next tenant).
-func (s *Server) popLocked(ti int) (r *request, emptied bool) {
-	t := s.active[ti]
-	r = t.head
+// popLocked removes and returns the oldest request of the tenant whose
+// round-robin turn it is and moves the turn on — the one place a
+// request leaves a queue, for batch formation and migrateOut alike. A
+// tenant whose queue empties leaves the ring, which already puts its
+// successor under the cursor. The caller checks s.queued > 0.
+func (s *Server) popLocked() *request {
+	if s.rr >= len(s.active) {
+		s.rr = 0
+	}
+	t := s.active[s.rr]
+	r := t.head
 	t.head = r.next
 	if t.head == nil {
 		t.tail = nil
-		s.active = append(s.active[:ti], s.active[ti+1:]...)
-		emptied = true
+		s.active = append(s.active[:s.rr], s.active[s.rr+1:]...)
+	} else {
+		s.rr++ // tenant still queued: move past it this round
 	}
 	r.next = nil
 	t.qlen--
 	s.queued--
-	return r, emptied
+	return r
+}
+
+// finish is the one way out: it hands r its error, credits Expired (a
+// lapsed deadline) or Completed (everything else, errors included) to
+// the entry that admitted r — its home shard's tenant when migrated —
+// and to the server that finished it, and signals the waiter. It only
+// touches atomics and r's own fields, so batch formation calls it with
+// s.mu held.
+func (s *Server) finish(r *request, err error) {
+	r.err = err
+	if err == ErrDeadlineExceeded {
+		r.acct.expired.Add(1)
+		s.expired.Add(1)
+	} else {
+		r.acct.completed.Add(1)
+		s.completed.Add(1)
+	}
+	if r.stream {
+		s.streams.Done()
+	}
+	r.done <- struct{}{}
 }
 
 // queueDepth returns the current number of queued requests — the
@@ -571,16 +611,8 @@ func (s *Server) queueDepth() int {
 func (s *Server) migrateOut(buf []*request, max int) []*request {
 	n := 0
 	s.mu.Lock()
-	for n < max && len(s.active) > 0 {
-		if s.rr >= len(s.active) {
-			s.rr = 0
-		}
-		r, emptied := s.popLocked(s.rr)
-		buf = append(buf, r)
-		n++
-		if !emptied {
-			s.rr++
-		}
+	for ; n < max && s.queued > 0; n++ {
+		buf = append(buf, s.popLocked())
 	}
 	s.mu.Unlock()
 	s.migratedOut.Add(int64(n))
@@ -603,45 +635,33 @@ func (s *Server) migrateIn(rs []*request) {
 	if len(rs) == 0 {
 		return
 	}
+	s.migratedIn.Add(int64(len(rs)))
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		now := time.Now()
 		for _, r := range rs {
 			if !r.deadline.IsZero() && now.After(r.deadline) {
-				s.expireOne(r)
-				continue
+				s.finish(r, ErrDeadlineExceeded)
+			} else {
+				s.runOne(r)
 			}
-			s.runOne(r)
 		}
-		s.migratedIn.Add(int64(len(rs)))
 		return
 	}
 	for _, r := range rs {
-		t := s.tenantLocked(r.tenantName)
-		r.t = t
-		r.next = nil
-		if t.tail == nil {
-			t.head = r
-			s.active = append(s.active, t)
-		} else {
-			t.tail.next = r
-		}
-		t.tail = r
-		t.qlen++
-		s.queued++
+		s.enqueueLocked(s.tenantLocked(r.tenantName), r)
 	}
 	s.cond.Signal()
 	s.mu.Unlock()
-	s.migratedIn.Add(int64(len(rs)))
 }
 
-// formBatchLocked pops up to maxBatch requests, one per tenant per
+// formBatchLocked pops up to MaxBatch requests, one per tenant per
 // round-robin turn, starting where the previous batch left off. This
 // is the fair-share mechanism: a tenant with one queued request is
 // served within one turn of the ring no matter how deep any other
 // tenant's backlog is. Requests whose deadline passed while queued
-// are expired here instead of batched: they complete immediately with
+// are expired here instead of batched: they finish immediately with
 // ErrDeadlineExceeded and do not consume a batch slot, so an expired
 // backlog drains at pointer-pop speed rather than at service speed.
 // The check reads the request's own stamp, not cfg.SLO, so a migrated
@@ -649,47 +669,21 @@ func (s *Server) migrateIn(rs []*request) {
 // batch; the time.Now is taken lazily so deadline-free servers never
 // pay for it.
 func (s *Server) formBatchLocked(batch []*request) []*request {
-	maxBatch := s.cfg.maxBatch()
 	var now time.Time
-	for len(batch) < maxBatch && len(s.active) > 0 {
-		if s.rr >= len(s.active) {
-			s.rr = 0
-		}
-		r, emptied := s.popLocked(s.rr)
+	for len(batch) < s.cfg.MaxBatch && s.queued > 0 {
+		r := s.popLocked()
 		if !r.deadline.IsZero() {
 			if now.IsZero() {
 				now = time.Now()
 			}
 			if now.After(r.deadline) {
-				s.expireOne(r)
-				if !emptied {
-					s.rr++
-				}
+				s.finish(r, ErrDeadlineExceeded)
 				continue
 			}
 		}
 		batch = append(batch, r)
-		if !emptied {
-			s.rr++ // tenant still queued: move past it this round
-		}
 	}
 	return batch
-}
-
-// expireOne completes a deadline-expired request without executing
-// it: the waiter gets ErrDeadlineExceeded and the expiry is charged
-// to the accounting entry that admitted the request (its home shard's
-// tenant when migrated). Called with or without s.mu held — it only
-// touches atomics and the request's own fields.
-func (s *Server) expireOne(r *request) {
-	r.err = ErrDeadlineExceeded
-	acct := r.acct
-	if acct == nil {
-		acct = r.t
-	}
-	acct.expired.Add(1)
-	s.expired.Add(1)
-	r.done <- struct{}{}
 }
 
 // awaitWindow lets a batch accumulate: it returns once the queue
@@ -699,17 +693,16 @@ func (s *Server) expireOne(r *request) {
 // producer before re-reading the queue, which makes the plateau check
 // exact there and merely conservative elsewhere.
 func (s *Server) awaitWindow() {
-	window := s.cfg.window()
-	if window == 0 {
+	if s.cfg.BatchWindow < 0 {
 		return
 	}
-	deadline := time.Now().Add(window)
+	deadline := time.Now().Add(s.cfg.BatchWindow)
 	prev := -1
 	for {
 		s.mu.Lock()
 		q, closed := s.queued, s.closed
 		s.mu.Unlock()
-		if closed || q >= s.cfg.maxBatch() || q == prev || time.Now().After(deadline) {
+		if closed || q >= s.cfg.MaxBatch || q == prev || time.Now().After(deadline) {
 			return
 		}
 		prev = q
@@ -722,7 +715,7 @@ func (s *Server) awaitWindow() {
 // execution is where the parallelism is.
 func (s *Server) dispatch() {
 	defer close(s.drained)
-	batch := make([]*request, 0, s.cfg.maxBatch())
+	batch := make([]*request, 0, s.cfg.MaxBatch)
 	for {
 		s.mu.Lock()
 		for s.queued == 0 && !s.closed {
@@ -777,8 +770,8 @@ func (s *Server) execute(batch []*request) {
 			break
 		}
 	}
-	load := s.cfg.executor().Occupancy()
-	workers := s.cfg.workers()
+	load := s.cfg.Executor.Occupancy()
+	workers := s.cfg.Workers
 	if load >= DefaultSaturation {
 		s.shed.Add(1)
 		workers = 1

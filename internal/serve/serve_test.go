@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/gen"
+	"repro/internal/kernel"
 	"repro/internal/par"
 	"repro/internal/pgraph"
 	"repro/internal/rng"
@@ -387,6 +389,76 @@ func TestServePipelineRoute(t *testing.T) {
 	}
 }
 
+// streamtestHook is what the streamtest kernel's Stream runs; each
+// pipeline-route lifecycle test installs its own before calling.
+var streamtestHook func(a *kernel.Args, opts par.Options) error
+
+// kernelStreamtest is a test-only registration (see kernelCachetest)
+// whose streaming adapter is whatever the running test needs the
+// pipeline route to do on its caller's goroutine: block, dispatch onto
+// the executor it was handed, panic.
+var kernelStreamtest = kernel.Register(kernel.Kernel{
+	Name:     "streamtest",
+	Title:    "test-only: Stream runs streamtestHook",
+	Variants: []kernel.Variant{{Name: "noop", Run: func(*kernel.Args, par.Options) {}}},
+	Serial:   func(*kernel.Args) {},
+	Gen:      func(n int, _ uint64) *kernel.Args { return &kernel.Args{Xs: make([]int64, n)} },
+	Check:    func(_, _ *kernel.Args) error { return nil },
+	Stream:   func(a *kernel.Args, opts par.Options) error { return streamtestHook(a, opts) },
+})
+
+// TestCloseWaitsForStream pins Close against the pipeline route: a
+// long request runs on its caller's goroutine, outside the queues, and
+// Close must still wait for it — Sharded.Close closes the shard
+// executors next, and a stream dispatching onto a closed executor
+// panics the process ("exec: Submit on closed Executor").
+func TestCloseWaitsForStream(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	streamtestHook = func(a *kernel.Args, opts par.Options) error {
+		close(started)
+		<-release
+		// Dispatch onto the executor the server handed over, with the
+		// parallelism pinned so a 1-core box still submits to it.
+		opts.Procs, opts.SerialCutoff = 2, 1
+		var n atomic.Int64
+		par.For(len(a.Xs), opts, func(int) { n.Add(1) })
+		a.Out = n.Load()
+		return nil
+	}
+	g := NewSharded(ShardedConfig{Shards: 2, ShardProcs: 1})
+	a := kernel.Args{Xs: make([]int64, DefaultPipelineCutoff)}
+	callErr := make(chan error, 1)
+	go func() { callErr <- g.CallBudget("t", kernelStreamtest, &a, 0) }()
+	<-started
+
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Error("Close returned while a pipeline-route request was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-callErr; err != nil {
+		t.Fatalf("stream call racing Close = %v, want nil", err)
+	}
+	if a.Out != DefaultPipelineCutoff {
+		t.Fatalf("stream ran %d of %d iterations", a.Out, DefaultPipelineCutoff)
+	}
+	<-closed
+
+	st := g.Stats().Aggregate
+	if st.Accepted != st.Completed+st.Expired || st.Pipelined != 1 {
+		t.Fatalf("drain accounting after Close: %+v", st)
+	}
+	if err := g.CallBudget("t", kernelStreamtest, &a, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("stream call after Close = %v, want ErrClosed", err)
+	}
+}
+
 // TestServeClose checks drain-then-reject semantics.
 func TestServeClose(t *testing.T) {
 	e := exec.New(2)
@@ -436,8 +508,9 @@ func TestServeValidation(t *testing.T) {
 }
 
 // TestServePanicConfined checks a panicking kernel (bucket function
-// out of range) surfaces as that request's error, not a crash, and
-// the server keeps serving.
+// out of range in a batch slot, a panicking Stream on the pipeline
+// route) surfaces as that request's error, not a crash, and the server
+// keeps serving.
 func TestServePanicConfined(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -449,6 +522,21 @@ func TestServePanicConfined(t *testing.T) {
 	// Server still healthy afterwards.
 	if _, err := Sum(s, "t", xs); err != nil {
 		t.Fatalf("sum after confined panic: %v", err)
+	}
+
+	// The pipeline route runs on its caller's goroutine; a panic there
+	// is confined the same way.
+	streamtestHook = func(*kernel.Args, par.Options) error { panic("stream blew up") }
+	a := kernel.Args{Xs: make([]int64, DefaultPipelineCutoff)}
+	err = s.CallBudget("t", kernelStreamtest, &a, 0)
+	if err == nil || !strings.Contains(err.Error(), "serve: request panicked") {
+		t.Fatalf("panicking Stream = %v, want a serve: request panicked error", err)
+	}
+	if _, err := Sum(s, "t", xs); err != nil {
+		t.Fatalf("sum after confined stream panic: %v", err)
+	}
+	if st := s.Stats(); st.Accepted != st.Completed || st.Pipelined != 1 {
+		t.Fatalf("accounting after confined panics: %+v", st)
 	}
 }
 

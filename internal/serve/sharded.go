@@ -55,18 +55,17 @@ const DefaultMigrateHysteresis = 8
 // destroys locality).
 const DefaultMigrateHeadroom = 0.75
 
-func (c ShardedConfig) numShards() int {
-	if c.Shards > 0 {
-		return c.Shards
+// withDefaults resolves the sharding knobs once, at construction. The
+// template Config is resolved per shard by build, against that shard's
+// own executor.
+func (c ShardedConfig) withDefaults() ShardedConfig {
+	if c.Shards <= 0 {
+		c.Shards = exec.DefaultShardCount()
 	}
-	return exec.DefaultShardCount()
-}
-
-func (c ShardedConfig) hysteresis() int {
-	if c.MigrateHysteresis > 0 {
-		return c.MigrateHysteresis
+	if c.MigrateHysteresis <= 0 {
+		c.MigrateHysteresis = DefaultMigrateHysteresis
 	}
-	return DefaultMigrateHysteresis
+	return c
 }
 
 // ShardedStats is a snapshot of a sharded server's counters: the
@@ -110,10 +109,6 @@ type Sharded struct {
 	cfg    ShardedConfig
 	execs  *exec.Sharded
 	shards []*Server
-	// ready flips once every shard exists; dispatchers start inside
-	// the construction loop and may probe the balancer before their
-	// neighbors are built, so both edges no-op until then.
-	ready  atomic.Bool
 	closed atomic.Bool
 
 	migrations atomic.Int64
@@ -124,14 +119,13 @@ type Sharded struct {
 }
 
 // NewSharded creates a sharded server and starts one dispatcher per
-// shard.
+// shard — after every shard is built, so a dispatcher's first idle
+// probe already finds both its neighbors.
 func NewSharded(cfg ShardedConfig) *Sharded {
-	n := cfg.numShards()
+	cfg = cfg.withDefaults()
+	n := cfg.Shards
 	g := &Sharded{cfg: cfg}
-	g.migBufs.New = func() any {
-		s := make([]*request, 0, cfg.maxBatch())
-		return &s
-	}
+	g.migBufs.New = func() any { return new([]*request) }
 	g.execs = exec.NewSharded(n, cfg.ShardProcs)
 	g.shards = make([]*Server, n)
 	for i := range g.shards {
@@ -148,9 +142,11 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 			sc.stealIdle = func() int { return g.pull(i) }
 			sc.overflow = func(queued int) { g.push(i, queued) }
 		}
-		g.shards[i] = New(sc)
+		g.shards[i] = build(sc)
 	}
-	g.ready.Store(true)
+	for _, s := range g.shards {
+		s.start()
+	}
 	return g
 }
 
@@ -187,7 +183,7 @@ func (g *Sharded) Executors() *exec.Sharded { return g.execs }
 // cheap depth gate keeps the common un-backlogged case to one integer
 // compare.
 func (g *Sharded) push(from, queued int) {
-	if queued < 2*g.cfg.hysteresis() || !g.ready.Load() || g.closed.Load() {
+	if queued < 2*g.cfg.MigrateHysteresis || g.closed.Load() {
 		return
 	}
 	n := len(g.shards)
@@ -203,7 +199,7 @@ func (g *Sharded) push(from, queued int) {
 // pull is the balancer's pull edge, called by shard to's dispatcher
 // when its queues are empty, before parking.
 func (g *Sharded) pull(to int) int {
-	if !g.ready.Load() || g.closed.Load() {
+	if g.closed.Load() {
 		return 0
 	}
 	n := len(g.shards)
@@ -232,16 +228,13 @@ func (g *Sharded) tryMigrate(from, to int) int {
 		return 0
 	}
 	diff := g.shards[from].queueDepth() - g.shards[to].queueDepth()
-	if diff < g.cfg.hysteresis() {
+	if diff < g.cfg.MigrateHysteresis {
 		return 0
 	}
 	if g.execs.Shard(to).OccupancyEWMA() > DefaultMigrateHeadroom {
 		return 0
 	}
-	take := diff / 2
-	if maxB := g.cfg.maxBatch(); take > maxB {
-		take = maxB
-	}
+	take := min(diff/2, g.shards[from].cfg.MaxBatch)
 	bufp := g.migBufs.Get().(*[]*request)
 	buf := g.shards[from].migrateOut((*bufp)[:0], take)
 	n := len(buf)

@@ -251,15 +251,19 @@ func TestShardedFairShareUnderMigration(t *testing.T) {
 // on the migrating goroutine, so an admitted request is never lost
 // and its waiter never hangs.
 func TestMigrateInClosedRunsInline(t *testing.T) {
+	// home is built but its dispatcher never starts, so the request it
+	// admits stays queued until migrateOut pops it — the balancer's view
+	// of a backlog, with no dispatcher racing the pop.
+	home := build(Config{})
 	s := New(Config{})
-	xs := []int64{1, 2, 3, 4}
-	r := s.getRequest(kernelSum, "t", &kernel.Args{Xs: xs})
-	s.mu.Lock()
-	r.t = s.tenantLocked("t")
-	s.mu.Unlock()
+	r := home.getRequest(kernelSum, "t", &kernel.Args{Xs: []int64{1, 2, 3, 4}})
+	if err := home.admit(r); err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	buf := home.migrateOut(nil, 1)
 	s.Close()
 
-	s.migrateIn([]*request{r})
+	s.migrateIn(buf)
 	select {
 	case <-r.done:
 	case <-time.After(5 * time.Second):
@@ -272,7 +276,7 @@ func TestMigrateInClosedRunsInline(t *testing.T) {
 	if st.MigratedIn != 1 || st.Completed != 1 {
 		t.Fatalf("inline-run accounting: %+v", st)
 	}
-	s.putRequest(r)
+	home.putRequest(r)
 }
 
 // TestShardedClose pins drain-then-reject semantics and idempotence

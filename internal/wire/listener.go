@@ -62,35 +62,23 @@ const (
 	DefaultStreamChunk = 64 << 10
 )
 
-func (c Config) maxFrame() int {
-	if c.MaxFrame > 0 {
-		return c.MaxFrame
-	}
-	return DefaultMaxFrame
-}
-
-func (c Config) streamCutoff() int {
-	if c.StreamCutoff < 0 {
-		return 1 << 62 // never
+// withDefaults resolves every "means default" value once, at Serve, so
+// the frame loop reads plain fields. A negative StreamCutoff still means
+// "never stream". Idempotent.
+func (c Config) withDefaults() Config {
+	if c.MaxFrame <= 0 {
+		c.MaxFrame = DefaultMaxFrame
 	}
 	if c.StreamCutoff == 0 {
-		return DefaultStreamCutoff
+		c.StreamCutoff = DefaultStreamCutoff
 	}
-	return c.StreamCutoff
-}
-
-func (c Config) streamChunk() int {
-	if c.StreamChunk > 0 {
-		return c.StreamChunk
+	if c.StreamChunk <= 0 {
+		c.StreamChunk = DefaultStreamChunk
 	}
-	return DefaultStreamChunk
-}
-
-func (c Config) pool() *scratch.Pool {
-	if c.Scratch != nil {
-		return c.Scratch
+	if c.Scratch == nil {
+		c.Scratch = scratch.Default()
 	}
-	return scratch.Default()
+	return c
 }
 
 // Stats is a snapshot of a Listener's counters and gauges.
@@ -141,7 +129,7 @@ func Listen(network, addr string, backend Backend, cfg Config) (*Listener, error
 // Serve wraps an already-listening net.Listener. It takes ownership:
 // closing the wire.Listener closes ln.
 func Serve(ln net.Listener, backend Backend, cfg Config) *Listener {
-	l := &Listener{ln: ln, backend: backend, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	l := &Listener{ln: ln, backend: backend, cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l
@@ -261,7 +249,6 @@ func errorCode(err error) int {
 // connections, not from more goroutines per socket.
 func (l *Listener) serveConn(c net.Conn) {
 	defer l.dropConn(c)
-	pool := l.cfg.pool()
 	dec := NewDecoder()
 	var (
 		rbuf, wbuf []byte
@@ -281,29 +268,20 @@ func (l *Listener) serveConn(c net.Conn) {
 			return // EOF, abrupt disconnect, or Close's read deadline
 		}
 		n := int(nativeOrder.Uint32(lenb[:]))
-		if n < headerSize || n > l.cfg.maxFrame() {
+		if n < headerSize || n > l.cfg.MaxFrame {
 			// An insane length prefix means the stream cannot be
 			// re-synchronized; report and hang up.
-			wbuf = slabFor(pool, wbuf, &wh, 4+headerSize+64)
-			out := AppendError(wbuf[:0], 0, codeOther, ErrFrameTooLarge.Error())
-			c.Write(out)
-			l.errs.Add(1)
+			l.reply(c, &wbuf, &wh, 0, nil, nil, ErrFrameTooLarge)
 			return
 		}
-		rbuf = slabFor(pool, rbuf, &rh, n)
+		rbuf = slabFor(l.cfg.Scratch, rbuf, &rh, n)
 		body := rbuf[:n]
 		if _, err := io.ReadFull(c, body); err != nil {
 			return
 		}
 		req, err := dec.DecodeRequest(body)
 		if err != nil {
-			wbuf = slabFor(pool, wbuf, &wh, 4+headerSize+len(err.Error()))
-			out := AppendError(wbuf[:0], req.ID, codeOther, err.Error())
-			if _, werr := c.Write(out); werr != nil {
-				return
-			}
-			l.errs.Add(1)
-			if fatalDecode(err) {
+			if !l.reply(c, &wbuf, &wh, req.ID, nil, nil, err) || fatalDecode(err) {
 				return
 			}
 			continue
@@ -316,16 +294,7 @@ func (l *Listener) serveConn(c net.Conn) {
 			err = l.backend.CallBudget(req.Tenant, req.Kernel, &req.Args, req.Budget)
 		}
 		l.inflight.Add(-1)
-		if err != nil {
-			wbuf = slabFor(pool, wbuf, &wh, 4+headerSize+len(err.Error()))
-			out := AppendError(wbuf[:0], req.ID, errorCode(err), err.Error())
-			if _, werr := c.Write(out); werr != nil {
-				return
-			}
-			l.errs.Add(1)
-			continue
-		}
-		if !l.writeResponse(c, pool, &wbuf, &wh, req.ID, req.Kernel, &req.Args) {
+		if !l.reply(c, &wbuf, &wh, req.ID, req.Kernel, &req.Args, err) {
 			return
 		}
 	}
@@ -349,37 +318,42 @@ func planBytes(p respPlan, a *kernel.Args) []byte {
 	return nil
 }
 
-// writeResponse sends one reply: a single response frame, or — when
-// the payload crosses the stream cutoff — chunk frames walking the
-// section bytes followed by the closing geometry frame. Chunked and
-// one-shot replies decode to identical Args on the client. Returns
-// false when the connection is dead.
-func (l *Listener) writeResponse(c net.Conn, pool *scratch.Pool, wbuf *[]byte, wh *scratch.Handle, id uint64, k *kernel.Kernel, a *kernel.Args) bool {
-	p := planResponse(k, a)
-	raw := planBytes(p, a)
-	if p.tag != 0 && raw != nil && len(raw) >= l.cfg.streamCutoff() {
-		cs := l.cfg.streamChunk()
-		*wbuf = slabFor(pool, *wbuf, wh, 4+headerSize+cs)
-		for off := 0; off < len(raw); off += cs {
-			end := min(off+cs, len(raw))
-			out := AppendChunk((*wbuf)[:0], id, off, raw[off:end])
-			if _, err := c.Write(out); err != nil {
-				return false
+// reply sends the one reply a frame gets, from the connection's write
+// slab: an error frame when err is non-nil (serve sentinels travel as
+// their codes), else a single response frame, or — when the payload
+// crosses the stream cutoff — chunk frames walking the section bytes
+// followed by the closing geometry frame. Chunked and one-shot replies
+// decode to identical Args on the client. Whatever the kind, its last
+// frame is encoded into out and written and counted at one site.
+// Returns false when the connection is dead.
+func (l *Listener) reply(c net.Conn, wbuf *[]byte, wh *scratch.Handle, id uint64, k *kernel.Kernel, a *kernel.Args, err error) bool {
+	pool, sent := l.cfg.Scratch, &l.responses
+	var out []byte
+	if err != nil {
+		msg := err.Error()
+		*wbuf = slabFor(pool, *wbuf, wh, 4+headerSize+len(msg))
+		out, sent = AppendError((*wbuf)[:0], id, errorCode(err), msg), &l.errs
+	} else {
+		p := planResponse(k, a)
+		if raw := planBytes(p, a); l.cfg.StreamCutoff > 0 && len(raw) >= l.cfg.StreamCutoff {
+			cs := l.cfg.StreamChunk
+			*wbuf = slabFor(pool, *wbuf, wh, 4+headerSize+cs)
+			for off := 0; off < len(raw); off += cs {
+				end := min(off+cs, len(raw))
+				if _, werr := c.Write(AppendChunk((*wbuf)[:0], id, off, raw[off:end])); werr != nil {
+					return false
+				}
+				l.chunks.Add(1)
 			}
-			l.chunks.Add(1)
+			out = AppendStreamEnd((*wbuf)[:0], id, p, planCount(p, a), a)
+		} else {
+			*wbuf = slabFor(pool, *wbuf, wh, 4+headerSize+sectionSize(32)+sectionSize(p.payload))
+			out = AppendResponse((*wbuf)[:0], id, k, a)
 		}
-		out := AppendStreamEnd((*wbuf)[:0], id, p, planCount(p, a), a)
-		if _, err := c.Write(out); err != nil {
-			return false
-		}
-		l.responses.Add(1)
-		return true
 	}
-	*wbuf = slabFor(pool, *wbuf, wh, 4+headerSize+sectionSize(32)+sectionSize(p.payload))
-	out := AppendResponse((*wbuf)[:0], id, k, a)
-	if _, err := c.Write(out); err != nil {
+	if _, werr := c.Write(out); werr != nil {
 		return false
 	}
-	l.responses.Add(1)
+	sent.Add(1)
 	return true
 }
