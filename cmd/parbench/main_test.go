@@ -293,7 +293,7 @@ func TestParseInts(t *testing.T) {
 
 func TestSelectIDs(t *testing.T) {
 	all := selectIDs("all")
-	if len(all) != 28 {
+	if len(all) != 29 {
 		t.Fatalf("all = %v", all)
 	}
 	some := selectIDs(" E1 ,E5,")

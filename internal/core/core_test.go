@@ -138,13 +138,13 @@ func TestByID(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	if len(Experiments) != 28 {
-		t.Fatalf("suite has %d experiments, want 28", len(Experiments))
+	if len(Experiments) != 29 {
+		t.Fatalf("suite has %d experiments, want 29", len(Experiments))
 	}
 	refs := map[string]string{}
 	for i, e := range Experiments {
 		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
-			t.Fatalf("Experiments[%d].ID = %q, want %q (ids run E1..E28 in order)", i, e.ID, want)
+			t.Fatalf("Experiments[%d].ID = %q, want %q (ids run E1..E29 in order)", i, e.ID, want)
 		}
 		if e.Run == nil || e.Title == "" || e.Ref == "" {
 			t.Fatalf("experiment %q incomplete", e.ID)

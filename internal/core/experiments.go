@@ -144,10 +144,11 @@ var Experiments = []Experiment{
 	{"E22", "Table 12", "Streaming pipeline vs one-shot kernel composition", E22Pipeline},
 	{"E23", "Table 13", "Request serving: batched admission vs per-request dispatch", E23Serve},
 	{"E24", "Table 14", "Sharded serving under tenant skew: 1 shard vs N shards vs N shards + migration", E24ShardedServe},
-	{"E25", "Table 15", "Registry kernel ladder: one-shot vs serve batch path vs streamed pipeline, per registered kernel", E25KernelRegistry},
+	{"E25", "Table 15", "Registry kernel ladder: one-shot vs serve batch path vs long route, per registered kernel", E25KernelRegistry},
 	{"E26", "Table 16", "Coordinated omission: closed-loop vs open-loop serving at matched offered load", E26OpenLoop},
 	{"E27", "Table 17", "Result cache: cold vs warm-hit vs delta-update serving latency", E27ResultCache},
 	{"E28", "Table 18", "Wire front door: in-process vs framed-socket vs chunk-streamed serving latency", E28WireDoor},
+	{"E29", "Table 19", "The long route on 1-worker shards: mixed traffic by PipelineCutoff, and adapter vs one-shot for sort and scan", E29LongRoute},
 }
 
 // ByID returns the experiment with the given id.

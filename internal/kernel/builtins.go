@@ -131,23 +131,23 @@ func runSum(a *Args, o par.Options) {
 	a.Out = par.Sum(a.Xs, o)
 }
 
-func streamSort(a *Args, opts par.Options) error {
-	// Safe to write the sorted stream back into Xs: the Sort stage is
-	// blocking, so the source has fully drained Xs before the sink
-	// receives its first chunk.
-	off := 0
-	p := pipeline.New(pipeline.Config{Opts: opts}).
-		FromSlice(a.Xs).
-		Sort().
-		ToFunc(func(buf []int64) error {
-			off += copy(a.Xs[off:], buf)
-			return nil
-		})
-	return p.Run()
+// sortKernel is the installed sort descriptor, held so its long-route
+// adapter can go through the kernel's own dispatch.
+var sortKernel *Kernel
+
+// longSort is sort's long-route adapter: one call of the kernel's own
+// dispatch (Run → psort) under the route's options. Sorting is a
+// blocking operator — nothing leaves before everything arrived — so a
+// chunk cascade buys it no overlap and costs a merge tree, two extra
+// copies of the input and three stage goroutines; measured against the
+// one-shot call it lost at every size (BENCHMARKS.md, E29).
+func longSort(a *Args, opts par.Options) error {
+	sortKernel.Run(a, opts)
+	return nil
 }
 
 func init() {
-	Register(Kernel{
+	sortKernel = Register(Kernel{
 		Name:  "sort",
 		Title: "sort Xs ascending in place",
 		Variants: []Variant{
@@ -159,7 +159,7 @@ func init() {
 		Gen:     genSort,
 		Check:   eqXs,
 		Feature: sortFeature,
-		Stream:  streamSort,
+		Stream:  longSort,
 		Delta:   sortDelta,
 		Cache:   &CacheSpec{Out: OutXs},
 		Meta: []MetaRelation{
@@ -315,6 +315,11 @@ func init() {
 		Delta: scanDelta,
 		Cache: &CacheSpec{Out: OutDst},
 		Stream: func(a *Args, opts par.Options) error {
+			// Stage concurrency owns the parallelism, so chunks run
+			// serial unless the adaptive controller is deciding.
+			if opts.Adaptive == nil {
+				opts.SerialCutoff = pipeline.DefaultChunkSize
+			}
 			// Dst may alias Xs: the sink's write offset never passes the
 			// source's read offset (chunks are copied out of Xs in stream
 			// order before they reach the sink).

@@ -7,20 +7,21 @@
 // picks the algorithm — not just grain, policy and workers), its
 // serial oracle, argument validation, a deterministic input
 // generator, an output checker, an input-feature extractor for
-// variant dispatch, an optional streaming-pipeline adapter, and its
+// variant dispatch, an optional long-route adapter, and its
 // metamorphic relations. The layers then derive everything from the
 // descriptor:
 //
 //   - internal/serve dispatches requests through Kernel.Run instead of
-//     a per-kernel op switch, and routes large inputs through
-//     Kernel.Stream when the kernel has one;
+//     a per-kernel op switch, and runs Kernel.Stream — the long-route
+//     adapter, when the kernel has one — on the caller's goroutine,
+//     outside the queues, for large inputs;
 //   - internal/difftest oracle-checks every registered kernel (and
 //     every variant) against Kernel.Serial across its size × policy ×
 //     procs matrix;
 //   - internal/metatest replays each kernel's MetaRelations across the
 //     same matrix;
 //   - internal/core's experiment E25 builds its one-shot vs serve vs
-//     pipeline table from All();
+//     long-route table from All();
 //   - cmd/parbench lists and demos kernels by name.
 //
 // Adding a kernel is therefore one registration file: gups.go in this

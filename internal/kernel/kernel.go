@@ -65,9 +65,14 @@ type Kernel struct {
 	// (key-width × size × sortedness for sorts). Optional; class 0
 	// when nil. Only consulted for multi-variant kernels.
 	Feature func(a *Args) int
-	// Stream runs the kernel through the chunked streaming pipeline;
-	// serve routes inputs at or above its pipeline cutoff here.
-	// Optional — kernels without a streaming form leave it nil.
+	// Stream is the kernel's long-route adapter: serve runs it on the
+	// caller's goroutine, outside the queues, for inputs at or above
+	// Config.PipelineCutoff, under options spanning the server
+	// executor's whole width. What it does is the kernel's choice,
+	// made by measurement: scan streams through the chunked pipeline,
+	// sort makes one call of its own dispatch (a blocking operator
+	// gains nothing from chunking). The name is kept for bench/, which
+	// wraps the field. Optional — kernels without one always batch.
 	Stream func(a *Args, opts par.Options) error
 	// Meta are the kernel's metamorphic relations.
 	Meta []MetaRelation

@@ -22,27 +22,34 @@ func TestSortSteadyStateAllocs(t *testing.T) {
 	}
 	xs := gen.Ints(1<<16, gen.Uniform, 42)
 	buf := make([]int64, len(xs))
-	opts := par.Options{Procs: 4}
 	cases := []struct {
 		name  string
+		procs int
 		limit float64
 		sort  func([]int64, par.Options)
 	}{
-		{"SampleSort", 12, SampleSort},
-		{"MergeSort", 20, MergeSort},
+		{"SampleSort", 4, 12, SampleSort},
+		{"MergeSort", 4, 20, MergeSort},
 		// RadixSort issues 16 fork/joins per call (2 per digit pass), so
 		// straggler-delayed runState recycling adds a little jitter on
 		// top of its ~32 closure frames.
-		{"RadixSort", 64, RadixSort},
+		{"RadixSort", 4, 64, RadixSort},
+		// Procs 1 is what every serve batch slot runs: the serial leaves
+		// must allocate nothing, scatter buffers included.
+		{"SampleSort", 1, 0, SampleSort},
+		{"MergeSort", 1, 0, MergeSort},
+		{"RadixSort", 1, 0, RadixSort},
+		{"CountingSort", 1, 0, CountingSort}, // wide keys: falls back to RadixSort
 	}
 	for _, c := range cases {
+		opts := par.Options{Procs: c.procs}
 		run := func() {
 			copy(buf, xs)
 			c.sort(buf, opts)
 		}
 		run() // warm
 		if got := testing.AllocsPerRun(10, run); got > c.limit {
-			t.Errorf("%s: %.1f allocs/run at steady state, want <= %.0f", c.name, got, c.limit)
+			t.Errorf("%s Procs=%d: %.1f allocs/run at steady state, want <= %.0f", c.name, c.procs, got, c.limit)
 		}
 	}
 }

@@ -190,16 +190,20 @@ func RadixSort(xs []int64, opts par.Options) {
 	opts, m := par.BeginAdaptive(siteRadixSort, n, opts)
 	defer m.Done()
 	p := workers(opts, n)
+	a := scratch.AcquireArena(opts.ScratchPool())
+	defer a.Release()
+	buf := scratch.Make[int64](a, n)
 	if p == 1 || n < 2048 {
-		seq.RadixSort(xs)
+		// The serial leaf scatters through the arena's buffer too: this
+		// is the path the radix variant takes inside every serve batch
+		// slot, where a per-call make would break the zero-allocation
+		// steady state.
+		seq.RadixSort(xs, buf)
 		return
 	}
 	const bits = 8
 	const buckets = 1 << bits
 	const mask = buckets - 1
-	a := scratch.AcquireArena(opts.ScratchPool())
-	defer a.Release()
-	buf := scratch.Make[int64](a, n)
 	src, dst := xs, buf
 	// counts is a flat p×buckets matrix (row = worker, column = digit).
 	counts := scratch.Make[int](a, p*buckets)
@@ -274,7 +278,7 @@ type Sorter struct {
 var Sorters = []Sorter{
 	{"seq-quicksort", func(xs []int64, _ par.Options) { seq.Quicksort(xs) }},
 	{"seq-mergesort", func(xs []int64, _ par.Options) { seq.Mergesort(xs) }},
-	{"seq-radix", func(xs []int64, _ par.Options) { seq.RadixSort(xs) }},
+	{"seq-radix", func(xs []int64, _ par.Options) { seq.RadixSort(xs, nil) }},
 	{"samplesort", SampleSort},
 	{"mergesort", MergeSort},
 	{"radix", RadixSort},

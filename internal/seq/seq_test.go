@@ -9,11 +9,14 @@ import (
 	"repro/internal/gen"
 )
 
+// radixSortAlloc is RadixSort as a direct caller uses it: no buffer.
+func radixSortAlloc(xs []int64) { RadixSort(xs, nil) }
+
 func TestSortsMatchStdlib(t *testing.T) {
 	sorts := map[string]func([]int64){
 		"quicksort": Quicksort,
 		"mergesort": Mergesort,
-		"radixsort": RadixSort,
+		"radixsort": radixSortAlloc,
 	}
 	for name, fn := range sorts {
 		for _, d := range gen.Distributions {
@@ -34,7 +37,7 @@ func TestSortsMatchStdlib(t *testing.T) {
 
 func TestSortsQuick(t *testing.T) {
 	for name, fn := range map[string]func([]int64){
-		"quicksort": Quicksort, "mergesort": Mergesort, "radixsort": RadixSort,
+		"quicksort": Quicksort, "mergesort": Mergesort, "radixsort": radixSortAlloc,
 	} {
 		f := func(xs []int64) bool {
 			cp := append([]int64(nil), xs...)
@@ -56,7 +59,7 @@ func TestSortsQuick(t *testing.T) {
 
 func TestRadixSortNegative(t *testing.T) {
 	xs := []int64{5, -1, 0, math.MinInt64, math.MaxInt64, -5, 3}
-	RadixSort(xs)
+	RadixSort(xs, make([]int64, len(xs)+1)) // a caller's buffer, longer than xs
 	if !sort.SliceIsSorted(xs, func(i, j int) bool { return xs[i] < xs[j] }) {
 		t.Fatalf("radix sort mishandled negatives: %v", xs)
 	}

@@ -110,17 +110,22 @@ func mergeInt64(dst, a, b []int64) {
 
 // RadixSort sorts xs (treated as unsigned by flipping the sign bit) with
 // an LSD radix sort using 8-bit digits; baseline for the parallel radix
-// sort.
-func RadixSort(xs []int64) {
+// sort. It scatters through buf (contents unspecified before and
+// after), so a caller with a scratch arena sorts without allocating; a
+// buf shorter than xs — nil for direct callers — is replaced by a fresh
+// allocation.
+func RadixSort(xs, buf []int64) {
 	n := len(xs)
 	if n < 2 {
 		return
 	}
+	if len(buf) < n {
+		buf = make([]int64, n)
+	}
 	const bits = 8
 	const buckets = 1 << bits
 	const mask = buckets - 1
-	buf := make([]int64, n)
-	src, dst := xs, buf
+	src, dst := xs, buf[:n]
 	for shift := 0; shift < 64; shift += bits {
 		var count [buckets]int
 		for _, v := range src {

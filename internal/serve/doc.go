@@ -43,14 +43,18 @@
 //     complete counters (TenantStats) make the shares observable.
 //
 // Requests whose inputs are large enough that batching them would
-// stall the batch (Config.PipelineCutoff) run through the streaming
-// pipeline runtime (internal/pipeline) on the caller's goroutine. They
-// enter through the same door as every other request (closed check,
-// tenant fold under MaxTenants, Accepted) and leave through the same
-// exit (Completed, a kernel panic on the caller's goroutine confined to
-// the request's error; a panic inside a pipeline stage goroutine is out
-// of scope), and Close waits for them. Never waiting on a queue, they
-// stay outside the queue bound and the deadline rung.
+// stall the batch (Config.PipelineCutoff) take the long route: the
+// kernel's long-route adapter (Kernel.Stream) runs on the caller's
+// goroutine, outside the queues, under options spanning the executor's
+// whole width (longOpts) — for sort one call of the kernel's own
+// dispatch, the serial leaf on a 1-worker shard; for scan the chunked
+// pipeline. They enter through the same door as every other request
+// (closed check, tenant fold under MaxTenants, Accepted) and leave
+// through the same exit (Completed, a kernel panic on the caller's
+// goroutine confined to the request's error; a panic on a pooled worker
+// or a pipeline stage goroutine is out of scope), and Close waits for
+// them. Never waiting on a queue, they stay outside the queue bound and
+// the deadline rung.
 //
 // With Config.SLO set, a deadline rung joins the admission ladder.
 // The door refuses a request with ErrDeadlineExceeded when the
@@ -68,11 +72,11 @@
 //
 // Layering: serve sits above internal/exec (occupancy gauge, pooled
 // fork/join), internal/scratch (request temporaries), internal/adapt
-// (the batch site), internal/pipeline (long-request route) and the
-// kernel packages (seq, par, psel, pgraph); it feeds internal/wire
-// (the listener serves onto a Front, the client is one), the repro
-// facade (repro.NewServer, repro.Front, repro.ServeSort...) and
-// cmd/parbench's -serve traffic mode.
+// (the batch site) and internal/kernel (the registry whose descriptors
+// it dispatches through, long-route adapters included); it feeds
+// internal/wire (the listener serves onto a Front, the client is one),
+// the repro facade (repro.NewServer, repro.Front, repro.ServeSort...)
+// and cmd/parbench's -serve traffic mode.
 // BenchmarkTrafficServe quantifies the batching win over naive
 // per-request dispatch at equal worker count.
 package serve

@@ -48,8 +48,8 @@ var (
 // CallBudget itself.
 
 // Sort sorts xs in place. Small inputs batch with other requests;
-// inputs of PipelineCutoff elements or more stream through the
-// pipeline runtime instead so they cannot stall a batch.
+// inputs of PipelineCutoff elements or more run on the caller's
+// goroutine, outside the queues, so they cannot stall a batch.
 func Sort(f Front, tenant string, xs []int64) error {
 	a := kernel.Args{Xs: xs}
 	return f.CallBudget(tenant, kernelSort, &a, 0)

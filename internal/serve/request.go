@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/par"
-	"repro/internal/pipeline"
 	"repro/internal/rescache"
 )
 
@@ -36,8 +35,9 @@ type request struct {
 	// delta) instead of a full Run.
 	delta   kernel.Delta
 	isDelta bool
-	// stream marks the pipeline route: the request is admitted like any
-	// other but never queued — its caller runs k.Stream itself.
+	// stream marks the long route: the request is admitted like any
+	// other but never queued — its caller runs k.Stream, the kernel's
+	// long-route adapter, itself.
 	stream bool
 	err    error
 	done   chan struct{} // cap 1; signaled exactly once per execution
@@ -76,12 +76,14 @@ func (s *Server) serialOpts() par.Options {
 }
 
 // runOne executes one admitted request — serially inside its batch
-// slot, or through the kernel's streaming adapter on its caller's
+// slot, or through the kernel's long-route adapter on its caller's
 // goroutine when marked stream — and finishes it. Kernel panics on this
 // goroutine (a bucket function out of range, a malformed graph) are
 // confined to the request: they become its error instead of killing a
-// pooled worker or the caller. A panic inside a pipeline stage
-// goroutine is out of reach of this recover and stays out of scope.
+// pooled worker or the caller. That covers a long sort on a 1-worker
+// shard, which is the serial leaf run right here. A panic on another
+// goroutine — a pooled worker of a wider long sort, a stage of scan's
+// pipeline — is out of reach of this recover and stays out of scope.
 func (s *Server) runOne(r *request) {
 	var err error
 	defer func() {
@@ -92,7 +94,7 @@ func (s *Server) runOne(r *request) {
 	}()
 	switch {
 	case r.stream:
-		err = r.k.Stream(&r.args, s.pipelineOpts())
+		err = r.k.Stream(&r.args, s.longOpts())
 	case r.isDelta:
 		err = r.k.RunDelta(&r.args, &r.delta, s.serialOpts())
 	default:
@@ -100,23 +102,23 @@ func (s *Server) runOne(r *request) {
 	}
 }
 
-// pipelineOpts are the Options the long-request pipeline route runs
-// under: stage concurrency owns the parallelism, so chunks run serial
-// unless the adaptive controller is deciding.
-func (s *Server) pipelineOpts() par.Options {
-	opts := par.Options{
+// longOpts are the Options a long-route adapter runs under: the whole
+// width of the server's executor and no SerialCutoff, so the kernel's
+// own dispatch decides. On a 1-worker shard a long sort is therefore
+// the serial leaf on its caller's goroutine; on an unsharded server it
+// is a parallel sort over the shared executor. The caller is not
+// counted as an extra worker: Procs()+1 was measured and lost.
+func (s *Server) longOpts() par.Options {
+	return par.Options{
+		Procs:    s.cfg.Executor.Procs(),
 		Executor: s.cfg.Executor,
 		Scratch:  s.cfg.Scratch,
 		Adaptive: s.cfg.Adaptive,
 	}
-	if opts.Adaptive == nil {
-		opts.SerialCutoff = pipeline.DefaultChunkSize
-	}
-	return opts
 }
 
 // do admits r and waits for it to finish: in a batch slot for queued
-// requests, right here for a pipeline-route one. The caller still owns
+// requests, right here for a long-route one. The caller still owns
 // r afterwards: it reads any result fields and then returns r to the
 // pool (results live in the pooled struct, so releasing here would race
 // the read).
@@ -135,8 +137,9 @@ func (s *Server) do(r *request) error {
 // on behalf of tenant and waits for it: the only dispatch path — the
 // server knows nothing about individual kernels beyond their
 // descriptors, and the typed helpers (Sort, Select, ...) only build a
-// for it. Results are copied back into a. Inputs at or above the
-// pipeline cutoff route through k.Stream when the kernel has one.
+// for it. Results are copied back into a. Inputs at or above
+// Config.PipelineCutoff take the long route when the kernel has an
+// adapter for it (k.Stream): run on this goroutine, outside the queues.
 // Small requests batch with other tenants' and keep the steady state
 // allocation-free: the request record is pooled and a's fields move by
 // value. A positive budget replaces Config.SLO for this request's

@@ -82,10 +82,11 @@ type Config struct {
 	// still served, but pool their queue bound and fair-share turn.
 	MaxTenants int
 	// PipelineCutoff is the input length at or above which a request
-	// bypasses batching and routes through the streaming pipeline
-	// runtime (admitted like any other, but exempt from MaxQueue and
-	// the SLO rung: it never waits on a queue); 0 means
-	// DefaultPipelineCutoff, negative disables routing.
+	// bypasses batching and runs its kernel's long-route adapter on
+	// the caller's goroutine, outside the queues (admitted like any
+	// other, but exempt from MaxQueue and the SLO rung: it never waits
+	// on a queue); 0 means DefaultPipelineCutoff, negative disables
+	// routing.
 	PipelineCutoff int
 	// Cache, when non-nil, is the generation-stamped result cache
 	// consulted by CallBudget before any queueing: a repeat of a cacheable
@@ -206,8 +207,8 @@ type tenant struct {
 type Stats struct {
 	// Tenants is the number of distinct tenant names seen.
 	Tenants int
-	// Accepted counts requests admitted to a queue (or routed to the
-	// pipeline); Rejected counts admission-control refusals.
+	// Accepted counts requests admitted to a queue (or to the long
+	// route); Rejected counts admission-control refusals.
 	Accepted, Rejected int64
 	// Completed counts requests whose execution finished (including
 	// ones that finished with an error).
@@ -224,8 +225,9 @@ type Stats struct {
 	// Degraded counts batches that ran parallel with proportionally
 	// reduced workers under elevated load.
 	Shed, Degraded int64
-	// Pipelined counts long requests routed through the streaming
-	// pipeline runtime instead of the batch path.
+	// Pipelined counts long requests that ran their long-route adapter
+	// on the caller's goroutine, outside the queues, instead of riding
+	// a batch.
 	Pipelined int64
 	// DeadlineRejected counts requests refused at the door because
 	// the queue-depth-predicted wait already exceeded their SLO
@@ -275,7 +277,7 @@ type Server struct {
 	queued  int
 	closed  bool
 	drained chan struct{} // closed when the dispatcher exits
-	// streams counts in-flight pipeline-route requests. Add runs under
+	// streams counts in-flight long-route requests. Add runs under
 	// mu while !closed, so the Wait in Close sees every one of them.
 	streams sync.WaitGroup
 
@@ -354,7 +356,7 @@ func build(cfg Config) *Server {
 func (s *Server) start() { s.cfg.Executor.Go(s.dispatch) }
 
 // Close stops admission, waits for every admitted request to finish —
-// queued ones through the dispatcher, pipeline-route ones on their
+// queued ones through the dispatcher, long-route ones on their
 // callers' goroutines — and returns, so the executor may be closed
 // after it. Requests submitted after Close fail with ErrClosed.
 func (s *Server) Close() {
@@ -449,7 +451,7 @@ func (s *Server) doorLocked(name string) (*tenant, error) {
 // survive migration: the name keeps a thief shard's migrateIn from
 // resurrecting a folded tenant as a fresh per-name entry, and acct
 // keeps the completion credit on the entry that counted the
-// acceptance, so merged TenantStats balance exactly. A pipeline-route
+// acceptance, so merged TenantStats balance exactly. A long-route
 // request never waits on a queue, so it skips the queue rungs and is
 // instead counted in flight, under the lock Close takes, until finish.
 func (s *Server) admit(r *request) error {

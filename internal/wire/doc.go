@@ -27,7 +27,7 @@
 // the server's configured SLO.
 //
 // Responses travel through pooled per-connection write buffers.
-// Large replies (a pipeline-routed sort's output, say) are streamed
+// Large replies (a long-route sort's output, say) are streamed
 // as chunked frames instead of one materialized reply: raw payload
 // chunks at increasing offsets, then a closing frame carrying the
 // scalars and the section geometry. The client reassembles them into

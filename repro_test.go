@@ -99,7 +99,7 @@ func TestFacadeMatMulJacobi(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 28 || ids[0] != "E1" {
+	if len(ids) != 29 || ids[0] != "E1" {
 		t.Fatalf("ExperimentIDs = %v", ids)
 	}
 	var buf bytes.Buffer
