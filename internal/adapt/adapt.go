@@ -214,6 +214,9 @@ type classState struct {
 
 	bestIdx   atomic.Int32
 	converged atomic.Bool
+	// measured has bit i set once candidate i (i < 64) has a recorded
+	// measurement, readable without mu.
+	measured atomic.Uint64
 }
 
 // Controller owns one adaptive tuning cache. It is safe for concurrent
@@ -380,6 +383,9 @@ func (c *Controller) Record(tok Token, seconds float64, n int) {
 	cs.mu.Lock()
 	i := tok.cand
 	cs.trials[i]++
+	if i < 64 {
+		cs.measured.Or(1 << i)
+	}
 	if cs.trials[i] == 1 {
 		// First real measurement replaces the model's guess outright.
 		cs.ewma[i] = perElem

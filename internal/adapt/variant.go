@@ -78,6 +78,17 @@ func (c *Controller) BestVariant(site *Site, class int) (int, bool) {
 	return int(cs.bestIdx.Load()), true
 }
 
+// VariantMeasured reports whether variant idx has a recorded
+// measurement in a feature class: false for a class never seen and for
+// a variant the sweep has not timed yet. An untimed DecideVariant
+// answer that fails it is the prior's argmin, and the prior has no
+// opinion between variants, so callers with a better default use that
+// instead. Lock-free, like the converged read path.
+func (c *Controller) VariantMeasured(site *Site, class, idx int) bool {
+	cs := c.peekClass(site, clampClass(class))
+	return cs != nil && idx >= 0 && idx < 64 && cs.measured.Load()&(1<<idx) != 0
+}
+
 // ClassVisits returns the number of measurements recorded for an
 // explicit (site, class) pair — the introspection hook variant-site
 // tests use, mirroring Visits for length-classed sites.

@@ -77,6 +77,36 @@ func TestVariantHighLoadReturnsBestUntimed(t *testing.T) {
 	}
 }
 
+// TestVariantMeasured: a variant counts as measured in a class only
+// once a timing for it was recorded there. Mid-sweep the untimed answer
+// under load can name a variant nobody timed (unmeasured variants keep
+// the prior, which undercuts every real timing); this is how a caller
+// tells.
+func TestVariantMeasured(t *testing.T) {
+	c := New(Config{Seed: 6})
+	site := NewVariantSite("test.measured", 3)
+	if c.VariantMeasured(site, 4, 0) {
+		t.Fatal("unseen class reports a measured variant")
+	}
+	idx, tok := c.DecideVariant(site, 4, 0)
+	c.Record(tok, 1e-3, 1000)
+	for v := 0; v < 3; v++ {
+		if got := c.VariantMeasured(site, 4, v); got != (v == idx) {
+			t.Errorf("after timing variant %d: VariantMeasured(%d) = %v", idx, v, got)
+		}
+	}
+	best, tok := c.DecideVariant(site, 4, 0.99)
+	if tok.Valid() || best == idx {
+		t.Fatalf("degraded answer = %d (token %v); want an untimed variant other than the measured %d", best, tok.Valid(), idx)
+	}
+	if c.VariantMeasured(site, 4, best) {
+		t.Errorf("degraded answer %d reports measured", best)
+	}
+	if c.VariantMeasured(site, 5, idx) || c.VariantMeasured(site, 4, -1) || c.VariantMeasured(site, 4, 64) {
+		t.Error("measurement leaked to another class or an out-of-range index")
+	}
+}
+
 func TestVariantClassClamped(t *testing.T) {
 	c := New(Config{Seed: 4})
 	site := NewVariantSite("test.clamp", 2)

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -9,14 +10,19 @@ import (
 )
 
 // Variant benchmarks: each algorithm candidate individually, plus the
-// adaptive dispatch path with a pre-warmed controller, over the two
-// key regimes the sort feature separates. scripts/benchjson.sh turns
-// these into BENCH_kernels.json; the acceptance ratio is
-// adaptive vs sample on narrow keys.
+// no-controller default and the adaptive dispatch path with a
+// pre-warmed controller, over the two key regimes the sort feature
+// separates. scripts/benchjson.sh turns these into BENCH_kernels.json;
+// the acceptance ratio is adaptive vs sample on narrow keys.
+// BenchmarkSortClasses sweeps every class the default table covers.
 
 func benchSortInput(b *testing.B, base []int64, run func(xs []int64)) {
 	b.Helper()
 	buf := make([]int64, len(base))
+	// One untimed run first: at a million keys b.N can stay 1, and the
+	// first call also pays for faulting in buf and the scratch arena.
+	copy(buf, base)
+	run(buf)
 	b.SetBytes(int64(8 * len(base)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,7 +51,10 @@ func warmedController(b *testing.B, base []int64) *adapt.Controller {
 	return ctl
 }
 
-func benchSortRegime(b *testing.B, base []int64) {
+// benchSortVariants times every sort variant on base at Procs 1, plus
+// "default": Kernel.Run with no controller, which is what a serve batch
+// slot on parserve runs.
+func benchSortVariants(b *testing.B, base []int64) {
 	k := MustLookup("sort")
 	for i, v := range k.Variants {
 		i := i
@@ -55,6 +64,16 @@ func benchSortRegime(b *testing.B, base []int64) {
 			})
 		})
 	}
+	b.Run("default", func(b *testing.B) {
+		benchSortInput(b, base, func(xs []int64) {
+			k.Run(&Args{Xs: xs}, par.Options{Procs: 1})
+		})
+	})
+}
+
+func benchSortRegime(b *testing.B, base []int64) {
+	k := MustLookup("sort")
+	benchSortVariants(b, base)
 	b.Run("adaptive", func(b *testing.B) {
 		ctl := warmedController(b, base)
 		opts := par.Options{Procs: 1, Adaptive: ctl}
@@ -76,4 +95,18 @@ func BenchmarkSortNarrow16(b *testing.B) {
 // passes; adaptive dispatch should stay on sample.
 func BenchmarkSortWide64(b *testing.B) {
 	benchSortRegime(b, wideNearlySorted(1<<15, 5))
+}
+
+// BenchmarkSortClasses is the measurement sortDefaultTable is read
+// off: every variant, and the default, at Procs 1 over each table shape
+// and size. The sub-benchmark name carries the input's feature class.
+func BenchmarkSortClasses(b *testing.B) {
+	for _, s := range sortTableShapes {
+		for _, n := range sortTableSizes {
+			base := s.gen(n)
+			b.Run(fmt.Sprintf("%s/n=%d/class=%d", s.name, n, sortFeature(&Args{Xs: base})), func(b *testing.B) {
+				benchSortVariants(b, base)
+			})
+		}
+	}
 }

@@ -100,6 +100,46 @@ func sortFeature(a *Args) int {
 	return (wb*4+sb)*2 + sorted
 }
 
+// Sort's variant indices, in Variants order.
+const (
+	sortSample = iota
+	sortRadix
+	sortCounting
+)
+
+// sortDefaultTable is the variant sort runs without a controller, per
+// sortFeature class: [width bucket][size bucket][sorted bit]. It is read
+// off BenchmarkSortClasses, which times every variant at Procs 1 on ten
+// input shapes at 1 Ki to 1 Mi elements (BENCHMARKS.md, "The sort
+// default"). Each class takes the variant whose worst ratio to the
+// fastest variant, over the shapes falling in the class, is lowest;
+// near ties (within 10 %) go to sample, then radix, since counting
+// sort on a spread of 2^20 or more is radix sort plus a min/max pass.
+// Counting sort costs O(n + spread) whatever the order, so with a
+// 16-bit spread it loses below 4 Ki elements, and below 64 Ki on nearly
+// sorted keys, and wins wherever the spread is small beside n. Radix sort wins on
+// unsorted keys from 4 Ki elements up, and on 17–32-bit keys even
+// below. Sample sort (quicksort at Procs 1) keeps nearly sorted wide
+// keys, where its comparisons predict well and radix pays every pass.
+var sortDefaultTable = [4][4][2]uint8{
+	// Size buckets < 4 Ki, < 64 Ki, < 1 Mi, >= 1 Mi elements; each
+	// {unsorted, nearly sorted}.
+	{{sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}}, // width <= 8 bits
+	{{sortSample, sortSample}, {sortCounting, sortSample}, {sortCounting, sortCounting}, {sortCounting, sortCounting}},       // 9–16 bits
+	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortCounting, sortSample}, {sortCounting, sortSample}},               // 17–32 bits
+	{{sortSample, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}},                    // wider
+}
+
+// sortDefault is sort's Kernel.Default: sortDefaultTable at the class
+// sortFeature packed, and sample for classes it never produces.
+func sortDefault(class int) int {
+	wb, sb, sorted := class/8, class/2%4, class%2
+	if class < 0 || wb >= len(sortDefaultTable) {
+		return sortSample
+	}
+	return int(sortDefaultTable[wb][sb][sorted])
+}
+
 // sortDistributions is the input-shape rotation Gen("sort") cycles
 // through by seed; odd seeds additionally mask keys to 16 bits so the
 // narrow-key regime is always covered.
@@ -159,6 +199,7 @@ func init() {
 		Gen:     genSort,
 		Check:   eqXs,
 		Feature: sortFeature,
+		Default: sortDefault,
 		Stream:  longSort,
 		Delta:   sortDelta,
 		Cache:   &CacheSpec{Out: OutXs},

@@ -7,6 +7,7 @@
 package kernel_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/adapt"
@@ -71,32 +72,64 @@ func TestKernelConformance(t *testing.T) {
 				t.Run("serve-zero-alloc", func(t *testing.T) {
 					s := serve.New(serve.Config{Adaptive: adapt.New(adapt.Config{})})
 					defer s.Close()
-					a := k.Gen(4096, 1)
-					// Warm the pools and the variant lattice's exploration
-					// sweep so steady state is what gets measured.
-					for i := 0; i < 64; i++ {
-						if err := s.CallBudget("conformance", k, a, 0); err != nil {
-							t.Fatal(err)
-						}
+					serveZeroAllocs(t, s, k, k.Gen(4096, 1))
+					if k.Default == nil {
+						return
 					}
-					// A GC between runs can repopulate sync.Pools on the
-					// measured iteration; retry before declaring a leak.
-					var allocs float64
-					for attempt := 0; attempt < 3; attempt++ {
-						allocs = testing.AllocsPerRun(100, func() {
-							if err := s.CallBudget("conformance", k, a, 0); err != nil {
-								t.Fatal(err)
-							}
+					// Without a controller Default picks per input: pin one
+					// Gen input for each variant it picks.
+					plain := serve.New(serve.Config{})
+					defer plain.Close()
+					for _, a := range defaultInputs(k) {
+						t.Run("default="+k.Variants[k.Default(k.Feature(a))].Name, func(t *testing.T) {
+							serveZeroAllocs(t, plain, k, a)
 						})
-						if allocs == 0 {
-							break
-						}
-					}
-					if allocs != 0 {
-						t.Errorf("serve batch path allocates %.2f allocs/op; want 0", allocs)
 					}
 				})
 			}
 		})
 	}
+}
+
+// serveZeroAllocs warms s on a and then requires the serve batch path
+// to run it allocation-free. a's Xs is restored before every call, so a
+// kernel that sorts in place keeps the input's feature class.
+func serveZeroAllocs(t *testing.T, s *serve.Server, k *kernel.Kernel, a *kernel.Args) {
+	t.Helper()
+	base := slices.Clone(a.Xs)
+	call := func() {
+		copy(a.Xs, base)
+		if err := s.CallBudget("conformance", k, a, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the pools and the variant lattice's exploration sweep so
+	// steady state is what gets measured.
+	for i := 0; i < 64; i++ {
+		call()
+	}
+	// A GC between runs can repopulate sync.Pools on the measured
+	// iteration; retry before declaring a leak.
+	var allocs float64
+	for attempt := 0; attempt < 3; attempt++ {
+		if allocs = testing.AllocsPerRun(100, call); allocs == 0 {
+			return
+		}
+	}
+	t.Errorf("serve batch path allocates %.2f allocs/op; want 0", allocs)
+}
+
+// defaultInputs returns one Gen input per variant k's Default picks
+// across the first eight Gen seeds at 4 096 elements.
+func defaultInputs(k *kernel.Kernel) []*kernel.Args {
+	var out []*kernel.Args
+	seen := map[int]bool{}
+	for seed := uint64(0); seed < 8; seed++ {
+		a := k.Gen(4096, seed)
+		if v := k.Default(k.Feature(a)); !seen[v] {
+			seen[v] = true
+			out = append(out, a)
+		}
+	}
+	return out
 }

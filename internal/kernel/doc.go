@@ -7,8 +7,9 @@
 // picks the algorithm — not just grain, policy and workers), its
 // serial oracle, argument validation, a deterministic input
 // generator, an output checker, an input-feature extractor for
-// variant dispatch, an optional long-route adapter, and its
-// metamorphic relations. The layers then derive everything from the
+// variant dispatch with a measured per-class default (the algorithm a
+// caller without a controller gets), an optional long-route adapter,
+// and its metamorphic relations. The layers then derive everything from the
 // descriptor:
 //
 //   - internal/serve dispatches requests through Kernel.Run instead of

@@ -12,9 +12,10 @@ import (
 	"repro/internal/rng"
 )
 
-// Variant is one algorithm implementing a kernel. Variant 0 of a
-// kernel is its general-purpose default — the one callers without an
-// adaptive controller get.
+// Variant is one algorithm implementing a kernel. Variant 0 is the
+// kernel's general-purpose algorithm: what a caller without an adaptive
+// controller gets unless the kernel declares a Default, which picks a
+// variant per input feature class instead.
 type Variant struct {
 	// Name labels the variant in stats, benchmarks and demos.
 	Name string
@@ -65,6 +66,16 @@ type Kernel struct {
 	// (key-width × size × sortedness for sorts). Optional; class 0
 	// when nil. Only consulted for multi-variant kernels.
 	Feature func(a *Args) int
+	// Default names the variant to run for a Feature class when no
+	// controller has measured one: every call without Options.Adaptive,
+	// and a controller's untimed answer for a variant it never timed in
+	// that class (a degraded decision under load, or a class not yet
+	// seen). It is the kernel's measured answer to "which algorithm for
+	// this input" — sort's is a table read off BenchmarkSortClasses.
+	// Optional; variant 0 when nil. Register requires Feature and more
+	// than one variant with it, and an index into Variants for every
+	// class.
+	Default func(class int) int
 	// Stream is the kernel's long-route adapter: serve runs it on the
 	// caller's goroutine, outside the queues, for inputs at or above
 	// Config.PipelineCutoff, under options spanning the server
@@ -99,6 +110,10 @@ type Kernel struct {
 // tuning).
 func (k *Kernel) Site() *adapt.Site { return k.site }
 
+// featureClasses bounds Feature's range: classes are [0, 63], the
+// range an adaptive variant site keeps state for.
+const featureClasses = 64
+
 var (
 	regMu sync.RWMutex
 	reg   = map[string]*Kernel{}
@@ -116,6 +131,16 @@ func Register(k Kernel) *Kernel {
 	for i, v := range k.Variants {
 		if v.Name == "" || v.Run == nil {
 			panic(fmt.Sprintf("kernel: Register(%q): variant %d incomplete", k.Name, i))
+		}
+	}
+	if k.Default != nil {
+		if k.Feature == nil || len(k.Variants) < 2 {
+			panic(fmt.Sprintf("kernel: Register(%q): Default needs Feature and more than one variant", k.Name))
+		}
+		for c := 0; c < featureClasses; c++ {
+			if v := k.Default(c); v < 0 || v >= len(k.Variants) {
+				panic(fmt.Sprintf("kernel: Register(%q): Default(%d) = %d, not a variant index", k.Name, c, v))
+			}
 		}
 	}
 	kp := &k
@@ -181,19 +206,23 @@ func Names() []string {
 	return out
 }
 
-// Run executes the kernel on a. Multi-variant kernels with an
-// adaptive controller dispatch through the variant lattice: the
-// controller picks the algorithm for the input's feature class (key
-// width, size, sortedness — orthogonal to parallelism, so the choice
-// applies even at Procs 1), the chosen variant runs with Adaptive
-// cleared (the variant site owns this call's timing, mirroring
-// par.BeginAdaptive's whole-call contract), and the measured cost is
-// fed back. Without a controller — or with a single variant — the
-// default variant runs under the caller's options unchanged, and its
-// own inner adaptive sites keep tuning as before.
+// Run executes the kernel on a. A multi-variant kernel picks its
+// algorithm per input: Feature gives the input's class (key width,
+// size, sortedness — orthogonal to parallelism, so the choice applies
+// even at Procs 1). Without an adaptive controller, Default(class)
+// runs under the caller's options unchanged and its own inner adaptive
+// sites keep tuning as before; a kernel with no Default, or a single
+// variant, runs variant 0. With a controller the variant lattice
+// decides: the chosen variant runs with Adaptive cleared (the variant
+// site owns this call's timing, mirroring par.BeginAdaptive's
+// whole-call contract) and the measured cost is fed back. An untimed
+// answer naming a variant the controller never measured in that class
+// carries no information, so Default(class) runs instead — otherwise a
+// controller under load would run a slower algorithm than no
+// controller at all.
 func (k *Kernel) Run(a *Args, opts par.Options) {
 	ctl := opts.Adaptive
-	if k.site == nil || ctl == nil {
+	if k.site == nil || (ctl == nil && k.Default == nil) {
 		k.Variants[0].Run(a, opts)
 		return
 	}
@@ -201,11 +230,18 @@ func (k *Kernel) Run(a *Args, opts par.Options) {
 	if k.Feature != nil {
 		class = k.Feature(a)
 	}
+	if ctl == nil {
+		k.Variants[k.Default(class)].Run(a, opts)
+		return
+	}
 	e := opts.Executor
 	if e == nil {
 		e = exec.Default()
 	}
 	idx, tok := ctl.DecideVariant(k.site, class, e.Occupancy())
+	if !tok.Valid() && k.Default != nil && !ctl.VariantMeasured(k.site, class, idx) {
+		idx = k.Default(class)
+	}
 	inner := opts
 	inner.Adaptive = nil
 	t0 := time.Now()

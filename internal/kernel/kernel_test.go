@@ -55,6 +55,53 @@ func TestRegisterRejectsIncompleteAndDuplicate(t *testing.T) {
 	mustPanic("unnamed variant", unnamed)
 }
 
+// TestRegisterValidatesDefault: a Default without a Feature to feed
+// it, on a kernel with nothing to choose between, or naming a variant
+// that does not exist for some class is an init-time panic, not a
+// dispatch-time index error.
+func TestRegisterValidatesDefault(t *testing.T) {
+	run := func(*Args, par.Options) {}
+	base := Kernel{
+		Variants: []Variant{{Name: "a", Run: run}, {Name: "b", Run: run}},
+		Serial:   func(*Args) {},
+		Gen:      func(int, uint64) *Args { return &Args{} },
+		Check:    func(*Args, *Args) error { return nil },
+		Feature:  func(*Args) int { return 0 },
+		Default:  func(int) int { return 1 },
+	}
+	for _, c := range []struct {
+		name string
+		edit func(k *Kernel)
+	}{
+		{"without feature", func(k *Kernel) { k.Feature = nil }},
+		{"single variant", func(k *Kernel) { k.Variants = k.Variants[:1]; k.Default = func(int) int { return 0 } }},
+		{"index out of range", func(k *Kernel) {
+			k.Default = func(class int) int {
+				if class == 63 {
+					return 2
+				}
+				return 0
+			}
+		}},
+		{"negative index", func(k *Kernel) { k.Default = func(class int) int { return class - 40 } }},
+	} {
+		k := base
+		k.Name = "test-default-" + c.name
+		c.edit(&k)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Register did not panic", c.name)
+				}
+			}()
+			Register(k)
+		}()
+		if Lookup(k.Name) != nil {
+			t.Errorf("%s: rejected kernel was installed", c.name)
+		}
+	}
+}
+
 func TestRunWithoutControllerUsesDefaultVariant(t *testing.T) {
 	k := MustLookup("sort")
 	got := k.Gen(4096, 1)

@@ -21,30 +21,42 @@ func TestSortSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	xs := gen.Ints(1<<16, gen.Uniform, 42)
+	narrow := gen.Ints(1<<16, gen.Uniform, 43)
+	for i := range narrow {
+		narrow[i] &= 0xFFFF
+	}
 	buf := make([]int64, len(xs))
 	cases := []struct {
 		name  string
 		procs int
 		limit float64
 		sort  func([]int64, par.Options)
+		in    []int64 // nil: the wide keys xs
 	}{
-		{"SampleSort", 4, 12, SampleSort},
-		{"MergeSort", 4, 20, MergeSort},
+		{"SampleSort", 4, 12, SampleSort, nil},
+		{"MergeSort", 4, 20, MergeSort, nil},
 		// RadixSort issues 16 fork/joins per call (2 per digit pass), so
 		// straggler-delayed runState recycling adds a little jitter on
 		// top of its ~32 closure frames.
-		{"RadixSort", 4, 64, RadixSort},
+		{"RadixSort", 4, 64, RadixSort, nil},
 		// Procs 1 is what every serve batch slot runs: the serial leaves
 		// must allocate nothing, scatter buffers included.
-		{"SampleSort", 1, 0, SampleSort},
-		{"MergeSort", 1, 0, MergeSort},
-		{"RadixSort", 1, 0, RadixSort},
-		{"CountingSort", 1, 0, CountingSort}, // wide keys: falls back to RadixSort
+		{"SampleSort", 1, 0, SampleSort, nil},
+		{"MergeSort", 1, 0, MergeSort, nil},
+		{"RadixSort", 1, 0, RadixSort, nil},
+		{"CountingSort", 1, 0, CountingSort, nil}, // wide keys: falls back to RadixSort
+		// Narrow keys: the counting array itself comes from the pool.
+		// This is sort's default for them in a batch slot.
+		{"CountingSort/narrow", 1, 0, CountingSort, narrow},
 	}
 	for _, c := range cases {
 		opts := par.Options{Procs: c.procs}
+		in := c.in
+		if in == nil {
+			in = xs
+		}
 		run := func() {
-			copy(buf, xs)
+			copy(buf, in)
 			c.sort(buf, opts)
 		}
 		run() // warm

@@ -113,7 +113,9 @@ func mergeInt64(dst, a, b []int64) {
 // sort. It scatters through buf (contents unspecified before and
 // after), so a caller with a scratch arena sorts without allocating; a
 // buf shorter than xs — nil for direct callers — is replaced by a fresh
-// allocation.
+// allocation. All eight digit histograms are built in one read pass:
+// a scatter only permutes the keys, so each digit's counts are the same
+// before every pass.
 func RadixSort(xs, buf []int64) {
 	n := len(xs)
 	if n < 2 {
@@ -123,26 +125,35 @@ func RadixSort(xs, buf []int64) {
 		buf = make([]int64, n)
 	}
 	const bits = 8
-	const buckets = 1 << bits
-	const mask = buckets - 1
+	var count [64 / bits][1 << bits]int
+	for _, v := range xs {
+		u := flip(v)
+		count[0][uint8(u)]++
+		count[1][uint8(u>>8)]++
+		count[2][uint8(u>>16)]++
+		count[3][uint8(u>>24)]++
+		count[4][uint8(u>>32)]++
+		count[5][uint8(u>>40)]++
+		count[6][uint8(u>>48)]++
+		count[7][uint8(u>>56)]++
+	}
+	first := flip(xs[0])
 	src, dst := xs, buf[:n]
-	for shift := 0; shift < 64; shift += bits {
-		var count [buckets]int
-		for _, v := range src {
-			count[(flip(v)>>shift)&mask]++
-		}
+	for d := range count {
+		shift := uint(d * bits)
+		c := &count[d]
 		// Skip passes where all keys share one digit.
-		if count[(flip(src[0])>>shift)&mask] == n {
+		if c[uint8(first>>shift)] == n {
 			continue
 		}
 		sum := 0
-		for b := range count {
-			count[b], sum = sum, sum+count[b]
+		for b := range c {
+			c[b], sum = sum, sum+c[b]
 		}
 		for _, v := range src {
-			b := (flip(v) >> shift) & mask
-			dst[count[b]] = v
-			count[b]++
+			b := uint8(flip(v) >> shift)
+			dst[c[b]] = v
+			c[b]++
 		}
 		src, dst = dst, src
 	}

@@ -101,7 +101,9 @@ func TestLongRouteSortMatchesSerial(t *testing.T) {
 // bought besides time: on a 1-worker shard a warm long-route sort is
 // the pooled request record plus the serial leaf and allocates nothing,
 // where the cascade built channels, a free list and three goroutines
-// per call.
+// per call. Without a controller the leaf is the sort's default for the
+// input, so the pin covers one input for each algorithm it picks here:
+// wide keys (radix) and narrow keys (counting).
 func TestLongRouteSortZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -109,19 +111,33 @@ func TestLongRouteSortZeroAllocs(t *testing.T) {
 	g := NewSharded(ShardedConfig{Shards: 2, ShardProcs: 1, Config: Config{PipelineCutoff: longRouteCutoff}})
 	defer g.Close()
 	k := kernel.MustLookup("sort")
-	base := gen.Ints(2*longRouteCutoff, gen.Uniform, 7)
-	a := kernel.Args{Xs: make([]int64, len(base))}
-	run := func() {
-		copy(a.Xs, base)
-		if err := g.CallBudget("t", k, &a, 0); err != nil {
-			t.Fatal(err)
+	inputs := []struct {
+		variant string
+		base    []int64
+	}{
+		{"radix", gen.Ints(2*longRouteCutoff, gen.Uniform, 7)},
+		{"counting", gen.Ints(2*longRouteCutoff, gen.Uniform, 8)},
+	}
+	for i := range inputs[1].base {
+		inputs[1].base[i] &= 0xFFFF
+	}
+	for _, in := range inputs {
+		if got := k.Variants[k.Default(k.Feature(&kernel.Args{Xs: in.base}))].Name; got != in.variant {
+			t.Fatalf("input meant for %s defaults to %s", in.variant, got)
+		}
+		a := kernel.Args{Xs: make([]int64, len(in.base))}
+		run := func() {
+			copy(a.Xs, in.base)
+			if err := g.CallBudget("t", k, &a, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the request pool
+		if got := testing.AllocsPerRun(20, run); got != 0 {
+			t.Errorf("long-route sort (%s): %.1f allocs/call, want 0", in.variant, got)
 		}
 	}
-	run() // warm the request pool
-	if got := testing.AllocsPerRun(20, run); got != 0 {
-		t.Errorf("long-route sort: %.1f allocs/call, want 0", got)
-	}
-	if st := g.Stats().Aggregate; st.Pipelined != 22 || st.BatchedRequests != 0 {
+	if st := g.Stats().Aggregate; st.Pipelined != 22*int64(len(inputs)) || st.BatchedRequests != 0 {
 		t.Errorf("pipelined=%d batched=%d: the calls did not take the long route", st.Pipelined, st.BatchedRequests)
 	}
 }
