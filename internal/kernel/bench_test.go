@@ -12,8 +12,7 @@ import (
 // Variant benchmarks: each algorithm candidate individually, plus the
 // no-controller default and the adaptive dispatch path with a
 // pre-warmed controller, over the two key regimes the sort feature
-// separates. scripts/benchjson.sh turns these into BENCH_kernels.json;
-// the acceptance ratio is adaptive vs sample on narrow keys.
+// separates. The acceptance ratio is adaptive vs sample on narrow keys.
 // BenchmarkSortClasses sweeps every class the default table covers.
 
 func benchSortInput(b *testing.B, base []int64, run func(xs []int64)) {

@@ -31,9 +31,11 @@
 //     loop over requests — one pooled fork/join amortized across N
 //     requests, each request running its kernel serially inside its
 //     slot. The batch loop is an adaptive call site ("serve.batch"),
-//     so grain and policy over requests are learned per batch-size
-//     class like any kernel loop. Request temporaries draw from the
-//     configured scratch pool exactly as direct kernel calls do.
+//     so the number of workers a batch runs on is learned per
+//     batch-size class like any kernel's; its slots claim requests
+//     off a shared cursor, and a warm batch allocates nothing. Request
+//     temporaries draw from the configured scratch pool exactly as
+//     direct kernel calls do.
 //
 //   - Fair-share scheduling. Batches are formed round-robin across
 //     tenants, one request per tenant per turn, so a hot tenant's
@@ -76,7 +78,8 @@
 // it dispatches through, long-route adapters included); it feeds
 // internal/wire (the listener serves onto a Front, the client is one),
 // the repro facade (repro.NewServer, repro.Front, repro.ServeSort...)
-// and cmd/parbench's -serve traffic mode.
-// BenchmarkTrafficServe quantifies the batching win over naive
-// per-request dispatch at equal worker count.
+// and cmd/parbench's -serve traffic mode. Experiment E23 quantifies
+// the batching win over naive per-request dispatch at equal worker
+// count; the embed_skew workload of the repo's benchmark (bench/)
+// tracks the batched path per change.
 package serve

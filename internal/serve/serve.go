@@ -38,10 +38,11 @@ var (
 )
 
 // siteBatch is the adaptive call site of the fused batch loop: the
-// controller learns how to chunk and schedule requests-per-slot per
-// batch-size class, exactly as it does for element loops inside
-// kernels.
-var siteBatch = adapt.NewSite("serve.batch", adapt.KindRange)
+// controller learns how many workers a batch runs on per batch-size
+// class. A batch is at most MaxBatch requests, far fewer than any grain
+// the KindRange lattice would try, so the worker count is the only
+// choice that changes anything.
+var siteBatch = adapt.NewSite("serve.batch", adapt.KindWorkers)
 
 // Config shapes a Server. The zero value serves on the process-wide
 // executor and scratch pool with batching and admission control at
@@ -315,6 +316,14 @@ type Server struct {
 	migratedOut     atomic.Int64
 	cacheHits       atomic.Int64
 	cacheMisses     atomic.Int64
+
+	// The running parallel batch: its requests, the cursor its slots
+	// claim them from, and runBatchSlot bound once, so a fused batch
+	// allocates no closure. Written only by the dispatcher, which runs
+	// one batch at a time.
+	batch     []*request
+	batchNext atomic.Int64
+	batchSlot func(int)
 }
 
 // Cache returns the server's result cache, nil when caching is off.
@@ -350,6 +359,7 @@ func build(cfg Config) *Server {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.reqPool.New = func() any { return &request{done: make(chan struct{}, 1)} }
+	s.batchSlot = s.runBatchSlot
 	return s
 }
 
@@ -784,25 +794,19 @@ func (s *Server) execute(batch []*request) {
 		}
 	}
 	start := time.Now()
-	if n == 1 || workers == 1 {
+	opts, m := par.BeginAdaptive(siteBatch, n, par.Options{Procs: workers, Executor: s.cfg.Executor, Adaptive: s.cfg.Adaptive})
+	if p := min(opts.Procs, n); p <= 1 {
 		s.serialBatches.Add(1)
 		for _, r := range batch {
 			s.runOne(r)
 		}
 	} else {
 		s.parallelBatches.Add(1)
-		opts := par.Options{
-			Procs:        workers,
-			Policy:       par.Dynamic, // request costs are skewed; balance them
-			Grain:        1,
-			SerialCutoff: 1,
-			Executor:     s.cfg.Executor,
-			Scratch:      s.cfg.Scratch,
-			Adaptive:     s.cfg.Adaptive,
-			Site:         siteBatch,
-		}
-		par.For(n, opts, func(i int) { s.runOne(batch[i]) })
+		s.batch = batch
+		s.batchNext.Store(0)
+		s.cfg.Executor.Run(p, s.batchSlot)
 	}
+	m.Done()
 	// Fold this batch's per-request service time into the door's wait
 	// predictor. Single writer (the dispatcher), so a plain
 	// load/store EWMA is race-free; alpha 1/4 forgets a shed or
@@ -818,4 +822,17 @@ func (s *Server) execute(batch []*request) {
 		s.svcNanos.Store(old + (per-old)/4)
 	}
 	s.svcStamp.Store(now)
+}
+
+// runBatchSlot is one worker slot of a parallel batch: it claims
+// requests off the shared cursor until the batch runs out, so skewed
+// request costs balance across slots.
+func (s *Server) runBatchSlot(int) {
+	for {
+		i := int(s.batchNext.Add(1)) - 1
+		if i >= len(s.batch) {
+			return
+		}
+		s.runOne(s.batch[i])
+	}
 }

@@ -36,7 +36,7 @@ type ShardedConfig struct {
 	// DisableMigration turns the diffusive balancer off: requests
 	// stay on their affinity shard no matter how skewed the load gets.
 	// The migration-on/off delta is the balancer's measured value
-	// (BenchmarkTrafficServeSkew, experiment E24).
+	// (experiment E24; embed_skew's serve.migrated in bench/).
 	DisableMigration bool
 	// MigrateHysteresis is the queue-depth divergence (in requests)
 	// between two adjacent shards below which no migration happens;

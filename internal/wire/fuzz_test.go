@@ -34,13 +34,7 @@ func FuzzFrameDecode(f *testing.F) {
 		dec := NewDecoder()
 		req, err := dec.DecodeRequest(body)
 		if err != nil {
-			// Every failure must be one of the typed sentinels so a
-			// listener can tell protocol mismatch from a bad frame.
-			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrBadVersion) &&
-				!errors.Is(err, ErrBadOrder) && !errors.Is(err, ErrTruncated) &&
-				!errors.Is(err, ErrBadFrame) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
+			checkTyped(t, err)
 			return
 		}
 		if req.Kernel == nil {
@@ -58,6 +52,65 @@ func FuzzFrameDecode(f *testing.F) {
 				}()
 				_ = req.Kernel.Validate(&req.Args)
 			}()
+		}
+	})
+}
+
+// checkTyped fails unless err is one of the typed decode sentinels, so
+// a peer can tell protocol mismatch from a bad frame.
+func checkTyped(t *testing.T, err error) {
+	t.Helper()
+	for _, typed := range []error{ErrBadMagic, ErrBadVersion, ErrBadOrder, ErrTruncated, ErrBadFrame} {
+		if errors.Is(err, typed) {
+			return
+		}
+	}
+	t.Fatalf("untyped decode error: %v", err)
+}
+
+// FuzzResponseDecode is FuzzFrameDecode for the client's side: a body
+// goes through DecodeResponseInto, and, when its header decodes, through
+// decodeSectionsInto with a fuzzed chunk-stream buffer, as the client
+// does for a stream's end frame. The contract: a typed error or
+// success, never a panic, and no output slice grown past what the body
+// or the stream buffer holds, so a hostile count cannot become a large
+// allocation. The record is reused across inputs, as a client reuses
+// its caller's. Seeds are every registered kernel's encoded Gen(64)
+// response, a stream-end frame with its payload, an error frame, an
+// empty body and a zero header.
+func FuzzResponseDecode(f *testing.F) {
+	for _, k := range kernel.All() {
+		f.Add(AppendResponse(nil, 1, k, k.Gen(64, 11))[4:], []byte(nil))
+	}
+	sortK := kernel.MustLookup("sort")
+	a := sortK.Gen(64, 3)
+	payload := AppendResponse(nil, 2, sortK, a)[4+headerSize+sectionHdrSize:][:8*len(a.Xs)]
+	f.Add(AppendStreamEnd(nil, 2, planResponse(sortK, a), len(a.Xs), a)[4:], payload)
+	f.Add(AppendError(nil, 3, codeOther, "remote failure")[4:], []byte(nil))
+	f.Add([]byte{}, []byte{})
+	f.Add(make([]byte, headerSize), []byte{}) // zero header: bad magic
+	var out kernel.Args
+	f.Fuzz(func(t *testing.T, body, streamed []byte) {
+		decode := func(bound int, run func() error) {
+			caps := [4]int{cap(out.Xs), cap(out.Dst), cap(out.Hist), cap(out.Dist)}
+			if err := run(); err != nil {
+				checkTyped(t, err)
+			}
+			for i, c := range [4]int{cap(out.Xs), cap(out.Dst), cap(out.Hist), cap(out.Dist)} {
+				elem := 8
+				if i == 3 {
+					elem = 4
+				}
+				if c != caps[i] && c*elem > bound {
+					t.Fatalf("slice %d grew to %d elems from %d input bytes", i, c, bound)
+				}
+			}
+		}
+		decode(len(body), func() error { _, err := DecodeResponseInto(body, &out); return err })
+		if _, err := DecodeHeader(body); err == nil {
+			decode(max(len(body), len(streamed)), func() error {
+				return decodeSectionsInto(body, headerSize, &out, streamed)
+			})
 		}
 	})
 }
