@@ -171,6 +171,22 @@ func runSum(a *Args, o par.Options) {
 	a.Out = par.Sum(a.Xs, o)
 }
 
+// runScan is the scan adapter. At Procs 1 it is a direct loop, as
+// runSum is for sum: par.ScanInclusive's serial path makes one combine
+// call per element. Each Xs[i] is read before Dst[i] is written, so Dst
+// may alias Xs.
+func runScan(a *Args, o par.Options) {
+	if o.Procs == 1 {
+		var acc int64
+		for i, v := range a.Xs {
+			acc += v
+			a.Dst[i] = acc
+		}
+		return
+	}
+	par.ScanInclusive(a.Dst, a.Xs, o, 0, func(x, y int64) int64 { return x + y })
+}
+
 // sortKernel is the installed sort descriptor, held so its long-route
 // adapter can go through the kernel's own dispatch.
 var sortKernel *Kernel
@@ -331,9 +347,7 @@ func init() {
 		Name:  "scan",
 		Title: "inclusive prefix sums of Xs into Dst",
 		Variants: []Variant{
-			{Name: "par", Run: func(a *Args, o par.Options) {
-				par.ScanInclusive(a.Dst, a.Xs, o, 0, func(x, y int64) int64 { return x + y })
-			}},
+			{Name: "par", Run: runScan},
 		},
 		Serial: func(a *Args) { seq.Scan(a.Dst, a.Xs) },
 		Validate: func(a *Args) error {

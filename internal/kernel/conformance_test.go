@@ -7,6 +7,7 @@
 package kernel_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -73,13 +74,26 @@ func TestKernelConformance(t *testing.T) {
 					s := serve.New(serve.Config{Adaptive: adapt.New(adapt.Config{})})
 					defer s.Close()
 					serveZeroAllocs(t, s, k, k.Gen(4096, 1))
+					plain := serve.New(serve.Config{})
+					defer plain.Close()
+					// Above 4 096 elements, where Select leaves its serial
+					// leaf when given more than one worker, and below
+					// DefaultPipelineCutoff, so still the batch slot; with
+					// and without a controller.
+					for _, n := range []int{1 << 13, 1 << 16} {
+						a := k.Gen(n, 1)
+						t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+							serveZeroAllocs(t, s, k, a)
+						})
+						t.Run(fmt.Sprintf("n=%d/plain", n), func(t *testing.T) {
+							serveZeroAllocs(t, plain, k, a)
+						})
+					}
 					if k.Default == nil {
 						return
 					}
 					// Without a controller Default picks per input: pin one
 					// Gen input for each variant it picks.
-					plain := serve.New(serve.Config{})
-					defer plain.Close()
 					for _, a := range defaultInputs(k) {
 						t.Run("default="+k.Variants[k.Default(k.Feature(a))].Name, func(t *testing.T) {
 							serveZeroAllocs(t, plain, k, a)

@@ -11,8 +11,15 @@
 // Pack primitive, which is why the case study exists: the methodology
 // says primitives earn their place by powering whole algorithms.
 //
+// With one worker, or at most 4 096 elements, Select skips the
+// partition loop for its serial leaf: a scratch copy and the in-place
+// quickselect, whose partition rounds are budgeted so that no input
+// costs more than O(n log n). The serve runtime's Select and TopK
+// requests run at Procs 1 in a batch slot, so they always take the
+// serial leaf.
+//
 // Layering: psel consumes par (count/pack), scratch (ping-pong
 // buffers) and rng (pivots); it feeds core's selection
 // experiments, pipeline's TopK pruning, the serve runtime's
-// Select requests and the repro facade.
+// Select and TopK requests and the repro facade.
 package psel

@@ -1,0 +1,74 @@
+package psel
+
+import (
+	"encoding/binary"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/par"
+)
+
+// maxFuzzKeys caps a fuzzed input at 8 Ki keys, across the 4 096-element
+// edge where Select at Procs 2 leaves the serial leaf for the partition
+// loop. At most maxFuzzWords fuzzed words are tiled out to that length:
+// the engine minimizes every new interesting input by rerunning it once
+// per byte it tries to drop, so long byte inputs stall the session.
+const (
+	maxFuzzKeys  = 1 << 13
+	maxFuzzWords = 256
+)
+
+func encodeKeys(xs []int64) []byte {
+	data := make([]byte, 8*len(xs))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(data[8*i:], uint64(x))
+	}
+	return data
+}
+
+// FuzzSelect holds Select at Procs 1 (the serial leaf at every size) and
+// Procs 2 (the partition loop above 4 096 elements) to a full sort, and
+// checks that xs comes back unmodified. The fuzzed words are tiled out
+// to n keys so the fuzzer reaches both sides of the 4 096 edge; a
+// nonzero mask ANDs every key with it, which leaves at most 256 distinct
+// keys and so many ties around the pivot.
+func FuzzSelect(f *testing.F) {
+	ramp := make([]int64, 64)
+	for i := range ramp {
+		ramp[i] = int64(i)
+	}
+	f.Add(encodeKeys(ramp), uint16(5000), uint32(2500), uint8(0), false)
+	f.Add(encodeKeys(ramp), uint16(8192), uint32(8191), uint8(3), true)
+	f.Add(encodeKeys([]int64{-1, 1 << 62, 7, -(1 << 40)}), uint16(4097), uint32(0), uint8(0), true)
+	f.Add(encodeKeys(gen.Ints(40, gen.Uniform, 1)), uint16(4096), uint32(2048), uint8(0xFF), false)
+	f.Add([]byte{}, uint16(0), uint32(0), uint8(0), false)
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, k uint32, mask uint8, two bool) {
+		words := min(len(data)/8, maxFuzzWords)
+		if words == 0 {
+			return
+		}
+		xs := make([]int64, max(words, int(n)%(maxFuzzKeys+1)))
+		for i := range xs {
+			v := int64(binary.LittleEndian.Uint64(data[8*(i%words):]))
+			xs[i] = v ^ int64(i/words)*0x5851F42D4C957F2D
+			if mask != 0 {
+				xs[i] &= int64(mask)
+			}
+		}
+		rank := int(k % uint32(len(xs)))
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		before := slices.Clone(xs)
+		procs := 1
+		if two {
+			procs = 2
+		}
+		if got := Select(xs, rank, par.Options{Procs: procs}); got != sorted[rank] {
+			t.Fatalf("procs %d n %d k %d mask %#x: Select = %d, want %d", procs, len(xs), rank, mask, got, sorted[rank])
+		}
+		if !slices.Equal(xs, before) {
+			t.Fatalf("procs %d n %d k %d: Select modified xs", procs, len(xs), rank)
+		}
+	})
+}

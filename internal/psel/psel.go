@@ -1,6 +1,10 @@
 package psel
 
 import (
+	"math/bits"
+	"runtime"
+	"slices"
+
 	"repro/internal/adapt"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -21,36 +25,39 @@ var (
 // Select returns the k-th smallest element of xs (k is 0-based). It does
 // not modify xs. It panics if k is out of range.
 //
-// Each partitioning round packs the surviving side into one of two
-// scratch-pooled ping-pong buffers (par.PackInto), so a Select call
-// allocates nothing at steady state no matter how many rounds it runs.
+// With one worker (Options.Procs 1, or unset on a one-processor
+// machine), or at most 4 096 elements, Select is the serial leaf: one
+// scratch-arena copy of xs and an in-place quickselect, allocation-free
+// at steady state. That is every Select and TopK request a serve batch
+// slot runs. Otherwise each partitioning round makes two parallel count
+// passes and packs the surviving side into one of two scratch-pooled
+// ping-pong buffers (par.PackInto), so the buffers are reused across
+// rounds and calls; the round loop's closures and pivot rng still
+// allocate a few times per call.
 func Select(xs []int64, k int, opts par.Options) int64 {
 	if k < 0 || k >= len(xs) {
 		panic("psel: k out of range")
 	}
-	if len(xs) <= 4096 {
-		// Upfront sequential path, before the partition loop's pack
-		// closure exists: the closure captures cur by reference, which
-		// would move it to the heap and cost an allocation even for
-		// inputs that never partition (the serve batch slot's common
-		// case, which must stay at 0 allocs/op).
-		a := scratch.AcquireArena(opts.ScratchPool())
-		defer a.Release()
-		buf := scratch.Make[int64](a, len(xs))
-		copy(buf, xs)
-		return quickselect(buf, k)
+	p := opts.Procs
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
 	}
 	a := scratch.AcquireArena(opts.ScratchPool())
 	defer a.Release()
+	if p == 1 || len(xs) <= 4096 {
+		// The serial leaf returns before the partition loop's closures
+		// exist: they capture cur by reference, which moves it to the
+		// heap at its declaration.
+		buf := scratch.Make[int64](a, len(xs))
+		copy(buf, xs)
+		return quickselect(buf, k, roundBudget(len(buf)))
+	}
 	// cur aliases xs until the first pack; after that it lives in the
 	// ping-pong buffers, which double as the mutable quickselect copy.
 	cur := xs
 	var ping, pong []int64
 	owned := false
-	// The pivot rng is built lazily: inputs at or below the quickselect
-	// cutoff never partition, and allocating an unused rng would break
-	// the serve batch path's zero-allocation steady state.
-	var r *rng.Rand
+	r := rng.New(uint64(len(xs))*0x9E3779B9 + uint64(k) + 1)
 	countOpts := opts
 	countOpts.Site = siteSelectCount
 	packOpts := opts
@@ -73,10 +80,7 @@ func Select(xs []int64, k int, opts par.Options) int64 {
 				buf = scratch.Make[int64](a, n)
 				copy(buf, cur)
 			}
-			return quickselect(buf, k)
-		}
-		if r == nil {
-			r = rng.New(uint64(len(xs))*0x9E3779B9 + uint64(k) + 1)
+			return quickselect(buf, k, roundBudget(n))
 		}
 		pivot := medianOfRandom(cur, r)
 		less := par.Count(n, countOpts, func(i int) bool { return cur[i] < pivot })
@@ -114,15 +118,24 @@ func medianOfRandom(xs []int64, r *rng.Rand) int64 {
 	return s[4]
 }
 
+// roundBudget is quickselect's partition-round budget for n elements:
+// twice the rounds a median pivot would need, so random-pivot inputs
+// almost never reach it.
+func roundBudget(n int) int { return 2 * bits.Len(uint(n)) }
+
 // quickselect is the sequential in-place baseline (Hoare partition with
 // random pivots). It mutates xs. Pivots come from an inline LCG rather
-// than an rng.Rand so the hot small-input path allocates nothing.
-func quickselect(xs []int64, k int) int64 {
+// than an rng.Rand so it allocates nothing. The LCG is deterministic, so
+// a crafted input could make every pivot bad; after rounds partition
+// rounds it sorts what is left of the range instead (slices.Sort is
+// pdqsort: in place, O(n log n) worst case).
+func quickselect(xs []int64, k, rounds int) int64 {
 	state := uint64(len(xs)) + 7
 	lo, hi := 0, len(xs)-1
-	for {
-		if lo == hi {
-			return xs[lo]
+	for ; lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(xs[lo : hi+1])
+			break
 		}
 		state = state*6364136223846793005 + 1442695040888963407
 		p := xs[lo+int((state>>33)%uint64(hi-lo+1))]
@@ -149,6 +162,7 @@ func quickselect(xs []int64, k int) int64 {
 			return xs[k]
 		}
 	}
+	return xs[k]
 }
 
 // SelectSeq is the exported sequential baseline: k-th smallest without
@@ -158,5 +172,5 @@ func SelectSeq(xs []int64, k int) int64 {
 		panic("psel: k out of range")
 	}
 	buf := append([]int64(nil), xs...)
-	return quickselect(buf, k)
+	return quickselect(buf, k, roundBudget(len(buf)))
 }

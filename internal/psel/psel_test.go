@@ -1,6 +1,7 @@
 package psel
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -113,6 +114,44 @@ func TestSelectLargeCrossesParallelPath(t *testing.T) {
 	for _, k := range []int{0, 1 << 16, 1<<17 - 1} {
 		if got := Select(xs, k, opts); got != sorted[k] {
 			t.Fatalf("k=%d: %d != %d", k, got, sorted[k])
+		}
+	}
+}
+
+// TestQuickselectBudget forces quickselect's round budget down to 0–3
+// so the slices.Sort fallback runs on every shape, including the
+// sorted, equal-key and organ-pipe inputs that defeat naive pivots, and
+// holds the element it returns to a full sort.
+func TestQuickselectBudget(t *testing.T) {
+	shapes := []struct {
+		name string
+		gen  func(n int) []int64
+	}{
+		{"uniform", func(n int) []int64 { return gen.Ints(n, gen.Uniform, 7) }},
+		{"sorted", func(n int) []int64 { return gen.Ints(n, gen.Sorted, 7) }},
+		{"reversed", func(n int) []int64 { return gen.Ints(n, gen.Reversed, 7) }},
+		{"all-equal", func(n int) []int64 { return make([]int64, n) }},
+		{"few-unique", func(n int) []int64 { return gen.Ints(n, gen.FewUnique, 7) }},
+		{"organ-pipe", func(n int) []int64 {
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = int64(min(i, n-1-i))
+			}
+			return xs
+		}},
+	}
+	for _, s := range shapes {
+		for _, n := range []int{1, 2, 4097, 1 << 16} {
+			xs := s.gen(n)
+			sorted := slices.Clone(xs)
+			slices.Sort(sorted)
+			for _, k := range []int{0, n / 2, n - 1} {
+				for budget := 0; budget <= 3; budget++ {
+					if got := quickselect(slices.Clone(xs), k, budget); got != sorted[k] {
+						t.Fatalf("%s n=%d k=%d budget=%d: %d, want %d", s.name, n, k, budget, got, sorted[k])
+					}
+				}
+			}
 		}
 	}
 }
