@@ -148,7 +148,7 @@ var Experiments = []Experiment{
 	{"E26", "Table 16", "Coordinated omission: closed-loop vs open-loop serving at matched offered load", E26OpenLoop},
 	{"E27", "Table 17", "Result cache: cold vs warm-hit vs delta-update serving latency", E27ResultCache},
 	{"E28", "Table 18", "Wire front door: in-process vs framed-socket vs chunk-streamed serving latency", E28WireDoor},
-	{"E29", "Table 19", "The long route on 1-worker shards: mixed traffic by PipelineCutoff, and adapter vs one-shot for sort and scan", E29LongRoute},
+	{"E29", "Table 19", "The long route on 1-worker shards: mixed traffic by PipelineCutoff", E29LongRoute},
 }
 
 // ByID returns the experiment with the given id.

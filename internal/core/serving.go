@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/kernel"
 	"repro/internal/loadgen"
@@ -778,12 +777,10 @@ func E28WireDoor(cfg Config) *perf.Table {
 // goroutine) and above it (they queue into batch slots like a short
 // request). Short p50 is the head-of-line guard the route exists for;
 // long p50 is what the long request itself pays. Client latency
-// includes refreshing the request's input from the pool. The kernel
-// rows time one call on a 1-worker executor under the route's options:
-// the kernel's one-shot Run, its long-route adapter, and for sort the
-// chunk cascade (pipeline.Sort, the adapter until PR 16) that the
-// one-shot call replaced. The table prints numbers and asserts nothing
-// about time.
+// includes refreshing the request's input from the pool. Every
+// long-route adapter is one call of its kernel, so the table has no
+// adapter-vs-one-shot rows; it prints numbers and asserts nothing about
+// time.
 func E29LongRoute(cfg Config) *perf.Table {
 	nShort := cfg.size(1<<16, 1<<11)
 	nLong := 4 * nShort
@@ -791,7 +788,7 @@ func E29LongRoute(cfg Config) *perf.Table {
 	t := perf.NewTable(
 		fmt.Sprintf("Table 19: the long route on 1-worker shards (traffic: 3 short n=%d : 1 long n=%d, 2 callers, %d reqs)",
 			nShort, nLong, reqs),
-		"part", "case", "n", "short p50", "short p90", "long p50", "time", "vs one-shot")
+		"case", "n", "short p50", "short p90", "long p50")
 
 	sortK, scanK := kernel.MustLookup("sort"), kernel.MustLookup("scan")
 	wide := cfg.WorkloadSeed() &^ 3 // seed%4 == 0: uniform, wide keys
@@ -831,52 +828,10 @@ func E29LongRoute(cfg Config) *perf.Table {
 		if cutoff > 0 {
 			name = fmt.Sprintf("cutoff %d", cutoff)
 		}
-		t.AddRowf("traffic", name, fmt.Sprintf("%d:%d", nShort, nLong),
+		t.AddRowf(name, fmt.Sprintf("%d:%d", nShort, nLong),
 			perf.FormatDuration(perf.Percentile(short, 50)),
 			perf.FormatDuration(perf.Percentile(short, 90)),
-			perf.FormatDuration(perf.Percentile(long, 50)), "-", "-")
-	}
-
-	e := exec.New(1)
-	defer e.Close()
-	opts := cfg.opts(1, par.Static, 0)
-	opts.Executor = e
-	chunked := opts
-	if !cfg.Adaptive {
-		chunked.SerialCutoff = pipeline.DefaultChunkSize
-	}
-	for _, k := range []*kernel.Kernel{sortK, scanK} {
-		for _, n := range []int{nLong / 2, nLong, 4 * nLong} {
-			a := k.Gen(n, wide)
-			pristine := append([]int64(nil), a.Xs...)
-			restore := func() { copy(a.Xs, pristine) }
-			type timed struct {
-				name string
-				run  func()
-			}
-			cases := []timed{
-				{"one-shot", func() { k.Run(a, opts) }},
-				{"adapter", func() { _ = k.Stream(a, opts) }},
-			}
-			if k == sortK {
-				cases = append(cases, timed{"chunk cascade", func() {
-					off := 0
-					_ = pipeline.New(pipeline.Config{Opts: chunked}).FromSlice(a.Xs).Sort().
-						ToFunc(func(buf []int64) error {
-							off += copy(a.Xs[off:], buf)
-							return nil
-						}).Run()
-				}})
-			}
-			var one float64
-			for _, c := range cases {
-				sec := cfg.timeRestored(restore, c.run)
-				if c.name == "one-shot" {
-					one = sec
-				}
-				t.AddRowf(k.Name, c.name, n, "-", "-", "-", perf.FormatDuration(sec), sec/one)
-			}
-		}
+			perf.FormatDuration(perf.Percentile(long, 50)))
 	}
 	return t
 }

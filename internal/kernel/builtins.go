@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/pgraph"
-	"repro/internal/pipeline"
 	"repro/internal/psel"
 	"repro/internal/psort"
 	"repro/internal/rng"
@@ -174,7 +173,7 @@ func runSum(a *Args, o par.Options) {
 // runScan is the scan adapter. At Procs 1 it is a direct loop, as
 // runSum is for sum: par.ScanInclusive's serial path makes one combine
 // call per element. Each Xs[i] is read before Dst[i] is written, so Dst
-// may alias Xs.
+// may alias Xs, as par.ScanInclusive also allows.
 func runScan(a *Args, o par.Options) {
 	if o.Procs == 1 {
 		var acc int64
@@ -199,6 +198,15 @@ var sortKernel *Kernel
 // one-shot call it lost at every size (BENCHMARKS.md, E29).
 func longSort(a *Args, opts par.Options) error {
 	sortKernel.Run(a, opts)
+	return nil
+}
+
+// longScan is scan's long-route adapter: one runScan call under the
+// route's options, like longSort. Streaming the input through a
+// running-sum pipeline cost 1.3–8× the one-shot call (BENCHMARKS.md,
+// "The long route") and allocated a pipeline per request.
+func longScan(a *Args, opts par.Options) error {
+	runScan(a, opts)
 	return nil
 }
 
@@ -367,27 +375,9 @@ func init() {
 			}
 			return nil
 		},
-		Delta: scanDelta,
-		Cache: &CacheSpec{Out: OutDst},
-		Stream: func(a *Args, opts par.Options) error {
-			// Stage concurrency owns the parallelism, so chunks run
-			// serial unless the adaptive controller is deciding.
-			if opts.Adaptive == nil {
-				opts.SerialCutoff = pipeline.DefaultChunkSize
-			}
-			// Dst may alias Xs: the sink's write offset never passes the
-			// source's read offset (chunks are copied out of Xs in stream
-			// order before they reach the sink).
-			off := 0
-			p := pipeline.New(pipeline.Config{Opts: opts}).
-				FromSlice(a.Xs).
-				RunningSum().
-				ToFunc(func(buf []int64) error {
-					off += copy(a.Dst[off:], buf)
-					return nil
-				})
-			return p.Run()
-		},
+		Delta:  scanDelta,
+		Cache:  &CacheSpec{Out: OutDst},
+		Stream: longScan,
 		Meta: []MetaRelation{
 			{
 				Name: "linearity",

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -36,24 +37,67 @@ func TestDeltaMatchesFullRecompute(t *testing.T) {
 			for _, n := range []int{0, 1, 5, 100, 1000} {
 				for _, dk := range []int{0, 1, 7, 64} {
 					for seed := uint64(0); seed < 3; seed++ {
-						a := k.Gen(n, seed)
-						k.Serial(a)
-						d := deltaFor(k, a, dk, seed)
-						if err := k.RunDelta(a, d, par.Options{}); err != nil {
-							t.Fatalf("n=%d dk=%d seed=%d: RunDelta: %v", n, dk, seed, err)
-						}
-
-						want := k.Gen(n, seed) // deterministic: same pristine input
-						applyToInput(k, want, d)
-						k.Serial(want)
-						if err := k.Check(a, want); err != nil {
-							t.Fatalf("n=%d dk=%d seed=%d: delta result diverges from full recompute: %v", n, dk, seed, err)
+						if err := deltaVsRerun(k, n, dk, seed); err != nil {
+							t.Fatalf("n=%d dk=%d seed=%d: %v", n, dk, seed, err)
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// deltaVsRerun makes a record of Gen(n, seed) current with Serial, folds
+// a dk-element delta into it with RunDelta, and reports whether the
+// result differs from Serial on the updated input.
+func deltaVsRerun(k *Kernel, n, dk int, seed uint64) error {
+	a := k.Gen(n, seed)
+	k.Serial(a)
+	d := deltaFor(k, a, dk, seed)
+	if err := k.RunDelta(a, d, par.Options{}); err != nil {
+		return fmt.Errorf("RunDelta: %v", err)
+	}
+	want := k.Gen(n, seed) // deterministic: same pristine input
+	applyToInput(k, want, d)
+	k.Serial(want)
+	if err := k.Check(a, want); err != nil {
+		return fmt.Errorf("delta result diverges from full recompute: %v", err)
+	}
+	return nil
+}
+
+// Fuzzed record and delta sizes stay below these bounds, so the
+// engine's minimizer, which reruns an input thousands of times, stays
+// quick.
+const (
+	maxDeltaFuzzN  = 1 << 12
+	maxDeltaFuzzDk = 1 << 10
+)
+
+// FuzzDeltaVsRerun holds every kernel with a Delta adapter to a full
+// rerun over fuzzed seeds, record sizes and delta lengths. No workload
+// sends deltas, so this and the tests above are the delta path's only
+// guard.
+func FuzzDeltaVsRerun(f *testing.F) {
+	f.Add(uint64(0), uint16(0), uint16(0))
+	f.Add(uint64(1), uint16(1), uint16(1))
+	f.Add(uint64(2), uint16(15), uint16(40))
+	f.Add(uint64(3), uint16(1000), uint16(7))
+	f.Add(uint64(1<<63), uint16(4096), uint16(1024))
+	var ks []*Kernel
+	for _, k := range All() {
+		if k.Delta != nil {
+			ks = append(ks, k)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, n, dk uint16) {
+		size, dsize := int(n)%(maxDeltaFuzzN+1), int(dk)%(maxDeltaFuzzDk+1)
+		for _, k := range ks {
+			if err := deltaVsRerun(k, size, dsize, seed); err != nil {
+				t.Fatalf("%s n=%d dk=%d seed=%d: %v", k.Name, size, dsize, seed, err)
+			}
+		}
+	})
 }
 
 // applyToInput rewrites a pristine generated record's *input* to

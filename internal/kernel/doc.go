@@ -34,7 +34,9 @@
 // # Layering
 //
 // kernel sits above the kernel implementations (psort, psel, pgraph,
-// par) and the runtimes they share (adapt, exec, scratch, pipeline),
-// and below serve, difftest, metatest, core and cmd/parbench, which
-// consume the registry. It must not import serve.
+// par) and the runtimes they share (adapt, exec, scratch), and below
+// serve, difftest, metatest, core and cmd/parbench, which consume the
+// registry. It must not import serve, nor pipeline: every long-route
+// adapter is one call of its kernel, so the streaming runtime is a
+// library the registry does not need.
 package kernel

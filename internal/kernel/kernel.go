@@ -79,11 +79,12 @@ type Kernel struct {
 	// Stream is the kernel's long-route adapter: serve runs it on the
 	// caller's goroutine, outside the queues, for inputs at or above
 	// Config.PipelineCutoff, under options spanning the server
-	// executor's whole width. What it does is the kernel's choice,
-	// made by measurement: scan streams through the chunked pipeline,
-	// sort makes one call of its own dispatch (a blocking operator
-	// gains nothing from chunking). The name is kept for bench/, which
-	// wraps the field. Optional — kernels without one always batch.
+	// executor's whole width. Both adapters that exist make one call of
+	// the kernel under those options: chunking the input through a
+	// pipeline lost to the one-shot call for sort and for scan alike
+	// (BENCHMARKS.md, "The long route"). The name is kept for bench/,
+	// which wraps the field. Optional — kernels without one always
+	// batch.
 	Stream func(a *Args, opts par.Options) error
 	// Meta are the kernel's metamorphic relations.
 	Meta []MetaRelation

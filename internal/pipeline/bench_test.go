@@ -76,8 +76,9 @@ func BenchmarkTrafficPipeline(b *testing.B) {
 }
 
 // BenchmarkPipelineSortStream measures the blocking-operator path: the
-// chunked sort-merge cascade against the one-shot sort over a
-// materialized copy.
+// sort stage (chunks gathered into one buffer, one sort at
+// end-of-stream, the result re-chunked to the sink) against the
+// one-shot sort over a materialized copy.
 func BenchmarkPipelineSortStream(b *testing.B) {
 	const n = 1 << 19
 	b.Run("Materialized", func(b *testing.B) {

@@ -41,7 +41,7 @@
 //     keeps nested regions from recording.
 //
 // Stages wrap the existing kernels — Map/Filter via par.For and
-// par.PackInto, Sort via psort plus a par.Merge run cascade,
+// par.PackInto, Sort via one psort call on the gathered stream,
 // RunningSum via par.ScanInclusive with a carried prefix, TopK via
 // psel.Select pruning, histogram/reduce sinks via par.HistogramInto
 // and par.Reduce — so the pipeline inherits their schedules, scratch
@@ -50,6 +50,7 @@
 // Layering: pipeline consumes exec (stage goroutines and kernel
 // dispatch), scratch (chunk buffers), par/psort/psel (intra-chunk
 // kernels) and adapt (stage sites); it feeds core experiment E22,
-// the serve runtime's long-request route, and the repro facade
-// (NewPipeline).
+// parbench's -pipeline demo and the repro facade (NewPipeline). The
+// serve runtime's long route does not use it: for sort and scan alike,
+// one kernel call beat streaming the input through chunks.
 package pipeline

@@ -13,7 +13,7 @@ import (
 // chunk sizes, queue depths and adversarial inputs: tiny chunks (down
 // to 1 element), streams that don't divide evenly, duplicate-heavy and
 // extreme values. Every divergence — ordering, carry handling across
-// chunk boundaries, run-cascade merging, top-k pruning — is a crash
+// chunk boundaries, the sort stage's gathering, top-k pruning — is a crash
 // for the fuzzer.
 func FuzzPipelineVsOneShot(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), []byte{})

@@ -111,7 +111,8 @@ type StageStats struct {
 	// Chunks and Elems count the chunks/elements the stage processed.
 	Chunks int64
 	Elems  int64
-	// Busy is time spent processing chunks (excludes queue waits).
+	// Busy is time spent processing chunks, plus a transform's
+	// end-of-stream flush (excludes queue waits).
 	Busy time.Duration
 }
 
@@ -433,10 +434,13 @@ func (p *Pipeline) Stats() Stats {
 
 // runTransform is the shared transform loop: process each chunk (the
 // stage owns it; emit at most one chunk per input), flush internal
-// state at end-of-stream, and after cancellation keep draining so
-// upstream queues empty and every buffered chunk returns to the pool.
+// state at end-of-stream into a tail it emits in chunks, and after
+// cancellation keep draining so upstream queues empty and every
+// buffered chunk returns to the pool. The flush and the tail's chunk
+// copies count toward the stage's Busy time, not its Chunks or Elems;
+// waits on the downstream queue do not.
 func (p *Pipeline) runTransform(st *stageRec, in <-chan chunk, out chan<- chunk,
-	process func(c chunk) (chunk, bool), flush func(out chan<- chunk)) {
+	process func(c chunk) (chunk, bool), flush func() []int64) {
 	defer close(out)
 	for c := range in {
 		if p.cancelled() {
@@ -452,7 +456,10 @@ func (p *Pipeline) runTransform(st *stageRec, in <-chan chunk, out chan<- chunk,
 		}
 	}
 	if flush != nil && !p.cancelled() {
-		flush(out)
+		t0 := time.Now()
+		tail := flush()
+		st.busyNs.Add(time.Since(t0).Nanoseconds())
+		p.emitSlice(out, tail, func(_ int, d time.Duration) { st.busyNs.Add(d.Nanoseconds()) })
 	}
 }
 

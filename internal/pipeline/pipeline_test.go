@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/gen"
@@ -189,24 +190,51 @@ func TestRunningSumCarry(t *testing.T) {
 	}
 }
 
-// TestSortMergeCascade drives the sort stage through a deep run stack
-// (many odd-size chunks) and checks full sortedness and multiset
-// equality.
-func TestSortMergeCascade(t *testing.T) {
-	n := 37*1021 + 13
+// TestSortStage drives the sort stage through an empty stream, exactly
+// one chunk, and many odd-size chunks (the gather buffer regrows many
+// times), and checks full sortedness and multiset equality.
+func TestSortStage(t *testing.T) {
+	const cs = 1021
+	long := 37*cs + 13
 	if testing.Short() {
-		n = 11*1021 + 13
+		long = 11*cs + 13
 	}
-	xs := input(n)
-	want := append([]int64(nil), xs...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	var got []int64
-	err := New(Config{ChunkSize: 1021, Opts: par.Options{Procs: 4, SerialCutoff: 1}}).
-		FromSlice(xs).Sort().To(&got).Run()
-	if err != nil {
+	for _, n := range []int{0, cs, long} {
+		xs := input(n)
+		want := append([]int64(nil), xs...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		var got []int64
+		err := New(Config{ChunkSize: cs, Opts: par.Options{Procs: 4, SerialCutoff: 1}}).
+			FromSlice(xs).Sort().To(&got).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eq64(t, fmt.Sprintf("sort n=%d", n), got, want)
+	}
+}
+
+// TestTransformBusyIncludesFlush pins that a transform's end-of-stream
+// flush counts toward its stage's Busy time (and not toward Chunks or
+// Elems): a flush that sleeps 20 ms must leave Busy at 20 ms or more.
+func TestTransformBusyIncludesFlush(t *testing.T) {
+	const flushFor = 20 * time.Millisecond
+	p := New(Config{ChunkSize: 4}).FromSlice(input(10))
+	p.addStage("slowflush", kindTransform, func(st *stageRec, in <-chan chunk, out chan<- chunk) {
+		p.runTransform(st, in, out, func(c chunk) (chunk, bool) { return c, true }, func() []int64 {
+			time.Sleep(flushFor)
+			return nil
+		})
+	})
+	if err := p.Discard().Run(); err != nil {
 		t.Fatal(err)
 	}
-	eq64(t, "sort cascade", got, want)
+	st := p.Stats().Stages[1]
+	if st.Busy < flushFor {
+		t.Errorf("busy = %v, want >= %v (the flush's sleep)", st.Busy, flushFor)
+	}
+	if st.Chunks != 3 || st.Elems != 10 {
+		t.Errorf("chunks=%d elems=%d, want 3 and 10 (the flush is not a chunk)", st.Chunks, st.Elems)
+	}
 }
 
 // TestTopK checks the bounded top-k stage against the sorted prefix,
@@ -363,13 +391,10 @@ func TestSteadyStateAllocsPerChunk(t *testing.T) {
 }
 
 // TestSortStageSteadyAllocs extends the zero-marginal-allocation pin
-// to the sort stage's run cascade: merge buffers come from the pool,
-// so doubling the stream must not add per-chunk allocations. The
-// tolerance is looser than the flowing-chunk test's because the
-// cascade's largest run slabs are re-acquired by a fresh stage
-// goroutine each run, which can land on a different scratch shard
-// than the one the previous run's slabs were parked on (a bounded
-// O(log chunks) per-run effect, not a per-chunk one).
+// to the sort stage: its gather buffer doubles through the scratch
+// pool and every chunk is released once copied, so doubling the stream
+// must not add per-chunk allocations. The tolerance is the
+// flowing-chunk test's.
 func TestSortStageSteadyAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -391,12 +416,12 @@ func TestSortStageSteadyAllocs(t *testing.T) {
 	short, long := run(16), run(32)
 	short()
 	long()
-	long() // second warm pass: the merge cascade's largest runs
+	long() // second warm pass: the gather buffer's largest slabs
 	a := testing.AllocsPerRun(10, short)
 	b := testing.AllocsPerRun(10, long)
 	perChunk := (b - a) / float64(32-16)
 	t.Logf("sort allocs: 16-chunk %.1f, 32-chunk %.1f (%.3f allocs/chunk)", a, b, perChunk)
-	if perChunk > 0.5 {
+	if perChunk > 0.05 {
 		t.Errorf("sort stage allocates %.3f allocs/chunk at steady state, want ~0", perChunk)
 	}
 }

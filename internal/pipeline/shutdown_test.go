@@ -78,8 +78,8 @@ func TestConcurrentPipelinesOneExecutor(t *testing.T) {
 // TestCloseMidStreamReleasesScratch closes a backpressured pipeline
 // mid-stream (sink parked, every queue full, producer blocked on send)
 // and requires Run to return ErrClosed promptly with zero scratch
-// bytes on loan — queues drained, chunk buffers, sort runs and stage
-// temporaries all returned.
+// bytes on loan — queues drained, chunk buffers, the sort buffer and
+// stage temporaries all returned.
 func TestCloseMidStreamReleasesScratch(t *testing.T) {
 	pool := scratch.New()
 	started := make(chan struct{})
@@ -91,7 +91,7 @@ func TestCloseMidStreamReleasesScratch(t *testing.T) {
 	}).
 		FromSlice(input(1 << 20)). // far more than the queues can hold
 		Map(func(v int64) int64 { return v + 1 }).
-		Sort(). // holds run state that must also be released
+		Sort(). // holds a gather buffer that must also be released
 		ToFunc(func(buf []int64) error {
 			once.Do(func() { close(started) })
 			<-release
@@ -129,7 +129,7 @@ func TestCloseWithoutSinkProgress(t *testing.T) {
 		Discard()
 	done := make(chan error, 1)
 	go func() { done <- p.Run() }()
-	time.Sleep(20 * time.Millisecond) // let the cascade accumulate runs
+	time.Sleep(20 * time.Millisecond) // let the sort stage gather chunks
 	p.Close()
 	select {
 	case err := <-done:
@@ -140,7 +140,7 @@ func TestCloseWithoutSinkProgress(t *testing.T) {
 		t.Fatal("Run did not return after Close")
 	}
 	if live := pool.Stats().BytesLive; live != 0 {
-		t.Errorf("scratch bytes live after Close = %d, want 0 (sort runs leaked?)", live)
+		t.Errorf("scratch bytes live after Close = %d, want 0 (sort buffer leaked?)", live)
 	}
 }
 

@@ -196,90 +196,36 @@ func (p *Pipeline) Tee(observe func(buf []int64)) *Pipeline {
 	return p
 }
 
-// run is one sorted run held by the sort stage. fromChunk marks a
-// buffer that arrived as a pipeline chunk (and must go back to the
-// chunk recycle list, not the merge-spare list).
-type run struct {
-	buf       []int64
-	h         scratch.Handle
-	fromChunk bool
-}
-
 // Sort re-emits the whole stream in ascending order. It is the
-// pipeline's blocking operator: each incoming chunk is sorted as it
-// arrives and pushed onto a run stack that carry-merges
-// comparable-size runs with par.Merge (so merge work overlaps upstream
-// production), and the final run is emitted in chunks at end-of-stream.
-// State is O(stream length), the inherent cost of sorting.
+// pipeline's blocking operator — nothing leaves before everything
+// arrived — so it gathers the stream into one buffer (doubling through
+// the scratch pool, each chunk released once copied) and sorts it with
+// one call at end-of-stream. Sorting chunks as they arrive and
+// carry-merging the runs bought overlap that never paid for its merges
+// and copies: BenchmarkPipelineSortStream read it about a quarter
+// slower (BENCHMARKS.md, "The long route"). State is O(stream length),
+// the inherent cost of sorting.
 func (p *Pipeline) Sort() *Pipeline {
 	p.addStage("sort", kindTransform, func(st *stageRec, in <-chan chunk, out chan<- chunk) {
-		opts := p.stageOpts(nil) // psort/par.Merge bring their own sites
-		less := func(x, y int64) bool { return x < y }
-		runs := make([]run, 0, 64)
-		// spares recycles freed merge buffers stage-locally (first fit
-		// by capacity): the cascade reuses each size class many times
-		// per stream, and going back through the scratch pool from a
-		// fresh stage goroutine would land on an arbitrary shard.
-		spares := make([]run, 0, 8)
-		getRun := func(n int) run {
-			for i := range spares {
-				if cap(spares[i].buf) >= n {
-					r := spares[i]
-					spares[i] = spares[len(spares)-1]
-					spares = spares[:len(spares)-1]
-					r.buf = r.buf[:n]
-					return r
-				}
-			}
-			buf, h := scratch.GetCap[int64](p.pool(), n, n)
-			return run{buf: buf, h: h}
-		}
-		putRun := func(r run) {
-			if r.fromChunk {
-				p.release(chunk{buf: r.buf, h: r.h})
-				return
-			}
-			if len(spares) < cap(spares) {
-				spares = append(spares, r)
-				return
-			}
-			scratch.Put(r.h)
-		}
-		// Whatever path exits the stage, every held buffer goes back.
-		defer func() {
-			for _, r := range runs {
-				putRun(r)
-			}
-			for _, r := range spares {
-				scratch.Put(r.h)
-			}
-		}()
-		mergeTop := func() {
-			k := len(runs)
-			a, b := runs[k-2], runs[k-1]
-			dst := getRun(len(a.buf) + len(b.buf))
-			par.Merge(dst.buf, a.buf, b.buf, opts, less)
-			putRun(a)
-			putRun(b)
-			runs = append(runs[:k-2], dst)
-		}
+		opts := p.stageOpts(nil) // psort brings its own sites
+		var (
+			all []int64
+			h   scratch.Handle
+		)
+		defer func() { scratch.Put(h) }()
 		p.runTransform(st, in, out, func(c chunk) (chunk, bool) {
-			p.sortChunk(c.buf, opts)
-			runs = append(runs, run{buf: c.buf, h: c.h, fromChunk: true})
-			// Carry-merge while the run below is within 2x: keeps the
-			// stack logarithmic and the total merge work O(n log n).
-			for len(runs) >= 2 && len(runs[len(runs)-2].buf) <= 2*len(runs[len(runs)-1].buf) {
-				mergeTop()
+			if n := len(all) + len(c.buf); n > cap(all) {
+				grown, gh := scratch.GetCap[int64](p.pool(), len(all), max(n, 2*cap(all)))
+				copy(grown, all)
+				scratch.Put(h)
+				all, h = grown, gh
 			}
+			all = append(all, c.buf...)
+			p.release(c)
 			return chunk{}, false
-		}, func(out chan<- chunk) {
-			for len(runs) >= 2 {
-				mergeTop()
-			}
-			if len(runs) == 0 {
-				return
-			}
-			p.emitSlice(out, runs[0].buf, nil)
+		}, func() []int64 {
+			p.sortChunk(all, opts)
+			return all
 		})
 	})
 	return p
@@ -330,10 +276,10 @@ func (p *Pipeline) TopK(k int) *Pipeline {
 				prune()
 			}
 			return chunk{}, false
-		}, func(out chan<- chunk) {
+		}, func() []int64 {
 			prune()
 			p.sortChunk(cand, opts)
-			p.emitSlice(out, cand, nil)
+			return cand
 		})
 	})
 	return p

@@ -48,15 +48,14 @@
 // stall the batch (Config.PipelineCutoff) take the long route: the
 // kernel's long-route adapter (Kernel.Stream) runs on the caller's
 // goroutine, outside the queues, under options spanning the executor's
-// whole width (longOpts) — for sort one call of the kernel's own
-// dispatch, the serial leaf on a 1-worker shard; for scan the chunked
-// pipeline. They enter through the same door as every other request
-// (closed check, tenant fold under MaxTenants, Accepted) and leave
-// through the same exit (Completed, a kernel panic on the caller's
-// goroutine confined to the request's error; a panic on a pooled worker
-// or a pipeline stage goroutine is out of scope), and Close waits for
-// them. Never waiting on a queue, they stay outside the queue bound and
-// the deadline rung.
+// whole width (longOpts) — for sort and scan alike one call of the
+// kernel, the serial leaf on a 1-worker shard. They enter through the
+// same door as every other request (closed check, tenant fold under
+// MaxTenants, Accepted) and leave through the same exit (Completed, a
+// kernel panic on the caller's goroutine confined to the request's
+// error; a panic on a pooled worker is out of scope), and Close waits
+// for them. Never waiting on a queue, they stay outside the queue bound
+// and the deadline rung.
 //
 // With Config.SLO set, a deadline rung joins the admission ladder.
 // The door refuses a request with ErrDeadlineExceeded when the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/exec"
@@ -23,10 +24,11 @@ type longRouteFront struct {
 }
 
 // longRouteFronts builds the two servers the long route is pinned on —
-// an unsharded Server on a 2-worker executor, where a long sort is a
-// parallel sort over that executor, and two 1-worker shards (parserve's
-// shape), where it is the serial leaf on the caller's goroutine — each
-// with a scratch pool of its own so the test can read its live gauge.
+// an unsharded Server on a 2-worker executor, where a long sort or scan
+// runs in parallel over that executor, and two 1-worker shards
+// (parserve's shape), where it is the serial leaf on the caller's
+// goroutine — each with a scratch pool of its own so the test can read
+// its live gauge.
 func longRouteFronts(t *testing.T) []longRouteFront {
 	e := exec.New(2)
 	sp, gp := scratch.New(), scratch.New()
@@ -44,42 +46,63 @@ func longRouteFronts(t *testing.T) []longRouteFront {
 	}
 }
 
-// TestLongRouteSortMatchesSerial holds the long route's sort to the
-// kernel's serial oracle on every input shape sort's Gen rotates
-// through, with narrow and wide keys, at sizes straddling the cutoff
-// and at the benchmark's long size — and checks the route's ledger:
-// exactly the requests at or above the cutoff count as Pipelined, the
-// rest ride batches, and every scratch buffer is back in its pool.
-func TestLongRouteSortMatchesSerial(t *testing.T) {
-	k := kernel.MustLookup("sort")
-	shapes := []gen.Distribution{gen.Uniform, gen.NearlySorted, gen.Reversed, gen.FewUnique}
+// longRouteRequest is one request the long-route oracle test sends.
+type longRouteRequest struct {
+	name string
+	k    *kernel.Kernel
+	a    kernel.Args
+}
+
+// longRouteRequests builds the requests of size n: sort on every input
+// shape sort's Gen rotates through, with wide and narrow keys, and scan
+// into a separate Dst and in place (Dst aliasing Xs).
+func longRouteRequests(n int) []longRouteRequest {
+	sortK, scanK := kernel.MustLookup("sort"), kernel.MustLookup("scan")
+	var out []longRouteRequest
+	for si, d := range []gen.Distribution{gen.Uniform, gen.NearlySorted, gen.Reversed, gen.FewUnique} {
+		for _, narrow := range []bool{false, true} {
+			xs := gen.Ints(n, d, uint64(100+si))
+			if narrow {
+				for i := range xs {
+					xs[i] &= 0xFFFF
+				}
+			}
+			out = append(out, longRouteRequest{fmt.Sprintf("sort %v narrow=%v", d, narrow), sortK, kernel.Args{Xs: xs}})
+		}
+	}
+	xs, inPlace := gen.Ints(n, gen.Uniform, 200), gen.Ints(n, gen.Uniform, 201)
+	return append(out,
+		longRouteRequest{"scan", scanK, kernel.Args{Xs: xs, Dst: make([]int64, n)}},
+		longRouteRequest{"scan in place", scanK, kernel.Args{Xs: inPlace, Dst: inPlace}})
+}
+
+// TestLongRouteMatchesSerial holds the long route's sort and scan to
+// their kernels' serial oracles at sizes straddling the cutoff and at
+// the benchmark's long size — and checks the route's ledger: exactly
+// the requests at or above the cutoff count as Pipelined, the rest ride
+// batches, and every scratch buffer is back in its pool.
+func TestLongRouteMatchesSerial(t *testing.T) {
 	sizes := []int{longRouteCutoff - 1, longRouteCutoff, longRouteCutoff + 1, 1 << 18}
 	for _, f := range longRouteFronts(t) {
 		t.Run(f.name, func(t *testing.T) {
 			var long, short int64
-			for si, d := range shapes {
-				for _, narrow := range []bool{false, true} {
-					for _, n := range sizes {
-						xs := gen.Ints(n, d, uint64(100+si))
-						if narrow {
-							for i := range xs {
-								xs[i] &= 0xFFFF
-							}
-						}
-						want := kernel.Args{Xs: append([]int64(nil), xs...)}
-						k.Serial(&want)
-						got := kernel.Args{Xs: xs}
-						if err := f.front.CallBudget(fmt.Sprintf("t%d", si), k, &got, 0); err != nil {
-							t.Fatalf("%v narrow=%v n=%d: %v", d, narrow, n, err)
-						}
-						if err := k.Check(&got, &want); err != nil {
-							t.Fatalf("%v narrow=%v n=%d: %v", d, narrow, n, err)
-						}
-						if n >= longRouteCutoff {
-							long++
-						} else {
-							short++
-						}
+			for _, n := range sizes {
+				for i, r := range longRouteRequests(n) {
+					want := kernel.Args{Xs: slices.Clone(r.a.Xs)}
+					if r.a.Dst != nil {
+						want.Dst = make([]int64, n)
+					}
+					r.k.Serial(&want)
+					if err := f.front.CallBudget(fmt.Sprintf("t%d", i%4), r.k, &r.a, 0); err != nil {
+						t.Fatalf("%s n=%d: %v", r.name, n, err)
+					}
+					if err := r.k.Check(&r.a, &want); err != nil {
+						t.Fatalf("%s n=%d: %v", r.name, n, err)
+					}
+					if n >= longRouteCutoff {
+						long++
+					} else {
+						short++
 					}
 				}
 			}
@@ -97,47 +120,55 @@ func TestLongRouteSortMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLongRouteSortZeroAllocs pins what leaving the chunk cascade
-// bought besides time: on a 1-worker shard a warm long-route sort is
-// the pooled request record plus the serial leaf and allocates nothing,
-// where the cascade built channels, a free list and three goroutines
-// per call. Without a controller the leaf is the sort's default for the
-// input, so the pin covers one input for each algorithm it picks here:
-// wide keys (radix) and narrow keys (counting).
-func TestLongRouteSortZeroAllocs(t *testing.T) {
+// TestLongRouteZeroAllocs pins what leaving the chunk cascade bought
+// besides time: on a 1-worker shard a warm long-route request is the
+// pooled request record plus the kernel's serial leaf and allocates
+// nothing, where the cascade built channels, a free list and three
+// goroutines per call. Without a controller a long sort runs the sort's
+// default for the input, so the pin covers one input for each algorithm
+// it picks here — wide keys (radix) and narrow keys (counting) — and
+// one long scan.
+func TestLongRouteZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
 	g := NewSharded(ShardedConfig{Shards: 2, ShardProcs: 1, Config: Config{PipelineCutoff: longRouteCutoff}})
 	defer g.Close()
-	k := kernel.MustLookup("sort")
-	inputs := []struct {
-		variant string
-		base    []int64
+	sortK, scanK := kernel.MustLookup("sort"), kernel.MustLookup("scan")
+	narrow := gen.Ints(2*longRouteCutoff, gen.Uniform, 8)
+	for i := range narrow {
+		narrow[i] &= 0xFFFF
+	}
+	rows := []struct {
+		name string // for sort, the variant its default picks
+		k    *kernel.Kernel
+		base []int64
 	}{
-		{"radix", gen.Ints(2*longRouteCutoff, gen.Uniform, 7)},
-		{"counting", gen.Ints(2*longRouteCutoff, gen.Uniform, 8)},
+		{"radix", sortK, gen.Ints(2*longRouteCutoff, gen.Uniform, 7)},
+		{"counting", sortK, narrow},
+		{"scan", scanK, gen.Ints(2*longRouteCutoff, gen.Uniform, 9)},
 	}
-	for i := range inputs[1].base {
-		inputs[1].base[i] &= 0xFFFF
-	}
-	for _, in := range inputs {
-		if got := k.Variants[k.Default(k.Feature(&kernel.Args{Xs: in.base}))].Name; got != in.variant {
-			t.Fatalf("input meant for %s defaults to %s", in.variant, got)
+	for _, r := range rows {
+		a := kernel.Args{Xs: make([]int64, len(r.base))}
+		if r.k == sortK {
+			if got := r.k.Variants[r.k.Default(r.k.Feature(&kernel.Args{Xs: r.base}))].Name; got != r.name {
+				t.Fatalf("input meant for %s defaults to %s", r.name, got)
+			}
+		} else {
+			a.Dst = make([]int64, len(r.base))
 		}
-		a := kernel.Args{Xs: make([]int64, len(in.base))}
 		run := func() {
-			copy(a.Xs, in.base)
-			if err := g.CallBudget("t", k, &a, 0); err != nil {
+			copy(a.Xs, r.base)
+			if err := g.CallBudget("t", r.k, &a, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run() // warm the request pool
 		if got := testing.AllocsPerRun(20, run); got != 0 {
-			t.Errorf("long-route sort (%s): %.1f allocs/call, want 0", in.variant, got)
+			t.Errorf("long-route %s: %.1f allocs/call, want 0", r.name, got)
 		}
 	}
-	if st := g.Stats().Aggregate; st.Pipelined != 22*int64(len(inputs)) || st.BatchedRequests != 0 {
+	if st := g.Stats().Aggregate; st.Pipelined != 22*int64(len(rows)) || st.BatchedRequests != 0 {
 		t.Errorf("pipelined=%d batched=%d: the calls did not take the long route", st.Pipelined, st.BatchedRequests)
 	}
 }

@@ -80,10 +80,11 @@ func (s *Server) serialOpts() par.Options {
 // goroutine when marked stream — and finishes it. Kernel panics on this
 // goroutine (a bucket function out of range, a malformed graph) are
 // confined to the request: they become its error instead of killing a
-// pooled worker or the caller. That covers a long sort on a 1-worker
-// shard, which is the serial leaf run right here. A panic on another
-// goroutine — a pooled worker of a wider long sort, a stage of scan's
-// pipeline — is out of reach of this recover and stays out of scope.
+// pooled worker or the caller. That covers every long request on a
+// 1-worker shard, whose adapter is the kernel's serial leaf run right
+// here. A panic on another goroutine — a pooled worker of a wider long
+// sort or scan — is out of reach of this recover and stays out of
+// scope.
 func (s *Server) runOne(r *request) {
 	var err error
 	defer func() {
@@ -104,9 +105,9 @@ func (s *Server) runOne(r *request) {
 
 // longOpts are the Options a long-route adapter runs under: the whole
 // width of the server's executor and no SerialCutoff, so the kernel's
-// own dispatch decides. On a 1-worker shard a long sort is therefore
-// the serial leaf on its caller's goroutine; on an unsharded server it
-// is a parallel sort over the shared executor. The caller is not
+// own dispatch decides. On a 1-worker shard a long sort or scan is
+// therefore the serial leaf on its caller's goroutine; on an unsharded
+// server it runs in parallel over the shared executor. The caller is not
 // counted as an extra worker: Procs()+1 was measured and lost.
 func (s *Server) longOpts() par.Options {
 	return par.Options{
