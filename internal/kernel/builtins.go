@@ -43,29 +43,38 @@ func shuffleXs(a *Args, r *rng.Rand) {
 // translationDelta is the constant the translation relations add.
 const translationDelta = 7
 
-// sortWidthBuckets, sortSizeBuckets and the sorted bit pack the sort
-// kernel's dispatch feature. Key width is what makes counting sort
-// (and degenerate-pass radix) win; size separates cache regimes; the
-// sortedness bit separates inputs where a comparison sort's branch
-// predictability beats radix's fixed passes.
+// sortFeature packs the sort kernel's dispatch class,
+// (width bucket*4 + size bucket)*2 + sorted bit, which indexes
+// sortDefaultTable. Width bucket 0 is dense keys: a spread max - min
+// below max(256, n), i.e. keys of at most 8 bits or a key range with
+// fewer slots than elements. There the count array is no larger than
+// the input, so counting sort is O(n) whatever the order. The edge is
+// n, not a key width: at 8 Ki elements a nearly sorted 16-bit spread
+// (8n) costs counting sort 172–204 µs against quicksort's 82–170 µs,
+// while on the ramp 0..n-1 rotated by n/3 counting sort takes a fifth
+// of quicksort's time. Buckets 1–3 are the remaining keys of 9–16,
+// 17–32 and more bits. Size separates cache regimes; the sortedness bit
+// separates inputs where a comparison sort's branch predictability
+// beats radix's fixed passes.
 func sortFeature(a *Args) int {
 	xs := a.Xs
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
-	min, max := xs[0], xs[0]
+	lo, hi := xs[0], xs[0]
 	for _, v := range xs[1:] {
-		if v < min {
-			min = v
-		} else if v > max {
-			max = v
+		if v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
 		}
 	}
-	width := bits.Len64(uint64(max) - uint64(min))
+	spread := uint64(hi) - uint64(lo)
+	width := bits.Len64(spread)
 	wb := 3
 	switch {
-	case width <= 8:
+	case spread < max(256, uint64(n)):
 		wb = 0
 	case width <= 16:
 		wb = 1
@@ -108,22 +117,22 @@ const (
 
 // sortDefaultTable is the variant sort runs without a controller, per
 // sortFeature class: [width bucket][size bucket][sorted bit]. It is read
-// off BenchmarkSortClasses, which times every variant at Procs 1 on ten
+// off BenchmarkSortClasses, which times every variant at Procs 1 on eleven
 // input shapes at 1 Ki to 1 Mi elements (BENCHMARKS.md, "The sort
 // default"). Each class takes the variant whose worst ratio to the
 // fastest variant, over the shapes falling in the class, is lowest;
 // near ties (within 10 %) go to sample, then radix, since counting
 // sort on a spread of 2^20 or more is radix sort plus a min/max pass.
-// Counting sort costs O(n + spread) whatever the order, so with a
-// 16-bit spread it loses below 4 Ki elements, and below 64 Ki on nearly
-// sorted keys, and wins wherever the spread is small beside n. Radix sort wins on
+// Counting sort costs O(n + spread) whatever the order, so it wins on
+// dense keys; with a 16-bit spread wider than n it loses below 4 Ki
+// elements, and below 64 Ki on nearly sorted keys. Radix sort wins on
 // unsorted keys from 4 Ki elements up, and on 17–32-bit keys even
 // below. Sample sort (quicksort at Procs 1) keeps nearly sorted wide
 // keys, where its comparisons predict well and radix pays every pass.
 var sortDefaultTable = [4][4][2]uint8{
 	// Size buckets < 4 Ki, < 64 Ki, < 1 Mi, >= 1 Mi elements; each
 	// {unsorted, nearly sorted}.
-	{{sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}}, // width <= 8 bits
+	{{sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}}, // dense: spread < max(256, n)
 	{{sortSample, sortSample}, {sortCounting, sortSample}, {sortCounting, sortCounting}, {sortCounting, sortCounting}},       // 9–16 bits
 	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortCounting, sortSample}, {sortCounting, sortSample}},               // 17–32 bits
 	{{sortSample, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}},                    // wider

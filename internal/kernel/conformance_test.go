@@ -134,15 +134,19 @@ func serveZeroAllocs(t *testing.T, s *serve.Server, k *kernel.Kernel, a *kernel.
 }
 
 // defaultInputs returns one Gen input per variant k's Default picks
-// across the first eight Gen seeds at 4 096 elements.
+// across the first eight Gen seeds at 4 096 and 1 024 elements. Sort
+// needs both sizes: at 4 096 every Gen shape is dense or wide and
+// unsorted, so sample sort only shows at 1 024.
 func defaultInputs(k *kernel.Kernel) []*kernel.Args {
 	var out []*kernel.Args
 	seen := map[int]bool{}
-	for seed := uint64(0); seed < 8; seed++ {
-		a := k.Gen(4096, seed)
-		if v := k.Default(k.Feature(a)); !seen[v] {
-			seen[v] = true
-			out = append(out, a)
+	for _, n := range []int{4096, 1024} {
+		for seed := uint64(0); seed < 8; seed++ {
+			a := k.Gen(n, seed)
+			if v := k.Default(k.Feature(a)); !seen[v] {
+				seen[v] = true
+				out = append(out, a)
+			}
 		}
 	}
 	return out

@@ -42,6 +42,12 @@ var sortTableShapes = []sortTableShape{
 	// sort's Gen shape for odd seeds: the ramp 0..n-1 with 1 % of pairs
 	// swapped, masked to 16 bits (a sawtooth of sorted runs past 65 536).
 	{"ramp-16", func(n int) []int64 { return maskKeys(gen.Ints(n, gen.NearlySorted, 18), 1<<16-1) }},
+	// ramp-16 as bench/ sends it: every request is a pool input rotated
+	// left, here by n/3. Rotation costs quicksort 2–3× on sorted runs.
+	{"ramp-16-rot", func(n int) []int64 {
+		xs := maskKeys(gen.Ints(n, gen.NearlySorted, 18), 1<<16-1)
+		return slices.Concat(xs[n/3:], xs[:n/3])
+	}},
 	{"few-unique", func(n int) []int64 { return gen.Ints(n, gen.FewUnique, 19) }},
 	{"reversed-ramp", func(n int) []int64 { return gen.Ints(n, gen.Reversed, 20) }},
 }
@@ -81,8 +87,9 @@ func keysOfWidth(n, width int, lo int64, sorted bool) []int64 {
 
 // TestSortDefaultTable pins the variant a no-controller sort runs at
 // the edges of sortFeature's buckets: key widths either side of 8, 16
-// and 32 bits, sizes either side of 4 096 and 65 536, negative minima
-// (the width is max - min, not the magnitude), sorted and unsorted.
+// and 32 bits, spreads either side of n (the dense edge), sizes either
+// side of 4 096 and 65 536, negative minima (the width is max - min,
+// not the magnitude), sorted and unsorted.
 func TestSortDefaultTable(t *testing.T) {
 	k := MustLookup("sort")
 	for _, c := range []struct {
@@ -93,8 +100,17 @@ func TestSortDefaultTable(t *testing.T) {
 	}{
 		{8, 4095, -128, true, "counting"},
 		{8, 4096, 0, false, "counting"},
-		{9, 4095, 0, false, "sample"},
+		{9, 4095, 0, false, "counting"}, // spread 511 < n: dense
 		{9, 4096, 0, false, "counting"},
+		// Spread n - 1 is dense; spread n is not.
+		{12, 4096, 0, false, "counting"},
+		{12, 4096, -3000, true, "counting"},
+		{12, 4095, 0, false, "sample"},
+		{12, 4095, 0, true, "sample"},
+		{13, 8192, 0, true, "counting"},
+		{13, 8192, 0, false, "counting"},
+		{13, 8191, 0, true, "sample"},
+		{13, 8191, 0, false, "counting"},
 		{16, 4096, -30000, false, "counting"},
 		{16, 4096, 0, true, "sample"},
 		{16, 65535, 0, true, "sample"},
@@ -237,6 +253,9 @@ func FuzzSortDefault(f *testing.F) {
 		ramp[i] = int64(i)
 	}
 	f.Add(uint8(16), uint16(5000), int64(0), encodeKeys(ramp))
+	// The dense edge: the ramp tiled out to 8 Ki keys of 13 bits has a
+	// spread of n - 1, and one key fewer is no longer dense.
+	f.Add(uint8(13), uint16(maxFuzzKeys), int64(0), encodeKeys(ramp))
 	f.Add(uint8(8), uint16(300), int64(-100), encodeKeys([]int64{3, 1, 2}))
 	f.Add(uint8(63), uint16(8000), int64(0), encodeKeys([]int64{-1, 1 << 62, 7, -(1 << 40)}))
 	f.Add(uint8(32), uint16(4096), int64(-1<<31), encodeKeys(gen.Ints(40, gen.Uniform, 1)))
