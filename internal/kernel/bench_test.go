@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/par"
+	"repro/internal/rng"
 )
 
 // Variant benchmarks: each algorithm candidate individually, plus the
@@ -115,20 +116,41 @@ func BenchmarkSortClasses(b *testing.B) {
 // cutoff, no controller) at 1 Ki to 64 Ki elements, input copy
 // included, and reports ns/elem. A row where one kernel's ns/elem jumps
 // between sizes is a cliff in its serial leaf.
+//
+// Every kernel runs Gen seed 1's input except select and topk, whose
+// Gen derives the rank from the seed: seed 1 alone would time rank 1
+// and K = 17. They cycle through the 16 Gen seeds bench/'s mixedPool
+// gives one kernel, base + 4*(j/3) + {0, 1, 3}[j%3] from a base below
+// 2^30 that is a multiple of 4, so select's ranks are drawn over
+// [0, n) and topk's K over 16..32 as in bench/'s workloads.
 func BenchmarkServeSlot(b *testing.B) {
 	opts := par.Options{Procs: 1, SerialCutoff: 1 << 62}
+	drawn := make([]uint64, 16)
+	base := rng.New(1).Uint64() % (1 << 30) &^ 3
+	for j := range drawn {
+		drawn[j] = base + uint64(4*(j/3)) + [3]uint64{0, 1, 3}[j%3]
+	}
 	for _, k := range All() {
+		seeds := []uint64{1}
+		if k.Name == "select" || k.Name == "topk" {
+			seeds = drawn
+		}
 		for _, n := range []int{1 << 10, 1 << 12, 1 << 13, 1 << 16} {
 			b.Run(fmt.Sprintf("%s/n=%d", k.Name, n), func(b *testing.B) {
-				a := k.Gen(n, 1)
-				base := slices.Clone(a.Xs)
+				args := make([]*Args, len(seeds))
+				bases := make([][]int64, len(seeds))
+				for j, seed := range seeds {
+					args[j] = k.Gen(n, seed)
+					bases[j] = slices.Clone(args[j].Xs)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					copy(a.Xs, base)
+					a := args[i%len(args)]
+					copy(a.Xs, bases[i%len(args)])
 					k.Run(a, opts)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*a.Len()), "ns/elem")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*args[0].Len()), "ns/elem")
 			})
 		}
 	}

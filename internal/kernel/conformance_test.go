@@ -88,6 +88,16 @@ func TestKernelConformance(t *testing.T) {
 						t.Run(fmt.Sprintf("n=%d/plain", n), func(t *testing.T) {
 							serveZeroAllocs(t, plain, k, a)
 						})
+						if k.Name == "select" {
+							// Gen seed 1 asks for rank 1, whose bracket has
+							// no lower side; the median selects both of its
+							// ends from the leaf's sample buffer.
+							half := k.Gen(n, 1)
+							half.K = n / 2
+							t.Run(fmt.Sprintf("n=%d/rank=half", n), func(t *testing.T) {
+								serveZeroAllocs(t, plain, k, half)
+							})
+						}
 					}
 					if k.Default == nil {
 						return

@@ -12,14 +12,23 @@
 // says primitives earn their place by powering whole algorithms.
 //
 // With one worker, or at most 4 096 elements, Select skips the
-// partition loop for its serial leaf: a scratch copy and the in-place
-// quickselect, whose partition rounds are budgeted so that no input
-// costs more than O(n log n). The serve runtime's Select and TopK
-// requests run at Procs 1 in a batch slot, so they always take the
-// serial leaf.
+// partition loop for its serial leaf, and the loop ends in the same
+// leaf. The serve runtime's Select and TopK requests run at Procs 1 in
+// a batch slot, so they always take it. Quickselect's comparisons are
+// unpredictable branches, about 2n to 3.4n of them, so from 512
+// elements up the leaf first shrinks the input the way Floyd and
+// Rivest's SELECT does (CACM 1975): two order statistics of a stride
+// sample of about n^(2/3) keys bracket rank k, one branch-free pass
+// keeps only the keys between them, and quickselect runs on that band
+// of about 3·n^(2/3) keys. A bracket that misses k (an input whose
+// period lines up with the stride can do this) falls back to a scratch
+// copy and quickselect on all of xs, the whole leaf below 512 elements.
+// Quickselect's partition rounds are budgeted, so no input costs more
+// than O(n log n). SelectSeq, the select kernel's serial oracle, keeps
+// the plain copy and quickselect, so no oracle runs through the filter.
 //
 // Layering: psel consumes par (count/pack), scratch (ping-pong
-// buffers) and rng (pivots); it feeds core's selection
-// experiments, pipeline's TopK pruning, the serve runtime's
-// Select and TopK requests and the repro facade.
+// buffers, the leaf's copy and sample) and rng (pivots); it feeds
+// core's selection experiments, pipeline's TopK pruning, the serve
+// runtime's Select and TopK requests and the repro facade.
 package psel

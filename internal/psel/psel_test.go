@@ -1,6 +1,7 @@
 package psel
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -115,6 +116,65 @@ func TestSelectLargeCrossesParallelPath(t *testing.T) {
 		if got := Select(xs, k, opts); got != sorted[k] {
 			t.Fatalf("k=%d: %d != %d", k, got, sorted[k])
 		}
+	}
+}
+
+// TestSelectLeafBracketMiss poisons the serial leaf's stride sample so
+// that its bracket [u, w] misses the rank asked for, checks through
+// bracket and filter that the leaf sees a miss there, and holds Select
+// at Procs 1 to a full sort at that rank, at both ends of the range and
+// on both sides of both band edges. All-equal keys cannot miss; they
+// check the u == w answer instead.
+func TestSelectLeafBracketMiss(t *testing.T) {
+	const n = 1 << 13
+	stride := n / sampleSize(n)
+	atStride := func(sampled, rest func(i int) int64) []int64 {
+		xs := make([]int64, n)
+		for i := range xs {
+			if i%stride == 0 && i/stride < sampleSize(n) {
+				xs[i] = sampled(i)
+			} else {
+				xs[i] = rest(i)
+			}
+		}
+		return xs
+	}
+	keys := gen.Ints(n, gen.Uniform, 9)
+	random := func(i int) int64 { return keys[i] >> 2 }
+	cases := []struct {
+		name string
+		xs   []int64
+		k    int
+		miss bool
+	}{
+		{"max-at-stride", atStride(func(i int) int64 { return math.MaxInt64 - int64(i) }, random), n / 2, true},
+		{"min-at-stride", atStride(func(i int) int64 { return math.MinInt64 + int64(i) }, random), n / 2, true},
+		{"two-values", atStride(func(int) int64 { return 0 }, func(int) int64 { return 1 }), n / 2, true},
+		{"all-equal", make([]int64, n), n / 2, false},
+		{"fuzz-tile", tiledKeys(poisonedTile(), 512, 0xD2), 300, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := len(c.xs)
+			sorted := slices.Clone(c.xs)
+			slices.Sort(sorted)
+			u, w := bracket(c.xs, make([]int64, sampleSize(n)), c.k)
+			below, m := filter(c.xs, make([]int64, n), u, w)
+			if miss := c.k < below || c.k >= below+m; miss != c.miss {
+				t.Fatalf("k %d, band [%d, %d) of keys in [%d, %d]: miss = %v, want %v", c.k, below, below+m, u, w, miss, c.miss)
+			}
+			if !c.miss && u != w {
+				t.Fatalf("all-equal keys bracketed by [%d, %d], want u == w", u, w)
+			}
+			for _, k := range []int{0, n - 1, c.k, below - 1, below, below + m - 1, below + m} {
+				if k < 0 || k >= n {
+					continue
+				}
+				if got := Select(c.xs, k, par.Options{Procs: 1}); got != sorted[k] {
+					t.Fatalf("k %d (band [%d, %d)): Select = %d, want %d", k, below, below+m, got, sorted[k])
+				}
+			}
+		})
 	}
 }
 
