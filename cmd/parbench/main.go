@@ -11,7 +11,6 @@
 //	parbench -list               # show the experiment index
 //	parbench -kernels            # show the kernel registry index
 //	parbench -kernel gups        # one kernel through every ladder
-//	parbench -pipeline           # streaming-pipeline traffic demo
 //	parbench -serve              # multi-tenant request-serving demo
 //	parbench -serve -openloop -rate 2000 -slo 10ms
 //	                             # open-loop schedule-driven traffic
@@ -42,16 +41,15 @@
 // the experiments reports the executor's steal counters next to the
 // scratch pool's hit/miss/bytes gauges (plus, with -adapt=on, the
 // controller's site/exploration/convergence counters). Unknown flag
-// values are rejected with a usage error, never silently defaulted;
-// -pipeline and -serve are mutually exclusive, and the open-loop
-// knobs require the modes they refine (-openloop needs -serve; -rate
-// and -arrival need -openloop; -slo needs -serve). -wire reruns a
-// -serve demo over the binary wire protocol (internal/wire) instead
-// of in-process calls: 'loopback' spins an in-process listener on a
-// real TCP socket (the CI smoke path), 'host:port' or 'unix:PATH'
-// target a running parserve — where -cache is refused, because cache
-// invalidation (BumpGeneration) is server-side state the protocol
-// does not carry.
+// values are rejected with a usage error, never silently defaulted,
+// and the open-loop knobs require the modes they refine (-openloop
+// needs -serve; -rate and -arrival need -openloop; -slo needs
+// -serve). -wire reruns a -serve demo over the binary wire protocol
+// (internal/wire) instead of in-process calls: 'loopback' spins an
+// in-process listener on a real TCP socket (the CI smoke path),
+// 'host:port' or 'unix:PATH' target a running parserve — where -cache
+// is refused, because cache invalidation (BumpGeneration) is
+// server-side state the protocol does not carry.
 package main
 
 import (
@@ -61,7 +59,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,9 +70,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/kernel"
 	"repro/internal/loadgen"
-	"repro/internal/par"
 	"repro/internal/perf"
-	"repro/internal/pipeline"
 	"repro/internal/rescache"
 	"repro/internal/rng"
 	"repro/internal/scratch"
@@ -99,8 +94,6 @@ func main() {
 			"scratch-arena buffer reuse: 'on' (pooled temporaries) or 'off' (fresh allocation per call)")
 		adaptMode = flag.String("adapt", "off",
 			"online load-aware tuning: 'on' (grain/policy/cutoffs picked per call site by the adapt runtime) or 'off'")
-		pipelineMode = flag.Bool("pipeline", false,
-			"run the streaming-pipeline traffic demo (gen→map→filter→sort→histogram) and print its throughput/occupancy stats instead of experiments")
 		serveMode = flag.Bool("serve", false,
 			"run the multi-tenant request-serving traffic demo (batched admission control over mixed sort/histogram/scan/sum requests) and print its throughput/latency-percentile stats instead of experiments")
 		shardsFlag = flag.Int("shards", 0,
@@ -125,9 +118,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *pipelineMode && *serveMode {
-		fatalf("-pipeline and -serve are mutually exclusive")
-	}
 	if *shardsFlag < 0 {
 		fatalf("bad -shards %d: want >= 0", *shardsFlag)
 	}
@@ -224,14 +214,6 @@ func main() {
 		return
 	}
 
-	if *pipelineMode {
-		if err := runPipelineDemo(cfg, os.Stdout); err != nil {
-			fatalf("pipeline: %v", err)
-		}
-		printRuntimeStats(cfg)
-		return
-	}
-
 	if *serveMode {
 		demo := serveDemo{
 			shards: *shardsFlag, slo: *sloFlag, cacheOn: cacheOn, deltaOn: deltaOn, wireAddr: *wireFlag,
@@ -270,53 +252,6 @@ func main() {
 		}
 	}
 	printRuntimeStats(cfg)
-}
-
-// runPipelineDemo drives the ISSUE's reference analytics chain — a
-// generated stream mapped, filtered, sorted and histogrammed — through
-// the streaming pipeline runtime, then prints the per-stage breakdown
-// and the throughput/occupancy stats line. It honors the -executor,
-// -scratch, -adapt and -quick flags through cfg.
-func runPipelineDemo(cfg core.Config, w io.Writer) error {
-	n := 1 << 22
-	if cfg.Quick {
-		n = 1 << 16
-	}
-	pOpts := par.Options{Executor: cfg.Executor, Scratch: cfg.Scratch}
-	if len(cfg.Procs) > 0 {
-		pOpts.Procs = cfg.Procs[len(cfg.Procs)-1]
-	}
-	if cfg.Adaptive {
-		pOpts.Adaptive = adapt.Default()
-		if pOpts.Procs <= 1 && runtime.GOMAXPROCS(0) == 1 {
-			// One-core boxes: give the controller a lattice to tune
-			// (the executor's caller participation still completes all
-			// slots), otherwise the adapt stats line reads all zero.
-			pOpts.Procs = 4
-		}
-	} else {
-		pOpts.SerialCutoff = pipeline.DefaultChunkSize
-	}
-	hist := make([]int, pipeline.DemoBuckets)
-	p := pipeline.New(pipeline.Config{Opts: pOpts}).
-		FromFunc(n, pipeline.DemoGen).
-		Map(pipeline.DemoMap).
-		Filter(pipeline.DemoPred).
-		Sort().
-		ToHistogram(hist, pipeline.DemoBucket)
-	if err := p.Run(); err != nil {
-		return err
-	}
-	s := p.Stats()
-	fmt.Fprintf(w, "== streaming pipeline demo — gen→map→filter→sort→histogram, n=%d\n", n)
-	for _, st := range s.Stages {
-		fmt.Fprintf(w, "  stage %-10s chunks=%-6d elems=%-9d busy=%s\n",
-			st.Name, st.Chunks, st.Elems, st.Busy.Round(time.Microsecond))
-	}
-	fmt.Fprintf(w, "pipeline: elems=%d chunks=%d wall=%s throughput=%.1f Melems/s occupancy=%.2f\n",
-		s.SourceElems, s.Chunks, s.Wall.Round(time.Microsecond),
-		s.Throughput()/1e6, s.Occupancy)
-	return nil
 }
 
 // serveAdmin is the server-side state a demo reads or pokes that the
@@ -609,13 +544,14 @@ func runServeDemo(cfg core.Config, p serveDemo, w io.Writer) error {
 
 // closedLoopDemo is the closed-loop driver: one hot tenant with 8
 // clients and three light tenants with 2 each, issuing the demoRequest
-// mix plus an occasional long sort that routes through the streaming
-// pipeline. Rejected requests are retried under capped exponential
-// backoff with rng jitter (a fixed sleep would wake every
-// backpressured client in lockstep and re-flood the door) with the
-// latency sample still accruing, so the tail reflects the retries;
-// unexpected errors are recorded rather than silently shrinking the
-// sample, so the percentiles' denominator is every issued request.
+// mix plus an occasional long sort that takes the long route (one
+// kernel call on the caller's goroutine). Rejected requests are
+// retried under capped exponential backoff with rng jitter (a fixed
+// sleep would wake every backpressured client in lockstep and re-flood
+// the door) with the latency sample still accruing, so the tail
+// reflects the retries; unexpected errors are recorded rather than
+// silently shrinking the sample, so the percentiles' denominator is
+// every issued request.
 // With p.cacheOn most of the repeated-payload requests become hits,
 // and with p.deltaOn each client additionally maintains a standing
 // sorted record through CallDeltaBudget appends — the incremental

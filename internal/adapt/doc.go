@@ -45,7 +45,6 @@
 // machine (cost-model priors), rng (exploration) and exec's
 // Occupancy gauge — and is consumed through par.Options.Adaptive by
 // every kernel layer (par primitives, psort/psel/plist/pmat/
-// pstencil/pgraph sites), the pipeline stages, and the serve
-// runtime's batch loop. The repro facade exposes it as
-// repro.Adaptive()/NewAdaptiveController.
+// pstencil/pgraph sites) and the serve runtime's batch loop. The
+// repro facade exposes it as repro.Adaptive()/NewAdaptiveController.
 package adapt

@@ -6,7 +6,7 @@
 // `parbench -list`).
 //
 // Layering: core is the top of the internal stack — it consumes
-// every kernel package plus gen, perf, machine, pipeline, serve and
-// loadgen to regenerate the evaluation, and feeds the repro facade
+// every kernel package plus gen, perf, machine, serve and loadgen to
+// regenerate the evaluation, and feeds the repro facade
 // (RunExperiment) and cmd/parbench.
 package core

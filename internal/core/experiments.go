@@ -116,9 +116,11 @@ type Experiment struct {
 }
 
 // Experiments lists the full suite in evaluation order: E1–E14 are the
-// reconstructed evaluation, E15 onward the extensions. The Run
-// functions live in the topic files kernels.go, scheduling.go,
-// models.go and serving.go; a new experiment is one row here.
+// reconstructed evaluation, E15 onward the extensions. E22 (streaming
+// pipeline vs one-shot composition) was retired with internal/pipeline
+// and its id is never reused. The Run functions live in the topic
+// files kernels.go, scheduling.go, models.go and serving.go; a new
+// experiment is one row here.
 var Experiments = []Experiment{
 	{"E1", "Table 1", "Parallel scan: measured scaling and BSP-simulated scaling", E1Scan},
 	{"E2", "Table 2", "Sorting case study across algorithms and input distributions", E2Sort},
@@ -141,7 +143,6 @@ var Experiments = []Experiment{
 	{"E19", "Figure 9", "Stencil relaxation ablation: Jacobi vs red-black Gauss-Seidel", E19Relaxation},
 	{"E20", "Table 11", "Task-parallel quicksort (work stealing) vs loop-parallel sorters", E20StealSort},
 	{"E21", "Figure 10", "BFS direction ablation: top-down vs direction-optimizing", E21BFSDirection},
-	{"E22", "Table 12", "Streaming pipeline vs one-shot kernel composition", E22Pipeline},
 	{"E23", "Table 13", "Request serving: batched admission vs per-request dispatch", E23Serve},
 	{"E24", "Table 14", "Sharded serving under tenant skew: 1 shard vs N shards vs N shards + migration", E24ShardedServe},
 	{"E25", "Table 15", "Registry kernel ladder: one-shot vs serve batch path vs long route, per registered kernel", E25KernelRegistry},

@@ -1,11 +1,10 @@
 package core
 
-// The streaming and serving experiments: the pipeline runtime, then the
-// request-serving stack layer by layer — batching, sharding, the kernel
-// registry, load-harness methodology, the result cache and the wire
-// front door. The closed-loop tables drive loadgen.Closed, the
-// open-loop ones loadgen.Run; every server is built from
-// Config.ServeConfig.
+// The serving experiments: the request-serving stack layer by layer —
+// batching, sharding, the kernel registry, load-harness methodology,
+// the result cache, the wire front door and the long route. The
+// closed-loop tables drive loadgen.Closed, the open-loop ones
+// loadgen.Run; every server is built from Config.ServeConfig.
 
 import (
 	"errors"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/par"
 	"repro/internal/perf"
-	"repro/internal/pipeline"
 	"repro/internal/psort"
 	"repro/internal/rescache"
 	"repro/internal/serve"
@@ -57,87 +55,6 @@ func sortOrHistogram(f serve.Front, tenant string, i int, b *reqBufs, base []int
 		return serve.Sort(f, tenant, b.xs)
 	}
 	return serve.Histogram(f, tenant, b.hist, b.xs, histBucket)
-}
-
-// E22Pipeline regenerates Table 12: the analytics chain gen → map →
-// filter → histogram (+ running sum) executed as one-shot kernels with
-// materialized intermediates versus the chunked streaming pipeline, at
-// several stream lengths. Columns report wall time, throughput and the
-// heap bytes allocated per run — the pipeline's expected shape is
-// equal-or-better time with orders-of-magnitude fewer bytes, the gap
-// widening once intermediates outgrow the cache.
-func E22Pipeline(cfg Config) *perf.Table {
-	p := runtime.GOMAXPROCS(0)
-	r := cfg.runner()
-	t := perf.NewTable(
-		fmt.Sprintf("Table 12: streaming pipeline vs one-shot composition, P=%d", p),
-		"n", "mode", "time", "Melems/s", "MB-alloc/run")
-
-	genF, mapF := pipeline.DemoGen, pipeline.DemoMap
-	pred, bucket := pipeline.DemoPred, pipeline.DemoBucket
-	const buckets = pipeline.DemoBuckets
-
-	sizes := []int{1 << 18, 1 << 21}
-	if cfg.Quick {
-		sizes = []int{1 << 14, 1 << 16}
-	}
-	hist := make([]int, buckets)
-	for _, n := range sizes {
-		opts := cfg.opts(p, par.Static, 0)
-		oneShot := func() {
-			xs := make([]int64, n)
-			par.For(n, opts, func(j int) { xs[j] = genF(j) })
-			ys := par.Map(xs, opts, mapF)
-			zs := par.Pack(ys, opts, pred)
-			par.HistogramInto(hist, zs, opts, bucket)
-			par.Sum(zs, opts)
-		}
-		pOpts := cfg.opts(p, par.Static, 0)
-		if !cfg.Adaptive {
-			// Serial intra-chunk kernels: stage concurrency owns the
-			// parallelism (with -adapt=on the controller decides).
-			pOpts.SerialCutoff = pipeline.DefaultChunkSize
-		}
-		pcfg := pipeline.Config{Opts: pOpts}
-		chunked := func() {
-			var sum int64
-			pl := pipeline.New(pcfg).
-				FromFunc(n, genF).Map(mapF).Filter(pred).
-				Tee(func(buf []int64) {
-					for _, v := range buf {
-						sum += v
-					}
-				}).
-				ToHistogram(hist, bucket)
-			if err := pl.Run(); err != nil {
-				panic(err)
-			}
-		}
-		for _, mode := range []struct {
-			name string
-			run  func()
-		}{{"one-shot", oneShot}, {"chunked", chunked}} {
-			mb := allocMBPerRun(mode.run)
-			m := r.Time(func(int) { mode.run() }).Median
-			t.AddRowf(n, mode.name, perf.FormatDuration(m),
-				perf.Throughput(n, m)/1e6, mb)
-		}
-	}
-	return t
-}
-
-// allocMBPerRun measures heap megabytes allocated by one call of f
-// (warm call first, then the monotone TotalAlloc delta over 3 runs).
-func allocMBPerRun(f func()) float64 {
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const runs = 3
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
 }
 
 // E23Serve regenerates Table 13: concurrent clients issuing small

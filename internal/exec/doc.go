@@ -40,7 +40,6 @@
 // internal dependency is scratch, for RunArena's slot arenas).
 // Everything that runs in parallel dispatches onto it: par
 // schedules and fork/joins, sched's work-stealing tasks, bsp's
-// virtual processors, pipeline stage goroutines, and serve's
-// batch dispatcher. Its Occupancy gauge drives load shedding in
-// adapt and admission control in serve.
+// virtual processors, and serve's batch dispatcher. Its Occupancy
+// gauge drives load shedding in adapt and admission control in serve.
 package exec

@@ -37,7 +37,7 @@ type Args struct {
 
 // Len is the kernel's problem size: the node count for graph kernels,
 // the primary slice length otherwise. It sizes adaptive decisions,
-// pipeline routing and per-element cost accounting.
+// long-route routing and per-element cost accounting.
 func (a *Args) Len() int {
 	if a.G != nil {
 		return a.G.N()

@@ -36,7 +36,6 @@
 // kernel sits above the kernel implementations (psort, psel, pgraph,
 // par) and the runtimes they share (adapt, exec, scratch), and below
 // serve, difftest, metatest, core and cmd/parbench, which consume the
-// registry. It must not import serve, nor pipeline: every long-route
-// adapter is one call of its kernel, so the streaming runtime is a
-// library the registry does not need.
+// registry. It must not import serve: every long-route adapter is
+// one call of its kernel, run under the options serve hands it.
 package kernel

@@ -42,11 +42,10 @@ type Measure struct {
 // decided parameters instead of re-tuning (and re-timing) inside the
 // measured region. That contract is enforced even against kernels that
 // restore Adaptive on derived Options (psel keeps it set so its
-// count/pack phases learn per round; pipeline stages pass it through
-// to psort and par.Merge): the returned Options carry a reentrancy
-// mark, and a nested BeginAdaptive that sees the mark is inert — no
-// decision, no token, no timing — so the outer site's EWMA only ever
-// sees its own whole-call measurements.
+// count/pack phases learn per round): the returned Options carry a
+// reentrancy mark, and a nested BeginAdaptive that sees the mark is
+// inert — no decision, no token, no timing — so the outer site's EWMA
+// only ever sees its own whole-call measurements.
 func BeginAdaptive(site *adapt.Site, n int, opts Options) (Options, Measure) {
 	ctl := opts.Adaptive
 	if ctl == nil {

@@ -30,6 +30,6 @@
 // Layering: par consumes exec (dispatch), scratch (partials,
 // counts, privates) and adapt (per-site tuning via BeginAdaptive);
 // it feeds every case-study kernel (psort, psel, plist, pmat,
-// pstencil, pgraph), the pipeline stages, the serve batch loop,
-// core's experiments and the repro facade.
+// pstencil, pgraph), the serve batch loop, core's experiments and
+// the repro facade.
 package par

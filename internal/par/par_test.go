@@ -125,25 +125,6 @@ func TestCount(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	src := []int{1, 2, 3, 4, 5}
-	got := Map(src, Options{Procs: 2, Grain: 1}, func(x int) int { return x * x })
-	for i, v := range got {
-		if v != src[i]*src[i] {
-			t.Fatalf("Map[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestMapIntoLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on length mismatch")
-		}
-	}()
-	MapInto(make([]int, 3), []int{1, 2}, Options{}, func(x int) int { return x })
-}
-
 func TestScanInclusiveMatchesSequential(t *testing.T) {
 	for _, opts := range allOptions() {
 		for _, n := range []int{0, 1, 2, 100, 1000} {

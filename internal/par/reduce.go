@@ -95,24 +95,3 @@ func Count(n int, opts Options, pred func(i int) bool) int {
 		return 0
 	})
 }
-
-// Map applies f to each element of src and writes the results into a new
-// slice, in parallel.
-func Map[S, T any](src []S, opts Options, f func(S) T) []T {
-	dst := make([]T, len(src))
-	MapInto(dst, src, opts, f)
-	return dst
-}
-
-// MapInto applies f element-wise from src into dst; the slices must have
-// equal length.
-func MapInto[S, T any](dst []T, src []S, opts Options, f func(S) T) {
-	if len(dst) != len(src) {
-		panic("par: MapInto length mismatch")
-	}
-	ForRange(len(src), opts, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = f(src[i])
-		}
-	})
-}

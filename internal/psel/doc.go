@@ -29,6 +29,6 @@
 //
 // Layering: psel consumes par (count/pack), scratch (ping-pong
 // buffers, the leaf's copy and sample) and rng (pivots); it feeds
-// core's selection experiments, pipeline's TopK pruning, the serve
-// runtime's Select and TopK requests and the repro facade.
+// core's selection experiments, the serve runtime's Select and TopK
+// requests and the repro facade.
 package psel

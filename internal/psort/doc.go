@@ -20,6 +20,6 @@
 // Layering: psort consumes par (fork/join, merge), sched (the
 // steal-based sort), scratch (samples, count matrices, double
 // buffers), seq (serial fallbacks) and rng (sampling); it feeds
-// core's sorting experiments, pipeline's Sort stage, the serve
-// traffic benchmark and the repro facade's three sorts.
+// core's sorting experiments, the kernel registry's sort (and with it
+// the serve runtime) and the repro facade's three sorts.
 package psort

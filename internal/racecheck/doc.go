@@ -4,6 +4,6 @@
 // assertion spuriously.
 //
 // Layering: racecheck is a leaf build-info package; it feeds the
-// allocation-regression tests in par, psort, pipeline and exec,
-// which skip themselves under -race.
+// allocation-regression tests in exec, kernel, par, psort, scratch
+// and serve, which skip themselves under -race.
 package racecheck

@@ -37,8 +37,7 @@
 //
 // Layering: scratch sits directly above the allocator and below
 // everything else: exec.RunArena stages per-slot arenas from it,
-// par/psort/psel/plist/pgraph draw kernel temporaries, pipeline
-// recycles chunk buffers, and serve's requests inherit it through
-// their Options. The repro facade exposes it as NewScratchPool/
-// ScratchOff.
+// par/psort/psel/plist/pgraph draw kernel temporaries, and serve's
+// requests inherit it through their Options. The repro facade exposes
+// it as NewScratchPool/ScratchOff.
 package scratch

@@ -3,7 +3,7 @@
 // layer the ROADMAP's heavy-traffic north star serves requests through.
 //
 // Every other entry point in the repository (the repro facade, the
-// parbench harness, the pipeline runtime) assumes one caller invoking
+// parbench experiments) assumes one caller invoking
 // one kernel at a time. Under request traffic — many goroutines each
 // issuing a small sort, selection, histogram, scan or graph query —
 // that model pays one fork/join, one adaptive decision and one set of

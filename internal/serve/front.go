@@ -72,8 +72,8 @@ func Histogram(f Front, tenant string, hist []int, xs []int64, bucket func(int64
 }
 
 // Scan writes inclusive prefix sums of xs into dst (len(dst) must
-// equal len(xs); dst may alias xs). Long scans stream through the
-// pipeline runtime.
+// equal len(xs); dst may alias xs). A long scan (PipelineCutoff
+// elements or more) is one kernel call on the caller's goroutine.
 func Scan(f Front, tenant string, dst, xs []int64) error {
 	a := kernel.Args{Xs: xs, Dst: dst}
 	return f.CallBudget(tenant, kernelScan, &a, 0)

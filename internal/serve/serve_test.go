@@ -343,7 +343,7 @@ func TestServeShedUnderSaturation(t *testing.T) {
 }
 
 // TestServePipelineRoute checks long requests bypass the batch path
-// through the streaming pipeline, including the aliased-scan case.
+// onto the long route, including the aliased-scan case.
 func TestServePipelineRoute(t *testing.T) {
 	e := exec.New(2)
 	defer e.Close()

@@ -2,7 +2,11 @@ package wire
 
 import (
 	"errors"
+	"io"
+	"net"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/kernel"
 )
@@ -111,6 +115,165 @@ func FuzzResponseDecode(f *testing.F) {
 			decode(max(len(body), len(streamed)), func() error {
 				return decodeSectionsInto(body, headerSize, &out, streamed)
 			})
+		}
+	})
+}
+
+// Chunk records for FuzzChunkReassembly: each is chunkRecSize plan
+// bytes — a kind byte, then a 16-bit offset and a 16-bit length, low
+// byte first. Kinds below chunkHostile send payload bytes at a bounded
+// offset; the rest send a raw Aux the client must refuse: past
+// maxFrame, with the top bit set (negative as an int), or straddling
+// maxFrame by the chunk's length.
+const (
+	chunkRecSize = 5
+	chunkMaxRecs = 64
+	chunkHostile = 5
+	chunkMaxLen  = 1024 // a chunk carries at most this many bytes
+	chunkSlack   = 512  // in-range offsets may start this far past the payload
+)
+
+// chunkRec encodes one chunk record for a seed.
+func chunkRec(kind byte, off, n int) []byte {
+	return []byte{kind, byte(off), byte(off >> 8), byte(n), byte(n >> 8)}
+}
+
+// chunkTiling returns records tiling [0, payload) with size-byte
+// chunks, in order or reversed.
+func chunkTiling(payload, size int, reversed bool) []byte {
+	var recs [][]byte
+	for off := 0; off < payload; off += size {
+		recs = append(recs, chunkRec(0, off, min(size, payload-off)))
+	}
+	var plan []byte
+	for i := range recs {
+		if reversed {
+			i = len(recs) - 1 - i
+		}
+		plan = append(plan, recs[i]...)
+	}
+	return plan
+}
+
+// FuzzChunkReassembly drives Client.roundTrip's chunk-reassembly loop
+// against a fake server on the other end of a net.Pipe. The server
+// reads each request and answers with a fuzzer-chosen run of chunk
+// frames, then the real stream-end frame of a sort Gen(n) response.
+// The contract: the call returns nil or a typed error, never panics and
+// never hangs (the pipe carries a deadline, so a hang surfaces as an
+// untyped read error). The oracle: when the chunks sent before any
+// hostile one cover [0, payload) — in any order, overlaps carrying the
+// same bytes — the call succeeds and the decoded Xs equal the one-shot
+// AppendResponse decode; a hostile chunk fails the call with
+// ErrBadFrame. Each input makes two calls on one client, so the second
+// reassembles into the stream buffer the first left behind. Offsets
+// stay within a few KiB of the payload, so no case allocates near
+// DefaultMaxFrame.
+func FuzzChunkReassembly(f *testing.F) {
+	const n = 64 // seed size: 512 payload bytes
+	f.Add(uint8(n-1), chunkTiling(8*n, 128, false))
+	f.Add(uint8(n-1), chunkTiling(8*n, 96, true))
+	f.Add(uint8(n-1), chunkRec(0, 0, 8*n))
+	f.Add(uint8(n-1), append(chunkRec(0, 0, 300), chunkRec(0, 200, 8*n-200)...))
+	f.Add(uint8(n-1), append(chunkRec(0, 0, 8*n), chunkRec(chunkHostile, 7, 16)...))
+	f.Add(uint8(n-1), append(chunkRec(0, 0, 100), chunkRec(0, 200, 8*n-200)...))
+	sortK := kernel.MustLookup("sort")
+	f.Fuzz(func(t *testing.T, size uint8, plan []byte) {
+		n := 1 + int(size)
+		if len(plan) > chunkRecSize*chunkMaxRecs {
+			plan = plan[:chunkRecSize*chunkMaxRecs]
+		}
+		cc, sc := net.Pipe()
+		defer cc.Close()
+		defer sc.Close()
+		cc.SetDeadline(time.Now().Add(10 * time.Second))
+		cl := NewClient(cc)
+		a := sortK.Gen(n, 1)
+		for seed := uint64(1); seed <= 2; seed++ {
+			want := sortK.Gen(n, seed)
+			oneShot := AppendResponse(nil, 1, sortK, want)
+			payload := oneShot[4+headerSize+sectionHdrSize:][:8*n]
+			src := make([]byte, len(payload)+chunkSlack+chunkMaxLen)
+			for i := copy(src, payload); i < len(src); i++ {
+				src[i] = byte(i) | 0x80 // bytes past the payload
+			}
+			covered := make([]bool, len(payload))
+			hostile := false
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				var lenb [4]byte
+				if _, err := io.ReadFull(sc, lenb[:]); err != nil {
+					return
+				}
+				body := make([]byte, nativeOrder.Uint32(lenb[:]))
+				if _, err := io.ReadFull(sc, body); err != nil {
+					return
+				}
+				h, err := DecodeHeader(body)
+				if err != nil {
+					t.Errorf("fake server: request header: %v", err)
+					return
+				}
+				var frame []byte
+				for rec := plan; len(rec) >= chunkRecSize; rec = rec[chunkRecSize:] {
+					raw := int(rec[1]) | int(rec[2])<<8
+					off, ln := raw%(len(payload)+chunkSlack), (int(rec[3])|int(rec[4])<<8)%(chunkMaxLen+1)
+					aux := uint64(off)
+					switch rec[0] % 8 {
+					case chunkHostile:
+						aux = DefaultMaxFrame + 1 + uint64(raw)
+					case chunkHostile + 1:
+						aux = 1<<63 | uint64(raw)
+					case chunkHostile + 2:
+						aux = DefaultMaxFrame + 1 - uint64(ln) // ends one byte past maxFrame
+					default:
+						if !hostile {
+							for i := off; i < min(off+ln, len(covered)); i++ {
+								covered[i] = true
+							}
+						}
+					}
+					hostile = hostile || rec[0]%8 >= chunkHostile
+					frame = AppendChunk(frame[:0], h.ID, int(aux), src[off:off+ln])
+					if _, err := sc.Write(frame); err != nil {
+						return // the client gave up on this response
+					}
+				}
+				frame = AppendStreamEnd(frame[:0], h.ID, planResponse(sortK, want), n, want)
+				sc.Write(frame)
+			}()
+			err := cl.CallBudget("t", sortK, a, 0)
+			if err != nil {
+				// Abort the fake server's pending write: the client reads
+				// whole frames, so the pipe is left at a frame boundary.
+				sc.SetDeadline(time.Now())
+			}
+			<-done
+			sc.SetDeadline(time.Time{})
+			complete := true
+			for _, c := range covered {
+				complete = complete && c
+			}
+			switch {
+			case hostile:
+				if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("call %d: hostile chunk offset: err = %v, want ErrBadFrame", seed, err)
+				}
+			case complete:
+				if err != nil {
+					t.Fatalf("call %d: chunks cover the payload, but err = %v", seed, err)
+				}
+				var oracle kernel.Args
+				if _, err := DecodeResponseInto(oneShot[4:], &oracle); err != nil {
+					t.Fatalf("one-shot decode: %v", err)
+				}
+				if !slices.Equal(a.Xs, oracle.Xs) {
+					t.Fatalf("call %d: reassembled Xs differ from the one-shot decode", seed)
+				}
+			case err != nil:
+				checkTyped(t, err)
+			}
 		}
 	})
 }

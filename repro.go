@@ -24,7 +24,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/perf"
 	"repro/internal/pgraph"
-	"repro/internal/pipeline"
 	"repro/internal/plist"
 	"repro/internal/pmat"
 	"repro/internal/psel"
@@ -83,18 +82,6 @@ type (
 	AdaptiveController = adapt.Controller
 	// AdaptiveStats is a snapshot of a controller's tuning counters.
 	AdaptiveStats = adapt.Stats
-	// Pipeline is a chunked streaming dataflow: a source, a chain of
-	// transforms (Map, Filter, Sort, TopK, RunningSum, Tee) and a sink,
-	// processing the stream in cache-sized scratch-pooled chunks on
-	// bounded queues instead of materializing arrays between kernels.
-	// Build one with NewPipeline.
-	Pipeline = pipeline.Pipeline
-	// PipelineConfig shapes a Pipeline (chunk size, queue depth, and
-	// the kernel Options its stages run under).
-	PipelineConfig = pipeline.Config
-	// PipelineStats is a snapshot of a pipeline's per-stage counters,
-	// wall time, throughput and sampled executor occupancy.
-	PipelineStats = pipeline.Stats
 	// Server is the multi-tenant request-serving runtime: it coalesces
 	// concurrent small requests into fused batched kernel invocations
 	// (one pooled fork/join per batch instead of one per request),
@@ -245,22 +232,6 @@ func NewAdaptiveController() *AdaptiveController { return adapt.New(adapt.Config
 // adaptive controller: sites and size classes seen, decisions and
 // explorations made, load-degraded calls, and converged classes.
 func DefaultAdaptiveStats() AdaptiveStats { return adapt.Default().Stats() }
-
-// NewPipeline creates an empty streaming pipeline; chain a source
-// (FromSlice/FromFunc), transforms and a sink, then call Run once:
-//
-//	var top []int64
-//	p := repro.NewPipeline(repro.PipelineConfig{}).
-//		FromSlice(requests).
-//		Filter(func(v int64) bool { return v >= 0 }).
-//		TopK(100).
-//		To(&top)
-//	if err := p.Run(); err != nil { ... }
-//
-// The zero PipelineConfig streams 8K-element chunks on depth-4 queues
-// using the process-wide executor and scratch pool; set
-// PipelineConfig.Opts for dedicated pools or adaptive tuning.
-func NewPipeline(cfg PipelineConfig) *Pipeline { return pipeline.New(cfg) }
 
 // NewServer creates a request-serving runtime and starts its batch
 // dispatcher; Close it when done. Requests are submitted through the

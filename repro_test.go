@@ -99,7 +99,7 @@ func TestFacadeMatMulJacobi(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 29 || ids[0] != "E1" {
+	if len(ids) != 28 || ids[0] != "E1" { // E1..E29 with E22 retired
 		t.Fatalf("ExperimentIDs = %v", ids)
 	}
 	var buf bytes.Buffer
@@ -149,42 +149,9 @@ func TestFacadeAdaptive(t *testing.T) {
 	}
 }
 
-func TestFacadePipeline(t *testing.T) {
-	xs := RandomInts(20000, 9)
-	var got []int64
-	p := NewPipeline(PipelineConfig{ChunkSize: 1024}).
-		FromSlice(xs).
-		Map(func(v int64) int64 { return v >> 1 }).
-		Filter(func(v int64) bool { return v&1 == 0 }).
-		Sort().
-		To(&got)
-	if err := p.Run(); err != nil {
-		t.Fatalf("pipeline Run: %v", err)
-	}
-	var want []int64
-	for _, v := range xs {
-		if m := v >> 1; m&1 == 0 {
-			want = append(want, m)
-		}
-	}
-	SequentialSort(want)
-	if len(got) != len(want) {
-		t.Fatalf("pipeline emitted %d elements, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	s := p.Stats()
-	if s.SourceElems != 20000 || s.Throughput() <= 0 {
-		t.Errorf("stats = %+v, want 20000 source elems and positive throughput", s)
-	}
-}
-
 // The Example functions below double as the package's godoc snippets:
 // `go test` compiles and runs them, so the documented usage of each
-// runtime layer (executor, scratch, adaptive tuning, pipeline, server)
+// runtime layer (executor, scratch, adaptive tuning, server)
 // can never drift from the real API.
 
 // ExampleNewExecutor pins a dedicated worker pool, isolating one
@@ -224,22 +191,6 @@ func ExampleAdaptive() {
 	st := DefaultAdaptiveStats()
 	fmt.Println(st.Decisions > 0, sort.SliceIsSorted(buf, func(i, j int) bool { return buf[i] < buf[j] }))
 	// Output: true true
-}
-
-// ExampleNewPipeline streams a generated sequence through fused
-// transform stages without materializing arrays between kernels.
-func ExampleNewPipeline() {
-	var smallest []int64
-	p := NewPipeline(PipelineConfig{}).
-		FromFunc(1000, func(i int) int64 { return int64(1000 - i) }).
-		Filter(func(v int64) bool { return v%2 == 0 }).
-		TopK(3).
-		To(&smallest)
-	if err := p.Run(); err != nil {
-		panic(err)
-	}
-	fmt.Println(smallest)
-	// Output: [2 4 6]
 }
 
 // ExampleNewServer serves typed requests from multiple tenants
