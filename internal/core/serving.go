@@ -503,18 +503,31 @@ func E27ResultCache(cfg Config) *perf.Table {
 	}
 	rows := make([]row, 0, len(cases))
 
+	// coldSeed gives every cold rep of a kernel an input no other rep
+	// of it sends, in either phase, so each is a first sighting. Seed 0
+	// is the warm base.
+	coldSeed := func(phase, rep int) uint64 {
+		return cfg.WorkloadSeed() + uint64(1+phase*reps+rep)
+	}
+
 	// Phase 1, idle: the cold floor (every rep a distinct input, so a
-	// distinct fingerprint — the cache never short-circuits it), then
-	// prime one warm record per kernel (miss + insert).
+	// first sighting — the cache skips its fingerprint and stores
+	// nothing), then prime one warm record per kernel: the first call
+	// is the input's first sighting, the second misses and inserts, so
+	// the warm column hits from its first rep.
 	for _, c := range cases {
 		k := kernel.MustLookup(c.name)
 		idle := timeCall(func(rep int) (*kernel.Args, *kernel.Kernel) {
-			return c.newArgs(gen.Ints(n, gen.Uniform, cfg.WorkloadSeed()+uint64(rep)+1)), k
+			return c.newArgs(gen.Ints(n, gen.Uniform, coldSeed(0, rep))), k
 		}, false, minOf)
 		xs := make([]int64, n)
-		copy(xs, base)
 		a := c.newArgs(xs)
-		if err := srv.CallBudget(tenant, k, a, 0); err != nil {
+		primed := true
+		for i := 0; i < 2 && primed; i++ {
+			copy(xs, base) // sort's first call left xs sorted
+			primed = srv.CallBudget(tenant, k, a, 0) == nil
+		}
+		if !primed {
 			continue // row impossible; leave it out rather than lie
 		}
 		rows = append(rows, row{name: c.name, idle: idle, warmArgs: a, k: k})
@@ -553,7 +566,7 @@ func E27ResultCache(cfg Config) *perf.Table {
 			}
 		}
 		r.cold = timeCall(func(rep int) (*kernel.Args, *kernel.Kernel) {
-			return c.newArgs(gen.Ints(n, gen.Uniform, cfg.WorkloadSeed()+uint64(10+rep))), r.k
+			return c.newArgs(gen.Ints(n, gen.Uniform, coldSeed(1, rep))), r.k
 		}, false, medOf)
 		// Warm probes under the same load: the door restores the
 		// primed record without entering the queue. For sort the hit

@@ -16,14 +16,33 @@
 //
 // # Tokens and concurrent invalidation
 //
-// Lookup is called before the kernel runs and, on a miss, returns a
-// Token capturing (fingerprint, generation) of the input at that
-// instant — before the kernel mutates it in place. Insert re-checks
-// under the cache lock that the tenant's generation still equals the
-// token's; an insert racing a Bump is dropped, not stored. This is
+// Lookup is called before the kernel runs and, on a miss on an input
+// seen before, returns a Token capturing (fingerprint, generation) of
+// the input at that instant — before the kernel mutates it in place.
+// Insert re-checks under the cache lock that the tenant's generation
+// still equals the token's; an insert racing a Bump is dropped, not stored. This is
 // what makes the cache safe across sharded migration: a thief shard
 // shares the same Cache, and any result computed against pre-bump
 // input can never be inserted under the post-bump generation.
+//
+// # Admission
+//
+// A result is stored on its input's second sighting, not its first
+// (the doorkeeper of TinyLFU, and the cache-on-second-hit rule of CDN
+// caches). Lookup first computes a sketch of the call — the kernel,
+// length, K, Seed and at most 33 sampled words, so its cost does not
+// grow with the input — and probes a fixed direct-mapped table of
+// recently seen sketches. If no stored entry shares the sketch and the
+// table does not hold it, the call is a first sighting: Lookup records
+// the sketch, counts a miss and returns an invalid token without
+// computing the full fingerprint, so a one-off request pays neither
+// the O(n) hash nor the copy of its result. Every other cacheable call
+// takes the full path, and a per-sketch count of stored entries keeps
+// an input with an entry probed however the table is overwritten. A
+// hit still needs the full fingerprint to match: the sketch only ever
+// decides to skip work, never to serve a result. A table collision
+// only delays one admission, and inputs that share a sketch but differ
+// elsewhere pay the full path plus the sketch.
 //
 // # Memory
 //

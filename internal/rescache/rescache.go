@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"hash/maphash"
 	"math/bits"
 	"sync"
 
@@ -25,17 +26,23 @@ type Config struct {
 	MaxBytes int64
 }
 
-// Token is Lookup's miss-side receipt: the fingerprint and generation
-// of the input at lookup time, captured before the kernel mutates it
-// in place. Insert stores under exactly this (fp, gen) pair and drops
-// the result if the tenant's generation has moved on.
+// seenSlots sizes the admission doorkeeper: one sketch per slot,
+// direct-mapped by the sketch's low bits. A slot collision only delays
+// one admission, so the table is fixed rather than configured.
+const seenSlots = 1 << 14
+
+// Token is Lookup's miss-side receipt: the fingerprint, sketch and
+// generation of the input at lookup time, captured before the kernel
+// mutates it in place. Insert stores under exactly this (fp, gen) pair
+// and drops the result if the tenant's generation has moved on.
 type Token struct {
-	fp, gen uint64
-	ok      bool
+	fp, sk, gen uint64
+	ok          bool
 }
 
-// Valid reports whether the token came from a cacheable miss — the
-// only tokens worth passing to Insert.
+// Valid reports whether the token came from a cacheable miss on an
+// input seen before — the only tokens worth passing to Insert. A first
+// sighting returns an invalid token: its result is not stored.
 func (t Token) Valid() bool { return t.ok }
 
 // Stats is a point-in-time snapshot of cache activity.
@@ -43,8 +50,8 @@ type Stats struct {
 	// Entries and Bytes describe current occupancy.
 	Entries int
 	Bytes   int64
-	// Hits and Misses count Lookup outcomes on cacheable calls;
-	// uncacheable calls count as neither.
+	// Hits and Misses count Lookup outcomes on cacheable calls (a
+	// first sighting is a miss); uncacheable calls count as neither.
 	Hits   uint64
 	Misses uint64
 	// Inserts counts stored results; Evictions counts entries dropped
@@ -64,6 +71,7 @@ type key struct {
 
 type entry struct {
 	key        key
+	sk         uint64 // sketch of the input, counted in Cache.live
 	out        kernel.OutField
 	buf        []int64 // OutXs / OutDst payload
 	h          scratch.Handle
@@ -84,6 +92,8 @@ type Cache struct {
 	gens       map[string]uint64 // per-tenant generation; grows only on Bump
 	head, tail *entry            // LRU list, head = most recent
 	bytes      int64
+	live       map[uint64]int32  // stored entries per input sketch
+	seen       [seenSlots]uint64 // doorkeeper: recently seen sketches
 
 	hits, misses, inserts, evictions, invalidations uint64
 }
@@ -101,6 +111,7 @@ func New(cfg Config) *Cache {
 		max:  cfg.MaxBytes,
 		m:    make(map[key]*entry),
 		gens: make(map[string]uint64),
+		live: make(map[uint64]int32),
 	}
 }
 
@@ -167,15 +178,56 @@ func fingerprint(a *kernel.Args) uint64 {
 	return h
 }
 
+// sketchStep is the stride between the input words sketch samples: at
+// most 32 strided words plus the last, whatever the length.
+func sketchStep(n int) int { return n/32 + 1 }
+
+// kernSeed keys the sketch's hash of the kernel name.
+var kernSeed = maphash.MakeSeed()
+
+// sketch is the admission filter's cheap summary of a call: the kernel
+// and the fingerprinted fields — length, K, Seed and at most 33
+// sampled words of Xs — so its cost does not grow with the input. The
+// kernel is in it because a result is per kernel: kernels that share
+// input bytes would otherwise admit each other's one-off calls. It
+// only decides whether to skip the full fingerprint; it never decides
+// a hit.
+func sketch(k *kernel.Kernel, a *kernel.Args) uint64 {
+	xs := a.Xs
+	h := maphash.String(kernSeed, k.Name)
+	if n := len(xs); n > 0 {
+		for i, step := 0, sketchStep(n); i < n; i += step {
+			h = fpRound(h, uint64(xs[i]))
+		}
+		h = fpRound(h, uint64(xs[n-1]))
+	}
+	h = mix(h ^ uint64(len(xs)))
+	h = mix(h ^ uint64(int64(a.K)))
+	return mix(h ^ a.Seed)
+}
+
 // Lookup probes the cache for (tenant, k, a's current input). On a hit
 // it restores the cached output into a and returns (Token{}, true): no
-// kernel work is needed. On a cacheable miss it returns a valid Token
-// for a later Insert. Uncacheable calls return an invalid token and
-// count as neither hit nor miss.
+// kernel work is needed. A first sighting — no stored entry shares the
+// input's sketch and the doorkeeper has not seen it — counts as a miss
+// and returns an invalid token without fingerprinting, so its result
+// is not stored. Any other cacheable miss returns a valid Token for a
+// later Insert. Uncacheable calls return an invalid token and count as
+// neither hit nor miss.
 func (c *Cache) Lookup(tenant string, k *kernel.Kernel, a *kernel.Args) (Token, bool) {
 	if !Cacheable(k, a) {
 		return Token{}, false
 	}
+	sk := sketch(k, a)
+	slot := &c.seen[sk&(seenSlots-1)]
+	c.mu.Lock()
+	if c.live[sk] == 0 && *slot != sk {
+		*slot = sk
+		c.misses++
+		c.mu.Unlock()
+		return Token{}, false
+	}
+	c.mu.Unlock()
 	fp := fingerprint(a)
 
 	c.mu.Lock()
@@ -188,7 +240,7 @@ func (c *Cache) Lookup(tenant string, k *kernel.Kernel, a *kernel.Args) (Token, 
 		return Token{}, true
 	}
 	c.misses++
-	return Token{fp: fp, gen: gen, ok: true}, false
+	return Token{fp: fp, sk: sk, gen: gen, ok: true}, false
 }
 
 // restoreLocked copies e's payload into a. It refuses (a defensive
@@ -223,6 +275,7 @@ func (c *Cache) Insert(tenant string, k *kernel.Kernel, tok Token, a *kernel.Arg
 	}
 	e := &entry{
 		key: key{tenant: tenant, kern: k.Name, fp: tok.fp, gen: tok.gen},
+		sk:  tok.sk,
 		out: k.Cache.Out,
 	}
 	var src []int64
@@ -262,6 +315,7 @@ func (c *Cache) Insert(tenant string, k *kernel.Kernel, tok Token, a *kernel.Arg
 		c.evictions++
 	}
 	c.m[e.key] = e
+	c.live[e.sk]++
 	c.pushFrontLocked(e)
 	c.bytes += e.bytes
 	c.inserts++
@@ -308,11 +362,15 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// dropLocked unlinks e, deletes it from the map and returns its buffer
-// to the pool.
+// dropLocked unlinks e, deletes it from the map and its sketch's live
+// count, and returns its buffer to the pool.
 func (c *Cache) dropLocked(e *entry) {
 	c.unlinkLocked(e)
 	delete(c.m, e.key)
+	c.live[e.sk]--
+	if c.live[e.sk] == 0 {
+		delete(c.live, e.sk)
+	}
 	c.bytes -= e.bytes
 	scratch.Put(e.h)
 	e.buf = nil

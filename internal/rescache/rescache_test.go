@@ -6,18 +6,23 @@ import (
 	"repro/internal/kernel"
 )
 
-// prime computes k on a fresh record and inserts the result, returning
-// a pristine copy of the same input for lookup.
+// prime looks a fresh record up twice — the first sighting stores
+// nothing, the second returns a valid token — then computes k and
+// inserts the result, returning a pristine copy of the same input for
+// lookup.
 func prime(t *testing.T, c *Cache, tenant, name string, n int, seed uint64) *kernel.Args {
 	t.Helper()
 	k := kernel.MustLookup(name)
 	a := k.Gen(n, seed)
+	if tok, hit := c.Lookup(tenant, k, a); hit || tok.Valid() {
+		t.Fatalf("%s: first sighting hit=%v valid=%v, want a miss with an invalid token", name, hit, tok.Valid())
+	}
 	tok, hit := c.Lookup(tenant, k, a)
 	if hit {
 		t.Fatalf("%s: unexpected hit on empty cache", name)
 	}
 	if !tok.Valid() {
-		t.Fatalf("%s: miss token invalid for cacheable kernel", name)
+		t.Fatalf("%s: second-sighting miss token invalid for cacheable kernel", name)
 	}
 	k.Serial(a)
 	c.Insert(tenant, k, tok, a)
@@ -42,8 +47,8 @@ func TestHitRestoresEveryOutField(t *testing.T) {
 				t.Fatalf("restored output diverges from recompute: %v", err)
 			}
 			st := c.Stats()
-			if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
-				t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 insert", st)
+			if st.Hits != 1 || st.Misses != 2 || st.Inserts != 1 {
+				t.Fatalf("stats = %+v, want 1 hit / 2 misses / 1 insert", st)
 			}
 		})
 	}
@@ -103,7 +108,11 @@ func TestStaleTokenInsertDropped(t *testing.T) {
 	c := New(Config{})
 	k := kernel.MustLookup("sum")
 	a := k.Gen(64, 9)
+	c.Lookup("t0", k, a) // first sighting
 	tok, _ := c.Lookup("t0", k, a)
+	if !tok.Valid() {
+		t.Fatal("second-sighting token invalid; the drop below would be vacuous")
+	}
 	c.Bump("t0") // races the (conceptual) kernel run
 	k.Serial(a)
 	c.Insert("t0", k, tok, a)
@@ -150,7 +159,11 @@ func TestOversizedEntryNotStored(t *testing.T) {
 	c := New(Config{MaxBytes: 256})
 	k := kernel.MustLookup("sort")
 	a := k.Gen(1024, 5)
+	c.Lookup("t0", k, a) // first sighting
 	tok, _ := c.Lookup("t0", k, a)
+	if !tok.Valid() {
+		t.Fatal("second-sighting token invalid; the refusal below would be vacuous")
+	}
 	k.Serial(a)
 	c.Insert("t0", k, tok, a)
 	if st := c.Stats(); st.Entries != 0 {
@@ -164,8 +177,12 @@ func TestDuplicateInsertDropped(t *testing.T) {
 	c := New(Config{})
 	k := kernel.MustLookup("sum")
 	a1, a2 := k.Gen(64, 6), k.Gen(64, 6)
+	c.Lookup("t0", k, a1) // first sighting
 	tok1, _ := c.Lookup("t0", k, a1)
 	tok2, _ := c.Lookup("t0", k, a2)
+	if !tok1.Valid() || !tok2.Valid() {
+		t.Fatalf("tokens valid = %v/%v; the drop below would be vacuous", tok1.Valid(), tok2.Valid())
+	}
 	k.Serial(a1)
 	k.Serial(a2)
 	c.Insert("t0", k, tok1, a1)
@@ -232,5 +249,166 @@ func TestGenerationsAdvanceIndependently(t *testing.T) {
 	}
 	if g := c.Generation("carol"); g != 0 {
 		t.Fatalf("carol generation = %d, want 0", g)
+	}
+}
+
+// TestFirstSightingNotStored pins admission on the second sighting:
+// the first Lookup of an input is a miss whose invalid token stores
+// nothing, the second is a miss with a valid token, and the result
+// stored under it serves the third.
+func TestFirstSightingNotStored(t *testing.T) {
+	c := New(Config{})
+	k := kernel.MustLookup("sort")
+	a := k.Gen(256, 1)
+	tok, hit := c.Lookup("t0", k, a)
+	if hit || tok.Valid() {
+		t.Fatalf("first sighting hit=%v valid=%v, want a miss with an invalid token", hit, tok.Valid())
+	}
+	k.Serial(a)
+	c.Insert("t0", k, tok, a) // what a caller that ignores Valid would do
+	if st := c.Stats(); st.Misses != 1 || st.Entries != 0 || st.Inserts != 0 {
+		t.Fatalf("stats after first sighting = %+v, want 1 miss / 0 entries / 0 inserts", st)
+	}
+
+	a = k.Gen(256, 1)
+	tok, hit = c.Lookup("t0", k, a)
+	if hit || !tok.Valid() {
+		t.Fatalf("second sighting hit=%v valid=%v, want a miss with a valid token", hit, tok.Valid())
+	}
+	k.Serial(a)
+	c.Insert("t0", k, tok, a)
+	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 || st.Inserts != 1 {
+		t.Fatalf("stats after second sighting = %+v, want 2 misses / 1 entry / 1 insert", st)
+	}
+
+	a = k.Gen(256, 1)
+	if _, hit := c.Lookup("t0", k, a); !hit {
+		t.Fatal("third sighting missed the stored entry")
+	}
+	want := k.Gen(256, 1)
+	k.Serial(want)
+	if err := k.Check(a, want); err != nil {
+		t.Fatalf("restored output diverges from recompute: %v", err)
+	}
+}
+
+// TestStoredEntryAlwaysProbed: an input with a stored entry hits even
+// after a flood of first sightings has overwritten its doorkeeper
+// slot — the live count, not the doorkeeper, keeps it probed.
+func TestStoredEntryAlwaysProbed(t *testing.T) {
+	c := New(Config{})
+	k := kernel.MustLookup("sum")
+	a := prime(t, c, "t0", "sum", 512, 3)
+	sk := sketch(k, a)
+
+	const flood = 4 * seenSlots
+	xs := []int64{1, 2, 3, 4}
+	for i := 0; i < flood; i++ {
+		b := kernel.Args{Xs: xs, Seed: uint64(i)}
+		if tok, hit := c.Lookup("t0", k, &b); hit || tok.Valid() {
+			t.Fatalf("flood lookup %d: hit=%v valid=%v, want a first sighting", i, hit, tok.Valid())
+		}
+	}
+	if c.seen[sk&(seenSlots-1)] == sk {
+		t.Fatal("flood left the stored input's doorkeeper slot intact; the probe below proves nothing")
+	}
+	if _, hit := c.Lookup("t0", k, a); !hit {
+		t.Fatal("stored entry missed after a flood of first sightings")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2+flood || st.Inserts != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / %d misses / 1 insert", st, 2+flood)
+	}
+}
+
+// TestSketchCollisionNeverServesWrongResult: an input that agrees with
+// a stored one at every sampled index (same sketch) but differs at an
+// unsampled one is probed, misses on the full fingerprint, and once
+// stored each input hits with its own result.
+func TestSketchCollisionNeverServesWrongResult(t *testing.T) {
+	const n, seed = 256, 5
+	const j = 1 // unsampled: sketchStep(256) is 9
+	if j%sketchStep(n) == 0 || j == n-1 {
+		t.Fatalf("index %d is sampled at n=%d", j, n)
+	}
+	for _, name := range []string{"sort", "scan", "sum", "topk"} {
+		t.Run(name, func(t *testing.T) {
+			c := New(Config{})
+			k := kernel.MustLookup(name)
+			twin := func() *kernel.Args {
+				a := k.Gen(n, seed)
+				a.Xs[j] += 1 << 40
+				return a
+			}
+			a := prime(t, c, "t0", name, n, seed)
+			b := twin()
+			if sketch(k, a) != sketch(k, b) || fingerprint(a) == fingerprint(b) {
+				t.Fatal("twin does not share the sketch alone")
+			}
+
+			tok, hit := c.Lookup("t0", k, b)
+			if hit || !tok.Valid() {
+				t.Fatalf("twin lookup hit=%v valid=%v, want a miss with a valid token", hit, tok.Valid())
+			}
+			k.Serial(b)
+			c.Insert("t0", k, tok, b)
+			if st := c.Stats(); st.Entries != 2 {
+				t.Fatalf("entries = %d, want 2", st.Entries)
+			}
+
+			for i, in := range []func() *kernel.Args{func() *kernel.Args { return k.Gen(n, seed) }, twin} {
+				got, want := in(), in()
+				if _, hit := c.Lookup("t0", k, got); !hit {
+					t.Fatalf("input %d missed its stored entry", i)
+				}
+				k.Serial(want)
+				if err := k.Check(got, want); err != nil {
+					t.Fatalf("input %d served a wrong result: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
+// TestFirstSightingZeroAllocs pins the one-off request's cost at 0
+// allocs/op: a sketch, a doorkeeper write and a counter.
+func TestFirstSightingZeroAllocs(t *testing.T) {
+	c := New(Config{})
+	k := kernel.MustLookup("sum")
+	a := k.Gen(512, 1)
+	var allocs float64
+	for attempt := 0; attempt < 3; attempt++ {
+		allocs = testing.AllocsPerRun(100, func() {
+			a.Seed++ // a new input every call
+			if tok, hit := c.Lookup("t0", k, a); hit || tok.Valid() {
+				panic("not a first sighting")
+			}
+		})
+		if allocs == 0 {
+			break
+		}
+	}
+	if allocs != 0 {
+		t.Fatalf("first-sighting Lookup allocates %v allocs/op, want 0", allocs)
+	}
+	if st := c.Stats(); st.Inserts != 0 || st.Misses == 0 {
+		t.Fatalf("stats = %+v, want misses and no inserts", st)
+	}
+}
+
+// TestAdmissionIsPerKernel: the same input bytes sent to two kernels
+// are a first sighting for each — a result is per kernel, so one
+// kernel's call must not admit another's one-off call.
+func TestAdmissionIsPerKernel(t *testing.T) {
+	c := New(Config{})
+	xs := kernel.MustLookup("sum").Gen(256, 4).Xs
+	for _, name := range []string{"sum", "sort", "scan"} {
+		k := kernel.MustLookup(name)
+		a := &kernel.Args{Xs: append([]int64(nil), xs...)}
+		if k.Cache.Out == kernel.OutDst {
+			a.Dst = make([]int64, len(xs))
+		}
+		if tok, hit := c.Lookup("t0", k, a); hit || tok.Valid() {
+			t.Fatalf("%s: hit=%v valid=%v on bytes another kernel saw, want a first sighting", name, hit, tok.Valid())
+		}
 	}
 }
