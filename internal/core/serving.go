@@ -504,17 +504,19 @@ func E27ResultCache(cfg Config) *perf.Table {
 	rows := make([]row, 0, len(cases))
 
 	// coldSeed gives every cold rep of a kernel an input no other rep
-	// of it sends, in either phase, so each is a first sighting. Seed 0
-	// is the warm base.
+	// of it sends, in either phase, so none can hit an entry an earlier
+	// rep stored. Seed 0 is the warm base.
 	coldSeed := func(phase, rep int) uint64 {
 		return cfg.WorkloadSeed() + uint64(1+phase*reps+rep)
 	}
 
 	// Phase 1, idle: the cold floor (every rep a distinct input, so a
-	// first sighting — the cache skips its fingerprint and stores
-	// nothing), then prime one warm record per kernel: the first call
-	// is the input's first sighting, the second misses and inserts, so
-	// the warm column hits from its first rep.
+	// distinct fingerprint — the cache never short-circuits it, and
+	// with room to spare it stores each result like any miss), then
+	// prime one warm record per kernel. Two calls prime it: the first
+	// stores while the cache has room, and were the cache full, its
+	// first sighting would store nothing and the second call would
+	// store. Either way the warm column hits from its first rep.
 	for _, c := range cases {
 		k := kernel.MustLookup(c.name)
 		idle := timeCall(func(rep int) (*kernel.Args, *kernel.Kernel) {

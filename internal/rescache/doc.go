@@ -16,25 +16,29 @@
 //
 // # Tokens and concurrent invalidation
 //
-// Lookup is called before the kernel runs and, on a miss on an input
-// seen before, returns a Token capturing (fingerprint, generation) of
-// the input at that instant — before the kernel mutates it in place.
-// Insert re-checks under the cache lock that the tenant's generation
-// still equals the token's; an insert racing a Bump is dropped, not stored. This is
-// what makes the cache safe across sharded migration: a thief shard
-// shares the same Cache, and any result computed against pre-bump
-// input can never be inserted under the post-bump generation.
+// Lookup is called before the kernel runs and, on a miss whose result
+// may be stored, returns a Token capturing (fingerprint, generation)
+// of the input at that instant — before the kernel mutates it in
+// place. Insert re-checks under the cache lock that the tenant's
+// generation still equals the token's; an insert racing a Bump is
+// dropped, not stored. This is what makes the cache safe across
+// sharded migration: a thief shard shares the same Cache, and any
+// result computed against pre-bump input can never be inserted under
+// the post-bump generation.
 //
 // # Admission
 //
-// A result is stored on its input's second sighting, not its first
-// (the doorkeeper of TinyLFU, and the cache-on-second-hit rule of CDN
-// caches). Lookup first computes a sketch of the call — the kernel,
-// length, K, Seed and at most 33 sampled words, so its cost does not
-// grow with the input — and probes a fixed direct-mapped table of
-// recently seen sketches. If no stored entry shares the sketch and the
-// table does not hold it, the call is a first sighting: Lookup records
-// the sketch, counts a miss and returns an invalid token without
+// While an input-sized entry still fits in the budget without
+// evicting, every cacheable miss is stored, as a cache with room has
+// nothing to protect. Once storing would evict, a result is stored on
+// its input's second sighting, not its first (the doorkeeper of
+// TinyLFU, and the cache-on-second-hit rule of CDN caches). Lookup
+// first computes a sketch of the call — the kernel, length, K, Seed
+// and at most 33 sampled words, so its cost does not grow with the
+// input — and probes a fixed direct-mapped table of recently seen
+// sketches. If no stored entry shares the sketch and the table does
+// not hold it, the call is a first sighting: Lookup records the
+// sketch, counts a miss and returns an invalid token without
 // computing the full fingerprint, so a one-off request pays neither
 // the O(n) hash nor the copy of its result. Every other cacheable call
 // takes the full path, and a per-sketch count of stored entries keeps

@@ -25,7 +25,8 @@ func fuzzVariants(n int) []int {
 
 // FuzzCacheVsSerial drives a byte-chosen sequence of Lookup, compute,
 // Insert and Bump calls over a few small inputs for two tenants under
-// a budget small enough to evict. Oracle: every hit's restored record
+// a budget small enough to fill, so calls run both while every miss
+// is stored and once admission waits for a second sighting. Oracle: every hit's restored record
 // passes k.Check against k.Serial of the pristine input, so neither a
 // shared sketch, an overwritten doorkeeper slot, a stale token nor an
 // eviction can ever serve another input's result.

@@ -1,7 +1,6 @@
 package rescache
 
 import (
-	"hash/maphash"
 	"math/bits"
 	"sync"
 
@@ -40,9 +39,10 @@ type Token struct {
 	ok          bool
 }
 
-// Valid reports whether the token came from a cacheable miss on an
-// input seen before — the only tokens worth passing to Insert. A first
-// sighting returns an invalid token: its result is not stored.
+// Valid reports whether the token came from a cacheable miss whose
+// result may be stored — the only tokens worth passing to Insert. Once
+// the cache is full, that means a miss on an input seen before: a
+// first sighting then returns an invalid token and is not stored.
 func (t Token) Valid() bool { return t.ok }
 
 // Stats is a point-in-time snapshot of cache activity.
@@ -182,9 +182,6 @@ func fingerprint(a *kernel.Args) uint64 {
 // most 32 strided words plus the last, whatever the length.
 func sketchStep(n int) int { return n/32 + 1 }
 
-// kernSeed keys the sketch's hash of the kernel name.
-var kernSeed = maphash.MakeSeed()
-
 // sketch is the admission filter's cheap summary of a call: the kernel
 // and the fingerprinted fields — length, K, Seed and at most 33
 // sampled words of Xs — so its cost does not grow with the input. The
@@ -194,7 +191,10 @@ var kernSeed = maphash.MakeSeed()
 // a hit.
 func sketch(k *kernel.Kernel, a *kernel.Args) uint64 {
 	xs := a.Xs
-	h := maphash.String(kernSeed, k.Name)
+	h := uint64(fpInit0)
+	for i := 0; i < len(k.Name); i++ {
+		h = fpRound(h, uint64(k.Name[i]))
+	}
 	if n := len(xs); n > 0 {
 		for i, step := 0, sketchStep(n); i < n; i += step {
 			h = fpRound(h, uint64(xs[i]))
@@ -208,20 +208,24 @@ func sketch(k *kernel.Kernel, a *kernel.Args) uint64 {
 
 // Lookup probes the cache for (tenant, k, a's current input). On a hit
 // it restores the cached output into a and returns (Token{}, true): no
-// kernel work is needed. A first sighting — no stored entry shares the
-// input's sketch and the doorkeeper has not seen it — counts as a miss
-// and returns an invalid token without fingerprinting, so its result
-// is not stored. Any other cacheable miss returns a valid Token for a
-// later Insert. Uncacheable calls return an invalid token and count as
-// neither hit nor miss.
+// kernel work is needed. While an input-sized entry still fits without
+// evicting, every cacheable miss returns a valid Token for a later
+// Insert. Once it would not, a first sighting — no stored entry shares
+// the input's sketch and the doorkeeper has not seen it — counts as a
+// miss and returns an invalid token without fingerprinting, so its
+// result is not stored. Uncacheable calls return an invalid token and
+// count as neither hit nor miss.
 func (c *Cache) Lookup(tenant string, k *kernel.Kernel, a *kernel.Args) (Token, bool) {
 	if !Cacheable(k, a) {
 		return Token{}, false
 	}
 	sk := sketch(k, a)
+	// An input-sized entry: exact for an output in Xs, a cheap stand-in
+	// for the others, whose size is not known before the kernel runs.
+	need := int64(8*len(a.Xs)) + entryOverhead
 	slot := &c.seen[sk&(seenSlots-1)]
 	c.mu.Lock()
-	if c.live[sk] == 0 && *slot != sk {
+	if c.bytes+need > c.max && c.live[sk] == 0 && *slot != sk {
 		*slot = sk
 		c.misses++
 		c.mu.Unlock()

@@ -6,27 +6,64 @@ import (
 	"repro/internal/kernel"
 )
 
-// prime looks a fresh record up twice — the first sighting stores
-// nothing, the second returns a valid token — then computes k and
-// inserts the result, returning a pristine copy of the same input for
-// lookup.
+// prime computes k on a fresh record and inserts the result, returning
+// a pristine copy of the same input for lookup. While the entry fits
+// without evicting, the first lookup returns a valid token; when it
+// would evict, the first lookup is a first sighting with an invalid
+// token and the second returns a valid one.
 func prime(t *testing.T, c *Cache, tenant, name string, n int, seed uint64) *kernel.Args {
 	t.Helper()
 	k := kernel.MustLookup(name)
 	a := k.Gen(n, seed)
-	if tok, hit := c.Lookup(tenant, k, a); hit || tok.Valid() {
-		t.Fatalf("%s: first sighting hit=%v valid=%v, want a miss with an invalid token", name, hit, tok.Valid())
-	}
+	full := c.Stats().Bytes+int64(8*n)+entryOverhead > c.max
 	tok, hit := c.Lookup(tenant, k, a)
+	if full {
+		if hit || tok.Valid() {
+			t.Fatalf("%s: first sighting on a full cache hit=%v valid=%v, want a miss with an invalid token", name, hit, tok.Valid())
+		}
+		tok, hit = c.Lookup(tenant, k, a)
+	}
 	if hit {
-		t.Fatalf("%s: unexpected hit on empty cache", name)
+		t.Fatalf("%s: unexpected hit on a fresh input", name)
 	}
 	if !tok.Valid() {
-		t.Fatalf("%s: second-sighting miss token invalid for cacheable kernel", name)
+		t.Fatalf("%s: miss token invalid for cacheable kernel (full=%v)", name, full)
 	}
 	k.Serial(a)
 	c.Insert(tenant, k, tok, a)
 	return k.Gen(n, seed)
+}
+
+// fill stores one-word sum results under their own tenant until the
+// cache has no room for another, so that every later first sighting
+// would have to evict and the doorkeeper gates it. It returns the stats
+// at that point, for tests to count from.
+func fill(t *testing.T, c *Cache) Stats {
+	t.Helper()
+	k := kernel.MustLookup("sum")
+	for i := int64(0); ; i++ {
+		a := &kernel.Args{Xs: []int64{i}}
+		tok, hit := c.Lookup("filler", k, a)
+		if hit {
+			t.Fatalf("filler %d hit", i)
+		}
+		if !tok.Valid() {
+			return c.Stats()
+		}
+		k.Serial(a)
+		c.Insert("filler", k, tok, a)
+	}
+}
+
+// since is st's activity after base: counters are differences,
+// occupancy is st's own.
+func since(st, base Stats) Stats {
+	st.Hits -= base.Hits
+	st.Misses -= base.Misses
+	st.Inserts -= base.Inserts
+	st.Evictions -= base.Evictions
+	st.Invalidations -= base.Invalidations
+	return st
 }
 
 // TestHitRestoresEveryOutField runs the full miss-compute-insert-hit
@@ -47,8 +84,8 @@ func TestHitRestoresEveryOutField(t *testing.T) {
 				t.Fatalf("restored output diverges from recompute: %v", err)
 			}
 			st := c.Stats()
-			if st.Hits != 1 || st.Misses != 2 || st.Inserts != 1 {
-				t.Fatalf("stats = %+v, want 1 hit / 2 misses / 1 insert", st)
+			if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
+				t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 insert", st)
 			}
 		})
 	}
@@ -108,10 +145,9 @@ func TestStaleTokenInsertDropped(t *testing.T) {
 	c := New(Config{})
 	k := kernel.MustLookup("sum")
 	a := k.Gen(64, 9)
-	c.Lookup("t0", k, a) // first sighting
 	tok, _ := c.Lookup("t0", k, a)
 	if !tok.Valid() {
-		t.Fatal("second-sighting token invalid; the drop below would be vacuous")
+		t.Fatal("miss token invalid; the drop below would be vacuous")
 	}
 	c.Bump("t0") // races the (conceptual) kernel run
 	k.Serial(a)
@@ -159,7 +195,7 @@ func TestOversizedEntryNotStored(t *testing.T) {
 	c := New(Config{MaxBytes: 256})
 	k := kernel.MustLookup("sort")
 	a := k.Gen(1024, 5)
-	c.Lookup("t0", k, a) // first sighting
+	c.Lookup("t0", k, a) // first sighting: the entry cannot fit, so it is gated
 	tok, _ := c.Lookup("t0", k, a)
 	if !tok.Valid() {
 		t.Fatal("second-sighting token invalid; the refusal below would be vacuous")
@@ -177,7 +213,6 @@ func TestDuplicateInsertDropped(t *testing.T) {
 	c := New(Config{})
 	k := kernel.MustLookup("sum")
 	a1, a2 := k.Gen(64, 6), k.Gen(64, 6)
-	c.Lookup("t0", k, a1) // first sighting
 	tok1, _ := c.Lookup("t0", k, a1)
 	tok2, _ := c.Lookup("t0", k, a2)
 	if !tok1.Valid() || !tok2.Valid() {
@@ -252,12 +287,40 @@ func TestGenerationsAdvanceIndependently(t *testing.T) {
 	}
 }
 
-// TestFirstSightingNotStored pins admission on the second sighting:
-// the first Lookup of an input is a miss whose invalid token stores
-// nothing, the second is a miss with a valid token, and the result
-// stored under it serves the third.
+// fullBytes is the budget of the caches the admission tests fill: room
+// for 64 filler entries, and for the twin sort entries
+// TestSketchCollisionNeverServesWrongResult stores on top of them.
+const fullBytes = 8 << 10
+
+// TestFirstSightingStoredWhileRoom: a cache with room for the entry
+// stores a first sighting outright, so one pass over a pool that fits
+// warms it; once the entry would evict, a first sighting is gated.
+func TestFirstSightingStoredWhileRoom(t *testing.T) {
+	c := New(Config{MaxBytes: fullBytes})
+	k := kernel.MustLookup("sort")
+	a := k.Gen(256, 1)
+	tok, hit := c.Lookup("t0", k, a)
+	if hit || !tok.Valid() {
+		t.Fatalf("first sighting with room hit=%v valid=%v, want a miss with a valid token", hit, tok.Valid())
+	}
+	k.Serial(a)
+	c.Insert("t0", k, tok, a)
+	if _, hit := c.Lookup("t0", k, k.Gen(256, 1)); !hit {
+		t.Fatal("second sighting missed the entry stored on the first")
+	}
+	fill(t, c)
+	if tok, hit := c.Lookup("t0", k, k.Gen(256, 2)); hit || tok.Valid() {
+		t.Fatalf("first sighting on a full cache hit=%v valid=%v, want a miss with an invalid token", hit, tok.Valid())
+	}
+}
+
+// TestFirstSightingNotStored pins admission on the second sighting
+// once the cache is full: the first Lookup of an input is a miss whose
+// invalid token stores nothing, the second is a miss with a valid
+// token, and the result stored under it serves the third.
 func TestFirstSightingNotStored(t *testing.T) {
-	c := New(Config{})
+	c := New(Config{MaxBytes: fullBytes})
+	base := fill(t, c)
 	k := kernel.MustLookup("sort")
 	a := k.Gen(256, 1)
 	tok, hit := c.Lookup("t0", k, a)
@@ -266,8 +329,8 @@ func TestFirstSightingNotStored(t *testing.T) {
 	}
 	k.Serial(a)
 	c.Insert("t0", k, tok, a) // what a caller that ignores Valid would do
-	if st := c.Stats(); st.Misses != 1 || st.Entries != 0 || st.Inserts != 0 {
-		t.Fatalf("stats after first sighting = %+v, want 1 miss / 0 entries / 0 inserts", st)
+	if st := since(c.Stats(), base); st.Misses != 1 || st.Entries != base.Entries || st.Inserts != 0 {
+		t.Fatalf("stats after first sighting = %+v, want 1 miss / no new entry / 0 inserts", st)
 	}
 
 	a = k.Gen(256, 1)
@@ -277,8 +340,8 @@ func TestFirstSightingNotStored(t *testing.T) {
 	}
 	k.Serial(a)
 	c.Insert("t0", k, tok, a)
-	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 || st.Inserts != 1 {
-		t.Fatalf("stats after second sighting = %+v, want 2 misses / 1 entry / 1 insert", st)
+	if st := since(c.Stats(), base); st.Misses != 2 || st.Inserts != 1 || st.Evictions == 0 {
+		t.Fatalf("stats after second sighting = %+v, want 2 misses / 1 insert that evicts", st)
 	}
 
 	a = k.Gen(256, 1)
@@ -296,10 +359,12 @@ func TestFirstSightingNotStored(t *testing.T) {
 // after a flood of first sightings has overwritten its doorkeeper
 // slot — the live count, not the doorkeeper, keeps it probed.
 func TestStoredEntryAlwaysProbed(t *testing.T) {
-	c := New(Config{})
+	c := New(Config{MaxBytes: fullBytes})
+	fill(t, c)
 	k := kernel.MustLookup("sum")
 	a := prime(t, c, "t0", "sum", 512, 3)
 	sk := sketch(k, a)
+	base := c.Stats()
 
 	const flood = 4 * seenSlots
 	xs := []int64{1, 2, 3, 4}
@@ -315,15 +380,15 @@ func TestStoredEntryAlwaysProbed(t *testing.T) {
 	if _, hit := c.Lookup("t0", k, a); !hit {
 		t.Fatal("stored entry missed after a flood of first sightings")
 	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 2+flood || st.Inserts != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / %d misses / 1 insert", st, 2+flood)
+	if st := since(c.Stats(), base); st.Hits != 1 || st.Misses != flood || st.Inserts != 0 {
+		t.Fatalf("stats = %+v, want 1 hit / %d misses / 0 inserts", st, flood)
 	}
 }
 
-// TestSketchCollisionNeverServesWrongResult: an input that agrees with
-// a stored one at every sampled index (same sketch) but differs at an
-// unsampled one is probed, misses on the full fingerprint, and once
-// stored each input hits with its own result.
+// TestSketchCollisionNeverServesWrongResult: on a full cache, an input
+// that agrees with a stored one at every sampled index (same sketch)
+// but differs at an unsampled one is probed, misses on the full
+// fingerprint, and once stored each input hits with its own result.
 func TestSketchCollisionNeverServesWrongResult(t *testing.T) {
 	const n, seed = 256, 5
 	const j = 1 // unsampled: sketchStep(256) is 9
@@ -332,7 +397,8 @@ func TestSketchCollisionNeverServesWrongResult(t *testing.T) {
 	}
 	for _, name := range []string{"sort", "scan", "sum", "topk"} {
 		t.Run(name, func(t *testing.T) {
-			c := New(Config{})
+			c := New(Config{MaxBytes: fullBytes})
+			fill(t, c)
 			k := kernel.MustLookup(name)
 			twin := func() *kernel.Args {
 				a := k.Gen(n, seed)
@@ -345,14 +411,15 @@ func TestSketchCollisionNeverServesWrongResult(t *testing.T) {
 				t.Fatal("twin does not share the sketch alone")
 			}
 
+			base := c.Stats()
 			tok, hit := c.Lookup("t0", k, b)
 			if hit || !tok.Valid() {
 				t.Fatalf("twin lookup hit=%v valid=%v, want a miss with a valid token", hit, tok.Valid())
 			}
 			k.Serial(b)
 			c.Insert("t0", k, tok, b)
-			if st := c.Stats(); st.Entries != 2 {
-				t.Fatalf("entries = %d, want 2", st.Entries)
+			if st := since(c.Stats(), base); st.Inserts != 1 {
+				t.Fatalf("twin not stored: %+v", st)
 			}
 
 			for i, in := range []func() *kernel.Args{func() *kernel.Args { return k.Gen(n, seed) }, twin} {
@@ -369,10 +436,12 @@ func TestSketchCollisionNeverServesWrongResult(t *testing.T) {
 	}
 }
 
-// TestFirstSightingZeroAllocs pins the one-off request's cost at 0
-// allocs/op: a sketch, a doorkeeper write and a counter.
+// TestFirstSightingZeroAllocs pins the one-off request's cost on a
+// full cache at 0 allocs/op: a sketch, a doorkeeper write and a
+// counter.
 func TestFirstSightingZeroAllocs(t *testing.T) {
-	c := New(Config{})
+	c := New(Config{MaxBytes: fullBytes})
+	base := fill(t, c)
 	k := kernel.MustLookup("sum")
 	a := k.Gen(512, 1)
 	var allocs float64
@@ -390,16 +459,17 @@ func TestFirstSightingZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("first-sighting Lookup allocates %v allocs/op, want 0", allocs)
 	}
-	if st := c.Stats(); st.Inserts != 0 || st.Misses == 0 {
+	if st := since(c.Stats(), base); st.Inserts != 0 || st.Misses == 0 {
 		t.Fatalf("stats = %+v, want misses and no inserts", st)
 	}
 }
 
-// TestAdmissionIsPerKernel: the same input bytes sent to two kernels
-// are a first sighting for each — a result is per kernel, so one
-// kernel's call must not admit another's one-off call.
+// TestAdmissionIsPerKernel: on a full cache, the same input bytes sent
+// to two kernels are a first sighting for each — a result is per
+// kernel, so one kernel's call must not admit another's one-off call.
 func TestAdmissionIsPerKernel(t *testing.T) {
-	c := New(Config{})
+	c := New(Config{MaxBytes: fullBytes})
+	fill(t, c)
 	xs := kernel.MustLookup("sum").Gen(256, 4).Xs
 	for _, name := range []string{"sum", "sort", "scan"} {
 		k := kernel.MustLookup(name)

@@ -45,31 +45,29 @@ var kernelCachetest = kernel.Register(kernel.Kernel{
 	Cache: &kernel.CacheSpec{Out: kernel.OutScalar},
 })
 
-// TestCallCacheHit pins the fast path end to end: the third identical
-// call is served from the cache (the first sighting stores nothing, the
-// second stores; correct value, CacheHits counted on server and tenant,
-// not Accepted), and uncacheable kernels bypass the cache entirely.
+// TestCallCacheHit pins the fast path end to end: the second identical
+// call is served from the cache (correct value, CacheHits counted on
+// server and tenant, not Accepted), and uncacheable kernels bypass the
+// cache entirely.
 func TestCallCacheHit(t *testing.T) {
 	s := New(Config{Cache: rescache.New(rescache.Config{})})
 	defer s.Close()
 	xs := []int64{5, 1, 4, 2, 3}
 
-	for i := 0; i < 2; i++ {
-		got, err := Sum(s, "t", xs)
-		if err != nil || got != 15 {
-			t.Fatalf("priming Sum %d = %d, %v", i, got, err)
-		}
-	}
 	got, err := Sum(s, "t", xs)
+	if err != nil || got != 15 {
+		t.Fatalf("first Sum = %d, %v", got, err)
+	}
+	got, err = Sum(s, "t", xs)
 	if err != nil || got != 15 {
 		t.Fatalf("cached Sum = %d, %v", got, err)
 	}
 	st := s.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 2 {
-		t.Fatalf("stats = %+v, want 1 cache hit / 2 misses", st)
+	if st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Fatalf("stats = %+v, want 1 cache hit / 1 miss", st)
 	}
-	if st.Accepted != 2 || st.Completed != 2 {
-		t.Fatalf("hit was admitted: %+v (want 2 accepted / 2 completed)", st)
+	if st.Accepted != 1 || st.Completed != 1 {
+		t.Fatalf("hit was admitted: %+v (want 1 accepted / 1 completed)", st)
 	}
 	ts := s.TenantStats()
 	if len(ts) != 1 || ts[0].CacheHits != 1 {
@@ -84,7 +82,7 @@ func TestCallCacheHit(t *testing.T) {
 			t.Fatalf("histogram: %v", err)
 		}
 	}
-	if st := s.Stats(); st.CacheHits != 1 || st.CacheMisses != 2 {
+	if st := s.Stats(); st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("uncacheable kernel moved cache counters: %+v", st)
 	}
 }
@@ -96,10 +94,9 @@ func TestCallCacheRestoresSliceOutputs(t *testing.T) {
 	defer s.Close()
 
 	// Sort: prime with an already-sorted input so the cached entry's
-	// fingerprint (of the input) matches later calls. Two calls prime
-	// (the first sighting stores nothing); the third hits.
+	// fingerprint (of the input) matches later calls.
 	xs := []int64{1, 2, 3, 4, 5}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if err := Sort(s, "t", xs); err != nil {
 			t.Fatalf("sort %d: %v", i, err)
 		}
@@ -111,7 +108,7 @@ func TestCallCacheRestoresSliceOutputs(t *testing.T) {
 	}
 
 	src := []int64{1, 2, 3}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		dst := make([]int64, 3)
 		if err := Scan(s, "t", dst, src); err != nil {
 			t.Fatalf("scan %d: %v", i, err)
@@ -212,14 +209,12 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 }
 
 // TestBumpGenerationInvalidates: a bump forces recompute; the fresh
-// result repopulates the cache under the new generation. Each input is
-// primed by two calls (its first sighting stores nothing) and hits on
-// the third.
+// result repopulates the cache under the new generation.
 func TestBumpGenerationInvalidates(t *testing.T) {
 	s := New(Config{Cache: rescache.New(rescache.Config{})})
 	defer s.Close()
 	xs := []int64{1, 2, 3}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if _, err := Sum(s, "t", xs); err != nil {
 			t.Fatal(err)
 		}
@@ -228,15 +223,15 @@ func TestBumpGenerationInvalidates(t *testing.T) {
 		t.Fatalf("generation = %d, want 1", g)
 	}
 	xs[0] = 10 // the out-of-band change the bump announced
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		got, err := Sum(s, "t", xs)
 		if err != nil || got != 15 {
 			t.Fatalf("post-bump Sum %d = %d, %v (want 15)", i, got, err)
 		}
 	}
 	st := s.Stats()
-	if st.CacheHits != 2 || st.CacheMisses != 4 {
-		t.Fatalf("stats = %+v, want 2 hits / 4 misses", st)
+	if st.CacheHits != 2 || st.CacheMisses != 2 {
+		t.Fatalf("stats = %+v, want 2 hits / 2 misses", st)
 	}
 }
 
@@ -275,10 +270,7 @@ func TestCallDelta(t *testing.T) {
 }
 
 // TestShardedCacheShared: every shard serves hits from the one shared
-// cache, and CallDelta routes like Call. Admission is per input, not
-// per tenant: alice's two calls are the input's first and second
-// sightings, so bob's and carol's first calls already store and their
-// second calls hit.
+// cache, and CallDelta routes like Call.
 func TestShardedCacheShared(t *testing.T) {
 	g := NewSharded(ShardedConfig{
 		Config: Config{Cache: rescache.New(rescache.Config{})},
@@ -287,7 +279,7 @@ func TestShardedCacheShared(t *testing.T) {
 	defer g.Close()
 	for _, tenant := range []string{"alice", "bob", "carol"} {
 		xs := []int64{1, 2, 3, 4}
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 2; i++ {
 			got, err := Sum(g, tenant, xs)
 			if err != nil || got != 10 {
 				t.Fatalf("%s Sum %d = %d, %v", tenant, i, got, err)
@@ -295,13 +287,8 @@ func TestShardedCacheShared(t *testing.T) {
 		}
 	}
 	st := g.Stats()
-	if st.Aggregate.CacheHits != 5 || st.Aggregate.CacheMisses != 4 {
-		t.Fatalf("aggregate = %+v, want 5 hits / 4 misses", st.Aggregate)
-	}
-	for _, ts := range g.TenantStats() {
-		if ts.CacheHits == 0 {
-			t.Fatalf("tenant %s never hit the shared cache: %+v", ts.Name, ts)
-		}
+	if st.Aggregate.CacheHits != 3 || st.Aggregate.CacheMisses != 3 {
+		t.Fatalf("aggregate = %+v, want 3 hits / 3 misses", st.Aggregate)
 	}
 	if g.BumpGeneration("alice") != 1 {
 		t.Fatal("sharded bump did not advance the shared generation")
@@ -334,21 +321,7 @@ func TestMigratedRequestStaleInsertDropped(t *testing.T) {
 	thief := New(Config{Cache: cache, Workers: 1})
 	defer thief.Close()
 
-	// Prime the payload once: its first sighting stores nothing, so the
-	// victim below is its second and carries a valid insert token.
-	payload := []int64{7, 7, 7}
-	if err := home.CallBudget("mig", kernelCachetest, &kernel.Args{Xs: payload, Seed: 42}, 0); err != nil {
-		t.Fatalf("priming call: %v", err)
-	}
-	if tok, _ := cache.Lookup("mig", kernelCachetest, &kernel.Args{Xs: payload, Seed: 42}); !tok.Valid() {
-		t.Fatal("payload still at its first sighting; the stale-insert check below would be vacuous")
-	}
-	if st := cache.Stats(); st.Inserts != 0 {
-		t.Fatalf("first sighting was stored: %+v", st)
-	}
-
 	// Stall home's dispatcher so the victim queues.
-	primed := home.Stats().Batches
 	bucket, gate := deadlineGate()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -357,13 +330,14 @@ func TestMigratedRequestStaleInsertDropped(t *testing.T) {
 		hist := make([]int, 1)
 		_ = Histogram(home, "blocker", hist, []int64{1}, bucket)
 	}()
-	for i := 0; home.Stats().Batches == primed; i++ {
+	for i := 0; home.Stats().Batches == 0; i++ {
 		if i > 2000 {
 			t.Fatal("blocker batch never started")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
+	payload := []int64{7, 7, 7}
 	var out int64
 	var callErr error
 	wg.Add(1)

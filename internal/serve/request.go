@@ -160,9 +160,9 @@ func (s *Server) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, bud
 		// byte-identical input, so re-validating proves nothing).
 		// Hits stay allocation-free: the token and key live on the
 		// stack, and Lookup copies into the caller's existing slices.
-		// A miss on an input's first sighting costs only a sketch and
-		// returns an invalid token, so the result below is stored only
-		// from the second sighting on.
+		// Once the cache is full, a miss on an input's first sighting
+		// costs only a sketch and returns an invalid token, so its
+		// result below is not stored.
 		s.mu.Lock()
 		t, err := s.doorLocked(tenant)
 		s.mu.Unlock()
