@@ -117,25 +117,31 @@ const (
 
 // sortDefaultTable is the variant sort runs without a controller, per
 // sortFeature class: [width bucket][size bucket][sorted bit]. It is read
-// off BenchmarkSortClasses, which times every variant at Procs 1 on eleven
-// input shapes at 1 Ki to 1 Mi elements (BENCHMARKS.md, "The sort
-// default"). Each class takes the variant whose worst ratio to the
+// off BenchmarkSortClasses, which times every variant at Procs 1 on
+// fourteen input shapes at 1 Ki to 1 Mi elements, each row cycling
+// through 16 fresh inputs so the branch predictor cannot learn one
+// (BENCHMARKS.md, "The sort default"; re-read in "Top-digit radix leaf
+// (PR 25)"). Each class takes the variant whose worst ratio to the
 // fastest variant, over the shapes falling in the class, is lowest;
 // near ties (within 10 %) go to sample, then radix, since counting
 // sort on a spread of 2^20 or more is radix sort plus a min/max pass.
 // Counting sort costs O(n + spread) whatever the order, so it wins on
-// dense keys; with a 16-bit spread wider than n it loses below 4 Ki
-// elements, and below 64 Ki on nearly sorted keys. Radix sort wins on
-// unsorted keys from 4 Ki elements up, and on 17–32-bit keys even
-// below. Sample sort (quicksort at Procs 1) keeps nearly sorted wide
-// keys, where its comparisons predict well and radix pays every pass.
+// dense keys. Radix sort wins on unsorted keys wider than that at every
+// size, except 17–32-bit keys at 64 Ki to 1 Mi elements: there the
+// stride-2 reversed ramp's equal power-of-two buckets cost radix about
+// 4× counting sort, and counting's worst, a 20-bit spread at 64 Ki,
+// costs less (from 1 Mi up such spreads reach psort.CountingMaxRange,
+// where counting sort is radix sort). Sample sort (quicksort at Procs
+// 1) keeps nearly sorted keys of 9 bits and more below the dense edge,
+// where its comparisons predict well; the radix leaf reads 1.2–2.8×
+// there.
 var sortDefaultTable = [4][4][2]uint8{
 	// Size buckets < 4 Ki, < 64 Ki, < 1 Mi, >= 1 Mi elements; each
 	// {unsorted, nearly sorted}.
 	{{sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}}, // dense: spread < max(256, n)
-	{{sortSample, sortSample}, {sortCounting, sortSample}, {sortCounting, sortCounting}, {sortCounting, sortCounting}},       // 9–16 bits
-	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortCounting, sortSample}, {sortCounting, sortSample}},               // 17–32 bits
-	{{sortSample, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}},                    // wider
+	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortCounting, sortCounting}, {sortCounting, sortCounting}},           // 9–16 bits
+	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortCounting, sortSample}, {sortRadix, sortSample}},                  // 17–32 bits
+	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}},                     // wider
 }
 
 // sortDefault is sort's Kernel.Default: sortDefaultTable at the class

@@ -143,19 +143,24 @@ func serveZeroAllocs(t *testing.T, s *serve.Server, k *kernel.Kernel, a *kernel.
 	t.Errorf("serve batch path allocates %.2f allocs/op; want 0", allocs)
 }
 
-// defaultInputs returns one Gen input per variant k's Default picks
-// across the first eight Gen seeds at 4 096 and 1 024 elements. Sort
-// needs both sizes: at 4 096 every Gen shape is dense or wide and
-// unsorted, so sample sort only shows at 1 024.
+// defaultInputs returns one input per variant k's Default picks: the
+// first eight Gen seeds at 4 096 and 1 024 elements, each as generated
+// and with its keys sorted. Sort needs the sorted copies: every Gen
+// shape is dense or wide and unsorted, and those classes run counting
+// or radix sort, so sample sort only shows on sorted wide keys.
 func defaultInputs(k *kernel.Kernel) []*kernel.Args {
 	var out []*kernel.Args
 	seen := map[int]bool{}
 	for _, n := range []int{4096, 1024} {
 		for seed := uint64(0); seed < 8; seed++ {
-			a := k.Gen(n, seed)
-			if v := k.Default(k.Feature(a)); !seen[v] {
-				seen[v] = true
-				out = append(out, a)
+			gen := k.Gen(n, seed)
+			sorted := k.Gen(n, seed)
+			slices.Sort(sorted.Xs)
+			for _, a := range []*kernel.Args{gen, sorted} {
+				if v := k.Default(k.Feature(a)); !seen[v] {
+					seen[v] = true
+					out = append(out, a)
+				}
 			}
 		}
 	}

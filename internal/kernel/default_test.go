@@ -18,11 +18,15 @@ import (
 // sortTableShape is one input shape sortDefaultTable was read off:
 // BenchmarkSortClasses times every variant on it at sortTableSizes,
 // and the default tests run it through Kernel.Run. The number in a name
-// is the key width in bits.
+// is the key width in bits. gen draws an input of n keys from seed;
+// input picks the j-th of a row's distinct inputs.
 type sortTableShape struct {
 	name string
-	gen  func(n int) []int64
+	seed uint64
+	gen  func(n int, seed uint64) []int64
 }
+
+func (s sortTableShape) input(n, j int) []int64 { return s.gen(n, s.seed+uint64(j)<<8) }
 
 // sortTableSizes put two sizes in each of sortFeature's size buckets
 // (edges at 4 096, 65 536 and 1 048 576 elements) but the first;
@@ -30,26 +34,67 @@ type sortTableShape struct {
 var sortTableSizes = []int{1 << 10, 1 << 12, 1 << 13, 1 << 16, 1 << 18, 1 << 20}
 
 var sortTableShapes = []sortTableShape{
-	{"uniform-64", func(n int) []int64 { return gen.Ints(n, gen.Uniform, 11) }},
-	{"uniform-32", func(n int) []int64 { return maskKeys(gen.Ints(n, gen.Uniform, 12), 1<<32-1) }},
+	{"uniform-64", 11, func(n int, seed uint64) []int64 { return gen.Ints(n, gen.Uniform, seed) }},
+	{"uniform-32", 12, func(n int, seed uint64) []int64 { return maskKeys(gen.Ints(n, gen.Uniform, seed), 1<<32-1) }},
 	// Just under psort.CountingMaxRange: the widest spread counting sort
 	// still counts rather than handing over to radix sort.
-	{"uniform-20", func(n int) []int64 { return maskKeys(gen.Ints(n, gen.Uniform, 13), 1<<20-1) }},
-	{"uniform-16", func(n int) []int64 { return narrowInput(n, 14) }},
-	{"nearly-sorted-64", func(n int) []int64 { return wideNearlySorted(n, 15) }},
-	{"nearly-sorted-32", func(n int) []int64 { return shiftKeys(wideNearlySorted(n, 16), 32) }},
-	{"nearly-sorted-16", func(n int) []int64 { return shiftKeys(wideNearlySorted(n, 17), 47) }},
+	{"uniform-20", 13, func(n int, seed uint64) []int64 { return maskKeys(gen.Ints(n, gen.Uniform, seed), 1<<20-1) }},
+	{"uniform-16", 14, narrowInput},
+	{"nearly-sorted-64", 15, wideNearlySorted},
+	{"nearly-sorted-32", 16, func(n int, seed uint64) []int64 { return shiftKeys(wideNearlySorted(n, seed), 32) }},
+	{"nearly-sorted-16", 17, func(n int, seed uint64) []int64 { return shiftKeys(wideNearlySorted(n, seed), 47) }},
 	// sort's Gen shape for odd seeds: the ramp 0..n-1 with 1 % of pairs
 	// swapped, masked to 16 bits (a sawtooth of sorted runs past 65 536).
-	{"ramp-16", func(n int) []int64 { return maskKeys(gen.Ints(n, gen.NearlySorted, 18), 1<<16-1) }},
+	{"ramp-16", 18, func(n int, seed uint64) []int64 { return maskKeys(gen.Ints(n, gen.NearlySorted, seed), 1<<16-1) }},
 	// ramp-16 as bench/ sends it: every request is a pool input rotated
 	// left, here by n/3. Rotation costs quicksort 2–3× on sorted runs.
-	{"ramp-16-rot", func(n int) []int64 {
-		xs := maskKeys(gen.Ints(n, gen.NearlySorted, 18), 1<<16-1)
+	{"ramp-16-rot", 18, func(n int, seed uint64) []int64 {
+		xs := maskKeys(gen.Ints(n, gen.NearlySorted, seed), 1<<16-1)
 		return slices.Concat(xs[n/3:], xs[:n/3])
 	}},
-	{"few-unique", func(n int) []int64 { return gen.Ints(n, gen.FewUnique, 19) }},
-	{"reversed-ramp", func(n int) []int64 { return gen.Ints(n, gen.Reversed, 20) }},
+	{"few-unique", 19, func(n int, seed uint64) []int64 { return gen.Ints(n, gen.FewUnique, seed) }},
+	// The ramp n..1 is the same for every seed; the seed shifts it.
+	{"reversed-ramp", 20, func(n int, seed uint64) []int64 { return stridedRamp(n, 1, seed) }},
+	// Equal-bucket keys that are not dense: the spread is 2n.
+	{"reversed-ramp-2", 21, func(n int, seed uint64) []int64 { return stridedRamp(n, 2, seed) }},
+	// The radix leaf's adversaries. equal-top-64's top two digits are
+	// equal, so the leaf's digit plan expects 1/65 536 of the keys to
+	// share a 16-bit prefix where 1/256 do, and its insertion finish
+	// runs past its budget. gap-middle is the nearly sorted ramp i with
+	// its bits 8..39 cleared and i shifted above them: a constant middle
+	// run its digits must skip.
+	{"equal-top-64", 22, equalTopKeys},
+	{"gap-middle", 23, func(n int, seed uint64) []int64 {
+		xs := gen.Ints(n, gen.NearlySorted, seed)
+		for i, v := range xs {
+			xs[i] = v<<40 | v&0xff
+		}
+		return xs
+	}},
+}
+
+// stridedRamp is the descending ramp stride·n, ..., stride·1 plus seed.
+func stridedRamp(n int, stride int64, seed uint64) []int64 {
+	xs := make([]int64, n)
+	for i := range xs {
+		xs[i] = stride*int64(n-i) + int64(seed)
+	}
+	return xs
+}
+
+// equalTopKeys is n non-negative keys whose top two 8-bit digits of
+// max - min are equal: t<<55 | t<<47 | r, with t a random byte and r a
+// random 47-bit tail. The first and last keys are the extremes, 0 and
+// 255<<55 | 255<<47, so max - min is 63 bits wide.
+func equalTopKeys(n int, seed uint64) []int64 {
+	r := rng.New(seed)
+	xs := make([]int64, n)
+	for i := range xs {
+		t := r.Uint64() >> 56
+		xs[i] = int64(t<<55 | t<<47 | r.Uint64()>>17)
+	}
+	xs[0], xs[n-1] = 0, 255<<55|255<<47
+	return xs
 }
 
 func maskKeys(xs []int64, mask int64) []int64 {
@@ -88,8 +133,8 @@ func keysOfWidth(n, width int, lo int64, sorted bool) []int64 {
 // TestSortDefaultTable pins the variant a no-controller sort runs at
 // the edges of sortFeature's buckets: key widths either side of 8, 16
 // and 32 bits, spreads either side of n (the dense edge), sizes either
-// side of 4 096 and 65 536, negative minima (the width is max - min,
-// not the magnitude), sorted and unsorted.
+// side of 4 096, 65 536 and 1 048 576, negative minima (the width is
+// max - min, not the magnitude), sorted and unsorted.
 func TestSortDefaultTable(t *testing.T) {
 	k := MustLookup("sort")
 	for _, c := range []struct {
@@ -105,13 +150,13 @@ func TestSortDefaultTable(t *testing.T) {
 		// Spread n - 1 is dense; spread n is not.
 		{12, 4096, 0, false, "counting"},
 		{12, 4096, -3000, true, "counting"},
-		{12, 4095, 0, false, "sample"},
+		{12, 4095, 0, false, "radix"},
 		{12, 4095, 0, true, "sample"},
 		{13, 8192, 0, true, "counting"},
 		{13, 8192, 0, false, "counting"},
 		{13, 8191, 0, true, "sample"},
-		{13, 8191, 0, false, "counting"},
-		{16, 4096, -30000, false, "counting"},
+		{13, 8191, 0, false, "radix"},
+		{16, 4096, -30000, false, "radix"},
 		{16, 4096, 0, true, "sample"},
 		{16, 65535, 0, true, "sample"},
 		{16, 65536, 0, true, "counting"},
@@ -120,7 +165,9 @@ func TestSortDefaultTable(t *testing.T) {
 		{32, 4096, -1 << 31, false, "radix"},
 		{32, 65536, 0, false, "counting"},
 		{32, 65536, 0, true, "sample"},
-		{33, 4095, 0, false, "sample"},
+		{32, 1<<20 - 1, 0, false, "counting"},
+		{32, 1 << 20, 0, false, "radix"},
+		{33, 4095, 0, false, "radix"},
 		{33, 4096, -1 << 40, false, "radix"},
 		{63, 4096, 0, true, "sample"},
 		{63, 65536, -1 << 62, false, "radix"},
@@ -145,7 +192,7 @@ func TestSortDefaultMatchesSerial(t *testing.T) {
 			if n > 1<<18 && (testing.Short() || racecheck.Enabled) {
 				continue
 			}
-			base := s.gen(n)
+			base := s.input(n, 0)
 			want := &Args{Xs: slices.Clone(base)}
 			k.Serial(want)
 			for _, procs := range []int{1, 2} {
@@ -181,7 +228,7 @@ func TestRunWithoutControllerRunsDefault(t *testing.T) {
 	ran := -1
 	k := recordingSort(&ran)
 	for _, s := range sortTableShapes {
-		xs := s.gen(1 << 13)
+		xs := s.input(1<<13, 0)
 		want := k.Default(k.Feature(&Args{Xs: xs}))
 		k.Run(&Args{Xs: xs}, par.Options{Procs: 1})
 		if ran != want {

@@ -138,8 +138,10 @@ func narrowInput(n int, seed uint64) []int64 {
 	return xs
 }
 
-// wideNearlySorted is full-range keys in nearly sorted order: the
-// comparison sort's home turf (radix still pays all eight passes).
+// wideNearlySorted is full-range keys in nearly sorted order, 1 % of
+// them swapped: quicksort's comparisons predict well here, and the
+// radix leaf sorts on a 16-bit prefix and insertion finishes the rest,
+// so the two run near parity (BenchmarkSortWide64).
 func wideNearlySorted(n int, seed uint64) []int64 {
 	xs := gen.Ints(n, gen.Uniform, seed)
 	slices.Sort(xs)
@@ -171,41 +173,36 @@ func warmSortDispatch(t *testing.T, base []int64, rounds int) *adapt.Controller 
 	return ctl
 }
 
-func TestVariantDispatchPrefersCountingOnNarrowKeys(t *testing.T) {
+// TestVariantDispatchLearnsPerClass is the adaptive dispatch path
+// through Kernel.Run: on narrow keys and on wide nearly sorted keys
+// (two feature classes) the controller records visits under the
+// input's class and times every variant there, so its best is a timed
+// one, and every dispatched variant sorts. Which variant wins is a
+// wall-clock fact, so it is read off BenchmarkSortNarrow16 and
+// BenchmarkSortWide64 (BENCHMARKS.md, "Top-digit radix leaf (PR 25)"),
+// not asserted here.
+func TestVariantDispatchLearnsPerClass(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing-driven convergence test")
+		t.Skip("24 sorts of 32 Ki keys per input")
 	}
 	k := MustLookup("sort")
-	base := narrowInput(1<<15, 3)
-	class := k.Feature(&Args{Xs: base})
-	ctl := warmSortDispatch(t, base, 24)
-	best, ok := ctl.BestVariant(k.Site(), class)
-	if !ok {
-		t.Fatal("variant class never created")
-	}
-	if best == 0 {
-		t.Errorf("narrow keys converged to %q; want a narrow-key specialist (radix or counting)",
-			k.Variants[best].Name)
-	}
-	if v := ctl.ClassVisits(k.Site(), class); v == 0 {
-		t.Error("variant site recorded no visits")
-	}
-}
-
-func TestVariantDispatchPrefersSampleOnWideSortedKeys(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-driven convergence test")
-	}
-	k := MustLookup("sort")
-	base := wideNearlySorted(1<<15, 5)
-	class := k.Feature(&Args{Xs: base})
-	ctl := warmSortDispatch(t, base, 24)
-	best, ok := ctl.BestVariant(k.Site(), class)
-	if !ok {
-		t.Fatal("variant class never created")
-	}
-	if best != 0 {
-		t.Errorf("wide nearly-sorted keys converged to %q; want sample", k.Variants[best].Name)
+	for name, base := range map[string][]int64{
+		"narrow": narrowInput(1<<15, 3),
+		"wide":   wideNearlySorted(1<<15, 5),
+	} {
+		class := k.Feature(&Args{Xs: base})
+		ctl := warmSortDispatch(t, base, 24)
+		if _, ok := ctl.BestVariant(k.Site(), class); !ok {
+			t.Fatalf("%s: variant class %d never created", name, class)
+		}
+		for i, v := range k.Variants {
+			if !ctl.VariantMeasured(k.Site(), class, i) {
+				t.Errorf("%s: variant %s never timed in class %d", name, v.Name, class)
+			}
+		}
+		if v := ctl.ClassVisits(k.Site(), class); v == 0 {
+			t.Errorf("%s: variant site recorded no visits", name)
+		}
 	}
 }
 

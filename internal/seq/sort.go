@@ -1,5 +1,10 @@
 package seq
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // Quicksort sorts xs in place with median-of-three pivoting and an
 // insertion-sort cutoff, the standard engineered sequential comparison
 // sort baseline.
@@ -108,59 +113,335 @@ func mergeInt64(dst, a, b []int64) {
 	copy(dst[k+len(a)-i:], b[j:])
 }
 
-// RadixSort sorts xs (treated as unsigned by flipping the sign bit) with
-// an LSD radix sort using 8-bit digits; baseline for the parallel radix
-// sort. It scatters through buf (contents unspecified before and
-// after), so a caller with a scratch arena sorts without allocating; a
-// buf shorter than xs — nil for direct callers — is replaced by a fresh
-// allocation. All eight digit histograms are built in one read pass:
-// a scatter only permutes the keys, so each digit's counts are the same
-// before every pass.
+// The digit plan's constants, read off leaf timings on the shapes of
+// BenchmarkSortClasses' rows (internal/kernel), 16 fresh inputs each:
+// uniform-64 and uniform-32 at 64 Ki and 256 Ki keys for
+// prefixNeighbours (2 and 4 read slower at 64 Ki, 8 at 256 Ki), and
+// equal-top-64 at 4 Ki and 8 Ki, whose finish runs past its budget,
+// for the other two (BENCHMARKS.md, "Top-digit radix leaf (PR 25)").
+const (
+	// prefixNeighbours: the plan stops at the first prefix that leaves
+	// fewer expected equal-prefix neighbours per key than this.
+	prefixNeighbours = 1.0
+	// finishBudget is the insertion finish's move budget per key.
+	finishBudget = 2
+	// runInsertionMax: past the budget, an equal-prefix run of at most
+	// this many keys is insertion sorted, a longer one sorted on its
+	// next digit.
+	runInsertionMax = 16
+)
+
+// RadixSort sorts xs with a range-relative prefix radix sort; it is the
+// serial radix leaf and the baseline for the parallel radix sort. It
+// scatters through buf (contents unspecified before and after), so a
+// caller with a scratch arena sorts without allocating; a buf shorter
+// than xs — nil for direct callers — is replaced by a fresh allocation.
+//
+// Keys are sorted as u = v - base, which orders them as v does. One
+// pass finds lo, hi and the bits that vary; base is lo, or the sign bit
+// when the varying bits need fewer 8-bit digits than max - min (a
+// constant run of middle bits is skipped), so a narrow signed input
+// pays no digit for its sign. The plan then picks how many digits to
+// scatter on. Digits sit over the varying bits from the top down; a
+// second pass histograms the top three, or two below 64 Ki keys, and
+// the plan walks them from the top, multiplying Σ(c_b/n)²: the first
+// prefix where n·Π < prefixNeighbours leaves under one expected
+// equal-prefix neighbour per key if digits are independent. LSD
+// scatters sort the keys on that prefix, and the last one, on the top
+// digit, insertion sorts each key into its bucket as it places it,
+// which finishes the small equal-prefix groups without a pass of its
+// own (McIlroy, Bostic and McIlroy, "Engineering Radix Sort", 1993). A
+// plan that needs every digit is an exact LSD sort with no finish;
+// digits it needs past the first pass are histogrammed in one more.
+// Since a digit's Σ(c_b/n)² is at least 1/256, the plan is exact
+// whenever n ≥ 256^(d-1) for d digits; then it is not walked, and the
+// digits sit from the bottom up, like bytes. After an odd number of
+// scatters the keys are copied back into xs.
+//
+// Worst case: the finish gives up once its moves exceed finishBudget
+// per key plus n/8, so it makes O(n) moves, and the equal-prefix runs
+// are then sorted one at a time: by insertion up to runInsertionMax
+// keys, and above it by a scatter on the run's next varying bits and
+// the same bounded finish. Each level fixes at least five more bits of
+// the key, so there are at most thirteen, each O(n).
 func RadixSort(xs, buf []int64) {
 	n := len(xs)
 	if n < 2 {
 		return
 	}
+	lo, hi, diff := xs[0], xs[0], uint64(0)
+	for _, v := range xs[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+		diff |= uint64(v ^ xs[0])
+	}
+	if lo == hi {
+		return
+	}
+	base, mask := uint64(lo), ^uint64(0)>>bits.LeadingZeros64(uint64(hi)-uint64(lo))
+	d := digits(mask)
+	if dd := digits(diff); dd < d {
+		base, mask, d = 1<<63, diff, dd
+	}
 	if len(buf) < n {
 		buf = make([]int64, n)
 	}
-	const bits = 8
-	var count [64 / bits][1 << bits]int
-	for _, v := range xs {
-		u := flip(v)
-		count[0][uint8(u)]++
-		count[1][uint8(u>>8)]++
-		count[2][uint8(u>>16)]++
-		count[3][uint8(u>>24)]++
-		count[4][uint8(u>>32)]++
-		count[5][uint8(u>>40)]++
-		count[6][uint8(u>>48)]++
-		count[7][uint8(u>>56)]++
+	buf = buf[:n]
+
+	var count [8][256]int
+	var shifts [8]uint8
+	// p is the number of digits the scatters sort on. From n =
+	// 256^(d-1) keys up no shorter prefix can pass, so the sort is exact
+	// from the start, and bottom-up digits make the top one the narrow
+	// one.
+	p := d
+	if float64(n) >= prefixNeighbours*float64(uint64(1)<<(8*(d-1))) {
+		placeDigits(&shifts, mask, false)
+		histogram(xs, base, count[:d], shifts[:d])
+	} else {
+		placeDigits(&shifts, mask, true)
+		// Two digits leave n/65 536 expected neighbours on spread-out
+		// keys, so below 64 Ki keys the first pass counts only two.
+		h := min(d, 3)
+		if n < 1<<16 {
+			h = min(d, 2)
+		}
+		histogram(xs, base, count[:h], shifts[:h])
+		est := float64(n)
+		for i := 0; i < min(d, 3); i++ {
+			if i == h {
+				histogram(xs, base, count[h:d], shifts[h:d])
+				h = d
+			}
+			if est *= collisions(&count[i], n); est < prefixNeighbours {
+				p = i + 1
+				break
+			}
+		}
+		if h < p {
+			histogram(xs, base, count[h:p], shifts[h:p])
+		}
 	}
-	first := flip(xs[0])
-	src, dst := xs, buf[:n]
-	for d := range count {
-		shift := uint(d * bits)
-		c := &count[d]
-		// Skip passes where all keys share one digit.
-		if c[uint8(first>>shift)] == n {
-			continue
+	src, dst := xs, buf
+	for i := p - 1; i > 0; i-- {
+		if scatter(dst, src, &count[i], base, shifts[i]) {
+			src, dst = dst, src
 		}
-		sum := 0
-		for b := range c {
-			c[b], sum = sum, sum+c[b]
-		}
-		for _, v := range src {
-			b := uint8(flip(v) >> shift)
-			dst[c[b]] = v
-			c[b]++
-		}
-		src, dst = dst, src
 	}
-	if &src[0] != &xs[0] {
-		copy(xs, src)
+	// The top digit holds the top varying bit, so its scatter always
+	// moves the keys into dst.
+	sorted := true
+	if p < d {
+		sorted = scatterFinish(dst, src, &count[0], base, shifts[0])
+	} else {
+		scatter(dst, src, &count[0], base, shifts[0])
+	}
+	if &dst[0] != &xs[0] {
+		copy(xs, dst)
+	}
+	if !sorted {
+		sortRuns(xs, buf, 0, base, shifts[p-1])
 	}
 }
 
-// flip maps int64 ordering onto uint64 ordering.
-func flip(v int64) uint64 { return uint64(v) ^ (1 << 63) }
+// scatterFinish is a prefix plan's last scatter, on the top digit at
+// shift s, whose histogram c holds (c becomes offsets). It insertion
+// sorts each key into the keys of its bucket so far, which hold an
+// equal or smaller prefix, so the keys end sorted. Once the moves
+// outrun finishBudget per key by more than n/8, it scatters the rest
+// plainly and returns false, leaving dst in prefix order only.
+func scatterFinish(dst, src []int64, c *[256]int, base uint64, s uint8) bool {
+	var start [256]int
+	sum := 0
+	for b := range c {
+		start[b], c[b], sum = sum, sum, sum+c[b]
+	}
+	debt, slack := 0, len(src)/8
+	for i, v := range src {
+		b := uint8((uint64(v) - base) >> s)
+		k := c[b]
+		c[b]++
+		j := k
+		for ; j > start[b] && dst[j-1] > v; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = v
+		if debt += k - j - finishBudget; debt > slack {
+			for _, v := range src[i+1:] {
+				b := uint8((uint64(v) - base) >> s)
+				dst[c[b]] = v
+				c[b]++
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// digits is how many 8-bit digits cover mask's set bits when runs of
+// clear bits between digits are skipped.
+func digits(mask uint64) int {
+	var shifts [8]uint8
+	return placeDigits(&shifts, mask, true)
+}
+
+// placeDigits places 8-bit digits over mask's set bits, from the top
+// bit down or from the bottom bit up, skipping runs of clear bits
+// between them, and stores their shifts in shifts, most significant
+// first. It returns how many there are, which is the same either way.
+func placeDigits(shifts *[8]uint8, mask uint64, fromTop bool) int {
+	d := 0
+	for ; mask != 0; d++ {
+		if fromTop {
+			s := max(bits.Len64(mask)-8, 0)
+			shifts[d] = uint8(s)
+			mask &= 1<<s - 1
+		} else {
+			s := bits.TrailingZeros64(mask)
+			shifts[d] = uint8(s)
+			mask &^= 0xff << s
+		}
+	}
+	if !fromTop {
+		slices.Reverse(shifts[:d])
+	}
+	return d
+}
+
+// collisions is Σ(c_b/n)²: the chance that two keys share the digit.
+// The sum of squares stays exact in a uint64 up to n = 2^32 keys.
+func collisions(c *[256]int, n int) float64 {
+	var sum uint64
+	for _, k := range c {
+		sum += uint64(k) * uint64(k)
+	}
+	return float64(sum) / (float64(n) * float64(n))
+}
+
+// scatter moves src into dst in stable order of the digit at shift s
+// of u = v - base, whose histogram c holds (c becomes offsets). When
+// every key has the same digit it moves nothing and returns false.
+func scatter(dst, src []int64, c *[256]int, base uint64, s uint8) bool {
+	if c[uint8((uint64(src[0])-base)>>s)] == len(src) {
+		return false
+	}
+	sum := 0
+	for b := range c {
+		c[b], sum = sum, sum+c[b]
+	}
+	for _, v := range src {
+		b := uint8((uint64(v) - base) >> s)
+		dst[c[b]] = v
+		c[b]++
+	}
+	return true
+}
+
+// histogram counts each key's digit at every shift into count, in one
+// pass.
+func histogram(xs []int64, base uint64, count [][256]int, shifts []uint8) {
+	switch len(shifts) {
+	case 1:
+		c0, s0 := &count[0], shifts[0]
+		for _, v := range xs {
+			c0[uint8((uint64(v)-base)>>s0)]++
+		}
+	case 2:
+		c0, c1, s0, s1 := &count[0], &count[1], shifts[0], shifts[1]
+		for _, v := range xs {
+			u := uint64(v) - base
+			c0[uint8(u>>s0)]++
+			c1[uint8(u>>s1)]++
+		}
+	case 3:
+		c0, c1, c2, s0, s1, s2 := &count[0], &count[1], &count[2], shifts[0], shifts[1], shifts[2]
+		for _, v := range xs {
+			u := uint64(v) - base
+			c0[uint8(u>>s0)]++
+			c1[uint8(u>>s1)]++
+			c2[uint8(u>>s2)]++
+		}
+	default:
+		for _, v := range xs {
+			u := uint64(v) - base
+			for i, s := range shifts {
+				count[i][uint8(u>>s)]++
+			}
+		}
+	}
+}
+
+// sortRuns sorts the equal-prefix runs of xs from the one holding
+// xs[from] on: xs is in order of the prefix (v - base) >> s, and
+// xs[:from] is sorted.
+func sortRuns(xs, buf []int64, from int, base uint64, s uint8) {
+	prefix := func(v int64) uint64 { return (uint64(v) - base) >> s }
+	a := from
+	for p := prefix(xs[a]); a > 0 && prefix(xs[a-1]) == p; a-- {
+	}
+	for a < len(xs) {
+		b, p := a+1, prefix(xs[a])
+		for b < len(xs) && prefix(xs[b]) == p {
+			b++
+		}
+		if b-a <= runInsertionMax {
+			InsertionSort(xs[a:b])
+		} else {
+			sortRun(xs[a:b], buf[a:b], base)
+		}
+		a = b
+	}
+}
+
+// sortRun sorts keys that share a prefix of u = v - base on their next
+// digit, the w bits below the top bit where their u differ, with
+// 2^w > len(xs) buckets up to 256: a counting scatter into buf, then
+// the insertion finish back into xs.
+func sortRun(xs, buf []int64, base uint64) {
+	u0, diff, sorted := uint64(xs[0])-base, uint64(0), true
+	for i, v := range xs[1:] {
+		diff |= (uint64(v) - base) ^ u0
+		sorted = sorted && xs[i] <= v
+	}
+	if sorted {
+		return
+	}
+	w := min(bits.Len(uint(len(xs))), 8)
+	s, mask := uint8(max(bits.Len64(diff)-w, 0)), uint64(1)<<w-1
+	var c [256]int32
+	for _, v := range xs {
+		c[uint8((uint64(v)-base)>>s&mask)]++
+	}
+	sum := int32(0)
+	for b := range c[:mask+1] {
+		c[b], sum = sum, sum+c[b]
+	}
+	for _, v := range xs {
+		b := uint8((uint64(v) - base) >> s & mask)
+		buf[c[b]] = v
+		c[b]++
+	}
+	finish(xs, buf, s, base)
+}
+
+// finish insertion sorts buf, whose keys are in order of the prefix
+// (v - base) >> s, into xs: keys only move inside their equal-prefix
+// group. Past the budget scatterFinish also keeps, it hands the rest to
+// sortRuns. It is scatterFinish's insertion as a pass of its own
+// because that is cheaper on short runs: sortRun through scatterFinish
+// and a copy back read 1.34× and 1.47× the parent's leaf on
+// equal-top-64 at 4 Ki and 8 Ki, this way 1.14× and 0.88×.
+func finish(xs, buf []int64, s uint8, base uint64) {
+	debt, slack := 0, len(xs)/8
+	for i, v := range buf[:len(xs)] {
+		j := i
+		for ; j > 0 && xs[j-1] > v; j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = v
+		if debt += i - j - finishBudget; debt > slack && i+1 < len(xs) {
+			copy(xs[i+1:], buf[i+1:])
+			sortRuns(xs, buf, i+1, base, s)
+			return
+		}
+	}
+}

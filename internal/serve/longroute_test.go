@@ -126,8 +126,8 @@ func TestLongRouteMatchesSerial(t *testing.T) {
 // nothing, where the cascade built channels, a free list and three
 // goroutines per call. Without a controller a long sort runs the sort's
 // default for the input, so the pin covers one input for each algorithm
-// it picks here — wide keys (radix) and narrow keys (counting) — and
-// one long scan.
+// it picks here — wide keys (radix) and dense keys, a spread below n
+// (counting) — and one long scan.
 func TestLongRouteZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -135,9 +135,9 @@ func TestLongRouteZeroAllocs(t *testing.T) {
 	g := NewSharded(ShardedConfig{Shards: 2, ShardProcs: 1, Config: Config{PipelineCutoff: longRouteCutoff}})
 	defer g.Close()
 	sortK, scanK := kernel.MustLookup("sort"), kernel.MustLookup("scan")
-	narrow := gen.Ints(2*longRouteCutoff, gen.Uniform, 8)
-	for i := range narrow {
-		narrow[i] &= 0xFFFF
+	dense := gen.Ints(2*longRouteCutoff, gen.Uniform, 8)
+	for i := range dense {
+		dense[i] &= 0xFFF
 	}
 	rows := []struct {
 		name string // for sort, the variant its default picks
@@ -145,7 +145,7 @@ func TestLongRouteZeroAllocs(t *testing.T) {
 		base []int64
 	}{
 		{"radix", sortK, gen.Ints(2*longRouteCutoff, gen.Uniform, 7)},
-		{"counting", sortK, narrow},
+		{"counting", sortK, dense},
 		{"scan", scanK, gen.Ints(2*longRouteCutoff, gen.Uniform, 9)},
 	}
 	for _, r := range rows {
