@@ -407,11 +407,11 @@ func sortRun(xs, buf []int64, base uint64) {
 	}
 	w := min(bits.Len(uint(len(xs))), 8)
 	s, mask := uint8(max(bits.Len64(diff)-w, 0)), uint64(1)<<w-1
-	var c [256]int32
+	var c [256]int
 	for _, v := range xs {
 		c[uint8((uint64(v)-base)>>s&mask)]++
 	}
-	sum := int32(0)
+	sum := 0
 	for b := range c[:mask+1] {
 		c[b], sum = sum, sum+c[b]
 	}
