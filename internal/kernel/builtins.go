@@ -120,8 +120,8 @@ const (
 // off BenchmarkSortClasses, which times every variant at Procs 1 on
 // fourteen input shapes at 1 Ki to 1 Mi elements, each row cycling
 // through 16 fresh inputs so the branch predictor cannot learn one
-// (BENCHMARKS.md, "The sort default"; re-read in "Top-digit radix leaf
-// (PR 25)"). Each class takes the variant whose worst ratio to the
+// (BENCHMARKS.md, "The sort default"; re-read in "Top-digit radix
+// leaf"). Each class takes the variant whose worst ratio to the
 // fastest variant, over the shapes falling in the class, is lowest;
 // near ties (within 10 %) go to sample, then radix, since counting
 // sort on a spread of 2^20 or more is radix sort plus a min/max pass.

@@ -179,7 +179,7 @@ func warmSortDispatch(t *testing.T, base []int64, rounds int) *adapt.Controller 
 // input's class and times every variant there, so its best is a timed
 // one, and every dispatched variant sorts. Which variant wins is a
 // wall-clock fact, so it is read off BenchmarkSortNarrow16 and
-// BenchmarkSortWide64 (BENCHMARKS.md, "Top-digit radix leaf (PR 25)"),
+// BenchmarkSortWide64 (BENCHMARKS.md, "Top-digit radix leaf"),
 // not asserted here.
 func TestVariantDispatchLearnsPerClass(t *testing.T) {
 	if testing.Short() {

@@ -118,7 +118,7 @@ func mergeInt64(dst, a, b []int64) {
 // uniform-64 and uniform-32 at 64 Ki and 256 Ki keys for
 // prefixNeighbours (2 and 4 read slower at 64 Ki, 8 at 256 Ki), and
 // equal-top-64 at 4 Ki and 8 Ki, whose finish runs past its budget,
-// for the other two (BENCHMARKS.md, "Top-digit radix leaf (PR 25)").
+// for the other two (BENCHMARKS.md, "Top-digit radix leaf").
 const (
 	// prefixNeighbours: the plan stops at the first prefix that leaves
 	// fewer expected equal-prefix neighbours per key than this.
