@@ -1,9 +1,6 @@
 package seq
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // Quicksort sorts xs in place with median-of-three pivoting and an
 // insertion-sort cutoff, the standard engineered sequential comparison
@@ -117,14 +114,18 @@ func mergeInt64(dst, a, b []int64) {
 // BenchmarkSortClasses' rows (internal/kernel), 16 fresh inputs each:
 // uniform-64 and uniform-32 at 64 Ki and 256 Ki keys for
 // prefixNeighbours (2 and 4 read slower at 64 Ki, 8 at 256 Ki), and
-// equal-top-64 at 4 Ki and 8 Ki, whose finish runs past its budget,
+// equal-top-64 at 1 Ki to 8 Ki, whose finish runs past its budget,
 // for the other two (BENCHMARKS.md, "Top-digit radix leaf").
 const (
 	// prefixNeighbours: the plan stops at the first prefix that leaves
 	// fewer expected equal-prefix neighbours per key than this.
 	prefixNeighbours = 1.0
-	// finishBudget is the insertion finish's move budget per key.
-	finishBudget = 2
+	// finishBudget is the insertion finish's move budget per key. Once
+	// the plan has stopped, a key expects fewer than prefixNeighbours
+	// equal-prefix neighbours and moves past only the larger ones placed
+	// before it. Budgets of 1 and 2 read within noise of each other on
+	// equal-top-64, and 1 gives up sooner there.
+	finishBudget = 1
 	// runInsertionMax: past the budget, an equal-prefix run of at most
 	// this many keys is insertion sorted, a longer one sorted on its
 	// next digit.
@@ -141,21 +142,18 @@ const (
 // pass finds lo, hi and the bits that vary; base is lo, or the sign bit
 // when the varying bits need fewer 8-bit digits than max - min (a
 // constant run of middle bits is skipped), so a narrow signed input
-// pays no digit for its sign. The plan then picks how many digits to
-// scatter on. Digits sit over the varying bits from the top down; a
-// second pass histograms the top three, or two below 64 Ki keys, and
-// the plan walks them from the top, multiplying Σ(c_b/n)²: the first
-// prefix where n·Π < prefixNeighbours leaves under one expected
-// equal-prefix neighbour per key if digits are independent. LSD
-// scatters sort the keys on that prefix, and the last one, on the top
-// digit, insertion sorts each key into its bucket as it places it,
-// which finishes the small equal-prefix groups without a pass of its
-// own (McIlroy, Bostic and McIlroy, "Engineering Radix Sort", 1993). A
-// plan that needs every digit is an exact LSD sort with no finish;
-// digits it needs past the first pass are histogrammed in one more.
-// Since a digit's Σ(c_b/n)² is at least 1/256, the plan is exact
-// whenever n ≥ 256^(d-1) for d digits; then it is not walked, and the
-// digits sit from the bottom up, like bytes. After an odd number of
+// pays no digit for its sign. Digits sit over the varying bits from the
+// top down (the bottom one may overlap the one above it). A second pass
+// histograms the top three, or two below 64 Ki keys, and the plan walks
+// them from the top, multiplying Σ(c_b/n)²: the first prefix where
+// n·Π < prefixNeighbours leaves under one expected equal-prefix
+// neighbour per key if digits are independent. LSD scatters sort the
+// keys on that prefix, and the last one, on the top digit, insertion
+// sorts each key into its bucket as it places it, which finishes the
+// small equal-prefix groups without a pass of its own (McIlroy, Bostic
+// and McIlroy, "Engineering Radix Sort", 1993). A plan that needs every
+// digit is an exact LSD sort with no finish; digits it needs past the
+// first pass are histogrammed in one more. After an odd number of
 // scatters the keys are copied back into xs.
 //
 // Worst case: the finish gives up once its moves exceed finishBudget
@@ -169,18 +167,15 @@ func RadixSort(xs, buf []int64) {
 	if n < 2 {
 		return
 	}
-	lo, hi, diff := xs[0], xs[0], uint64(0)
-	for _, v := range xs[1:] {
-		lo, hi = min(lo, v), max(hi, v)
-		diff |= uint64(v ^ xs[0])
-	}
+	lo, hi, diff := bounds(xs)
 	if lo == hi {
 		return
 	}
-	base, mask := uint64(lo), ^uint64(0)>>bits.LeadingZeros64(uint64(hi)-uint64(lo))
-	d := digits(mask)
-	if dd := digits(diff); dd < d {
-		base, mask, d = 1<<63, diff, dd
+	base := uint64(lo)
+	var shifts, varying [8]uint8
+	d := placeDigits(&shifts, ^uint64(0)>>bits.LeadingZeros64(uint64(hi)-base))
+	if dv := placeDigits(&varying, diff); dv < d {
+		base, shifts, d = 1<<63, varying, dv
 	}
 	if len(buf) < n {
 		buf = make([]int64, n)
@@ -188,38 +183,27 @@ func RadixSort(xs, buf []int64) {
 	buf = buf[:n]
 
 	var count [8][256]int
-	var shifts [8]uint8
-	// p is the number of digits the scatters sort on. From n =
-	// 256^(d-1) keys up no shorter prefix can pass, so the sort is exact
-	// from the start, and bottom-up digits make the top one the narrow
-	// one.
-	p := d
-	if float64(n) >= prefixNeighbours*float64(uint64(1)<<(8*(d-1))) {
-		placeDigits(&shifts, mask, false)
-		histogram(xs, base, count[:d], shifts[:d])
-	} else {
-		placeDigits(&shifts, mask, true)
-		// Two digits leave n/65 536 expected neighbours on spread-out
-		// keys, so below 64 Ki keys the first pass counts only two.
-		h := min(d, 3)
-		if n < 1<<16 {
-			h = min(d, 2)
+	// Two digits leave n/65 536 expected neighbours on spread-out keys,
+	// so below 64 Ki keys the first pass counts only two.
+	h := min(d, 3)
+	if n < 1<<16 {
+		h = min(d, 2)
+	}
+	histogram(xs, base, count[:h], shifts[:h])
+	// p is the number of digits the scatters sort on.
+	p, est := d, float64(n)
+	for i := 0; i < min(d, 3); i++ {
+		if i == h {
+			histogram(xs, base, count[h:d], shifts[h:d])
+			h = d
 		}
-		histogram(xs, base, count[:h], shifts[:h])
-		est := float64(n)
-		for i := 0; i < min(d, 3); i++ {
-			if i == h {
-				histogram(xs, base, count[h:d], shifts[h:d])
-				h = d
-			}
-			if est *= collisions(&count[i], n); est < prefixNeighbours {
-				p = i + 1
-				break
-			}
+		if est *= collisions(&count[i], n); est < prefixNeighbours {
+			p = i + 1
+			break
 		}
-		if h < p {
-			histogram(xs, base, count[h:p], shifts[h:p])
-		}
+	}
+	if h < p {
+		histogram(xs, base, count[h:p], shifts[h:p])
 	}
 	src, dst := xs, buf
 	for i := p - 1; i > 0; i-- {
@@ -241,6 +225,23 @@ func RadixSort(xs, buf []int64) {
 	if !sorted {
 		sortRuns(xs, buf, 0, base, shifts[p-1])
 	}
+}
+
+// bounds returns the least and the greatest key of xs and the bits in
+// which some key differs from xs[0]. It stays out of line: inlined into
+// RadixSort, its loop spilled a register to the stack and branched on
+// max, and the leaf read up to 1.2× slower on narrow keys
+// (BENCHMARKS.md, "Top-digit radix leaf").
+//
+//go:noinline
+func bounds(xs []int64) (lo, hi int64, diff uint64) {
+	x0 := xs[0]
+	lo, hi = x0, x0
+	for _, v := range xs[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+		diff |= uint64(v ^ x0)
+	}
+	return lo, hi, diff
 }
 
 // scatterFinish is a prefix plan's last scatter, on the top digit at
@@ -277,32 +278,16 @@ func scatterFinish(dst, src []int64, c *[256]int, base uint64, s uint8) bool {
 	return true
 }
 
-// digits is how many 8-bit digits cover mask's set bits when runs of
-// clear bits between digits are skipped.
-func digits(mask uint64) int {
-	var shifts [8]uint8
-	return placeDigits(&shifts, mask, true)
-}
-
-// placeDigits places 8-bit digits over mask's set bits, from the top
-// bit down or from the bottom bit up, skipping runs of clear bits
-// between them, and stores their shifts in shifts, most significant
-// first. It returns how many there are, which is the same either way.
-func placeDigits(shifts *[8]uint8, mask uint64, fromTop bool) int {
+// placeDigits places 8-bit digits over mask's set bits from the top
+// bit down, skipping runs of clear bits between them, and stores their
+// shifts in shifts, most significant first; the bottom digit may
+// overlap the one above it. It returns how many there are.
+func placeDigits(shifts *[8]uint8, mask uint64) int {
 	d := 0
 	for ; mask != 0; d++ {
-		if fromTop {
-			s := max(bits.Len64(mask)-8, 0)
-			shifts[d] = uint8(s)
-			mask &= 1<<s - 1
-		} else {
-			s := bits.TrailingZeros64(mask)
-			shifts[d] = uint8(s)
-			mask &^= 0xff << s
-		}
-	}
-	if !fromTop {
-		slices.Reverse(shifts[:d])
+		s := max(bits.Len64(mask)-8, 0)
+		shifts[d] = uint8(s)
+		mask &= 1<<s - 1
 	}
 	return d
 }
@@ -337,7 +322,10 @@ func scatter(dst, src []int64, c *[256]int, base uint64, s uint8) bool {
 }
 
 // histogram counts each key's digit at every shift into count, in one
-// pass.
+// pass. One to three digits, the counts the plan asks for, have loops of
+// their own: against the generic loop they read faster in alternated
+// leaf timings (two and three digits on uniform-64, one on gap-middle;
+// BENCHMARKS.md, "Top-digit radix leaf").
 func histogram(xs []int64, base uint64, count [][256]int, shifts []uint8) {
 	switch len(shifts) {
 	case 1:
