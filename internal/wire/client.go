@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -19,14 +18,17 @@ import (
 // goroutine (or a small pool), mirroring how the listener scales by
 // connection.
 type Client struct {
-	mu   sync.Mutex
-	c    net.Conn
-	id   uint64
-	lenb [4]byte
-	// Reused frame buffers: write, read, and stream reassembly. Warm
-	// round trips with stable payload sizes allocate nothing.
-	wbuf, rbuf, sbuf []byte
-	maxFrame         int
+	mu sync.Mutex
+	c  net.Conn
+	id uint64
+	// Reused frame buffers: the request's computed bytes, the frames
+	// read, and stream reassembly. Warm round trips with stable payload
+	// sizes allocate nothing.
+	ws       slab
+	w        frameWriter
+	r        frameReader
+	sbuf     []byte
+	maxFrame int
 }
 
 var _ serve.Front = (*Client)(nil)
@@ -68,35 +70,28 @@ func (cl *Client) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Arg
 	return cl.roundTrip(tenant, k, a, d, budget)
 }
 
-// roundTrip writes one request frame and reads frames until the
-// response completes: one response frame, or a run of chunk frames
-// closed by the geometry frame, or an error frame mapped back to the
-// serve sentinels.
+// roundTrip writes one request frame — one vectored write, with the
+// Args' slices sent in place — and reads frames until the response
+// completes: one response frame, or a run of chunk frames closed by the
+// geometry frame, or an error frame mapped back to the serve sentinels.
 func (cl *Client) roundTrip(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.id++
-	out, err := AppendRequest(cl.wbuf[:0], cl.id, tenant, k, a, d, budget)
-	cl.wbuf = out
-	if err != nil {
+	if err := checkRequest(tenant, k); err != nil {
 		return err
 	}
-	if _, err := cl.c.Write(out); err != nil {
+	body, refs := requestSize(k.Name, tenant, a, d)
+	cl.w.reset(cl.ws.grow(4+body-refs, 0))
+	cl.w.request(body, cl.id, tenant, k, a, d, budget)
+	if err := cl.w.writeTo(cl.c); err != nil {
 		return fmt.Errorf("wire: write: %w", err)
 	}
 	stream := cl.sbuf[:0]
 	for {
-		if _, err := io.ReadFull(cl.c, cl.lenb[:]); err != nil {
-			return fmt.Errorf("wire: read: %w", err)
-		}
-		n := int(nativeOrder.Uint32(cl.lenb[:]))
-		if n < headerSize || n > cl.maxFrame {
-			return fmt.Errorf("%w: response frame length %d", ErrFrameTooLarge, n)
-		}
-		cl.rbuf = ensure(cl.rbuf, n)
-		body := cl.rbuf
-		if _, err := io.ReadFull(cl.c, body); err != nil {
-			return fmt.Errorf("wire: read: %w", err)
+		body, err := cl.r.next(cl.c, cl.maxFrame)
+		if err != nil {
+			return err
 		}
 		h, err := DecodeHeader(body)
 		if err != nil {

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"strconv"
 	"sync"
 	"time"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kernel"
+	"repro/internal/scratch"
 )
 
 // Wire format. Every frame is a u32 length prefix (body bytes,
@@ -50,8 +53,9 @@ const (
 	sectionHdrSize = 8
 
 	// DefaultMaxFrame bounds a single frame's body. It matches the
-	// largest scratch size class, so a maximal frame still decodes in
-	// place from one pooled slab.
+	// largest scratch size class, so a frame up to 8 bytes short of it
+	// (the listener's slab also holds the length prefix, at offset 4)
+	// still decodes in place from one pooled slab.
 	DefaultMaxFrame = 64 << 20
 
 	// maxGraphNodes caps the node count a graph section may declare.
@@ -202,28 +206,27 @@ func putSectionHdr(b []byte, off int, tag, flags byte, count int) int {
 	return off + sectionHdrSize
 }
 
-// putInt64s copies xs into b at off (which must be 8-aligned) and
-// returns the next 8-aligned offset.
-func putInt64s(b []byte, off int, xs []int64) int {
-	n := copy(b[off:], unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs)))
-	return off + align8(n)
+// int64Bytes and int32Bytes view a slice's elements as the native-order
+// bytes a section carries, without copying.
+func int64Bytes(xs []int64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
 }
 
-func putInts(b []byte, off int, xs []int) int {
-	if strconv.IntSize == 64 {
-		n := copy(b[off:], unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs)))
-		return off + align8(n)
-	}
-	for _, v := range xs {
-		nativeOrder.PutUint64(b[off:], uint64(int64(v)))
-		off += 8
-	}
-	return off
+func int32Bytes(xs []int32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 4*len(xs))
 }
 
-func putInt32s(b []byte, off int, xs []int32) int {
-	n := copy(b[off:], unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 4*len(xs)))
-	return off + align8(n)
+// intBytes views xs as 64-bit words: in place where int is 64-bit, as
+// a converted copy elsewhere.
+func intBytes(xs []int) []byte {
+	if strconv64 {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
+	}
+	b := make([]byte, 8*len(xs))
+	for i, v := range xs {
+		nativeOrder.PutUint64(b[8*i:], uint64(int64(v)))
+	}
+	return b
 }
 
 // graphPayload is the byte size of a graph section body.
@@ -260,59 +263,159 @@ func putScalars(b []byte, off int, a *kernel.Args) int {
 	return off + 32
 }
 
-// requestSize is the body size of a request frame for (k, a, d).
-func requestSize(kname, tenant string, a *kernel.Args, d *kernel.Delta) int {
-	n := headerSize + align8(2+len(kname)+len(tenant))
-	if a.Xs != nil {
-		n += sectionSize(8 * len(a.Xs))
-	}
-	if a.Dst != nil {
-		n += sectionSize(8 * len(a.Dst))
-	}
-	if a.Hist != nil {
-		n += sectionSize(8 * len(a.Hist))
-	}
-	if a.Dist != nil {
-		n += sectionSize(4 * len(a.Dist))
-	}
-	if a.G != nil {
-		n += sectionSize(graphPayload(a.G.M()))
-	}
-	n += sectionSize(32) // scalars, always present
-	if d != nil {
-		if d.Append != nil {
-			n += sectionSize(8 * len(d.Append))
-		}
-		if d.Edges != nil {
-			n += sectionSize(8 * len(d.Edges))
-		}
-	}
-	return n
+// frameWriter lays frames out as a run of parts. The bytes the codec
+// computes — length prefixes, headers, names, section headers, padding,
+// scalars, and the graph and edge sections, which are converted — are
+// written into its slab b; slice payloads are referenced from the
+// caller's Args. One layout has two outputs. A flat writer copies each
+// referenced payload into b straight after the bytes before it, which
+// is what the Append* functions return. A vectored writer lists the
+// slab runs and the references in vec, in order, and writeTo sends them
+// with one vectored write, so a payload goes from the Args to the socket
+// without a copy in between.
+//
+// Neither kind grows b while laying a frame out: reset is handed a
+// buffer with room for every computed byte of the frames to come (the
+// listed runs alias it), and flatWriter sizes b for the whole frame.
+type frameWriter struct {
+	b    []byte
+	vec  net.Buffers // vectored: the parts listed so far
+	out  net.Buffers // vectored: what WriteTo consumes; a field so it never escapes per call
+	mark int         // vectored: start of the slab bytes not yet listed
+	flat bool
 }
 
-// AppendRequest encodes one request frame — length prefix included —
-// onto buf and returns the extended slice. A nil d encodes a plain
-// Call; a non-nil d sets the delta flag and appends the delta
-// sections. budget (0 for none) rides the aux field as nanoseconds.
-// The id is chosen by the caller and echoed by every response frame.
-func AppendRequest(buf []byte, id uint64, tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) ([]byte, error) {
+// flatWriter returns a writer appending one frame of body bytes
+// (prefix excluded) onto buf.
+func flatWriter(buf []byte, body int) frameWriter {
+	base := len(buf)
+	return frameWriter{b: ensure(buf, base+4+body)[:base], flat: true}
+}
+
+// reset starts a vectored writer on buf, whose capacity covers every
+// computed byte of the frames about to be laid out.
+func (w *frameWriter) reset(buf []byte) {
+	w.b, w.vec, w.mark = buf[:0], w.vec[:0], 0
+}
+
+// put extends the slab by n bytes and returns them for the caller to
+// fill.
+func (w *frameWriter) put(n int) []byte {
+	off := len(w.b)
+	w.b = w.b[:off+n]
+	return w.b[off:]
+}
+
+// ref adds p to the frame by reference (vectored) or by copy (flat).
+func (w *frameWriter) ref(p []byte) {
+	switch {
+	case len(p) == 0:
+	case w.flat:
+		w.b = append(w.b, p...)
+	default:
+		w.cut()
+		w.vec = append(w.vec, p)
+	}
+}
+
+// cut lists the slab bytes put since the last cut as one part.
+func (w *frameWriter) cut() {
+	if len(w.b) > w.mark {
+		w.vec = append(w.vec, w.b[w.mark:len(w.b):len(w.b)])
+		w.mark = len(w.b)
+	}
+}
+
+// writeTo sends every listed part with one vectored write (writev on
+// TCP and Unix sockets; one Write per part on other connections). The
+// write drops each part's reference as it goes out.
+func (w *frameWriter) writeTo(c io.Writer) error {
+	w.cut()
+	w.out = w.vec
+	_, err := w.out.WriteTo(c)
+	if err != nil {
+		clear(w.vec) // what was not sent: drop the references to the caller's Args
+	}
+	return err
+}
+
+// head puts a frame's length prefix and fixed header.
+func (w *frameWriter) head(body int, typ, flags byte, id, aux uint64) {
+	b := w.put(4 + headerSize)
+	nativeOrder.PutUint32(b, uint32(body))
+	putHeader(b[4:], typ, flags, id, aux)
+}
+
+// section lays out one slice section: the header, the payload by
+// reference, then zero padding to the next 8-byte boundary.
+func (w *frameWriter) section(tag byte, count int, payload []byte) {
+	putSectionHdr(w.put(sectionHdrSize), 0, tag, 0, count)
+	w.ref(payload)
+	if pad := align8(len(payload)) - len(payload); pad > 0 {
+		clear(w.put(pad))
+	}
+}
+
+// scalars lays out the scalar section every request and response ends
+// its slice sections with.
+func (w *frameWriter) scalars(a *kernel.Args) {
+	b := w.put(sectionSize(32))
+	putScalars(b, putSectionHdr(b, 0, secScalars, 0, 4), a)
+}
+
+// requestSize returns a request frame's body size for (k, a, d), and
+// how many of those bytes are slice payloads a frame writer references
+// rather than computes.
+func requestSize(kname, tenant string, a *kernel.Args, d *kernel.Delta) (body, refs int) {
+	body = headerSize + align8(2+len(kname)+len(tenant))
+	slice := func(n int) {
+		body += sectionSize(n)
+		refs += n
+	}
+	if a.Xs != nil {
+		slice(8 * len(a.Xs))
+	}
+	if a.Dst != nil {
+		slice(8 * len(a.Dst))
+	}
+	if a.Hist != nil {
+		slice(8 * len(a.Hist))
+	}
+	if a.Dist != nil {
+		slice(4 * len(a.Dist))
+	}
+	if a.G != nil {
+		body += sectionSize(graphPayload(a.G.M()))
+	}
+	body += sectionSize(32) // scalars, always present
+	if d != nil {
+		if d.Append != nil {
+			slice(8 * len(d.Append))
+		}
+		if d.Edges != nil {
+			body += sectionSize(8 * len(d.Edges))
+		}
+	}
+	return body, refs
+}
+
+// checkRequest refuses what a request frame cannot carry.
+func checkRequest(tenant string, k *kernel.Kernel) error {
 	if k == nil {
-		return buf, fmt.Errorf("%w: nil kernel", ErrBadFrame)
+		return fmt.Errorf("%w: nil kernel", ErrBadFrame)
 	}
 	if len(k.Name) > 255 || len(k.Name) == 0 {
-		return buf, fmt.Errorf("%w: kernel name length %d", ErrBadFrame, len(k.Name))
+		return fmt.Errorf("%w: kernel name length %d", ErrBadFrame, len(k.Name))
 	}
 	if len(tenant) > 255 {
-		return buf, fmt.Errorf("%w: tenant name length %d", ErrBadFrame, len(tenant))
+		return fmt.Errorf("%w: tenant name length %d", ErrBadFrame, len(tenant))
 	}
-	if budget < 0 {
-		budget = 0
-	}
-	body := requestSize(k.Name, tenant, a, d)
-	base := len(buf)
-	buf = ensure(buf, base+4+body)
-	nativeOrder.PutUint32(buf[base:], uint32(body))
-	b := buf[base+4:]
+	return nil
+}
+
+// request lays out one request frame of the given body size (from
+// requestSize) for a request checkRequest accepted.
+func (w *frameWriter) request(body int, id uint64, tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) {
 	flags := byte(0)
 	if d != nil {
 		flags |= flagDelta
@@ -322,182 +425,168 @@ func AppendRequest(buf []byte, id uint64, tenant string, k *kernel.Kernel, a *ke
 		// server to install CanonicalBucket(len(Hist)) instead.
 		flags |= flagBucket
 	}
-	putHeader(b, frameRequest, flags, id, uint64(budget))
-	off := headerSize
-	b[off] = byte(len(k.Name))
-	off++
-	off += copy(b[off:], k.Name)
-	b[off] = byte(len(tenant))
-	off++
-	off += copy(b[off:], tenant)
-	for off%8 != 0 {
-		b[off] = 0
-		off++
-	}
+	w.head(body, frameRequest, flags, id, uint64(max(budget, 0)))
+	names := w.put(align8(2 + len(k.Name) + len(tenant)))
+	names[0] = byte(len(k.Name))
+	off := 1 + copy(names[1:], k.Name)
+	names[off] = byte(len(tenant))
+	off += 1 + copy(names[off+1:], tenant)
+	clear(names[off:])
 	if a.Xs != nil {
-		off = putSectionHdr(b, off, secXs, 0, len(a.Xs))
-		off = putInt64s(b, off, a.Xs)
+		w.section(secXs, len(a.Xs), int64Bytes(a.Xs))
 	}
 	if a.Dst != nil {
-		off = putSectionHdr(b, off, secDst, 0, len(a.Dst))
-		off = putInt64s(b, off, a.Dst)
+		w.section(secDst, len(a.Dst), int64Bytes(a.Dst))
 	}
 	if a.Hist != nil {
-		off = putSectionHdr(b, off, secHist, 0, len(a.Hist))
-		off = putInts(b, off, a.Hist)
+		w.section(secHist, len(a.Hist), intBytes(a.Hist))
 	}
 	if a.Dist != nil {
-		off = putSectionHdr(b, off, secDist, 0, len(a.Dist))
-		off = putInt32s(b, off, a.Dist)
+		w.section(secDist, len(a.Dist), int32Bytes(a.Dist))
 	}
 	if a.G != nil {
-		off = putSectionHdr(b, off, secGraph, 0, a.G.M())
-		off = putGraph(b, off, a.G)
+		m := a.G.M()
+		b := w.put(sectionSize(graphPayload(m)))
+		putGraph(b, putSectionHdr(b, 0, secGraph, 0, m), a.G)
 	}
-	off = putSectionHdr(b, off, secScalars, 0, 4)
-	off = putScalars(b, off, a)
+	w.scalars(a)
 	if d != nil {
 		if d.Append != nil {
-			off = putSectionHdr(b, off, secDeltaAppend, 0, len(d.Append))
-			off = putInt64s(b, off, d.Append)
+			w.section(secDeltaAppend, len(d.Append), int64Bytes(d.Append))
 		}
 		if d.Edges != nil {
-			off = putSectionHdr(b, off, secDeltaEdges, 0, len(d.Edges))
-			off = putEdges(b, off, d.Edges)
+			b := w.put(sectionSize(8 * len(d.Edges)))
+			putEdges(b, putSectionHdr(b, 0, secDeltaEdges, 0, len(d.Edges)), d.Edges)
 		}
 	}
-	if off != body {
-		return buf, fmt.Errorf("%w: encoded %d bytes, sized %d", ErrBadFrame, off, body)
-	}
-	return buf, nil
 }
 
-// respPlan names the slice section a response carries. The choice is
-// kernel-driven: a CacheSpec's Out kind when the kernel has one (the
-// cache already had to answer "what is this kernel's output"), else
-// Hist for histogram-shaped records, Dist for graph kernels, Xs as
-// the in-place default. Scalars always travel.
+// AppendRequest encodes one request frame — length prefix included —
+// onto buf and returns the extended slice. A nil d encodes a plain
+// Call; a non-nil d sets the delta flag and appends the delta
+// sections. budget (0 for none) rides the aux field as nanoseconds.
+// The id is chosen by the caller and echoed by every response frame.
+// It is the flat form of the frame Client writes vectored.
+func AppendRequest(buf []byte, id uint64, tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) ([]byte, error) {
+	if err := checkRequest(tenant, k); err != nil {
+		return buf, err
+	}
+	body, _ := requestSize(k.Name, tenant, a, d)
+	w := flatWriter(buf, body)
+	w.request(body, id, tenant, k, a, d, budget)
+	return w.b, nil
+}
+
+// respPlan names the slice section a response carries: its tag (0 for
+// none), element count and payload bytes, which alias the Args. The
+// choice is kernel-driven: a CacheSpec's Out kind when the kernel has
+// one (the cache already had to answer "what is this kernel's
+// output"), else Hist for histogram-shaped records, Dist for graph
+// kernels, Xs as the in-place default. Scalars always travel.
 type respPlan struct {
-	tag     byte
-	payload int // payload bytes of the slice section (0 = scalars only)
+	tag   byte
+	count int
+	raw   []byte
 }
 
 func planResponse(k *kernel.Kernel, a *kernel.Args) respPlan {
 	if k != nil && k.Cache != nil {
 		switch k.Cache.Out {
 		case kernel.OutXs:
-			return respPlan{secXs, 8 * len(a.Xs)}
+			return respPlan{secXs, len(a.Xs), int64Bytes(a.Xs)}
 		case kernel.OutDst:
-			return respPlan{secDst, 8 * len(a.Dst)}
+			return respPlan{secDst, len(a.Dst), int64Bytes(a.Dst)}
 		case kernel.OutScalar:
-			return respPlan{0, 0}
+			return respPlan{}
 		}
 	}
 	switch {
 	case a.Hist != nil:
-		return respPlan{secHist, 8 * len(a.Hist)}
+		return respPlan{secHist, len(a.Hist), intBytes(a.Hist)}
 	case a.Dist != nil:
-		return respPlan{secDist, 4 * len(a.Dist)}
+		return respPlan{secDist, len(a.Dist), int32Bytes(a.Dist)}
 	case a.Dst != nil:
-		return respPlan{secDst, 8 * len(a.Dst)}
+		return respPlan{secDst, len(a.Dst), int64Bytes(a.Dst)}
 	default:
-		return respPlan{secXs, 8 * len(a.Xs)}
+		return respPlan{secXs, len(a.Xs), int64Bytes(a.Xs)}
 	}
 }
 
-func planCount(p respPlan, a *kernel.Args) int {
-	switch p.tag {
-	case secXs:
-		return len(a.Xs)
-	case secDst:
-		return len(a.Dst)
-	case secHist:
-		return len(a.Hist)
-	case secDist:
-		return len(a.Dist)
+// responseBody is the body size of the one-shot response for p.
+func responseBody(p respPlan) int {
+	body := headerSize + sectionSize(32)
+	if p.tag != 0 {
+		body += sectionSize(len(p.raw))
 	}
-	return 0
+	return body
 }
 
-// putPlanPayload writes the planned section's payload in place.
-func putPlanPayload(b []byte, off int, p respPlan, a *kernel.Args) int {
-	switch p.tag {
-	case secXs:
-		return putInt64s(b, off, a.Xs)
-	case secDst:
-		return putInt64s(b, off, a.Dst)
-	case secHist:
-		return putInts(b, off, a.Hist)
-	case secDist:
-		return putInt32s(b, off, a.Dist)
+// response lays out a one-shot response frame: the planned output
+// section plus the scalar section.
+func (w *frameWriter) response(id uint64, p respPlan, a *kernel.Args) {
+	w.head(responseBody(p), frameResponse, 0, id, 0)
+	if p.tag != 0 {
+		w.section(p.tag, p.count, p.raw)
 	}
-	return off
+	w.scalars(a)
 }
 
 // AppendResponse encodes a one-shot response frame for a finished
-// request: the kernel's output section plus the scalar section.
+// request: the kernel's output section plus the scalar section. It is
+// the flat form of the frame Listener writes vectored.
 func AppendResponse(buf []byte, id uint64, k *kernel.Kernel, a *kernel.Args) []byte {
 	p := planResponse(k, a)
-	body := headerSize + sectionSize(32)
-	if p.tag != 0 {
-		body += sectionSize(p.payload)
-	}
-	base := len(buf)
-	buf = ensure(buf, base+4+body)
-	nativeOrder.PutUint32(buf[base:], uint32(body))
-	b := buf[base+4:]
-	putHeader(b, frameResponse, 0, id, 0)
-	off := headerSize
-	if p.tag != 0 {
-		off = putSectionHdr(b, off, p.tag, 0, planCount(p, a))
-		off = putPlanPayload(b, off, p, a)
-	}
-	off = putSectionHdr(b, off, secScalars, 0, 4)
-	putScalars(b, off, a)
-	return buf
+	w := flatWriter(buf, responseBody(p))
+	w.response(id, p, a)
+	return w.b
 }
 
-// AppendStreamEnd encodes the closing frame of a streamed response:
-// the output section's header with the streamed flag (geometry, no
-// payload — the payload traveled in chunk frames) plus the scalars.
+// streamEndBody is the body size of a stream's closing frame.
+const streamEndBody = headerSize + sectionHdrSize + sectionHdrSize + 32
+
+// streamEnd lays out the closing frame of a streamed response: the
+// output section's header with the streamed flag (geometry, no payload
+// — the payload traveled in chunk frames) plus the scalars.
+func (w *frameWriter) streamEnd(id uint64, p respPlan, count int, a *kernel.Args) {
+	w.head(streamEndBody, frameEnd, 0, id, 0)
+	putSectionHdr(w.put(sectionHdrSize), 0, p.tag, secFlagStreamed, count)
+	w.scalars(a)
+}
+
+// AppendStreamEnd encodes the closing frame of a streamed response.
 func AppendStreamEnd(buf []byte, id uint64, p respPlan, count int, a *kernel.Args) []byte {
-	body := headerSize + sectionSize(0) + sectionSize(32)
-	base := len(buf)
-	buf = ensure(buf, base+4+body)
-	nativeOrder.PutUint32(buf[base:], uint32(body))
-	b := buf[base+4:]
-	putHeader(b, frameEnd, 0, id, 0)
-	off := putSectionHdr(b, headerSize, p.tag, secFlagStreamed, count)
-	off = putSectionHdr(b, off, secScalars, 0, 4)
-	putScalars(b, off, a)
-	return buf
+	w := flatWriter(buf, streamEndBody)
+	w.streamEnd(id, p, count, a)
+	return w.b
 }
 
-// AppendChunk encodes one streamed-payload chunk: raw section bytes
-// at byte offset off within the section payload.
+// chunk lays out one streamed-payload chunk: raw section bytes at byte
+// offset off within the section payload.
+func (w *frameWriter) chunk(id uint64, off int, chunk []byte) {
+	w.head(headerSize+len(chunk), frameChunk, 0, id, uint64(off))
+	w.ref(chunk)
+}
+
+// AppendChunk encodes one streamed-payload chunk frame.
 func AppendChunk(buf []byte, id uint64, off int, chunk []byte) []byte {
-	body := headerSize + len(chunk)
-	base := len(buf)
-	buf = ensure(buf, base+4+body)
-	nativeOrder.PutUint32(buf[base:], uint32(body))
-	b := buf[base+4:]
-	putHeader(b, frameChunk, 0, id, uint64(off))
-	copy(b[headerSize:], chunk)
-	return buf
+	w := flatWriter(buf, headerSize+len(chunk))
+	w.chunk(id, off, chunk)
+	return w.b
 }
 
-// AppendError encodes an error frame: the serve sentinels travel as
+// errorFrame lays out an error frame: the serve sentinels travel as
 // codes (so errors.Is works on the far side), everything else as code
 // 4 plus the error text.
+func (w *frameWriter) errorFrame(id uint64, code int, msg string) {
+	w.head(headerSize+len(msg), frameError, 0, id, uint64(code))
+	copy(w.put(len(msg)), msg)
+}
+
+// AppendError encodes an error frame.
 func AppendError(buf []byte, id uint64, code int, msg string) []byte {
-	body := headerSize + len(msg)
-	base := len(buf)
-	buf = ensure(buf, base+4+body)
-	nativeOrder.PutUint32(buf[base:], uint32(body))
-	b := buf[base+4:]
-	putHeader(b, frameError, 0, id, uint64(code))
-	copy(b[headerSize:], msg)
-	return buf
+	w := flatWriter(buf, headerSize+len(msg))
+	w.errorFrame(id, code, msg)
+	return w.b
 }
 
 // --- decoding ---------------------------------------------------------
@@ -932,4 +1021,149 @@ func DecodeError(h Header, body []byte) error {
 		msg = "unspecified remote error"
 	}
 	return fmt.Errorf("wire: remote: %s", msg)
+}
+
+// --- reading a stream of frames --------------------------------------
+
+// frameLead is the unused head of a frameReader's buffer: a frame's
+// length prefix sits at offset frameLead and its body right after, at
+// offset 8, so the body is 8-aligned for the decoder's in-place casts.
+const frameLead = 4
+
+// frameReader reads length-prefixed frames off a connection with as
+// few reads as the socket allows: each read asks for all the room the
+// buffer has, the length prefix is taken from what arrived, and another
+// read happens only while the frame is incomplete. Bytes that arrived
+// past a frame stay where they are, and the next frame is decoded
+// where it lies, so a run of pipelined frames does not move the unread
+// tail once per frame. The unread bytes move to the front only when the
+// next frame would not fit behind them, which moves less than that
+// frame's size; and that happens in the next call to next, when the
+// caller is done with the frame it was handed (the kernel has run on it
+// and the reply has been written from it), so a body never moves under
+// a live alias.
+//
+// Bodies are decoded in place, so each must start 8-aligned: its
+// prefix must sit at frameLead mod 8. A frame takes 4 bytes more than
+// its body, and valid bodies are multiples of 8 long, so in a run of
+// frames every other one lands 4 bytes off that grid (a malformed body
+// can shift it by any amount). Such a frame is moved back onto the grid,
+// over the spent frame before it: a copy of that frame alone.
+//
+// The buffer is grown when the first length prefix has been read, so a
+// connection that never sends a frame holds none.
+type frameReader struct {
+	s    slab
+	lenb [4]byte // the first prefix, read before the buffer exists
+	off  int     // where the next frame's length prefix starts
+	end  int     // end of the bytes read
+}
+
+// next returns the next frame's body. It aliases the reader's buffer
+// and is valid until next is called again. A read failure comes back
+// wrapped as "wire: read", a length prefix outside [headerSize,
+// maxFrame] as ErrFrameTooLarge.
+func (r *frameReader) next(c io.Reader, maxFrame int) ([]byte, error) {
+	if r.s.b == nil {
+		if _, err := io.ReadFull(c, r.lenb[:]); err != nil {
+			return nil, fmt.Errorf("wire: read: %w", err)
+		}
+		n, err := frameLen(r.lenb[:], maxFrame)
+		if err != nil {
+			return nil, err
+		}
+		r.off = frameLead
+		r.end = frameLead + copy(r.s.grow(frameLead+4+n, 0)[frameLead:], r.lenb[:])
+	}
+	if r.off == r.end {
+		r.off, r.end = frameLead, frameLead // nothing left over: read from the front
+	}
+	if len(r.s.b)-r.off < 4 {
+		r.compact()
+	}
+	if err := r.fill(c, r.off+4); err != nil {
+		return nil, err
+	}
+	n, err := frameLen(r.s.b[r.off:], maxFrame)
+	if err != nil {
+		return nil, err
+	}
+	if r.off+4+n > len(r.s.b) {
+		r.compact()
+		r.s.grow(frameLead+4+n, r.end)
+	}
+	if err := r.fill(c, r.off+4+n); err != nil {
+		return nil, err
+	}
+	at := r.off
+	r.off += 4 + n
+	if d := (at - frameLead) % 8; d != 0 {
+		at -= d
+		copy(r.s.b[at:], r.s.b[at+d:r.off])
+	}
+	return r.s.b[at+4 : at+4+n : at+4+n], nil
+}
+
+// compact moves the unread bytes to the front of the buffer.
+func (r *frameReader) compact() {
+	r.end = frameLead + copy(r.s.b[frameLead:], r.s.b[r.off:r.end])
+	r.off = frameLead
+}
+
+// frameLen reads and bounds a length prefix.
+func frameLen(prefix []byte, maxFrame int) (int, error) {
+	n := int(nativeOrder.Uint32(prefix))
+	if n < headerSize || n > maxFrame {
+		return 0, fmt.Errorf("%w: frame length %d", ErrFrameTooLarge, n)
+	}
+	return n, nil
+}
+
+// fill reads until the buffer holds want bytes, each read asking for
+// all the room there is.
+func (r *frameReader) fill(c io.Reader, want int) error {
+	for r.end < want {
+		n, err := c.Read(r.s.b[r.end:])
+		r.end += n
+		if err != nil && r.end < want {
+			return fmt.Errorf("wire: read: %w", err)
+		}
+	}
+	return nil
+}
+
+// slab is a connection's growable byte buffer, drawn from a scratch
+// pool, or from the heap when pool is nil (the client's: no Close could
+// return them to a pool while a call may be using them).
+type slab struct {
+	pool *scratch.Pool
+	b    []byte // at full capacity; nil until first grown
+	h    scratch.Handle
+}
+
+// grow makes b hold at least need bytes and returns it, carrying
+// b[:keep] over when it has to swap to a larger buffer.
+func (s *slab) grow(need, keep int) []byte {
+	if cap(s.b) < need {
+		var nb []byte
+		var nh scratch.Handle
+		if s.pool != nil {
+			nb, nh = scratch.Get[byte](s.pool, need)
+		} else {
+			nb = make([]byte, max(need, 2*cap(s.b)))
+		}
+		nb = nb[:cap(nb)]
+		copy(nb, s.b[:keep])
+		s.release()
+		s.b, s.h = nb, nh
+	}
+	return s.b
+}
+
+// release returns a pooled buffer; the slab is empty after.
+func (s *slab) release() {
+	if s.pool != nil && s.b != nil {
+		scratch.Put(s.h)
+	}
+	s.b = nil
 }

@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/kernel"
 	"repro/internal/par"
@@ -278,11 +282,11 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	warm()
-	// The decoder sees frame bodies at slab offset 0 (the listener
-	// reads the 4-byte prefix into a separate array), so the pin
-	// copies each body into an 8-aligned buffer exactly like the read
-	// path does — decoding at frame[4:] would hit the misaligned-copy
-	// fallback and measure the wrong thing.
+	// The decoder sees frame bodies 8-aligned (the listener's reader
+	// puts a frame's prefix at slab offset 4, so its body starts at 8),
+	// so the pin copies each body into an 8-aligned buffer exactly like
+	// the read path does — decoding at frame[4:] would hit the
+	// misaligned-copy fallback and measure the wrong thing.
 	body := make([]byte, 1<<16)
 	out := kernel.Args{Xs: make([]int64, len(sa.Xs))}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -361,4 +365,138 @@ func TestDecodeLateRegisteredKernelConcurrently(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+}
+
+// flatten concatenates a vectored writer's parts: the bytes its one
+// vectored write puts on the socket.
+func flatten(w *frameWriter) []byte {
+	w.cut()
+	var out []byte
+	for _, p := range w.vec {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// TestVectoredMatchesFlat pins the one-layout contract: the parts a
+// vectored writer lists — each slab sized only for the computed bytes,
+// as the listener and client size theirs — concatenate to exactly the
+// Append* bytes, for a request of every kernel (plain and delta), its
+// one-shot response, and a streamed response's chunk frames plus end
+// frame; and slice payloads are listed by reference, not copied.
+func TestVectoredMatchesFlat(t *testing.T) {
+	for _, k := range kernel.All() {
+		t.Run(k.Name, func(t *testing.T) {
+			a := k.Gen(301, 13)
+			for _, d := range []*kernel.Delta{nil, {Append: []int64{4, -2, 9}}} {
+				flat, err := AppendRequest(nil, 5, "tenant-v", k, a, d, time.Millisecond)
+				if err != nil {
+					t.Fatalf("AppendRequest: %v", err)
+				}
+				body, refs := requestSize(k.Name, "tenant-v", a, d)
+				var w frameWriter
+				w.reset(make([]byte, 4+body-refs))
+				w.request(body, 5, "tenant-v", k, a, d, time.Millisecond)
+				if got := flatten(&w); !bytes.Equal(got, flat) {
+					t.Fatalf("vectored request (delta %v) differs from AppendRequest", d != nil)
+				}
+				if len(w.b) != 4+body-refs {
+					t.Fatalf("request slab holds %d computed bytes, sized %d", len(w.b), 4+body-refs)
+				}
+			}
+
+			k.Run(a, parOptions())
+			p := planResponse(k, a)
+			var w frameWriter
+			w.reset(make([]byte, 4+responseBody(p)-len(p.raw)))
+			w.response(11, p, a)
+			if got := flatten(&w); !bytes.Equal(got, AppendResponse(nil, 11, k, a)) {
+				t.Fatalf("vectored response differs from AppendResponse")
+			}
+			if len(p.raw) > 0 && !slices.ContainsFunc(w.vec, func(part []byte) bool {
+				return unsafe.SliceData(part) == unsafe.SliceData(p.raw)
+			}) {
+				t.Fatalf("response payload was not listed by reference")
+			}
+
+			const size = 200 // odd-sized chunks: the last one is short
+			chunks := (len(p.raw) + size - 1) / size
+			w.reset(make([]byte, chunks*(4+headerSize)+4+streamEndBody))
+			var want []byte
+			for off := 0; off < len(p.raw); off += size {
+				chunk := p.raw[off:min(off+size, len(p.raw))]
+				w.chunk(11, off, chunk)
+				want = AppendChunk(want, 11, off, chunk)
+			}
+			w.streamEnd(11, p, p.count, a)
+			want = AppendStreamEnd(want, 11, p, p.count, a)
+			if got := flatten(&w); !bytes.Equal(got, want) {
+				t.Fatalf("vectored stream differs from AppendChunk... + AppendStreamEnd")
+			}
+		})
+	}
+}
+
+// TestFrameReaderPipelinedRunIsLinear pins the reader's cost on
+// pipelined frames: a large frame sizes the buffer, then thousands of
+// small frames arrive a buffer's worth per read. Each frame must be
+// decoded where it lies, the unread bytes moving to the front only when
+// the next frame would not fit behind them, so the buffer restarts about
+// once per buffer's worth of frames, not once per frame (which would
+// copy the whole unread tail every frame: quadratic per read). In a run
+// every other frame sits 4 bytes off the 8-byte grid, and bodies whose
+// length is not a multiple of 8 shift it further; every body must still
+// come back 8-aligned and intact.
+func TestFrameReaderPipelinedRunIsLinear(t *testing.T) {
+	const big, small = 256 << 10, 16 << 10
+	for _, odd := range []bool{false, true} {
+		bodyLen := func(i int) int {
+			if i == 0 {
+				return big
+			}
+			if odd && i%3 == 0 {
+				return 97
+			}
+			return 96
+		}
+		var stream []byte
+		for i := 0; i <= small; i++ {
+			n := bodyLen(i)
+			stream = nativeOrder.AppendUint32(stream, uint32(n))
+			for j := 0; j < n; j++ {
+				stream = append(stream, byte(i*7+j))
+			}
+		}
+		var r frameReader
+		src := bytes.NewReader(stream)
+		restarts, last := 0, uintptr(0)
+		for i := 0; i <= small; i++ {
+			body, err := r.next(src, DefaultMaxFrame)
+			if err != nil {
+				t.Fatalf("odd=%v frame %d: %v", odd, i, err)
+			}
+			if len(body) != bodyLen(i) {
+				t.Fatalf("odd=%v frame %d: %d bytes, want %d", odd, i, len(body), bodyLen(i))
+			}
+			for j, b := range body {
+				if b != byte(i*7+j) {
+					t.Fatalf("odd=%v frame %d: byte %d corrupted", odd, i, j)
+				}
+			}
+			at := uintptr(unsafe.Pointer(&body[0])) - uintptr(unsafe.Pointer(&r.s.b[0]))
+			if at%8 != 0 {
+				t.Fatalf("odd=%v frame %d: body at buffer offset %d, not 8-aligned", odd, i, at)
+			}
+			if at <= last {
+				restarts++
+			}
+			last = at
+		}
+		if _, err := r.next(src, DefaultMaxFrame); !errors.Is(err, io.EOF) {
+			t.Fatalf("odd=%v: after the last frame: %v, want EOF", odd, err)
+		}
+		if limit := 2 + 2*(len(stream)-big)/len(r.s.b); restarts > limit {
+			t.Fatalf("odd=%v: buffer restarted %d times for %d small frames, want <= %d", odd, restarts, small, limit)
+		}
+	}
 }

@@ -1,14 +1,18 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/scratch"
+	"repro/internal/serve"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the request decoder. The
@@ -245,8 +249,10 @@ func FuzzChunkReassembly(f *testing.F) {
 			}()
 			err := cl.CallBudget("t", sortK, a, 0)
 			if err != nil {
-				// Abort the fake server's pending write: the client reads
-				// whole frames, so the pipe is left at a frame boundary.
+				// Abort the fake server's pending write. Each frame is one
+				// Write and a pipe Read returns at most one Write, so the
+				// client has read no byte past the frame it failed on and
+				// the pipe is left at a frame boundary.
 				sc.SetDeadline(time.Now())
 			}
 			<-done
@@ -274,6 +280,211 @@ func FuzzChunkReassembly(f *testing.F) {
 			case err != nil:
 				checkTyped(t, err)
 			}
+		}
+	})
+}
+
+// pipeListener is a net.Listener that hands out one connection — the
+// server end of a net.Pipe — then blocks until closed.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+	addr  net.Addr
+}
+
+func newPipeListener(c net.Conn) *pipeListener {
+	l := &pipeListener{conns: make(chan net.Conn, 1), done: make(chan struct{}), addr: c.LocalAddr()}
+	l.conns <- c
+	return l
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
+func (l *pipeListener) Addr() net.Addr { return l.addr }
+
+// sortOnly is a Backend whose reply is a pure function of the frame:
+// sort requests run the kernel's serial oracle, every other call is
+// rejected.
+type sortOnly struct{}
+
+func (sortOnly) CallBudget(_ string, k *kernel.Kernel, a *kernel.Args, _ time.Duration) error {
+	if k.Name != "sort" {
+		return serve.ErrRejected
+	}
+	if k.Validate != nil {
+		if err := k.Validate(a); err != nil {
+			return err
+		}
+	}
+	k.Serial(a)
+	return nil
+}
+
+func (sortOnly) CallDeltaBudget(string, *kernel.Kernel, *kernel.Args, *kernel.Delta, time.Duration) error {
+	return serve.ErrRejected
+}
+
+// listenerReplies is the oracle for FuzzListenerFrames: the reply
+// frames a listener with frame bound maxFrame owes the byte stream, in
+// order — one per complete frame — and whether it hangs up after the
+// last (an insane length prefix, or a frame from another protocol). It
+// also returns what is left over: the start of a frame not yet whole.
+func listenerReplies(stream []byte, maxFrame int) (replies [][]byte, hangup bool, rest []byte) {
+	dec := NewDecoder()
+	for len(stream) >= 4 {
+		n := int(nativeOrder.Uint32(stream))
+		if n < headerSize || n > maxFrame {
+			return append(replies, AppendError(nil, 0, codeOther, ErrFrameTooLarge.Error())), true, nil
+		}
+		if len(stream) < 4+n {
+			break
+		}
+		body := append([]byte(nil), stream[4:4+n]...) // 8-aligned, as in the listener's slab
+		stream = stream[4+n:]
+		req, err := dec.DecodeRequest(body)
+		fatal := err != nil && fatalDecode(err)
+		switch {
+		case err != nil:
+		case req.IsDelta:
+			err = sortOnly{}.CallDeltaBudget(req.Tenant, req.Kernel, &req.Args, &req.Delta, req.Budget)
+		default:
+			err = sortOnly{}.CallBudget(req.Tenant, req.Kernel, &req.Args, req.Budget)
+		}
+		if err != nil {
+			replies = append(replies, AppendError(nil, req.ID, errorCode(err), err.Error()))
+		} else {
+			replies = append(replies, AppendResponse(nil, req.ID, req.Kernel, &req.Args))
+		}
+		if fatal {
+			return replies, true, nil
+		}
+	}
+	return replies, false, stream
+}
+
+// FuzzListenerFrames drives the listener's frame loop — the reader
+// that takes as many bytes as arrive and keeps what is past a frame —
+// over a net.Pipe, with fuzzer-chosen bytes sent in fuzzer-chosen
+// writes (each two bytes of cuts, low byte first, is the length of the
+// next write less one; the last cut repeats, and after maxCuts writes
+// the rest goes in one, which bounds an input's cost when the minimizer
+// shrinks the cuts to single bytes). The stream is completed
+// the way a client could: zeros finish a trailing partial frame, then,
+// unless the listener has hung up, a valid sort frame ends it, so the
+// test knows which reply is last. The contract: no panic, no hang (the
+// pipe carries a deadline), exactly the replies listenerReplies owes —
+// one per complete frame, in order, a valid sort frame's being
+// AppendResponse of the serial result — and then end of stream if the
+// listener hung up; and no scratch byte left live after Close.
+func FuzzListenerFrames(f *testing.F) {
+	const maxFrame, maxCuts = 64 << 10, 64
+	sortK := kernel.MustLookup("sort")
+	req := func(buf []byte, id uint64, n int) []byte {
+		buf, err := AppendRequest(buf, id, "fuzz", sortK, sortK.Gen(n, id), nil, 0)
+		if err != nil {
+			f.Fatalf("seed encode: %v", err)
+		}
+		return buf
+	}
+	cuts := func(ns ...int) []byte {
+		var b []byte
+		for _, n := range ns {
+			b = append(b, byte(n-1), byte((n-1)>>8))
+		}
+		return b
+	}
+	three := req(req(req(nil, 1, 5), 2, 17), 3, 64)
+	f.Add(three, cuts(len(three)))      // several frames in one write
+	f.Add(req(nil, 4, 9), cuts(2, 500)) // a prefix split across writes
+	odd := make([]byte, 4+headerSize+1) // a 33-byte body, then a valid frame
+	nativeOrder.PutUint32(odd, headerSize+1)
+	putHeader(odd[4:], frameRequest, 0, 5, 0)
+	odd = req(odd, 6, 7)
+	f.Add(odd, cuts(len(odd)))
+	f.Add(append([]byte{0xff, 0xff, 0xff, 0xff}, req(nil, 7, 3)...), cuts(3, 1)) // an oversize prefix
+	hist := kernel.MustLookup("histogram")
+	mixed, _ := AppendRequest(nil, 8, "fuzz", hist, hist.Gen(32, 1), nil, 0)
+	mixed, _ = AppendRequest(mixed, 9, "fuzz", sortK, sortK.Gen(8, 2), &kernel.Delta{Append: []int64{1}}, 0)
+	mixed = req(mixed, 10, 33)
+	f.Add(mixed, cuts(1, 7, 100, 40))
+	f.Fuzz(func(t *testing.T, data, cutPlan []byte) {
+		if len(data) > 4*maxFrame {
+			data = data[:4*maxFrame]
+		}
+		stream := append([]byte(nil), data...)
+		replies, hangup, rest := listenerReplies(stream, maxFrame)
+		for !hangup && len(rest) > 0 {
+			need := 4
+			if len(rest) >= 4 {
+				need = 4 + int(nativeOrder.Uint32(rest))
+			}
+			stream = append(stream, make([]byte, need-len(rest))...)
+			replies, hangup, rest = listenerReplies(stream, maxFrame)
+		}
+		const lastID = 1 << 62
+		if !hangup {
+			stream = req(stream, lastID, 6)
+			replies, hangup, _ = listenerReplies(stream, maxFrame)
+			if last, _ := DecodeHeader(replies[len(replies)-1][4:]); hangup || last.ID != lastID || last.Type != frameResponse {
+				t.Fatalf("oracle: the closing sort frame got %+v (hangup %v)", last, hangup)
+			}
+		}
+
+		pool := scratch.New()
+		cc, sc := net.Pipe()
+		defer cc.Close()
+		cc.SetDeadline(time.Now().Add(10 * time.Second))
+		l := Serve(newPipeListener(sc), sortOnly{}, Config{MaxFrame: maxFrame, Scratch: pool})
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			for i, s := 0, stream; len(s) > 0; i++ {
+				n := len(s)
+				if len(cutPlan) >= 2 && i < maxCuts {
+					j := 2 * min(i, len(cutPlan)/2-1)
+					n = min(n, 1+int(cutPlan[j])|int(cutPlan[j+1])<<8)
+				}
+				if _, err := cc.Write(s[:n]); err != nil {
+					return // the listener hung up
+				}
+				s = s[n:]
+			}
+		}()
+		var lenb [4]byte
+		for i, want := range replies {
+			if _, err := io.ReadFull(cc, lenb[:]); err != nil {
+				t.Fatalf("reply %d of %d: %v", i+1, len(replies), err)
+			}
+			got := make([]byte, 4+nativeOrder.Uint32(lenb[:]))
+			copy(got, lenb[:])
+			if _, err := io.ReadFull(cc, got[4:]); err != nil {
+				t.Fatalf("reply %d of %d: %v", i+1, len(replies), err)
+			}
+			if !bytes.Equal(got, want) {
+				h, _ := DecodeHeader(got[4:])
+				w, _ := DecodeHeader(want[4:])
+				t.Fatalf("reply %d of %d: got %+v (%d bytes), want %+v (%d bytes)", i+1, len(replies), h, len(got), w, len(want))
+			}
+		}
+		if hangup {
+			if n, err := cc.Read(lenb[:]); err != io.EOF {
+				t.Fatalf("after the last reply: read %d bytes, err %v; want the listener to have hung up", n, err)
+			}
+		}
+		cc.Close()
+		<-wrote
+		l.Close()
+		if live := pool.Stats().BytesLive; live != 0 {
+			t.Fatalf("%d scratch bytes live after Close", live)
 		}
 	})
 }

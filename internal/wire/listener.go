@@ -2,12 +2,10 @@ package wire
 
 import (
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/kernel"
 	"repro/internal/scratch"
@@ -54,12 +52,16 @@ type Config struct {
 
 const (
 	// DefaultStreamCutoff is where responses switch to chunked
-	// streaming: past the pipeline-cutoff scale, materializing the
-	// reply next to the request doubles the slab footprint for no
-	// latency win.
+	// streaming, at the pipeline-cutoff scale. Replies are written
+	// vectored from the Args either way, so streaming saves the server
+	// neither a copy nor slab bytes; what it gives is frames of at most
+	// StreamChunk payload on the wire.
 	DefaultStreamCutoff = 1 << 20
 	// DefaultStreamChunk is one chunk frame's payload.
 	DefaultStreamChunk = 64 << 10
+
+	// drainGrace bounds each reply write once Close has begun.
+	drainGrace = 2 * time.Second
 )
 
 // withDefaults resolves every "means default" value once, at Serve, so
@@ -104,7 +106,7 @@ type Listener struct {
 
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
-	closing bool
+	closing atomic.Bool // set under mu; read without it by reply
 	wg      sync.WaitGroup
 
 	conns_    atomic.Int64
@@ -153,16 +155,20 @@ func (l *Listener) Stats() Stats {
 
 // Close drains and shuts down: stop accepting, wake every blocked
 // reader (in-flight requests finish and their responses are written
-// first — only the read side is deadlined), wait for the readers to
-// exit, then return. Idempotent.
+// first; no new frame starts, even one already read into a
+// connection's buffer), wait for the readers to exit, then return. A
+// reply write during the drain — one already blocked on a peer that
+// stopped reading, or one started after Close — is bounded by
+// drainGrace, so Close returns even when a client never reads its
+// reply. Idempotent.
 func (l *Listener) Close() error {
 	l.mu.Lock()
-	if l.closing {
+	if l.closing.Load() {
 		l.mu.Unlock()
 		l.wg.Wait()
 		return nil
 	}
-	l.closing = true
+	l.closing.Store(true)
 	conns := make([]net.Conn, 0, len(l.conns))
 	for c := range l.conns {
 		conns = append(conns, c)
@@ -171,6 +177,7 @@ func (l *Listener) Close() error {
 	err := l.ln.Close()
 	for _, c := range conns {
 		c.SetReadDeadline(time.Unix(0, 1))
+		c.SetWriteDeadline(time.Now().Add(drainGrace))
 	}
 	l.wg.Wait()
 	return err
@@ -184,7 +191,7 @@ func (l *Listener) acceptLoop() {
 			return
 		}
 		l.mu.Lock()
-		if l.closing {
+		if l.closing.Load() {
 			l.mu.Unlock()
 			c.Close()
 			return
@@ -207,21 +214,6 @@ func (l *Listener) dropConn(c net.Conn) {
 	l.wg.Done()
 }
 
-// slabFor returns a byte slice with capacity at least need, reusing
-// cur when it is big enough and otherwise swapping the slab for a
-// larger class. The returned slice is at full slab capacity.
-func slabFor(pool *scratch.Pool, cur []byte, h *scratch.Handle, need int) []byte {
-	if cap(cur) >= need {
-		return cur[:cap(cur)]
-	}
-	if cur != nil {
-		scratch.Put(*h)
-	}
-	b, nh := scratch.Get[byte](pool, need)
-	*h = nh
-	return b[:cap(b)]
-}
-
 // fatalDecode reports whether a decode error means the peer speaks a
 // different protocol (or endianness) and the connection should drop,
 // as opposed to one malformed frame on an otherwise intact stream.
@@ -241,47 +233,54 @@ func errorCode(err error) int {
 	return codeOther
 }
 
-// serveConn is one connection's reader loop: length prefix, body into
-// the connection's slab, decode in place, call the backend, write the
-// reply from the connection's write slab. Strictly serial per
-// connection — that is what makes slab reuse safe with a zero-copy
-// decoder — so pipelining across requests comes from opening more
-// connections, not from more goroutines per socket.
+// conn is one connection's serving state, allocated once when it is
+// accepted: everything the frame loop reuses lives here, so nothing
+// in it is allocated per frame — the decoded Request included, whose
+// Args the backend receives by pointer.
+type conn struct {
+	c   net.Conn
+	dec *Decoder
+	r   frameReader
+	ws  slab // the frame writer's
+	w   frameWriter
+	req Request
+}
+
+// serveConn is one connection's frame loop: read a frame into the
+// connection's slab (one read when the socket already holds it all),
+// decode it in place, call the backend, write the reply with one
+// vectored write — computed bytes from the write slab, payloads
+// straight from the Args. Strictly serial per connection — that is
+// what makes slab reuse safe with a zero-copy decoder: bytes read past
+// the frame are moved over it only once its reply is written — so
+// pipelining across requests comes from opening more connections, not
+// from more goroutines per socket.
 func (l *Listener) serveConn(c net.Conn) {
 	defer l.dropConn(c)
-	dec := NewDecoder()
-	var (
-		rbuf, wbuf []byte
-		rh, wh     scratch.Handle
-		lenb       [4]byte
-	)
+	cs := &conn{c: c, dec: NewDecoder(), r: frameReader{s: slab{pool: l.cfg.Scratch}}, ws: slab{pool: l.cfg.Scratch}}
 	defer func() {
-		if rbuf != nil {
-			scratch.Put(rh)
-		}
-		if wbuf != nil {
-			scratch.Put(wh)
-		}
+		cs.r.s.release()
+		cs.ws.release()
 	}()
 	for {
-		if _, err := io.ReadFull(c, lenb[:]); err != nil {
+		body, err := cs.r.next(c, l.cfg.MaxFrame)
+		if err != nil {
+			if errors.Is(err, ErrFrameTooLarge) {
+				// An insane length prefix means the stream cannot be
+				// re-synchronized; report and hang up.
+				l.reply(cs, 0, nil, nil, ErrFrameTooLarge)
+			}
 			return // EOF, abrupt disconnect, or Close's read deadline
 		}
-		n := int(nativeOrder.Uint32(lenb[:]))
-		if n < headerSize || n > l.cfg.MaxFrame {
-			// An insane length prefix means the stream cannot be
-			// re-synchronized; report and hang up.
-			l.reply(c, &wbuf, &wh, 0, nil, nil, ErrFrameTooLarge)
+		if l.closing.Load() {
+			// No frame starts after Close, not even one that was
+			// already in the buffer and so needed no read.
 			return
 		}
-		rbuf = slabFor(l.cfg.Scratch, rbuf, &rh, n)
-		body := rbuf[:n]
-		if _, err := io.ReadFull(c, body); err != nil {
-			return
-		}
-		req, err := dec.DecodeRequest(body)
+		cs.req, err = cs.dec.DecodeRequest(body)
+		req := &cs.req
 		if err != nil {
-			if !l.reply(c, &wbuf, &wh, req.ID, nil, nil, err) || fatalDecode(err) {
+			if !l.reply(cs, req.ID, nil, nil, err) || fatalDecode(err) {
 				return
 			}
 			continue
@@ -294,66 +293,49 @@ func (l *Listener) serveConn(c net.Conn) {
 			err = l.backend.CallBudget(req.Tenant, req.Kernel, &req.Args, req.Budget)
 		}
 		l.inflight.Add(-1)
-		if !l.reply(c, &wbuf, &wh, req.ID, req.Kernel, &req.Args, err) {
+		ok := l.reply(cs, req.ID, req.Kernel, &req.Args, err)
+		*req = Request{} // drop the aliases into the slab and the kernel's outputs
+		if !ok {
 			return
 		}
 	}
 }
 
-// planBytes returns the raw bytes of the planned response section.
-func planBytes(p respPlan, a *kernel.Args) []byte {
-	switch p.tag {
-	case secXs:
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a.Xs))), 8*len(a.Xs))
-	case secDst:
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a.Dst))), 8*len(a.Dst))
-	case secHist:
-		if strconv64 {
-			return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a.Hist))), 8*len(a.Hist))
-		}
-		return nil
-	case secDist:
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a.Dist))), 4*len(a.Dist))
-	}
-	return nil
-}
-
-// reply sends the one reply a frame gets, from the connection's write
-// slab: an error frame when err is non-nil (serve sentinels travel as
-// their codes), else a single response frame, or — when the payload
-// crosses the stream cutoff — chunk frames walking the section bytes
-// followed by the closing geometry frame. Chunked and one-shot replies
-// decode to identical Args on the client. Whatever the kind, its last
-// frame is encoded into out and written and counted at one site.
-// Returns false when the connection is dead.
-func (l *Listener) reply(c net.Conn, wbuf *[]byte, wh *scratch.Handle, id uint64, k *kernel.Kernel, a *kernel.Args, err error) bool {
-	pool, sent := l.cfg.Scratch, &l.responses
-	var out []byte
+// reply sends the one reply a frame gets, with one vectored write: an
+// error frame when err is non-nil (serve sentinels travel as their
+// codes), else a single response frame, or — when the payload crosses
+// the stream cutoff — chunk frames walking the section bytes followed
+// by the closing geometry frame. Chunked and one-shot replies decode
+// to identical Args on the client. Only headers, scalars and error
+// text go into the write slab; payloads are sent from the Args. During
+// a drain every reply write is bounded by drainGrace. Returns false
+// when the connection is dead.
+func (l *Listener) reply(cs *conn, id uint64, k *kernel.Kernel, a *kernel.Args, err error) bool {
+	w, sent, chunks := &cs.w, &l.responses, 0
 	if err != nil {
 		msg := err.Error()
-		*wbuf = slabFor(pool, *wbuf, wh, 4+headerSize+len(msg))
-		out, sent = AppendError((*wbuf)[:0], id, errorCode(err), msg), &l.errs
-	} else {
-		p := planResponse(k, a)
-		if raw := planBytes(p, a); l.cfg.StreamCutoff > 0 && len(raw) >= l.cfg.StreamCutoff {
-			cs := l.cfg.StreamChunk
-			*wbuf = slabFor(pool, *wbuf, wh, 4+headerSize+cs)
-			for off := 0; off < len(raw); off += cs {
-				end := min(off+cs, len(raw))
-				if _, werr := c.Write(AppendChunk((*wbuf)[:0], id, off, raw[off:end])); werr != nil {
-					return false
-				}
-				l.chunks.Add(1)
-			}
-			out = AppendStreamEnd((*wbuf)[:0], id, p, planCount(p, a), a)
-		} else {
-			*wbuf = slabFor(pool, *wbuf, wh, 4+headerSize+sectionSize(32)+sectionSize(p.payload))
-			out = AppendResponse((*wbuf)[:0], id, k, a)
+		w.reset(cs.ws.grow(4+headerSize+len(msg), 0))
+		w.errorFrame(id, errorCode(err), msg)
+		sent = &l.errs
+	} else if p := planResponse(k, a); l.cfg.StreamCutoff > 0 && len(p.raw) >= l.cfg.StreamCutoff {
+		size := l.cfg.StreamChunk
+		chunks = (len(p.raw) + size - 1) / size
+		w.reset(cs.ws.grow(chunks*(4+headerSize)+4+streamEndBody, 0))
+		for off := 0; off < len(p.raw); off += size {
+			w.chunk(id, off, p.raw[off:min(off+size, len(p.raw))])
 		}
+		w.streamEnd(id, p, p.count, a)
+	} else {
+		w.reset(cs.ws.grow(4+responseBody(p)-len(p.raw), 0))
+		w.response(id, p, a)
 	}
-	if _, werr := c.Write(out); werr != nil {
+	if l.closing.Load() {
+		cs.c.SetWriteDeadline(time.Now().Add(drainGrace))
+	}
+	if w.writeTo(cs.c) != nil {
 		return false
 	}
+	l.chunks.Add(int64(chunks))
 	sent.Add(1)
 	return true
 }

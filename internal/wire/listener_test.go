@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/par"
+	"repro/internal/racecheck"
 	"repro/internal/scratch"
 	"repro/internal/serve"
 )
@@ -549,4 +550,241 @@ func TestWireCloseDrains(t *testing.T) {
 		c.Close()
 		t.Fatalf("listener still accepting after Close")
 	}
+}
+
+// TestWireCloseSkipsBufferedFrames pins that no frame starts after
+// Close, even one that needs no read: a client pipelines a parked
+// request and two sorts in one write, so the sorts sit in the
+// connection's buffer while the first is in flight. Close lets the
+// parked request finish and reply, then hangs up without serving the
+// sorts. (A large frame first sizes the buffer so the run fits in one
+// read.)
+func TestWireCloseSkipsBufferedFrames(t *testing.T) {
+	open := gateReset()
+	defer open()
+	s := serve.New(serve.Config{})
+	defer s.Close()
+	cc, sc := net.Pipe()
+	defer cc.Close()
+	l := Serve(newPipeListener(sc), s, Config{})
+	defer l.Close()
+	cc.SetDeadline(time.Now().Add(10 * time.Second))
+
+	sortK := kernel.MustLookup("sort")
+	frames, err := AppendRequest(nil, 1, "t", sortK, sortK.Gen(4096, 1), nil, 0)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if _, err := cc.Write(frames); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	readReply(t, cc, 1)
+
+	frames, err = AppendRequest(frames[:0], 2, "t", gateKernel, gateKernel.Gen(1, 2), nil, 0)
+	for id := uint64(3); id <= 4 && err == nil; id++ {
+		frames, err = AppendRequest(frames, id, "t", sortK, sortK.Gen(64, id), nil, 0)
+	}
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if _, err := cc.Write(frames); err != nil { // a net.Pipe write returns once all of it is read
+		t.Fatalf("write: %v", err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return l.Stats().InFlight == 1 })
+
+	closed := make(chan struct{})
+	go func() { l.Close(); close(closed) }()
+	waitFor(t, 5*time.Second, l.closing.Load)
+	open()
+	readReply(t, cc, 2)
+	<-closed
+	var b [1]byte
+	if n, err := cc.Read(b[:]); err != io.EOF {
+		t.Fatalf("after the in-flight reply: read %d bytes, err %v, want EOF", n, err)
+	}
+	if st := l.Stats(); st.Requests != 2 || st.Responses != 2 {
+		t.Fatalf("after Close: %+v, want the two sorts left in the buffer unserved", st)
+	}
+}
+
+// TestWireCloseBoundsStalledReply pins that Close returns when a client
+// stops reading mid-reply: the reply write blocked on the full socket is
+// bounded by drainGrace once Close begins. The client shrinks its
+// receive buffer so a 1 Mi-element streamed reply cannot fit in what
+// the loopback socket pair buffers.
+func TestWireCloseBoundsStalledReply(t *testing.T) {
+	s := serve.New(serve.Config{})
+	defer s.Close()
+	l, err := Listen("tcp", "127.0.0.1:0", s, Config{})
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer l.Close()
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatalf("raw dial: %v", err)
+	}
+	defer c.Close()
+	if err := c.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatalf("SetReadBuffer: %v", err)
+	}
+	k := kernel.MustLookup("sort")
+	frame, err := AppendRequest(nil, 1, "t", k, k.Gen(1<<20, 3), nil, 0)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if _, err := c.Write(frame); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	// The backend call is over once the request is counted and nothing
+	// is in flight; the reply write then blocks on the client that
+	// never reads. The pause lets it get there, though Close must return
+	// either way: a reply write that starts after Close is bounded too.
+	waitFor(t, 10*time.Second, func() bool { st := l.Stats(); return st.Requests == 1 && st.InFlight == 0 })
+	time.Sleep(50 * time.Millisecond)
+
+	closed := make(chan struct{})
+	go func() { l.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(drainGrace + 5*time.Second):
+		t.Fatalf("Close did not return within %v of a client that stopped reading", drainGrace+5*time.Second)
+	}
+	if st := l.Stats(); st.Responses != 0 || st.ActiveConns != 0 {
+		t.Fatalf("after Close: %+v, want the stalled reply unsent and no conn open", st)
+	}
+}
+
+// TestWireRoundTripZeroAllocs pins the socket path end to end, server
+// and client together (AllocsPerRun counts the whole process): a warm
+// one-shot round trip allocates nothing — the listener decodes into a
+// Request it keeps per connection and writes through a net.Buffers it
+// keeps per connection — and a streamed one allocates no more than the
+// same call made in-process (at serve.New defaults the 256 Ki sort
+// takes the long route, which allocates inside the sort itself).
+func TestWireRoundTripZeroAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	s := serve.New(serve.Config{})
+	defer s.Close()
+	l, cl := newWire(t, s, Config{})
+	k := kernel.MustLookup("sort")
+
+	measure := func(f serve.Front, n, calls int) float64 {
+		base := k.Gen(n, 5).Xs
+		a := kernel.Args{Xs: make([]int64, n)}
+		call := func() {
+			for i := 0; i < calls; i++ {
+				copy(a.Xs, base)
+				if err := f.CallBudget("t", k, &a, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 8; i++ {
+			call()
+		}
+		// A GC between runs can repopulate sync.Pools on the measured
+		// iteration; retry before declaring a leak.
+		var allocs float64
+		for attempt := 0; attempt < 3; attempt++ {
+			if allocs = testing.AllocsPerRun(50, call); allocs == 0 {
+				break
+			}
+		}
+		return allocs
+	}
+
+	if allocs := measure(cl, 4<<10, 4); allocs != 0 {
+		t.Errorf("one-shot 4 Ki sort over the wire: %.2f allocs per 4 calls, want 0", allocs)
+	}
+	if st := l.Stats(); st.Chunks != 0 {
+		t.Fatalf("the one-shot row streamed: %+v", st)
+	}
+	local := measure(s, 256<<10, 1)
+	if allocs := measure(cl, 256<<10, 1); allocs > local {
+		t.Errorf("streamed 256 Ki sort over the wire: %.2f allocs per call, in-process %.2f", allocs, local)
+	}
+	if st := l.Stats(); st.Chunks == 0 {
+		t.Fatalf("the streamed row never streamed: %+v", st)
+	}
+}
+
+// countingConn counts Read calls on the connection it wraps.
+type countingConn struct {
+	net.Conn
+	reads int
+}
+
+func (c *countingConn) Read(b []byte) (int, error) {
+	c.reads++
+	return c.Conn.Read(b)
+}
+
+// TestListenerReadsOncePerFrame pins the read path's mechanism: a frame
+// the connection already holds whole is taken with one Read, prefix and
+// body together, and frames sent together are taken together. On a
+// net.Pipe a Read returns at most one Write, so the count is exact: the
+// first frame costs two (a connection reads its first prefix alone, so
+// one that never sends holds no buffer), each later frame one, and a
+// run of three frames in one Write one in all.
+func TestListenerReadsOncePerFrame(t *testing.T) {
+	cc, sc := net.Pipe()
+	defer cc.Close()
+	conn := &countingConn{Conn: sc}
+	l := Serve(newPipeListener(conn), sortOnly{}, Config{})
+	defer l.Close()
+	cc.SetDeadline(time.Now().Add(10 * time.Second))
+
+	k := kernel.MustLookup("sort")
+	request := func(buf []byte, id uint64, n int) []byte {
+		buf, err := AppendRequest(buf, id, "t", k, k.Gen(n, id), nil, 0)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		return buf
+	}
+	// The first frame is the largest, so the buffer it sizes has room
+	// for the three-frame run.
+	var frames []byte
+	for i := uint64(1); i <= 4; i++ {
+		frames = request(frames[:0], i, 4096>>(2*i))
+		if _, err := cc.Write(frames); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		readReply(t, cc, i)
+	}
+	frames = request(request(request(frames[:0], 5, 64), 6, 64), 7, 64)
+	if _, err := cc.Write(frames); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for i := uint64(5); i <= 7; i++ {
+		readReply(t, cc, i)
+	}
+	l.Close() // the serving goroutine is done with conn once Close returns
+	// 2 + 3 for the first four frames, 1 for the run of three, and the
+	// read Close's deadline fails.
+	if conn.reads != 2+3+1+1 {
+		t.Fatalf("%d reads for 7 frames, want %d", conn.reads, 2+3+1+1)
+	}
+}
+
+// readReply reads one reply frame and checks it is a response to id.
+func readReply(t *testing.T, c net.Conn, id uint64) []byte {
+	t.Helper()
+	var lenb [4]byte
+	if _, err := io.ReadFull(c, lenb[:]); err != nil {
+		t.Fatalf("reply %d: read prefix: %v", id, err)
+	}
+	frame := make([]byte, 4+nativeOrder.Uint32(lenb[:]))
+	copy(frame, lenb[:])
+	if _, err := io.ReadFull(c, frame[4:]); err != nil {
+		t.Fatalf("reply %d: read body: %v", id, err)
+	}
+	h, err := DecodeHeader(frame[4:])
+	if err != nil || h.ID != id || h.Type != frameResponse {
+		t.Fatalf("reply %d: header %+v, err %v", id, h, err)
+	}
+	return frame
 }
