@@ -38,8 +38,8 @@ func printKernels(w io.Writer) {
 // registration wires it into: the dispatched one-shot entrypoint
 // (verified against the serial oracle), each algorithm variant
 // individually, and the serve batch path (admission, queueing and the
-// fused batch loop included). It honors -quick, -procs, -executor,
-// -scratch and -adapt through cfg.
+// fused batch loop included, on the shard's own executor). It honors
+// -quick, -procs, -executor, -scratch and -adapt through cfg.
 func runKernelDemo(cfg core.Config, name string, w io.Writer) error {
 	k := kernel.Lookup(name)
 	if k == nil {
@@ -88,7 +88,7 @@ func runKernelDemo(cfg core.Config, name string, w io.Writer) error {
 	}
 
 	// The serve batch path: the same kernel behind admission control.
-	s := serve.New(cfg.ServeConfig(procs))
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1, ShardProcs: procs, Config: cfg.ServeConfig(procs)})
 	defer s.Close()
 	reqs := 64
 	if cfg.Quick {
@@ -112,7 +112,7 @@ func runKernelDemo(cfg core.Config, name string, w io.Writer) error {
 	if err := k.Check(sa, sw); err != nil {
 		return fmt.Errorf("serve result differs from serial oracle: %w", err)
 	}
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	fmt.Fprintf(w, "serve: %d reqs, %s/req, batches=%d — verified\n",
 		reqs, perf.FormatDuration(perReq), st.Batches)
 	return nil

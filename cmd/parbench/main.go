@@ -96,8 +96,8 @@ func main() {
 			"online load-aware tuning: 'on' (grain/policy/cutoffs picked per call site by the adapt runtime) or 'off'")
 		serveMode = flag.Bool("serve", false,
 			"run the multi-tenant request-serving traffic demo (batched admission control over mixed sort/histogram/scan/sum requests) and print its throughput/latency-percentile stats instead of experiments")
-		shardsFlag = flag.Int("shards", 0,
-			"with -serve: shard the server into N executor shards with tenant-affinity routing and diffusive migration, and print per-shard stats (0 = unsharded; sharded mode builds its own per-shard executors, so -executor is ignored)")
+		shardsFlag = flag.Int("shards", 1,
+			"with -serve: run the server on N executor shards with tenant-affinity routing and diffusive migration, and print per-shard stats (at most the last -procs value; every shard builds its own executor, so -executor does not apply)")
 		openLoop = flag.Bool("openloop", false,
 			"with -serve: drive open-loop schedule-driven traffic (internal/loadgen) instead of closed-loop clients, and print corrected vs uncorrected latency percentiles side by side")
 		rateFlag = flag.Float64("rate", 0,
@@ -118,10 +118,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shardsFlag < 0 {
-		fatalf("bad -shards %d: want >= 0", *shardsFlag)
-	}
-	if *shardsFlag > 0 && !*serveMode {
+	if *shardsFlag != 1 && !*serveMode {
 		fatalf("-shards requires -serve")
 	}
 	if *openLoop && !*serveMode {
@@ -254,25 +251,15 @@ func main() {
 	printRuntimeStats(cfg)
 }
 
-// serveAdmin is the server-side state a demo reads or pokes that the
-// wire protocol does not carry: nil against a remote parserve, the
-// in-process server (single or sharded) otherwise.
-type serveAdmin interface {
-	BumpGeneration(tenant string) uint64
-	TenantStats() []serve.TenantStats
-}
-
-// demoFront bundles whichever server flavor a -serve demo built, with
-// the bits both the closed-loop and open-loop drivers need: front is
-// where the traffic goes (the server itself, or a wire client pool in
-// front of it), admin the local server behind it.
+// demoFront bundles the server a -serve demo built with the bits both
+// the closed-loop and open-loop drivers need: front is where the
+// traffic goes (the server itself, or a wire client pool in front of
+// it), srv the local server behind it — nil against a remote parserve,
+// whose server-side state the wire protocol does not carry.
 type demoFront struct {
-	front   serve.Front
-	admin   serveAdmin
-	single  *serve.Server
-	sharded *serve.Sharded
-	workers int
-	scfg    serve.Config
+	front serve.Front
+	srv   *serve.Sharded
+	scfg  serve.Config
 	// Wire mode: wl is the loopback listener (nil against a remote
 	// parserve, and in plain in-process mode), wf the client pool the
 	// demo traffic runs through.
@@ -280,69 +267,72 @@ type demoFront struct {
 	wf *wireFront
 }
 
-// buildServeFront constructs a demo server: one batched Server, or a
-// sharded group when shards > 0 (tenants hash to home shards, the
-// diffusive balancer migrates backlog; each shard owns its executor
-// and scratch pool, so cfg.Executor is unused there). slo threads the
-// deadline budget into the admission ladder; maxQueue overrides the
-// per-tenant queue bound (0 = serve's default). A non-empty wireAddr
-// reroutes the demo traffic over the binary wire protocol: "loopback"
-// spins an in-process listener on a real TCP socket in front of the
-// server just built, any other value targets a running parserve (and
-// no local server is built at all — the admission counters live on
-// the far side).
-func buildServeFront(cfg core.Config, shards int, slo time.Duration, maxQueue int, cacheOn bool, wireAddr string) *demoFront {
+// shardProcs is each demo shard's worker count: the demo's workers (the
+// last -procs value, default 4) split evenly over shards. Fewer workers
+// than shards is refused rather than floored to one worker per shard,
+// which would run more workers than asked for.
+func shardProcs(shards int, procs []int) (int, error) {
+	workers := 4
+	if len(procs) > 0 {
+		workers = procs[len(procs)-1]
+	}
+	if shards < 1 {
+		return 0, fmt.Errorf("bad -shards %d: want >= 1", shards)
+	}
+	if workers < shards {
+		return 0, fmt.Errorf("bad -shards %d: want at most the %d serving workers (the last -procs value); every shard needs one", shards, workers)
+	}
+	return workers / shards, nil
+}
+
+// buildServeFront constructs the demo server: shards executor shards
+// (tenants hash to home shards and, with more than one, the diffusive
+// balancer migrates backlog; each shard owns its executor, so
+// cfg.Executor is unused, and with a nil cfg.Scratch its scratch
+// pool). slo threads the deadline budget into the admission ladder;
+// maxQueue overrides the per-tenant queue bound (0 = serve's default). A non-empty wireAddr reroutes the demo
+// traffic over the binary wire protocol: "loopback" spins an
+// in-process listener on a real TCP socket in front of the server just
+// built, any other value targets a running parserve (and no local
+// server is built at all — the admission counters live on the far
+// side).
+func buildServeFront(cfg core.Config, shards int, slo time.Duration, maxQueue int, cacheOn bool, wireAddr string) (*demoFront, error) {
 	if wireAddr != "" && wireAddr != "loopback" {
 		network, addr := wireTarget(wireAddr)
 		wf := &wireFront{network: network, addr: addr}
-		return &demoFront{front: wf, wf: wf}
+		return &demoFront{front: wf, wf: wf}, nil
 	}
-	workers := 4
-	if len(cfg.Procs) > 0 {
-		workers = cfg.Procs[len(cfg.Procs)-1]
+	procs, err := shardProcs(shards, cfg.Procs)
+	if err != nil {
+		return nil, err
 	}
-	scfg := cfg.ServeConfig(workers)
+	scfg := cfg.ServeConfig(procs)
 	scfg.MaxQueue = maxQueue
 	scfg.PipelineCutoff = 1 << 15 // the demos' "long request" threshold
 	scfg.SLO = slo
 	if cacheOn {
-		// One cache in front of everything; a sharded server's shards
-		// all share it (the Config template copies the pointer).
+		// One cache in front of everything; every shard shares it (the
+		// Config template copies the pointer).
 		scfg.Cache = rescache.New(rescache.Config{Pool: cfg.Scratch})
 	}
-	d := &demoFront{workers: workers, scfg: scfg}
-	if shards > 0 {
-		procs := workers / shards
-		if procs < 1 {
-			procs = 1
-		}
-		sc := scfg
-		sc.Executor = nil // one executor per shard
-		sc.Scratch = nil  // one scratch pool per shard
-		sc.Adaptive = nil // AdaptivePerShard gives each shard its own
-		sc.Workers = procs
-		d.sharded = serve.NewSharded(serve.ShardedConfig{
-			Shards:            shards,
-			ShardProcs:        procs,
-			AdaptivePerShard:  cfg.Adaptive,
-			MigrateHysteresis: 2, // small: the demo queues are shallow
-			Config:            sc,
-		})
-		d.front, d.admin = d.sharded, d.sharded
-	} else {
-		d.single = serve.New(scfg)
-		d.front, d.admin = d.single, d.single
-	}
+	srv := serve.NewSharded(serve.ShardedConfig{
+		Shards:            shards,
+		ShardProcs:        procs,
+		MigrateHysteresis: 2, // small: the demo queues are shallow
+		Config:            scfg,
+	})
+	d := &demoFront{front: srv, srv: srv, scfg: scfg}
 	if wireAddr == "loopback" {
 		wl, err := wire.Listen("tcp", "127.0.0.1:0", d.front, wire.Config{})
 		if err != nil {
-			fatalf("wire: listen: %v", err)
+			srv.Close()
+			return nil, fmt.Errorf("wire: listen: %w", err)
 		}
 		d.wl = wl
 		d.wf = &wireFront{network: "tcp", addr: wl.Addr().String()}
 		d.front = d.wf
 	}
-	return d
+	return d, nil
 }
 
 func (d *demoFront) close() {
@@ -352,22 +342,13 @@ func (d *demoFront) close() {
 	if d.wl != nil {
 		d.wl.Close()
 	}
-	if d.sharded != nil {
-		d.sharded.Close()
-	} else if d.single != nil {
-		d.single.Close()
+	if d.srv != nil {
+		d.srv.Close()
 	}
-}
-
-func (d *demoFront) stats() serve.Stats {
-	if d.sharded != nil {
-		return d.sharded.Stats().Aggregate
-	}
-	return d.single.Stats()
 }
 
 // printServeStats prints the admission/batching/deadline counters
-// line plus, for sharded servers, the migration and per-shard lines.
+// line, then the migration and per-shard lines.
 func (d *demoFront) printServeStats(w io.Writer) {
 	if d.wf != nil {
 		if d.wl == nil {
@@ -379,7 +360,8 @@ func (d *demoFront) printServeStats(w io.Writer) {
 		fmt.Fprintf(w, "wire: loopback %s | conns=%d requests=%d responses=%d chunks=%d errors=%d\n",
 			d.wf.addr, ws.Conns, ws.Requests, ws.Responses, ws.Chunks, ws.Errors)
 	}
-	st := d.stats()
+	sst := d.srv.Stats()
+	st := sst.Aggregate
 	avg := 0.0
 	if st.Batches > 0 {
 		avg = float64(st.BatchedRequests) / float64(st.Batches)
@@ -398,14 +380,11 @@ func (d *demoFront) printServeStats(w io.Writer) {
 			st.CacheHits, st.CacheMisses, hitRate,
 			cs.Entries, cs.Bytes, cs.Inserts, cs.Evictions, cs.Invalidations)
 	}
-	if d.sharded != nil {
-		sst := d.sharded.Stats()
-		fmt.Fprintf(w, "shards: migrations=%d migrated=%d\n", sst.Migrations, sst.Migrated)
-		for i, ss := range sst.PerShard {
-			fmt.Fprintf(w, "shard %d: accepted=%-6d completed=%-6d batches=%-5d migrated in=%-4d out=%-4d occupancy=%.2f\n",
-				i, ss.Accepted, ss.Completed, ss.Batches, ss.MigratedIn, ss.MigratedOut,
-				d.sharded.Executors().ShardOccupancy(i))
-		}
+	fmt.Fprintf(w, "shards: migrations=%d migrated=%d\n", sst.Migrations, sst.Migrated)
+	for i, ss := range sst.PerShard {
+		fmt.Fprintf(w, "shard %d: accepted=%-6d completed=%-6d batches=%-5d migrated in=%-4d out=%-4d occupancy=%.2f\n",
+			i, ss.Accepted, ss.Completed, ss.Batches, ss.MigratedIn, ss.MigratedOut,
+			d.srv.Executors().ShardOccupancy(i))
 	}
 }
 
@@ -495,14 +474,14 @@ type demoRun struct {
 }
 
 // runServeDemo drives multi-tenant request traffic through the
-// request-serving runtime — one batched server, a sharded group with
-// p.shards > 0, either behind a wire listener or a remote parserve
-// with p.wireAddr — and prints the server's admission/batching
-// counters, the driver's client-side summary rows and the per-tenant
-// fair-share split. The driver is closedLoopDemo (loadgen.Closed), or
-// openLoopDemo (loadgen.Run) with p.openLoop; everything else is
-// shared. It honors the -executor, -scratch, -adapt, -procs, -seed and
-// -quick flags through cfg.
+// request-serving runtime — p.shards executor shards, either behind a
+// wire listener or a remote parserve with p.wireAddr — and prints the
+// server's admission/batching counters, the driver's client-side
+// summary rows and the per-tenant fair-share split. The driver is
+// closedLoopDemo (loadgen.Closed), or openLoopDemo (loadgen.Run) with
+// p.openLoop; everything else is shared. It honors the -scratch,
+// -adapt, -procs, -seed and -quick flags through cfg. A p.shards the
+// workers cannot cover is an error before any traffic runs.
 func runServeDemo(cfg core.Config, p serveDemo, w io.Writer) error {
 	// Closed loop: a small queue bound lets the hot tenant's
 	// backpressure show. Open loop: serve's default, so queueing (the
@@ -511,7 +490,10 @@ func runServeDemo(cfg core.Config, p serveDemo, w io.Writer) error {
 	if p.openLoop {
 		drive, maxQueue = openLoopDemo, 0
 	}
-	d := buildServeFront(cfg, p.shards, p.slo, maxQueue, p.cacheOn, p.wireAddr)
+	d, err := buildServeFront(cfg, p.shards, p.slo, maxQueue, p.cacheOn, p.wireAddr)
+	if err != nil {
+		return err
+	}
 	defer d.close()
 
 	total := 20000
@@ -521,16 +503,13 @@ func runServeDemo(cfg core.Config, p serveDemo, w io.Writer) error {
 	run := drive(d, p, total, cfg.WorkloadSeed())
 
 	where := "remote server"
-	switch {
-	case d.sharded != nil:
-		where = fmt.Sprintf("%d shards × W=%d", d.sharded.Shards(), d.sharded.Executors().Shard(0).Procs())
-	case d.single != nil:
-		where = fmt.Sprintf("W=%d", d.workers)
+	if d.srv != nil {
+		where = fmt.Sprintf("%d shards × W=%d", d.srv.Shards(), d.srv.Executors().Shard(0).Procs())
 	}
 	fmt.Fprintf(w, "== %s, %s, %s\n", run.title, where, run.load)
 	d.printServeStats(w)
 	run.rows(w)
-	printTenantStats(w, d.admin)
+	printTenantStats(w, d.srv)
 	if run.rep.OK == 0 {
 		// Errored requests are counted, not fatal, so the denominator
 		// stays honest — but a run where *nothing* succeeded is a dead
@@ -621,7 +600,7 @@ func closedLoopDemo(d *demoFront, p serveDemo, total int, seed uint64) demoRun {
 					// sort, scan or sum (demoRequest's histogram cannot be
 					// cached) that just hit or inserted an entry, so at
 					// least one entry dies.
-					d.admin.BumpGeneration("t2")
+					d.srv.BumpGeneration("t2")
 				}
 			}
 			if !errors.Is(err, serve.ErrRejected) && !errors.Is(err, serve.ErrDeadlineExceeded) {
@@ -667,13 +646,13 @@ func closedLoopDemo(d *demoFront, p serveDemo, total int, seed uint64) demoRun {
 }
 
 // printTenantStats prints the per-tenant fair-share split including
-// the deadline counters; against a remote server (nil admin) that
-// state lives on the far side and nothing is printed.
-func printTenantStats(w io.Writer, admin serveAdmin) {
-	if admin == nil {
+// the deadline counters; against a remote server (nil srv) that state
+// lives on the far side and nothing is printed.
+func printTenantStats(w io.Writer, srv *serve.Sharded) {
+	if srv == nil {
 		return
 	}
-	for _, ts := range admin.TenantStats() {
+	for _, ts := range srv.TenantStats() {
 		fmt.Fprintf(w, "tenant %-4s accepted=%-6d completed=%-6d rejected=%-5d dlrej=%-5d expired=%-3d cachehits=%d\n",
 			ts.Name, ts.Accepted, ts.Completed, ts.Rejected, ts.DeadlineRejected, ts.Expired, ts.CacheHits)
 	}

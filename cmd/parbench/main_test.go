@@ -77,7 +77,7 @@ func TestFlagModesAcceptKnownValues(t *testing.T) {
 // lines appear with every request accounted for.
 func TestServeDemo(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, serveDemo{}, &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{shards: 1}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -118,7 +118,7 @@ func TestServeDemoSharded(t *testing.T) {
 // offered/achieved rate accounting appear.
 func TestOpenLoopDemo(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, serveDemo{openLoop: true, rate: 4000, poisson: true}, &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{shards: 1, openLoop: true, rate: 4000, poisson: true}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -154,7 +154,7 @@ func TestOpenLoopDemoConstSharded(t *testing.T) {
 // deadline counters must be reported.
 func TestServeDemoWithSLO(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, serveDemo{slo: 50 * time.Millisecond}, &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{shards: 1, slo: 50 * time.Millisecond}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -170,7 +170,7 @@ func TestServeDemoWithSLO(t *testing.T) {
 // hit, and the cache stats line must be printed.
 func TestServeDemoWithCache(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, serveDemo{cacheOn: true}, &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{shards: 1, cacheOn: true}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -209,7 +209,7 @@ func TestServeDemoWithCacheAndDelta(t *testing.T) {
 // cache on (delta stays closed-loop-only by flag validation).
 func TestOpenLoopDemoWithCache(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, serveDemo{openLoop: true, rate: 4000, poisson: true, cacheOn: true}, &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{shards: 1, openLoop: true, rate: 4000, poisson: true, cacheOn: true}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -226,7 +226,7 @@ func TestOpenLoopDemoWithCache(t *testing.T) {
 // every request still drains.
 func TestServeDemoWire(t *testing.T) {
 	var buf strings.Builder
-	if err := runServeDemo(core.Config{Quick: true}, serveDemo{wireAddr: "loopback"}, &buf); err != nil {
+	if err := runServeDemo(core.Config{Quick: true}, serveDemo{shards: 1, wireAddr: "loopback"}, &buf); err != nil {
 		t.Fatalf("runServeDemo: %v", err)
 	}
 	out := buf.String()
@@ -251,6 +251,37 @@ func TestOpenLoopDemoWireSharded(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestShardProcsNeedsAWorkerPerShard pins the -shards/-procs contract:
+// workers split evenly over shards, and fewer workers than shards is an
+// error rather than one worker per shard floored in behind the flags.
+func TestShardProcsNeedsAWorkerPerShard(t *testing.T) {
+	for _, c := range []struct {
+		shards int
+		procs  []int
+		want   int
+	}{
+		{1, nil, 4}, {2, nil, 2}, {4, nil, 1}, {3, []int{1, 7}, 2},
+	} {
+		if got, err := shardProcs(c.shards, c.procs); err != nil || got != c.want {
+			t.Errorf("shardProcs(%d, %v) = %d, %v; want %d", c.shards, c.procs, got, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		shards int
+		procs  []int
+	}{
+		{0, nil}, {-1, nil}, {5, nil}, {2, []int{8, 1}},
+	} {
+		if _, err := shardProcs(c.shards, c.procs); err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Errorf("shardProcs(%d, %v) err = %v, want one naming -shards", c.shards, c.procs, err)
+		}
+	}
+	var buf strings.Builder
+	if err := runServeDemo(core.Config{Quick: true, Procs: []int{2}}, serveDemo{shards: 4}, &buf); err == nil {
+		t.Fatal("-serve with 4 shards over 2 workers ran")
 	}
 }
 

@@ -55,13 +55,14 @@ func (c Config) opts(procs int, pol par.Policy, grain int) par.Options {
 	return o
 }
 
-// ServeConfig is opts' serving-side sibling: the serve.Config for a
-// server of the given batch parallelism on the harness executor,
-// scratch pool and (with Adaptive) the process-wide controller.
-// Callers set the per-table fields (SLO, Cache, PipelineCutoff, …) on
-// the result.
+// ServeConfig is opts' serving-side sibling: the per-shard serve.Config
+// for batches of the given parallelism on the harness scratch pool and
+// (with Adaptive) the process-wide controller. Every shard brings its
+// own executor, so the harness executor does not carry over. Callers
+// set the per-table fields (SLO, Cache, PipelineCutoff, …) on the
+// result.
 func (c Config) ServeConfig(workers int) serve.Config {
-	sc := serve.Config{Executor: c.Executor, Scratch: c.Scratch, Workers: workers}
+	sc := serve.Config{Scratch: c.Scratch, Workers: workers}
 	if c.Adaptive {
 		sc.Adaptive = adapt.Default()
 	}

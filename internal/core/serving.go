@@ -24,7 +24,7 @@ import (
 	"repro/internal/wire"
 )
 
-// serveTenants are the tenant names the unsharded serving tables
+// serveTenants are the tenant names the one-shard serving tables
 // spread their clients over.
 var serveTenants = []string{"a", "b", "c", "d"}
 
@@ -63,8 +63,9 @@ func sortOrHistogram(f serve.Front, tenant string, i int, b *reqBufs, base []int
 // (each request invokes the parallel kernel directly, one fork/join
 // per request) or through the serve runtime (admission control plus
 // batch fusion: one fork/join per batch, kernels serial in their
-// slots). Both modes run at worker count 4 on the harness executor
-// and scratch pool. Columns report wall time, request throughput and
+// slots). Both modes run at worker count 4 and on the harness scratch
+// pool; the naive mode on the harness executor, the batched one on its
+// shard's own. Columns report wall time, request throughput and
 // client-observed latency percentiles; the expected shape is batched
 // >= 1.5x naive throughput with a flatter tail as client concurrency
 // grows.
@@ -82,9 +83,9 @@ func E23Serve(cfg Config) *perf.Table {
 
 	for _, clients := range []int{4, 16} {
 		for _, mode := range []string{"naive", "batched"} {
-			var srv *serve.Server
+			var srv *serve.Sharded
 			if mode == "batched" {
-				srv = serve.New(cfg.ServeConfig(workers))
+				srv = oneShard(cfg.ServeConfig(workers))
 			}
 			bufs := newReqBufs(clients, n)
 			res := loadgen.Closed(clients, reqs, func(c, i int) error {
@@ -126,6 +127,12 @@ func E23Serve(cfg Config) *perf.Table {
 	return t
 }
 
+// oneShard builds a one-shard server on an executor as wide as the
+// template's batches.
+func oneShard(scfg serve.Config) *serve.Sharded {
+	return serve.NewSharded(serve.ShardedConfig{Shards: 1, ShardProcs: scfg.Workers, Config: scfg})
+}
+
 // skewedTenants returns count tenant names all homed on shard 0 of g
 // — the worst case for affinity routing, since every request lands on
 // one shard while the others idle.
@@ -142,8 +149,8 @@ func skewedTenants(g *serve.Sharded, count int) []string {
 
 // E24ShardedServe regenerates Table 14: skewed multi-tenant traffic
 // (every tenant hashes to the same home shard) served three ways at
-// equal total worker count — one unsharded server (the PR 5 runtime:
-// one submit mutex, one dispatcher, one executor), four shards with
+// equal total worker count — one shard (one submit mutex, one
+// dispatcher, one executor), four shards with
 // migration disabled (contention splits four ways but the skew
 // strands three shards idle), and four shards with the diffusive
 // balancer on (queued requests migrate around the ring to the idle
@@ -253,7 +260,7 @@ func E25KernelRegistry(cfg Config) *perf.Table {
 
 	scfg := cfg.ServeConfig(p)
 	scfg.PipelineCutoff = nBig
-	s := serve.New(scfg)
+	s := oneShard(scfg)
 	defer s.Close()
 	opts := cfg.opts(p, par.Static, 0)
 	seed := cfg.shapedSeed()
@@ -324,10 +331,10 @@ func E26OpenLoop(cfg Config) *perf.Table {
 	reqs := cfg.size(4000, 600)
 	base := gen.Ints(n, gen.Uniform, cfg.WorkloadSeed())
 
-	newServer := func(slo time.Duration) *serve.Server {
+	newServer := func(slo time.Duration) *serve.Sharded {
 		scfg := cfg.ServeConfig(workers)
 		scfg.SLO = slo
-		return serve.New(scfg)
+		return oneShard(scfg)
 	}
 
 	// Closed loop at full throttle: its achieved rate is the offered
@@ -419,7 +426,7 @@ func E27ResultCache(cfg Config) *perf.Table {
 
 	scfg := cfg.ServeConfig(workers)
 	scfg.Cache = rescache.New(rescache.Config{Pool: cfg.Scratch})
-	srv := serve.New(scfg)
+	srv := oneShard(scfg)
 	defer srv.Close()
 	const tenant = "t"
 
@@ -619,7 +626,7 @@ func E28WireDoor(cfg Config) *perf.Table {
 		"Table 18: wire front door — in-process vs framed socket vs chunk-streamed latency, W=4",
 		"kernel", "n", "inproc(us)", "wire(us)", "wire-stream(us)", "wire-cost")
 
-	srv := serve.New(cfg.ServeConfig(workers))
+	srv := oneShard(cfg.ServeConfig(workers))
 	defer srv.Close()
 	// Two doors onto the one server: default thresholds (n-element
 	// replies go back one-shot at these sizes), and streaming forced

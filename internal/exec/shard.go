@@ -9,11 +9,11 @@ import (
 
 // Sharded is a group of executor shards: N independent worker pools,
 // each with its own work-stealing deque set, park/wake machinery and
-// occupancy gauges, so N contention domains replace one. Callers with
-// an affinity key (a tenant name, a call site) route to a stable shard
-// via For, keeping their scratch reuse and adaptive state shard-local;
-// work only crosses shards when a balancer above this layer decides it
-// should (the diffusive migration in internal/serve).
+// occupancy gauges, so N contention domains replace one. Callers
+// route work to a shard themselves (internal/serve hashes a tenant to
+// its home shard), keeping their scratch reuse and adaptive state
+// shard-local; work only crosses shards when a balancer above this
+// layer decides it should (the diffusive migration in internal/serve).
 //
 // Occupancy is where sharding pays observability dividends: the old
 // process-wide gauge blurred every workload together — one busy
@@ -80,17 +80,6 @@ func (g *Sharded) Shards() int { return len(g.shards) }
 
 // Shard returns shard i's executor.
 func (g *Sharded) Shard(i int) *Executor { return g.shards[i] }
-
-// For returns the shard an affinity key routes to. The mapping is a
-// stable modulus, so equal keys always land on the same shard.
-func (g *Sharded) For(key uint64) *Executor {
-	return g.shards[key%uint64(len(g.shards))]
-}
-
-// ShardIndex returns the shard index an affinity key routes to.
-func (g *Sharded) ShardIndex(key uint64) int {
-	return int(key % uint64(len(g.shards)))
-}
 
 // ShardOccupancy returns shard i's instantaneous occupancy gauge —
 // exactly 0 the moment its last running task finishes, regardless of

@@ -62,25 +62,6 @@ func TestDefaultShardCount(t *testing.T) {
 	}
 }
 
-// TestShardedAffinity pins the routing contract: equal keys always
-// land on the same shard, and ShardIndex agrees with For.
-func TestShardedAffinity(t *testing.T) {
-	g := NewSharded(4, 1)
-	defer g.Close()
-	for key := uint64(0); key < 100; key++ {
-		i := g.ShardIndex(key)
-		if i < 0 || i >= 4 {
-			t.Fatalf("ShardIndex(%d) = %d out of range", key, i)
-		}
-		if g.For(key) != g.Shard(i) {
-			t.Fatalf("For(%d) disagrees with ShardIndex", key)
-		}
-		if g.ShardIndex(key) != i {
-			t.Fatalf("ShardIndex(%d) unstable", key)
-		}
-	}
-}
-
 // TestShardedIsolation checks shards execute independently: tasks
 // submitted to each shard all run, and one shard's pool never
 // executes another's tasks (each task records the shard it was

@@ -71,10 +71,10 @@ func TestKernelConformance(t *testing.T) {
 
 			if !k.Allocates {
 				t.Run("serve-zero-alloc", func(t *testing.T) {
-					s := serve.New(serve.Config{Adaptive: adapt.New(adapt.Config{})})
+					s := serve.NewSharded(serve.ShardedConfig{Shards: 1, Config: serve.Config{Adaptive: adapt.New(adapt.Config{})}})
 					defer s.Close()
 					serveZeroAllocs(t, s, k, k.Gen(4096, 1))
-					plain := serve.New(serve.Config{})
+					plain := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 					defer plain.Close()
 					// Above 4 096 elements, where Select leaves its serial
 					// leaf when given more than one worker, and below
@@ -118,7 +118,7 @@ func TestKernelConformance(t *testing.T) {
 // serveZeroAllocs warms s on a and then requires the serve batch path
 // to run it allocation-free. a's Xs is restored before every call, so a
 // kernel that sorts in place keeps the input's feature class.
-func serveZeroAllocs(t *testing.T, s *serve.Server, k *kernel.Kernel, a *kernel.Args) {
+func serveZeroAllocs(t *testing.T, s *serve.Sharded, k *kernel.Kernel, a *kernel.Args) {
 	t.Helper()
 	base := slices.Clone(a.Xs)
 	call := func() {

@@ -3,7 +3,6 @@ package serve
 import (
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/kernel"
 	"repro/internal/racecheck"
 )
@@ -20,9 +19,7 @@ import (
 // shared batch state to watch.
 func TestConcurrentServeZeroAllocs(t *testing.T) {
 	const callers, n = 8, 1 << 10
-	e := exec.New(4)
-	defer e.Close()
-	s := New(Config{Executor: e, Workers: 4})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 4})
 	defer s.Close()
 	// A low hysteresis lets eight callers build the backlog that
 	// migrates: push fires at a queue depth of 2x hysteresis.
@@ -36,7 +33,7 @@ func TestConcurrentServeZeroAllocs(t *testing.T) {
 		f       Front
 		counter func() int64 // must grow over the measured rounds
 	}{
-		{"server/parallel-batches", s, func() int64 { return s.Stats().ParallelBatches }},
+		{"server/parallel-batches", s, func() int64 { return s.Stats().Aggregate.ParallelBatches }},
 		{"sharded/migrated", g, func() int64 { return g.Stats().Migrated }},
 	}
 	base := randInts(n, 42)

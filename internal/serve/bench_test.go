@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/kernel"
 	"repro/internal/loadgen"
 	"repro/internal/rescache"
@@ -58,10 +57,8 @@ const openLoopRate = 5000.0
 func benchTrafficOpenLoop(b *testing.B, poisson bool, slo time.Duration) {
 	const n = 2 << 10
 	base := randInts(n, 42)
-	e := exec.New(trafficWorkers)
-	defer e.Close()
-	s := New(Config{Executor: e, Scratch: scratch.New(), Workers: trafficWorkers,
-		BatchWindow: 200 * time.Microsecond, SLO: slo})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: trafficWorkers, Config: Config{
+		Scratch: scratch.New(), BatchWindow: 200 * time.Microsecond, SLO: slo}})
 	defer s.Close()
 
 	var sched loadgen.Schedule
@@ -116,12 +113,10 @@ func BenchmarkTrafficServeCache(b *testing.B) {
 
 func benchTrafficDelta(b *testing.B) {
 	const n = 2 << 10
-	e := exec.New(trafficWorkers)
-	defer e.Close()
 	pool := scratch.New()
-	s := New(Config{Executor: e, Scratch: pool, Workers: trafficWorkers,
-		BatchWindow: 200 * time.Microsecond,
-		Cache:       rescache.New(rescache.Config{Pool: pool})})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: trafficWorkers, Config: Config{
+		Scratch: pool, BatchWindow: 200 * time.Microsecond,
+		Cache: rescache.New(rescache.Config{Pool: pool})}})
 	defer s.Close()
 	kSort := kernel.MustLookup("sort")
 	const tenant = "t"

@@ -50,7 +50,7 @@ var kernelCachetest = kernel.Register(kernel.Kernel{
 // server and tenant, not Accepted), and uncacheable kernels bypass the
 // cache entirely.
 func TestCallCacheHit(t *testing.T) {
-	s := New(Config{Cache: rescache.New(rescache.Config{})})
+	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{Cache: rescache.New(rescache.Config{})}})
 	defer s.Close()
 	xs := []int64{5, 1, 4, 2, 3}
 
@@ -62,7 +62,7 @@ func TestCallCacheHit(t *testing.T) {
 	if err != nil || got != 15 {
 		t.Fatalf("cached Sum = %d, %v", got, err)
 	}
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("stats = %+v, want 1 cache hit / 1 miss", st)
 	}
@@ -82,7 +82,7 @@ func TestCallCacheHit(t *testing.T) {
 			t.Fatalf("histogram: %v", err)
 		}
 	}
-	if st := s.Stats(); st.CacheHits != 1 || st.CacheMisses != 1 {
+	if st := s.Stats().Aggregate; st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("uncacheable kernel moved cache counters: %+v", st)
 	}
 }
@@ -90,7 +90,7 @@ func TestCallCacheHit(t *testing.T) {
 // TestCallCacheRestoresSliceOutputs covers the two slice shapes: sort
 // (result in Xs) and scan (result in Dst).
 func TestCallCacheRestoresSliceOutputs(t *testing.T) {
-	s := New(Config{Cache: rescache.New(rescache.Config{})})
+	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{Cache: rescache.New(rescache.Config{})}})
 	defer s.Close()
 
 	// Sort: prime with an already-sorted input so the cached entry's
@@ -117,22 +117,22 @@ func TestCallCacheRestoresSliceOutputs(t *testing.T) {
 			t.Fatalf("scan %d: dst = %v", i, dst)
 		}
 	}
-	if st := s.Stats(); st.CacheHits != 2 {
+	if st := s.Stats().Aggregate; st.CacheHits != 2 {
 		t.Fatalf("stats = %+v, want 2 cache hits", st)
 	}
 }
 
 // TestCacheHitZeroAllocs pins the acceptance bar — a request served
-// through a typed helper on a concrete *Server or *Sharded costs
-// 0 allocs/op — for all six helpers on both types. Each call site below
-// names its front's concrete type, which is the shape the bar is about:
+// through a typed helper on a concrete *Sharded costs 0 allocs/op —
+// for all six helpers on one shard (the "server" rows) and on two.
+// Each call site below names its front's concrete type, which is the shape the bar is about:
 // the helper inlines, CallBudget devirtualises and the argument record
 // stays on the stack. The four cacheable shapes are measured on the hit
 // path; histogram (a bucket function cannot be fingerprinted) and BFS
 // (neither can a graph) always recompute, so they are measured on the
 // batch path, BFS less the distance slice its kernel returns.
 func TestCacheHitZeroAllocs(t *testing.T) {
-	s := New(Config{Cache: rescache.New(rescache.Config{})})
+	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{Cache: rescache.New(rescache.Config{})}})
 	defer s.Close()
 	g := NewSharded(ShardedConfig{Config: Config{Cache: rescache.New(rescache.Config{})}, Shards: 2})
 	defer g.Close()
@@ -176,7 +176,7 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 		{"sharded/sum", true, 0, func() error { _, err := Sum(g, "t", xs); return err }},
 		{"sharded/bfs", false, bfsDirect(g), func() error { _, err := BFS(g, "t", gr, 0); return err }},
 	}
-	hits := func() int64 { return s.Stats().CacheHits + g.Stats().Aggregate.CacheHits }
+	hits := func() int64 { return s.Stats().Aggregate.CacheHits + g.Stats().Aggregate.CacheHits }
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			for i := 0; i < 64; i++ {
@@ -211,7 +211,7 @@ func TestCacheHitZeroAllocs(t *testing.T) {
 // TestBumpGenerationInvalidates: a bump forces recompute; the fresh
 // result repopulates the cache under the new generation.
 func TestBumpGenerationInvalidates(t *testing.T) {
-	s := New(Config{Cache: rescache.New(rescache.Config{})})
+	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{Cache: rescache.New(rescache.Config{})}})
 	defer s.Close()
 	xs := []int64{1, 2, 3}
 	for i := 0; i < 2; i++ {
@@ -229,7 +229,7 @@ func TestBumpGenerationInvalidates(t *testing.T) {
 			t.Fatalf("post-bump Sum %d = %d, %v (want 15)", i, got, err)
 		}
 	}
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.CacheHits != 2 || st.CacheMisses != 2 {
 		t.Fatalf("stats = %+v, want 2 hits / 2 misses", st)
 	}
@@ -239,7 +239,7 @@ func TestBumpGenerationInvalidates(t *testing.T) {
 // record stays sorted under appended chunks, and adapterless kernels
 // refuse loudly.
 func TestCallDelta(t *testing.T) {
-	s := New(Config{})
+	s := NewSharded(ShardedConfig{Shards: 1})
 	defer s.Close()
 	a := kernel.Args{Xs: []int64{5, 1, 3}}
 	if err := s.CallBudget("t", kernel.MustLookup("sort"), &a, 0); err != nil {
@@ -258,7 +258,7 @@ func TestCallDelta(t *testing.T) {
 			t.Fatalf("Xs = %v, want %v", a.Xs, want)
 		}
 	}
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.Accepted != 2 || st.Completed != 2 {
 		t.Fatalf("stats = %+v, want delta requests in Accepted/Completed", st)
 	}
@@ -308,7 +308,7 @@ func TestShardedCacheShared(t *testing.T) {
 
 // TestMigratedRequestStaleInsertDropped is the deterministic half of
 // the migration-consistency story: a request looked up under
-// generation 0 is migrated to a thief server while queued, the
+// generation 0 is migrated to a thief shard while queued, the
 // tenant's generation is bumped mid-migration, and the thief executes
 // it afterwards. The result reaches the caller (with the post-bump
 // version), but its insert token is stale and the store is dropped —
@@ -316,10 +316,8 @@ func TestShardedCacheShared(t *testing.T) {
 func TestMigratedRequestStaleInsertDropped(t *testing.T) {
 	cachetestVersion.Store(0)
 	cache := rescache.New(rescache.Config{})
-	home := New(Config{Cache: cache, Workers: 1})
-	defer home.Close()
-	thief := New(Config{Cache: cache, Workers: 1})
-	defer thief.Close()
+	home := newShard(t, Config{Cache: cache, Workers: 1})
+	thief := newShard(t, Config{Cache: cache, Workers: 1})
 
 	// Stall home's dispatcher so the victim queues.
 	bucket, gate := deadlineGate()

@@ -21,8 +21,7 @@ func deadlineGate() (bucket func(int64) int, gate chan struct{}) {
 // refused with ErrDeadlineExceeded before it is enqueued, and the
 // refusal is counted on both the server and the tenant entry.
 func TestDeadlineDoorRejection(t *testing.T) {
-	s := New(Config{SLO: time.Millisecond})
-	defer s.Close()
+	s := newShard(t, Config{SLO: time.Millisecond})
 	// Pretend the dispatcher has measured 10ms per request, freshly:
 	// any admission now predicts (queued+1)*10ms > 1ms and must
 	// bounce. Without the fresh stamp the door would (correctly)
@@ -49,8 +48,7 @@ func TestDeadlineDoorRejection(t *testing.T) {
 // batch measured yet the wait predictor is 0 and the door admits —
 // SLO servers must not reject their very first request.
 func TestDeadlineColdDoorAdmits(t *testing.T) {
-	s := New(Config{SLO: 50 * time.Millisecond})
-	defer s.Close()
+	s := newShard(t, Config{SLO: 50 * time.Millisecond})
 	xs := []int64{3, 1, 2}
 	if err := Sort(s, "t", xs); err != nil {
 		t.Fatalf("cold submit: %v", err)
@@ -70,8 +68,7 @@ func TestDeadlineColdDoorAdmits(t *testing.T) {
 // fix the EWMA never aged out and an idle server could bounce the
 // first request of a new regime forever.
 func TestDeadlineStaleEstimateAdmits(t *testing.T) {
-	s := New(Config{SLO: time.Millisecond})
-	defer s.Close()
+	s := newShard(t, Config{SLO: time.Millisecond})
 	// A fossil estimate: 10ms per request, measured (far) longer than
 	// svcStaleAfter ago.
 	s.svcNanos.Store(int64(10 * time.Millisecond))
@@ -93,8 +90,7 @@ func TestDeadlineStaleEstimateAdmits(t *testing.T) {
 // fix: the first batch after an idle gap restarts the EWMA from its
 // own measurement instead of averaging into the dead regime's value.
 func TestDeadlineStaleEstimateResets(t *testing.T) {
-	s := New(Config{SLO: time.Second})
-	defer s.Close()
+	s := newShard(t, Config{SLO: time.Second})
 	fossil := int64(time.Hour)
 	s.svcNanos.Store(fossil)
 	s.svcStamp.Store(int64(time.Since(serveEpoch)) - 2*int64(svcStaleAfter))
@@ -118,7 +114,7 @@ func TestDeadlineStaleEstimateResets(t *testing.T) {
 // counted as Expired, not Completed — without occupying a batch slot.
 func TestDeadlineExpiredDroppedBeforeBatching(t *testing.T) {
 	const slo = 20 * time.Millisecond
-	s := New(Config{SLO: slo, Workers: 1})
+	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{SLO: slo, Workers: 1}})
 	defer s.Close()
 
 	bucket, gate := deadlineGate()
@@ -133,7 +129,7 @@ func TestDeadlineExpiredDroppedBeforeBatching(t *testing.T) {
 	}()
 	// Wait until the blocker is inside execute() so the next submit
 	// can only queue behind it.
-	for i := 0; s.Stats().Batches == 0; i++ {
+	for i := 0; s.Stats().Aggregate.Batches == 0; i++ {
 		if i > 2000 {
 			t.Fatal("blocker batch never started")
 		}
@@ -156,7 +152,7 @@ func TestDeadlineExpiredDroppedBeforeBatching(t *testing.T) {
 	if !errors.Is(victimErr, ErrDeadlineExceeded) {
 		t.Fatalf("victim err = %v, want ErrDeadlineExceeded", victimErr)
 	}
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.Expired != 1 {
 		t.Fatalf("Expired = %d, want 1 (stats %+v)", st.Expired, st)
 	}
@@ -178,10 +174,8 @@ func TestDeadlineExpiredDroppedBeforeBatching(t *testing.T) {
 // configured — charging the expiry back to the admitting entry.
 func TestMigrationKeepsDeadlineStamps(t *testing.T) {
 	const slo = 20 * time.Millisecond
-	home := New(Config{SLO: slo, Workers: 1})
-	defer home.Close()
-	thief := New(Config{Workers: 1}) // no SLO of its own
-	defer thief.Close()
+	home := newShard(t, Config{SLO: slo, Workers: 1})
+	thief := newShard(t, Config{Workers: 1}) // no SLO of its own
 
 	// Stall home's dispatcher so submissions after the blocker queue.
 	bucket, gate := deadlineGate()
@@ -260,7 +254,7 @@ func TestMigrationKeepsDeadlineStamps(t *testing.T) {
 // and checking deadlines must not cost the serve batch path its
 // 0 allocs/op steady state.
 func TestDeadlineBatchPathZeroAllocs(t *testing.T) {
-	s := New(Config{SLO: time.Second})
+	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{SLO: time.Second}})
 	defer s.Close()
 	xs := make([]int64, 4096)
 	for i := range xs {

@@ -9,11 +9,13 @@
 // that model pays one fork/join, one adaptive decision and one set of
 // scratch acquisitions per tiny call, and lets any one caller flood
 // the shared executor. serve replaces it with one request interface,
-// Front — CallBudget and CallDeltaBudget, implemented by Server,
-// Sharded and (in internal/wire) the socket Client, with the typed
+// Front — CallBudget and CallDeltaBudget, implemented by Sharded and
+// (in internal/wire) the socket Client, with the typed
 // Sort/Select/Histogram/Scan/Sum/BFS helpers written once as package
 // functions over it — and, behind that interface, three mechanisms in
-// request order:
+// request order, each run per shard (Sharded routes a tenant to its
+// home shard by hash, and with more than one shard a diffusive
+// balancer migrates queued requests between ring neighbours):
 //
 //   - Admission control, driven by exec.Executor.Occupancy. Each
 //     tenant owns a bounded FIFO; a full queue rejects with ErrRejected
@@ -76,7 +78,7 @@
 // (the batch site) and internal/kernel (the registry whose descriptors
 // it dispatches through, long-route adapters included); it feeds
 // internal/wire (the listener serves onto a Front, the client is one),
-// the repro facade (repro.NewServer, repro.Front, repro.ServeSort...)
+// the repro facade (repro.NewShardedServer, repro.Front, repro.ServeSort...)
 // and cmd/parbench's -serve traffic mode. Experiment E23 quantifies
 // the batching win over naive per-request dispatch at equal worker
 // count; the embed_skew workload of the repo's benchmark (bench/)

@@ -11,18 +11,15 @@ import (
 // registered kernel's argument record (or an incremental delta against
 // one) on behalf of a tenant, under a deadline budget, and wait for the
 // answer in a. A zero budget inherits the serving side's Config.SLO; a
-// positive one replaces it for this request. *Server, *Sharded and
-// *wire.Client all implement it, so the wire listener, the demos and a
+// positive one replaces it for this request. *Sharded and
+// *wire.Client implement it, so the wire listener, the demos and a
 // remote shard are written once against this type.
 type Front interface {
 	CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, budget time.Duration) error
 	CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error
 }
 
-var (
-	_ Front = (*Server)(nil)
-	_ Front = (*Sharded)(nil)
-)
+var _ Front = (*Sharded)(nil)
 
 // The kernels behind the typed helpers, resolved once at init (the
 // kernel package registers its built-ins in its own init, which runs
@@ -40,7 +37,7 @@ var (
 // kernel and submit it through f with no budget of their own. Each is
 // branch-free, and the value-returning ones name their results; that
 // keeps all six under the inliner's budget (scripts/inlinecheck.sh
-// gates it). Inlined into a call site that names a concrete *Server or
+// gates it). Inlined into a call site that names a concrete
 // *Sharded, the CallBudget call devirtualises and the record stays on
 // the stack: 0 allocs/op, pinned by TestCacheHitZeroAllocs. Called
 // through a Front-typed variable the record escapes (1 alloc/op), so a

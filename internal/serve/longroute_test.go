@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/kernel"
 	"repro/internal/racecheck"
@@ -24,24 +23,23 @@ type longRouteFront struct {
 }
 
 // longRouteFronts builds the two servers the long route is pinned on —
-// an unsharded Server on a 2-worker executor, where a long sort or scan
-// runs in parallel over that executor, and two 1-worker shards
+// one 2-worker shard, where a long sort or scan runs in parallel over
+// the shard's executor, and two 1-worker shards
 // (parserve's shape), where it is the serial leaf on the caller's
 // goroutine — each with a scratch pool of its own so the test can read
 // its live gauge.
 func longRouteFronts(t *testing.T) []longRouteFront {
-	e := exec.New(2)
 	sp, gp := scratch.New(), scratch.New()
-	s := New(Config{Executor: e, Scratch: sp, PipelineCutoff: longRouteCutoff})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 2,
+		Config: Config{Scratch: sp, PipelineCutoff: longRouteCutoff}})
 	g := NewSharded(ShardedConfig{Shards: 2, ShardProcs: 1,
 		Config: Config{Scratch: gp, PipelineCutoff: longRouteCutoff}})
 	t.Cleanup(func() {
 		g.Close()
 		s.Close()
-		e.Close()
 	})
 	return []longRouteFront{
-		{"server", s, s.Stats, sp},
+		{"server", s, func() Stats { return s.Stats().Aggregate }, sp},
 		{"sharded", g, func() Stats { return g.Stats().Aggregate }, gp},
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/kernel"
 )
 
@@ -15,7 +16,7 @@ import (
 // once traffic drains, because completions are credited to the entry
 // that counted the acceptance.
 func TestFoldedTenantAccountingBalances(t *testing.T) {
-	s := New(Config{MaxTenants: 2, Workers: 2})
+	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{MaxTenants: 2, Workers: 2}})
 	defer s.Close()
 
 	tenants := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -42,7 +43,7 @@ func TestFoldedTenantAccountingBalances(t *testing.T) {
 		accepted += ts.Accepted
 		completed += ts.Completed
 	}
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.Tenants > 3 {
 		t.Errorf("tenant table has %d entries; want <= MaxTenants+1 = 3", st.Tenants)
 	}
@@ -63,9 +64,8 @@ func TestMigrateInDoesNotResurrectFoldedTenant(t *testing.T) {
 	// home is built but its dispatcher never starts: what it admits
 	// stays queued, so the test plays the balancer's role and hands the
 	// backlog straight to the thief shard.
-	home := build(Config{MaxTenants: 1})
-	thief := New(Config{})
-	defer thief.Close()
+	home := build(Config{MaxTenants: 1, executor: exec.Default()})
+	thief := newShard(t, Config{})
 
 	// The first name fills home's tenant table, so the next one folds.
 	resident := home.getRequest(kernelSum, "resident", &kernel.Args{Xs: []int64{1}})

@@ -44,7 +44,7 @@ type request struct {
 }
 
 // getRequest takes a pooled request and stamps its identity fields.
-func (s *Server) getRequest(k *kernel.Kernel, tenant string, a *kernel.Args) *request {
+func (s *shard) getRequest(k *kernel.Kernel, tenant string, a *kernel.Args) *request {
 	r := s.reqPool.Get().(*request)
 	*r = request{k: k, tenantName: tenant, args: *a, done: r.done}
 	return r
@@ -52,7 +52,7 @@ func (s *Server) getRequest(k *kernel.Kernel, tenant string, a *kernel.Args) *re
 
 // putRequest returns a request to the pool, dropping the payload
 // references so pooled requests never pin caller slices.
-func (s *Server) putRequest(r *request) {
+func (s *shard) putRequest(r *request) {
 	*r = request{done: r.done}
 	s.reqPool.Put(r)
 }
@@ -65,11 +65,11 @@ func (s *Server) putRequest(r *request) {
 // parallelism (a counting sort beats a comparison sort on narrow keys
 // at one worker too), while the grain/policy/worker lattices are
 // inert at Procs 1.
-func (s *Server) serialOpts() par.Options {
+func (s *shard) serialOpts() par.Options {
 	return par.Options{
 		Procs:        1,
 		SerialCutoff: 1 << 62,
-		Executor:     s.cfg.Executor,
+		Executor:     s.cfg.executor,
 		Scratch:      s.cfg.Scratch,
 		Adaptive:     s.cfg.Adaptive,
 	}
@@ -85,7 +85,7 @@ func (s *Server) serialOpts() par.Options {
 // here. A panic on another goroutine — a pooled worker of a wider long
 // sort or scan — is out of reach of this recover and stays out of
 // scope.
-func (s *Server) runOne(r *request) {
+func (s *shard) runOne(r *request) {
 	var err error
 	defer func() {
 		if p := recover(); p != nil {
@@ -106,13 +106,13 @@ func (s *Server) runOne(r *request) {
 // longOpts are the Options a long-route adapter runs under: the whole
 // width of the server's executor and no SerialCutoff, so the kernel's
 // own dispatch decides. On a 1-worker shard a long sort or scan is
-// therefore the serial leaf on its caller's goroutine; on an unsharded
-// server it runs in parallel over the shared executor. The caller is not
+// therefore the serial leaf on its caller's goroutine; on a wider shard
+// it runs in parallel over the shard's executor. The caller is not
 // counted as an extra worker: Procs()+1 was measured and lost.
-func (s *Server) longOpts() par.Options {
+func (s *shard) longOpts() par.Options {
 	return par.Options{
-		Procs:    s.cfg.Executor.Procs(),
-		Executor: s.cfg.Executor,
+		Procs:    s.cfg.executor.Procs(),
+		Executor: s.cfg.executor,
 		Scratch:  s.cfg.Scratch,
 		Adaptive: s.cfg.Adaptive,
 	}
@@ -123,7 +123,7 @@ func (s *Server) longOpts() par.Options {
 // r afterwards: it reads any result fields and then returns r to the
 // pool (results live in the pooled struct, so releasing here would race
 // the read).
-func (s *Server) do(r *request) error {
+func (s *shard) do(r *request) error {
 	if err := s.admit(r); err != nil {
 		return err
 	}
@@ -147,7 +147,7 @@ func (s *Server) do(r *request) error {
 // admission prediction and queue-expiry stamp (the wire front door
 // sets it from frame metadata so a remote client's own SLO governs);
 // a zero budget inherits the server SLO.
-func (s *Server) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, budget time.Duration) error {
+func (s *shard) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, budget time.Duration) error {
 	if k == nil {
 		return fmt.Errorf("serve: Call with nil kernel")
 	}
@@ -205,7 +205,7 @@ func (s *Server) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, bud
 // instead of a full recompute. Kernels without a delta adapter fail
 // loudly. The delta path never touches the result cache: entries
 // describing the pre-delta input remain correct for that input.
-func (s *Server) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error {
+func (s *shard) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error {
 	if k == nil {
 		return fmt.Errorf("serve: CallDelta with nil kernel")
 	}

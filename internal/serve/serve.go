@@ -44,16 +44,13 @@ var (
 // choice that changes anything.
 var siteBatch = adapt.NewSite("serve.batch", adapt.KindWorkers)
 
-// Config shapes a Server. The zero value serves on the process-wide
-// executor and scratch pool with batching and admission control at
-// their defaults and no adaptive tuning.
+// Config shapes one shard of a Sharded server: it is the per-shard
+// template ShardedConfig embeds. The zero value batches and admits at
+// the defaults, with no adaptive tuning, on the shard's own executor
+// and scratch pool.
 type Config struct {
-	// Executor is the worker pool batches dispatch onto and the
-	// occupancy gauge admission control reads; nil means the shared
-	// process-wide exec.Default().
-	Executor *exec.Executor
-	// Scratch is the pool request temporaries draw from; nil means
-	// the process-wide scratch.Default(), scratch.Off disables reuse.
+	// Scratch is the pool request temporaries draw from; nil gives
+	// every shard its own scratch.New(), scratch.Off disables reuse.
 	Scratch *scratch.Pool
 	// Adaptive, when non-nil, runs the fused batch loop under the
 	// online tuning runtime (site "serve.batch").
@@ -117,9 +114,14 @@ type Config struct {
 	// returns how many arrived. overflow is invoked on the submitter's
 	// goroutine after each enqueue with the resulting queue depth: it
 	// may migrate part of a deep backlog out to an underloaded
-	// sibling. Plain Servers leave both nil and pay one nil check.
+	// sibling. A one-shard server leaves both nil and pays one nil
+	// check.
 	stealIdle func() int
 	overflow  func(queued int)
+	// executor is the shard's own worker pool, set by NewSharded:
+	// batches dispatch onto it and admission control reads its
+	// occupancy gauge.
+	executor *exec.Executor
 }
 
 // Defaults for the Config knobs.
@@ -156,7 +158,7 @@ var serveEpoch = time.Now()
 
 // svcFresh reports whether the service-time EWMA was folded recently
 // enough (within svcStaleAfter of now) to predict the next wait.
-func (s *Server) svcFresh(now time.Time) bool {
+func (s *shard) svcFresh(now time.Time) bool {
 	return int64(now.Sub(serveEpoch))-s.svcStamp.Load() <= int64(svcStaleAfter)
 }
 
@@ -165,11 +167,8 @@ func (s *Server) svcFresh(now time.Time) bool {
 // mean "off" (a negative BatchWindow or PipelineCutoff) are kept, and a
 // nil Scratch stays nil: par resolves it per call. Idempotent.
 func (c Config) withDefaults() Config {
-	if c.Executor == nil {
-		c.Executor = exec.Default()
-	}
 	if c.Workers <= 0 {
-		c.Workers = c.Executor.Procs()
+		c.Workers = c.executor.Procs()
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
@@ -243,15 +242,15 @@ type Stats struct {
 	// stay zero without Config.Cache.
 	CacheHits, CacheMisses int64
 	// MigratedIn and MigratedOut count requests the diffusive shard
-	// balancer moved onto and off this server's queues (always zero
-	// for a standalone Server). A migrated request is Accepted on its
+	// balancer moved onto and off this shard's queues (always zero
+	// with one shard). A migrated request is Accepted on its
 	// home shard and Completed wherever it executed, so per-shard
 	// Accepted and Completed diverge by exactly the migration flow.
 	MigratedIn, MigratedOut int64
 }
 
 // TenantStats is one tenant's share of the admission counters,
-// reported by Server.TenantStats in name order. DeadlineRejected and
+// reported by Sharded.TenantStats in name order. DeadlineRejected and
 // Expired follow the same home-entry accounting as the other
 // counters: an expired migrated request is charged to the entry that
 // admitted it.
@@ -262,12 +261,11 @@ type TenantStats struct {
 	CacheHits                     int64
 }
 
-// Server is the multi-tenant request-serving runtime. Create one with
-// New, submit requests through the Front methods or the typed helpers
-// (Sort, Select, Histogram, Scan, Sum, BFS) from any number of
-// goroutines, and Close it when done. See the package comment for the admission, batching
-// and fairness semantics.
-type Server struct {
+// shard is one shard of a Sharded server: the tenant queues, their
+// accounting and the batch dispatcher over the shard's own executor.
+// See the package comment for the admission, batching and fairness
+// semantics.
+type shard struct {
 	cfg Config
 
 	mu      sync.Mutex
@@ -326,33 +324,11 @@ type Server struct {
 	batchSlot func(int)
 }
 
-// Cache returns the server's result cache, nil when caching is off.
-func (s *Server) Cache() *rescache.Cache { return s.cfg.Cache }
-
-// BumpGeneration invalidates every result cached for tenant (its data
-// changed out of band) and returns the new generation. A no-op
-// returning 0 without Config.Cache.
-func (s *Server) BumpGeneration(tenant string) uint64 {
-	if c := s.cfg.Cache; c != nil {
-		return c.Bump(tenant)
-	}
-	return 0
-}
-
-// New creates a Server and starts its dispatcher. The dispatcher runs
-// on an executor-accounted goroutine (exec.Executor.Go), not a pooled
-// worker: it blocks on the queues, and pooled workers must not.
-func New(cfg Config) *Server {
-	s := build(cfg)
-	s.start()
-	return s
-}
-
-// build creates a Server whose dispatcher is not running yet, so
+// build creates a shard whose dispatcher is not running yet, so
 // NewSharded can finish every shard before any dispatcher probes a
 // neighbor.
-func build(cfg Config) *Server {
-	s := &Server{
+func build(cfg Config) *shard {
+	s := &shard{
 		cfg:     cfg.withDefaults(),
 		tenants: make(map[string]*tenant),
 		drained: make(chan struct{}),
@@ -363,13 +339,16 @@ func build(cfg Config) *Server {
 	return s
 }
 
-func (s *Server) start() { s.cfg.Executor.Go(s.dispatch) }
+// start runs the dispatcher on an executor-accounted goroutine
+// (exec.Executor.Go), not a pooled worker: it blocks on the queues, and
+// pooled workers must not.
+func (s *shard) start() { s.cfg.executor.Go(s.dispatch) }
 
 // Close stops admission, waits for every admitted request to finish —
 // queued ones through the dispatcher, long-route ones on their
 // callers' goroutines — and returns, so the executor may be closed
 // after it. Requests submitted after Close fail with ErrClosed.
-func (s *Server) Close() {
+func (s *shard) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
@@ -380,7 +359,7 @@ func (s *Server) Close() {
 
 // Stats returns a racy snapshot of the server's counters — gauges for
 // dashboards and tests, not a linearizable accounting.
-func (s *Server) Stats() Stats {
+func (s *shard) Stats() Stats {
 	s.mu.Lock()
 	n := len(s.tenants)
 	s.mu.Unlock()
@@ -407,7 +386,7 @@ func (s *Server) Stats() Stats {
 }
 
 // TenantStats returns per-tenant admission counters in name order.
-func (s *Server) TenantStats() []TenantStats {
+func (s *shard) TenantStats() []TenantStats {
 	s.mu.Lock()
 	out := make([]TenantStats, 0, len(s.tenants))
 	for _, t := range s.tenants {
@@ -430,7 +409,7 @@ func (s *Server) TenantStats() []TenantStats {
 // Once MaxTenants distinct names exist, new names fold into the
 // shared OverflowTenant entry so caller-controlled name cardinality
 // cannot grow server memory without bound.
-func (s *Server) tenantLocked(name string) *tenant {
+func (s *shard) tenantLocked(name string) *tenant {
 	t := s.tenants[name]
 	if t != nil {
 		return t
@@ -448,7 +427,7 @@ func (s *Server) tenantLocked(name string) *tenant {
 
 // doorLocked is the door itself: a closed server refuses, anything
 // else resolves to its (possibly folded) tenant entry.
-func (s *Server) doorLocked(name string) (*tenant, error) {
+func (s *shard) doorLocked(name string) (*tenant, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -464,7 +443,7 @@ func (s *Server) doorLocked(name string) (*tenant, error) {
 // acceptance, so merged TenantStats balance exactly. A long-route
 // request never waits on a queue, so it skips the queue rungs and is
 // instead counted in flight, under the lock Close takes, until finish.
-func (s *Server) admit(r *request) error {
+func (s *shard) admit(r *request) error {
 	s.mu.Lock()
 	t, err := s.doorLocked(r.tenantName)
 	if err == nil && !r.stream {
@@ -502,9 +481,9 @@ func (s *Server) admit(r *request) error {
 // queueRungsLocked is the part of the admission ladder that guards the
 // queues: the tenant's queue bound, then the deadline rung (which also
 // stamps r.deadline). Each refusal is counted here.
-func (s *Server) queueRungsLocked(t *tenant, r *request) error {
+func (s *shard) queueRungsLocked(t *tenant, r *request) error {
 	bound := s.cfg.MaxQueue
-	if s.cfg.Executor.Occupancy() >= DefaultSaturation {
+	if s.cfg.executor.Occupancy() >= DefaultSaturation {
 		// Backpressure rises with saturation: a busy executor halves
 		// every tenant's queue bound, so rejection starts before the
 		// backlog (and its latency) doubles.
@@ -546,7 +525,7 @@ func (s *Server) queueRungsLocked(t *tenant, r *request) error {
 
 // enqueueLocked links r at the tail of tenant entry t's FIFO — the one
 // place a request joins a queue, for admission and migrateIn alike.
-func (s *Server) enqueueLocked(t *tenant, r *request) {
+func (s *shard) enqueueLocked(t *tenant, r *request) {
 	r.next = nil
 	if t.tail == nil {
 		t.head = r
@@ -564,7 +543,7 @@ func (s *Server) enqueueLocked(t *tenant, r *request) {
 // request leaves a queue, for batch formation and migrateOut alike. A
 // tenant whose queue empties leaves the ring, which already puts its
 // successor under the cursor. The caller checks s.queued > 0.
-func (s *Server) popLocked() *request {
+func (s *shard) popLocked() *request {
 	if s.rr >= len(s.active) {
 		s.rr = 0
 	}
@@ -589,7 +568,7 @@ func (s *Server) popLocked() *request {
 // and to the server that finished it, and signals the waiter. It only
 // touches atomics and r's own fields, so batch formation calls it with
 // s.mu held.
-func (s *Server) finish(r *request, err error) {
+func (s *shard) finish(r *request, err error) {
 	r.err = err
 	if err == ErrDeadlineExceeded {
 		r.acct.expired.Add(1)
@@ -606,7 +585,7 @@ func (s *Server) finish(r *request, err error) {
 
 // queueDepth returns the current number of queued requests — the
 // load signal the diffusive balancer compares across shards.
-func (s *Server) queueDepth() int {
+func (s *shard) queueDepth() int {
 	s.mu.Lock()
 	q := s.queued
 	s.mu.Unlock()
@@ -620,7 +599,7 @@ func (s *Server) queueDepth() int {
 // caller until it hands them to another shard's migrateIn: they are on
 // no queue, so neither dispatcher can see them, which is what makes a
 // migration exactly-once by construction.
-func (s *Server) migrateOut(buf []*request, max int) []*request {
+func (s *shard) migrateOut(buf []*request, max int) []*request {
 	n := 0
 	s.mu.Lock()
 	for ; n < max && s.queued > 0; n++ {
@@ -643,7 +622,7 @@ func (s *Server) migrateOut(buf []*request, max int) []*request {
 // shutdown — the requests are executed inline on the caller's
 // goroutine instead: a migrated request is never lost and never
 // spuriously rejected.
-func (s *Server) migrateIn(rs []*request) {
+func (s *shard) migrateIn(rs []*request) {
 	if len(rs) == 0 {
 		return
 	}
@@ -680,7 +659,7 @@ func (s *Server) migrateIn(rs []*request) {
 // request's home-shard budget is honored on whichever shard forms the
 // batch; the time.Now is taken lazily so deadline-free servers never
 // pay for it.
-func (s *Server) formBatchLocked(batch []*request) []*request {
+func (s *shard) formBatchLocked(batch []*request) []*request {
 	var now time.Time
 	for len(batch) < s.cfg.MaxBatch && s.queued > 0 {
 		r := s.popLocked()
@@ -704,7 +683,7 @@ func (s *Server) formBatchLocked(batch []*request) []*request {
 // expires. On a single-P runtime the Gosched loop runs every ready
 // producer before re-reading the queue, which makes the plateau check
 // exact there and merely conservative elsewhere.
-func (s *Server) awaitWindow() {
+func (s *shard) awaitWindow() {
 	if s.cfg.BatchWindow < 0 {
 		return
 	}
@@ -725,7 +704,7 @@ func (s *Server) awaitWindow() {
 // dispatch is the batch-forming loop. One dispatcher per server: batch
 // formation is serial (it is cheap — pointer pops under one mutex),
 // execution is where the parallelism is.
-func (s *Server) dispatch() {
+func (s *shard) dispatch() {
 	defer close(s.drained)
 	batch := make([]*request, 0, s.cfg.MaxBatch)
 	for {
@@ -772,7 +751,7 @@ func (s *Server) dispatch() {
 // execute runs one batch under the admission ladder: fused parallel
 // loop when the executor has headroom, proportionally fewer workers
 // under elevated load, serial on the dispatcher at saturation.
-func (s *Server) execute(batch []*request) {
+func (s *shard) execute(batch []*request) {
 	n := len(batch)
 	s.batches.Add(1)
 	s.batchedReqs.Add(int64(n))
@@ -782,7 +761,7 @@ func (s *Server) execute(batch []*request) {
 			break
 		}
 	}
-	load := s.cfg.Executor.Occupancy()
+	load := s.cfg.executor.Occupancy()
 	workers := s.cfg.Workers
 	if load >= DefaultSaturation {
 		s.shed.Add(1)
@@ -794,7 +773,7 @@ func (s *Server) execute(batch []*request) {
 		}
 	}
 	start := time.Now()
-	opts, m := par.BeginAdaptive(siteBatch, n, par.Options{Procs: workers, Executor: s.cfg.Executor, Adaptive: s.cfg.Adaptive})
+	opts, m := par.BeginAdaptive(siteBatch, n, par.Options{Procs: workers, Executor: s.cfg.executor, Adaptive: s.cfg.Adaptive})
 	if p := min(opts.Procs, n); p <= 1 {
 		s.serialBatches.Add(1)
 		for _, r := range batch {
@@ -804,7 +783,7 @@ func (s *Server) execute(batch []*request) {
 		s.parallelBatches.Add(1)
 		s.batch = batch
 		s.batchNext.Store(0)
-		s.cfg.Executor.Run(p, s.batchSlot)
+		s.cfg.executor.Run(p, s.batchSlot)
 	}
 	m.Done()
 	// Fold this batch's per-request service time into the door's wait
@@ -827,7 +806,7 @@ func (s *Server) execute(batch []*request) {
 // runBatchSlot is one worker slot of a parallel batch: it claims
 // requests off the shared cursor until the batch runs out, so skewed
 // request costs balance across slots.
-func (s *Server) runBatchSlot(int) {
+func (s *shard) runBatchSlot(int) {
 	for {
 		i := int(s.batchNext.Add(1)) - 1
 		if i >= len(s.batch) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/kernel"
 	"repro/internal/par"
@@ -36,9 +35,7 @@ func sortedOracle(xs []int64) []int64 {
 // TestServeMixedConcurrent drives every request type from concurrent
 // tenants and checks each result against a sequential oracle.
 func TestServeMixedConcurrent(t *testing.T) {
-	e := exec.New(4)
-	defer e.Close()
-	s := New(Config{Executor: e, Workers: 4})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 4})
 	defer s.Close()
 
 	g := gen.ErdosRenyi(300, 4, false, 7)
@@ -146,7 +143,7 @@ func TestServeMixedConcurrent(t *testing.T) {
 		t.Fatalf("request failed: %v", err)
 	}
 
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.Accepted != tenants*reqs || st.Completed != tenants*reqs {
 		t.Fatalf("accepted=%d completed=%d, want %d", st.Accepted, st.Completed, tenants*reqs)
 	}
@@ -162,9 +159,7 @@ func TestServeMixedConcurrent(t *testing.T) {
 // actually fuse: with many sync clients against one dispatcher, some
 // batch must carry more than one request.
 func TestServeBatchCoalescing(t *testing.T) {
-	e := exec.New(4)
-	defer e.Close()
-	s := New(Config{Executor: e, Workers: 4, BatchWindow: 2 * time.Millisecond})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 4, Config: Config{BatchWindow: 2 * time.Millisecond}})
 	defer s.Close()
 
 	const clients = 8
@@ -184,7 +179,7 @@ func TestServeBatchCoalescing(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.MaxBatch < 2 {
 		t.Fatalf("no coalescing: maxBatch = %d over %d batches", st.MaxBatch, st.Batches)
 	}
@@ -197,9 +192,7 @@ func TestServeBatchCoalescing(t *testing.T) {
 // checks the light tenant is never starved or rejected: round-robin
 // batch formation plus per-tenant queues isolate it completely.
 func TestServeFairShare(t *testing.T) {
-	e := exec.New(2)
-	defer e.Close()
-	s := New(Config{Executor: e, Workers: 2, MaxQueue: 2, MaxBatch: 4})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 2, Config: Config{MaxQueue: 2, MaxBatch: 4}})
 	defer s.Close()
 
 	stop := make(chan struct{})
@@ -250,9 +243,7 @@ func TestServeFairShare(t *testing.T) {
 // and checks the overflow is rejected with ErrRejected while every
 // admitted request still completes correctly.
 func TestServeBackpressure(t *testing.T) {
-	e := exec.New(1)
-	defer e.Close()
-	s := New(Config{Executor: e, MaxQueue: 1, MaxBatch: 1, BatchWindow: -1})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 1, Config: Config{MaxQueue: 1, MaxBatch: 1, BatchWindow: -1}})
 	defer s.Close()
 
 	const clients = 16
@@ -287,18 +278,18 @@ func TestServeBackpressure(t *testing.T) {
 	if completed.Load() == 0 {
 		t.Fatal("no request completed")
 	}
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.Rejected != rejected.Load() {
 		t.Fatalf("stats.Rejected = %d, callers saw %d", st.Rejected, rejected.Load())
 	}
 }
 
 // TestServeShedUnderSaturation parks blocking tasks on every pooled
-// worker so Occupancy reads 1.0, then checks batches shed to serial
-// execution (and still compute correct results).
+// worker of the shard's executor so Occupancy reads 1.0, then checks
+// batches shed to serial execution (and still compute correct results).
 func TestServeShedUnderSaturation(t *testing.T) {
-	e := exec.New(2)
-	defer e.Close()
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 2})
+	e := s.Executors().Shard(0)
 	release := make(chan struct{})
 	e.Submit(func() { <-release })
 	e.Submit(func() { <-release })
@@ -307,10 +298,10 @@ func TestServeShedUnderSaturation(t *testing.T) {
 	}
 	if e.Occupancy() < 1 {
 		close(release)
+		s.Close()
 		t.Skip("could not saturate the pool")
 	}
 
-	s := New(Config{Executor: e, Workers: 2})
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
@@ -331,7 +322,7 @@ func TestServeShedUnderSaturation(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.Shed == 0 {
 		t.Fatalf("no batch shed at occupancy 1.0: %+v", st)
 	}
@@ -345,9 +336,7 @@ func TestServeShedUnderSaturation(t *testing.T) {
 // TestServePipelineRoute checks long requests bypass the batch path
 // onto the long route, including the aliased-scan case.
 func TestServePipelineRoute(t *testing.T) {
-	e := exec.New(2)
-	defer e.Close()
-	s := New(Config{Executor: e, PipelineCutoff: 4096})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 2, Config: Config{PipelineCutoff: 4096}})
 	defer s.Close()
 
 	xs := randInts(20000, 5)
@@ -377,7 +366,7 @@ func TestServePipelineRoute(t *testing.T) {
 		}
 	}
 
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.Pipelined != 2 {
 		t.Fatalf("pipelined = %d, want 2", st.Pipelined)
 	}
@@ -461,9 +450,7 @@ func TestCloseWaitsForStream(t *testing.T) {
 
 // TestServeClose checks drain-then-reject semantics.
 func TestServeClose(t *testing.T) {
-	e := exec.New(2)
-	defer e.Close()
-	s := New(Config{Executor: e})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 2})
 	xs := randInts(1000, 1)
 	if _, err := Sum(s, "t", xs); err != nil {
 		t.Fatalf("sum: %v", err)
@@ -484,7 +471,7 @@ func TestServeClose(t *testing.T) {
 // TestServeValidation checks malformed requests fail fast, before
 // admission.
 func TestServeValidation(t *testing.T) {
-	s := New(Config{})
+	s := NewSharded(ShardedConfig{Shards: 1})
 	defer s.Close()
 	xs := []int64{3, 1, 2}
 	if _, err := Select(s, "t", xs, 3); err == nil {
@@ -502,7 +489,7 @@ func TestServeValidation(t *testing.T) {
 	if _, err := BFS(s, "t", nil, 0); err == nil {
 		t.Fatal("BFS nil graph accepted")
 	}
-	if st := s.Stats(); st.Accepted != 0 {
+	if st := s.Stats().Aggregate; st.Accepted != 0 {
 		t.Fatalf("invalid requests were admitted: %+v", st)
 	}
 }
@@ -512,7 +499,7 @@ func TestServeValidation(t *testing.T) {
 // route) surfaces as that request's error, not a crash, and the server
 // keeps serving.
 func TestServePanicConfined(t *testing.T) {
-	s := New(Config{})
+	s := NewSharded(ShardedConfig{Shards: 1})
 	defer s.Close()
 	xs := randInts(5000, 2)
 	err := Histogram(s, "t", make([]int, 4), xs, func(v int64) int { return 1 << 30 })
@@ -535,7 +522,7 @@ func TestServePanicConfined(t *testing.T) {
 	if _, err := Sum(s, "t", xs); err != nil {
 		t.Fatalf("sum after confined stream panic: %v", err)
 	}
-	if st := s.Stats(); st.Accepted != st.Completed || st.Pipelined != 1 {
+	if st := s.Stats().Aggregate; st.Accepted != st.Completed || st.Pipelined != 1 {
 		t.Fatalf("accounting after confined panics: %+v", st)
 	}
 }
@@ -544,7 +531,7 @@ func TestServePanicConfined(t *testing.T) {
 // caller-controlled name cardinality: names beyond MaxTenants fold
 // into the shared overflow entry and are still served.
 func TestServeTenantBound(t *testing.T) {
-	s := New(Config{MaxTenants: 2})
+	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{MaxTenants: 2}})
 	defer s.Close()
 	for i := 0; i < 10; i++ {
 		name := string(rune('a' + i))
@@ -552,7 +539,7 @@ func TestServeTenantBound(t *testing.T) {
 			t.Fatalf("sum from tenant %q: %v", name, err)
 		}
 	}
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.Completed != 10 {
 		t.Fatalf("completed = %d, want 10", st.Completed)
 	}

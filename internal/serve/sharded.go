@@ -14,10 +14,10 @@ import (
 )
 
 // ShardedConfig shapes a Sharded server: the embedded Config is the
-// per-shard template (its Executor field is ignored — every shard owns
-// a dedicated executor; a nil Scratch gives every shard its own
-// arena pool), and the sharding knobs control shard count, per-shard
-// worker count and the diffusive balancer.
+// per-shard template (every shard owns a dedicated executor; a nil
+// Scratch gives every shard its own arena pool), and the sharding
+// knobs control shard count, per-shard worker count and the diffusive
+// balancer.
 type ShardedConfig struct {
 	Config
 
@@ -83,10 +83,10 @@ type ShardedStats struct {
 	Migrations, Migrated int64
 }
 
-// Sharded is the sharded request-serving runtime: N independent
-// Server shards — each with its own executor (work-stealing deques,
-// occupancy gauges), scratch arena pool, optional adaptive controller
-// and batch dispatcher — plus a diffusive load balancer between them.
+// Sharded is the request-serving runtime: N independent shards — each
+// with its own executor (work-stealing deques, occupancy gauges),
+// scratch arena pool, optional adaptive controller and batch
+// dispatcher — plus a diffusive load balancer between them.
 //
 // Requests route to their tenant's home shard by stable hash, so in
 // the common (balanced) case a tenant's queue, batches, scratch reuse
@@ -103,12 +103,16 @@ type ShardedStats struct {
 // dispatcher pulls before parking), so no dedicated balancer
 // goroutine or ticker exists.
 //
+// One shard is the degenerate case: it gets no balancer hooks, so the
+// only per-call work beyond the shard's own is hashing the tenant name.
+//
 // Create one with NewSharded, submit through the Front methods or the
-// typed helpers exactly as with a Server, and Close it when done.
+// typed helpers (Sort, Select, Histogram, Scan, Sum, BFS) from any
+// number of goroutines, and Close it when done.
 type Sharded struct {
 	cfg    ShardedConfig
 	execs  *exec.Sharded
-	shards []*Server
+	shards []*shard
 	closed atomic.Bool
 
 	migrations atomic.Int64
@@ -127,10 +131,10 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 	g := &Sharded{cfg: cfg}
 	g.migBufs.New = func() any { return new([]*request) }
 	g.execs = exec.NewSharded(n, cfg.ShardProcs)
-	g.shards = make([]*Server, n)
+	g.shards = make([]*shard, n)
 	for i := range g.shards {
 		sc := cfg.Config
-		sc.Executor = g.execs.Shard(i)
+		sc.executor = g.execs.Shard(i)
 		if sc.Scratch == nil {
 			sc.Scratch = scratch.New()
 		}
@@ -161,7 +165,7 @@ func shardKey(tenant string) uint64 {
 }
 
 // home returns the tenant's affinity shard.
-func (g *Sharded) home(tenant string) *Server {
+func (g *Sharded) home(tenant string) *shard {
 	return g.shards[shardKey(tenant)%uint64(len(g.shards))]
 }
 
@@ -323,7 +327,7 @@ func (g *Sharded) TenantStats() []TenantStats {
 }
 
 // CallBudget submits one request for any registered kernel on the
-// tenant's home shard (see Server.CallBudget). Under skew the request
+// tenant's home shard (see shard.CallBudget). Under skew the request
 // may execute on a migrated-to sibling, but its accounting stays with
 // the home shard's tenant entry, and the absolute stamp derived from
 // the budget rides migration, so a thief shard enforces a remote
@@ -333,7 +337,7 @@ func (g *Sharded) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, bu
 }
 
 // CallDeltaBudget submits one incremental request (see
-// Server.CallDeltaBudget) on the tenant's home shard.
+// shard.CallDeltaBudget) on the tenant's home shard.
 func (g *Sharded) CallDeltaBudget(tenant string, k *kernel.Kernel, a *kernel.Args, d *kernel.Delta, budget time.Duration) error {
 	return g.home(tenant).CallDeltaBudget(tenant, k, a, d, budget)
 }

@@ -8,8 +8,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/kernel"
 )
+
+// newShard returns the one shard of a one-shard Sharded that closes
+// when t ends: a running shard with no balancer hooks, for the
+// white-box tests that read its internals or drive admit, migrateOut
+// and migrateIn by hand.
+func newShard(t *testing.T, cfg Config) *shard {
+	g := NewSharded(ShardedConfig{Shards: 1, Config: cfg})
+	t.Cleanup(g.Close)
+	return g.shards[0]
+}
 
 // tenantsHomedOn generates count distinct tenant names whose affinity
 // shard is shard — how the tests construct deliberately skewed traffic
@@ -254,8 +265,8 @@ func TestMigrateInClosedRunsInline(t *testing.T) {
 	// home is built but its dispatcher never starts, so the request it
 	// admits stays queued until migrateOut pops it — the balancer's view
 	// of a backlog, with no dispatcher racing the pop.
-	home := build(Config{})
-	s := New(Config{})
+	home := build(Config{executor: exec.Default()})
+	s := newShard(t, Config{})
 	r := home.getRequest(kernelSum, "t", &kernel.Args{Xs: []int64{1, 2, 3, 4}})
 	if err := home.admit(r); err != nil {
 		t.Fatalf("admit: %v", err)

@@ -11,7 +11,7 @@ import (
 )
 
 // Client speaks the wire protocol from the caller's side of a socket.
-// It is a serve.Front, so code written against a serve.Server — the
+// It is a serve.Front, so code written against a serve.Sharded — the
 // typed helpers included — runs unchanged against a remote one. Calls
 // are serialized per client — the protocol is strictly request/response
 // on one connection — so concurrency comes from one Client per

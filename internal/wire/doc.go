@@ -1,6 +1,6 @@
 // Package wire is the network front door: a length-prefixed binary
 // frame codec plus a Listener that serves framed requests over TCP or
-// Unix sockets onto any serve.Front (a serve.Server or serve.Sharded),
+// Unix sockets onto any serve.Front (usually a serve.Sharded),
 // and a Client that speaks the same frames from the other end and is
 // itself a serve.Front — so the typed serve.Sort...BFS helpers, and
 // anything else written against the interface, run unchanged on either

@@ -26,9 +26,9 @@ type frontUnderTest struct {
 
 var frontsUnderTest = []frontUnderTest{
 	{"server", func(t *testing.T, cfg serve.Config) (func() serve.Front, func() serve.Stats, func()) {
-		s := serve.New(cfg)
+		s := serve.NewSharded(serve.ShardedConfig{Shards: 1, Config: cfg})
 		t.Cleanup(s.Close)
-		return func() serve.Front { return s }, s.Stats, s.Close
+		return func() serve.Front { return s }, func() serve.Stats { return s.Stats().Aggregate }, s.Close
 	}},
 	{"sharded", func(t *testing.T, cfg serve.Config) (func() serve.Front, func() serve.Stats, func()) {
 		g := serve.NewSharded(serve.ShardedConfig{Shards: 2, ShardProcs: 1, Config: cfg})
@@ -38,7 +38,7 @@ var frontsUnderTest = []frontUnderTest{
 		return func() serve.Front { return g }, func() serve.Stats { return g.Stats().Aggregate }, closeServer
 	}},
 	{"client", func(t *testing.T, cfg serve.Config) (func() serve.Front, func() serve.Stats, func()) {
-		s := serve.New(cfg)
+		s := serve.NewSharded(serve.ShardedConfig{Shards: 1, Config: cfg})
 		t.Cleanup(s.Close)
 		l, err := Listen("tcp", "127.0.0.1:0", s, Config{})
 		if err != nil {
@@ -49,7 +49,7 @@ var frontsUnderTest = []frontUnderTest{
 			_, cl := newWire1(t, l)
 			return cl
 		}
-		return dial, s.Stats, s.Close
+		return dial, func() serve.Stats { return s.Stats().Aggregate }, s.Close
 	}},
 }
 

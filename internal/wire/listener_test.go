@@ -77,7 +77,7 @@ func newWire(t *testing.T, backend Backend, cfg Config) (*Listener, *Client) {
 // socket and compares against a local run of the same record: the
 // wire path must be semantically invisible.
 func TestWireEndToEnd(t *testing.T) {
-	s := serve.New(serve.Config{})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 	defer s.Close()
 	_, cl := newWire(t, s, Config{})
 
@@ -103,7 +103,7 @@ func TestWireEndToEnd(t *testing.T) {
 // the client reports the server's message rather than an id mismatch,
 // and the connection stays usable.
 func TestWireDecodeErrorEchoesID(t *testing.T) {
-	s := serve.New(serve.Config{})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 	defer s.Close()
 	_, cl := newWire(t, s, Config{})
 
@@ -126,7 +126,7 @@ func TestWireDecodeErrorEchoesID(t *testing.T) {
 // must decode to identical results, and the streaming listener must
 // actually have streamed.
 func TestWireStreamedByteIdentical(t *testing.T) {
-	s := serve.New(serve.Config{})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 	defer s.Close()
 	oneShot, clOne := newWire(t, s, Config{})
 	streaming, clStream := newWire(t, s, Config{StreamCutoff: 1024, StreamChunk: 4096})
@@ -162,7 +162,7 @@ func TestWireStreamedByteIdentical(t *testing.T) {
 // the client sees serve.ErrDeadlineExceeded through errors.Is, and
 // the server counts a door refusal, not a queue expiry.
 func TestWireDeadlineDoorRefusal(t *testing.T) {
-	s := serve.New(serve.Config{})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 	defer s.Close()
 	_, cl := newWire(t, s, Config{})
 
@@ -178,7 +178,7 @@ func TestWireDeadlineDoorRefusal(t *testing.T) {
 	if !errors.Is(err, serve.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
-	st := s.Stats()
+	st := s.Stats().Aggregate
 	if st.DeadlineRejected != 1 {
 		t.Fatalf("DeadlineRejected = %d, want 1 (stats %+v)", st.DeadlineRejected, st)
 	}
@@ -192,7 +192,7 @@ func TestWireDeadlineDoorRefusal(t *testing.T) {
 // budget-less request expires, while the same request carrying its
 // own generous wire budget overrides the SLO and completes.
 func TestWireBudgetlessInheritsSLO(t *testing.T) {
-	s := serve.New(serve.Config{SLO: time.Nanosecond})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1, Config: serve.Config{SLO: time.Nanosecond}})
 	defer s.Close()
 	_, cl := newWire(t, s, Config{})
 
@@ -205,7 +205,7 @@ func TestWireBudgetlessInheritsSLO(t *testing.T) {
 	if !errors.Is(err, serve.ErrDeadlineExceeded) {
 		t.Fatalf("budget-less err = %v, want ErrDeadlineExceeded (inherited SLO)", err)
 	}
-	if st := s.Stats(); st.Expired == 0 && st.DeadlineRejected == 0 {
+	if st := s.Stats().Aggregate; st.Expired == 0 && st.DeadlineRejected == 0 {
 		t.Fatalf("no deadline enforcement recorded: %+v", st)
 	}
 }
@@ -216,19 +216,19 @@ func TestWireBudgetlessInheritsSLO(t *testing.T) {
 func TestWireBudgetExpiresInQueue(t *testing.T) {
 	open := gateReset()
 	defer open()
-	s := serve.New(serve.Config{})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 	defer s.Close()
 	l, clGate := newWire(t, s, Config{})
 	_, clB := newWire1(t, l)
 
 	done := make(chan error, 1)
 	go func() { done <- clGate.CallBudget("t", gateKernel, &kernel.Args{Xs: []int64{1}}, 0) }()
-	waitFor(t, time.Second, func() bool { return s.Stats().Batches >= 1 })
+	waitFor(t, time.Second, func() bool { return s.Stats().Aggregate.Batches >= 1 })
 
 	k := kernel.MustLookup("sort")
 	errc := make(chan error, 1)
 	go func() { errc <- clB.CallBudget("t", k, k.Gen(64, 5), 2*time.Millisecond) }()
-	waitFor(t, time.Second, func() bool { return s.Stats().Accepted >= 2 })
+	waitFor(t, time.Second, func() bool { return s.Stats().Aggregate.Accepted >= 2 })
 	time.Sleep(10 * time.Millisecond) // let the 2ms budget lapse while parked
 	open()
 	if err := <-done; err != nil {
@@ -238,7 +238,7 @@ func TestWireBudgetExpiresInQueue(t *testing.T) {
 	if !errors.Is(err, serve.ErrDeadlineExceeded) {
 		t.Fatalf("queued err = %v, want ErrDeadlineExceeded", err)
 	}
-	if st := s.Stats(); st.Expired != 1 {
+	if st := s.Stats().Aggregate; st.Expired != 1 {
 		t.Fatalf("Expired = %d, want 1 (stats %+v)", st.Expired, st)
 	}
 }
@@ -452,7 +452,7 @@ func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
 // back to their baselines.
 func TestWireAbruptDisconnect(t *testing.T) {
 	pool := scratch.New()
-	s := serve.New(serve.Config{Scratch: pool})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1, Config: serve.Config{Scratch: pool}})
 	defer s.Close()
 	l, err := Listen("tcp", "127.0.0.1:0", s, Config{Scratch: pool, StreamCutoff: 8 << 10, StreamChunk: 4 << 10})
 	if err != nil {
@@ -517,7 +517,7 @@ func TestWireAbruptDisconnect(t *testing.T) {
 func TestWireCloseDrains(t *testing.T) {
 	open := gateReset()
 	defer open()
-	s := serve.New(serve.Config{})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 	defer s.Close()
 	l, err := Listen("tcp", "127.0.0.1:0", s, Config{})
 	if err != nil {
@@ -532,7 +532,7 @@ func TestWireCloseDrains(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- cl.CallBudget("t", gateKernel, &kernel.Args{Xs: []int64{1}}, 0) }()
-	waitFor(t, time.Second, func() bool { return s.Stats().Batches >= 1 })
+	waitFor(t, time.Second, func() bool { return s.Stats().Aggregate.Batches >= 1 })
 
 	closed := make(chan struct{})
 	go func() { l.Close(); close(closed) }()
@@ -562,7 +562,7 @@ func TestWireCloseDrains(t *testing.T) {
 func TestWireCloseSkipsBufferedFrames(t *testing.T) {
 	open := gateReset()
 	defer open()
-	s := serve.New(serve.Config{})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 	defer s.Close()
 	cc, sc := net.Pipe()
 	defer cc.Close()
@@ -613,7 +613,7 @@ func TestWireCloseSkipsBufferedFrames(t *testing.T) {
 // receive buffer so a 1 Mi-element streamed reply cannot fit in what
 // the loopback socket pair buffers.
 func TestWireCloseBoundsStalledReply(t *testing.T) {
-	s := serve.New(serve.Config{})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 	defer s.Close()
 	l, err := Listen("tcp", "127.0.0.1:0", s, Config{})
 	if err != nil {
@@ -660,13 +660,13 @@ func TestWireCloseBoundsStalledReply(t *testing.T) {
 // one-shot round trip allocates nothing — the listener decodes into a
 // Request it keeps per connection and writes through a net.Buffers it
 // keeps per connection — and a streamed one allocates no more than the
-// same call made in-process (at serve.New defaults the 256 Ki sort
+// same call made in-process (at serve defaults the 256 Ki sort
 // takes the long route, which allocates inside the sort itself).
 func TestWireRoundTripZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("the race detector allocates")
 	}
-	s := serve.New(serve.Config{})
+	s := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 	defer s.Close()
 	l, cl := newWire(t, s, Config{})
 	k := kernel.MustLookup("sort")

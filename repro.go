@@ -82,32 +82,25 @@ type (
 	AdaptiveController = adapt.Controller
 	// AdaptiveStats is a snapshot of a controller's tuning counters.
 	AdaptiveStats = adapt.Stats
-	// Server is the multi-tenant request-serving runtime: it coalesces
-	// concurrent small requests into fused batched kernel invocations
-	// (one pooled fork/join per batch instead of one per request),
-	// applies occupancy-driven admission control (queue, shed to
-	// serial, reject with backpressure), and forms batches round-robin
-	// across tenants so a hot tenant cannot starve the rest. Build one
-	// with NewServer.
-	Server = serve.Server
-	// ServerConfig shapes a Server (worker count, batch bounds and
-	// window, per-tenant queue bound, load thresholds, pipeline
-	// cutoff, the per-request SLO deadline budget, an optional
-	// ResultCache fronting admission, and the executor/scratch/
-	// adaptive runtimes it serves on).
+	// ServerConfig shapes one shard of a ShardedServer — the template
+	// ShardedServerConfig embeds (batch worker count, batch bounds and
+	// window, per-tenant queue bound, pipeline cutoff, the per-request
+	// SLO deadline budget, an optional ResultCache fronting admission,
+	// and the scratch/adaptive runtimes the shard serves on; every
+	// shard brings its own executor).
 	ServerConfig = serve.Config
-	// ServerStats is a snapshot of a server's admission and batching
-	// counters.
-	ServerStats = serve.Stats
-	// ServerTenantStats is one tenant's accepted/rejected/completed
-	// share of a server's counters.
-	ServerTenantStats = serve.TenantStats
-	// ShardedServer is the sharded request-serving runtime: N Server
-	// shards — each with its own executor pool, scratch arena and
-	// batch dispatcher — with tenants hashed to a home shard and a
-	// diffusive balancer that migrates queued requests from an
-	// overloaded shard to its ring neighbors when their backlogs
-	// diverge. Build one with NewShardedServer.
+	// ShardedServer is the multi-tenant request-serving runtime: it
+	// coalesces concurrent small requests into fused batched kernel
+	// invocations (one pooled fork/join per batch instead of one per
+	// request), applies occupancy-driven admission control (queue,
+	// shed to serial, reject with backpressure), and forms batches
+	// round-robin across tenants so a hot tenant cannot starve the
+	// rest. It runs on N shards — each with its own executor pool,
+	// scratch arena and batch dispatcher — with tenants hashed to a
+	// home shard and, with more than one shard, a diffusive balancer
+	// that migrates queued requests from an overloaded shard to its
+	// ring neighbors when their backlogs diverge. Build one with
+	// NewShardedServer.
 	ShardedServer = serve.Sharded
 	// ShardedServerConfig shapes a ShardedServer (shard count,
 	// per-shard workers, migration thresholds, plus the embedded
@@ -118,11 +111,11 @@ type (
 	ShardedServerStats = serve.ShardedStats
 	// ResultCache is the generation-stamped result cache: keyed on
 	// (tenant, kernel, input fingerprint, tenant generation), it lets
-	// a Server recognize repeated requests at the door and restore
+	// a ShardedServer recognize repeated requests at the door and restore
 	// their stored outputs with zero kernel work. Build one with
 	// NewResultCache and hand it to ServerConfig.Cache (shards of a
 	// ShardedServer share the one instance, so migrated requests can
-	// never resurrect an invalidated entry). Server.BumpGeneration
+	// never resurrect an invalidated entry). ShardedServer.BumpGeneration
 	// invalidates a tenant's entries when its data changes.
 	ResultCache = rescache.Cache
 	// ResultCacheConfig shapes a ResultCache (scratch pool for entry
@@ -132,8 +125,8 @@ type (
 	// and hit/miss/eviction/invalidation counters.
 	ResultCacheStats = rescache.Stats
 	// WireListener is the network front door: it serves the binary
-	// wire protocol over TCP or Unix sockets onto a Server or
-	// ShardedServer, decoding request payloads in place into
+	// wire protocol over TCP or Unix sockets onto a ShardedServer,
+	// decoding request payloads in place into
 	// connection-owned scratch slabs (zero-copy read path), streaming
 	// large responses as chunk frames, and stamping each frame's
 	// optional deadline budget into the admission ladder. Build one
@@ -151,8 +144,8 @@ type (
 	// one with DialClient.
 	WireClient = wire.Client
 	// Front is the one request interface of the serving stack —
-	// CallBudget and CallDeltaBudget — implemented by *Server,
-	// *ShardedServer and *WireClient. A WireListener serves onto one;
+	// CallBudget and CallDeltaBudget — implemented by *ShardedServer
+	// and *WireClient. A WireListener serves onto one;
 	// the ServeSort...ServeBFS helpers submit through one.
 	Front = serve.Front
 	// Kernel is one entry of the typed kernel registry — the unit a
@@ -163,9 +156,10 @@ type (
 	KernelArgs = kernel.Args
 )
 
-// Admission-control errors returned by Server request methods.
+// Admission-control errors returned by ShardedServer request methods.
 var (
-	// ErrServerClosed reports a request submitted after Server.Close.
+	// ErrServerClosed reports a request submitted after
+	// ShardedServer.Close.
 	ErrServerClosed = serve.ErrClosed
 	// ErrRequestRejected reports admission backpressure: the tenant's
 	// bounded queue is full (the bound tightens while the executor is
@@ -233,29 +227,14 @@ func NewAdaptiveController() *AdaptiveController { return adapt.New(adapt.Config
 // explorations made, load-degraded calls, and converged classes.
 func DefaultAdaptiveStats() AdaptiveStats { return adapt.Default().Stats() }
 
-// NewServer creates a request-serving runtime and starts its batch
-// dispatcher; Close it when done. Requests are submitted through the
-// typed ServeSort...ServeBFS helpers (or CallBudget, for any
-// registered kernel) from any number of goroutines:
-//
-//	srv := repro.NewServer(repro.ServerConfig{})
-//	defer srv.Close()
-//	if err := repro.ServeSort(srv, "tenant-a", xs); err != nil { ... }
-//	med, err := repro.ServeSelect(srv, "tenant-b", ys, len(ys)/2)
-//
-// The zero ServerConfig serves on the process-wide executor and
-// scratch pool with default batching and admission bounds; see
-// internal/serve for the admission ladder and fairness semantics, and
-// `parbench -serve` for a multi-tenant traffic demo.
-func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
-
 // NewResultCache creates a generation-stamped result cache to hand to
 // ServerConfig.Cache. Repeated requests — same tenant, kernel and
 // input bytes since the tenant's last BumpGeneration — are then served
 // from the cache at the server's door, with the kernel run and the
 // batch queue both skipped:
 //
-//	srv := repro.NewServer(repro.ServerConfig{Cache: repro.NewResultCache(repro.ResultCacheConfig{})})
+//	srv := repro.NewShardedServer(repro.ShardedServerConfig{Shards: 1,
+//		Config: repro.ServerConfig{Cache: repro.NewResultCache(repro.ResultCacheConfig{})}})
 //	defer srv.Close()
 //	_ = repro.ServeSort(srv, "tenant-a", xs) // cold: runs, result stored
 //	_ = repro.ServeSort(srv, "tenant-a", xs) // warm: restored, zero kernel work
@@ -268,29 +247,32 @@ func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 // table.
 func NewResultCache(cfg ResultCacheConfig) *ResultCache { return rescache.New(cfg) }
 
-// NewShardedServer creates a sharded request-serving runtime and
-// starts one batch dispatcher per shard; Close it when done. It is a
-// Front exactly like Server. Each request routes to its
-// tenant's home shard (stable hash), so balanced tenants never share
-// queues, executors or scratch pools; under tenant skew the diffusive
-// balancer migrates queued requests to adjacent shards:
+// NewShardedServer creates a request-serving runtime and starts one
+// batch dispatcher per shard; Close it when done. Requests are
+// submitted through the typed ServeSort...ServeBFS helpers (or
+// CallBudget, for any registered kernel) from any number of
+// goroutines:
 //
-//	srv := repro.NewShardedServer(repro.ShardedServerConfig{})
+//	srv := repro.NewShardedServer(repro.ShardedServerConfig{Shards: 1})
 //	defer srv.Close()
 //	if err := repro.ServeSort(srv, "tenant-a", xs); err != nil { ... }
-//	fmt.Println(srv.Stats().Migrated)
+//	med, err := repro.ServeSelect(srv, "tenant-b", ys, len(ys)/2)
 //
-// The zero ShardedServerConfig picks min(GOMAXPROCS/4, 8) shards
+// Each request routes to its tenant's home shard (stable hash), so
+// balanced tenants never share queues, executors or scratch pools;
+// under tenant skew the diffusive balancer migrates queued requests to
+// adjacent shards (Stats().Migrated counts them). The zero
+// ShardedServerConfig picks min(GOMAXPROCS/4, 8) shards
 // (REPRO_EXEC_SHARDS overrides) splitting GOMAXPROCS workers evenly,
-// with migration on at default hysteresis. See internal/serve for
-// the affinity and migration semantics, and `parbench -serve -shards
-// N` for a skewed-traffic demo.
+// with migration on at default hysteresis. See internal/serve for the
+// admission, fairness, affinity and migration semantics, and `parbench
+// -serve -shards N` for a skewed-traffic demo.
 func NewShardedServer(cfg ShardedServerConfig) *ShardedServer { return serve.NewSharded(cfg) }
 
 // NewListener starts a wire-protocol front door on network/addr
 // ("tcp", "127.0.0.1:7070" or "unix", "/tmp/parserve.sock") serving
-// backend — any Front, usually a *Server or *ShardedServer. Close it to drain in-flight
-// requests and shut the socket:
+// backend — any Front, usually a *ShardedServer. Close it to drain
+// in-flight requests and shut the socket:
 //
 //	srv := repro.NewShardedServer(repro.ShardedServerConfig{})
 //	defer srv.Close()

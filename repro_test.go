@@ -193,10 +193,10 @@ func ExampleAdaptive() {
 	// Output: true true
 }
 
-// ExampleNewServer serves typed requests from multiple tenants
-// through the batched admission-control runtime.
-func ExampleNewServer() {
-	srv := NewServer(ServerConfig{})
+// ExampleServeSort serves typed requests from multiple tenants
+// through the batched admission-control runtime on one shard.
+func ExampleServeSort() {
+	srv := NewShardedServer(ShardedServerConfig{Shards: 1})
 	defer srv.Close()
 	xs := []int64{5, 3, 1, 4, 2}
 	if err := ServeSort(srv, "tenant-a", xs); err != nil {
@@ -206,7 +206,7 @@ func ExampleNewServer() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(xs, median, srv.Stats().Completed)
+	fmt.Println(xs, median, srv.Stats().Aggregate.Completed)
 	// Output: [1 2 3 4 5] 7 2
 }
 
@@ -214,7 +214,7 @@ func ExampleNewServer() {
 // ServerConfig.SLO server serves a healthy request normally, and the
 // exported sentinel matches the one the serve layer returns.
 func TestFacadeServerSLO(t *testing.T) {
-	srv := NewServer(ServerConfig{SLO: time.Second})
+	srv := NewShardedServer(ShardedServerConfig{Shards: 1, Config: ServerConfig{SLO: time.Second}})
 	defer srv.Close()
 	xs := []int64{5, 3, 1, 4, 2}
 	if err := ServeSort(srv, "tenant-a", xs); err != nil {
@@ -223,7 +223,7 @@ func TestFacadeServerSLO(t *testing.T) {
 	if xs[0] != 1 || xs[4] != 5 {
 		t.Fatalf("sorted = %v", xs)
 	}
-	st := srv.Stats()
+	st := srv.Stats().Aggregate
 	if st.DeadlineRejected != 0 || st.Expired != 0 {
 		t.Fatalf("healthy request tripped deadlines: %+v", st)
 	}
@@ -234,7 +234,7 @@ func TestFacadeServerSLO(t *testing.T) {
 
 func TestFacadeResultCache(t *testing.T) {
 	cache := NewResultCache(ResultCacheConfig{})
-	srv := NewServer(ServerConfig{Cache: cache})
+	srv := NewShardedServer(ShardedServerConfig{Shards: 1, Config: ServerConfig{Cache: cache}})
 	defer srv.Close()
 	xs := []int64{9, 1, 7}
 	for i := 0; i < 3; i++ {
@@ -246,7 +246,7 @@ func TestFacadeResultCache(t *testing.T) {
 			t.Fatalf("sorted = %v", xs)
 		}
 	}
-	if st := srv.Stats(); st.CacheHits != 2 || st.CacheMisses != 1 {
+	if st := srv.Stats().Aggregate; st.CacheHits != 2 || st.CacheMisses != 1 {
 		t.Fatalf("server cache counters = %+v, want 2 hits / 1 miss", st)
 	}
 	var cs ResultCacheStats = cache.Stats()

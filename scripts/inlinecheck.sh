@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Inlining gate (CI): the six typed helpers in internal/serve/front.go
 # must stay within the compiler's inlining budget. Inlined into a call
-# site that names a concrete *Server or *Sharded, CallBudget
+# site that names a concrete *Sharded, CallBudget
 # devirtualises and the kernel.Args record stays on the stack (the
 # 0 allocs/op that TestCacheHitZeroAllocs pins); one branch too many in
 # a helper body silently turns that into 1 alloc/op at every call site.
