@@ -95,7 +95,7 @@ func BenchmarkE18Aggregation(b *testing.B) {
 	b.Run("matmul-panels", func(b *testing.B) {
 		var stats *bsp.Stats
 		for i := 0; i < b.N; i++ {
-			_, stats = bsp.MatmulRowBlock(a.Data, m.Data, side, 8)
+			_, stats = bsp.MatmulRowBlockOn(nil, a.Data, m.Data, side, 8)
 		}
 		b.ReportMetric(stats.TotalH(), "model-H-words")
 	})
@@ -127,25 +127,16 @@ func BenchmarkPrimitives(b *testing.B) {
 		}
 		reportThroughput(b, len(xs))
 	})
-	flags := make([]bool, len(xs))
-	for i := range flags {
-		flags[i] = i%64 == 0
-	}
-	b.Run("segscan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			par.SegSums(dst, xs, flags, opts)
-		}
-		reportThroughput(b, len(xs))
-	})
 	b.Run("pack", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			par.Pack(xs, opts, func(v int64) bool { return v&1 == 0 })
+			par.PackInto(dst, xs, opts, func(v int64) bool { return v&1 == 0 })
 		}
 		reportThroughput(b, len(xs))
 	})
+	hist := make([]int, 256)
 	b.Run("histogram", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			par.Histogram(xs, 256, opts, func(v int64) int { return int(uint64(v) >> 56) })
+			par.HistogramInto(hist, xs, opts, func(v int64) int { return int(uint64(v) >> 56) })
 		}
 		reportThroughput(b, len(xs))
 	})
@@ -188,7 +179,7 @@ func BenchmarkE20StealSort(b *testing.B) {
 	const n = 1 << 18
 	master := gen.Ints(n, gen.Uniform, 42)
 	buf := make([]int64, n)
-	pool := sched.NewPool(runtime.GOMAXPROCS(0))
+	pool := sched.NewPoolOn(nil, runtime.GOMAXPROCS(0))
 	b.Run("steal-quicksort", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(buf, master)

@@ -275,7 +275,7 @@ func BenchmarkE12Steal(b *testing.B) {
 	const depth = 16
 	p := runtime.GOMAXPROCS(0)
 	b.Run("work-stealing", func(b *testing.B) {
-		pool := sched.NewPool(p)
+		pool := sched.NewPoolOn(nil, p)
 		var root func(d int) sched.Task
 		root = func(d int) sched.Task {
 			return func(w *sched.Worker) {

@@ -74,10 +74,6 @@ func (c *Proc[M]) SendWords(to int, msg M, words int) {
 	c.sent += float64(words)
 }
 
-// Inbox returns the messages delivered by the most recent Sync. The
-// slice is owned by the processor until the next Sync.
-func (c *Proc[M]) Inbox() []M { return c.inbox }
-
 // Sync ends the superstep: messages are exchanged, model costs recorded,
 // and all processors advance together. It returns the new inbox.
 func (c *Proc[M]) Sync() []M {
@@ -89,18 +85,13 @@ func (c *Proc[M]) Sync() []M {
 	return c.inbox
 }
 
-// Run executes prog on p virtual processors and returns the cost trace.
-func Run[M any](p int, prog func(c *Proc[M])) *Stats {
-	return RunOn[M](nil, p, prog)
-}
-
-// RunOn executes prog on p virtual processors, routing their
-// goroutines through executor e (nil means exec.Default()). Virtual
-// processors park on the superstep barrier waiting for their siblings,
-// so they need dedicated goroutines rather than slots of the
-// fixed-size pool — p routinely exceeds the physical worker count
-// (that is the point of the simulator) and pooled dispatch would
-// deadlock at the first Sync. Executor.Go provides exactly that:
+// RunOn executes prog on p virtual processors and returns the cost
+// trace, routing their goroutines through executor e (nil means
+// exec.Default()). Virtual processors park on the superstep barrier
+// waiting for their siblings, so they need dedicated goroutines rather
+// than slots of the fixed-size pool — p routinely exceeds the physical
+// worker count (that is the point of the simulator) and pooled dispatch
+// would deadlock at the first Sync. Executor.Go provides exactly that:
 // dedicated goroutines, but accounted on the shared runtime so servers
 // can observe all parallel activity in one place.
 func RunOn[M any](e *exec.Executor, p int, prog func(c *Proc[M])) *Stats {

@@ -13,7 +13,7 @@ func TestRunBasicBarrier(t *testing.T) {
 	// supersteps all slots must be k (barrier keeps procs in lockstep).
 	const p, k = 8, 5
 	counts := make([]int, p)
-	Run(p, func(c *Proc[int]) {
+	RunOn(nil, p, func(c *Proc[int]) {
 		for step := 0; step < k; step++ {
 			counts[c.ID()]++
 			c.Sync()
@@ -31,7 +31,7 @@ func TestMessageDelivery(t *testing.T) {
 	// exactly the predecessor's id.
 	const p = 6
 	got := make([]int, p)
-	Run(p, func(c *Proc[int]) {
+	RunOn(nil, p, func(c *Proc[int]) {
 		next := (c.ID() + 1) % c.NProcs()
 		c.Send(next, c.ID())
 		inbox := c.Sync()
@@ -52,7 +52,7 @@ func TestMessageDelivery(t *testing.T) {
 func TestMessagesNotDeliveredEarly(t *testing.T) {
 	// A message sent in superstep 1 must not be visible until after the
 	// first Sync, and must not persist past the following Sync.
-	Run(2, func(c *Proc[int]) {
+	RunOn(nil, 2, func(c *Proc[int]) {
 		if c.ID() == 0 {
 			c.Send(1, 42)
 		}
@@ -70,7 +70,7 @@ func TestMessagesNotDeliveredEarly(t *testing.T) {
 }
 
 func TestTraceRecordsWorkAndH(t *testing.T) {
-	stats := Run(4, func(c *Proc[int]) {
+	stats := RunOn(nil, 4, func(c *Proc[int]) {
 		c.Charge(100 * (c.ID() + 1)) // max 400
 		if c.ID() == 0 {
 			for to := 1; to < 4; to++ {
@@ -94,7 +94,7 @@ func TestTraceRecordsWorkAndH(t *testing.T) {
 func TestEarlyExitDoesNotDeadlock(t *testing.T) {
 	// Proc 1 exits immediately; procs 0 and 2 still complete a superstep.
 	done := make([]bool, 3)
-	Run(3, func(c *Proc[int]) {
+	RunOn(nil, 3, func(c *Proc[int]) {
 		if c.ID() == 1 {
 			done[1] = true
 			return

@@ -2,186 +2,17 @@ package bsp
 
 import "repro/internal/exec"
 
-// Collective communication patterns expressed as reusable in-superstep
-// helpers plus standalone traced kernels. The collectives mirror the
-// message-passing repertoire the 1996-era libraries (Oxford BSPlib,
-// Green BSP) shipped: gather, all-to-all, and total exchange patterns
-// whose h-relations the model charges differently — which is precisely
-// what makes them good validation kernels.
+// Bulk-message kernels: the row-block matmul ships whole matrix panels
+// per message, so its h-relation is charged by word volume (SendWords),
+// not message count — the aggregation effect experiment E18 measures.
 
-// Gather collects one value per processor at the root (rank 0): one
-// superstep, h = P at the root. It returns the gathered values indexed
-// by rank (valid at every processor's return for convenience; only the
-// root pays the h-relation).
-func Gather(local func(rank int) int64, p int) ([]int64, *Stats) { return GatherOn(nil, local, p) }
-
-// GatherOn is Gather on executor e (nil = default); see RunOn.
-func GatherOn(e *exec.Executor, local func(rank int) int64, p int) ([]int64, *Stats) {
-	out := make([]int64, p)
-	stats := RunOn(e, p, func(c *Proc[tagged]) {
-		id := c.ID()
-		v := local(id)
-		c.Send(0, tagged{from: id, val: v})
-		inbox := c.Sync()
-		if id == 0 {
-			for _, m := range inbox {
-				out[m.from] = m.val
-			}
-		}
-	})
-	return out, stats
-}
-
-// AllToAll performs a total exchange: processor i sends value f(i, j) to
-// every processor j. One superstep with h = P (each processor sends and
-// receives P words). Returns the matrix received[j][i] = f(i, j).
-func AllToAll(f func(from, to int) int64, p int) ([][]int64, *Stats) { return AllToAllOn(nil, f, p) }
-
-// AllToAllOn is AllToAll on executor e (nil = default); see RunOn.
-func AllToAllOn(e *exec.Executor, f func(from, to int) int64, p int) ([][]int64, *Stats) {
-	out := make([][]int64, p)
-	stats := RunOn(e, p, func(c *Proc[tagged]) {
-		id, np := c.ID(), c.NProcs()
-		for to := 0; to < np; to++ {
-			c.Send(to, tagged{from: id, val: f(id, to)})
-		}
-		inbox := c.Sync()
-		row := make([]int64, np)
-		for _, m := range inbox {
-			row[m.from] = m.val
-		}
-		out[id] = row
-	})
-	return out, stats
-}
-
-// ListRank ranks an array-embedded linked list on p virtual processors
-// with distributed pointer jumping. Nodes are block-distributed by
-// index; each jumping round a processor requests the (next, dist) pair
-// of every remote successor, then advances — 2 supersteps per round,
-// ceil(log2 n)+1 rounds, h up to 2·n/p. This is the communication-heavy
-// kernel of the suite: its BSP cost is dominated by g·h per round,
-// predicting that distributed list ranking only pays off at very large
-// n/P — the classic result the case study teaches.
-func ListRank(next []int, head int, p int) ([]int, *Stats) { return ListRankOn(nil, next, head, p) }
-
-// ListRankOn is ListRank on executor e (nil = default); see RunOn.
-func ListRankOn(e *exec.Executor, next []int, head int, p int) ([]int, *Stats) {
-	n := len(next)
-	if n == 0 {
-		return nil, RunOn(e, p, func(c *Proc[pair]) {})
-	}
-	// Shared state arrays; each processor writes only its own block.
-	nxt := append([]int(nil), next...)
-	dist := make([]int, n)
-	for i := range dist {
-		if next[i] != i {
-			dist[i] = 1
-		}
-	}
-	nxt2 := make([]int, n)
-	dist2 := make([]int, n)
-	rounds := 0
-	for span := 1; span < n; span *= 2 {
-		rounds++
-	}
-	rounds++
-	stats := RunOn(e, p, func(c *Proc[pair]) {
-		id, np := c.ID(), c.NProcs()
-		lo := id * n / np
-		hi := (id + 1) * n / np
-		owner := func(i int) int { return min((i*np)/n, np-1) }
-		// owner inversion must agree with the block split; recompute
-		// exactly: node i belongs to the w with w*n/np <= i < (w+1)*n/np.
-		ownerExact := func(i int) int {
-			w := owner(i)
-			for w > 0 && i < w*n/np {
-				w--
-			}
-			for w < np-1 && i >= (w+1)*n/np {
-				w++
-			}
-			return w
-		}
-		for r := 0; r < rounds; r++ {
-			// Superstep A: request successor info for remote successors.
-			for i := lo; i < hi; i++ {
-				s := nxt[i]
-				w := ownerExact(s)
-				if w != id {
-					c.Send(w, pair{a: i, b: s})
-				}
-			}
-			c.Charge(hi - lo)
-			inbox := c.Sync()
-			// Superstep B: answer requests with (next[s], dist[s]).
-			for _, m := range inbox {
-				// m.a = requesting node, m.b = successor we own.
-				w := ownerExact(m.a)
-				c.Send(w, pair{a: m.a, b: m.b, c1: nxt[m.b], c2: dist[m.b]})
-			}
-			c.Charge(len(inbox))
-			inbox = c.Sync()
-			// Apply the jump: local successors read directly, remote
-			// ones from replies.
-			for i := lo; i < hi; i++ {
-				s := nxt[i]
-				if ownerExact(s) == id {
-					dist2[i] = dist[i] + dist[s]
-					nxt2[i] = nxt[s]
-				} else {
-					// Filled in from replies below; default to no-op.
-					dist2[i] = dist[i]
-					nxt2[i] = nxt[i]
-				}
-				if s == i { // tail
-					dist2[i] = dist[i]
-					nxt2[i] = i
-				}
-			}
-			for _, m := range inbox {
-				i := m.a
-				dist2[i] = dist[i] + m.c2
-				nxt2[i] = m.c1
-			}
-			c.Charge(hi - lo + len(inbox))
-			c.Sync()
-			// Round barrier: swap buffers. Every processor swaps its own
-			// block only (disjoint), after the barrier above ensures all
-			// reads of the old arrays are done.
-			for i := lo; i < hi; i++ {
-				nxt[i], nxt2[i] = nxt2[i], nxt[i]
-				dist[i], dist2[i] = dist2[i], dist[i]
-			}
-			c.Sync()
-		}
-	})
-	// Convert distance-to-tail into rank-from-head.
-	total := dist[head]
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = total - dist[i]
-	}
-	return ranks, stats
-}
-
-// pair is a small message carrying up to four ints.
-type pair struct {
-	a, b, c1, c2 int
-}
-
-// MatmulRowBlock multiplies dense n×n matrices with a row-block
+// MatmulRowBlockOn multiplies dense n×n matrices with a row-block
 // distribution: each processor owns n/P rows of A and C and receives all
 // of B column-panels via an all-to-all-style broadcast from the owner of
 // each panel — modeling B as block-distributed too. Supersteps: P (one
 // per panel round-robin broadcast), h = n·n/P words per superstep. The
 // compute/communication ratio n/P per word is the textbook BSP matmul
-// analysis.
-func MatmulRowBlock(a, b []float64, n, p int) ([]float64, *Stats) {
-	return MatmulRowBlockOn(nil, a, b, n, p)
-}
-
-// MatmulRowBlockOn is MatmulRowBlock on executor e (nil = default).
+// analysis. e is the executor (nil = default); see RunOn.
 func MatmulRowBlockOn(e *exec.Executor, a, b []float64, n, p int) ([]float64, *Stats) {
 	cOut := make([]float64, n*n)
 	stats := RunOn(e, p, func(c *Proc[panelMsg]) {
@@ -236,11 +67,4 @@ func MatmulRowBlockOn(e *exec.Executor, a, b []float64, n, p int) ([]float64, *S
 type panelMsg struct {
 	lo   int
 	rows []float64
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

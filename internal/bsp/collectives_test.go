@@ -7,9 +7,19 @@ import (
 	"repro/internal/seq"
 )
 
+// TestGatherCollective: every processor sends one word to the root,
+// which must receive each sender's value once; the root's receive
+// volume, P words, is the superstep's h.
 func TestGatherCollective(t *testing.T) {
 	for _, p := range []int{1, 2, 7, 16} {
-		got, stats := Gather(func(rank int) int64 { return int64(rank * rank) }, p)
+		got := make([]int64, p)
+		stats := RunOn(nil, p, func(c *Proc[tagged]) {
+			id := c.ID()
+			c.Send(0, tagged{from: id, val: int64(id * id)})
+			for _, m := range c.Sync() {
+				got[m.from] = m.val
+			}
+		})
 		for i := 0; i < p; i++ {
 			if got[i] != int64(i*i) {
 				t.Fatalf("p=%d: gather[%d] = %d", p, i, got[i])
@@ -24,9 +34,22 @@ func TestGatherCollective(t *testing.T) {
 	}
 }
 
+// TestAllToAllCollective: a total exchange delivers f(i, j) from i to
+// j and charges h = P (each processor sends and receives P words).
 func TestAllToAllCollective(t *testing.T) {
 	const p = 5
-	got, stats := AllToAll(func(from, to int) int64 { return int64(from*100 + to) }, p)
+	got := make([][]int64, p)
+	stats := RunOn(nil, p, func(c *Proc[tagged]) {
+		id := c.ID()
+		for to := 0; to < p; to++ {
+			c.Send(to, tagged{from: id, val: int64(id*100 + to)})
+		}
+		row := make([]int64, p)
+		for _, m := range c.Sync() {
+			row[m.from] = m.val
+		}
+		got[id] = row
+	})
 	for to := 0; to < p; to++ {
 		for from := 0; from < p; from++ {
 			if got[to][from] != int64(from*100+to) {
@@ -39,52 +62,12 @@ func TestAllToAllCollective(t *testing.T) {
 	}
 }
 
-func TestBSPListRankMatchesSequential(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 8} {
-		for _, n := range []int{1, 2, 10, 100, 1000} {
-			l := gen.RandomList(n, uint64(n)+uint64(p))
-			got, stats := ListRank(l.Next, l.Head, p)
-			want := seq.ListRank(l)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("p=%d n=%d: rank[%d] = %d, want %d", p, n, i, got[i], want[i])
-				}
-			}
-			if stats.Supersteps() == 0 {
-				t.Fatal("no supersteps recorded")
-			}
-		}
-	}
-}
-
-func TestBSPListRankEmpty(t *testing.T) {
-	ranks, _ := ListRank(nil, 0, 4)
-	if ranks != nil {
-		t.Fatalf("empty list ranks = %v", ranks)
-	}
-}
-
-func TestBSPListRankCommunicationGrowsWithP(t *testing.T) {
-	// With one processor there is no remote successor traffic; with many
-	// processors nearly every jump is remote — the h totals must reflect
-	// that (the kernel's defining cost behavior).
-	l := gen.RandomList(4096, 9)
-	_, s1 := ListRank(l.Next, l.Head, 1)
-	_, s8 := ListRank(l.Next, l.Head, 8)
-	if s1.TotalH() != 0 {
-		t.Fatalf("P=1 list rank communicated h=%v", s1.TotalH())
-	}
-	if s8.TotalH() == 0 {
-		t.Fatal("P=8 list rank shows no communication")
-	}
-}
-
 func TestMatmulRowBlockMatchesSequential(t *testing.T) {
 	for _, n := range []int{4, 16, 33} {
 		for _, p := range []int{1, 2, 4} {
 			a := gen.RandomMatrix(n, n, uint64(n))
 			b := gen.RandomMatrix(n, n, uint64(n)+1)
-			got, stats := MatmulRowBlock(a.Data, b.Data, n, p)
+			got, stats := MatmulRowBlockOn(nil, a.Data, b.Data, n, p)
 			want := seq.Matmul(a, b)
 			for i := range want.Data {
 				d := got[i] - want.Data[i]
@@ -105,7 +88,7 @@ func TestMatmulRowBlockHRelation(t *testing.T) {
 	const n, p = 32, 4
 	a := gen.RandomMatrix(n, n, 1)
 	b := gen.RandomMatrix(n, n, 2)
-	_, stats := MatmulRowBlock(a.Data, b.Data, n, p)
+	_, stats := MatmulRowBlockOn(nil, a.Data, b.Data, n, p)
 	wantPerStep := float64((p - 1) * (n / p) * n)
 	for s, st := range stats.Trace[:p] {
 		if st.H != wantPerStep {
@@ -122,7 +105,7 @@ func TestMatmulRowBlockHRelation(t *testing.T) {
 }
 
 func TestSendWordsAccounting(t *testing.T) {
-	stats := Run(2, func(c *Proc[int]) {
+	stats := RunOn(nil, 2, func(c *Proc[int]) {
 		if c.ID() == 0 {
 			c.SendWords(1, 7, 100)
 		}

@@ -12,8 +12,8 @@
 // are therefore deterministic and host-independent; wall-clock
 // measurements of the real goroutine execution are reported alongside.
 //
-// Programming model (SPMD, following BSPlib): Run starts P copies of the
-// program. Within a superstep a processor computes locally (declaring
+// Programming model (SPMD, following BSPlib): RunOn starts P copies of
+// the program. Within a superstep a processor computes locally (declaring
 // abstract operation counts via Charge) and queues messages with Send;
 // Sync ends the superstep, delivers messages, and returns the processor's
 // inbox for the next superstep. All processors must execute the same

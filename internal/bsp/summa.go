@@ -2,7 +2,7 @@ package bsp
 
 import "repro/internal/exec"
 
-// MatmulSUMMA multiplies dense n×n matrices on a q×q grid of virtual
+// MatmulSUMMAOn multiplies dense n×n matrices on a q×q grid of virtual
 // processors (P = q²) with the SUMMA algorithm (van de Geijn & Watts
 // 1995): in step k the owners of A's block-column k broadcast their
 // panels along processor rows, the owners of B's block-row k broadcast
@@ -14,11 +14,7 @@ import "repro/internal/exec"
 // an (n/q)² block, so total traffic is Θ(n²·q) versus the row-block
 // algorithm's Θ(n²·P) — a factor √P less communication at equal
 // processor count, which is the entire point of 2D decompositions.
-func MatmulSUMMA(a, b []float64, n, q int) ([]float64, *Stats) {
-	return MatmulSUMMAOn(nil, a, b, n, q)
-}
-
-// MatmulSUMMAOn is MatmulSUMMA on executor e (nil = default); see RunOn.
+// e is the executor (nil = default); see RunOn.
 func MatmulSUMMAOn(e *exec.Executor, a, b []float64, n, q int) ([]float64, *Stats) {
 	if q < 1 {
 		q = 1

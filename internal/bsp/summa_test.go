@@ -13,7 +13,7 @@ func TestMatmulSUMMAMatchesSequential(t *testing.T) {
 		for _, q := range []int{1, 2, 3} {
 			a := gen.RandomMatrix(n, n, uint64(n))
 			b := gen.RandomMatrix(n, n, uint64(n)+1)
-			got, stats := MatmulSUMMA(a.Data, b.Data, n, q)
+			got, stats := MatmulSUMMAOn(nil, a.Data, b.Data, n, q)
 			want := seq.Matmul(a, b)
 			for i := range want.Data {
 				d := got[i] - want.Data[i]
@@ -34,8 +34,8 @@ func TestSUMMACommunicationBeatsRowBlock(t *testing.T) {
 	const n, q = 64, 4 // P = 16
 	a := gen.RandomMatrix(n, n, 1)
 	b := gen.RandomMatrix(n, n, 2)
-	_, summa := MatmulSUMMA(a.Data, b.Data, n, q)
-	_, rowblk := MatmulRowBlock(a.Data, b.Data, n, q*q)
+	_, summa := MatmulSUMMAOn(nil, a.Data, b.Data, n, q)
+	_, rowblk := MatmulRowBlockOn(nil, a.Data, b.Data, n, q*q)
 	if summa.TotalH() >= rowblk.TotalH() {
 		t.Fatalf("SUMMA h = %v not below row-block h = %v", summa.TotalH(), rowblk.TotalH())
 	}
@@ -54,8 +54,8 @@ func TestSUMMACostScalesWithGrid(t *testing.T) {
 	a := gen.RandomMatrix(n, n, 3)
 	b := gen.RandomMatrix(n, n, 4)
 	params := machine.BSPParams{G: 2, L: 2000}
-	_, s1 := MatmulSUMMA(a.Data, b.Data, n, 1)
-	_, s3 := MatmulSUMMA(a.Data, b.Data, n, 3)
+	_, s1 := MatmulSUMMAOn(nil, a.Data, b.Data, n, 1)
+	_, s3 := MatmulSUMMAOn(nil, a.Data, b.Data, n, 3)
 	params.P = 1
 	c1 := s1.Cost(params)
 	params.P = 9

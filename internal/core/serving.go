@@ -185,10 +185,10 @@ func E24ShardedServe(cfg Config) *perf.Table {
 	}
 	for _, c := range configs {
 		g := serve.NewSharded(serve.ShardedConfig{
+			Config:           cfg.ServeConfig(c.procs),
 			Shards:           c.shards,
 			ShardProcs:       c.procs,
 			DisableMigration: c.noMig,
-			AdaptivePerShard: cfg.Adaptive,
 		})
 		tenants := skewedTenants(g, 4)
 		bufs := newReqBufs(clients, n)
@@ -743,7 +743,7 @@ func E29LongRoute(cfg Config) *perf.Table {
 	for _, cutoff := range []int{-1, nLong / 2, 2 * nLong} {
 		scfg := cfg.ServeConfig(1)
 		scfg.PipelineCutoff = cutoff
-		g := serve.NewSharded(serve.ShardedConfig{Shards: 2, ShardProcs: 1, Config: scfg, AdaptivePerShard: cfg.Adaptive})
+		g := serve.NewSharded(serve.ShardedConfig{Shards: 2, ShardProcs: 1, Config: scfg})
 		res := loadgen.Closed(callers, reqs, func(c, i int) error {
 			in, b := round[i%len(round)], &bufs[c]
 			n := len(in.Xs)

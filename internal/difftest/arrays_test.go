@@ -80,11 +80,9 @@ func TestDiffPack(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
 			forEach(t, matrix, func(t *testing.T, opts par.Options) {
-				eqInt64(t, "Pack", par.Pack(xs, opts, pred), want)
 				dst := make([]int64, n)
 				k := par.PackInto(dst, xs, opts, pred)
 				eqInt64(t, "PackInto", dst[:k], want)
-				eqInts(t, "PackIndex", par.PackIndex(n, opts, func(i int) bool { return pred(xs[i]) }), wantIdx)
 				idx := make([]int, n)
 				k = par.PackIndexInto(idx, n, opts, func(i int) bool { return pred(xs[i]) })
 				eqInts(t, "PackIndexInto", idx[:k], wantIdx)
@@ -105,7 +103,6 @@ func TestDiffHistogram(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
 			forEach(t, matrix, func(t *testing.T, opts par.Options) {
-				eqInts(t, "Histogram", par.Histogram(xs, buckets, opts, bucket), want)
 				out := make([]int, buckets)
 				par.HistogramInto(out, xs, opts, bucket)
 				eqInts(t, "HistogramInto", out, want)

@@ -1,19 +1,14 @@
 package exec
 
-import (
-	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-)
+import "runtime"
 
 // Sharded is a group of executor shards: N independent worker pools,
 // each with its own work-stealing deque set, park/wake machinery and
 // occupancy gauges, so N contention domains replace one. Callers
 // route work to a shard themselves (internal/serve hashes a tenant to
-// its home shard), keeping their scratch reuse and adaptive state
-// shard-local; work only crosses shards when a balancer above this
-// layer decides it should (the diffusive migration in internal/serve).
+// its home shard), keeping their scratch reuse shard-local; work only
+// crosses shards when a balancer above this layer decides it should
+// (the diffusive migration in internal/serve).
 //
 // Occupancy is where sharding pays observability dividends: the old
 // process-wide gauge blurred every workload together — one busy
@@ -28,13 +23,13 @@ type Sharded struct {
 }
 
 // NewSharded creates a group of shards executor shards with
-// procsPerShard workers each. shards <= 0 means DefaultShardCount();
-// procsPerShard <= 0 divides GOMAXPROCS evenly (at least one worker
-// per shard). Workers start lazily per shard, so idle shards cost
-// nothing until their first task.
+// procsPerShard workers each. shards <= 0 means 1; procsPerShard <= 0
+// divides GOMAXPROCS evenly (at least one worker per shard). Workers
+// start lazily per shard, so idle shards cost nothing until their
+// first task.
 func NewSharded(shards, procsPerShard int) *Sharded {
 	if shards <= 0 {
-		shards = DefaultShardCount()
+		shards = 1
 	}
 	if procsPerShard <= 0 {
 		procsPerShard = runtime.GOMAXPROCS(0) / shards
@@ -47,32 +42,6 @@ func NewSharded(shards, procsPerShard int) *Sharded {
 		g.shards[i] = New(procsPerShard)
 	}
 	return g
-}
-
-// DefaultShardCount returns min(GOMAXPROCS/4, 8), at least 1 — a
-// shard per four cores keeps each shard's pool wide enough for real
-// fork/join parallelism, and eight shards is plenty of contention
-// relief before the balancer's ring distance starts to matter. The
-// REPRO_EXEC_SHARDS environment variable overrides it; invalid values
-// are rejected loudly on stderr like REPRO_EXEC_PROCS.
-func DefaultShardCount() int {
-	if s := os.Getenv("REPRO_EXEC_SHARDS"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr,
-				"exec: ignoring invalid REPRO_EXEC_SHARDS=%q (want a positive integer); using the GOMAXPROCS default\n", s)
-		} else {
-			return v
-		}
-	}
-	n := runtime.GOMAXPROCS(0) / 4
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Shards returns the number of shards in the group.

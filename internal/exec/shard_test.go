@@ -7,9 +7,8 @@ import (
 )
 
 // TestShardedConstruction pins shard-count and per-shard-procs
-// defaulting: explicit values are honored, zeros fall back to
-// DefaultShardCount and an even GOMAXPROCS split with a one-worker
-// floor.
+// defaulting: explicit values are honored, zeros fall back to one
+// shard and an even GOMAXPROCS split with a one-worker floor.
 func TestShardedConstruction(t *testing.T) {
 	g := NewSharded(3, 2)
 	defer g.Close()
@@ -24,8 +23,8 @@ func TestShardedConstruction(t *testing.T) {
 
 	d := NewSharded(0, 0)
 	defer d.Close()
-	if d.Shards() != DefaultShardCount() {
-		t.Fatalf("default shards = %d, want %d", d.Shards(), DefaultShardCount())
+	if d.Shards() != 1 {
+		t.Fatalf("default shards = %d, want 1", d.Shards())
 	}
 	want := runtime.GOMAXPROCS(0) / d.Shards()
 	if want < 1 {
@@ -33,32 +32,6 @@ func TestShardedConstruction(t *testing.T) {
 	}
 	if p := d.Shard(0).Procs(); p != want {
 		t.Fatalf("default per-shard procs = %d, want %d", p, want)
-	}
-}
-
-// TestDefaultShardCount pins the min(GOMAXPROCS/4, 8) formula with
-// its floor of 1, and the REPRO_EXEC_SHARDS override (invalid values
-// fall back rather than crash or silently zero).
-func TestDefaultShardCount(t *testing.T) {
-	base := runtime.GOMAXPROCS(0) / 4
-	if base > 8 {
-		base = 8
-	}
-	if base < 1 {
-		base = 1
-	}
-	if got := DefaultShardCount(); got != base {
-		t.Fatalf("DefaultShardCount() = %d, want %d", got, base)
-	}
-	t.Setenv("REPRO_EXEC_SHARDS", "5")
-	if got := DefaultShardCount(); got != 5 {
-		t.Fatalf("override DefaultShardCount() = %d, want 5", got)
-	}
-	for _, bad := range []string{"0", "-2", "many"} {
-		t.Setenv("REPRO_EXEC_SHARDS", bad)
-		if got := DefaultShardCount(); got != base {
-			t.Fatalf("invalid override %q gave %d, want fallback %d", bad, got, base)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -110,16 +109,6 @@ func Ints(n int, d Distribution, seed uint64) []int64 {
 	return out
 }
 
-// Float64s generates n uniform float64 values in [0,1).
-func Float64s(n int, seed uint64) []float64 {
-	r := rng.New(seed)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.Float64()
-	}
-	return out
-}
-
 // Zipf samples approximately Zipf-distributed values in [0, imax) with
 // exponent s > 1 using inverse-CDF sampling over the truncated
 // Riemann zeta tail. It is a reproducible replacement for math/rand.Zipf
@@ -190,10 +179,4 @@ func SkewedWork(n int, total int, hubFraction float64, seed uint64) []int {
 		out[r.Intn(n)] += heavy / hubs
 	}
 	return out
-}
-
-// IsSorted reports whether xs is ascending; used by tests and the harness
-// to validate sort outputs without allocating.
-func IsSorted(xs []int64) bool {
-	return sort.SliceIsSorted(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }

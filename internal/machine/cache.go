@@ -70,13 +70,3 @@ func (c CacheModel) BlockingSpeedupModel(n, b int) float64 {
 	}
 	return c.MatmulNaiveMisses(n) / blocked
 }
-
-// StencilSweepMisses estimates misses for one Jacobi sweep over an n×n
-// grid: each sweep streams the read and write grids once, plus one extra
-// row of reuse distance — ≈ 2n²/L + lower-order terms — establishing
-// that the stencil is bandwidth-bound (arithmetic intensity 4 flops per
-// 2 streamed words).
-func (c CacheModel) StencilSweepMisses(n int) float64 {
-	nf := float64(n)
-	return 2 * nf * nf / float64(c.Line)
-}

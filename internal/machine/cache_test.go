@@ -70,9 +70,3 @@ func TestBlockedMissesMonotoneInBlock(t *testing.T) {
 		prev = cur
 	}
 }
-
-func TestStencilSweepMisses(t *testing.T) {
-	if got := l1ish.StencilSweepMisses(128); got != 2*128*128/8 {
-		t.Fatalf("stencil misses = %v", got)
-	}
-}

@@ -1,7 +1,8 @@
 // Package machine implements the abstract parallel machine models used to
 // design and predict the performance of the case-study algorithms: PRAM
-// work/depth (with Brent's scheduling bound), BSP (Valiant 1990), and
-// LogP (Culler et al. 1993).
+// work/depth (with Brent's scheduling bound), BSP (Valiant 1990), LogP
+// (Culler et al. 1993) broadcast, LogGP (Alexandrov et al. 1995) bulk
+// messages, and an ideal-cache miss model for blocked matmul.
 //
 // In the algorithm-engineering loop, models serve two purposes:
 //
@@ -17,6 +18,7 @@
 //
 // Layering: machine is a leaf modeling package; it feeds bsp (the
 // simulated machine's cost accounting), core's calibration fits
-// (Fit/Calibration), and adapt's cost priors via
-// Controller.SetPrior.
+// (Fit/Calibration) and experiments, and adapt's default cost prior
+// (Controller.SetPrior can replace it, but no code in this repository
+// calls it; it is facade API).
 package machine

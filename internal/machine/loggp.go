@@ -44,64 +44,3 @@ func (p LogGPParams) BulkAdvantage(k int) float64 {
 	}
 	return p.ShortMessages(k) / lm
 }
-
-// Scalability analysis helpers (Grama/Gupta/Kumar isoefficiency style).
-
-// SerialFraction inverts Amdahl's law: given measured speedup s on p
-// processors, return the implied serial fraction f = (p/s - 1)/(p - 1).
-// Returns NaN for p < 2 or s <= 0.
-func SerialFraction(speedup float64, p int) float64 {
-	if p < 2 || speedup <= 0 {
-		return math.NaN()
-	}
-	pf := float64(p)
-	return (pf/speedup - 1) / (pf - 1)
-}
-
-// Overhead returns the total parallel overhead T_o = p·T_p − T_1 in the
-// same units as the inputs; the quantity isoefficiency analysis tracks.
-func Overhead(t1, tp float64, p int) float64 {
-	return float64(p)*tp - t1
-}
-
-// IsoefficiencyN solves, by bisection, for the problem size n at which a
-// kernel with work(n) sequential cost and overhead(n, p) parallel
-// overhead sustains the target efficiency e on p processors:
-//
-//	E = T1 / (p·Tp) = work(n) / (work(n) + overhead(n, p))
-//
-// It returns the smallest n in [1, nMax] achieving efficiency >= e, or
-// (nMax, false) if none does. work and overhead must be monotone in n
-// with work growing strictly faster for the bisection to be meaningful.
-func IsoefficiencyN(e float64, p int, nMax int, work, overhead func(n int, p int) float64) (int, bool) {
-	eff := func(n int) float64 {
-		w := work(n, p)
-		o := overhead(n, p)
-		if w+o == 0 {
-			return 0
-		}
-		return w / (w + o)
-	}
-	if eff(nMax) < e {
-		return nMax, false
-	}
-	lo, hi := 1, nMax
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if eff(mid) >= e {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo, true
-}
-
-// WeakScalingEfficiency returns t1/tp for a weak-scaling pair (problem
-// size grown proportionally with p); 1.0 is perfect weak scaling.
-func WeakScalingEfficiency(t1, tp float64) float64 {
-	if tp == 0 {
-		return 0
-	}
-	return t1 / tp
-}

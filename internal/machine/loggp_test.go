@@ -31,68 +31,3 @@ func TestBulkAdvantageGrowsWithSize(t *testing.T) {
 		t.Fatalf("asymptotic advantage = %v, want ~40", a10000)
 	}
 }
-
-// amdahl mirrors perf.Amdahl; duplicated to avoid a test-only import.
-func amdahl(f float64, p int) float64 { return 1 / (f + (1-f)/float64(p)) }
-
-func TestSerialFractionInvertsAmdahl(t *testing.T) {
-	for _, f := range []float64{0, 0.1, 0.5, 0.9} {
-		for _, p := range []int{2, 8, 64} {
-			s := amdahl(f, p)
-			got := SerialFraction(s, p)
-			if math.Abs(got-f) > 1e-12 {
-				t.Fatalf("f=%v p=%d: recovered %v", f, p, got)
-			}
-		}
-	}
-	if !math.IsNaN(SerialFraction(2, 1)) || !math.IsNaN(SerialFraction(0, 4)) {
-		t.Fatal("invalid inputs must be NaN")
-	}
-}
-
-func TestOverhead(t *testing.T) {
-	// Perfect scaling: overhead 0.
-	if got := Overhead(100, 25, 4); got != 0 {
-		t.Fatalf("perfect overhead = %v", got)
-	}
-	// Some overhead.
-	if got := Overhead(100, 30, 4); got != 20 {
-		t.Fatalf("overhead = %v", got)
-	}
-}
-
-func TestIsoefficiencyN(t *testing.T) {
-	// Model: work = n, overhead = p·log2(p)·1000 (independent of n).
-	// Efficiency e needs n >= e/(1-e) · overhead.
-	work := func(n, p int) float64 { return float64(n) }
-	over := func(n, p int) float64 { return float64(p) * math.Log2(float64(p)) * 1000 }
-	n4, ok := IsoefficiencyN(0.8, 4, 1<<30, work, over)
-	if !ok {
-		t.Fatal("not achievable")
-	}
-	wantN4 := 0.8 / 0.2 * (4 * 2 * 1000) // 32000
-	if math.Abs(float64(n4)-wantN4) > 2 {
-		t.Fatalf("iso n at p=4: %d, want ~%v", n4, wantN4)
-	}
-	// Isoefficiency function grows with p.
-	n16, _ := IsoefficiencyN(0.8, 16, 1<<30, work, over)
-	if n16 <= n4 {
-		t.Fatalf("isoefficiency not growing: n4=%d n16=%d", n4, n16)
-	}
-	// Unachievable target.
-	if _, ok := IsoefficiencyN(0.999999, 4, 10, work, over); ok {
-		t.Fatal("impossible efficiency reported achievable")
-	}
-}
-
-func TestWeakScalingEfficiency(t *testing.T) {
-	if WeakScalingEfficiency(10, 10) != 1 {
-		t.Fatal("perfect weak scaling")
-	}
-	if WeakScalingEfficiency(10, 20) != 0.5 {
-		t.Fatal("degraded weak scaling")
-	}
-	if WeakScalingEfficiency(10, 0) != 0 {
-		t.Fatal("zero tp")
-	}
-}

@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "math"
 
 // WorkDepth is the PRAM-style cost of a computation: total operation
 // count (work) and critical-path length (depth/span).
@@ -109,46 +105,6 @@ func (p BSPParams) TotalCost(steps []Superstep) float64 {
 	return t
 }
 
-// ErrFitUnderdetermined reports too few observations to fit parameters.
-var ErrFitUnderdetermined = errors.New("machine: need at least 2 distinct observations to fit")
-
-// FitBSP estimates (g, l) by least squares from observed superstep costs:
-// given per-superstep (w, h, measured time), solve time - w ≈ g·h + l.
-// Negative estimates are clamped to zero (measurement noise on a machine
-// with cheap communication).
-func FitBSP(steps []Superstep, times []float64) (g, l float64, err error) {
-	if len(steps) != len(times) || len(steps) < 2 {
-		return 0, 0, ErrFitUnderdetermined
-	}
-	// Least squares of y = g*h + l where y = time - w.
-	var sh, sy, shh, shy float64
-	n := float64(len(steps))
-	distinct := false
-	for i, s := range steps {
-		y := times[i] - s.W
-		sh += s.H
-		sy += y
-		shh += s.H * s.H
-		shy += s.H * y
-		if s.H != steps[0].H {
-			distinct = true
-		}
-	}
-	if !distinct {
-		return 0, 0, fmt.Errorf("%w: all h-relations equal", ErrFitUnderdetermined)
-	}
-	den := n*shh - sh*sh
-	g = (n*shy - sh*sy) / den
-	l = (sy - g*sh) / n
-	if g < 0 {
-		g = 0
-	}
-	if l < 0 {
-		l = 0
-	}
-	return g, l, nil
-}
-
 // LogPParams are the LogP machine parameters (all in operation units):
 // L latency, O per-message overhead, G gap between messages, P procs.
 type LogPParams struct {
@@ -157,9 +113,6 @@ type LogPParams struct {
 	G float64
 	P int
 }
-
-// PointToPoint returns the LogP cost of one small message: 2o + L.
-func (p LogPParams) PointToPoint() float64 { return 2*p.O + p.L }
 
 // Broadcast returns the cost of an optimal single-item broadcast to P-1
 // receivers under LogP. We build the optimal broadcast tree greedily:
@@ -193,16 +146,3 @@ func (p LogPParams) Broadcast() float64 {
 	}
 	return last
 }
-
-// AllReduce returns the LogP cost of a reduction + broadcast over a
-// binomial tree: 2·ceil(log2 P)·(L + 2o).
-func (p LogPParams) AllReduce() float64 {
-	if p.P <= 1 {
-		return 0
-	}
-	rounds := math.Ceil(math.Log2(float64(p.P)))
-	return 2 * rounds * (p.L + 2*p.O)
-}
-
-// Barrier approximates a barrier as an all-reduce of an empty value.
-func (p LogPParams) Barrier() float64 { return p.AllReduce() }

@@ -84,57 +84,6 @@ func TestBSPCost(t *testing.T) {
 	}
 }
 
-func TestFitBSPRecoversParameters(t *testing.T) {
-	trueG, trueL := 3.5, 250.0
-	var steps []Superstep
-	var times []float64
-	for h := 1.0; h <= 64; h *= 2 {
-		s := Superstep{W: 1000 + 10*h, H: h}
-		steps = append(steps, s)
-		times = append(times, s.W+trueG*s.H+trueL)
-	}
-	g, l, err := FitBSP(steps, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-trueG) > 1e-6 || math.Abs(l-trueL) > 1e-6 {
-		t.Fatalf("fit = (%v, %v), want (%v, %v)", g, l, trueG, trueL)
-	}
-}
-
-func TestFitBSPErrors(t *testing.T) {
-	if _, _, err := FitBSP([]Superstep{{W: 1, H: 1}}, []float64{1}); err == nil {
-		t.Fatal("underdetermined fit accepted")
-	}
-	same := []Superstep{{W: 1, H: 5}, {W: 2, H: 5}}
-	if _, _, err := FitBSP(same, []float64{10, 20}); err == nil {
-		t.Fatal("constant-h fit accepted")
-	}
-	if _, _, err := FitBSP(same, []float64{10}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestFitBSPClampsNegative(t *testing.T) {
-	// Construct observations implying negative g; the fit must clamp.
-	steps := []Superstep{{W: 0, H: 1}, {W: 0, H: 10}}
-	times := []float64{100, 10}
-	g, l, err := FitBSP(steps, times)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g < 0 || l < 0 {
-		t.Fatalf("negative parameters not clamped: g=%v l=%v", g, l)
-	}
-}
-
-func TestLogPPointToPoint(t *testing.T) {
-	p := LogPParams{L: 10, O: 2, G: 4, P: 8}
-	if got := p.PointToPoint(); got != 14 {
-		t.Fatalf("PointToPoint = %v", got)
-	}
-}
-
 func TestLogPBroadcastProperties(t *testing.T) {
 	base := LogPParams{L: 10, O: 2, G: 4}
 	prev := 0.0
@@ -156,18 +105,6 @@ func TestLogPBroadcastProperties(t *testing.T) {
 	naive := float64(p.P-1)*math.Max(p.O, p.G) + p.O + p.L + p.O
 	if p.Broadcast() >= naive {
 		t.Fatalf("tree broadcast (%v) not better than naive (%v)", p.Broadcast(), naive)
-	}
-}
-
-func TestLogPAllReduce(t *testing.T) {
-	p := LogPParams{L: 10, O: 2, G: 4, P: 8}
-	want := 2 * 3 * (10.0 + 4.0) // 2*log2(8)*(L+2o)
-	if got := p.AllReduce(); got != want {
-		t.Fatalf("AllReduce = %v, want %v", got, want)
-	}
-	p.P = 1
-	if p.AllReduce() != 0 || p.Barrier() != 0 {
-		t.Fatal("single-processor collectives should be free")
 	}
 }
 

@@ -128,8 +128,9 @@ func TestMetaHistogramPermutationInvariance(t *testing.T) {
 		for _, n := range sizes() {
 			xs := input(n, uint64(n)+41)
 			ys := permute(xs, permutation(n, uint64(n)*7+3))
-			a := par.Histogram(xs, buckets, opts, bucket)
-			b := par.Histogram(ys, buckets, opts, bucket)
+			a, b := make([]int, buckets), make([]int, buckets)
+			par.HistogramInto(a, xs, opts, bucket)
+			par.HistogramInto(b, ys, opts, bucket)
 			eqInts(t, fmt.Sprintf("n=%d histogram perm", n), b, a)
 		}
 	})

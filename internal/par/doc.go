@@ -1,6 +1,6 @@
 // Package par provides loop-level parallel primitives — parallel for,
-// map, reduce, scan (prefix sums), filter/pack, histogram, and merge —
-// with explicit, selectable scheduling policies.
+// reduce, scan (prefix sums), filter/pack, histogram, and merge — with
+// explicit, selectable scheduling policies.
 //
 // The package encodes the central lesson of parallel algorithm
 // engineering: the abstract algorithm (a parallel loop) and the schedule
@@ -20,8 +20,10 @@
 // Working buffers (scan partials, pack counts, histogram privates)
 // come from the scratch-arena pool (internal/scratch, selected by
 // Options.Scratch), so steady-state calls allocate only O(1) closure
-// frames; the *Into variants (PackInto, HistogramInto, PrefixSumsInto,
-// PackIndexInto) extend that to the result buffers.
+// frames. Pack, index pack, histogram and prefix sums exist only in
+// their *Into forms (PackInto, PackIndexInto, HistogramInto,
+// PrefixSumsInto), which write into caller-owned result buffers, so
+// those allocate nothing either.
 //
 // All primitives are deterministic with respect to their results (order
 // of side effects is not specified); scan and reduce require associative

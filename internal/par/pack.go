@@ -2,49 +2,12 @@ package par
 
 import "repro/internal/scratch"
 
-// Pack (also known as filter or stream compaction) copies the elements of
-// xs satisfying pred into a new dense slice, preserving input order. It is
-// the classic scan application: count per block, prefix-sum the counts to
-// find output offsets, then copy per block — two passes, fully parallel,
-// stable. Only the returned slice is freshly allocated; the counts and
-// offsets come from the scratch pool (see PackInto for the fully
-// allocation-free form).
-//
-// pred must be pure: the two-pass structure evaluates it twice per
-// element in the parallel path.
-func Pack[T any](xs []T, opts Options, pred func(T) bool) []T {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	opts, m := BeginAdaptive(sitePack, n, opts)
-	defer m.Done()
-	p := opts.procs()
-	if p > n {
-		p = n
-	}
-	if p == 1 || n <= opts.serialCutoff() {
-		out := make([]T, 0, n/2)
-		for _, x := range xs {
-			if pred(x) {
-				out = append(out, x)
-			}
-		}
-		return out
-	}
-	a := scratch.AcquireArena(opts.Scratch)
-	defer a.Release()
-	counts := scratch.Make[int](a, p)
-	offsets := scratch.Make[int](a, p)
-	countPred(counts, xs, n, p, opts, pred)
-	total := PrefixSumsInto(offsets, counts, Options{Procs: 1})
-	out := make([]T, total)
-	scatterPacked(out, xs, offsets, n, p, opts, pred)
-	return out
-}
-
-// PackInto packs the elements of xs satisfying pred into dst,
-// returning how many were written. dst must not alias xs and must have
+// PackInto (also known as filter or stream compaction) packs the
+// elements of xs satisfying pred into dst, preserving input order, and
+// returns how many were written. It is the classic scan application:
+// count per block, prefix-sum the counts to find output offsets, then
+// copy per block — two passes, fully parallel, stable. The counts and
+// offsets come from the scratch pool. dst must not alias xs and must have
 // length at least the number of survivors (len(dst) >= len(xs) always
 // suffices); it is the steady-state form kernels pair with scratch
 // buffers so packing allocates nothing.
@@ -116,45 +79,12 @@ func scatterPacked[T any](dst, xs []T, offsets []int, n, p int, opts Options, pr
 	})
 }
 
-// PackIndex returns the indices i in [0, n) for which pred(i) holds, in
-// ascending order. This form avoids materializing values and is the one
-// used by the graph kernels to build frontiers.
+// PackIndexInto writes the indices i in [0, n) for which pred(i) holds
+// into dst in ascending order and returns how many there are (len(dst)
+// >= number of matches; n always suffices). It avoids materializing
+// values; iterative graph kernels build frontiers with it.
 //
-// pred must be pure: the two-pass structure evaluates it twice per
-// index in the parallel path.
-func PackIndex(n int, opts Options, pred func(i int) bool) []int {
-	if n == 0 {
-		return nil
-	}
-	opts, m := BeginAdaptive(sitePackIdx, n, opts)
-	defer m.Done()
-	p := opts.procs()
-	if p > n {
-		p = n
-	}
-	if p == 1 || n <= opts.serialCutoff() {
-		out := make([]int, 0, n/2)
-		for i := 0; i < n; i++ {
-			if pred(i) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	a := scratch.AcquireArena(opts.Scratch)
-	defer a.Release()
-	counts := scratch.Make[int](a, p)
-	offsets := scratch.Make[int](a, p)
-	countIndex(counts, n, p, opts, pred)
-	total := PrefixSumsInto(offsets, counts, Options{Procs: 1})
-	out := make([]int, total)
-	scatterIndex(out, offsets, n, p, opts, pred)
-	return out
-}
-
-// PackIndexInto is PackIndex writing into a caller-owned dst (len(dst)
-// >= number of matches; n always suffices), returning the match count.
-// The allocation-free form iterative graph kernels use for frontiers.
+// pred must be pure (evaluated twice per index in the parallel path).
 func PackIndexInto(dst []int, n int, opts Options, pred func(i int) bool) int {
 	if n == 0 {
 		return 0
@@ -216,19 +146,12 @@ func scatterIndex(dst []int, offsets []int, n, p int, opts Options, pred func(i 
 	})
 }
 
-// Histogram counts occurrences of bucket(x) in [0, buckets) over xs using
-// per-worker private histograms merged at the end — the standard fix for
-// the atomic-contention anti-pattern of a single shared count array.
-func Histogram[T any](xs []T, buckets int, opts Options, bucket func(T) int) []int {
-	out := make([]int, buckets)
-	HistogramInto(out, xs, opts, bucket)
-	return out
-}
-
-// HistogramInto is Histogram writing into a caller-owned count array
-// (len(out) is the bucket count; it is fully overwritten). The private
-// per-worker histograms are one flat scratch block — p rows of buckets
-// counters — so the steady-state path allocates nothing.
+// HistogramInto counts occurrences of bucket(x) in [0, len(out)) over
+// xs into out (fully overwritten) using per-worker private histograms
+// merged at the end — the standard fix for the atomic-contention
+// anti-pattern of a single shared count array. The privates are one
+// flat scratch block — p rows of buckets counters — so the
+// steady-state path allocates nothing.
 func HistogramInto[T any](out []int, xs []T, opts Options, bucket func(T) int) {
 	n := len(xs)
 	buckets := len(out)

@@ -101,22 +101,6 @@ func TestReduceEmpty(t *testing.T) {
 	}
 }
 
-func TestMaxMin(t *testing.T) {
-	xs := []int{5, -3, 17, 0, 17, -8, 2}
-	if m, ok := Max(xs, Options{Procs: 3, Grain: 1}); !ok || m != 17 {
-		t.Fatalf("Max = %d,%v", m, ok)
-	}
-	if m, ok := Min(xs, Options{Procs: 3, Grain: 1}); !ok || m != -8 {
-		t.Fatalf("Min = %d,%v", m, ok)
-	}
-	if _, ok := Max([]int{}, Options{}); ok {
-		t.Fatal("Max of empty reported ok")
-	}
-	if _, ok := Min([]int{}, Options{}); ok {
-		t.Fatal("Min of empty reported ok")
-	}
-}
-
 func TestCount(t *testing.T) {
 	got := Count(1000, Options{Procs: 4, Grain: 10}, func(i int) bool { return i%3 == 0 })
 	want := 334 // 0,3,...,999
@@ -199,7 +183,8 @@ func TestScanNonCommutativeOperator(t *testing.T) {
 
 func TestPrefixSums(t *testing.T) {
 	counts := []int{3, 0, 5, 1}
-	offsets, total := PrefixSums(counts, Options{Procs: 2, Grain: 1})
+	offsets := make([]int, len(counts))
+	total := PrefixSumsInto(offsets, counts, Options{Procs: 2, Grain: 1})
 	wantOff := []int{0, 3, 3, 8}
 	if total != 9 {
 		t.Fatalf("total = %d", total)
@@ -209,8 +194,8 @@ func TestPrefixSums(t *testing.T) {
 			t.Fatalf("offsets = %v", offsets)
 		}
 	}
-	if _, total := PrefixSums(nil, Options{}); total != 0 {
-		t.Fatal("empty PrefixSums total nonzero")
+	if total := PrefixSumsInto(nil, nil, Options{}); total != 0 {
+		t.Fatal("empty PrefixSumsInto total nonzero")
 	}
 }
 
@@ -221,7 +206,8 @@ func TestPackPreservesOrder(t *testing.T) {
 		for i := range xs {
 			xs[i] = i
 		}
-		got := Pack(xs, opts, func(x int) bool { return x%3 == 0 })
+		got := make([]int, n)
+		got = got[:PackInto(got, xs, opts, func(x int) bool { return x%3 == 0 })]
 		prev := -1
 		for _, v := range got {
 			if v%3 != 0 || v <= prev {
@@ -236,14 +222,15 @@ func TestPackPreservesOrder(t *testing.T) {
 }
 
 func TestPackIndex(t *testing.T) {
-	got := PackIndex(100, Options{Procs: 4, Grain: 3}, func(i int) bool { return i%10 == 0 })
+	got := make([]int, 100)
+	got = got[:PackIndexInto(got, 100, Options{Procs: 4, Grain: 3}, func(i int) bool { return i%10 == 0 })]
 	want := []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
 	if len(got) != len(want) {
-		t.Fatalf("PackIndex = %v", got)
+		t.Fatalf("PackIndexInto = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("PackIndex = %v", got)
+			t.Fatalf("PackIndexInto = %v", got)
 		}
 	}
 }
@@ -254,7 +241,8 @@ func TestHistogram(t *testing.T) {
 		for i := range xs {
 			xs[i] = i
 		}
-		h := Histogram(xs, 10, opts, func(x int) int { return x % 10 })
+		h := make([]int, 10)
+		HistogramInto(h, xs, opts, func(x int) int { return x % 10 })
 		for b, c := range h {
 			if c != 1000 {
 				t.Fatalf("opts=%+v: bucket %d = %d, want 1000", opts, b, c)

@@ -50,42 +50,6 @@ func Sum[T int | int32 | int64 | uint64 | float64](xs []T, opts Options) T {
 	return Reduce(len(xs), opts, T(0), func(a, b T) T { return a + b }, func(i int) T { return xs[i] })
 }
 
-// Max returns the maximum of xs and true, or the zero value and false for
-// an empty slice.
-func Max[T int | int32 | int64 | uint64 | float64](xs []T, opts Options) (T, bool) {
-	var zero T
-	if len(xs) == 0 {
-		return zero, false
-	}
-	m := Reduce(len(xs), opts, xs[0],
-		func(a, b T) T {
-			if a >= b {
-				return a
-			}
-			return b
-		},
-		func(i int) T { return xs[i] })
-	return m, true
-}
-
-// Min returns the minimum of xs and true, or the zero value and false for
-// an empty slice.
-func Min[T int | int32 | int64 | uint64 | float64](xs []T, opts Options) (T, bool) {
-	var zero T
-	if len(xs) == 0 {
-		return zero, false
-	}
-	m := Reduce(len(xs), opts, xs[0],
-		func(a, b T) T {
-			if a <= b {
-				return a
-			}
-			return b
-		},
-		func(i int) T { return xs[i] })
-	return m, true
-}
-
 // Count returns the number of indices i in [0, n) for which pred(i) holds.
 func Count(n int, opts Options, pred func(i int) bool) int {
 	return Reduce(n, opts, 0, func(a, b int) int { return a + b }, func(i int) int {

@@ -99,20 +99,10 @@ func scanSeq[T any](dst, xs []T, identity T, combine func(T, T) T, inclusive boo
 	}
 }
 
-// PrefixSums computes the exclusive prefix sums of counts and the grand
-// total, the idiom used by every counting/packing kernel in the library
+// PrefixSumsInto writes the exclusive prefix sums of counts into
+// offsets (len(offsets) == len(counts)) and returns the grand total,
+// the idiom used by every counting/packing kernel in the library
 // (sample sort bucket placement, radix sort, pack, CSR construction).
-// The offsets are freshly allocated; steady-state callers that own a
-// destination should use PrefixSumsInto.
-func PrefixSums(counts []int, opts Options) (offsets []int, total int) {
-	offsets = make([]int, len(counts))
-	total = PrefixSumsInto(offsets, counts, opts)
-	return offsets, total
-}
-
-// PrefixSumsInto is PrefixSums writing into a caller-owned offsets
-// slice (len(offsets) == len(counts)), the allocation-free form the
-// kernels use with scratch buffers.
 func PrefixSumsInto(offsets, counts []int, opts Options) (total int) {
 	ScanExclusive(offsets, counts, opts, 0, func(a, b int) int { return a + b })
 	if n := len(counts); n > 0 {

@@ -1,8 +1,9 @@
-// Package perf is the experiment harness: it runs measured experiments
-// over parameter sweeps with warmup and repetition, computes the summary
-// statistics the methodology prescribes (median and mean with dispersion,
-// geometric means for ratio aggregation, speedup/efficiency/Karp–Flatt
-// metrics), and renders results as aligned text tables and CSV.
+// Package perf is the experiment harness: Runner.Time times a function
+// with warmup and repetition, the stats helpers compute the summary
+// statistics the methodology prescribes (median and mean with
+// dispersion, percentiles, speedup/efficiency/Karp–Flatt/Gustafson
+// metrics; GeoMean for ratio aggregation, which no table uses yet), and
+// Table renders results as aligned text and CSV.
 //
 // Layering: perf is a leaf measurement package; it feeds core's
 // experiment tables, cmd/parbench (rendering, CSV, the -serve

@@ -1,19 +1,6 @@
 package perf
 
-import (
-	"fmt"
-	"time"
-)
-
-// Measurement is one timed execution of a kernel under one configuration.
-type Measurement struct {
-	// Labels identify the configuration (kernel name, input, P, ...).
-	Labels map[string]string
-	// Seconds is the summarized wall-clock time over repetitions.
-	Seconds Summary
-	// Extra carries derived numeric columns (speedup, model cost, ...).
-	Extra map[string]float64
-}
+import "time"
 
 // Runner executes timed experiments with warmup and repetitions. The
 // zero value uses 1 warmup run and 3 measured repetitions.
@@ -51,28 +38,3 @@ func (r Runner) Time(fn func(rep int)) Summary {
 	}
 	return Summarize(times)
 }
-
-// Measure runs fn like Time and packages the result with labels.
-func (r Runner) Measure(labels map[string]string, fn func(rep int)) Measurement {
-	return Measurement{
-		Labels:  labels,
-		Seconds: r.Time(fn),
-		Extra:   map[string]float64{},
-	}
-}
-
-// L is a convenience constructor for label maps:
-// perf.L("kernel", "scan", "n", "1e6").
-func L(kv ...string) map[string]string {
-	if len(kv)%2 != 0 {
-		panic("perf: L requires an even number of arguments")
-	}
-	m := make(map[string]string, len(kv)/2)
-	for i := 0; i < len(kv); i += 2 {
-		m[kv[i]] = kv[i+1]
-	}
-	return m
-}
-
-// Itoa renders an int for labels without importing strconv everywhere.
-func Itoa(v int) string { return fmt.Sprintf("%d", v) }

@@ -128,15 +128,6 @@ func KarpFlatt(speedup float64, p int) float64 {
 	return (1/speedup - 1/pf) / (1 - 1/pf)
 }
 
-// Amdahl predicts speedup on p processors given serial fraction f:
-// 1 / (f + (1-f)/p). Used to overlay model curves on measured scaling.
-func Amdahl(serialFraction float64, p int) float64 {
-	if p < 1 {
-		return 0
-	}
-	return 1 / (serialFraction + (1-serialFraction)/float64(p))
-}
-
 // Gustafson predicts scaled speedup p + (1-p)·f for weak scaling.
 func Gustafson(serialFraction float64, p int) float64 {
 	pf := float64(p)

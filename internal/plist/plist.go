@@ -68,17 +68,3 @@ func Rank(l *gen.List, opts par.Options) []int {
 	par.For(n, elemOpts, func(i int) { ranks[i] = total - dist[i] })
 	return ranks
 }
-
-// Jumps returns the number of pointer-jumping rounds Rank will perform on
-// a list of length n: ceil(log2(n-1)) + 1 for n > 1 (the extra round
-// detects the fixpoint). Exposed for the model-validation experiments.
-func Jumps(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	r := 0
-	for span := 1; span < n; span *= 2 {
-		r++
-	}
-	return r + 1
-}

@@ -76,15 +76,6 @@ func TestRankIsPermutationOfRange(t *testing.T) {
 	}
 }
 
-func TestJumps(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 3, 4: 3, 5: 4, 1024: 11}
-	for n, want := range cases {
-		if got := Jumps(n); got != want {
-			t.Fatalf("Jumps(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestListGenerators(t *testing.T) {
 	l := gen.RandomList(100, 42)
 	if l.Len() != 100 {

@@ -8,8 +8,9 @@
 // total work is expected O(n) and the parallel version's extra passes
 // (count + pack = 2 sweeps per round vs quickselect's 1) must be bought
 // back by parallel bandwidth. It is also the cleanest consumer of the
-// Pack primitive, which is why the case study exists: the methodology
-// says primitives earn their place by powering whole algorithms.
+// pack primitive (par.PackInto), which is why the case study exists:
+// the methodology says primitives earn their place by powering whole
+// algorithms.
 //
 // With one worker, or at most 4 096 elements, Select skips the
 // partition loop for its serial leaf, and the loop ends in the same

@@ -97,11 +97,6 @@ func Select(xs []int64, k int, opts par.Options) int64 {
 	}
 }
 
-// Median returns the lower median of xs.
-func Median(xs []int64, opts par.Options) int64 {
-	return Select(xs, (len(xs)-1)/2, opts)
-}
-
 // medianOfRandom picks the median of 9 random elements — cheap insurance
 // against adversarial pivots without a full median-of-medians pass.
 func medianOfRandom(xs []int64, r *rng.Rand) int64 {

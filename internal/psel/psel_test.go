@@ -41,17 +41,6 @@ func TestSelectDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	xs := []int64{5, 1, 9, 3, 7}
-	if got := Median(xs, opts); got != 5 {
-		t.Fatalf("Median = %d", got)
-	}
-	even := []int64{4, 1, 3, 2}
-	if got := Median(even, opts); got != 2 { // lower median
-		t.Fatalf("even Median = %d", got)
-	}
-}
-
 func TestSelectPanicsOutOfRange(t *testing.T) {
 	for _, k := range []int{-1, 3} {
 		func() {

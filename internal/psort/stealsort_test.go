@@ -10,7 +10,7 @@ import (
 )
 
 func TestQuickSortStealAllDistributions(t *testing.T) {
-	pool := sched.NewPool(4)
+	pool := sched.NewPoolOn(nil, 4)
 	for _, d := range gen.Distributions {
 		for _, n := range []int{0, 1, 2, 3, 100, 5000, 100000} {
 			xs := gen.Ints(n, d, 77)
@@ -29,7 +29,7 @@ func TestQuickSortStealAcrossPools(t *testing.T) {
 	xs0 := gen.Ints(50000, gen.Zipf, 3)
 	want := sortedCopy(xs0)
 	for _, p := range []int{1, 2, 8} {
-		pool := sched.NewPool(p)
+		pool := sched.NewPoolOn(nil, p)
 		xs := append([]int64(nil), xs0...)
 		QuickSortSteal(xs, pool)
 		for i := range want {
@@ -41,7 +41,7 @@ func TestQuickSortStealAcrossPools(t *testing.T) {
 }
 
 func TestQuickSortStealQuick(t *testing.T) {
-	pool := sched.NewPool(3)
+	pool := sched.NewPoolOn(nil, 3)
 	f := func(raw []int64) bool {
 		xs := append([]int64(nil), raw...)
 		want := sortedCopy(xs)
@@ -100,7 +100,7 @@ func TestHoarePartitionAllEqualTerminates(t *testing.T) {
 	if p <= 0 || p >= len(xs) {
 		t.Fatalf("all-equal split %d", p)
 	}
-	pool := sched.NewPool(2)
+	pool := sched.NewPoolOn(nil, 2)
 	QuickSortSteal(xs, pool) // must terminate
 	if !sort.SliceIsSorted(xs, func(i, j int) bool { return xs[i] < xs[j] }) {
 		t.Fatal("unsorted")

@@ -5,7 +5,7 @@ import "math"
 // golden is the odd approximation of 2^64/phi used by SplitMix64.
 const golden = 0x9E3779B97F4A7C15
 
-// Rand is a splittable SplitMix64 generator. The zero value is a valid
+// Rand is a SplitMix64 generator. The zero value is a valid
 // generator seeded with 0; use New for an explicit seed.
 type Rand struct {
 	state uint64
@@ -25,14 +25,6 @@ func (r *Rand) Uint64() uint64 {
 	}
 	r.state += r.gamma
 	return mix64(r.state)
-}
-
-// Split returns a new generator whose stream is statistically independent
-// of the receiver's. Both generators remain usable.
-func (r *Rand) Split() *Rand {
-	s := r.Uint64()
-	g := mixGamma(r.Uint64())
-	return &Rand{state: s, gamma: g}
 }
 
 // Int63 returns a non-negative random int64.

@@ -40,26 +40,6 @@ func TestZeroValueUsable(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(7)
-	s := r.Split()
-	// The two streams should not be identical prefixes of each other.
-	var av, bv [64]uint64
-	for i := range av {
-		av[i] = r.Uint64()
-		bv[i] = s.Uint64()
-	}
-	eq := 0
-	for i := range av {
-		if av[i] == bv[i] {
-			eq++
-		}
-	}
-	if eq > 2 {
-		t.Fatalf("split streams look correlated: %d/64 equal values", eq)
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := New(3)
 	for _, n := range []int{1, 2, 3, 7, 10, 100, 1 << 20} {

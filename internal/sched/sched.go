@@ -13,7 +13,7 @@ import (
 type Task func(w *Worker)
 
 // Pool is a work-stealing scheduler with a fixed number of worker
-// slots. Create with NewPool; a Pool may execute many rounds of work
+// slots. Create with NewPoolOn; a Pool may execute many rounds of work
 // via Run.
 type Pool struct {
 	exec  *exec.Executor
@@ -58,10 +58,6 @@ type Worker struct {
 
 // ID returns the worker's lane index in [0, Procs).
 func (w *Worker) ID() int { return w.id }
-
-// NewPool creates a scheduler with procs worker lanes (<= 0 means 1)
-// running on the shared process-wide executor.
-func NewPool(procs int) *Pool { return NewPoolOn(nil, procs) }
 
 // NewPoolOn creates a scheduler whose lanes run on executor e (nil
 // means exec.Default()). Long-lived servers can pin a dedicated

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunSingleTask(t *testing.T) {
-	p := NewPool(4)
+	p := NewPoolOn(nil, 4)
 	var ran atomic.Bool
 	p.Run(func(w *Worker) { ran.Store(true) })
 	if !ran.Load() {
@@ -18,7 +18,7 @@ func TestRunSingleTask(t *testing.T) {
 
 func TestSpawnTreeCompletes(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 8} {
-		p := NewPool(procs)
+		p := NewPoolOn(nil, procs)
 		var count atomic.Int64
 		var spawn func(depth int) Task
 		spawn = func(depth int) Task {
@@ -41,7 +41,7 @@ func TestSpawnTreeCompletes(t *testing.T) {
 func TestTreeSum(t *testing.T) {
 	// Recursive range sum with continuation-free accumulation.
 	const n = 100000
-	p := NewPool(4)
+	p := NewPoolOn(nil, 4)
 	var total atomic.Int64
 	var sum func(lo, hi int) Task
 	sum = func(lo, hi int) Task {
@@ -67,7 +67,7 @@ func TestTreeSum(t *testing.T) {
 }
 
 func TestRepeatedRuns(t *testing.T) {
-	p := NewPool(3)
+	p := NewPoolOn(nil, 3)
 	for round := 0; round < 10; round++ {
 		var c atomic.Int32
 		p.Run(func(w *Worker) {
@@ -82,7 +82,7 @@ func TestRepeatedRuns(t *testing.T) {
 }
 
 func TestWorkerIDsDistinct(t *testing.T) {
-	p := NewPool(4)
+	p := NewPoolOn(nil, 4)
 	seen := make([]atomic.Int32, 4)
 	p.Run(func(w *Worker) {
 		for i := 0; i < 1000; i++ {
@@ -105,7 +105,7 @@ func TestWorkerIDsDistinct(t *testing.T) {
 }
 
 func TestStealStatsReset(t *testing.T) {
-	p := NewPool(2)
+	p := NewPoolOn(nil, 2)
 	p.Run(func(w *Worker) {
 		for i := 0; i < 100; i++ {
 			w.Spawn(func(w *Worker) {})
@@ -121,7 +121,7 @@ func TestStealStatsReset(t *testing.T) {
 }
 
 func TestNewPoolClampsProcs(t *testing.T) {
-	if NewPool(0).Procs() != 1 || NewPool(-3).Procs() != 1 {
+	if NewPoolOn(nil, 0).Procs() != 1 || NewPoolOn(nil, -3).Procs() != 1 {
 		t.Fatal("non-positive procs not clamped to 1")
 	}
 }

@@ -275,14 +275,6 @@ func Put(h Handle) {
 	p.park(s)
 }
 
-// Check panics if h has already been Put (or released); it is the
-// debugging hook for asserting a retained buffer is still owned.
-func Check(h Handle) {
-	if h.s != nil && h.s.gen.Load() != h.gen {
-		panic("scratch: use of buffer after Put")
-	}
-}
-
 // park returns a slab to a free list, or drops it for the GC when the
 // class or byte caps are reached.
 func (p *Pool) park(s *slab) {

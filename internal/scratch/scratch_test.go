@@ -54,19 +54,6 @@ func TestDoublePutPanics(t *testing.T) {
 	Put(h)
 }
 
-func TestCheckAfterPutPanics(t *testing.T) {
-	p := New()
-	_, h := Get[int](p, 10)
-	Check(h) // live: fine
-	Put(h)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Check after Put did not panic")
-		}
-	}()
-	Check(h)
-}
-
 func TestPointerTypesBypass(t *testing.T) {
 	p := New()
 	s, h := Get[[]int](p, 5) // slice elements hold pointers

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/exec"
 	"repro/internal/kernel"
 	"repro/internal/rescache"
@@ -21,18 +20,11 @@ import (
 type ShardedConfig struct {
 	Config
 
-	// Shards is the number of executor shards; <= 0 means
-	// exec.DefaultShardCount() (min(GOMAXPROCS/4, 8), at least 1,
-	// REPRO_EXEC_SHARDS overridable).
+	// Shards is the number of executor shards; <= 0 means 1.
 	Shards int
 	// ShardProcs is the worker count of each shard's executor; <= 0
 	// divides GOMAXPROCS evenly across shards (at least one each).
 	ShardProcs int
-	// AdaptivePerShard gives every shard its own adaptive controller
-	// (distinct exploration seeds), so each shard's site caches are
-	// tuned by — and only contended by — its own traffic. Ignored
-	// when the template Config.Adaptive pins a shared controller.
-	AdaptivePerShard bool
 	// DisableMigration turns the diffusive balancer off: requests
 	// stay on their affinity shard no matter how skewed the load gets.
 	// The migration-on/off delta is the balancer's measured value
@@ -60,7 +52,7 @@ const DefaultMigrateHeadroom = 0.75
 // own executor.
 func (c ShardedConfig) withDefaults() ShardedConfig {
 	if c.Shards <= 0 {
-		c.Shards = exec.DefaultShardCount()
+		c.Shards = 1
 	}
 	if c.MigrateHysteresis <= 0 {
 		c.MigrateHysteresis = DefaultMigrateHysteresis
@@ -85,14 +77,15 @@ type ShardedStats struct {
 
 // Sharded is the request-serving runtime: N independent shards — each
 // with its own executor (work-stealing deques, occupancy gauges),
-// scratch arena pool, optional adaptive controller and batch
-// dispatcher — plus a diffusive load balancer between them.
+// scratch arena pool and batch dispatcher, sharing the template's
+// adaptive controller when it sets one — plus a diffusive load
+// balancer between them.
 //
 // Requests route to their tenant's home shard by stable hash, so in
-// the common (balanced) case a tenant's queue, batches, scratch reuse
-// and adaptive site state are all shard-local and the N dispatchers
-// never contend. When tenant skew overloads one shard, the balancer
-// migrates queued requests to adjacent shards in the ring — the
+// the common (balanced) case a tenant's queue, batches and scratch
+// reuse are all shard-local and the N dispatchers never contend.
+// When tenant skew overloads one shard, the balancer migrates queued
+// requests to adjacent shards in the ring — the
 // diffusive/repartitioning strategy of parallel adaptive FEM load
 // balancing, applied to request queues instead of mesh partitions:
 // compare local load estimates with your neighbors', move half the
@@ -137,9 +130,6 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		sc.executor = g.execs.Shard(i)
 		if sc.Scratch == nil {
 			sc.Scratch = scratch.New()
-		}
-		if sc.Adaptive == nil && cfg.AdaptivePerShard {
-			sc.Adaptive = adapt.New(adapt.Config{Seed: uint64(i + 1)})
 		}
 		if !cfg.DisableMigration && n > 1 {
 			i := i

@@ -262,9 +262,9 @@ func NewResultCache(cfg ResultCacheConfig) *ResultCache { return rescache.New(cf
 // balanced tenants never share queues, executors or scratch pools;
 // under tenant skew the diffusive balancer migrates queued requests to
 // adjacent shards (Stats().Migrated counts them). The zero
-// ShardedServerConfig picks min(GOMAXPROCS/4, 8) shards
-// (REPRO_EXEC_SHARDS overrides) splitting GOMAXPROCS workers evenly,
-// with migration on at default hysteresis. See internal/serve for the
+// ShardedServerConfig is one shard of GOMAXPROCS workers; with more
+// shards the workers split evenly and migration is on at default
+// hysteresis. See internal/serve for the
 // admission, fairness, affinity and migration semantics, and `parbench
 // -serve -shards N` for a skewed-traffic demo.
 func NewShardedServer(cfg ShardedServerConfig) *ShardedServer { return serve.NewSharded(cfg) }
