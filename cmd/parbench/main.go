@@ -18,9 +18,9 @@
 //	                             # same demo over a real socket
 //
 // Flags -procs, -vprocs, -reps and -seed control the sweep; -executor
-// selects the dispatch runtime (shared persistent pool, a dedicated
-// pool, or goroutine-per-call spawning), -scratch toggles the
-// scratch-arena buffer reuse, and -adapt=on replaces every hard-coded
+// selects the dispatch runtime (the shared persistent pool or a
+// dedicated one), -scratch toggles the scratch-arena buffer reuse,
+// and -adapt=on replaces every hard-coded
 // grain/policy/cutoff with the online load-aware tuning runtime
 // (internal/adapt), so the runtime-overhead, GC-pressure and
 // self-tuning deltas are all observable from the CLI. -serve runs
@@ -89,7 +89,7 @@ func main() {
 		csvDir    = flag.String("csv", "", "directory to also write one CSV per experiment")
 		list      = flag.Bool("list", false, "list the experiment index and exit")
 		executor  = flag.String("executor", "pooled",
-			"dispatch runtime: 'pooled' (shared persistent pool), 'dedicated' (fresh pool), or 'spawn' (goroutine per call)")
+			"dispatch runtime: 'pooled' (shared persistent pool) or 'dedicated' (fresh pool)")
 		scratchMode = flag.String("scratch", "on",
 			"scratch-arena buffer reuse: 'on' (pooled temporaries) or 'off' (fresh allocation per call)")
 		adaptMode = flag.String("adapt", "off",
@@ -718,10 +718,8 @@ func executorFor(mode string) (*exec.Executor, error) {
 		return nil, nil // nil = the shared process-wide pool
 	case "dedicated":
 		return exec.New(0), nil
-	case "spawn":
-		return exec.NewSpawning(), nil
 	}
-	return nil, fmt.Errorf("bad -executor %q: want pooled, dedicated, or spawn", mode)
+	return nil, fmt.Errorf("bad -executor %q: want pooled or dedicated", mode)
 }
 
 // onOff resolves one of the on/off mode flags (-scratch, -adapt,

@@ -27,6 +27,10 @@ func TestFlagModesRejectUnknownValues(t *testing.T) {
 			t.Errorf("arrivalFor(%q) accepted", bad)
 		}
 	}
+	// "spawn" named the retired goroutine-per-call executor.
+	if e, err := executorFor("spawn"); err == nil || e != nil {
+		t.Errorf("executorFor(spawn) = %v, %v; want a usage error", e, err)
+	}
 }
 
 // onOffFlags are the flags parsed by onOff.
@@ -51,13 +55,10 @@ func TestFlagModesAcceptKnownValues(t *testing.T) {
 	if e, err := executorFor("pooled"); err != nil || e != nil {
 		t.Errorf("executorFor(pooled) = %v, %v", e, err)
 	}
-	// "dedicated" and "spawn" construct pools; just check they resolve.
-	for _, mode := range []string{"dedicated", "spawn"} {
-		e, err := executorFor(mode)
-		if err != nil || e == nil {
-			t.Errorf("executorFor(%s) = %v, %v", mode, e, err)
-			continue
-		}
+	// "dedicated" constructs a pool; just check it resolves.
+	if e, err := executorFor("dedicated"); err != nil || e == nil {
+		t.Errorf("executorFor(dedicated) = %v, %v", e, err)
+	} else {
 		e.Close()
 	}
 	// Arrival defaults to poisson; const is the other accepted process.

@@ -55,12 +55,6 @@ func NewSite(name string, kind Kind) *Site {
 	return &Site{name: name, kind: kind, id: siteIDs.Add(1) - 1}
 }
 
-// Name returns the site's declared name.
-func (s *Site) Name() string { return s.name }
-
-// Kind returns the site's lattice kind.
-func (s *Site) Kind() Kind { return s.kind }
-
 // PC-derived sites are process-global: a program counter is a global
 // identity, so two controllers observing the same loop share the Site
 // (but not the learned state, which is per-controller).

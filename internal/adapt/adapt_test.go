@@ -119,8 +119,8 @@ func TestSiteForPCIsStable(t *testing.T) {
 	if a == c {
 		t.Errorf("distinct pcs shared a site")
 	}
-	if a.Kind() != KindRange {
-		t.Errorf("pc site kind = %v, want KindRange", a.Kind())
+	if a.kind != KindRange {
+		t.Errorf("pc site kind = %v, want KindRange", a.kind)
 	}
 }
 

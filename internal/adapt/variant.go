@@ -23,10 +23,6 @@ func NewVariantSite(name string, variants int) *Site {
 	return &Site{name: name, kind: KindVariant, id: siteIDs.Add(1) - 1, variants: variants}
 }
 
-// Variants returns the candidate count of a variant site (0 for sites
-// of other kinds).
-func (s *Site) Variants() int { return s.variants }
-
 // clampClass bounds a caller-supplied feature class to the cache's
 // class range.
 func clampClass(class int) int {

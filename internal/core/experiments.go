@@ -24,10 +24,8 @@ type Config struct {
 	// Seed makes all workloads reproducible (default 42).
 	Seed uint64
 	// Executor pins every kernel invocation in the suite to one worker
-	// pool: nil means the shared process-wide pool, a dedicated pool
-	// isolates the run, and exec.NewSpawning() reinstates the
-	// goroutine-per-call dispatch (cmd/parbench -executor=spawn) so the
-	// runtime's own overhead is observable in the tables.
+	// pool: nil means the shared process-wide pool, and a dedicated
+	// pool (cmd/parbench -executor=dedicated) isolates the run.
 	Executor *exec.Executor
 	// Scratch pins the scratch-buffer pool the same way: nil means the
 	// shared process-wide pool, scratch.Off reinstates fresh allocation

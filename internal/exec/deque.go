@@ -92,13 +92,6 @@ func (d *Deque[T]) StealTop() (T, bool) {
 	return t, true
 }
 
-// Len returns the number of live items (for tests and gauges).
-func (d *Deque[T]) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items) - d.head
-}
-
 // StealScan probes the n deques returned by deque(i) from a random
 // starting victim, skipping self, until one yields an item or all are
 // empty — the victim-selection discipline shared by the executor's

@@ -11,8 +11,7 @@
 // under heavy concurrent traffic. exec amortizes that cost once per
 // process: a lazily started pool of persistent workers, each with its
 // own work-stealing deque, onto which all loop-level and task-level
-// parallelism is dispatched (BenchmarkForSpawnVsPooled in internal/par
-// quantifies the delta).
+// parallelism is dispatched.
 //
 // The fork/join primitive is Run(p, slot): execute slot(w) for every
 // slot w in [0, p). Its two structural rules make the runtime safe for

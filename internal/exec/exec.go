@@ -21,9 +21,6 @@ type Task func()
 // create one with New, or share the process-wide pool via Default.
 type Executor struct {
 	procs int
-	// spawn selects the goroutine-per-task baseline used to measure
-	// pooled dispatch against (the pre-runtime behavior of par).
-	spawn bool
 
 	startOnce sync.Once
 	started   atomic.Bool // workers launched (Occupancy reads 0 before)
@@ -90,16 +87,6 @@ func New(procs int) *Executor {
 	return e
 }
 
-// NewSpawning returns an executor that spawns one fresh goroutine per
-// task instead of using persistent workers — the spawn-per-call
-// baseline. It exists so the pooled runtime can be measured against the
-// old dispatch (cmd/parbench -executor=spawn, BenchmarkForSpawnVsPooled).
-func NewSpawning() *Executor {
-	e := New(0)
-	e.spawn = true
-	return e
-}
-
 var (
 	defaultOnce sync.Once
 	defaultExec *Executor
@@ -149,7 +136,7 @@ func (e *Executor) StealAttempts() int64 { return e.attempts.Load() }
 func (e *Executor) BlockingGoroutines() int64 { return e.blocking.Load() }
 
 // Occupancy returns the fraction of pooled workers currently
-// executing tasks: 0 is an idle (or not yet started, or spawning)
+// executing tasks: 0 is an idle (or not yet started)
 // pool, 1 is every worker busy. Workers that are awake but merely
 // probing for work do not count, and neither do queued-but-unstarted
 // tasks — fork/join helpers that lost the race to their Run's own
@@ -159,7 +146,7 @@ func (e *Executor) BlockingGoroutines() int64 { return e.blocking.Load() }
 // shed parallelism under concurrent traffic — a cheap, racy snapshot,
 // deliberately: the reader wants a trend, not a linearizable count.
 func (e *Executor) Occupancy() float64 {
-	if e.spawn || !e.started.Load() {
+	if !e.started.Load() {
 		return 0
 	}
 	return float64(e.running.Load()) / float64(e.procs)
@@ -229,20 +216,15 @@ func (e *Executor) Close() {
 	e.wg.Wait()
 }
 
-// Submit enqueues t for asynchronous execution on the pool (or spawns
-// a goroutine in spawn mode). Submitting to a closed executor panics:
-// the workers have exited, so the task would sit on a dead deque
-// forever while the pending gauge silently corrupts. Tasks must not
-// block indefinitely on other queued tasks starting — pooled workers
-// are a fixed resource; use Go for tasks that block (e.g. on
-// barriers).
+// Submit enqueues t for asynchronous execution on the pool. Submitting
+// to a closed executor panics: the workers have exited, so the task
+// would sit on a dead deque forever while the pending gauge silently
+// corrupts. Tasks must not block indefinitely on other queued tasks
+// starting — pooled workers are a fixed resource; use Go for tasks
+// that block (e.g. on barriers).
 func (e *Executor) Submit(t Task) {
 	if e.down.Load() {
 		panic("exec: Submit on closed Executor")
-	}
-	if e.spawn {
-		go t()
-		return
 	}
 	e.start()
 	w := e.workers[e.submitIdx.Add(1)%uint64(len(e.workers))]
@@ -442,7 +424,7 @@ func (e *Executor) runCommon(p int, st *runState) {
 	st.next.Store(0)
 	st.tokens.Store(0)
 	helpers := p - 1
-	if !e.spawn && helpers > e.procs {
+	if helpers > e.procs {
 		helpers = e.procs
 	}
 	st.submitted = int64(helpers)

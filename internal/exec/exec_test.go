@@ -103,15 +103,6 @@ func TestSubmitExecutes(t *testing.T) {
 	}
 }
 
-func TestSpawningExecutor(t *testing.T) {
-	e := NewSpawning()
-	var n atomic.Int64
-	e.Run(32, func(int) { n.Add(1) })
-	if n.Load() != 32 {
-		t.Fatalf("ran %d slots, want 32", n.Load())
-	}
-}
-
 func TestGoTracksBlocking(t *testing.T) {
 	e := New(1)
 	defer e.Close()

@@ -81,8 +81,8 @@ func TestDequeCompaction(t *testing.T) {
 				t.Fatalf("round %d: deque empty during pops", round)
 			}
 		}
-		if got := d.Len(); got != 0 {
-			t.Fatalf("round %d: Len = %d, want 0", round, got)
+		if got := len(d.items) - d.head; got != 0 {
+			t.Fatalf("round %d: %d live items, want 0", round, got)
 		}
 	}
 }

@@ -151,13 +151,3 @@ func TestOccupancyEWMALifecycle(t *testing.T) {
 		t.Errorf("parked pool EWMA = %v, want exactly 0 after quiescence", got)
 	}
 }
-
-func TestOccupancySpawnModeIsZero(t *testing.T) {
-	e := NewSpawning()
-	done := make(chan struct{})
-	e.Submit(func() { close(done) })
-	<-done
-	if got := e.Occupancy(); got != 0 {
-		t.Errorf("spawn-mode occupancy = %v, want 0", got)
-	}
-}

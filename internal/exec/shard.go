@@ -68,17 +68,6 @@ func (g *Sharded) Occupancy() float64 {
 	return running / procs
 }
 
-// Steals returns the cumulative successful steals summed across all
-// shards' pools (steals never cross shards; only the balancer moves
-// work between them).
-func (g *Sharded) Steals() int64 {
-	var n int64
-	for _, e := range g.shards {
-		n += e.Steals()
-	}
-	return n
-}
-
 // Close closes every shard's executor and waits for their workers to
 // exit.
 func (g *Sharded) Close() {

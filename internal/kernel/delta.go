@@ -22,9 +22,6 @@ type Delta struct {
 	Edges []graph.Edge
 }
 
-// Empty reports whether the delta carries no update.
-func (d *Delta) Empty() bool { return len(d.Append) == 0 && len(d.Edges) == 0 }
-
 // OutField names which Args field a kernel's result lives in — what a
 // result cache must copy out on insert and restore on hit.
 type OutField int

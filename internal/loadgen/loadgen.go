@@ -20,9 +20,6 @@ type Schedule struct {
 	Offsets []time.Duration
 }
 
-// Len returns the number of scheduled arrivals.
-func (s Schedule) Len() int { return len(s.Offsets) }
-
 // Duration returns the intended span of the schedule (the last
 // arrival's offset), or 0 for an empty schedule.
 func (s Schedule) Duration() time.Duration {

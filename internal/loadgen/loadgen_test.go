@@ -14,8 +14,8 @@ import (
 
 func TestConstantSpacing(t *testing.T) {
 	s := Constant(5, 1000) // 1ms apart
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.Offsets) != 5 {
+		t.Fatalf("Len = %d", len(s.Offsets))
 	}
 	for i, off := range s.Offsets {
 		want := time.Duration(i) * time.Millisecond
@@ -32,7 +32,7 @@ func TestConstantSpacing(t *testing.T) {
 }
 
 func TestConstantEmptyAndPanics(t *testing.T) {
-	if s := Constant(0, 100); s.Len() != 0 || s.Duration() != 0 || s.OfferedRate() != 0 {
+	if s := Constant(0, 100); len(s.Offsets) != 0 || s.Duration() != 0 || s.OfferedRate() != 0 {
 		t.Fatalf("empty schedule = %+v", s)
 	}
 	defer func() {
@@ -46,8 +46,8 @@ func TestConstantEmptyAndPanics(t *testing.T) {
 func TestPoissonMeanAndMonotone(t *testing.T) {
 	const n, rate = 4096, 500.0
 	s := Poisson(n, rate, 7)
-	if s.Len() != n || s.Offsets[0] != 0 {
-		t.Fatalf("len=%d first=%v", s.Len(), s.Offsets[0])
+	if len(s.Offsets) != n || s.Offsets[0] != 0 {
+		t.Fatalf("len=%d first=%v", len(s.Offsets), s.Offsets[0])
 	}
 	for i := 1; i < n; i++ {
 		if s.Offsets[i] < s.Offsets[i-1] {
@@ -299,9 +299,9 @@ func TestSummarizeDegenerateSchedules(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			res := Run(tc.sched, tc.do)
 			rep := res.Summarize(tc.sched)
-			if rep.Sent != tc.sched.Len() || rep.OK != tc.wantOK || rep.Errors != tc.wantErr {
+			if rep.Sent != len(tc.sched.Offsets) || rep.OK != tc.wantOK || rep.Errors != tc.wantErr {
 				t.Fatalf("report = %+v, want sent=%d ok=%d errors=%d",
-					rep, tc.sched.Len(), tc.wantOK, tc.wantErr)
+					rep, len(tc.sched.Offsets), tc.wantOK, tc.wantErr)
 			}
 			for name, v := range map[string]float64{
 				"OfferedRate":    rep.OfferedRate,

@@ -56,9 +56,6 @@ type Worker struct {
 	id   int
 }
 
-// ID returns the worker's lane index in [0, Procs).
-func (w *Worker) ID() int { return w.id }
-
 // NewPoolOn creates a scheduler whose lanes run on executor e (nil
 // means exec.Default()). Long-lived servers can pin a dedicated
 // executor so task-parallel work is isolated from other traffic.

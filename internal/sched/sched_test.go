@@ -87,11 +87,11 @@ func TestWorkerIDsDistinct(t *testing.T) {
 	p.Run(func(w *Worker) {
 		for i := 0; i < 1000; i++ {
 			w.Spawn(func(w *Worker) {
-				if w.ID() < 0 || w.ID() >= 4 {
-					t.Errorf("worker id %d out of range", w.ID())
+				if w.id < 0 || w.id >= 4 {
+					t.Errorf("worker id %d out of range", w.id)
 					return
 				}
-				seen[w.ID()].Add(1)
+				seen[w.id].Add(1)
 			})
 		}
 	})

@@ -64,9 +64,6 @@ func (a *Arena) Release() {
 	p.arenaMu.Unlock()
 }
 
-// Pool returns the pool the arena draws from.
-func (a *Arena) Pool() *Pool { return a.pool }
-
 // Make returns a []T of length n owned by the arena until Release.
 // Contents are unspecified (see MakeZeroed).
 func Make[T any](a *Arena, n int) []T {

@@ -58,7 +58,7 @@ func benchTrafficOpenLoop(b *testing.B, poisson bool, slo time.Duration) {
 	const n = 2 << 10
 	base := randInts(n, 42)
 	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: trafficWorkers, Config: Config{
-		Scratch: scratch.New(), BatchWindow: 200 * time.Microsecond, SLO: slo}})
+		Scratch: scratch.New(), SLO: slo}})
 	defer s.Close()
 
 	var sched loadgen.Schedule
@@ -115,8 +115,7 @@ func benchTrafficDelta(b *testing.B) {
 	const n = 2 << 10
 	pool := scratch.New()
 	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: trafficWorkers, Config: Config{
-		Scratch: pool, BatchWindow: 200 * time.Microsecond,
-		Cache: rescache.New(rescache.Config{Pool: pool})}})
+		Scratch: pool, Cache: rescache.New(rescache.Config{Pool: pool})}})
 	defer s.Close()
 	kSort := kernel.MustLookup("sort")
 	const tenant = "t"

@@ -28,8 +28,8 @@
 //     as internal/adapt, applied one layer up.
 //
 //   - Batched execution. A single dispatcher drains the tenant queues
-//     into one batch (bounded by MaxBatch, accumulated for at most
-//     BatchWindow) and executes the whole batch as ONE fused parallel
+//     into one batch (bounded by maxBatch, accumulated for at most
+//     batchWindow) and executes the whole batch as ONE fused parallel
 //     loop over requests — one pooled fork/join amortized across N
 //     requests, each request running its kernel serially inside its
 //     slot. The batch loop is an adaptive call site ("serve.batch"),
@@ -53,7 +53,7 @@
 // whole width (longOpts) — for sort and scan alike one call of the
 // kernel, the serial leaf on a 1-worker shard. They enter through the
 // same door as every other request (closed check, tenant fold under
-// MaxTenants, Accepted) and leave through the same exit (Completed, a
+// maxTenants, Accepted) and leave through the same exit (Completed, a
 // kernel panic on the caller's goroutine confined to the request's
 // error; a panic on a pooled worker is out of scope), and Close waits
 // for them. Never waiting on a queue, they stay outside the queue bound

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -11,15 +12,18 @@ import (
 )
 
 // TestFoldedTenantAccountingBalances pins the per-entry invariant
-// behind merged TenantStats: with MaxTenants folding most names into
-// "(other)", every surviving entry still has Accepted == Completed
-// once traffic drains, because completions are credited to the entry
-// that counted the acceptance.
+// behind merged TenantStats: with maxTenants folding the names past
+// the bound into "(other)", every surviving entry still has
+// Accepted == Completed once traffic drains, because completions are
+// credited to the entry that counted the acceptance.
 func TestFoldedTenantAccountingBalances(t *testing.T) {
-	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{MaxTenants: 2, Workers: 2}})
+	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{Workers: 2}})
 	defer s.Close()
 
-	tenants := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	tenants := make([]string, maxTenants+6)
+	for i := range tenants {
+		tenants[i] = fmt.Sprintf("t%d", i)
+	}
 	const perTenant = 5
 	var wg sync.WaitGroup
 	for _, name := range tenants {
@@ -44,8 +48,8 @@ func TestFoldedTenantAccountingBalances(t *testing.T) {
 		completed += ts.Completed
 	}
 	st := s.Stats().Aggregate
-	if st.Tenants > 3 {
-		t.Errorf("tenant table has %d entries; want <= MaxTenants+1 = 3", st.Tenants)
+	if st.Tenants > maxTenants+1 {
+		t.Errorf("tenant table has %d entries; want <= maxTenants+1 = %d", st.Tenants, maxTenants+1)
 	}
 	if accepted != st.Accepted || completed != st.Completed {
 		t.Errorf("per-tenant sums (%d, %d) != server totals (%d, %d)",
@@ -57,35 +61,38 @@ func TestFoldedTenantAccountingBalances(t *testing.T) {
 // the fold/migration interaction: a request folded into "(other)" at
 // its home shard keeps the folded name across migration, so the thief
 // shard queues it under its own overflow entry instead of creating a
-// per-name entry the home shard's MaxTenants bound already refused —
+// per-name entry the home shard's maxTenants bound already refused —
 // and its completion is credited to the home shard's overflow entry,
 // where the acceptance was counted.
 func TestMigrateInDoesNotResurrectFoldedTenant(t *testing.T) {
 	// home is built but its dispatcher never starts: what it admits
 	// stays queued, so the test plays the balancer's role and hands the
 	// backlog straight to the thief shard.
-	home := build(Config{MaxTenants: 1, executor: exec.Default()})
+	home := build(Config{executor: exec.Default()})
 	thief := newShard(t, Config{})
 
-	// The first name fills home's tenant table, so the next one folds.
-	resident := home.getRequest(kernelSum, "resident", &kernel.Args{Xs: []int64{1}})
+	// maxTenants resident names fill home's tenant table, so the next
+	// name folds. The residents hold entries but queue nothing, so the
+	// newcomer is all the thief receives and its table stays empty: a
+	// resurrected name would get an entry there, not fold again.
+	home.mu.Lock()
+	for i := 0; i < maxTenants; i++ {
+		home.tenantLocked(fmt.Sprintf("resident-%d", i))
+	}
+	home.mu.Unlock()
 	r := home.getRequest(kernelSum, "newcomer", &kernel.Args{Xs: []int64{2, 3, 5}})
-	for _, q := range []*request{resident, r} {
-		if err := home.admit(q); err != nil {
-			t.Fatalf("admit %q: %v", q.tenantName, err)
-		}
+	if err := home.admit(r); err != nil {
+		t.Fatalf("admit %q: %v", r.tenantName, err)
 	}
 	if r.tenantName != OverflowTenant {
 		t.Fatalf("admission stamped name %q; want %q", r.tenantName, OverflowTenant)
 	}
 
-	thief.migrateIn(home.migrateOut(nil, 2))
-	for _, q := range []*request{resident, r} {
-		select {
-		case <-q.done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("migrated request of %q never completed", q.tenantName)
-		}
+	thief.migrateIn(home.migrateOut(nil, 1))
+	select {
+	case <-r.done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("migrated request of %q never completed", r.tenantName)
 	}
 	if r.err != nil || r.args.Out != 10 {
 		t.Fatalf("migrated result = %d, %v; want 10, nil", r.args.Out, r.err)
@@ -103,28 +110,27 @@ func TestMigrateInDoesNotResurrectFoldedTenant(t *testing.T) {
 		}
 	}
 	for _, ts := range thief.TenantStats() {
-		if ts.Completed != 0 && ts.Name != "resident" {
+		if ts.Completed != 0 {
 			t.Errorf("thief entry %q credited %d completions; accounting belongs to the home entry", ts.Name, ts.Completed)
 		}
 	}
-	home.putRequest(resident)
 	home.putRequest(r)
 }
 
 // TestShardedMigrationWithTenantFold is the end-to-end half: heavy
-// skew (every tenant homed on shard 0) with a tight MaxTenants bound
-// and migration on. Folded names must not multiply across shards and
-// the merged per-tenant stats must balance exactly.
+// skew (every tenant homed on shard 0) with more names than the
+// maxTenants bound and migration on. Folded names must not multiply
+// across shards and the merged per-tenant stats must balance exactly.
 func TestShardedMigrationWithTenantFold(t *testing.T) {
 	g := NewSharded(ShardedConfig{
-		Config:            Config{MaxTenants: 2, MaxQueue: 1 << 20},
+		Config:            Config{MaxQueue: 1 << 20},
 		Shards:            2,
 		ShardProcs:        1,
 		MigrateHysteresis: 1,
 	})
 	defer g.Close()
 
-	names := tenantsHomedOn(g, 0, 12)
+	names := tenantsHomedOn(g, 0, maxTenants+10)
 	var wg sync.WaitGroup
 	var sent int64
 	var mu sync.Mutex
@@ -157,18 +163,18 @@ func TestShardedMigrationWithTenantFold(t *testing.T) {
 	if completed != sent {
 		t.Errorf("completed %d requests, sent %d", completed, sent)
 	}
-	// Shard 0 admits at most MaxTenants real names plus "(other)";
+	// Shard 0 admits at most maxTenants real names plus "(other)";
 	// shard 1 sees only migrated requests carrying those same stamped
 	// names. Nothing can widen the name set.
-	if len(merged) > 3 {
-		t.Errorf("merged stats name %d tenants; want <= 3: %+v", len(merged), merged)
+	if len(merged) > maxTenants+1 {
+		t.Errorf("merged stats name %d tenants; want <= %d", len(merged), maxTenants+1)
 	}
 	for i, s := range g.shards {
 		s.mu.Lock()
 		n := len(s.tenants)
 		s.mu.Unlock()
-		if n > 3 {
-			t.Errorf("shard %d tenant table has %d entries; want <= 3", i, n)
+		if n > maxTenants+1 {
+			t.Errorf("shard %d tenant table has %d entries; want <= %d", i, n, maxTenants+1)
 		}
 	}
 }

@@ -39,7 +39,7 @@ var (
 
 // siteBatch is the adaptive call site of the fused batch loop: the
 // controller learns how many workers a batch runs on per batch-size
-// class. A batch is at most MaxBatch requests, far fewer than any grain
+// class. A batch is at most maxBatch requests, far fewer than any grain
 // the KindRange lattice would try, so the worker count is the only
 // choice that changes anything.
 var siteBatch = adapt.NewSite("serve.batch", adapt.KindWorkers)
@@ -59,26 +59,10 @@ type Config struct {
 	// execute concurrently inside the fused fork/join; <= 0 means the
 	// executor's worker count.
 	Workers int
-	// MaxBatch bounds how many requests one batch fuses; <= 0 means
-	// DefaultMaxBatch.
-	MaxBatch int
-	// BatchWindow bounds how long the dispatcher lets a batch
-	// accumulate after the first request arrives. The window closes
-	// early as soon as arrivals plateau, so it costs nothing when no
-	// more traffic is coming. 0 means DefaultBatchWindow; negative
-	// disables accumulation (every batch is whatever is queued).
-	BatchWindow time.Duration
 	// MaxQueue bounds each tenant's admission queue; <= 0 means
 	// DefaultMaxQueue. The effective bound halves while the executor
 	// is saturated (occupancy at or above DefaultSaturation).
 	MaxQueue int
-	// MaxTenants bounds how many distinct tenant accounting entries
-	// the server keeps (<= 0 means DefaultMaxTenants): tenant names
-	// are caller-controlled, and a long-lived server must not grow
-	// memory with their cardinality. Names arriving after the bound
-	// is reached share one overflow entry, OverflowTenant — they are
-	// still served, but pool their queue bound and fair-share turn.
-	MaxTenants int
 	// PipelineCutoff is the input length at or above which a request
 	// bypasses batching and runs its kernel's long-route adapter on
 	// the caller's goroutine, outside the queues (admitted like any
@@ -126,11 +110,20 @@ type Config struct {
 
 // Defaults for the Config knobs.
 const (
-	DefaultMaxBatch       = 64
-	DefaultBatchWindow    = 100 * time.Microsecond
 	DefaultMaxQueue       = 256
-	DefaultMaxTenants     = 1024
 	DefaultPipelineCutoff = 1 << 17
+)
+
+// maxBatch bounds how many requests one batch fuses, and batchWindow
+// how long a batch may accumulate after its first request (awaitWindow
+// closes it early once arrivals plateau). maxTenants bounds a shard's
+// tenant entries: names are caller-controlled, so names past the bound
+// share OverflowTenant — still served, pooling its queue bound and
+// fair-share turn — instead of growing memory.
+const (
+	maxBatch    = 64
+	batchWindow = 100 * time.Microsecond
+	maxTenants  = 1024
 )
 
 // The load rungs of the admission ladder, as executor occupancy:
@@ -143,7 +136,7 @@ const (
 )
 
 // OverflowTenant is the shared accounting entry that absorbs requests
-// from tenant names seen after MaxTenants distinct names exist.
+// from tenant names seen after maxTenants distinct names exist.
 const OverflowTenant = "(other)"
 
 // svcStaleAfter bounds how long the door trusts the service-time EWMA
@@ -163,24 +156,15 @@ func (s *shard) svcFresh(now time.Time) bool {
 }
 
 // withDefaults resolves every "means default" value once, at
-// construction, so the request path reads plain fields. Values that
-// mean "off" (a negative BatchWindow or PipelineCutoff) are kept, and a
-// nil Scratch stays nil: par resolves it per call. Idempotent.
+// construction, so the request path reads plain fields. A negative
+// PipelineCutoff ("off") is kept, and a nil Scratch stays nil: par
+// resolves it per call. Idempotent.
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = c.executor.Procs()
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = DefaultBatchWindow
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = DefaultMaxQueue
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = DefaultMaxTenants
 	}
 	if c.PipelineCutoff == 0 {
 		c.PipelineCutoff = DefaultPipelineCutoff
@@ -304,7 +288,7 @@ type shard struct {
 	svcStamp        atomic.Int64
 	batches         atomic.Int64
 	batchedReqs     atomic.Int64
-	maxBatch        atomic.Int64
+	largestBatch    atomic.Int64
 	parallelBatches atomic.Int64
 	serialBatches   atomic.Int64
 	shed            atomic.Int64
@@ -370,7 +354,7 @@ func (s *shard) Stats() Stats {
 		Completed:        s.completed.Load(),
 		Batches:          s.batches.Load(),
 		BatchedRequests:  s.batchedReqs.Load(),
-		MaxBatch:         s.maxBatch.Load(),
+		MaxBatch:         s.largestBatch.Load(),
 		ParallelBatches:  s.parallelBatches.Load(),
 		SerialBatches:    s.serialBatches.Load(),
 		Shed:             s.shed.Load(),
@@ -406,7 +390,7 @@ func (s *shard) TenantStats() []TenantStats {
 }
 
 // tenantLocked returns (creating on first sight) the named tenant.
-// Once MaxTenants distinct names exist, new names fold into the
+// Once maxTenants distinct names exist, new names fold into the
 // shared OverflowTenant entry so caller-controlled name cardinality
 // cannot grow server memory without bound.
 func (s *shard) tenantLocked(name string) *tenant {
@@ -414,7 +398,7 @@ func (s *shard) tenantLocked(name string) *tenant {
 	if t != nil {
 		return t
 	}
-	if len(s.tenants) >= s.cfg.MaxTenants {
+	if len(s.tenants) >= maxTenants {
 		name = OverflowTenant
 		if t = s.tenants[name]; t != nil {
 			return t
@@ -436,7 +420,7 @@ func (s *shard) doorLocked(name string) (*tenant, error) {
 
 // admit is the one way into the server, for all three routes. It
 // stamps the accounting identity — folding rewrites the name (t.name is
-// OverflowTenant when MaxTenants bounded it), and both stamps must
+// OverflowTenant when maxTenants bounded it), and both stamps must
 // survive migration: the name keeps a thief shard's migrateIn from
 // resurrecting a folded tenant as a fresh per-name entry, and acct
 // keeps the completion credit on the entry that counted the
@@ -647,7 +631,7 @@ func (s *shard) migrateIn(rs []*request) {
 	s.mu.Unlock()
 }
 
-// formBatchLocked pops up to MaxBatch requests, one per tenant per
+// formBatchLocked pops up to maxBatch requests, one per tenant per
 // round-robin turn, starting where the previous batch left off. This
 // is the fair-share mechanism: a tenant with one queued request is
 // served within one turn of the ring no matter how deep any other
@@ -661,7 +645,7 @@ func (s *shard) migrateIn(rs []*request) {
 // pay for it.
 func (s *shard) formBatchLocked(batch []*request) []*request {
 	var now time.Time
-	for len(batch) < s.cfg.MaxBatch && s.queued > 0 {
+	for len(batch) < maxBatch && s.queued > 0 {
 		r := s.popLocked()
 		if !r.deadline.IsZero() {
 			if now.IsZero() {
@@ -684,16 +668,13 @@ func (s *shard) formBatchLocked(batch []*request) []*request {
 // producer before re-reading the queue, which makes the plateau check
 // exact there and merely conservative elsewhere.
 func (s *shard) awaitWindow() {
-	if s.cfg.BatchWindow < 0 {
-		return
-	}
-	deadline := time.Now().Add(s.cfg.BatchWindow)
+	deadline := time.Now().Add(batchWindow)
 	prev := -1
 	for {
 		s.mu.Lock()
 		q, closed := s.queued, s.closed
 		s.mu.Unlock()
-		if closed || q >= s.cfg.MaxBatch || q == prev || time.Now().After(deadline) {
+		if closed || q >= maxBatch || q == prev || time.Now().After(deadline) {
 			return
 		}
 		prev = q
@@ -706,7 +687,7 @@ func (s *shard) awaitWindow() {
 // execution is where the parallelism is.
 func (s *shard) dispatch() {
 	defer close(s.drained)
-	batch := make([]*request, 0, s.cfg.MaxBatch)
+	batch := make([]*request, 0, maxBatch)
 	for {
 		s.mu.Lock()
 		for s.queued == 0 && !s.closed {
@@ -756,8 +737,8 @@ func (s *shard) execute(batch []*request) {
 	s.batches.Add(1)
 	s.batchedReqs.Add(int64(n))
 	for {
-		cur := s.maxBatch.Load()
-		if int64(n) <= cur || s.maxBatch.CompareAndSwap(cur, int64(n)) {
+		cur := s.largestBatch.Load()
+		if int64(n) <= cur || s.largestBatch.CompareAndSwap(cur, int64(n)) {
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -159,7 +160,7 @@ func TestServeMixedConcurrent(t *testing.T) {
 // actually fuse: with many sync clients against one dispatcher, some
 // batch must carry more than one request.
 func TestServeBatchCoalescing(t *testing.T) {
-	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 4, Config: Config{BatchWindow: 2 * time.Millisecond}})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 4})
 	defer s.Close()
 
 	const clients = 8
@@ -192,7 +193,7 @@ func TestServeBatchCoalescing(t *testing.T) {
 // checks the light tenant is never starved or rejected: round-robin
 // batch formation plus per-tenant queues isolate it completely.
 func TestServeFairShare(t *testing.T) {
-	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 2, Config: Config{MaxQueue: 2, MaxBatch: 4}})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 2, Config: Config{MaxQueue: 2}})
 	defer s.Close()
 
 	stop := make(chan struct{})
@@ -243,7 +244,7 @@ func TestServeFairShare(t *testing.T) {
 // and checks the overflow is rejected with ErrRejected while every
 // admitted request still completes correctly.
 func TestServeBackpressure(t *testing.T) {
-	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 1, Config: Config{MaxQueue: 1, MaxBatch: 1, BatchWindow: -1}})
+	s := NewSharded(ShardedConfig{Shards: 1, ShardProcs: 1, Config: Config{MaxQueue: 1}})
 	defer s.Close()
 
 	const clients = 16
@@ -528,27 +529,28 @@ func TestServePanicConfined(t *testing.T) {
 }
 
 // TestServeTenantBound checks tenant accounting stays bounded under
-// caller-controlled name cardinality: names beyond MaxTenants fold
+// caller-controlled name cardinality: names beyond maxTenants fold
 // into the shared overflow entry and are still served.
 func TestServeTenantBound(t *testing.T) {
-	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{MaxTenants: 2}})
+	s := NewSharded(ShardedConfig{Shards: 1})
 	defer s.Close()
-	for i := 0; i < 10; i++ {
-		name := string(rune('a' + i))
+	const names, folded = maxTenants + 8, 8
+	for i := 0; i < names; i++ {
+		name := fmt.Sprintf("t%d", i)
 		if _, err := Sum(s, name, []int64{int64(i), 1}); err != nil {
 			t.Fatalf("sum from tenant %q: %v", name, err)
 		}
 	}
 	st := s.Stats().Aggregate
-	if st.Completed != 10 {
-		t.Fatalf("completed = %d, want 10", st.Completed)
+	if st.Completed != names {
+		t.Fatalf("completed = %d, want %d", st.Completed, names)
 	}
-	if st.Tenants > 3 { // 2 named + the overflow entry
-		t.Fatalf("tenant map grew to %d entries with MaxTenants=2", st.Tenants)
+	if st.Tenants > maxTenants+1 { // maxTenants named + the overflow entry
+		t.Fatalf("tenant map grew to %d entries with maxTenants=%d", st.Tenants, maxTenants)
 	}
 	found := false
 	for _, ts := range s.TenantStats() {
-		if ts.Name == OverflowTenant && ts.Completed == 8 {
+		if ts.Name == OverflowTenant && ts.Completed == folded {
 			found = true
 		}
 	}

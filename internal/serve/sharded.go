@@ -228,7 +228,7 @@ func (g *Sharded) tryMigrate(from, to int) int {
 	if g.execs.Shard(to).OccupancyEWMA() > DefaultMigrateHeadroom {
 		return 0
 	}
-	take := min(diff/2, g.shards[from].cfg.MaxBatch)
+	take := min(diff/2, maxBatch)
 	bufp := g.migBufs.Get().(*[]*request)
 	buf := g.shards[from].migrateOut((*bufp)[:0], take)
 	n := len(buf)

@@ -83,11 +83,11 @@ type (
 	// AdaptiveStats is a snapshot of a controller's tuning counters.
 	AdaptiveStats = adapt.Stats
 	// ServerConfig shapes one shard of a ShardedServer — the template
-	// ShardedServerConfig embeds (batch worker count, batch bounds and
-	// window, per-tenant queue bound, pipeline cutoff, the per-request
-	// SLO deadline budget, an optional ResultCache fronting admission,
-	// and the scratch/adaptive runtimes the shard serves on; every
-	// shard brings its own executor).
+	// ShardedServerConfig embeds (batch worker count, per-tenant queue
+	// bound, pipeline cutoff, the per-request SLO deadline budget, an
+	// optional ResultCache fronting admission, and the scratch/adaptive
+	// runtimes the shard serves on; every shard brings its own
+	// executor).
 	ServerConfig = serve.Config
 	// ShardedServer is the multi-tenant request-serving runtime: it
 	// coalesces concurrent small requests into fused batched kernel
