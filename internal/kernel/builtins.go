@@ -121,26 +121,28 @@ const (
 // fourteen input shapes at 1 Ki to 1 Mi elements, each row cycling
 // through 16 fresh inputs so the branch predictor cannot learn one
 // (BENCHMARKS.md, "The sort default"; re-read in "Top-digit radix
-// leaf"). Each class takes the variant whose worst ratio to the
-// fastest variant, over the shapes falling in the class, is lowest;
-// near ties (within 10 %) go to sample, then radix, since counting
-// sort on a spread of 2^20 or more is radix sort plus a min/max pass.
+// leaf" and, from 64 Ki up, in "Wide digits"). Each class takes the
+// variant whose worst ratio to the fastest variant, over the shapes
+// falling in the class, is lowest; near ties (within 10 %) go to
+// sample, then radix, since counting sort on a spread of 2^20 or more
+// is radix sort plus a min/max pass.
 // Counting sort costs O(n + spread) whatever the order, so it wins on
 // dense keys. Radix sort wins on unsorted keys wider than that at every
-// size, except 17–32-bit keys at 64 Ki to 1 Mi elements: there the
-// stride-2 reversed ramp's equal power-of-two buckets cost radix about
-// 4× counting sort, and counting's worst, a 20-bit spread at 64 Ki,
-// costs less (from 1 Mi up such spreads reach psort.CountingMaxRange,
-// where counting sort is radix sort). Sample sort (quicksort at Procs
-// 1) keeps nearly sorted keys of 9 bits and more below the dense edge,
-// where its comparisons predict well; the radix leaf reads 1.2–2.8×
-// there.
+// size. On 17–32-bit keys at 64 Ki to 1 Mi elements the stride-2
+// reversed ramp's equal power-of-two buckets cost radix about 3×
+// counting sort, but counting's worst, a 20-bit spread at 64 Ki, costs
+// more since the radix leaf's digits are 11 bits wide from 64 Ki keys
+// up (BENCHMARKS.md, "Wide digits"). Sample sort (quicksort at Procs 1)
+// keeps nearly sorted keys of 9 bits and more below the dense edge,
+// where its comparisons predict well and the radix leaf reads 1.2–2.8×,
+// except 17–32-bit keys from 64 Ki up: there the wide-digit leaf reads
+// fastest and quicksort 1.2–1.3× it.
 var sortDefaultTable = [4][4][2]uint8{
 	// Size buckets < 4 Ki, < 64 Ki, < 1 Mi, >= 1 Mi elements; each
 	// {unsorted, nearly sorted}.
 	{{sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}, {sortCounting, sortCounting}}, // dense: spread < max(256, n)
 	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortCounting, sortCounting}, {sortCounting, sortCounting}},           // 9–16 bits
-	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortCounting, sortSample}, {sortRadix, sortSample}},                  // 17–32 bits
+	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortRadix, sortRadix}, {sortRadix, sortRadix}},                       // 17–32 bits
 	{{sortRadix, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}, {sortRadix, sortSample}},                     // wider
 }
 

@@ -163,10 +163,12 @@ func TestSortDefaultTable(t *testing.T) {
 		{17, 4095, 0, false, "radix"},
 		{17, 4095, 0, true, "sample"},
 		{32, 4096, -1 << 31, false, "radix"},
-		{32, 65536, 0, false, "counting"},
-		{32, 65536, 0, true, "sample"},
-		{32, 1<<20 - 1, 0, false, "counting"},
+		{32, 65535, 0, true, "sample"},
+		{32, 65536, 0, false, "radix"},
+		{32, 65536, 0, true, "radix"},
+		{32, 1<<20 - 1, 0, false, "radix"},
 		{32, 1 << 20, 0, false, "radix"},
+		{32, 1 << 20, 0, true, "radix"},
 		{33, 4095, 0, false, "radix"},
 		{33, 4096, -1 << 40, false, "radix"},
 		{63, 4096, 0, true, "sample"},

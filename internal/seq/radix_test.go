@@ -90,11 +90,12 @@ var radixShapes = []struct {
 
 // TestRadixSortShapes holds RadixSort to slices.Sort on every shape,
 // as generated (non-negative but for gaussian) and shifted down by 2^62
-// (signed), at 1 Ki to 256 Ki keys, with no buffer and with one of
-// length n.
+// (signed), at 1 Ki to 1 Mi keys, with no buffer and with one of
+// length n. 64 Ki - 1 keys is the largest 8-bit plan, 64 Ki the
+// smallest 11-bit one.
 func TestRadixSortShapes(t *testing.T) {
 	for _, s := range radixShapes {
-		for _, n := range []int{1 << 10, 1 << 12, 1 << 13, 1 << 16, 1 << 18} {
+		for _, n := range []int{1 << 10, 1 << 12, 1 << 13, wideKeys - 1, wideKeys, 1 << 18, 1 << 20} {
 			if n > 1<<16 && testing.Short() {
 				continue
 			}
@@ -126,34 +127,37 @@ func firstMismatch(got, want []int64) string {
 	return "equal"
 }
 
-// maxRadixFuzzKeys caps a fuzzed input just under 64 Ki keys, the
-// sizes at which the plan's first pass counts two digits.
-const maxRadixFuzzKeys = 1<<16 - 1
+// maxRadixFuzzWords caps the fuzzed words at 64 Ki - 1, the largest n a
+// uint16 holds; scale then multiplies the key count by up to four.
+const maxRadixFuzzWords = 1<<16 - 1
 
 // FuzzRadixSort holds RadixSort to slices.Sort. The fuzzed words are
-// tiled out to n keys, masked to width bits and offset by lo, so the
-// fuzzer reaches every digit count and signed ranges. A non-zero dup
-// copies the top 8 bits of the width into the 8 below them, which
-// makes the plan's independence estimate wrong and reaches the
-// finish's fallback.
+// tiled out to n keys, times 1 to 4 by scale, so inputs reach 256 Ki
+// keys and both digit widths. Keys are masked to width bits and offset
+// by lo, so the fuzzer reaches every digit count and signed ranges. A
+// non-zero dup copies the top 8 bits of the width into the 8 below
+// them, which makes the plan's independence estimate wrong and reaches
+// the finish's fallback.
 func FuzzRadixSort(f *testing.F) {
 	words := make([]byte, 8*64)
 	r := rng.New(1)
 	for i := 0; i < len(words); i += 8 {
 		binary.LittleEndian.PutUint64(words[i:], r.Uint64())
 	}
-	f.Add(uint8(63), uint16(8192), int64(0), uint8(1), words)
-	f.Add(uint8(32), uint16(1000), int64(-1<<31), uint8(0), words)
-	f.Add(uint8(0), uint16(40000), int64(-5), uint8(0), words)
-	f.Add(uint8(12), uint16(3), int64(1<<62), uint8(7), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Fuzz(func(t *testing.T, width uint8, n uint16, lo int64, dup uint8, data []byte) {
-		words := min(len(data)/8, maxRadixFuzzKeys)
+	f.Add(uint8(63), uint16(8192), uint8(0), int64(0), uint8(1), words)
+	f.Add(uint8(32), uint16(1000), uint8(0), int64(-1<<31), uint8(0), words)
+	f.Add(uint8(0), uint16(40000), uint8(0), int64(-5), uint8(0), words)
+	f.Add(uint8(12), uint16(3), uint8(0), int64(1<<62), uint8(7), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(63), uint16(65535), uint8(3), int64(0), uint8(1), words)
+	f.Add(uint8(40), uint16(50000), uint8(1), int64(-1<<39), uint8(0), words)
+	f.Fuzz(func(t *testing.T, width uint8, n uint16, scale uint8, lo int64, dup uint8, data []byte) {
+		words := min(len(data)/8, maxRadixFuzzWords)
 		if words == 0 {
 			return
 		}
 		w := uint(width%64) + 1
 		mask := ^uint64(0) >> (64 - w)
-		xs := make([]int64, max(words, int(n)))
+		xs := make([]int64, max(words, int(n))*(1+int(scale%4)))
 		for i := range xs {
 			u := (binary.LittleEndian.Uint64(data[8*(i%words):]) ^ uint64(i/words)*0x5851F42D4C957F2D) & mask
 			if dup != 0 && w >= 16 {

@@ -115,7 +115,10 @@ func mergeInt64(dst, a, b []int64) {
 // uniform-64 and uniform-32 at 64 Ki and 256 Ki keys for
 // prefixNeighbours (2 and 4 read slower at 64 Ki, 8 at 256 Ki), and
 // equal-top-64 at 1 Ki to 8 Ki, whose finish runs past its budget,
-// for the other two (BENCHMARKS.md, "Top-digit radix leaf").
+// for finishBudget and runInsertionMax (BENCHMARKS.md, "Top-digit radix
+// leaf"). wideKeys was read off the leaf with 8- and 11-bit digits on
+// uniform 64- and 32-bit keys at 8 Ki to 1 Mi (BENCHMARKS.md, "Wide
+// digits").
 const (
 	// prefixNeighbours: the plan stops at the first prefix that leaves
 	// fewer expected equal-prefix neighbours per key than this.
@@ -130,39 +133,70 @@ const (
 	// this many keys is insertion sorted, a longer one sorted on its
 	// next digit.
 	runInsertionMax = 16
+	// wideKeys: from this many keys up the digits are 11 bits wide. Two
+	// 8-bit digits leave n/65 536 expected equal-prefix neighbours, so
+	// from 64 Ki keys spread-out keys need a third digit and its
+	// scatter; two 11-bit digits leave n/4 Mi. On fewer keys the 2 048
+	// buckets cost about what the digit saves or more, to clear, sum and
+	// keep in cache: on uniform 64-bit keys 11-bit digits read 1.43x the
+	// 8-bit plan at 8 Ki, 1.08x at 32 Ki and 0.97x at 48 Ki.
+	wideKeys = 1 << 16
 )
+
+// digitCounts is one digit's histogram: 256 buckets for 8-bit digits,
+// 2 048 for 11-bit ones. The plan walker is generic over it, so each
+// width compiles to its own loops with a constant digit mask.
+type digitCounts interface {
+	[1 << 8]int | [1 << 11]int
+}
 
 // RadixSort sorts xs with a range-relative prefix radix sort; it is the
 // serial radix leaf and the baseline for the parallel radix sort. It
 // scatters through buf (contents unspecified before and after), so a
 // caller with a scratch arena sorts without allocating; a buf shorter
 // than xs — nil for direct callers — is replaced by a fresh allocation.
+// Digits are 8 bits wide below wideKeys (64 Ki) keys and 11 bits wide
+// from there up; one plan walker, radixSort, serves both widths.
 //
 // Keys are sorted as u = v - base, which orders them as v does. One
 // pass finds lo, hi and the bits that vary; base is lo, or the sign bit
-// when the varying bits need fewer 8-bit digits than max - min (a
-// constant run of middle bits is skipped), so a narrow signed input
-// pays no digit for its sign. Digits sit over the varying bits from the
-// top down (the bottom one may overlap the one above it). A second pass
-// histograms the top three, or two below 64 Ki keys, and the plan walks
-// them from the top, multiplying Σ(c_b/n)²: the first prefix where
-// n·Π < prefixNeighbours leaves under one expected equal-prefix
-// neighbour per key if digits are independent. LSD scatters sort the
-// keys on that prefix, and the last one, on the top digit, insertion
-// sorts each key into its bucket as it places it, which finishes the
-// small equal-prefix groups without a pass of its own (McIlroy, Bostic
-// and McIlroy, "Engineering Radix Sort", 1993). A plan that needs every
-// digit is an exact LSD sort with no finish; digits it needs past the
-// first pass are histogrammed in one more. After an odd number of
-// scatters the keys are copied back into xs.
+// when the varying bits need fewer digits than max - min (a constant
+// run of middle bits is skipped), so a narrow signed input pays no
+// digit for its sign. Digits sit over the varying bits from the top
+// down (the bottom one may overlap the one above it). A second pass
+// histograms the top two, and the plan walks its digits from the top,
+// multiplying Σ(c_b/n)²: the first prefix where n·Π < prefixNeighbours
+// leaves under one expected equal-prefix neighbour per key if digits
+// are independent. Two digits cover 16 bits below 64 Ki keys and 22
+// bits above, so spread-out keys stop there up to 4 Mi keys: the sort
+// is the two passes, one scatter into buf and the last one back into
+// xs. LSD scatters sort the keys on the plan's prefix, and the last
+// one, on the top digit, insertion sorts each key into its bucket as
+// it places it, which finishes the small equal-prefix groups without a
+// pass of its own (McIlroy, Bostic and McIlroy, "Engineering Radix
+// Sort", 1993). A plan that needs every digit is an exact LSD sort with
+// no finish; digits it needs past the first pass are histogrammed in
+// one more. After an odd number of scatters the keys are copied back
+// into xs.
 //
 // Worst case: the finish gives up once its moves exceed finishBudget
 // per key plus n/8, so it makes O(n) moves, and the equal-prefix runs
 // are then sorted one at a time: by insertion up to runInsertionMax
-// keys, and above it by a scatter on the run's next varying bits and
-// the same bounded finish. Each level fixes at least five more bits of
-// the key, so there are at most thirteen, each O(n).
+// keys, and above it by a scatter on the run's next varying bits (at
+// most 8 of them, whatever the plan's width) and the same bounded
+// finish. Each level fixes at least five more bits of the key, so
+// there are at most thirteen, each O(n).
 func RadixSort(xs, buf []int64) {
+	if len(xs) < wideKeys {
+		radixSort[[1 << 8]int](xs, buf)
+	} else {
+		radixSort[[1 << 11]int](xs, buf)
+	}
+}
+
+// radixSort is RadixSort's plan walker for the digit width whose
+// histogram is C.
+func radixSort[C digitCounts](xs, buf []int64) {
 	n := len(xs)
 	if n < 2 {
 		return
@@ -171,10 +205,13 @@ func RadixSort(xs, buf []int64) {
 	if lo == hi {
 		return
 	}
+	// count holds a histogram per digit: 8 of them at 8 bits, 6 at 11.
+	var count [8]C
+	w := bits.Len(uint(len(count[0]) - 1))
 	base := uint64(lo)
 	var shifts, varying [8]uint8
-	d := placeDigits(&shifts, ^uint64(0)>>bits.LeadingZeros64(uint64(hi)-base))
-	if dv := placeDigits(&varying, diff); dv < d {
+	d := placeDigits(&shifts, ^uint64(0)>>bits.LeadingZeros64(uint64(hi)-base), w)
+	if dv := placeDigits(&varying, diff, w); dv < d {
 		base, shifts, d = 1<<63, varying, dv
 	}
 	if len(buf) < n {
@@ -182,28 +219,21 @@ func RadixSort(xs, buf []int64) {
 	}
 	buf = buf[:n]
 
-	var count [8][256]int
-	// Two digits leave n/65 536 expected neighbours on spread-out keys,
-	// so below 64 Ki keys the first pass counts only two.
-	h := min(d, 3)
-	if n < 1<<16 {
-		h = min(d, 2)
-	}
+	// The first pass counts two digits: the width is picked so that two
+	// leave spread-out keys under prefixNeighbours. A plan that needs a
+	// third digit counts all the rest in one more pass.
+	h := min(d, 2)
 	histogram(xs, base, count[:h], shifts[:h])
 	// p is the number of digits the scatters sort on.
 	p, est := d, float64(n)
 	for i := 0; i < min(d, 3); i++ {
 		if i == h {
 			histogram(xs, base, count[h:d], shifts[h:d])
-			h = d
 		}
 		if est *= collisions(&count[i], n); est < prefixNeighbours {
 			p = i + 1
 			break
 		}
-	}
-	if h < p {
-		histogram(xs, base, count[h:p], shifts[h:p])
 	}
 	src, dst := xs, buf
 	for i := p - 1; i > 0; i-- {
@@ -244,23 +274,32 @@ func bounds(xs []int64) (lo, hi int64, diff uint64) {
 	return lo, hi, diff
 }
 
+// digit is the digit of u = v - base at shift s, in c's buckets. Shifts
+// are below 64, and s & 63 tells the compiler so: without it every digit
+// costs one more AND, with a mask that zeroes shifts of 64 and up, and
+// every loop one more register (the leaf read about 10 % slower on
+// uniform keys at 1 Ki to 8 Ki; BENCHMARKS.md, "Wide digits").
+func digit[C digitCounts](c *C, v int64, base uint64, s uint8) uint64 {
+	return (uint64(v) - base) >> (s & 63) & uint64(len(*c)-1)
+}
+
 // scatterFinish is a prefix plan's last scatter, on the top digit at
 // shift s, whose histogram c holds (c becomes offsets). It insertion
 // sorts each key into the keys of its bucket so far, which hold an
 // equal or smaller prefix, so the keys end sorted. Once the moves
 // outrun finishBudget per key by more than n/8, it scatters the rest
 // plainly and returns false, leaving dst in prefix order only.
-func scatterFinish(dst, src []int64, c *[256]int, base uint64, s uint8) bool {
-	var start [256]int
+func scatterFinish[C digitCounts](dst, src []int64, c *C, base uint64, s uint8) bool {
+	var start C
 	sum := 0
-	for b := range c {
-		start[b], c[b], sum = sum, sum, sum+c[b]
+	for b := range len(*c) {
+		start[b], (*c)[b], sum = sum, sum, sum+(*c)[b]
 	}
 	debt, slack := 0, len(src)/8
 	for i, v := range src {
-		b := uint8((uint64(v) - base) >> s)
-		k := c[b]
-		c[b]++
+		b := digit(c, v, base, s)
+		k := (*c)[b]
+		(*c)[b]++
 		j := k
 		for ; j > start[b] && dst[j-1] > v; j-- {
 			dst[j] = dst[j-1]
@@ -268,9 +307,9 @@ func scatterFinish(dst, src []int64, c *[256]int, base uint64, s uint8) bool {
 		dst[j] = v
 		if debt += k - j - finishBudget; debt > slack {
 			for _, v := range src[i+1:] {
-				b := uint8((uint64(v) - base) >> s)
-				dst[c[b]] = v
-				c[b]++
+				b := digit(c, v, base, s)
+				dst[(*c)[b]] = v
+				(*c)[b]++
 			}
 			return false
 		}
@@ -278,14 +317,14 @@ func scatterFinish(dst, src []int64, c *[256]int, base uint64, s uint8) bool {
 	return true
 }
 
-// placeDigits places 8-bit digits over mask's set bits from the top
-// bit down, skipping runs of clear bits between them, and stores their
+// placeDigits places w-bit digits over mask's set bits from the top bit
+// down, skipping runs of clear bits between them, and stores their
 // shifts in shifts, most significant first; the bottom digit may
 // overlap the one above it. It returns how many there are.
-func placeDigits(shifts *[8]uint8, mask uint64) int {
+func placeDigits(shifts *[8]uint8, mask uint64, w int) int {
 	d := 0
 	for ; mask != 0; d++ {
-		s := max(bits.Len64(mask)-8, 0)
+		s := max(bits.Len64(mask)-w, 0)
 		shifts[d] = uint8(s)
 		mask &= 1<<s - 1
 	}
@@ -294,10 +333,10 @@ func placeDigits(shifts *[8]uint8, mask uint64) int {
 
 // collisions is Σ(c_b/n)²: the chance that two keys share the digit.
 // The sum of squares stays exact in a uint64 up to n = 2^32 keys.
-func collisions(c *[256]int, n int) float64 {
+func collisions[C digitCounts](c *C, n int) float64 {
 	var sum uint64
-	for _, k := range c {
-		sum += uint64(k) * uint64(k)
+	for b := range len(*c) {
+		sum += uint64((*c)[b]) * uint64((*c)[b])
 	}
 	return float64(sum) / (float64(n) * float64(n))
 }
@@ -305,18 +344,18 @@ func collisions(c *[256]int, n int) float64 {
 // scatter moves src into dst in stable order of the digit at shift s
 // of u = v - base, whose histogram c holds (c becomes offsets). When
 // every key has the same digit it moves nothing and returns false.
-func scatter(dst, src []int64, c *[256]int, base uint64, s uint8) bool {
-	if c[uint8((uint64(src[0])-base)>>s)] == len(src) {
+func scatter[C digitCounts](dst, src []int64, c *C, base uint64, s uint8) bool {
+	if (*c)[digit(c, src[0], base, s)] == len(src) {
 		return false
 	}
 	sum := 0
-	for b := range c {
-		c[b], sum = sum, sum+c[b]
+	for b := range len(*c) {
+		(*c)[b], sum = sum, sum+(*c)[b]
 	}
 	for _, v := range src {
-		b := uint8((uint64(v) - base) >> s)
-		dst[c[b]] = v
-		c[b]++
+		b := digit(c, v, base, s)
+		dst[(*c)[b]] = v
+		(*c)[b]++
 	}
 	return true
 }
@@ -326,33 +365,30 @@ func scatter(dst, src []int64, c *[256]int, base uint64, s uint8) bool {
 // their own: against the generic loop they read faster in alternated
 // leaf timings (two and three digits on uniform-64, one on gap-middle;
 // BENCHMARKS.md, "Top-digit radix leaf").
-func histogram(xs []int64, base uint64, count [][256]int, shifts []uint8) {
+func histogram[C digitCounts](xs []int64, base uint64, count []C, shifts []uint8) {
 	switch len(shifts) {
 	case 1:
 		c0, s0 := &count[0], shifts[0]
 		for _, v := range xs {
-			c0[uint8((uint64(v)-base)>>s0)]++
+			(*c0)[digit(c0, v, base, s0)]++
 		}
 	case 2:
 		c0, c1, s0, s1 := &count[0], &count[1], shifts[0], shifts[1]
 		for _, v := range xs {
-			u := uint64(v) - base
-			c0[uint8(u>>s0)]++
-			c1[uint8(u>>s1)]++
+			(*c0)[digit(c0, v, base, s0)]++
+			(*c1)[digit(c1, v, base, s1)]++
 		}
 	case 3:
 		c0, c1, c2, s0, s1, s2 := &count[0], &count[1], &count[2], shifts[0], shifts[1], shifts[2]
 		for _, v := range xs {
-			u := uint64(v) - base
-			c0[uint8(u>>s0)]++
-			c1[uint8(u>>s1)]++
-			c2[uint8(u>>s2)]++
+			(*c0)[digit(c0, v, base, s0)]++
+			(*c1)[digit(c1, v, base, s1)]++
+			(*c2)[digit(c2, v, base, s2)]++
 		}
 	default:
 		for _, v := range xs {
-			u := uint64(v) - base
 			for i, s := range shifts {
-				count[i][uint8(u>>s)]++
+				count[i][digit(&count[i], v, base, s)]++
 			}
 		}
 	}

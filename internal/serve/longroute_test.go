@@ -124,7 +124,9 @@ func TestLongRouteMatchesSerial(t *testing.T) {
 // nothing, where the cascade built channels, a free list and three
 // goroutines per call. Without a controller a long sort runs the sort's
 // default for the input, so the pin covers one input for each algorithm
-// it picks here — wide keys (radix) and dense keys, a spread below n
+// it picks here — wide keys (radix) at 8 Ki and at wire_bulk's 256 Ki,
+// where the radix leaf's digits are 11 bits wide and its 2 048-bucket
+// counts must stay off the heap, and dense keys, a spread below n
 // (counting) — and one long scan.
 func TestLongRouteZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
@@ -143,6 +145,7 @@ func TestLongRouteZeroAllocs(t *testing.T) {
 		base []int64
 	}{
 		{"radix", sortK, gen.Ints(2*longRouteCutoff, gen.Uniform, 7)},
+		{"radix", sortK, gen.Ints(1<<18, gen.Uniform, 10)},
 		{"counting", sortK, dense},
 		{"scan", scanK, gen.Ints(2*longRouteCutoff, gen.Uniform, 9)},
 	}
@@ -163,7 +166,7 @@ func TestLongRouteZeroAllocs(t *testing.T) {
 		}
 		run() // warm the request pool
 		if got := testing.AllocsPerRun(20, run); got != 0 {
-			t.Errorf("long-route %s: %.1f allocs/call, want 0", r.name, got)
+			t.Errorf("long-route %s, %d keys: %.1f allocs/call, want 0", r.name, len(r.base), got)
 		}
 	}
 	if st := g.Stats().Aggregate; st.Pipelined != 22*int64(len(rows)) || st.BatchedRequests != 0 {

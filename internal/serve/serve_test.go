@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -212,6 +213,13 @@ func TestServeFairShare(t *testing.T) {
 				}
 				if err := Sort(s, "hot", xs); errors.Is(err, ErrRejected) {
 					hotRejected.Add(1)
+					// A rejection returns at once, so a flooder that
+					// re-called Sort right away would spin on the P: on
+					// one P the dispatcher and the light caller then wait
+					// behind sixteen spinners for every hop. A caller
+					// over the wire waits on its socket instead; this one
+					// yields.
+					runtime.Gosched()
 				} else if err != nil {
 					t.Errorf("hot: %v", err)
 					return
