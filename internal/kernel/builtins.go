@@ -243,7 +243,8 @@ func init() {
 		Default: sortDefault,
 		Stream:  longSort,
 		Delta:   sortDelta,
-		Cache:   &CacheSpec{Out: OutXs},
+		Out:     OutXs,
+		Cache:   true,
 		Meta: []MetaRelation{
 			{
 				Name:   "permutation",
@@ -295,7 +296,8 @@ func init() {
 			}
 			return nil
 		},
-		Cache: &CacheSpec{Out: OutScalar},
+		Out:   OutScalar,
+		Cache: true,
 		Meta: []MetaRelation{
 			{
 				Name:   "permutation",
@@ -349,9 +351,10 @@ func init() {
 			}
 			return nil
 		},
-		// No CacheSpec: the bucket function cannot be fingerprinted.
+		// Not cacheable: the bucket function cannot be fingerprinted.
 		// The mergeable-summary property still gives it a delta path.
 		Delta: histogramDelta,
+		Out:   OutHist,
 		Meta: []MetaRelation{
 			{
 				Name:   "permutation",
@@ -393,7 +396,8 @@ func init() {
 			return nil
 		},
 		Delta:  scanDelta,
-		Cache:  &CacheSpec{Out: OutDst},
+		Out:    OutDst,
+		Cache:  true,
 		Stream: longScan,
 		Meta: []MetaRelation{
 			{
@@ -440,7 +444,8 @@ func init() {
 			return nil
 		},
 		Delta: sumDelta,
-		Cache: &CacheSpec{Out: OutScalar},
+		Out:   OutScalar,
+		Cache: true,
 		Meta: []MetaRelation{
 			{
 				Name:   "permutation",
@@ -479,6 +484,7 @@ func init() {
 				Relate: checkDist,
 			},
 		},
+		Out:       OutDist,
 		Allocates: true, // BFS returns a freshly allocated distance slice
 	})
 }

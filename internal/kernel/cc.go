@@ -87,6 +87,7 @@ func init() {
 				Relate: checkDist,
 			},
 		},
+		Out:       OutDist,
 		Allocates: true, // both variants return freshly allocated label slices
 	})
 }

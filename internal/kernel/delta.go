@@ -22,29 +22,6 @@ type Delta struct {
 	Edges []graph.Edge
 }
 
-// OutField names which Args field a kernel's result lives in — what a
-// result cache must copy out on insert and restore on hit.
-type OutField int
-
-const (
-	// OutXs: the result is the primary slice, rewritten in place
-	// (sort, gups).
-	OutXs OutField = iota
-	// OutDst: the result is the Dst slice (scan, topk).
-	OutDst
-	// OutScalar: the result is the Out scalar only (sum, select).
-	OutScalar
-)
-
-// CacheSpec declares a kernel cacheable by a result cache: its output
-// is a pure function of the fingerprintable input fields (Xs, K,
-// Seed), and Out names where that output lands. Kernels whose inputs
-// include a function or a graph (histogram, bfs, cc) cannot be
-// fingerprinted and leave Kernel.Cache nil.
-type CacheSpec struct {
-	Out OutField
-}
-
 // RunDelta applies one incremental update to a record whose outputs
 // are current: afterwards the record is exactly as if Run had executed
 // on the updated input (for cc, on G plus every edge inserted so far —

@@ -9,8 +9,8 @@
 // generator, an output checker, an input-feature extractor for
 // variant dispatch with a measured per-class default (the algorithm a
 // caller without a controller gets), an optional long-route adapter,
-// and its metamorphic relations. The layers then derive everything from the
-// descriptor:
+// the Args field its result lives in, and its metamorphic relations.
+// The layers then derive everything from the descriptor:
 //
 //   - internal/serve dispatches requests through Kernel.Run instead of
 //     a per-kernel op switch, and runs Kernel.Stream — the long-route
@@ -21,6 +21,8 @@
 //     procs matrix;
 //   - internal/metatest replays each kernel's MetaRelations across the
 //     same matrix;
+//   - internal/wire replies with the section Kernel.Out names, and
+//     internal/rescache stores that field for kernels that set Cache;
 //   - internal/core's experiment E25 builds its one-shot vs serve vs
 //     long-route table from All();
 //   - cmd/parbench lists and demos kernels by name.

@@ -98,7 +98,8 @@ func init() {
 		Check: eqXs,
 		// Deterministic given (Xs, K, Seed): the update stream is a pure
 		// function of (Seed, i) and wrapping adds commute.
-		Cache: &CacheSpec{Out: OutXs},
+		Out:   OutXs,
+		Cache: true,
 		Meta: []MetaRelation{
 			{
 				// The update stream depends only on (Seed, K), so shifting

@@ -36,6 +36,25 @@ type MetaRelation struct {
 	Relate func(base, mut *Args) error
 }
 
+// OutField names the Args field a kernel's result lives in: the
+// section a wire reply carries, and what a result cache copies out on
+// insert and restores on hit.
+type OutField int
+
+const (
+	// OutXs: the result is the primary slice, rewritten in place (sort,
+	// gups). The zero value.
+	OutXs OutField = iota
+	// OutDst: the result is the Dst slice (scan, topk).
+	OutDst
+	// OutHist: the result is the Hist slice (histogram).
+	OutHist
+	// OutDist: the result is the Dist slice (bfs, cc).
+	OutDist
+	// OutScalar: the result is the Out scalar only (sum, select).
+	OutScalar
+)
+
 // Kernel is one registered kernel descriptor. Register validates the
 // required fields and wires the variant lattice; see the package
 // comment for what each layer derives from it.
@@ -93,11 +112,14 @@ type Kernel struct {
 	// the record as if Run had executed on the updated input. Invoked
 	// through RunDelta; serves the standing-query path (CallDeltaBudget).
 	Delta func(a *Args, d *Delta, opts par.Options) error
-	// Cache, when non-nil, declares the kernel's output a pure
-	// function of its fingerprintable inputs, cacheable by a
-	// generation-stamped result cache (internal/rescache). Nil for
-	// kernels whose inputs include a function or graph.
-	Cache *CacheSpec
+	// Out names the field the kernel's result lives in.
+	Out OutField
+	// Cache declares the kernel's output (Out: Xs, Dst or Scalar) a
+	// pure function of its fingerprintable inputs (Xs, K, Seed),
+	// cacheable by a generation-stamped result cache
+	// (internal/rescache). False for kernels whose inputs include a
+	// function or graph.
+	Cache bool
 	// Allocates marks kernels whose Run inherently allocates per call
 	// (BFS returns a fresh distance slice); the conformance test
 	// exempts them from the 0 allocs/op serve-path check.
@@ -143,6 +165,9 @@ func Register(k Kernel) *Kernel {
 				panic(fmt.Sprintf("kernel: Register(%q): Default(%d) = %d, not a variant index", k.Name, c, v))
 			}
 		}
+	}
+	if k.Cache && k.Out != OutXs && k.Out != OutDst && k.Out != OutScalar {
+		panic(fmt.Sprintf("kernel: Register(%q): Cache needs an Xs, Dst or Scalar output", k.Name))
 	}
 	kp := &k
 	if len(k.Variants) > 1 {

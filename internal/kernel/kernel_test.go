@@ -53,6 +53,10 @@ func TestRegisterRejectsIncompleteAndDuplicate(t *testing.T) {
 	unnamed.Name = "test-unnamed-variant"
 	unnamed.Variants = []Variant{{Run: func(*Args, par.Options) {}}}
 	mustPanic("unnamed variant", unnamed)
+	uncacheable := ok
+	uncacheable.Name = "test-cached-hist"
+	uncacheable.Out, uncacheable.Cache = OutHist, true
+	mustPanic("cached Hist output", uncacheable)
 }
 
 // TestRegisterValidatesDefault: a Default without a Feature to feed

@@ -90,7 +90,8 @@ func init() {
 			return nil
 		},
 		Delta: topkDelta,
-		Cache: &CacheSpec{Out: OutDst},
+		Out:   OutDst,
+		Cache: true,
 		Meta: []MetaRelation{
 			{
 				// The K smallest are a property of the multiset, not the

@@ -6,7 +6,7 @@
 //
 // An entry is keyed on (tenant, kernel, input fingerprint, tenant
 // generation). The fingerprint hashes the kernel's declared input
-// fields (Xs, K, Seed — see kernel.CacheSpec); kernels whose inputs
+// fields (Xs, K, Seed — see Kernel.Cache); kernels whose inputs
 // include a function or a graph cannot be fingerprinted and are never
 // cached. The generation is a per-tenant counter: Bump invalidates
 // every entry the tenant has, in O(1) for correctness (the generation

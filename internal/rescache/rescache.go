@@ -116,10 +116,10 @@ func New(cfg Config) *Cache {
 }
 
 // Cacheable reports whether this call can be cached at all: the
-// kernel declares a CacheSpec and the record carries no
+// kernel declares itself cacheable and the record carries no
 // unfingerprintable inputs (bucket function, graph).
 func Cacheable(k *kernel.Kernel, a *kernel.Args) bool {
-	return k != nil && k.Cache != nil && a.Bucket == nil && a.G == nil
+	return k != nil && k.Cache && a.Bucket == nil && a.G == nil
 }
 
 // mix is splitmix64's finalizer — the fingerprint's scalar mixer and
@@ -274,13 +274,13 @@ func (c *Cache) restoreLocked(e *entry, a *kernel.Args) bool {
 // has been bumped since (the result was computed against invalidated
 // input), or an equal entry already exists.
 func (c *Cache) Insert(tenant string, k *kernel.Kernel, tok Token, a *kernel.Args) {
-	if !tok.ok || k.Cache == nil {
+	if !tok.ok || !k.Cache {
 		return
 	}
 	e := &entry{
 		key: key{tenant: tenant, kern: k.Name, fp: tok.fp, gen: tok.gen},
 		sk:  tok.sk,
-		out: k.Cache.Out,
+		out: k.Out,
 	}
 	var src []int64
 	switch e.out {

@@ -91,7 +91,7 @@ func TestHitRestoresEveryOutField(t *testing.T) {
 	}
 }
 
-// TestUncacheableKernel: a kernel without a CacheSpec (or with a
+// TestUncacheableKernel: a kernel not declared cacheable (or with a
 // function/graph input) yields an invalid token and no counters move.
 func TestUncacheableKernel(t *testing.T) {
 	c := New(Config{})
@@ -474,7 +474,7 @@ func TestAdmissionIsPerKernel(t *testing.T) {
 	for _, name := range []string{"sum", "sort", "scan"} {
 		k := kernel.MustLookup(name)
 		a := &kernel.Args{Xs: append([]int64(nil), xs...)}
-		if k.Cache.Out == kernel.OutDst {
+		if k.Out == kernel.OutDst {
 			a.Dst = make([]int64, len(xs))
 		}
 		if tok, hit := c.Lookup("t0", k, a); hit || tok.Valid() {

@@ -42,7 +42,8 @@ var kernelCachetest = kernel.Register(kernel.Kernel{
 		}
 		return nil
 	},
-	Cache: &kernel.CacheSpec{Out: kernel.OutScalar},
+	Out:   kernel.OutScalar,
+	Cache: true,
 })
 
 // TestCallCacheHit pins the fast path end to end: the second identical

@@ -46,5 +46,10 @@
 // typed errors (ErrBadMagic, ErrTruncated, ErrFrameTooLarge, ...).
 // Frames use native byte order (that is what makes the in-place cast
 // legal) and carry an order sentinel so a cross-endian peer is
-// rejected with ErrBadOrder instead of silently misread.
+// rejected with ErrBadOrder instead of silently misread. The module is
+// 64-bit only, so an []int section is 64-bit words cast like an
+// []int64, and one generic codec serves every element type.
+//
+// Which section a reply carries is the kernel's declaration
+// (kernel.Kernel.Out), not a guess from which Args slices are set.
 package wire

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 	"unsafe"
@@ -116,11 +115,6 @@ var (
 
 var nativeOrder = binary.NativeEndian
 
-// strconv64 gates the []int in-place casts: they are only
-// size-correct where int is 64-bit (everywhere this repo targets; the
-// copy fallback keeps 32-bit correct if slower).
-const strconv64 = strconv.IntSize == 64
-
 // align8 rounds n up to the next multiple of 8.
 func align8(n int) int { return (n + 7) &^ 7 }
 
@@ -133,6 +127,55 @@ func aligned8(b []byte) bool {
 		return true
 	}
 	return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0
+}
+
+// element is what a slice section carries. An int travels as a 64-bit
+// word and is cast like an int64: the module builds only where int is
+// 64 bits.
+type element interface{ int64 | int | int32 }
+
+// bytesOf views a slice's elements as the native-order bytes a section
+// carries, without copying.
+func bytesOf[T element](xs []T) []byte {
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*int(unsafe.Sizeof(z)))
+}
+
+// view reinterprets an 8-aligned payload as count elements in place;
+// a misaligned payload (impossible for slab-backed bodies, possible for
+// ad-hoc callers) is copied.
+func view[T element](payload []byte, count int) []T {
+	if count == 0 {
+		return []T{}
+	}
+	if !aligned8(payload) {
+		return copyInto[T](nil, payload, count)
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(payload))), count)
+}
+
+// copyInto copies count native-order elements from payload into dst,
+// reusing dst's storage when it fits.
+func copyInto[T element](dst []T, payload []byte, count int) []T {
+	if cap(dst) < count {
+		dst = make([]T, count)
+	}
+	dst = dst[:count]
+	copy(bytesOf(dst), payload)
+	return dst
+}
+
+// elemSize is the payload width of one counted element of a section
+// with the given tag (a graph section adds an 8-byte prologue), or 0
+// for a tag the protocol does not know.
+func elemSize(tag byte) int {
+	switch tag {
+	case secDist:
+		return 4
+	case secXs, secDst, secHist, secGraph, secScalars, secDeltaAppend, secDeltaEdges:
+		return 8
+	}
+	return 0
 }
 
 // CanonicalBucket returns the histogram bucket function the wire
@@ -206,53 +249,30 @@ func putSectionHdr(b []byte, off int, tag, flags byte, count int) int {
 	return off + sectionHdrSize
 }
 
-// int64Bytes and int32Bytes view a slice's elements as the native-order
-// bytes a section carries, without copying.
-func int64Bytes(xs []int64) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
-}
-
-func int32Bytes(xs []int32) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 4*len(xs))
-}
-
-// intBytes views xs as 64-bit words: in place where int is 64-bit, as
-// a converted copy elsewhere.
-func intBytes(xs []int) []byte {
-	if strconv64 {
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
-	}
-	b := make([]byte, 8*len(xs))
-	for i, v := range xs {
-		nativeOrder.PutUint64(b[8*i:], uint64(int64(v)))
-	}
-	return b
-}
-
 // graphPayload is the byte size of a graph section body.
 func graphPayload(m int) int { return 8 + 8*m }
 
+// putEdge writes the edge (u, v) as two u32s at b[off:] and returns
+// the offset after it.
+func putEdge(b []byte, off, u, v int) int {
+	nativeOrder.PutUint32(b[off:], uint32(u))
+	nativeOrder.PutUint32(b[off+4:], uint32(v))
+	return off + 8
+}
+
 // putGraph serializes g (unweighted topology only) as n plus its edge
-// list; weights do not cross the wire.
-func putGraph(b []byte, off int, g *graph.Graph) int {
+// list, walked straight off the CSR; weights do not cross the wire.
+func putGraph(b []byte, off int, g *graph.Graph) {
 	nativeOrder.PutUint32(b[off:], uint32(g.N()))
 	nativeOrder.PutUint32(b[off+4:], 0)
 	off += 8
-	for _, e := range g.Edges() {
-		nativeOrder.PutUint32(b[off:], uint32(e.U))
-		nativeOrder.PutUint32(b[off+4:], uint32(e.V))
-		off += 8
-	}
-	return off
+	g.ForEdges(func(u, v int, _ float64) { off = putEdge(b, off, u, v) })
 }
 
-func putEdges(b []byte, off int, edges []graph.Edge) int {
+func putEdges(b []byte, off int, edges []graph.Edge) {
 	for _, e := range edges {
-		nativeOrder.PutUint32(b[off:], uint32(e.U))
-		nativeOrder.PutUint32(b[off+4:], uint32(e.V))
-		off += 8
+		off = putEdge(b, off, e.U, e.V)
 	}
-	return off
 }
 
 func putScalars(b []byte, off int, a *kernel.Args) int {
@@ -433,16 +453,16 @@ func (w *frameWriter) request(body int, id uint64, tenant string, k *kernel.Kern
 	off += 1 + copy(names[off+1:], tenant)
 	clear(names[off:])
 	if a.Xs != nil {
-		w.section(secXs, len(a.Xs), int64Bytes(a.Xs))
+		w.section(secXs, len(a.Xs), bytesOf(a.Xs))
 	}
 	if a.Dst != nil {
-		w.section(secDst, len(a.Dst), int64Bytes(a.Dst))
+		w.section(secDst, len(a.Dst), bytesOf(a.Dst))
 	}
 	if a.Hist != nil {
-		w.section(secHist, len(a.Hist), intBytes(a.Hist))
+		w.section(secHist, len(a.Hist), bytesOf(a.Hist))
 	}
 	if a.Dist != nil {
-		w.section(secDist, len(a.Dist), int32Bytes(a.Dist))
+		w.section(secDist, len(a.Dist), bytesOf(a.Dist))
 	}
 	if a.G != nil {
 		m := a.G.M()
@@ -452,7 +472,7 @@ func (w *frameWriter) request(body int, id uint64, tenant string, k *kernel.Kern
 	w.scalars(a)
 	if d != nil {
 		if d.Append != nil {
-			w.section(secDeltaAppend, len(d.Append), int64Bytes(d.Append))
+			w.section(secDeltaAppend, len(d.Append), bytesOf(d.Append))
 		}
 		if d.Edges != nil {
 			b := w.put(sectionSize(8 * len(d.Edges)))
@@ -479,10 +499,7 @@ func AppendRequest(buf []byte, id uint64, tenant string, k *kernel.Kernel, a *ke
 
 // respPlan names the slice section a response carries: its tag (0 for
 // none), element count and payload bytes, which alias the Args. The
-// choice is kernel-driven: a CacheSpec's Out kind when the kernel has
-// one (the cache already had to answer "what is this kernel's
-// output"), else Hist for histogram-shaped records, Dist for graph
-// kernels, Xs as the in-place default. Scalars always travel.
+// kernel's Out declares it; scalars always travel.
 type respPlan struct {
 	tag   byte
 	count int
@@ -490,26 +507,17 @@ type respPlan struct {
 }
 
 func planResponse(k *kernel.Kernel, a *kernel.Args) respPlan {
-	if k != nil && k.Cache != nil {
-		switch k.Cache.Out {
-		case kernel.OutXs:
-			return respPlan{secXs, len(a.Xs), int64Bytes(a.Xs)}
-		case kernel.OutDst:
-			return respPlan{secDst, len(a.Dst), int64Bytes(a.Dst)}
-		case kernel.OutScalar:
-			return respPlan{}
-		}
+	switch k.Out {
+	case kernel.OutXs:
+		return respPlan{secXs, len(a.Xs), bytesOf(a.Xs)}
+	case kernel.OutDst:
+		return respPlan{secDst, len(a.Dst), bytesOf(a.Dst)}
+	case kernel.OutHist:
+		return respPlan{secHist, len(a.Hist), bytesOf(a.Hist)}
+	case kernel.OutDist:
+		return respPlan{secDist, len(a.Dist), bytesOf(a.Dist)}
 	}
-	switch {
-	case a.Hist != nil:
-		return respPlan{secHist, len(a.Hist), intBytes(a.Hist)}
-	case a.Dist != nil:
-		return respPlan{secDist, len(a.Dist), int32Bytes(a.Dist)}
-	case a.Dst != nil:
-		return respPlan{secDst, len(a.Dst), int64Bytes(a.Dst)}
-	default:
-		return respPlan{secXs, len(a.Xs), int64Bytes(a.Xs)}
-	}
+	return respPlan{} // OutScalar
 }
 
 // responseBody is the body size of the one-shot response for p.
@@ -646,23 +654,12 @@ func nextSection(body []byte, off int) (section, int, error) {
 		count: int(nativeOrder.Uint32(body[off+4 : off+8])),
 	}
 	off += sectionHdrSize
-	var elem int
-	switch s.tag {
-	case secXs, secDst, secHist, secDeltaAppend:
-		elem = 8
-	case secDist:
-		elem = 4
-	case secGraph:
-		elem = 8 // per edge; plus an 8-byte (n, reserved) prologue
-	case secDeltaEdges:
-		elem = 8
-	case secScalars:
-		if s.count != 4 {
-			return section{}, 0, fmt.Errorf("%w: scalar count %d", ErrBadFrame, s.count)
-		}
-		elem = 8
-	default:
+	elem := elemSize(s.tag)
+	if elem == 0 {
 		return section{}, 0, fmt.Errorf("%w: section tag %d", ErrBadFrame, s.tag)
+	}
+	if s.tag == secScalars && s.count != 4 {
+		return section{}, 0, fmt.Errorf("%w: scalar count %d", ErrBadFrame, s.count)
 	}
 	if s.count < 0 || s.count > math.MaxInt32 {
 		return section{}, 0, fmt.Errorf("%w: section count %d", ErrBadFrame, s.count)
@@ -690,75 +687,34 @@ func nextSection(body []byte, off int) (section, int, error) {
 	return s, next, nil
 }
 
-// asInt64s reinterprets an 8-aligned payload in place; misaligned
-// payloads (impossible for slab-backed bodies, possible for ad-hoc
-// callers) are copied.
-func asInt64s(payload []byte, count int) []int64 {
-	if count == 0 {
-		return []int64{}
-	}
-	if aligned8(payload) {
-		return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(payload))), count)
-	}
-	out := make([]int64, count)
-	for i := range out {
-		out[i] = int64(nativeOrder.Uint64(payload[8*i:]))
-	}
-	return out
-}
-
-func asInts(payload []byte, count int) []int {
-	if count == 0 {
-		return []int{}
-	}
-	if strconv.IntSize == 64 && aligned8(payload) {
-		return unsafe.Slice((*int)(unsafe.Pointer(unsafe.SliceData(payload))), count)
-	}
-	out := make([]int, count)
-	for i := range out {
-		out[i] = int(int64(nativeOrder.Uint64(payload[8*i:])))
-	}
-	return out
-}
-
-func asInt32s(payload []byte, count int) []int32 {
-	if count == 0 {
-		return []int32{}
-	}
-	if aligned8(payload) {
-		return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(payload))), count)
-	}
-	out := make([]int32, count)
-	for i := range out {
-		out[i] = int32(nativeOrder.Uint32(payload[4*i:]))
-	}
-	return out
-}
-
 // decodeGraph rebuilds the CSR graph from a graph section. This is
 // the one decode that allocates: CSR construction is inherently a
 // copy, and the kernels that take graphs allocate anyway.
 func decodeGraph(payload []byte) (*graph.Graph, error) {
 	n := int(nativeOrder.Uint32(payload[0:4]))
-	m := (len(payload) - 8) / 8
-	if n < 0 || n > maxGraphNodes {
+	if n > maxGraphNodes {
 		// CSR construction allocates O(n) before it can validate a
 		// single edge, so the node count is protocol-capped: a hostile
 		// frame must not turn 4 header bytes into a gigabyte of deg[].
 		return nil, fmt.Errorf("%w: graph n=%d exceeds %d", ErrBadFrame, n, maxGraphNodes)
 	}
-	edges := make([]graph.Edge, m)
-	for i := range edges {
-		edges[i] = graph.Edge{
-			U: int(nativeOrder.Uint32(payload[8+8*i:])),
-			V: int(nativeOrder.Uint32(payload[12+8*i:])),
-		}
-	}
-	g, err := graph.Build(n, edges, false)
+	g, err := graph.Build(n, decodeEdges(payload[8:]), false)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	return g, nil
+}
+
+// decodeEdges reads an edge list of (u32, u32) pairs.
+func decodeEdges(payload []byte) []graph.Edge {
+	edges := make([]graph.Edge, len(payload)/8)
+	for i := range edges {
+		edges[i] = graph.Edge{
+			U: int(nativeOrder.Uint32(payload[8*i:])),
+			V: int(nativeOrder.Uint32(payload[8*i+4:])),
+		}
+	}
+	return edges
 }
 
 func decodeScalars(payload []byte, a *kernel.Args) {
@@ -858,13 +814,13 @@ func (d *Decoder) DecodeRequest(body []byte) (Request, error) {
 		}
 		switch s.tag {
 		case secXs:
-			req.Args.Xs = asInt64s(s.payload, s.count)
+			req.Args.Xs = view[int64](s.payload, s.count)
 		case secDst:
-			req.Args.Dst = asInt64s(s.payload, s.count)
+			req.Args.Dst = view[int64](s.payload, s.count)
 		case secHist:
-			req.Args.Hist = asInts(s.payload, s.count)
+			req.Args.Hist = view[int](s.payload, s.count)
 		case secDist:
-			req.Args.Dist = asInt32s(s.payload, s.count)
+			req.Args.Dist = view[int32](s.payload, s.count)
 		case secGraph:
 			if req.Args.G, err = decodeGraph(s.payload); err != nil {
 				return Request{ID: h.ID}, err
@@ -873,16 +829,9 @@ func (d *Decoder) DecodeRequest(body []byte) (Request, error) {
 			decodeScalars(s.payload, &req.Args)
 			sawScalars = true
 		case secDeltaAppend:
-			req.Delta.Append = asInt64s(s.payload, s.count)
+			req.Delta.Append = view[int64](s.payload, s.count)
 		case secDeltaEdges:
-			edges := make([]graph.Edge, s.count)
-			for i := range edges {
-				edges[i] = graph.Edge{
-					U: int(nativeOrder.Uint32(s.payload[8*i:])),
-					V: int(nativeOrder.Uint32(s.payload[8*i+4:])),
-				}
-			}
-			req.Delta.Edges = edges
+			req.Delta.Edges = decodeEdges(s.payload)
 		}
 		off = next
 	}
@@ -929,13 +878,7 @@ func decodeSectionsInto(body []byte, off int, a *kernel.Args, streamed []byte) e
 			if streamed == nil {
 				return fmt.Errorf("%w: streamed section without chunks", ErrBadFrame)
 			}
-			var elem int
-			switch s.tag {
-			case secDist:
-				elem = 4
-			default:
-				elem = 8
-			}
+			elem := elemSize(s.tag)
 			if s.count > len(streamed)/elem {
 				return fmt.Errorf("%w: streamed payload %d bytes for %d elems", ErrTruncated, len(streamed), s.count)
 			}
@@ -943,13 +886,13 @@ func decodeSectionsInto(body []byte, off int, a *kernel.Args, streamed []byte) e
 		}
 		switch s.tag {
 		case secXs:
-			a.Xs = copyInt64s(a.Xs, payload, s.count)
+			a.Xs = copyInto(a.Xs, payload, s.count)
 		case secDst:
-			a.Dst = copyInt64s(a.Dst, payload, s.count)
+			a.Dst = copyInto(a.Dst, payload, s.count)
 		case secHist:
-			a.Hist = copyInts(a.Hist, payload, s.count)
+			a.Hist = copyInto(a.Hist, payload, s.count)
 		case secDist:
-			a.Dist = copyInt32s(a.Dist, payload, s.count)
+			a.Dist = copyInto(a.Dist, payload, s.count)
 		case secScalars:
 			decodeScalars(payload, a)
 			sawScalars = true
@@ -962,43 +905,6 @@ func decodeSectionsInto(body []byte, off int, a *kernel.Args, streamed []byte) e
 		return fmt.Errorf("%w: response missing scalar section", ErrBadFrame)
 	}
 	return nil
-}
-
-// copyInt64s copies count native-order int64s from payload into dst,
-// reusing dst's storage when it fits.
-func copyInt64s(dst []int64, payload []byte, count int) []int64 {
-	if cap(dst) < count {
-		dst = make([]int64, count)
-	}
-	dst = dst[:count]
-	if count == 0 {
-		return dst
-	}
-	copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*count), payload)
-	return dst
-}
-
-func copyInts(dst []int, payload []byte, count int) []int {
-	if cap(dst) < count {
-		dst = make([]int, count)
-	}
-	dst = dst[:count]
-	for i := range dst {
-		dst[i] = int(int64(nativeOrder.Uint64(payload[8*i:])))
-	}
-	return dst
-}
-
-func copyInt32s(dst []int32, payload []byte, count int) []int32 {
-	if cap(dst) < count {
-		dst = make([]int32, count)
-	}
-	dst = dst[:count]
-	if count == 0 {
-		return dst
-	}
-	copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 4*count), payload)
-	return dst
 }
 
 // DecodeError unpacks an error frame into the matching serve sentinel

@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/graph"
 	"repro/internal/kernel"
 	"repro/internal/par"
 )
@@ -119,36 +120,137 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaRoundTrip pins the delta sections: append payloads and
-// edge lists survive and the delta flag is honored.
+// TestDeltaRoundTrip pins the delta sections: append payloads (sort)
+// and edge lists (cc) survive and the delta flag is honored.
 func TestDeltaRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    *kernel.Delta
+	}{
+		{"sort", &kernel.Delta{Append: []int64{5, -3, 99}}},
+		{"cc", &kernel.Delta{Edges: []graph.Edge{{U: 0, V: 7}, {U: 3, V: 3}, {U: 12, V: 1}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := kernel.MustLookup(tc.name)
+			a := k.Gen(64, 9)
+			k.Run(a, parOptions())
+			frame, err := AppendRequest(nil, 1, "t", k, a, tc.d, 0)
+			if err != nil {
+				t.Fatalf("AppendRequest: %v", err)
+			}
+			req, err := NewDecoder().DecodeRequest(decodeFrame(t, frame))
+			if err != nil {
+				t.Fatalf("DecodeRequest: %v", err)
+			}
+			if !req.IsDelta {
+				t.Fatalf("delta flag lost")
+			}
+			if !sameInt64s(req.Delta.Append, tc.d.Append) || (req.Delta.Append == nil) != (tc.d.Append == nil) {
+				t.Fatalf("delta append = %v, want %v", req.Delta.Append, tc.d.Append)
+			}
+			if !slices.Equal(req.Delta.Edges, tc.d.Edges) || (req.Delta.Edges == nil) != (tc.d.Edges == nil) {
+				t.Fatalf("delta edges = %v, want %v", req.Delta.Edges, tc.d.Edges)
+			}
+		})
+	}
+}
+
+// TestMisalignedBodies pins the copy fallback: a request body, and a
+// response body of each output section, decoded from an odd offset
+// yields the same slices as the aligned decode, copied rather than
+// cast.
+func TestMisalignedBodies(t *testing.T) {
+	// misaligned returns a copy of body starting one byte past an
+	// 8-byte boundary.
+	misaligned := func(body []byte) []byte {
+		buf := make([]byte, len(body)+1)
+		return buf[1:][:copy(buf[1:], body)]
+	}
 	k := kernel.MustLookup("sort")
-	a := k.Gen(64, 9)
-	k.Run(a, parOptions())
-	d := &kernel.Delta{Append: []int64{5, -3, 99}}
+	a := &kernel.Args{
+		Xs:   []int64{3, -1, 4, 1 << 40},
+		Dst:  []int64{-5, 9, 2},
+		Hist: []int{7, 0, -2, 1 << 33, 5},
+		Dist: []int32{1, -1, 6},
+	}
+	d := &kernel.Delta{Append: []int64{8, -8, 1 << 50}}
 	frame, err := AppendRequest(nil, 1, "t", k, a, d, 0)
 	if err != nil {
 		t.Fatalf("AppendRequest: %v", err)
 	}
-	req, err := NewDecoder().DecodeRequest(decodeFrame(t, frame))
+	body := decodeFrame(t, frame)
+	dec := NewDecoder()
+	want, err := dec.DecodeRequest(body)
 	if err != nil {
-		t.Fatalf("DecodeRequest: %v", err)
+		t.Fatalf("aligned DecodeRequest: %v", err)
 	}
-	if !req.IsDelta {
-		t.Fatalf("delta flag lost")
+	odd := misaligned(body)
+	got, err := dec.DecodeRequest(odd)
+	if err != nil {
+		t.Fatalf("misaligned DecodeRequest: %v", err)
 	}
-	if !sameInt64s(req.Delta.Append, d.Append) {
-		t.Fatalf("delta append differs: %v", req.Delta.Append)
+	for _, c := range []struct {
+		name      string
+		got, want []byte
+	}{
+		{"Xs", bytesOf(got.Args.Xs), bytesOf(want.Args.Xs)},
+		{"Dst", bytesOf(got.Args.Dst), bytesOf(want.Args.Dst)},
+		{"Hist", bytesOf(got.Args.Hist), bytesOf(want.Args.Hist)},
+		{"Dist", bytesOf(got.Args.Dist), bytesOf(want.Args.Dist)},
+		{"Delta.Append", bytesOf(got.Delta.Append), bytesOf(want.Delta.Append)},
+	} {
+		if len(c.want) == 0 || !bytes.Equal(c.got, c.want) {
+			t.Fatalf("request %s: misaligned decode %v, aligned %v", c.name, c.got, c.want)
+		}
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(c.got))) - uintptr(unsafe.Pointer(&odd[0]))
+		if at < uintptr(len(odd)) {
+			t.Fatalf("request %s: misaligned decode aliases the body instead of copying", c.name)
+		}
+	}
+
+	for _, name := range []string{"sort", "scan", "histogram", "bfs"} {
+		k := kernel.MustLookup(name)
+		a := k.Gen(97, 5)
+		k.Run(a, parOptions())
+		body := decodeFrame(t, AppendResponse(nil, 2, k, a))
+		var want, got kernel.Args
+		if _, err := DecodeResponseInto(body, &want); err != nil {
+			t.Fatalf("%s: aligned DecodeResponseInto: %v", name, err)
+		}
+		if _, err := DecodeResponseInto(misaligned(body), &got); err != nil {
+			t.Fatalf("%s: misaligned DecodeResponseInto: %v", name, err)
+		}
+		if !slices.Equal(got.Xs, want.Xs) || !slices.Equal(got.Dst, want.Dst) ||
+			!slices.Equal(got.Hist, want.Hist) || !slices.Equal(got.Dist, want.Dist) || got.Out != want.Out {
+			t.Fatalf("%s: misaligned response decode differs from aligned", name)
+		}
+		if len(want.Xs)+len(want.Dst)+len(want.Hist)+len(want.Dist) == 0 {
+			t.Fatalf("%s: response carried no slice section", name)
+		}
 	}
 }
 
-// TestResponseRoundTrip pins one-shot response decoding for each
-// output shape: in-place Xs (sort), Dst (scan/topk), Hist, Dist
-// (bfs), and scalar-only (sum/select).
+// TestResponseRoundTrip pins, for every registered kernel, which
+// section its one-shot response carries — in-place Xs (sort, gups), Dst
+// (scan, topk), Hist (histogram), Dist (bfs, cc), or scalars only (sum,
+// select) — and that the section decodes back to the kernel's output.
 func TestResponseRoundTrip(t *testing.T) {
-	for _, name := range []string{"sort", "scan", "histogram", "bfs", "sum", "topk", "cc"} {
-		t.Run(name, func(t *testing.T) {
-			k := kernel.MustLookup(name)
+	carries := map[string]byte{
+		"sort": secXs, "gups": secXs,
+		"scan": secDst, "topk": secDst,
+		"histogram": secHist,
+		"bfs":       secDist, "cc": secDist,
+		"sum": secScalars, "select": secScalars,
+	}
+	for _, k := range kernel.All() {
+		if k == gateKernel || k.Name == "wirelate" {
+			continue // test-only registrations of this package
+		}
+		t.Run(k.Name, func(t *testing.T) {
+			want, ok := carries[k.Name]
+			if !ok {
+				t.Fatalf("no expected response section for kernel %q", k.Name)
+			}
 			a := k.Gen(193, 3)
 			k.Run(a, parOptions())
 			frame := AppendResponse(nil, 11, k, a)
@@ -158,15 +260,18 @@ func TestResponseRoundTrip(t *testing.T) {
 			got.Xs = make([]int64, len(a.Xs))
 			got.Dst = make([]int64, len(a.Dst))
 			got.Hist = make([]int, len(a.Hist))
-			h, err := DecodeResponseInto(decodeFrame(t, frame), &got)
+			body := decodeFrame(t, frame)
+			if s, _, err := nextSection(body, headerSize); err != nil || s.tag != want {
+				t.Fatalf("first section: tag %d (err %v), want %d", s.tag, err, want)
+			}
+			h, err := DecodeResponseInto(body, &got)
 			if err != nil {
 				t.Fatalf("DecodeResponseInto: %v", err)
 			}
 			if h.ID != 11 {
 				t.Fatalf("id = %d", h.ID)
 			}
-			p := planResponse(k, a)
-			switch p.tag {
+			switch want {
 			case secXs:
 				if !sameInt64s(got.Xs, a.Xs) {
 					t.Fatalf("Xs differ")
@@ -308,6 +413,18 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("codec round trip allocates %.1f per run, want 0", allocs)
+	}
+
+	// A graph request is encoded straight from the CSR. Its decode
+	// builds a graph, so it allocates by design and is not pinned.
+	bfs := kernel.MustLookup("bfs")
+	ba := bfs.Gen(4096, 7)
+	reqBuf, _ = AppendRequest(reqBuf[:0], 5, "tenant", bfs, ba, nil, 0)
+	allocs = testing.AllocsPerRun(100, func() {
+		reqBuf, _ = AppendRequest(reqBuf[:0], 5, "tenant", bfs, ba, nil, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("graph request encode allocates %.1f per run, want 0", allocs)
 	}
 }
 
