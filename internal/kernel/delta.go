@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/psel"
+	"repro/internal/scratch"
 	"repro/internal/seq"
 )
 
@@ -108,20 +110,19 @@ func histogramDelta(a *Args, d *Delta, _ par.Options) error {
 // topkDelta merges appended candidates into the kept set: the new K
 // smallest of the grown input are a subset of the old K smallest plus
 // the appended values (an element outside the old top K is dominated
-// by K older elements and cannot enter).
-func topkDelta(a *Args, d *Delta, _ par.Options) error {
+// by K older elements and cannot enter). Both go into one scratch
+// buffer, and psel.Smallest, the kernel's own routine, writes their K
+// smallest back to Dst.
+func topkDelta(a *Args, d *Delta, o par.Options) error {
 	a.Xs = append(a.Xs, d.Append...)
 	if a.K == 0 || len(d.Append) == 0 {
 		return nil
 	}
-	merged := make([]int64, 0, len(a.Dst)+len(d.Append))
-	merged = append(merged, a.Dst...)
-	merged = append(merged, d.Append...)
-	seq.Quicksort(merged)
-	if len(merged) > a.K {
-		merged = merged[:a.K]
-	}
-	a.Dst = append(a.Dst[:0], merged...)
+	s := scratch.AcquireArena(o.ScratchPool())
+	defer s.Release()
+	kept := scratch.Make[int64](s, len(a.Dst)+len(d.Append))
+	copy(kept[copy(kept, a.Dst):], d.Append)
+	a.Dst = psel.Smallest(a.Dst, kept, min(a.K, len(kept)), o)
 	return nil
 }
 

@@ -17,30 +17,11 @@ import (
 // model: serve, difftest, metatest, E25 and parbench pick it up from
 // the descriptor.
 
-// runTopK selects the rank-(K-1) threshold, gathers the strictly
-// smaller elements (at most K-1 of them) and pads with the threshold
-// value up to K — exactly the multiset of the K smallest. Gather and
-// pad stay within Dst's capacity, so a serve batch slot runs it at
-// 0 allocs/op.
-func runTopK(a *Args, o par.Options) {
-	k := a.K
-	if k == 0 {
-		a.Dst = a.Dst[:0]
-		return
-	}
-	t := psel.Select(a.Xs, k-1, o)
-	out := a.Dst[:0]
-	for _, v := range a.Xs {
-		if v < t {
-			out = append(out, v)
-		}
-	}
-	for len(out) < k {
-		out = append(out, t)
-	}
-	seq.Quicksort(out)
-	a.Dst = out
-}
+// runTopK is psel.Smallest. In a serve batch slot (Procs 1) that is the
+// selection leaf's band of keys below a sample order statistic, cut to
+// the K smallest and sorted, with no second pass over Xs. It writes
+// within Dst's capacity, so the slot runs it at 0 allocs/op.
+func runTopK(a *Args, o par.Options) { a.Dst = psel.Smallest(a.Dst, a.Xs, a.K, o) }
 
 // serialTopK is the independent oracle: full copy, full sort, take K.
 func serialTopK(a *Args) {
@@ -55,7 +36,7 @@ func init() {
 		Name:  "topk",
 		Title: "K smallest of Xs ascending into Dst[:K] (Xs unmodified)",
 		Variants: []Variant{
-			{Name: "select+gather", Run: runTopK},
+			{Name: "smallest", Run: runTopK},
 		},
 		Serial: serialTopK,
 		Validate: func(a *Args) error {

@@ -15,18 +15,28 @@
 // With one worker, or at most 4 096 elements, Select skips the
 // partition loop for its serial leaf, and the loop ends in the same
 // leaf. The serve runtime's Select and TopK requests run at Procs 1 in
-// a batch slot, so they always take it. Quickselect's comparisons are
-// unpredictable branches, about 2n to 3.4n of them, so from 512
-// elements up the leaf first shrinks the input the way Floyd and
-// Rivest's SELECT does (CACM 1975): two order statistics of a stride
-// sample of about n^(2/3) keys bracket rank k, one branch-free pass
-// keeps only the keys between them, and quickselect runs on that band
-// of about 3·n^(2/3) keys. A bracket that misses k (an input whose
-// period lines up with the stride can do this) falls back to a scratch
-// copy and quickselect on all of xs, the whole leaf below 512 elements.
-// Quickselect's partition rounds are budgeted, so no input costs more
-// than O(n log n). SelectSeq, the select kernel's serial oracle, keeps
-// the plain copy and quickselect, so no oracle runs through the filter.
+// a batch slot, so they always take it. From 512 elements up the leaf
+// first shrinks the input the way Floyd and Rivest's SELECT does (CACM
+// 1975): two order statistics of a stride sample of about n^(2/3) keys
+// bracket rank k, one branch-free pass keeps only the keys between
+// them, and quickselect runs on that band of about 3·n^(2/3) keys. A
+// bracket that misses k (an input whose period lines up with the
+// stride can do this) falls back to a scratch copy and quickselect on
+// all of xs, the whole leaf below 512 elements. The leaf's quickselect
+// partitions without branches, so mispredicted compares cost it
+// nothing (Edelkamp and Weiß, "BlockQuicksort", ESA 2016), and splits
+// off a run of keys equal to the pivot in one round. Its partition
+// rounds are budgeted, so no input costs more than O(n log n).
+//
+// Smallest, the K smallest keys in order (the top-k kernel and its
+// delta fold), runs the same leaf at rank K-1 with the bracket's lower
+// end open: the band already holds the K smallest, so it is selected
+// and its first K keys sorted, without a second pass over xs. Above
+// the serial leaf it selects the threshold with Select and gathers.
+//
+// SelectSeq, the select kernel's serial oracle, keeps the plain copy
+// and a Hoare quickselect (hoareSelect), so no oracle shares the
+// leaf's filter or partition.
 //
 // Layering: psel consumes par (count/pack), scratch (ping-pong
 // buffers, the leaf's copy and sample) and rng (pivots); it feeds

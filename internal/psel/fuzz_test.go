@@ -109,3 +109,44 @@ func FuzzSelect(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTopK holds Smallest, the top-k kernel's routine, at Procs 1 (the
+// serial leaf at every size) and Procs 2 (select plus gather above
+// 4 096 keys) to the full sort that top-k's serial oracle runs, for K
+// from 0 to n on FuzzSelect's tiledKeys shapes: masks make keys repeat,
+// and n reaches both sides of sampledMin and of the 4 096 edge. It
+// checks that xs comes back unmodified.
+func FuzzTopK(f *testing.F) {
+	ramp := make([]int64, 64)
+	for i := range ramp {
+		ramp[i] = int64(i)
+	}
+	f.Add(encodeKeys(ramp), uint16(5000), uint32(17), uint8(0), false)
+	f.Add(encodeKeys(ramp), uint16(8192), uint32(8192), uint8(3), true)
+	f.Add(encodeKeys([]int64{-1, 1 << 62, 7, -(1 << 40)}), uint16(4097), uint32(0), uint8(0), true)
+	f.Add(encodeKeys(gen.Ints(40, gen.Uniform, 1)), uint16(4096), uint32(2048), uint8(0xFF), false)
+	f.Add(encodeKeys(gen.Ints(200, gen.Uniform, 2)), uint16(1024), uint32(32), uint8(0), false)
+	f.Add(encodeKeys(gen.Ints(200, gen.Uniform, 2)), uint16(511), uint32(511), uint8(1), false)
+	f.Add(poisonedTile(), uint16(512), uint32(300), uint8(0xD2), false)
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, k uint32, mask uint8, two bool) {
+		xs := tiledKeys(data, n, mask)
+		if xs == nil {
+			return
+		}
+		count := int(k % uint32(len(xs)+1))
+		want := slices.Clone(xs)
+		slices.Sort(want)
+		before := slices.Clone(xs)
+		procs := 1
+		if two {
+			procs = 2
+		}
+		got := Smallest(make([]int64, 0, count), xs, count, par.Options{Procs: procs})
+		if !slices.Equal(got, want[:count]) {
+			t.Fatalf("procs %d n %d k %d mask %#x: Smallest differs from the sorted prefix", procs, len(xs), count, mask)
+		}
+		if !slices.Equal(xs, before) {
+			t.Fatalf("procs %d n %d k %d: Smallest modified xs", procs, len(xs), count)
+		}
+	})
+}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/scratch"
+	"repro/internal/seq"
 )
 
 // Adaptive call sites. Select keeps Options.Adaptive set on its inner
@@ -32,26 +33,22 @@ var (
 // request a serve batch slot runs. From 512 elements up the leaf is
 // Floyd and Rivest's sampled selection: two order statistics of a
 // stride sample bracket rank k, one branch-free pass keeps the keys
-// between them, and quickselect finishes on that band. Below 512
-// elements, or when the bracket misses k, it is one scratch-arena copy
-// of xs and an in-place quickselect. With more workers and more than
-// 4 096 elements, each partitioning round makes two parallel count
-// passes and packs the surviving side into one of two scratch-pooled
-// ping-pong buffers (par.PackInto), so the buffers are reused across
-// rounds and calls; the round loop's closures and pivot rng still
-// allocate a few times per call. Once at most 4 096 elements survive,
-// the loop ends in the serial leaf.
+// between them, and a branch-free quickselect finishes on that band.
+// Below 512 elements, or when the bracket misses k, it is one
+// scratch-arena copy of xs and the same quickselect. With more workers
+// and more than 4 096 elements, each partitioning round makes two
+// parallel count passes and packs the surviving side into one of two
+// scratch-pooled ping-pong buffers (par.PackInto), so the buffers are
+// reused across rounds and calls; the round loop's closures and pivot
+// rng still allocate a few times per call. Once at most 4 096 elements
+// survive, the loop ends in the serial leaf.
 func Select(xs []int64, k int, opts par.Options) int64 {
 	if k < 0 || k >= len(xs) {
 		panic("psel: k out of range")
 	}
-	p := opts.Procs
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
 	a := scratch.AcquireArena(opts.ScratchPool())
 	defer a.Release()
-	if p == 1 || len(xs) <= 4096 {
+	if serialLeaf(len(xs), opts) {
 		// The serial leaf returns before the partition loop's closures
 		// exist: they capture cur by reference, which moves it to the
 		// heap at its declaration.
@@ -113,6 +110,60 @@ func medianOfRandom(xs []int64, r *rng.Rand) int64 {
 	return s[4]
 }
 
+// Smallest writes the k smallest elements of xs, ascending, to dst[:k]
+// and returns dst[:k]; it appends to dst[:0], so a dst with capacity k
+// is not reallocated. It does not modify xs. It panics if k is out of
+// range.
+//
+// Where Select runs its serial leaf, Smallest runs the same sampled
+// leaf at rank k-1 with the bracket's lower end open: the band is every
+// key no greater than the sample's upper order statistic w, so when it
+// holds at least k keys the k smallest of xs are the k smallest of the
+// band. Quickselect on the band at rank k-1 and a sort of the k keys
+// below it finish, with no second pass over xs. A band of fewer than k
+// keys (a bracket miss), or an input below sampledMin, is one copy of
+// xs and the same finish. That leaf is allocation-free at steady state.
+// On the parallel path Smallest selects the rank-(k-1) threshold t with
+// Select, gathers the keys below t, pads with t up to k and sorts them.
+func Smallest(dst, xs []int64, k int, opts par.Options) []int64 {
+	if k < 0 || k > len(xs) {
+		panic("psel: k out of range")
+	}
+	dst = dst[:0]
+	if k == 0 {
+		return dst
+	}
+	if !serialLeaf(len(xs), opts) {
+		t := Select(xs, k-1, opts)
+		for _, v := range xs {
+			if v < t {
+				dst = append(dst, v)
+			}
+		}
+		for len(dst) < k {
+			dst = append(dst, t)
+		}
+		slices.Sort(dst)
+		return dst
+	}
+	a := scratch.AcquireArena(opts.ScratchPool())
+	defer a.Release()
+	band := smallestBand(xs, scratch.Make[int64](a, len(xs)), k, a)
+	quickselect(band, k-1, roundBudget(len(band)))
+	slices.Sort(band[:k-1])
+	return append(dst, band[:k]...)
+}
+
+// serialLeaf reports whether Select and Smallest run their serial leaf
+// on n keys: with one worker, or at most 4 096 keys.
+func serialLeaf(n int, opts par.Options) bool {
+	p := opts.Procs
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
+	return p == 1 || n <= 4096
+}
+
 // sampledMin is the smallest input the serial leaf samples. At 256 keys
 // the sample, its two selections and the filter pass cost about what
 // they save (BenchmarkSelectRanks).
@@ -120,17 +171,18 @@ const sampledMin = 512
 
 // selectLeaf returns the k-th smallest element of xs without modifying
 // it; buf is a working copy of at least len(xs) elements that must not
-// overlap xs, and a supplies the sample. Quickselect on n keys makes
-// about 2n to 3.4n comparisons, half of them mispredicted. From
-// sampledMin keys up, selectLeaf brackets rank k between two sample
-// order statistics u ≤ w and keeps only the keys in [u, w], at most
-// about 3·n^(2/3) of them, so quickselect runs on that band instead. A
+// overlap xs, and a supplies the sample. From sampledMin keys up,
+// selectLeaf brackets rank k between two sample order statistics
+// u ≤ w and keeps only the keys in [u, w], at most about 3·n^(2/3) of
+// them, so quickselect partitions that band instead of all n keys. A
 // bracket that misses k costs one extra linear pass before the plain
 // copy and quickselect, so the roundBudget bound still holds.
 func selectLeaf(xs, buf []int64, k int, a *scratch.Arena) int64 {
 	n := len(xs)
 	if n >= sampledMin {
-		u, w := bracket(xs, scratch.Make[int64](a, sampleSize(n)), k)
+		s := sampleSize(n)
+		lo, hi := bracketRanks(n, s, k)
+		u, w := bracket(xs, scratch.Make[int64](a, s), lo, hi)
 		below, m := filter(xs, buf, u, w)
 		if below <= k && k < below+m {
 			if u == w {
@@ -144,6 +196,26 @@ func selectLeaf(xs, buf []int64, k int, a *scratch.Arena) int64 {
 	return quickselect(buf, k, roundBudget(n))
 }
 
+// smallestBand returns a slice of buf holding at least k keys of xs
+// that include its k smallest, for Smallest's finish. From sampledMin
+// keys up it is the band of keys no greater than the sample's order
+// statistic above rank k-1; below that, or when the band holds fewer
+// than k keys, it is a copy of all of xs.
+func smallestBand(xs, buf []int64, k int, a *scratch.Arena) []int64 {
+	n := len(xs)
+	if n >= sampledMin {
+		s := sampleSize(n)
+		_, hi := bracketRanks(n, s, k-1)
+		_, w := bracket(xs, scratch.Make[int64](a, s), -1, hi)
+		if _, m := filter(xs, buf, math.MinInt64, w); m >= k {
+			return buf[:m]
+		}
+	}
+	buf = buf[:n]
+	copy(buf, xs)
+	return buf
+}
+
 // sampleSize is the leaf's sample size for n keys, about n^(2/3): it
 // balances the sample's selection cost, linear in the sample, against
 // the band's, which shrinks as its square root grows.
@@ -152,21 +224,28 @@ func sampleSize(n int) int {
 	return int(c * c)
 }
 
+// bracketRanks returns the sample ranks lo = k·s/n − d and
+// hi = k·s/n + d that bracket rank k of n keys in a stride sample of s
+// of them, with d three standard deviations of the sample rank of the
+// k-th key plus 2, so that the sample's keys at lo and hi enclose it
+// almost always on inputs without a period that aligns with the
+// stride.
+func bracketRanks(n, s, k int) (lo, hi int) {
+	q := float64(k) / float64(n)
+	center := int(q * float64(s))
+	d := int(3*math.Sqrt(float64(s)*q*(1-q))) + 2
+	return center - d, center + d
+}
+
 // bracket fills sample with a stride sample of xs and returns its order
-// statistics u ≤ w at ranks k·s/n ∓ d, with d three standard deviations
-// of the sample rank of xs's k-th key plus 2, so that u ≤ x_k ≤ w almost
-// always on inputs without a period that aligns with the stride. A rank
-// off either end of the sample stands for the end of int64's range.
-func bracket(xs, sample []int64, k int) (u, w int64) {
+// statistics u ≤ w at ranks lo ≤ hi. A rank off either end of the
+// sample stands for the end of int64's range.
+func bracket(xs, sample []int64, lo, hi int) (u, w int64) {
 	n, s := len(xs), len(sample)
 	stride := n / s
 	for j := range sample {
 		sample[j] = xs[j*stride]
 	}
-	q := float64(k) / float64(n)
-	center := int(q * float64(s))
-	d := int(3*math.Sqrt(float64(s)*q*(1-q))) + 2
-	lo, hi := center-d, center+d
 	u, w = math.MinInt64, math.MaxInt64
 	if lo >= 0 {
 		// quickselect leaves sample[lo+1:] holding the keys ranked above
@@ -211,54 +290,77 @@ func b2i(b bool) int {
 // almost never reach it.
 func roundBudget(n int) int { return 2 * bits.Len(uint(n)) }
 
-// quickselect is the sequential in-place baseline (Hoare partition with
-// random pivots). It mutates xs. Pivots come from an inline LCG rather
-// than an rng.Rand so it allocates nothing. The LCG is deterministic, so
-// a crafted input could make every pivot bad; after rounds partition
-// rounds it sorts what is left of the range instead (slices.Sort is
-// pdqsort: in place, O(n log n) worst case).
+// insertionMax: quickselect finishes a range of at most this many keys
+// by insertion sort.
+const insertionMax = 16
+
+// quickselect returns the k-th smallest element of xs and leaves xs
+// partitioned around it: no key of xs[:k] is greater, and none of
+// xs[k+1:] smaller. Each round partitions the range holding k around
+// the median p of three random keys in one branch-free pass, the
+// compare's result advancing the boundary as filter's does, so its
+// cost does not depend on how predictable the compares are (Edelkamp
+// and Weiß, "BlockQuicksort", ESA 2016). A round that finds no key
+// below p (p is the range's minimum) returns p if every key equals it,
+// and otherwise makes a second pass that splits off the keys equal to
+// p, so equal keys leave the range in one round instead of one per
+// round. A range of at most insertionMax keys is insertion sorted.
+// Pivots come from an inline LCG rather than an rng.Rand so it
+// allocates nothing. The LCG is deterministic, so a crafted input could
+// make every pivot bad; after rounds partition rounds it sorts what is
+// left of the range instead (slices.Sort is pdqsort: in place,
+// O(n log n) worst case).
 func quickselect(xs []int64, k, rounds int) int64 {
 	state := uint64(len(xs)) + 7
-	lo, hi := 0, len(xs)-1
-	for ; lo < hi; rounds-- {
+	lo, hi := 0, len(xs)
+	for ; hi-lo > insertionMax; rounds-- {
 		if rounds == 0 {
-			slices.Sort(xs[lo : hi+1])
-			break
-		}
-		state = state*6364136223846793005 + 1442695040888963407
-		p := xs[lo+int((state>>33)%uint64(hi-lo+1))]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < p {
-				i++
-			}
-			for xs[j] > p {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
+			slices.Sort(xs[lo:hi])
 			return xs[k]
 		}
+		r := uint64(hi - lo)
+		a, b, c := xs[lo+lcg(&state, r)], xs[lo+lcg(&state, r)], xs[lo+lcg(&state, r)]
+		p := max(min(a, b), min(max(a, b), c))
+		below, equal := partition(xs[lo:hi], p)
+		m := lo + below
+		if below == 0 {
+			if equal == hi-lo {
+				return p
+			}
+			// A key above p exists, so p+1 does not overflow, and the
+			// keys below it are the ones equal to p.
+			below, _ = partition(xs[lo:hi], p+1)
+			if m += below; k < m {
+				return p
+			}
+		}
+		if k < m {
+			hi = m
+		} else {
+			lo = m
+		}
 	}
+	seq.InsertionSort(xs[lo:hi])
 	return xs[k]
 }
 
-// SelectSeq is the exported sequential baseline: k-th smallest without
-// parallel primitives (copies xs, then in-place quickselect).
-func SelectSeq(xs []int64, k int) int64 {
-	if k < 0 || k >= len(xs) {
-		panic("psel: k out of range")
+// lcg advances quickselect's pivot generator and returns a position in
+// [0, r).
+func lcg(state *uint64, r uint64) int {
+	*state = *state*6364136223846793005 + 1442695040888963407
+	return int((*state >> 33) % r)
+}
+
+// partition moves the keys of xs less than p to its front in one
+// branch-free pass and returns how many there are and how many keys
+// equal p. Every key is swapped with the first one not yet known to be
+// below p, and the boundary advances by the compare's result.
+func partition(xs []int64, p int64) (below, equal int) {
+	for j, v := range xs {
+		xs[j] = xs[below]
+		xs[below] = v
+		below += b2i(v < p)
+		equal += b2i(v == p)
 	}
-	buf := append([]int64(nil), xs...)
-	return quickselect(buf, k, roundBudget(len(buf)))
+	return below, equal
 }

@@ -1,6 +1,7 @@
 package psel
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -42,14 +43,23 @@ func TestSelectDoesNotMutate(t *testing.T) {
 }
 
 func TestSelectPanicsOutOfRange(t *testing.T) {
-	for _, k := range []int{-1, 3} {
+	for _, c := range []struct {
+		name string
+		k    int
+		f    func(k int)
+	}{
+		{"Select", -1, func(k int) { Select([]int64{1, 2, 3}, k, opts) }},
+		{"Select", 3, func(k int) { Select([]int64{1, 2, 3}, k, opts) }},
+		{"Smallest", -1, func(k int) { Smallest(nil, []int64{1, 2, 3}, k, opts) }},
+		{"Smallest", 4, func(k int) { Smallest(nil, []int64{1, 2, 3}, k, opts) }},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("no panic for k=%d", k)
+					t.Fatalf("%s: no panic for k=%d", c.name, c.k)
 				}
 			}()
-			Select([]int64{1, 2, 3}, k, opts)
+			c.f(c.k)
 		}()
 	}
 }
@@ -116,18 +126,7 @@ func TestSelectLargeCrossesParallelPath(t *testing.T) {
 // check the u == w answer instead.
 func TestSelectLeafBracketMiss(t *testing.T) {
 	const n = 1 << 13
-	stride := n / sampleSize(n)
-	atStride := func(sampled, rest func(i int) int64) []int64 {
-		xs := make([]int64, n)
-		for i := range xs {
-			if i%stride == 0 && i/stride < sampleSize(n) {
-				xs[i] = sampled(i)
-			} else {
-				xs[i] = rest(i)
-			}
-		}
-		return xs
-	}
+	atStride := func(sampled, rest func(i int) int64) []int64 { return atStride(n, sampled, rest) }
 	keys := gen.Ints(n, gen.Uniform, 9)
 	random := func(i int) int64 { return keys[i] >> 2 }
 	cases := []struct {
@@ -147,7 +146,8 @@ func TestSelectLeafBracketMiss(t *testing.T) {
 			n := len(c.xs)
 			sorted := slices.Clone(c.xs)
 			slices.Sort(sorted)
-			u, w := bracket(c.xs, make([]int64, sampleSize(n)), c.k)
+			lo, hi := bracketRanks(n, sampleSize(n), c.k)
+			u, w := bracket(c.xs, make([]int64, sampleSize(n)), lo, hi)
 			below, m := filter(c.xs, make([]int64, n), u, w)
 			if miss := c.k < below || c.k >= below+m; miss != c.miss {
 				t.Fatalf("k %d, band [%d, %d) of keys in [%d, %d]: miss = %v, want %v", c.k, below, below+m, u, w, miss, c.miss)
@@ -167,10 +167,68 @@ func TestSelectLeafBracketMiss(t *testing.T) {
 	}
 }
 
-// TestQuickselectBudget forces quickselect's round budget down to 0–3
-// so the slices.Sort fallback runs on every shape, including the
-// sorted, equal-key and organ-pipe inputs that defeat naive pivots, and
-// holds the element it returns to a full sort.
+// atStride returns n keys whose serial-leaf stride sample reads
+// sampled(i) at every sampled position i and rest(i) everywhere else.
+func atStride(n int, sampled, rest func(i int) int64) []int64 {
+	stride := n / sampleSize(n)
+	xs := make([]int64, n)
+	for i := range xs {
+		if i%stride == 0 && i/stride < sampleSize(n) {
+			xs[i] = sampled(i)
+		} else {
+			xs[i] = rest(i)
+		}
+	}
+	return xs
+}
+
+// TestSmallestBandMiss poisons the stride sample with the input's
+// smallest keys, so that Smallest's open bracket keeps little more than
+// the sample and its band holds fewer than K keys. It checks that such
+// misses occur, including one where the band is a single key short,
+// and holds Smallest at Procs 1 to the sorted prefix at every K it
+// tries.
+func TestSmallestBandMiss(t *testing.T) {
+	const n = 1 << 13
+	keys := gen.Ints(n, gen.Uniform, 9)
+	for _, c := range []struct {
+		name string
+		xs   []int64
+	}{
+		{"min-at-stride", atStride(n, func(i int) int64 { return math.MinInt64 + int64(i) }, func(i int) int64 { return keys[i] >> 2 })},
+		{"two-values", atStride(n, func(int) int64 { return 0 }, func(int) int64 { return 1 })},
+	} {
+		sorted := slices.Clone(c.xs)
+		slices.Sort(sorted)
+		misses, short := 0, 0
+		for k := 1; k <= n; k += 1 + k/8 {
+			s := sampleSize(n)
+			_, hi := bracketRanks(n, s, k-1)
+			_, w := bracket(c.xs, make([]int64, s), -1, hi)
+			if _, m := filter(c.xs, make([]int64, n), math.MinInt64, w); m < k {
+				misses++
+				short += b2i(m == k-1)
+			}
+			if got := Smallest(nil, c.xs, k, par.Options{Procs: 1}); !slices.Equal(got, sorted[:k]) {
+				t.Fatalf("%s k %d: Smallest differs from the sorted prefix", c.name, k)
+			}
+		}
+		if misses == 0 {
+			t.Fatalf("%s: no K missed the band", c.name)
+		}
+		if c.name == "min-at-stride" && short == 0 {
+			t.Fatalf("%s: no band was one key short of K", c.name)
+		}
+	}
+}
+
+// TestQuickselectBudget forces the round budget of the leaf's
+// quickselect and of the oracle's hoareSelect down to 0–3 so the
+// slices.Sort fallback runs on every shape, including the sorted,
+// equal-key and organ-pipe inputs that defeat naive pivots, and holds
+// the element each returns to a full sort. Quickselect must also leave
+// no greater key before rank k and no smaller one after it, which
+// bracket and Smallest rely on.
 func TestQuickselectBudget(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -196,8 +254,83 @@ func TestQuickselectBudget(t *testing.T) {
 			slices.Sort(sorted)
 			for _, k := range []int{0, n / 2, n - 1} {
 				for budget := 0; budget <= 3; budget++ {
-					if got := quickselect(slices.Clone(xs), k, budget); got != sorted[k] {
+					ys := slices.Clone(xs)
+					if got := quickselect(ys, k, budget); got != sorted[k] {
 						t.Fatalf("%s n=%d k=%d budget=%d: %d, want %d", s.name, n, k, budget, got, sorted[k])
+					}
+					if err := partitionedAt(ys, k); err != "" {
+						t.Fatalf("%s n=%d k=%d budget=%d: %s", s.name, n, k, budget, err)
+					}
+					if got := hoareSelect(slices.Clone(xs), k, budget); got != sorted[k] {
+						t.Fatalf("%s n=%d k=%d budget=%d: hoareSelect = %d, want %d", s.name, n, k, budget, got, sorted[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// partitionedAt describes the first key of xs on the wrong side of
+// xs[k], or returns "" when there is none.
+func partitionedAt(xs []int64, k int) string {
+	for i, v := range xs {
+		if i < k && v > xs[k] || i > k && v < xs[k] {
+			return fmt.Sprintf("xs[%d] = %d on the wrong side of xs[%d] = %d", i, v, k, xs[k])
+		}
+	}
+	return ""
+}
+
+// TestDuplicateShapes holds Select and Smallest, at Procs 1 and 4, to a
+// full sort on dupShapes at BenchmarkSelectRanks' duplicate sizes and
+// at ranks across the range, and checks that neither modifies xs.
+func TestDuplicateShapes(t *testing.T) {
+	for _, s := range dupShapes {
+		for _, n := range []int{1 << 10, 1 << 13} {
+			xs := s.gen(n)
+			sorted := slices.Clone(xs)
+			slices.Sort(sorted)
+			before := slices.Clone(xs)
+			for _, procs := range []int{1, 4} {
+				o := par.Options{Procs: procs}
+				for _, k := range []int{0, 1, 31, n / 4, n / 2, n - 1} {
+					if got := Select(xs, k, o); got != sorted[k] {
+						t.Fatalf("%s n=%d procs=%d k=%d: Select = %d, want %d", s.name, n, procs, k, got, sorted[k])
+					}
+					if got := Smallest(nil, xs, k+1, o); !slices.Equal(got, sorted[:k+1]) {
+						t.Fatalf("%s n=%d procs=%d k=%d: Smallest differs from the sorted prefix", s.name, n, procs, k+1)
+					}
+				}
+			}
+			if !slices.Equal(xs, before) {
+				t.Fatalf("%s n=%d: xs modified", s.name, n)
+			}
+		}
+	}
+}
+
+// TestSmallest holds Smallest to the sorted prefix on every gen
+// distribution across the serial leaf's edges (sampledMin, 4 096) at
+// Procs 1 and 4, for K from 0 to n, and checks that it fills dst in
+// place when dst has room.
+func TestSmallest(t *testing.T) {
+	for _, d := range gen.Distributions {
+		for _, n := range []int{1, 300, sampledMin, 4096, 4097, 20000} {
+			xs := gen.Ints(n, d, 3)
+			sorted := slices.Clone(xs)
+			slices.Sort(sorted)
+			for _, procs := range []int{1, 4} {
+				for _, k := range []int{0, 1, 17, 32, n / 2, n - 1, n} {
+					if k < 0 || k > n {
+						continue
+					}
+					dst := make([]int64, 1, k+1)
+					got := Smallest(dst, xs, k, par.Options{Procs: procs})
+					if !slices.Equal(got, sorted[:k]) {
+						t.Fatalf("%v n=%d procs=%d k=%d: Smallest differs from the sorted prefix", d, n, procs, k)
+					}
+					if k > 0 && &got[0] != &dst[:1][0] {
+						t.Fatalf("%v n=%d procs=%d k=%d: Smallest reallocated dst", d, n, procs, k)
 					}
 				}
 			}

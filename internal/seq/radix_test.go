@@ -91,11 +91,12 @@ var radixShapes = []struct {
 // TestRadixSortShapes holds RadixSort to slices.Sort on every shape,
 // as generated (non-negative but for gaussian) and shifted down by 2^62
 // (signed), at 1 Ki to 1 Mi keys, with no buffer and with one of
-// length n. 64 Ki - 1 keys is the largest 8-bit plan, 64 Ki the
-// smallest 11-bit one.
+// length n. 48 Ki - 1 keys is the largest 8-bit plan, 48 Ki the
+// smallest 11-bit one; 60 Ki and 64 Ki - 1 are where two 8-bit digits
+// would leave about one equal-prefix neighbour per key.
 func TestRadixSortShapes(t *testing.T) {
 	for _, s := range radixShapes {
-		for _, n := range []int{1 << 10, 1 << 12, 1 << 13, wideKeys - 1, wideKeys, 1 << 18, 1 << 20} {
+		for _, n := range []int{1 << 10, 1 << 12, 1 << 13, wideKeys - 1, wideKeys, 60 << 10, 1<<16 - 1, 1 << 18, 1 << 20} {
 			if n > 1<<16 && testing.Short() {
 				continue
 			}
@@ -149,6 +150,7 @@ func FuzzRadixSort(f *testing.F) {
 	f.Add(uint8(0), uint16(40000), uint8(0), int64(-5), uint8(0), words)
 	f.Add(uint8(12), uint16(3), uint8(0), int64(1<<62), uint8(7), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(63), uint16(65535), uint8(3), int64(0), uint8(1), words)
+	f.Add(uint8(63), uint16(wideKeys-1), uint8(0), int64(0), uint8(0), words)
 	f.Add(uint8(40), uint16(50000), uint8(1), int64(-1<<39), uint8(0), words)
 	f.Fuzz(func(t *testing.T, width uint8, n uint16, scale uint8, lo int64, dup uint8, data []byte) {
 		words := min(len(data)/8, maxRadixFuzzWords)

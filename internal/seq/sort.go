@@ -134,13 +134,19 @@ const (
 	// next digit.
 	runInsertionMax = 16
 	// wideKeys: from this many keys up the digits are 11 bits wide. Two
-	// 8-bit digits leave n/65 536 expected equal-prefix neighbours, so
-	// from 64 Ki keys spread-out keys need a third digit and its
-	// scatter; two 11-bit digits leave n/4 Mi. On fewer keys the 2 048
-	// buckets cost about what the digit saves or more, to clear, sum and
-	// keep in cache: on uniform 64-bit keys 11-bit digits read 1.43x the
-	// 8-bit plan at 8 Ki, 1.08x at 32 Ki and 0.97x at 48 Ki.
-	wideKeys = 1 << 16
+	// 8-bit digits leave n/65 536 expected equal-prefix neighbours, but
+	// that is the expectation: the realized n·Σ(c_b/n)² of uniform keys
+	// scatters around it, and from about 60 Ki keys it crosses
+	// prefixNeighbours on some inputs and on nearly every input at
+	// 64 Ki - 1, where the 8-bit plan then pays a third scatter and a
+	// copy back. Two 11-bit digits leave n/4 Mi. On fewer keys the
+	// 2 048 buckets cost about what the digit saves or more, to clear,
+	// sum and keep in cache: on uniform 64-bit keys 11-bit digits read
+	// 1.43x the 8-bit plan at 8 Ki, 1.08x at 32 Ki and 0.97x at 48 Ki,
+	// so the edge sits at 48 Ki. The 11-bit plan has the same edge near
+	// 4 Mi keys, where its two digits reach one expected neighbour; no
+	// workload sorts that many.
+	wideKeys = 48 << 10
 )
 
 // digitCounts is one digit's histogram: 256 buckets for 8-bit digits,
@@ -155,7 +161,7 @@ type digitCounts interface {
 // scatters through buf (contents unspecified before and after), so a
 // caller with a scratch arena sorts without allocating; a buf shorter
 // than xs — nil for direct callers — is replaced by a fresh allocation.
-// Digits are 8 bits wide below wideKeys (64 Ki) keys and 11 bits wide
+// Digits are 8 bits wide below wideKeys (48 Ki) keys and 11 bits wide
 // from there up; one plan walker, radixSort, serves both widths.
 //
 // Keys are sorted as u = v - base, which orders them as v does. One
@@ -167,7 +173,7 @@ type digitCounts interface {
 // histograms the top two, and the plan walks its digits from the top,
 // multiplying Σ(c_b/n)²: the first prefix where n·Π < prefixNeighbours
 // leaves under one expected equal-prefix neighbour per key if digits
-// are independent. Two digits cover 16 bits below 64 Ki keys and 22
+// are independent. Two digits cover 16 bits below 48 Ki keys and 22
 // bits above, so spread-out keys stop there up to 4 Mi keys: the sort
 // is the two passes, one scatter into buf and the last one back into
 // xs. LSD scatters sort the keys on the plan's prefix, and the last
