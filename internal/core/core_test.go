@@ -170,7 +170,8 @@ func TestExperimentRegistryComplete(t *testing.T) {
 }
 
 // TestAllExperimentsProduceTables smoke-runs every experiment at quick
-// size: each must return a non-empty, renderable table.
+// size: each must return a non-empty, renderable table with no cell
+// marked wrongResult.
 func TestAllExperimentsProduceTables(t *testing.T) {
 	cfg := quickCfg()
 	for _, e := range Experiments {
@@ -183,6 +184,9 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 			out := tb.String()
 			if !strings.Contains(out, "\n") {
 				t.Fatalf("%s rendered nothing", e.ID)
+			}
+			if strings.Contains(out, wrongResult) {
+				t.Fatalf("%s reports a wrong result:\n%s", e.ID, out)
 			}
 		})
 	}

@@ -330,6 +330,10 @@ func E14Overhead(cfg Config) *perf.Table {
 	return t
 }
 
+// wrongResult marks a table cell whose algorithm disagreed with its
+// baseline; TestAllExperimentsProduceTables fails on it.
+const wrongResult = "WRONG RESULT"
+
 // E16Selection regenerates Table 9: k-th smallest via parallel
 // count/pack quickselect vs the sequential baseline vs the "sort then
 // index" strawman.
@@ -350,7 +354,7 @@ func E16Selection(cfg Config) *perf.Table {
 		var got int64
 		tpar := r.Time(func(int) { got = psel.Select(xs, k, opts) }).Median
 		if got != want {
-			t.AddRowf(d.String(), "par-select", "WRONG RESULT", 0.0)
+			t.AddRowf(d.String(), "par-select", wrongResult, 0.0)
 			continue
 		}
 		t.AddRowf(d.String(), "par-select", perf.FormatDuration(tpar), tpar/tseq)

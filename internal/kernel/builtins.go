@@ -62,14 +62,7 @@ func sortFeature(a *Args) int {
 	if n == 0 {
 		return 0
 	}
-	lo, hi := xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < lo {
-			lo = v
-		} else if v > hi {
-			hi = v
-		}
-	}
+	lo, hi, _ := seq.Bounds(xs)
 	spread := uint64(hi) - uint64(lo)
 	width := bits.Len64(spread)
 	wb := 3

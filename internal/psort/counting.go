@@ -4,6 +4,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/par"
 	"repro/internal/scratch"
+	"repro/internal/seq"
 )
 
 // siteCountingSort covers the whole count/regenerate pipeline, like
@@ -34,14 +35,7 @@ func CountingSort(xs []int64, opts par.Options) {
 	}
 	opts, m := par.BeginAdaptive(siteCountingSort, n, opts)
 	defer m.Done()
-	min, max := xs[0], xs[0]
-	for _, v := range xs[1:] {
-		if v < min {
-			min = v
-		} else if v > max {
-			max = v
-		}
-	}
+	min, max, _ := seq.Bounds(xs)
 	// Two's-complement subtraction is exact for any int64 pair: the
 	// true spread always fits in uint64.
 	spread := uint64(max) - uint64(min)

@@ -207,7 +207,7 @@ func radixSort[C digitCounts](xs, buf []int64) {
 	if n < 2 {
 		return
 	}
-	lo, hi, diff := bounds(xs)
+	lo, hi, diff := Bounds(xs)
 	if lo == hi {
 		return
 	}
@@ -263,14 +263,15 @@ func radixSort[C digitCounts](xs, buf []int64) {
 	}
 }
 
-// bounds returns the least and the greatest key of xs and the bits in
-// which some key differs from xs[0]. It stays out of line: inlined into
-// RadixSort, its loop spilled a register to the stack and branched on
-// max, and the leaf read up to 1.2× slower on narrow keys
-// (BENCHMARKS.md, "Top-digit radix leaf").
+// Bounds returns the least and the greatest key of xs, which must not
+// be empty, and the bits in which some key differs from xs[0]. Its loop
+// has no branch, so mixed keys cost what sorted ones do. It stays out of
+// line: inlined into RadixSort, its loop spilled a register to the stack
+// and branched on max, and the leaf read up to 1.2× slower on narrow
+// keys (BENCHMARKS.md, "Top-digit radix leaf").
 //
 //go:noinline
-func bounds(xs []int64) (lo, hi int64, diff uint64) {
+func Bounds(xs []int64) (lo, hi int64, diff uint64) {
 	x0 := xs[0]
 	lo, hi = x0, x0
 	for _, v := range xs[1:] {
