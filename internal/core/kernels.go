@@ -341,6 +341,9 @@ func E16Selection(cfg Config) *perf.Table {
 	n := cfg.size(1<<21, 1<<14)
 	p := runtime.GOMAXPROCS(0)
 	opts := cfg.opts(p, par.Static, 4096)
+	// leafOpts pins one worker, so Select takes the serial leaf every
+	// serve slot runs; its result is checked, not timed.
+	leafOpts := cfg.opts(1, par.Static, 4096)
 	r := cfg.runner()
 	t := perf.NewTable(
 		fmt.Sprintf("Table 9: median selection, n=%d, P=%d", n, p),
@@ -353,7 +356,7 @@ func E16Selection(cfg Config) *perf.Table {
 		t.AddRowf(d.String(), "seq-quickselect", perf.FormatDuration(tseq), 1.0)
 		var got int64
 		tpar := r.Time(func(int) { got = psel.Select(xs, k, opts) }).Median
-		if got != want {
+		if got != want || psel.Select(xs, k, leafOpts) != want {
 			t.AddRowf(d.String(), "par-select", wrongResult, 0.0)
 			continue
 		}

@@ -67,14 +67,10 @@ type Pool struct {
 	arenaMu   sync.Mutex
 	arenaFree []*Arena
 
-	gets     atomic.Int64
 	hits     atomic.Int64
 	misses   atomic.Int64
 	bypasses atomic.Int64
-	puts     atomic.Int64
-	drops    atomic.Int64
 	live     atomic.Int64
-	pooled   atomic.Int64
 }
 
 // New creates an empty pool.
@@ -97,16 +93,13 @@ func Default() *Pool {
 	return defaultPool
 }
 
-// Stats is a snapshot of a pool's counters. Hits+Misses+Bypasses ==
-// Gets; BytesLive tracks pooled bytes currently out on loan and
-// BytesPooled the bytes parked in free lists.
+// Stats is a snapshot of a pool's counters. Every Get is one Hit, Miss
+// or Bypass. BytesLive tracks pooled bytes out on loan; BytesPooled,
+// the bytes parked in free lists, is summed from the lists' lengths.
 type Stats struct {
-	Gets     int64 // all Get calls
 	Hits     int64 // served by reusing a pooled slab
 	Misses   int64 // pooled request that had to allocate a new slab
 	Bypasses int64 // ineligible type/size or disabled pool
-	Puts     int64 // buffers returned
-	Drops    int64 // returned slabs released to the GC (caps reached)
 	// BytesLive is pooled bytes currently out on loan (gauge).
 	BytesLive int64
 	// BytesPooled is bytes parked in free lists, ready for reuse (gauge).
@@ -116,15 +109,24 @@ type Stats struct {
 // Stats returns a snapshot of the pool's counters, the allocator-side
 // companion to the executor's steal counters.
 func (p *Pool) Stats() Stats {
+	pooled := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for c := range sh.free {
+			pooled += sh.free[c].n * classBytes(c)
+		}
+		sh.mu.Unlock()
+	}
+	p.largeMu.Lock()
+	pooled += p.largeBytes
+	p.largeMu.Unlock()
 	return Stats{
-		Gets:        p.gets.Load(),
 		Hits:        p.hits.Load(),
 		Misses:      p.misses.Load(),
 		Bypasses:    p.bypasses.Load(),
-		Puts:        p.puts.Load(),
-		Drops:       p.drops.Load(),
 		BytesLive:   p.live.Load(),
-		BytesPooled: p.pooled.Load(),
+		BytesPooled: int64(pooled),
 	}
 }
 
@@ -195,7 +197,6 @@ func get[T any](p *Pool, n, c int, zero bool) ([]T, Handle) {
 	if n < 0 || c < n {
 		panic("scratch: Get with negative or inconsistent length")
 	}
-	p.gets.Add(1)
 	sz, podOK := elemInfo[T]()
 	bytes := 0
 	if podOK && c > 0 {
@@ -233,12 +234,9 @@ func (p *Pool) take(class int) *slab {
 		if s != nil {
 			p.large[class] = s.next
 			p.largeBytes -= classBytes(class)
-		}
-		p.largeMu.Unlock()
-		if s != nil {
-			p.pooled.Add(-int64(classBytes(class)))
 			s.next = nil
 		}
+		p.largeMu.Unlock()
 		return s
 	}
 	sh := &p.shards[shardIdx()]
@@ -248,12 +246,9 @@ func (p *Pool) take(class int) *slab {
 	if s != nil {
 		f.head = s.next
 		f.n--
-	}
-	sh.mu.Unlock()
-	if s != nil {
-		p.pooled.Add(-int64(classBytes(class)))
 		s.next = nil
 	}
+	sh.mu.Unlock()
 	return s
 }
 
@@ -270,7 +265,6 @@ func Put(h Handle) {
 		panic("scratch: Put of stale handle (double Put or use after Release)")
 	}
 	p := s.pool
-	p.puts.Add(1)
 	p.live.Add(-int64(classBytes(s.class)))
 	p.park(s)
 }
@@ -278,32 +272,24 @@ func Put(h Handle) {
 // park returns a slab to a free list, or drops it for the GC when the
 // class or byte caps are reached.
 func (p *Pool) park(s *slab) {
-	cb := classBytes(s.class)
 	if s.class >= largeClass {
+		cb := classBytes(s.class)
 		p.largeMu.Lock()
-		if p.largeBytes+cb > largeBytesCap {
-			p.largeMu.Unlock()
-			p.drops.Add(1)
-			return
+		if p.largeBytes+cb <= largeBytesCap {
+			s.next = p.large[s.class]
+			p.large[s.class] = s
+			p.largeBytes += cb
 		}
-		s.next = p.large[s.class]
-		p.large[s.class] = s
-		p.largeBytes += cb
 		p.largeMu.Unlock()
-		p.pooled.Add(int64(cb))
 		return
 	}
 	sh := &p.shards[shardIdx()]
 	sh.mu.Lock()
 	f := &sh.free[s.class]
-	if f.n >= smallCap {
-		sh.mu.Unlock()
-		p.drops.Add(1)
-		return
+	if f.n < smallCap {
+		s.next = f.head
+		f.head = s
+		f.n++
 	}
-	s.next = f.head
-	f.head = s
-	f.n++
 	sh.mu.Unlock()
-	p.pooled.Add(int64(cb))
 }

@@ -169,17 +169,44 @@ func TestArenaMakeAfterReleasePanics(t *testing.T) {
 	_ = Make[int](a, 8)
 }
 
+// TestBytesGauges pins BytesLive and BytesPooled through a miss, a
+// hit, the large list and a Put that drops at smallCap. BytesPooled is
+// summed from the free lists, so each case checks that sum.
 func TestBytesGauges(t *testing.T) {
 	p := New()
-	_, h := Get[int64](p, 1024) // 8 KiB class
-	st := p.Stats()
-	if st.BytesLive != 8192 {
-		t.Errorf("BytesLive = %d, want 8192", st.BytesLive)
+	check := func(when string, live, pooled int64) {
+		t.Helper()
+		if st := p.Stats(); st.BytesLive != live || st.BytesPooled != pooled {
+			t.Errorf("%s: live=%d pooled=%d, want %d/%d", when, st.BytesLive, st.BytesPooled, live, pooled)
+		}
 	}
+	const small, large = 8192, 1 << 20
+	_, h := Get[int64](p, 1024) // 8 KiB class, a miss
+	check("after Get", small, 0)
 	Put(h)
-	st = p.Stats()
-	if st.BytesLive != 0 || st.BytesPooled != 8192 {
-		t.Errorf("after Put: live=%d pooled=%d, want 0/8192", st.BytesLive, st.BytesPooled)
+	check("after Put", 0, small)
+	_, h = Get[int64](p, 1024) // the parked slab, a hit
+	check("after a hit", small, 0)
+	Put(h)
+
+	_, h = Get[byte](p, large) // first class of the large list
+	check("after a large Get", large, small)
+	Put(h)
+	check("after a large Put", 0, small+large)
+
+	// smallCap slabs of one class fit a free list; the next Put drops
+	// its slab for the GC.
+	hs := make([]Handle, smallCap+1)
+	for i := range hs {
+		_, hs[i] = Get[int64](p, 1024)
+	}
+	check("with smallCap+1 on loan", (smallCap+1)*small, large)
+	for _, h := range hs {
+		Put(h)
+	}
+	check("after a Put past smallCap", 0, smallCap*small+large)
+	if st := p.Stats(); st.Hits != 2 || st.Misses != smallCap+2 {
+		t.Errorf("hits=%d misses=%d, want 2/%d", st.Hits, st.Misses, smallCap+2)
 	}
 }
 
@@ -203,6 +230,9 @@ func TestConcurrentTraffic(t *testing.T) {
 					}
 				}
 				a.Release()
+				if i%50 == 0 {
+					p.Stats() // reads the free lists while others park and take
+				}
 			}
 		}(g)
 	}
@@ -239,4 +269,17 @@ func TestClassFor(t *testing.T) {
 			t.Errorf("classFor(%d) = %d, want %d", c.b, got, c.class)
 		}
 	}
+}
+
+// BenchmarkGetPutParallel is one Get+Put of a 1 Ki []int64 on a
+// private pool from every P at once. Run it at -cpu 1,2: a pool whose
+// counters share one cache line reads slower with the second core.
+func BenchmarkGetPutParallel(b *testing.B) {
+	p := New()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			_, h := Get[int64](p, 1024)
+			Put(h)
+		}
+	})
 }

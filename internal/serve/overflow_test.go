@@ -3,12 +3,15 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/kernel"
+	"repro/internal/rescache"
 )
 
 // TestFoldedTenantAccountingBalances pins the per-entry invariant
@@ -117,13 +120,18 @@ func TestMigrateInDoesNotResurrectFoldedTenant(t *testing.T) {
 	home.putRequest(r)
 }
 
-// TestShardedMigrationWithTenantFold is the end-to-end half: heavy
-// skew (every tenant homed on shard 0) with more names than the
-// maxTenants bound and migration on. Folded names must not multiply
-// across shards and the merged per-tenant stats must balance exactly.
+// TestShardedMigrationWithTenantFold is the end-to-end half, and the
+// ledger test of every count Stats derives: heavy skew (every tenant
+// homed on shard 0) with more names than the maxTenants bound,
+// migration on, a shared result cache, a small queue bound and an SLO.
+// Folded names must not multiply across shards, and the aggregate must
+// agree with what the callers saw (successes, rejections and deadline
+// errors), with the cache's own hit count, with the balancer's
+// MigratedOut and with the merged per-tenant stats.
 func TestShardedMigrationWithTenantFold(t *testing.T) {
+	cache := rescache.New(rescache.Config{})
 	g := NewSharded(ShardedConfig{
-		Config:            Config{MaxQueue: 1 << 20},
+		Config:            Config{MaxQueue: 4, SLO: time.Millisecond, Cache: cache},
 		Shards:            2,
 		ShardProcs:        1,
 		MigrateHysteresis: 1,
@@ -131,37 +139,92 @@ func TestShardedMigrationWithTenantFold(t *testing.T) {
 	defer g.Close()
 
 	names := tenantsHomedOn(g, 0, maxTenants+10)
-	var wg sync.WaitGroup
-	var sent int64
-	var mu sync.Mutex
-	for _, name := range names {
+	var ok, rejected, late atomic.Int64
+	wave := func(w int) {
+		var wg sync.WaitGroup
 		wg.Add(1)
-		go func(name string) {
+		go func() { // Stats sums the tenant entries while callers add to them
 			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				if _, err := Sum(g, name, []int64{4, 5, 6}); err != nil {
-					t.Errorf("%s: %v", name, err)
-					return
-				}
-				mu.Lock()
-				sent++
-				mu.Unlock()
+			for i := 0; i < 20; i++ {
+				g.Stats()
+				runtime.Gosched()
 			}
-		}(name)
+		}()
+		for _, name := range names {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					// Each input is sent twice per wave, so the second
+					// sending can be a cache hit.
+					got, err := Sum(g, name, []int64{4, 5, int64(w*4 + i/2)})
+					switch {
+					case err == nil:
+						if want := int64(9 + w*4 + i/2); got != want {
+							t.Errorf("%s: sum = %d, want %d", name, got, want)
+						}
+						ok.Add(1)
+					case errors.Is(err, ErrRejected):
+						rejected.Add(1)
+						runtime.Gosched()
+					case errors.Is(err, ErrDeadlineExceeded):
+						late.Add(1)
+						runtime.Gosched()
+					default:
+						t.Errorf("%s: %v", name, err)
+						return
+					}
+				}
+			}(name)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	deadline := time.Now().Add(30 * time.Second)
+	for w := 0; w == 0 || g.Stats().Migrated == 0; w++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("no migration after %d skewed waves", w)
+		}
+		wave(w)
+	}
 
-	var accepted, completed int64
+	st := g.Stats()
+	a := st.Aggregate
+	t.Logf("callers saw %d ok, %d rejected, %d late; %+v, migrated %d", ok.Load(), rejected.Load(), late.Load(), a, st.Migrated)
+	if a.Completed+a.CacheHits != ok.Load() || a.Rejected != rejected.Load() || a.DeadlineRejected+a.Expired != late.Load() {
+		t.Errorf("completed+cachehits=%d rejected=%d deadline+expired=%d; callers saw %d ok, %d rejected, %d late",
+			a.Completed+a.CacheHits, a.Rejected, a.DeadlineRejected+a.Expired, ok.Load(), rejected.Load(), late.Load())
+	}
+	if a.Accepted != a.Completed+a.Expired {
+		t.Errorf("accepted=%d, want completed+expired=%d", a.Accepted, a.Completed+a.Expired)
+	}
+	if hits := int64(cache.Stats().Hits); a.CacheHits != hits {
+		t.Errorf("cachehits=%d, the cache counted %d hits", a.CacheHits, hits)
+	}
+	// Every completion rode a batch, and a batch carries 1..maxBatch
+	// requests.
+	if a.BatchedRequests != a.Completed || a.Batches > a.BatchedRequests || a.BatchedRequests > a.Batches*maxBatch {
+		t.Errorf("batches=%d batched=%d completed=%d", a.Batches, a.BatchedRequests, a.Completed)
+	}
+	if st.Migrated != a.MigratedOut {
+		t.Errorf("migrated=%d, but shards migrated out %d", st.Migrated, a.MigratedOut)
+	}
+
+	var sum TenantStats
 	merged := g.TenantStats()
 	for _, ts := range merged {
-		if ts.Accepted != ts.Completed {
-			t.Errorf("tenant %q: Accepted %d != Completed %d", ts.Name, ts.Accepted, ts.Completed)
+		if ts.Accepted != ts.Completed+ts.Expired {
+			t.Errorf("tenant %q: Accepted %d != Completed %d + Expired %d", ts.Name, ts.Accepted, ts.Completed, ts.Expired)
 		}
-		accepted += ts.Accepted
-		completed += ts.Completed
+		sum.Accepted += ts.Accepted
+		sum.Rejected += ts.Rejected
+		sum.Completed += ts.Completed
+		sum.DeadlineRejected += ts.DeadlineRejected
+		sum.Expired += ts.Expired
+		sum.CacheHits += ts.CacheHits
 	}
-	if completed != sent {
-		t.Errorf("completed %d requests, sent %d", completed, sent)
+	if sum != (TenantStats{Accepted: a.Accepted, Rejected: a.Rejected, Completed: a.Completed,
+		DeadlineRejected: a.DeadlineRejected, Expired: a.Expired, CacheHits: a.CacheHits}) {
+		t.Errorf("per-tenant sums %+v != aggregate %+v", sum, a)
 	}
 	// Shard 0 admits at most maxTenants real names plus "(other)";
 	// shard 1 sees only migrated requests carrying those same stamped

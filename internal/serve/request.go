@@ -172,7 +172,6 @@ func (s *shard) CallBudget(tenant string, k *kernel.Kernel, a *kernel.Args, budg
 		var hit bool
 		if tok, hit = c.Lookup(tenant, k, a); hit {
 			t.cacheHits.Add(1)
-			s.cacheHits.Add(1)
 			return nil
 		}
 		s.cacheMisses.Add(1)

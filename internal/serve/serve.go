@@ -188,6 +188,10 @@ type tenant struct {
 }
 
 // Stats is a snapshot of a server's admission and batching counters.
+// Accepted, Rejected, DeadlineRejected and CacheHits are summed over
+// the shard's tenant entries (OverflowTenant's included) and Batches
+// is ParallelBatches + SerialBatches: Stats derives them, the request
+// path does not count them twice.
 type Stats struct {
 	// Tenants is the number of distinct tenant names seen.
 	Tenants int
@@ -266,11 +270,11 @@ type shard struct {
 
 	reqPool sync.Pool
 
-	accepted         atomic.Int64
-	rejected         atomic.Int64
-	completed        atomic.Int64
-	deadlineRejected atomic.Int64
-	expired          atomic.Int64
+	// The door's counts live on the tenant entries (Stats sums them);
+	// finishes are counted here as well, because a migrated request
+	// finishes away from its tenant entry.
+	completed atomic.Int64
+	expired   atomic.Int64
 	// svcNanos is the dispatcher-maintained EWMA of per-request batch
 	// service time in nanoseconds — wall time of a batch over its
 	// size, so batch parallelism is already folded in. It is the
@@ -286,7 +290,6 @@ type shard struct {
 	// fold resets the EWMA instead of averaging across the idle gap.
 	svcNanos        atomic.Int64
 	svcStamp        atomic.Int64
-	batches         atomic.Int64
 	batchedReqs     atomic.Int64
 	largestBatch    atomic.Int64
 	parallelBatches atomic.Int64
@@ -296,7 +299,6 @@ type shard struct {
 	pipelined       atomic.Int64
 	migratedIn      atomic.Int64
 	migratedOut     atomic.Int64
-	cacheHits       atomic.Int64
 	cacheMisses     atomic.Int64
 
 	// The running parallel batch: its requests, the cursor its slots
@@ -344,29 +346,31 @@ func (s *shard) Close() {
 // Stats returns a racy snapshot of the server's counters — gauges for
 // dashboards and tests, not a linearizable accounting.
 func (s *shard) Stats() Stats {
-	s.mu.Lock()
-	n := len(s.tenants)
-	s.mu.Unlock()
-	return Stats{
-		Tenants:          n,
-		Accepted:         s.accepted.Load(),
-		Rejected:         s.rejected.Load(),
-		Completed:        s.completed.Load(),
-		Batches:          s.batches.Load(),
-		BatchedRequests:  s.batchedReqs.Load(),
-		MaxBatch:         s.largestBatch.Load(),
-		ParallelBatches:  s.parallelBatches.Load(),
-		SerialBatches:    s.serialBatches.Load(),
-		Shed:             s.shed.Load(),
-		Degraded:         s.degraded.Load(),
-		Pipelined:        s.pipelined.Load(),
-		DeadlineRejected: s.deadlineRejected.Load(),
-		Expired:          s.expired.Load(),
-		CacheHits:        s.cacheHits.Load(),
-		CacheMisses:      s.cacheMisses.Load(),
-		MigratedIn:       s.migratedIn.Load(),
-		MigratedOut:      s.migratedOut.Load(),
+	st := Stats{
+		Completed:       s.completed.Load(),
+		BatchedRequests: s.batchedReqs.Load(),
+		MaxBatch:        s.largestBatch.Load(),
+		ParallelBatches: s.parallelBatches.Load(),
+		SerialBatches:   s.serialBatches.Load(),
+		Shed:            s.shed.Load(),
+		Degraded:        s.degraded.Load(),
+		Pipelined:       s.pipelined.Load(),
+		Expired:         s.expired.Load(),
+		CacheMisses:     s.cacheMisses.Load(),
+		MigratedIn:      s.migratedIn.Load(),
+		MigratedOut:     s.migratedOut.Load(),
 	}
+	st.Batches = st.ParallelBatches + st.SerialBatches
+	s.mu.Lock()
+	st.Tenants = len(s.tenants)
+	for _, t := range s.tenants {
+		st.Accepted += t.accepted.Load()
+		st.Rejected += t.rejected.Load()
+		st.DeadlineRejected += t.deadlineRejected.Load()
+		st.CacheHits += t.cacheHits.Load()
+	}
+	s.mu.Unlock()
+	return st
 }
 
 // TenantStats returns per-tenant admission counters in name order.
@@ -440,7 +444,6 @@ func (s *shard) admit(r *request) error {
 	r.tenantName = t.name
 	r.acct = t
 	t.accepted.Add(1)
-	s.accepted.Add(1)
 	if r.stream {
 		s.streams.Add(1)
 		s.pipelined.Add(1)
@@ -475,7 +478,6 @@ func (s *shard) queueRungsLocked(t *tenant, r *request) error {
 	}
 	if t.qlen >= bound {
 		t.rejected.Add(1)
-		s.rejected.Add(1)
 		return ErrRejected
 	}
 	slo := s.cfg.SLO
@@ -499,7 +501,6 @@ func (s *shard) queueRungsLocked(t *tenant, r *request) error {
 		now := time.Now()
 		if per := s.svcNanos.Load(); per > 0 && s.svcFresh(now) && int64(s.queued+1)*per > int64(slo) {
 			t.deadlineRejected.Add(1)
-			s.deadlineRejected.Add(1)
 			return ErrDeadlineExceeded
 		}
 		r.deadline = now.Add(slo)
@@ -734,7 +735,6 @@ func (s *shard) dispatch() {
 // under elevated load, serial on the dispatcher at saturation.
 func (s *shard) execute(batch []*request) {
 	n := len(batch)
-	s.batches.Add(1)
 	s.batchedReqs.Add(int64(n))
 	for {
 		cur := s.largestBatch.Load()

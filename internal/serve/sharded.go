@@ -69,9 +69,9 @@ type ShardedStats struct {
 	Aggregate Stats
 	PerShard  []Stats
 	// Migrations counts balancer events (each moves one slice of
-	// requests between adjacent shards); Migrated counts the requests
-	// moved. Both stay 0 under balanced traffic — migration is the
-	// exception path, not the routing path.
+	// requests between adjacent shards); Migrated, the requests moved,
+	// is Aggregate.MigratedIn. Both stay 0 under balanced traffic —
+	// migration is the exception path, not the routing path.
 	Migrations, Migrated int64
 }
 
@@ -109,7 +109,6 @@ type Sharded struct {
 	closed atomic.Bool
 
 	migrations atomic.Int64
-	migrated   atomic.Int64
 	// migBufs recycles the migration slices so a steady stream of
 	// balancer events allocates nothing per event.
 	migBufs sync.Pool
@@ -235,7 +234,6 @@ func (g *Sharded) tryMigrate(from, to int) int {
 	if n > 0 {
 		g.shards[to].migrateIn(buf)
 		g.migrations.Add(1)
-		g.migrated.Add(int64(n))
 	}
 	*bufp = buf[:0]
 	g.migBufs.Put(bufp)
@@ -258,7 +256,6 @@ func (g *Sharded) Stats() ShardedStats {
 		Shards:     len(g.shards),
 		PerShard:   make([]Stats, len(g.shards)),
 		Migrations: g.migrations.Load(),
-		Migrated:   g.migrated.Load(),
 	}
 	for i, s := range g.shards {
 		ss := s.Stats()
@@ -285,6 +282,7 @@ func (g *Sharded) Stats() ShardedStats {
 		a.MigratedOut += ss.MigratedOut
 	}
 	st.Aggregate.Tenants = len(g.TenantStats())
+	st.Migrated = st.Aggregate.MigratedIn
 	return st
 }
 

@@ -118,9 +118,10 @@ func TestShardedMigrationExactlyOnce(t *testing.T) {
 	if st.Migrated == 0 || st.Migrations == 0 {
 		t.Fatalf("migration counters empty: %+v", st)
 	}
-	if st.Aggregate.MigratedIn != st.Migrated || st.Aggregate.MigratedOut != st.Migrated {
-		t.Fatalf("per-shard migration flow (in=%d out=%d) != balancer count %d",
-			st.Aggregate.MigratedIn, st.Aggregate.MigratedOut, st.Migrated)
+	// Migrated is the shards' MigratedIn summed; MigratedOut is
+	// counted on the other side of each move.
+	if st.Aggregate.MigratedOut != st.Migrated {
+		t.Fatalf("shards migrated out %d, in %d", st.Aggregate.MigratedOut, st.Migrated)
 	}
 	// Exactly once: the server completed precisely the accepted
 	// requests, which are precisely the ones the clients sent and saw

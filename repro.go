@@ -71,7 +71,8 @@ type (
 	// by default). Pin a dedicated pool via Options.Scratch, or set
 	// Options.Scratch = ScratchOff to disable reuse.
 	ScratchPool = scratch.Pool
-	// ScratchStats is a snapshot of a scratch pool's reuse counters.
+	// ScratchStats is a snapshot of a scratch pool's reuse counters
+	// (hits, misses, bypasses) and its bytes on loan and parked.
 	ScratchStats = scratch.Stats
 	// AdaptiveController is the online load-aware tuning runtime: it
 	// picks grain, schedule policy, worker count and serial cutoffs
