@@ -12,8 +12,8 @@
 // payloads decode in place into connection-owned scratch slabs, large
 // responses stream back as chunk frames, and a frame's optional
 // deadline budget is enforced by the server's admission ladder exactly
-// as a local SLO would be. Drive it with `parbench -serve -wire
-// host:port` or any repro.DialClient.
+// as a local SLO would be. Drive it with any repro.DialClient;
+// `bash bench/run.sh` starts one and measures it over a socket.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops accepting,
 // in-flight requests drain and their responses are written, then the
@@ -35,28 +35,41 @@ import (
 )
 
 func main() {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "parserve: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, serves until stop delivers a signal, then drains
+// and prints the final stats to out. A bad flag exits 2, as flag.Parse
+// would; a bad flag value or a failed listen is returned.
+func run(args []string, stop <-chan os.Signal, out io.Writer) error {
+	fs := flag.NewFlagSet("parserve", flag.ExitOnError)
 	var (
-		addr   = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
-		unix   = flag.String("unix", "", "Unix socket path (overrides -addr)")
-		shards = flag.Int("shards", 1,
+		addr   = fs.String("addr", "127.0.0.1:7070", "TCP listen address")
+		unix   = fs.String("unix", "", "Unix socket path (overrides -addr)")
+		shards = fs.Int("shards", 1,
 			"executor shards the server runs on, with tenant-affinity routing and diffusive migration between them (1 = one shard, no balancer)")
-		workers = flag.Int("workers", 4,
+		workers = fs.Int("workers", 4,
 			"serving workers, split evenly across shards (at least one per shard)")
-		slo = flag.Duration("slo", 0,
+		slo = fs.Duration("slo", 0,
 			"server-wide per-request deadline budget; frames carrying their own budget override it per request (0 = no server deadline)")
-		cacheMode = flag.String("cache", "off",
+		cacheMode = fs.String("cache", "off",
 			"'on' puts the generation-stamped result cache in front of the server")
-		stream = flag.Int("stream", 0,
+		stream = fs.Int("stream", 0,
 			"response bytes at which replies stream as chunk frames (0 = default 1MiB, negative = never)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	procs, err := shardProcs(*shards, *workers)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if *slo < 0 {
-		fatalf("bad -slo %v: want >= 0", *slo)
+		return fmt.Errorf("bad -slo %v: want >= 0", *slo)
 	}
 	var cache *rescache.Cache
 	switch *cacheMode {
@@ -64,7 +77,7 @@ func main() {
 		cache = rescache.New(rescache.Config{})
 	case "off", "":
 	default:
-		fatalf("bad -cache %q: want on or off", *cacheMode)
+		return fmt.Errorf("bad -cache %q: want on or off", *cacheMode)
 	}
 
 	srv := serve.NewSharded(serve.ShardedConfig{
@@ -80,20 +93,19 @@ func main() {
 	l, err := wire.Listen(network, laddr, srv, wire.Config{StreamCutoff: *stream})
 	if err != nil {
 		srv.Close()
-		fatalf("listen: %v", err)
+		return fmt.Errorf("listen: %v", err)
 	}
-	fmt.Printf("parserve: listening on %s %s (shards=%d workers=%d slo=%v cache=%s)\n",
+	fmt.Fprintf(out, "parserve: listening on %s %s (shards=%d workers=%d slo=%v cache=%s)\n",
 		network, l.Addr(), *shards, *workers, *slo, *cacheMode)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	fmt.Printf("parserve: %v — draining\n", s)
+	s := <-stop
+	fmt.Fprintf(out, "parserve: %v — draining\n", s)
 	start := time.Now()
 	l.Close()
 	srv.Close()
-	printDrain(os.Stdout, l.Stats(), srv.Stats())
-	fmt.Printf("parserve: drained in %s\n", time.Since(start).Round(time.Millisecond))
+	printDrain(out, l.Stats(), srv.Stats())
+	fmt.Fprintf(out, "parserve: drained in %s\n", time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // shardProcs is each shard's worker count: workers split evenly over
@@ -120,9 +132,4 @@ func printDrain(w io.Writer, ws wire.Stats, sst serve.ShardedStats) {
 	fmt.Fprintf(w, "serve: accepted=%d completed=%d rejected=%d dlrej=%d expired=%d batches=%d\n",
 		st.Accepted, st.Completed, st.Rejected, st.DeadlineRejected, st.Expired, st.Batches)
 	fmt.Fprintf(w, "shards: migrations=%d migrated=%d\n", sst.Migrations, sst.Migrated)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "parserve: "+format+"\n", args...)
-	os.Exit(1)
 }

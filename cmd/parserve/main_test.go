@@ -3,17 +3,58 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"os"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
+// The formats bench/target.go parses the drain lines with (copied:
+// bench/ is its own module).
+const (
+	benchWireFormat  = "wire: conns=%d requests=%d responses=%d chunks=%d errors=%d"
+	benchServeFormat = "serve: accepted=%d completed=%d rejected=%d dlrej=%d expired=%d"
+)
+
+// drain is what the benchmark reads off the drain lines.
+type drain struct {
+	requests, responses, errors, accepted, completed, expired int64
+}
+
+// parseDrain reads out's wire: and serve: lines the way the benchmark
+// does and fails the test unless both parse.
+func parseDrain(t *testing.T, out string) drain {
+	t.Helper()
+	var d drain
+	var skip int64
+	var gotWire, gotServe bool
+	sc := bufio.NewScanner(strings.NewReader(out))
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "wire:"):
+			n, _ := fmt.Sscanf(line, benchWireFormat, &skip, &d.requests, &d.responses, &skip, &d.errors)
+			gotWire = n == 5
+		case strings.HasPrefix(line, "serve:"):
+			n, _ := fmt.Sscanf(line, benchServeFormat, &d.accepted, &d.completed, &skip, &skip, &d.expired)
+			gotServe = n == 5
+		}
+	}
+	if !gotWire || !gotServe {
+		t.Fatalf("benchmark parse: wire %v, serve %v in:\n%s", gotWire, gotServe, out)
+	}
+	return d
+}
+
 // TestPrintDrainFormat pins the drain lines byte for byte and parses
-// them back with the format strings bench/target.go reads them with
-// (copied: bench/ is its own module), so renaming or reordering a field
-// the benchmark parses fails here.
+// them back with the benchmark's format strings, so renaming or
+// reordering a field the benchmark parses fails here.
 func TestPrintDrainFormat(t *testing.T) {
 	ws := wire.Stats{Conns: 1, ActiveConns: 2, Requests: 3, InFlight: 4, Responses: 5, Chunks: 6, Errors: 7}
 	sst := serve.ShardedStats{
@@ -30,29 +71,68 @@ func TestPrintDrainFormat(t *testing.T) {
 	if got := buf.String(); got != golden {
 		t.Fatalf("drain lines:\n%s\nwant:\n%s", got, golden)
 	}
+	if d := parseDrain(t, buf.String()); d != (drain{requests: 3, responses: 5, errors: 7, accepted: 11, completed: 12, expired: 15}) {
+		t.Fatalf("benchmark parse read %+v", d)
+	}
+}
 
-	var skip, requests, responses, errors, accepted, completed, expired int64
-	var gotWire, gotServe bool
-	sc := bufio.NewScanner(strings.NewReader(buf.String()))
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "wire:"):
-			n, _ := fmt.Sscanf(line, "wire: conns=%d requests=%d responses=%d chunks=%d errors=%d",
-				&skip, &requests, &responses, &skip, &errors)
-			gotWire = n == 5
-		case strings.HasPrefix(line, "serve:"):
-			n, _ := fmt.Sscanf(line, "serve: accepted=%d completed=%d rejected=%d dlrej=%d expired=%d",
-				&accepted, &completed, &skip, &skip, &expired)
-			gotServe = n == 5
+// TestRunServesOverSocket starts parserve with its default flags on an
+// ephemeral loopback port, sends one sort through wire.Dial and checks
+// it against the kernel's serial oracle, then stops the server and
+// reads its drain lines back the way the benchmark does.
+func TestRunServesOverSocket(t *testing.T) {
+	pr, pw := io.Pipe()
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		err := run([]string{"-addr", "127.0.0.1:0"}, stop, pw)
+		pw.Close()
+		done <- err
+	}()
+	// On an early failure, stop the server and unblock its writes.
+	t.Cleanup(func() {
+		select {
+		case stop <- syscall.SIGTERM:
+		default:
 		}
+		pr.Close()
+	})
+
+	lines := bufio.NewScanner(pr)
+	if !lines.Scan() {
+		t.Fatalf("no output: %v", lines.Err())
 	}
-	if !gotWire || !gotServe {
-		t.Fatalf("benchmark parse: wire %v, serve %v", gotWire, gotServe)
+	// parserve: listening on tcp 127.0.0.1:PORT (shards=...)
+	f := strings.Fields(lines.Text())
+	if len(f) < 5 || f[1] != "listening" {
+		t.Fatalf("first line %q, want the listening line", lines.Text())
 	}
-	if requests != 3 || responses != 5 || errors != 7 || accepted != 11 || completed != 12 || expired != 15 {
-		t.Fatalf("benchmark parse read requests=%d responses=%d errors=%d accepted=%d completed=%d expired=%d",
-			requests, responses, errors, accepted, completed, expired)
+	cl, err := wire.Dial("tcp", f[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.MustLookup("sort")
+	want := k.Gen(4096, 8)
+	got := slices.Clone(want.Xs)
+	k.Serial(want)
+	if err := serve.Sort(cl, "t", got); err != nil {
+		t.Fatalf("sort over the socket: %v", err)
+	}
+	if !slices.Equal(got, want.Xs) {
+		t.Fatal("sort over the socket disagrees with the serial oracle")
+	}
+	cl.Close()
+
+	stop <- syscall.SIGTERM
+	var rest strings.Builder
+	for lines.Scan() {
+		rest.WriteString(lines.Text() + "\n")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if d := parseDrain(t, rest.String()); d != (drain{requests: 1, responses: 1, accepted: 1, completed: 1}) {
+		t.Fatalf("drain read %+v, want one request accepted, completed and answered:\n%s", d, rest.String())
 	}
 }
 

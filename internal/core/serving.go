@@ -119,12 +119,23 @@ func E23Serve(cfg Config) *perf.Table {
 				srv.Close()
 			}
 			rep := res.Summarize(loadgen.Schedule{})
-			t.AddRowf(clients, mode, reqs, perf.FormatDuration(res.Wall.Seconds()),
+			t.AddRowf(clients, mode, reqs, okOr(&res, perf.FormatDuration(res.Wall.Seconds())),
 				int(float64(reqs)/res.Wall.Seconds()+0.5),
 				rep.UncorrectedP50*1e6, rep.UncorrectedP95*1e6, rep.UncorrectedP99*1e6)
 		}
 	}
 	return t
+}
+
+// okOr is cell, or wrongResult when any request of the closed-loop
+// run res failed. E23, E24 and E29 set no SLO and every tenant's queue
+// bound is above their client count, so none of their requests may be
+// refused.
+func okOr(res *loadgen.Result, cell string) string {
+	if res.OK() < len(res.Samples) {
+		return wrongResult
+	}
+	return cell
 }
 
 // oneShard builds a one-shard server on an executor as wide as the
@@ -198,7 +209,7 @@ func E24ShardedServe(cfg Config) *perf.Table {
 		st := g.Stats()
 		g.Close()
 		rep := res.Summarize(loadgen.Schedule{})
-		t.AddRowf(c.name, reqs, perf.FormatDuration(res.Wall.Seconds()),
+		t.AddRowf(c.name, reqs, okOr(&res, perf.FormatDuration(res.Wall.Seconds())),
 			int(float64(reqs)/res.Wall.Seconds()+0.5),
 			rep.UncorrectedP50*1e6, rep.UncorrectedP95*1e6, rep.UncorrectedP99*1e6,
 			st.Migrated)
@@ -768,7 +779,7 @@ func E29LongRoute(cfg Config) *perf.Table {
 			name = fmt.Sprintf("cutoff %d", cutoff)
 		}
 		t.AddRowf(name, fmt.Sprintf("%d:%d", nShort, nLong),
-			perf.FormatDuration(perf.Percentile(short, 50)),
+			okOr(&res, perf.FormatDuration(perf.Percentile(short, 50))),
 			perf.FormatDuration(perf.Percentile(short, 90)),
 			perf.FormatDuration(perf.Percentile(long, 50)))
 	}

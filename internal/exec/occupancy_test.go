@@ -75,10 +75,10 @@ func TestShardedOccupancyLifecycle(t *testing.T) {
 	}
 	running.Wait()
 
-	if got := g.ShardOccupancy(0); got != 1 {
+	if got := g.Shard(0).Occupancy(); got != 1 {
 		t.Errorf("saturated shard occupancy = %v, want 1", got)
 	}
-	if got := g.ShardOccupancy(1); got != 0 {
+	if got := g.Shard(1).Occupancy(); got != 0 {
 		t.Errorf("idle shard occupancy = %v, want exactly 0 while neighbor is saturated", got)
 	}
 	if got := g.Occupancy(); got != 0.5 {
@@ -96,10 +96,10 @@ func TestShardedOccupancyLifecycle(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 100; i++ {
-		if got := g.ShardOccupancy(0); got != 0 {
+		if got := g.Shard(0).Occupancy(); got != 0 {
 			t.Fatalf("quiesced shard 0 occupancy = %v, want exactly 0", got)
 		}
-		if got := g.ShardOccupancy(1); got != 0 {
+		if got := g.Shard(1).Occupancy(); got != 0 {
 			t.Fatalf("quiesced shard 1 occupancy = %v, want exactly 0", got)
 		}
 		if got := g.Occupancy(); got != 0 {

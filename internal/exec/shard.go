@@ -14,7 +14,7 @@ import "runtime"
 // process-wide gauge blurred every workload together — one busy
 // kernel made the whole process read loaded, so admission control and
 // adaptive shedding on an idle shard degraded for someone else's
-// traffic. ShardOccupancy isolates the gauges per shard (an idle
+// traffic. Shard(i).Occupancy() is one shard's gauge (an idle
 // shard reads exactly 0 no matter how saturated its neighbors are),
 // and Occupancy keeps the cheap global aggregate for callers that
 // still want the process view.
@@ -49,11 +49,6 @@ func (g *Sharded) Shards() int { return len(g.shards) }
 
 // Shard returns shard i's executor.
 func (g *Sharded) Shard(i int) *Executor { return g.shards[i] }
-
-// ShardOccupancy returns shard i's instantaneous occupancy gauge —
-// exactly 0 the moment its last running task finishes, regardless of
-// the other shards' load.
-func (g *Sharded) ShardOccupancy(i int) float64 { return g.shards[i].Occupancy() }
 
 // Occupancy returns the worker-weighted aggregate occupancy across
 // all shards — the process-wide view the single pool used to give,

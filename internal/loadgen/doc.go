@@ -37,7 +37,6 @@
 // loadgen sits beside the harness layers, not under the runtime ones:
 // it depends only on internal/rng (arrival draws) and internal/perf
 // (percentiles), and knows nothing about what a request is — callers
-// pass a func. internal/core (experiments E23, E24 and E26) and
-// cmd/parbench (-serve, with or without -openloop) drive
-// internal/serve through it; internal/serve never imports it.
+// pass a func. internal/core (experiments E23, E24, E26 and E29)
+// drives internal/serve through it; internal/serve never imports it.
 package loadgen

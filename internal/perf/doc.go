@@ -6,6 +6,6 @@
 // Table renders results as aligned text and CSV.
 //
 // Layering: perf is a leaf measurement package; it feeds core's
-// experiment tables, cmd/parbench (rendering, CSV, the -serve
-// latency percentiles) and cmd/parstudy.
+// experiment tables, cmd/parbench (rendering, CSV) and
+// cmd/parstudy.
 package perf

@@ -9,7 +9,7 @@ import (
 // Percentile returns the q-th percentile (q in [0,100]) of xs by the
 // nearest-rank method on a sorted copy, or 0 for an empty sample. It
 // is the latency-percentile helper behind the request-serving stats
-// lines (core experiment E23, cmd/parbench -serve).
+// tables (core experiments E23, E24, E26 and E29).
 func Percentile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0

@@ -321,7 +321,7 @@ func TestMigratedRequestStaleInsertDropped(t *testing.T) {
 	thief := newShard(t, Config{Cache: cache, Workers: 1})
 
 	// Stall home's dispatcher so the victim queues.
-	bucket, gate := deadlineGate()
+	bucket, release := deadlineGate(t)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -329,12 +329,7 @@ func TestMigratedRequestStaleInsertDropped(t *testing.T) {
 		hist := make([]int, 1)
 		_ = Histogram(home, "blocker", hist, []int64{1}, bucket)
 	}()
-	for i := 0; home.Stats().Batches == 0; i++ {
-		if i > 2000 {
-			t.Fatal("blocker batch never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "blocker batch started", func() bool { return home.Stats().Batches > 0 })
 
 	payload := []int64{7, 7, 7}
 	var out int64
@@ -346,12 +341,7 @@ func TestMigratedRequestStaleInsertDropped(t *testing.T) {
 		callErr = home.CallBudget("mig", kernelCachetest, &a, 0)
 		out = a.Out
 	}()
-	for i := 0; home.queueDepth() < 1; i++ {
-		if i > 2000 {
-			t.Fatal("victim never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "victim queued", func() bool { return home.queueDepth() >= 1 })
 
 	buf := home.migrateOut(nil, 1)
 	if len(buf) != 1 {
@@ -360,7 +350,7 @@ func TestMigratedRequestStaleInsertDropped(t *testing.T) {
 	cachetestVersion.Store(1)
 	cache.Bump("mig") // mid-migration: the victim's token is now stale
 	thief.migrateIn(buf)
-	close(gate)
+	release()
 	wg.Wait()
 
 	if callErr != nil {

@@ -8,12 +8,29 @@ import (
 )
 
 // deadlineGate returns a Histogram workload that parks inside the
-// kernel until the gate channel is closed — the white-box way to hold
-// the dispatcher inside a batch while later submissions pile up on
-// the queues.
-func deadlineGate() (bucket func(int64) int, gate chan struct{}) {
-	gate = make(chan struct{})
-	return func(int64) int { <-gate; return 0 }, gate
+// kernel until release is called — the white-box way to hold the
+// dispatcher inside a batch while later submissions pile up on the
+// queues. A test cleanup releases it too, so a test that fails while
+// the gate is shut does not hang its server's Close; register that
+// Close (t.Cleanup) before calling deadlineGate.
+func deadlineGate(t *testing.T) (bucket func(int64) int, release func()) {
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	return func(int64) int { <-gate; return 0 }, release
+}
+
+// waitFor polls cond every millisecond and fails the test naming what
+// it waited for if cond does not hold within five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within 5s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestDeadlineDoorRejection pins the door rung: when the queue-depth-
@@ -115,9 +132,9 @@ func TestDeadlineStaleEstimateResets(t *testing.T) {
 func TestDeadlineExpiredDroppedBeforeBatching(t *testing.T) {
 	const slo = 20 * time.Millisecond
 	s := NewSharded(ShardedConfig{Shards: 1, Config: Config{SLO: slo, Workers: 1}})
-	defer s.Close()
+	t.Cleanup(s.Close)
 
-	bucket, gate := deadlineGate()
+	bucket, release := deadlineGate(t)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -129,12 +146,7 @@ func TestDeadlineExpiredDroppedBeforeBatching(t *testing.T) {
 	}()
 	// Wait until the blocker is inside execute() so the next submit
 	// can only queue behind it.
-	for i := 0; s.Stats().Aggregate.Batches == 0; i++ {
-		if i > 2000 {
-			t.Fatal("blocker batch never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "blocker batch started", func() bool { return s.Stats().Aggregate.Batches > 0 })
 
 	var victimErr error
 	wg.Add(1)
@@ -146,7 +158,7 @@ func TestDeadlineExpiredDroppedBeforeBatching(t *testing.T) {
 	// then release the blocker; the next batch formation must expire
 	// the victim instead of running it.
 	time.Sleep(3 * slo)
-	close(gate)
+	release()
 	wg.Wait()
 
 	if !errors.Is(victimErr, ErrDeadlineExceeded) {
@@ -178,7 +190,7 @@ func TestMigrationKeepsDeadlineStamps(t *testing.T) {
 	thief := newShard(t, Config{Workers: 1}) // no SLO of its own
 
 	// Stall home's dispatcher so submissions after the blocker queue.
-	bucket, gate := deadlineGate()
+	bucket, release := deadlineGate(t)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -186,12 +198,7 @@ func TestMigrationKeepsDeadlineStamps(t *testing.T) {
 		hist := make([]int, 1)
 		_ = Histogram(home, "blocker", hist, []int64{1}, bucket)
 	}()
-	for i := 0; home.Stats().Batches == 0; i++ {
-		if i > 2000 {
-			t.Fatal("blocker batch never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "blocker batch started", func() bool { return home.Stats().Batches > 0 })
 
 	const k = 3
 	errs := make([]error, k)
@@ -203,12 +210,7 @@ func TestMigrationKeepsDeadlineStamps(t *testing.T) {
 			errs[i] = Sort(home, "mig", []int64{2, 1})
 		}()
 	}
-	for i := 0; home.queueDepth() < k; i++ {
-		if i > 2000 {
-			t.Fatal("migration victims never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "migration victims queued", func() bool { return home.queueDepth() >= k })
 
 	// Steal the queued requests exactly as the diffusive balancer
 	// would and verify the stamps survived the pop.
@@ -226,7 +228,7 @@ func TestMigrationKeepsDeadlineStamps(t *testing.T) {
 	// batch formation must honor the home stamps and expire all k.
 	time.Sleep(3 * slo)
 	thief.migrateIn(buf)
-	close(gate)
+	release()
 	wg.Wait()
 
 	for i, err := range errs {

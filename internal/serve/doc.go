@@ -78,8 +78,8 @@
 // (the batch site) and internal/kernel (the registry whose descriptors
 // it dispatches through, long-route adapters included); it feeds
 // internal/wire (the listener serves onto a Front, the client is one),
-// the repro facade (repro.NewShardedServer, repro.Front, repro.ServeSort...)
-// and cmd/parbench's -serve traffic mode. Experiment E23 quantifies
+// and the repro facade (repro.NewShardedServer, repro.Front,
+// repro.ServeSort...). Experiment E23 quantifies
 // the batching win over naive per-request dispatch at equal worker
 // count; the embed_skew workload of the repo's benchmark (bench/)
 // tracks the batched path per change.

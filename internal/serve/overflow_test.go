@@ -145,7 +145,7 @@ func TestShardedMigrationWithTenantFold(t *testing.T) {
 		wg.Add(1)
 		go func() { // Stats sums the tenant entries while callers add to them
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
+			for i := 0; i < 100; i++ {
 				g.Stats()
 				runtime.Gosched()
 			}
@@ -231,6 +231,9 @@ func TestShardedMigrationWithTenantFold(t *testing.T) {
 	// names. Nothing can widen the name set.
 	if len(merged) > maxTenants+1 {
 		t.Errorf("merged stats name %d tenants; want <= %d", len(merged), maxTenants+1)
+	}
+	if a.Tenants != len(merged) {
+		t.Errorf("Stats counts %d tenants; the merged stats name %d", a.Tenants, len(merged))
 	}
 	for i, s := range g.shards {
 		s.mu.Lock()

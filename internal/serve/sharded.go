@@ -281,9 +281,34 @@ func (g *Sharded) Stats() ShardedStats {
 		a.MigratedIn += ss.MigratedIn
 		a.MigratedOut += ss.MigratedOut
 	}
-	st.Aggregate.Tenants = len(g.TenantStats())
+	st.Aggregate.Tenants = g.tenantCount()
 	st.Migrated = st.Aggregate.MigratedIn
 	return st
+}
+
+// tenantCount is the number of distinct tenant names across shards,
+// counted without merging the tables. Admission creates a name's entry
+// on its home shard and entries are never removed, so a sibling holds
+// a name only for requests migrated to it, and each name counts on its
+// home shard. OverflowTenant can sit on any shard that folded names or
+// received folded requests, and counts once.
+func (g *Sharded) tenantCount() int {
+	n, overflow := 0, false
+	for i, s := range g.shards {
+		s.mu.Lock()
+		for name := range s.tenants {
+			if name == OverflowTenant {
+				overflow = true
+			} else if g.HomeShard(name) == i {
+				n++
+			}
+		}
+		s.mu.Unlock()
+	}
+	if overflow {
+		n++
+	}
+	return n
 }
 
 // TenantStats returns per-tenant counters merged by name across

@@ -243,9 +243,8 @@ func DefaultAdaptiveStats() AdaptiveStats { return adapt.Default().Stats() }
 //
 // The zero ResultCacheConfig draws entry buffers from the process-wide
 // scratch pool and bounds the LRU at 64 MiB. See internal/rescache for
-// keying and invalidation semantics, `parbench -serve -cache on` for a
-// traffic demo, and experiment E27 for the cold/warm/delta latency
-// table.
+// keying and invalidation semantics, and experiment E27 for the
+// cold/warm/delta latency table.
 func NewResultCache(cfg ResultCacheConfig) *ResultCache { return rescache.New(cfg) }
 
 // NewShardedServer creates a request-serving runtime and starts one
@@ -266,8 +265,9 @@ func NewResultCache(cfg ResultCacheConfig) *ResultCache { return rescache.New(cf
 // ShardedServerConfig is one shard of GOMAXPROCS workers; with more
 // shards the workers split evenly and migration is on at default
 // hysteresis. See internal/serve for the
-// admission, fairness, affinity and migration semantics, and `parbench
-// -serve -shards N` for a skewed-traffic demo.
+// admission, fairness, affinity and migration semantics, and
+// experiment E24 for skewed traffic on one shard vs N with and without
+// migration.
 func NewShardedServer(cfg ShardedServerConfig) *ShardedServer { return serve.NewSharded(cfg) }
 
 // NewListener starts a wire-protocol front door on network/addr
