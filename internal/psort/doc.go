@@ -1,5 +1,5 @@
 // Package psort implements the parallel sorting case study: sample sort,
-// parallel merge sort, and parallel LSD radix sort, each engineered
+// parallel merge sort, and parallel radix sort, each engineered
 // against the sequential baselines in internal/seq.
 //
 // The three algorithms span the design space the methodology explores:
@@ -10,9 +10,13 @@
 //   - Parallel merge sort is the work-efficient fork/join comparison sort;
 //     its merges become parallel (merge-path) near the root where only a
 //     few large runs remain.
-//   - Radix sort is the non-comparison contender: O(n · 64/r) work, but
-//     each pass is a full memory shuffle, so it wins only when keys are
-//     short or memory bandwidth is plentiful.
+//   - Radix sort is the non-comparison contender. In parallel it is
+//     sample sort's skeleton — splitter sample, per-worker bucket
+//     counts, one scatter — with the serial radix leaf sorting each
+//     bucket: the splitters stand in for the top digits, and each
+//     leaf makes its few range-relative passes over a p-th of the keys
+//     where a parallel LSD sort makes one full memory shuffle per
+//     digit.
 //
 // Experiments E2 and E3 compare them across input distributions and
 // processor counts.

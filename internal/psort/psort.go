@@ -25,10 +25,10 @@ var (
 	siteRadixSort  = adapt.NewSite("psort.RadixSort", adapt.KindWorkers)
 )
 
-// SampleSort sorts xs in place using opts.Procs workers. All
-// temporaries — sample, splitters, the p×p count/offset matrices and
-// the n-element scatter buffer — come from the scratch pool, so
-// repeated sorts allocate nothing at steady state.
+// SampleSort sorts xs in place using opts.Procs workers: distribute
+// splits the keys into one bucket per worker and quicksorts each
+// bucket. All temporaries come from the scratch pool, so repeated
+// sorts allocate only their closure frames at steady state.
 func SampleSort(xs []int64, opts par.Options) {
 	n := len(xs)
 	opts, m := par.BeginAdaptive(siteSampleSort, n, opts)
@@ -38,6 +38,23 @@ func SampleSort(xs []int64, opts par.Options) {
 		seq.Quicksort(xs)
 		return
 	}
+	distribute(xs, p, opts, quicksortLeaf)
+}
+
+func quicksortLeaf(bucket, _ []int64) { seq.Quicksort(bucket) }
+
+// distribute is the parallel distribution skeleton SampleSort and
+// RadixSort share: splitters drawn from a sample cut the keys into p
+// buckets, each worker counts its block's keys per bucket, an
+// exclusive scan turns the counts into disjoint output ranges, one
+// scatter moves every key into its bucket in buf, and leaf(bucket,
+// spare) sorts each bucket, spare being the bucket's own range of xs,
+// which the scatter has freed. The slot that ran the leaf copies the
+// sorted bucket back into xs. All temporaries — sample, splitters,
+// the count matrix and the n-key scatter buffer — come from the scratch
+// pool.
+func distribute(xs []int64, p int, opts par.Options, leaf func(bucket, spare []int64)) {
+	n := len(xs)
 	a := scratch.AcquireArena(opts.ScratchPool())
 	defer a.Release()
 
@@ -54,29 +71,29 @@ func SampleSort(xs []int64, opts par.Options) {
 		splitters[i-1] = sample[i*oversample]
 	}
 
-	// 2. Count phase: each worker histograms its block over the buckets.
-	// counts is a flat p×p matrix (row = worker, column = bucket).
-	counts := scratch.Make[int](a, p*p)
+	// 2. Count phase: each worker histograms its block over the buckets
+	// into its own row of counts. A row is p counts and 8 ints (a
+	// 64-byte cache line) of padding, so no two workers write one line.
+	stride := p + 8
+	counts := scratch.Make[int](a, p*stride)
 	par.ForWorkers(p, opts, func(w int) {
-		lo, hi := w*n/p, (w+1)*n/p
-		c := counts[w*p : (w+1)*p]
+		c := counts[w*stride : w*stride+p]
 		clear(c)
-		for i := lo; i < hi; i++ {
-			c[bucketOf(xs[i], splitters)]++
+		for _, v := range xs[w*n/p : (w+1)*n/p] {
+			c[bucketOf(v, splitters)]++
 		}
 	})
 
-	// 3. Placement: exclusive scan in (bucket-major, worker-minor) order
-	// gives every (worker, bucket) pair a disjoint output range, making
-	// the scatter phase write-race-free and stable.
-	offsets := scratch.Make[int](a, p*p)
-	pos := 0
+	// 3. Placement: an exclusive scan in (bucket-major, worker-minor)
+	// order turns each count into its (worker, bucket) pair's offset, a
+	// disjoint output range, making the scatter race-free and stable.
 	bucketStart := scratch.Make[int](a, p+1)
+	pos := 0
 	for b := 0; b < p; b++ {
 		bucketStart[b] = pos
 		for w := 0; w < p; w++ {
-			offsets[w*p+b] = pos
-			pos += counts[w*p+b]
+			c := &counts[w*stride+b]
+			*c, pos = pos, pos+*c
 		}
 	}
 	bucketStart[p] = pos
@@ -84,37 +101,49 @@ func SampleSort(xs []int64, opts par.Options) {
 	// 4. Scatter into a scratch buffer.
 	buf := scratch.Make[int64](a, n)
 	par.ForWorkers(p, opts, func(w int) {
-		lo, hi := w*n/p, (w+1)*n/p
-		off := offsets[w*p : (w+1)*p]
-		for i := lo; i < hi; i++ {
-			b := bucketOf(xs[i], splitters)
-			buf[off[b]] = xs[i]
+		off := counts[w*stride : w*stride+p]
+		for _, v := range xs[w*n/p : (w+1)*n/p] {
+			b := bucketOf(v, splitters)
+			buf[off[b]] = v
 			off[b]++
 		}
 	})
 
-	// 5. Per-bucket sorts, dynamically scheduled: bucket sizes vary, so
-	// dynamic scheduling absorbs the residual imbalance.
-	par.For(p, par.Options{Procs: p, Policy: par.Dynamic, Grain: 1, SerialCutoff: 1,
-		Executor: opts.Executor, Scratch: opts.Scratch}, func(b int) {
-		seq.Quicksort(buf[bucketStart[b]:bucketStart[b+1]])
+	// 5. Per-bucket leaves. Bucket sizes vary; Run hands slots out from
+	// a shared cursor, so a participant done with a small bucket takes
+	// the next one.
+	par.ForWorkers(p, opts, func(b int) {
+		lo, hi := bucketStart[b], bucketStart[b+1]
+		leaf(buf[lo:hi], xs[lo:hi])
+		copy(xs[lo:hi], buf[lo:hi])
 	})
-	copy(xs, buf)
 }
 
-// bucketOf returns the index of the first splitter greater than v (binary
-// search), i.e. the destination bucket.
+// bucketOf returns the number of splitters at most v, i.e. v's
+// bucket. The search window halves a number of times that depends only
+// on len(splitters), and each compare's result moves the window's base
+// arithmetically, not by a branch, so the cost does not depend on the
+// keys (Khuong and Morin, "Array Layouts for Comparison-Based
+// Searching", 2017).
 func bucketOf(v int64, splitters []int64) int {
-	lo, hi := 0, len(splitters)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v < splitters[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	if len(splitters) == 0 {
+		return 0
 	}
-	return lo
+	base := 0
+	for n := len(splitters); n > 1; {
+		half := n / 2
+		base += half & -b2i(splitters[base+half] <= v)
+		n -= half
+	}
+	return base + b2i(splitters[base] <= v)
+}
+
+// b2i compiles to a SETcc, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // MergeSort sorts xs in place with a fork/join merge sort whose merges
@@ -179,83 +208,31 @@ func copyParallel(dst, src []int64, procs int, e *exec.Executor, sp *scratch.Poo
 	})
 }
 
-// RadixSort sorts xs in place with a parallel LSD radix sort using 8-bit
-// digits. Each pass histograms per worker, computes (digit-major,
-// worker-minor) offsets so the scatter is stable and race-free, then
-// scatters — the same count/scan/scatter skeleton as sample sort, which
-// is why the methodology treats "counting + prefix sums + scatter" as the
-// fundamental parallel pattern.
+// RadixSort sorts xs in place with the serial radix leaf,
+// seq.RadixSort: on the whole input at Procs 1 or below 2 048 keys,
+// otherwise on each of distribute's buckets, the bucket's range of xs
+// serving as the leaf's scatter buffer. The splitters stand in for the
+// top digits, so each leaf sorts a p-th of the keys over a narrower
+// range. The count → prefix sum → scatter skeleton is sample sort's,
+// which is why the methodology treats it as the fundamental parallel
+// pattern.
 func RadixSort(xs []int64, opts par.Options) {
 	n := len(xs)
 	opts, m := par.BeginAdaptive(siteRadixSort, n, opts)
 	defer m.Done()
 	p := workers(opts, n)
-	a := scratch.AcquireArena(opts.ScratchPool())
-	defer a.Release()
-	buf := scratch.Make[int64](a, n)
 	if p == 1 || n < 2048 {
 		// The serial leaf scatters through the arena's buffer too: this
 		// is the path the radix variant takes inside every serve batch
 		// slot, where a per-call make would break the zero-allocation
 		// steady state.
-		seq.RadixSort(xs, buf)
+		a := scratch.AcquireArena(opts.ScratchPool())
+		defer a.Release()
+		seq.RadixSort(xs, scratch.Make[int64](a, n))
 		return
 	}
-	const bits = 8
-	const buckets = 1 << bits
-	const mask = buckets - 1
-	src, dst := xs, buf
-	// counts is a flat p×buckets matrix (row = worker, column = digit).
-	counts := scratch.Make[int](a, p*buckets)
-	for shift := 0; shift < 64; shift += bits {
-		// Count phase.
-		par.ForWorkers(p, opts, func(w int) {
-			c := counts[w*buckets : (w+1)*buckets]
-			clear(c)
-			lo, hi := w*n/p, (w+1)*n/p
-			for i := lo; i < hi; i++ {
-				c[(flip(src[i])>>shift)&mask]++
-			}
-		})
-		// Skip degenerate passes (all keys share the digit).
-		first := (flip(src[0]) >> shift) & mask
-		allSame := true
-		for w := 0; w < p && allSame; w++ {
-			for b := 0; b < buckets; b++ {
-				if counts[w*buckets+b] != 0 && uint64(b) != first {
-					allSame = false
-					break
-				}
-			}
-		}
-		if allSame {
-			continue
-		}
-		// Offsets: digit-major, worker-minor exclusive scan.
-		pos := 0
-		for b := 0; b < buckets; b++ {
-			for w := 0; w < p; w++ {
-				counts[w*buckets+b], pos = pos, pos+counts[w*buckets+b]
-			}
-		}
-		// Scatter phase.
-		par.ForWorkers(p, opts, func(w int) {
-			lo, hi := w*n/p, (w+1)*n/p
-			off := counts[w*buckets : (w+1)*buckets]
-			for i := lo; i < hi; i++ {
-				b := (flip(src[i]) >> shift) & mask
-				dst[off[b]] = src[i]
-				off[b]++
-			}
-		})
-		src, dst = dst, src
-	}
-	if &src[0] != &xs[0] {
-		copy(xs, src)
-	}
+	distribute(xs, p, opts, seq.RadixSort)
 }
-
-func flip(v int64) uint64 { return uint64(v) ^ (1 << 63) }
 
 // IsSortedParallel verifies order with a parallel reduction; used by the
 // harness to validate outputs without serial bottleneck.

@@ -32,16 +32,43 @@ func TestAllSortersAllDistributions(t *testing.T) {
 	}
 }
 
+// TestSortersAcrossProcs runs every sorter over every generator shape
+// and three edge inputs at several worker counts. From 2 048 keys at
+// Procs > 1 sample and radix sort run through distribute, so its leaves
+// see empty buckets (equal splitters on few-unique keys), all-equal
+// buckets and narrow ones. The negative keys straddle zero, and 2 053
+// is prime, so no worker count divides it evenly.
 func TestSortersAcrossProcs(t *testing.T) {
-	xs0 := gen.Ints(20000, gen.Uniform, 5)
-	want := sortedCopy(xs0)
-	for _, s := range Sorters {
-		for _, p := range []int{1, 2, 3, 7, 8} {
-			xs := append([]int64(nil), xs0...)
-			s.Sort(xs, par.Options{Procs: p})
-			for i := range want {
-				if xs[i] != want[i] {
-					t.Fatalf("%s procs=%d: mismatch at %d", s.Name, p, i)
+	type input struct {
+		name string
+		xs   []int64
+	}
+	var inputs []input
+	for _, d := range gen.Distributions {
+		inputs = append(inputs, input{d.String(), gen.Ints(20000, d, 5)})
+	}
+	equal := make([]int64, 4096)
+	for i := range equal {
+		equal[i] = -3
+	}
+	negative := gen.Ints(20000, gen.Uniform, 6)
+	for i := range negative {
+		negative[i] -= 1 << 62
+	}
+	inputs = append(inputs,
+		input{"all-equal", equal},
+		input{"negative", negative},
+		input{"prime-n", gen.Ints(2053, gen.Zipf, 7)})
+	for _, in := range inputs {
+		want := sortedCopy(in.xs)
+		for _, s := range Sorters {
+			for _, p := range []int{1, 2, 3, 7, 8} {
+				xs := append([]int64(nil), in.xs...)
+				s.Sort(xs, par.Options{Procs: p})
+				for i := range want {
+					if xs[i] != want[i] {
+						t.Fatalf("%s on %s procs=%d: mismatch at %d", s.Name, in.name, p, i)
+					}
 				}
 			}
 		}

@@ -148,6 +148,12 @@ func TestWireStreamedByteIdentical(t *testing.T) {
 			t.Fatalf("Xs[%d]: one-shot %d, streamed %d", i, a1.Xs[i], a2.Xs[i])
 		}
 	}
+	// A listener counts a reply after writing it, chunks before
+	// responses, so the client can hold its reply before either count
+	// moves: wait for the responses, then read the chunk counts.
+	waitFor(t, 5*time.Second, func() bool {
+		return streaming.Stats().Responses == 1 && oneShot.Stats().Responses == 1
+	})
 	if st := streaming.Stats(); st.Chunks == 0 {
 		t.Fatalf("streaming listener sent no chunks: %+v", st)
 	}

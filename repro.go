@@ -362,7 +362,8 @@ func Sort(xs []int64, opts Options) { psort.SampleSort(xs, opts) }
 // MergeSort sorts xs in place with parallel merge sort.
 func MergeSort(xs []int64, opts Options) { psort.MergeSort(xs, opts) }
 
-// RadixSort sorts xs in place with parallel LSD radix sort.
+// RadixSort sorts xs in place with parallel radix sort: splitter
+// buckets, each sorted by the serial radix leaf.
 func RadixSort(xs []int64, opts Options) { psort.RadixSort(xs, opts) }
 
 // ListRank returns each node's distance from the list head via parallel
