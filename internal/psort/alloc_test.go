@@ -36,8 +36,8 @@ func TestSortSteadyStateAllocs(t *testing.T) {
 		// Both run distribute: three fork/joins and their three closure
 		// frames per call, plus straggler-delayed runState recycling.
 		{"SampleSort", 4, 12, SampleSort, nil},
-		{"MergeSort", 4, 20, MergeSort, nil},
 		{"RadixSort", 4, 12, RadixSort, nil},
+		{"MergeSort", 4, 20, MergeSort, nil},
 		// Procs 1 is what every serve batch slot runs: the serial leaves
 		// must allocate nothing, scatter buffers included.
 		{"SampleSort", 1, 0, SampleSort, nil},
