@@ -26,19 +26,19 @@ func AcquireArena(p *Pool) *Arena {
 	if p == nil {
 		p = Default()
 	}
-	p.arenaMu.Lock()
-	if n := len(p.arenaFree); n > 0 {
-		a := p.arenaFree[n-1]
-		p.arenaFree = p.arenaFree[:n-1]
-		p.arenaMu.Unlock()
+	p.mu.Lock()
+	if n := len(p.arenas); n > 0 {
+		a := p.arenas[n-1]
+		p.arenas = p.arenas[:n-1]
+		p.mu.Unlock()
 		a.released = false
 		return a
 	}
-	p.arenaMu.Unlock()
+	p.mu.Unlock()
 	return &Arena{pool: p}
 }
 
-// arenaCap bounds parked arenas per pool.
+// arenaCap bounds parked arenas per pool, and parked slabs per class.
 const arenaCap = 64
 
 // Release returns every outstanding buffer to the pool and parks the
@@ -51,17 +51,20 @@ func (a *Arena) Release() {
 		panic("scratch: Arena released twice")
 	}
 	a.released = true
+	for _, h := range a.out {
+		h.retire()
+	}
+	p := a.pool
+	p.mu.Lock()
 	for i, h := range a.out {
+		p.park(h.s)
 		a.out[i] = Handle{}
-		Put(h)
 	}
 	a.out = a.out[:0]
-	p := a.pool
-	p.arenaMu.Lock()
-	if len(p.arenaFree) < arenaCap {
-		p.arenaFree = append(p.arenaFree, a)
+	if len(p.arenas) < arenaCap {
+		p.arenas = append(p.arenas, a)
 	}
-	p.arenaMu.Unlock()
+	p.mu.Unlock()
 }
 
 // Make returns a []T of length n owned by the arena until Release.

@@ -14,14 +14,9 @@ const (
 	numClasses = 21
 	// maxClassBytes is the largest pooled request; bigger ones bypass.
 	maxClassBytes = minClassBytes << (numClasses - 1)
-	// largeClass is the first class handled by the global large list
-	// rather than the per-shard lists (1 MiB).
-	largeClass = 14
-	// smallCap bounds slabs kept per (shard, class).
-	smallCap = 8
-	// largeBytesCap bounds the bytes parked across all large classes.
-	largeBytesCap = 256 << 20
-	nshards       = 16
+	// pooledBytesCap bounds the bytes parked across all classes; the
+	// per-class bound is arenaCap slabs, as many as a pool parks arenas.
+	pooledBytesCap = 256 << 20
 )
 
 // slab is one pooled allocation: a pointer-free byte block of exactly
@@ -45,32 +40,33 @@ type Handle struct {
 // the request bypassed to the ordinary allocator).
 func (h Handle) Pooled() bool { return h.s != nil }
 
-type shard struct {
-	mu   sync.Mutex
-	free [largeClass]struct {
-		head *slab
-		n    int
+// retire advances the slab's generation stamp, so h and every copy of
+// it go stale, and panics if h already was.
+func (h Handle) retire() {
+	if !h.s.gen.CompareAndSwap(h.gen, h.gen+1) {
+		panic("scratch: Put of stale handle (double Put or use after Release)")
 	}
-	_ [64]byte // avoid false sharing between shard mutexes
 }
 
 // Pool is a size-class buffer pool. The zero value is not usable;
 // use Default, New, or the process-wide Off sentinel.
 type Pool struct {
-	off    bool
-	shards [nshards]shard
+	off bool
 
-	largeMu    sync.Mutex
-	large      [numClasses]*slab
-	largeBytes int
+	// mu guards everything below it; Get, Put, AcquireArena and
+	// Arena.Release each hold it once, for a few list operations.
+	mu   sync.Mutex
+	free [numClasses]struct {
+		head *slab
+		n    int
+	}
+	pooled int // bytes parked in free
+	arenas []*Arena
+	hits   int64
+	misses int64
+	live   int64 // pooled bytes out on loan
 
-	arenaMu   sync.Mutex
-	arenaFree []*Arena
-
-	hits     atomic.Int64
-	misses   atomic.Int64
-	bypasses atomic.Int64
-	live     atomic.Int64
+	bypasses atomic.Int64 // counted without the lock
 }
 
 // New creates an empty pool.
@@ -95,7 +91,8 @@ func Default() *Pool {
 
 // Stats is a snapshot of a pool's counters. Every Get is one Hit, Miss
 // or Bypass. BytesLive tracks pooled bytes out on loan; BytesPooled,
-// the bytes parked in free lists, is summed from the lists' lengths.
+// the bytes parked in free lists, is the sum the byte cap is checked
+// against.
 type Stats struct {
 	Hits     int64 // served by reusing a pooled slab
 	Misses   int64 // pooled request that had to allocate a new slab
@@ -109,24 +106,14 @@ type Stats struct {
 // Stats returns a snapshot of the pool's counters, the allocator-side
 // companion to the executor's steal counters.
 func (p *Pool) Stats() Stats {
-	pooled := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for c := range sh.free {
-			pooled += sh.free[c].n * classBytes(c)
-		}
-		sh.mu.Unlock()
-	}
-	p.largeMu.Lock()
-	pooled += p.largeBytes
-	p.largeMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return Stats{
-		Hits:        p.hits.Load(),
-		Misses:      p.misses.Load(),
+		Hits:        p.hits,
+		Misses:      p.misses,
 		Bypasses:    p.bypasses.Load(),
-		BytesLive:   p.live.Load(),
-		BytesPooled: int64(pooled),
+		BytesLive:   p.live,
+		BytesPooled: int64(p.pooled),
 	}
 }
 
@@ -156,17 +143,6 @@ func classFor(b int) int {
 }
 
 func classBytes(c int) int { return minClassBytes << c }
-
-// shardIdx picks a free-list shard from the caller's stack address — a
-// cheap goroutine-local hint that spreads concurrent traffic across
-// the shard mutexes without any goroutine identity API. The 64 KiB
-// granularity keeps one goroutine's frames (and thus its Get/Put
-// pairs) on one shard at any call depth; distinct goroutines' stacks
-// land in distinct regions with high probability.
-func shardIdx() int {
-	var x byte
-	return int((uintptr(unsafe.Pointer(&x)) >> 16) % nshards)
-}
 
 // Get returns a []T of length n (with any extra slab capacity exposed
 // via cap) and the Handle to Put it back with. Contents are
@@ -211,14 +187,24 @@ func get[T any](p *Pool, n, c int, zero bool) ([]T, Handle) {
 		return make([]T, n, c), Handle{}
 	}
 	class := classFor(bytes)
-	s := p.take(class)
-	if s == nil {
-		p.misses.Add(1)
-		s = &slab{pool: p, mem: make([]byte, classBytes(class)), class: class}
+	cb := classBytes(class)
+	p.mu.Lock()
+	f := &p.free[class]
+	s := f.head
+	if s != nil {
+		f.head = s.next
+		f.n--
+		p.pooled -= cb
+		p.hits++
 	} else {
-		p.hits.Add(1)
+		p.misses++
 	}
-	p.live.Add(int64(classBytes(class)))
+	p.live += int64(cb)
+	p.mu.Unlock()
+	if s == nil {
+		s = &slab{pool: p, mem: make([]byte, cb), class: class}
+	}
+	s.next = nil
 	buf := unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(s.mem))), uintptr(len(s.mem))/sz)[:n]
 	if zero {
 		clear(buf)
@@ -226,70 +212,32 @@ func get[T any](p *Pool, n, c int, zero bool) ([]T, Handle) {
 	return buf, Handle{s: s, gen: s.gen.Load()}
 }
 
-// take pops a free slab of the class, or returns nil.
-func (p *Pool) take(class int) *slab {
-	if class >= largeClass {
-		p.largeMu.Lock()
-		s := p.large[class]
-		if s != nil {
-			p.large[class] = s.next
-			p.largeBytes -= classBytes(class)
-			s.next = nil
-		}
-		p.largeMu.Unlock()
-		return s
-	}
-	sh := &p.shards[shardIdx()]
-	sh.mu.Lock()
-	f := &sh.free[class]
-	s := f.head
-	if s != nil {
-		f.head = s.next
-		f.n--
-		s.next = nil
-	}
-	sh.mu.Unlock()
-	return s
-}
-
 // Put returns a buffer to its pool. The zero Handle (a bypassed Get)
 // is a no-op. Putting the same Handle twice, or a handle whose buffer
 // an Arena already released, panics: the generation stamp recorded at
 // Get time no longer matches the slab's.
 func Put(h Handle) {
-	s := h.s
-	if s == nil {
+	if h.s == nil {
 		return
 	}
-	if !s.gen.CompareAndSwap(h.gen, h.gen+1) {
-		panic("scratch: Put of stale handle (double Put or use after Release)")
-	}
-	p := s.pool
-	p.live.Add(-int64(classBytes(s.class)))
-	p.park(s)
+	h.retire()
+	p := h.s.pool
+	p.mu.Lock()
+	p.park(h.s)
+	p.mu.Unlock()
 }
 
-// park returns a slab to a free list, or drops it for the GC when the
-// class or byte caps are reached.
+// park takes a returned slab off loan and onto its class's free list,
+// or drops it for the GC when the class or byte cap is reached. p.mu
+// must be held.
 func (p *Pool) park(s *slab) {
-	if s.class >= largeClass {
-		cb := classBytes(s.class)
-		p.largeMu.Lock()
-		if p.largeBytes+cb <= largeBytesCap {
-			s.next = p.large[s.class]
-			p.large[s.class] = s
-			p.largeBytes += cb
-		}
-		p.largeMu.Unlock()
-		return
-	}
-	sh := &p.shards[shardIdx()]
-	sh.mu.Lock()
-	f := &sh.free[s.class]
-	if f.n < smallCap {
+	cb := classBytes(s.class)
+	p.live -= int64(cb)
+	f := &p.free[s.class]
+	if f.n < arenaCap && p.pooled+cb <= pooledBytesCap {
 		s.next = f.head
 		f.head = s
 		f.n++
+		p.pooled += cb
 	}
-	sh.mu.Unlock()
 }

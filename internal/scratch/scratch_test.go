@@ -42,16 +42,66 @@ func TestSizeClassSharing(t *testing.T) {
 	Put(h2)
 }
 
+// TestDoublePutPanics also checks that the panic leaves the pool
+// usable: it is raised before Put takes the pool's lock.
 func TestDoublePutPanics(t *testing.T) {
 	p := New()
 	_, h := Get[int](p, 10)
 	Put(h)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("double Put did not panic")
-		}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("double Put did not panic")
+			}
+		}()
+		Put(h)
 	}()
+	if !p.mu.TryLock() {
+		t.Fatalf("double Put panicked with the pool's lock held")
+	}
+	p.mu.Unlock()
+	_, h = Get[int](p, 10)
 	Put(h)
+	if st := p.Stats(); st.Hits != 1 || st.BytesLive != 0 {
+		t.Errorf("after the panic: hits=%d live=%d, want 1/0", st.Hits, st.BytesLive)
+	}
+}
+
+// getAtDepth makes depth nested calls, each frame carrying about 256 B,
+// and Gets a 1 Ki []int64 at the bottom, so the Get runs at a stack
+// address depth frames below its caller's.
+//
+//go:noinline
+func getAtDepth(p *Pool, depth int) (Handle, int64) {
+	var pad [32]int64
+	pad[depth%len(pad)] = int64(depth)
+	if depth == 0 {
+		_, h := Get[int64](p, 1024)
+		return h, pad[0]
+	}
+	h, sum := getAtDepth(p, depth-1)
+	return h, sum + pad[(depth+1)%len(pad)]
+}
+
+// TestReuseAcrossCallDepth pins that a buffer Put back at one call
+// depth is reused by a Get at another: reuse must not depend on where
+// on the goroutine's stack the two calls run.
+func TestReuseAcrossCallDepth(t *testing.T) {
+	p := New()
+	// Grow the stack past the deepest case first, so it does not move
+	// while the pairs below run.
+	h, _ := getAtDepth(p, 500)
+	Put(h)
+	for depth := 0; depth <= 400; depth += 50 {
+		before := p.Stats().Misses
+		for i := 0; i < 50; i++ {
+			h, _ := getAtDepth(p, depth)
+			Put(h)
+		}
+		if m := p.Stats().Misses - before; m != 0 {
+			t.Errorf("Get %d frames below its Put: %d of 50 Gets missed, want 0", depth, m)
+		}
+	}
 }
 
 func TestPointerTypesBypass(t *testing.T) {
@@ -170,8 +220,8 @@ func TestArenaMakeAfterReleasePanics(t *testing.T) {
 }
 
 // TestBytesGauges pins BytesLive and BytesPooled through a miss, a
-// hit, the large list and a Put that drops at smallCap. BytesPooled is
-// summed from the free lists, so each case checks that sum.
+// hit, a second class and a Put that drops at arenaCap, the per-class
+// bound every class shares.
 func TestBytesGauges(t *testing.T) {
 	p := New()
 	check := func(when string, live, pooled int64) {
@@ -189,24 +239,24 @@ func TestBytesGauges(t *testing.T) {
 	check("after a hit", small, 0)
 	Put(h)
 
-	_, h = Get[byte](p, large) // first class of the large list
+	_, h = Get[byte](p, large) // a 1 MiB class, a miss
 	check("after a large Get", large, small)
 	Put(h)
 	check("after a large Put", 0, small+large)
 
-	// smallCap slabs of one class fit a free list; the next Put drops
-	// its slab for the GC.
-	hs := make([]Handle, smallCap+1)
+	// arenaCap slabs of one class fit its free list; the next Put
+	// drops its slab for the GC.
+	hs := make([]Handle, arenaCap+1)
 	for i := range hs {
 		_, hs[i] = Get[int64](p, 1024)
 	}
-	check("with smallCap+1 on loan", (smallCap+1)*small, large)
+	check("with arenaCap+1 on loan", (arenaCap+1)*small, large)
 	for _, h := range hs {
 		Put(h)
 	}
-	check("after a Put past smallCap", 0, smallCap*small+large)
-	if st := p.Stats(); st.Hits != 2 || st.Misses != smallCap+2 {
-		t.Errorf("hits=%d misses=%d, want 2/%d", st.Hits, st.Misses, smallCap+2)
+	check("after a Put past arenaCap", 0, arenaCap*small+large)
+	if st := p.Stats(); st.Hits != 2 || st.Misses != arenaCap+2 {
+		t.Errorf("hits=%d misses=%d, want 2/%d", st.Hits, st.Misses, arenaCap+2)
 	}
 }
 
@@ -262,13 +312,28 @@ func TestSteadyStateAllocFree(t *testing.T) {
 func TestClassFor(t *testing.T) {
 	cases := []struct{ b, class int }{
 		{1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2},
-		{1 << 20, largeClass}, {maxClassBytes, numClasses - 1},
+		{1 << 20, 14}, {maxClassBytes, numClasses - 1},
 	}
 	for _, c := range cases {
 		if got := classFor(c.b); got != c.class {
 			t.Errorf("classFor(%d) = %d, want %d", c.b, got, c.class)
 		}
 	}
+}
+
+// BenchmarkArenaParallel is one arena cycle — acquire, Make a 1 Ki
+// []int64 and a 16-element []int, release — on a private pool from
+// every P at once. Run it at -cpu 1,2.
+func BenchmarkArenaParallel(b *testing.B) {
+	p := New()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			a := AcquireArena(p)
+			_ = Make[int64](a, 1024)
+			_ = Make[int](a, 16)
+			a.Release()
+		}
+	})
 }
 
 // BenchmarkGetPutParallel is one Get+Put of a 1 Ki []int64 on a
