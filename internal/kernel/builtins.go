@@ -17,10 +17,10 @@ import (
 // The built-in kernel roster: the six request types the serving
 // runtime has offered since PR 5, re-declared as registrations. The
 // sort kernel is the multi-variant showcase — sample sort (the
-// comparison-sort incumbent), LSD radix sort and counting sort enter
-// the variant lattice and the adaptive runtime picks per feature
-// class. GUPS lives in its own file (gups.go) as the one-registration
-// proof.
+// comparison-sort incumbent), radix sort (splitter buckets, each
+// sorted by the serial radix leaf) and counting sort enter the variant
+// lattice and the adaptive runtime picks per feature class. GUPS lives
+// in its own file (gups.go) as the one-registration proof.
 
 // eqXs compares the primary slices elementwise.
 func eqXs(got, want *Args) error {

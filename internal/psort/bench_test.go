@@ -10,7 +10,10 @@ import (
 )
 
 // BenchmarkParallelSorts times the four parallel sorts at Procs 1 and
-// 2 on a dedicated 2-worker executor, over uniform 64-bit keys. Each
+// 2 on a dedicated 2-worker executor, over uniform 64-bit keys, and
+// counting sort over uniform 16-bit keys: wider keys spread past
+// CountingMaxRange and it hands them to RadixSort, while 16-bit keys
+// stay within parCountRange, so Procs 2 runs the parallel count. Each
 // iteration restores the input with a copy (about 0.3 ns/key) and
 // sorts it; ns/key is the iteration time over n. Compare a parent and
 // a change by building both test binaries with `go test -c` and
@@ -21,11 +24,12 @@ func BenchmarkParallelSorts(b *testing.B) {
 	sorts := []struct {
 		name string
 		sort func([]int64, par.Options)
+		mask uint64
 	}{
-		{"sample", SampleSort},
-		{"radix", RadixSort},
-		{"merge", MergeSort},
-		{"counting", CountingSort},
+		{"sample", SampleSort, ^uint64(0)},
+		{"radix", RadixSort, ^uint64(0)},
+		{"merge", MergeSort, ^uint64(0)},
+		{"counting-16bit", CountingSort, 1<<16 - 1},
 	}
 	for _, s := range sorts {
 		for _, procs := range []int{1, 2} {
@@ -34,7 +38,7 @@ func BenchmarkParallelSorts(b *testing.B) {
 					r := rng.New(uint64(n))
 					base := make([]int64, n)
 					for i := range base {
-						base[i] = int64(r.Uint64())
+						base[i] = int64(r.Uint64() & s.mask)
 					}
 					xs := make([]int64, n)
 					opts := par.Options{Procs: procs, Executor: e}

@@ -17,19 +17,21 @@
 //
 // Mechanics. Backing memory is pooled in power-of-two size classes
 // (64 B up to 64 MiB) as raw pointer-free slabs; Get[T] carves a typed
-// slice out of a slab, so one pool serves every element type. Small
-// classes live in per-shard free lists (shard chosen by a cheap
-// goroutine-stack hash, so concurrent traffic spreads across mutexes);
-// large classes share a byte-capped global list. Element types that
+// slice out of a slab, so one pool serves every element type. A pool
+// keeps one free list per class, at most 64 slabs each and
+// 256 MiB across all of them, and its parked arenas, all under one
+// mutex held for a few list operations. A slab Put back anywhere is
+// the next Get of its class anywhere: reuse does not depend on the
+// goroutine or the stack depth of either call. Element types that
 // contain pointers — or requests beyond the largest class — bypass the
 // pool and fall back to the ordinary allocator, so Get is always
 // correct and only POD buffers are reused.
 //
 // Ownership. A Get'ed buffer is exclusively owned until Put. Every
-// slab carries a generation stamp that is advanced on Put; a Handle
-// captures the stamp at Get time, so a double Put, a Put after the
-// owning Arena released the buffer, or a Check through a retained
-// handle panics instead of silently corrupting a reused buffer.
+// slab carries a generation stamp that is advanced on Put, before the
+// pool's lock is taken; a Handle captures the stamp at Get time, so a
+// double Put or a Put after the owning Arena released the buffer
+// panics instead of silently corrupting a reused buffer.
 //
 // Buffers are returned with whatever contents the previous user left
 // (like C malloc); use GetZeroed/MakeZeroed when the algorithm reads

@@ -380,3 +380,50 @@ func TestShardedMixedOps(t *testing.T) {
 		t.Fatalf("distinct tenants = %d, want 4", st.Aggregate.Tenants)
 	}
 }
+
+// TestShardPoolsConserveScratch runs the configuration parserve and
+// bench/ serve with: two 1-worker shards, migration on and a nil
+// Config.Scratch, so each shard draws from a private pool no Stats
+// exposes. Sort (short and long route), select and topk, checked
+// against their oracles, must leave every shard's pool with no bytes
+// on loan and some reuse.
+func TestShardPoolsConserveScratch(t *testing.T) {
+	g := NewSharded(ShardedConfig{Shards: 2, ShardProcs: 1, MigrateHysteresis: 2})
+	ks := []*kernel.Kernel{kernel.MustLookup("sort"), kernel.MustLookup("select"), kernel.MustLookup("topk")}
+	// Three tenants on shard 0 and one on shard 1, so shard 1 has idle
+	// time to pull shard 0's queue from.
+	tenants := append(tenantsHomedOn(g, 0, 3), tenantsHomedOn(g, 1, 1)...)
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				k := ks[i%len(ks)]
+				n := 256 << ((c + i) % 5)
+				if i%20 == 0 {
+					k, n = ks[0], DefaultPipelineCutoff // a sort on the long route
+				}
+				seed := uint64(1000*c + i)
+				a, want := k.Gen(n, seed), k.Gen(n, seed)
+				k.Serial(want)
+				if err := g.CallBudget(tenants[(c+i)%len(tenants)], k, a, 0); err != nil {
+					t.Errorf("%s n=%d: %v", k.Name, n, err)
+					return
+				}
+				if err := k.Check(a, want); err != nil {
+					t.Errorf("%s n=%d: %v", k.Name, n, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	g.Close()
+	for i, s := range g.shards {
+		if st := s.cfg.Scratch.Stats(); st.BytesLive != 0 || st.Hits == 0 {
+			t.Errorf("shard %d pool: live=%d hits=%d, want 0 live and some hits", i, st.BytesLive, st.Hits)
+		}
+	}
+	t.Logf("migrated %d requests in %d events", g.Stats().Migrated, g.Stats().Migrations)
+}
