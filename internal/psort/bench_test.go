@@ -12,8 +12,8 @@ import (
 // BenchmarkParallelSorts times the four parallel sorts at Procs 1 and
 // 2 on a dedicated 2-worker executor, over uniform 64-bit keys, and
 // counting sort over uniform 16-bit keys: wider keys spread past
-// CountingMaxRange and it hands them to RadixSort, while 16-bit keys
-// stay within parCountRange, so Procs 2 runs the parallel count. Each
+// CountingMaxRange and it hands them to RadixSort. Its count is serial
+// at every Procs, so its two Procs rows should read alike. Each
 // iteration restores the input with a copy (about 0.3 ns/key) and
 // sorts it; ns/key is the iteration time over n. Compare a parent and
 // a change by building both test binaries with `go test -c` and

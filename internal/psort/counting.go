@@ -16,11 +16,6 @@ var siteCountingSort = adapt.NewSite("psort.CountingSort", adapt.KindWorkers)
 // dwarfs the input and the O(n + range) bound stops being a win.
 const CountingMaxRange = 1 << 20
 
-// parCountRange bounds the spread for the parallel count phase: the
-// per-worker count matrix is p*range ints, so wide-but-allowed ranges
-// count serially instead of burning scratch on mostly-zero rows.
-const parCountRange = 1 << 16
-
 // CountingSort sorts xs in place by key counting: one pass to count
 // occurrences of each value in [min, max], one pass over the counts to
 // regenerate xs in order. O(n + range) with no comparisons — the
@@ -44,30 +39,11 @@ func CountingSort(xs []int64, opts par.Options) {
 		return
 	}
 	k := int(spread) + 1
-	p := workers(opts, n)
 	a := scratch.AcquireArena(opts.ScratchPool())
 	defer a.Release()
 	counts := scratch.MakeZeroed[int](a, k)
-	if p > 1 && n >= 2048 && k <= parCountRange {
-		// Parallel count: per-worker rows, serially folded. The fold is
-		// O(p*k), cheap next to the O(n) passes at these spreads.
-		rows := scratch.MakeZeroed[int](a, p*k)
-		par.ForWorkers(p, opts, func(w int) {
-			c := rows[w*k : (w+1)*k]
-			for i := w * n / p; i < (w+1)*n/p; i++ {
-				c[uint64(xs[i])-uint64(min)]++
-			}
-		})
-		for w := 0; w < p; w++ {
-			row := rows[w*k : (w+1)*k]
-			for v, c := range row {
-				counts[v] += c
-			}
-		}
-	} else {
-		for _, v := range xs {
-			counts[uint64(v)-uint64(min)]++
-		}
+	for _, v := range xs {
+		counts[uint64(v)-uint64(min)]++
 	}
 	// Regenerate: keys are the values, so the sorted output is implied
 	// by the counts alone.

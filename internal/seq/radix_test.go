@@ -90,13 +90,16 @@ var radixShapes = []struct {
 
 // TestRadixSortShapes holds RadixSort to slices.Sort on every shape,
 // as generated (non-negative but for gaussian) and shifted down by 2^62
-// (signed), at 1 Ki to 1 Mi keys, with no buffer and with one of
-// length n. 48 Ki - 1 keys is the largest 8-bit plan, 48 Ki the
-// smallest 11-bit one; 60 Ki and 64 Ki - 1 are where two 8-bit digits
-// would leave about one equal-prefix neighbour per key.
+// (signed), at 1 Ki to 1 Mi keys, with no buffer, with one of length n
+// and with one a key too short, which RadixSort replaces. warmKeys - 1
+// keys is the largest sort that skips the warm pass, warmKeys the
+// smallest that runs it, on a supplied buffer only. 48 Ki - 1 keys is
+// the largest 8-bit plan, 48 Ki the smallest 11-bit one; 60 Ki and
+// 64 Ki - 1 are where two 8-bit digits would leave about one
+// equal-prefix neighbour per key.
 func TestRadixSortShapes(t *testing.T) {
 	for _, s := range radixShapes {
-		for _, n := range []int{1 << 10, 1 << 12, 1 << 13, wideKeys - 1, wideKeys, 60 << 10, 1<<16 - 1, 1 << 18, 1 << 20} {
+		for _, n := range []int{1 << 10, warmKeys - 1, warmKeys, warmKeys + 1, 1 << 12, 1 << 13, wideKeys - 1, wideKeys, 60 << 10, 1<<16 - 1, 1 << 18, 1 << 20} {
 			if n > 1<<16 && testing.Short() {
 				continue
 			}
@@ -107,7 +110,7 @@ func TestRadixSortShapes(t *testing.T) {
 				}
 				want := slices.Clone(base)
 				slices.Sort(want)
-				for _, buf := range [][]int64{nil, make([]int64, n)} {
+				for _, buf := range [][]int64{nil, make([]int64, n), make([]int64, n-1)} {
 					got := slices.Clone(base)
 					RadixSort(got, buf)
 					if !slices.Equal(got, want) {
@@ -138,7 +141,9 @@ const maxRadixFuzzWords = 1<<16 - 1
 // by lo, so the fuzzer reaches every digit count and signed ranges. A
 // non-zero dup copies the top 8 bits of the width into the 8 below
 // them, which makes the plan's independence estimate wrong and reaches
-// the finish's fallback.
+// the finish's fallback. scale/4 % 3 picks the buffer: none, one of n
+// keys (from warmKeys keys up, the one the warm pass reads) or one a
+// key too short.
 func FuzzRadixSort(f *testing.F) {
 	words := make([]byte, 8*64)
 	r := rng.New(1)
@@ -152,6 +157,9 @@ func FuzzRadixSort(f *testing.F) {
 	f.Add(uint8(63), uint16(65535), uint8(3), int64(0), uint8(1), words)
 	f.Add(uint8(63), uint16(wideKeys-1), uint8(0), int64(0), uint8(0), words)
 	f.Add(uint8(40), uint16(50000), uint8(1), int64(-1<<39), uint8(0), words)
+	f.Add(uint8(63), uint16(warmKeys), uint8(4), int64(0), uint8(0), words)
+	f.Add(uint8(63), uint16(warmKeys-1), uint8(4), int64(-1<<62), uint8(1), words)
+	f.Add(uint8(20), uint16(warmKeys), uint8(8), int64(0), uint8(0), words)
 	f.Fuzz(func(t *testing.T, width uint8, n uint16, scale uint8, lo int64, dup uint8, data []byte) {
 		words := min(len(data)/8, maxRadixFuzzWords)
 		if words == 0 {
@@ -169,9 +177,16 @@ func FuzzRadixSort(f *testing.F) {
 		}
 		want := slices.Clone(xs)
 		slices.Sort(want)
-		RadixSort(xs, nil)
+		var buf []int64
+		switch scale / 4 % 3 {
+		case 1:
+			buf = make([]int64, len(xs))
+		case 2:
+			buf = make([]int64, len(xs)-1)
+		}
+		RadixSort(xs, buf)
 		if !slices.Equal(xs, want) {
-			t.Fatalf("n %d width %d lo %d dup %d: %s", len(xs), w, lo, dup, firstMismatch(xs, want))
+			t.Fatalf("n %d width %d lo %d dup %d buf %d: %s", len(xs), w, lo, dup, len(buf), firstMismatch(xs, want))
 		}
 	})
 }

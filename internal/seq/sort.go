@@ -147,6 +147,12 @@ const (
 	// 4 Mi keys, where its two digits reach one expected neighbour; no
 	// workload sorts that many.
 	wideKeys = 48 << 10
+	// warmKeys: from this many keys up, radixSort reads a caller's
+	// buffer once, a word per cache line, before its first scatter
+	// writes into it (touch). Read off BenchmarkRadixLeaf's cold arm:
+	// 1.02x the unwarmed leaf at 1 Ki, 0.88x at 2 Ki, 0.75x at 4 Ki
+	// (BENCHMARKS.md, "Warm scatter buffer").
+	warmKeys = 2 << 10
 )
 
 // digitCounts is one digit's histogram: 256 buckets for 8-bit digits,
@@ -161,6 +167,12 @@ type digitCounts interface {
 // scatters through buf (contents unspecified before and after), so a
 // caller with a scratch arena sorts without allocating; a buf shorter
 // than xs — nil for direct callers — is replaced by a fresh allocation.
+// From warmKeys (2 Ki) keys up, a caller's buf is read once, one word
+// per cache line, before the first scatter writes into it: a pooled
+// buffer is cold by the time the next long sort takes it, and the
+// scatter's random stores would each wait out a miss, where the
+// in-order reads stream the lines in (BENCHMARKS.md, "Warm scatter
+// buffer"). A buffer RadixSort allocates itself is not read first.
 // Digits are 8 bits wide below wideKeys (48 Ki) keys and 11 bits wide
 // from there up; one plan walker, radixSort, serves both widths.
 //
@@ -220,6 +232,10 @@ func radixSort[C digitCounts](xs, buf []int64) {
 	if dv := placeDigits(&varying, diff, w); dv < d {
 		base, shifts, d = 1<<63, varying, dv
 	}
+	// Only a caller's buffer is warmed: a fresh one's pages are not yet
+	// mapped, and reading them would map the zero page, so that the
+	// scatter's first write to each faults a second time.
+	warm := len(buf) >= n && n >= warmKeys
 	if len(buf) < n {
 		buf = make([]int64, n)
 	}
@@ -240,6 +256,9 @@ func radixSort[C digitCounts](xs, buf []int64) {
 			p = i + 1
 			break
 		}
+	}
+	if warm {
+		touch(buf)
 	}
 	src, dst := xs, buf
 	for i := p - 1; i > 0; i-- {
@@ -279,6 +298,21 @@ func Bounds(xs []int64) (lo, hi int64, diff uint64) {
 		diff |= uint64(v ^ x0)
 	}
 	return lo, hi, diff
+}
+
+// touch reads one word per 64-byte line of buf and returns their sum.
+// It is radixSort's warm pass: the reads stream in order, so the
+// hardware prefetcher brings a cold buffer's lines in at memory
+// bandwidth, where the first scatter's random writes would each wait
+// out a miss. It stays out of line, so the compiler keeps the loads
+// although nothing reads the sum, and no shared sink is written.
+//
+//go:noinline
+func touch(buf []int64) (sum int64) {
+	for i := 0; i < len(buf); i += 8 {
+		sum += buf[i]
+	}
+	return sum
 }
 
 // digit is the digit of u = v - base at shift s, in c's buckets. Shifts
