@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/par"
@@ -39,7 +38,7 @@ func printKernels(w io.Writer) {
 // (verified against the serial oracle), each algorithm variant
 // individually, and the serve batch path (admission, queueing and the
 // fused batch loop included, on the shard's own executor). It honors
-// -quick, -procs, -executor, -scratch and -adapt through cfg.
+// -quick, -procs, -executor and -scratch through cfg.
 func runKernelDemo(cfg core.Config, name string, w io.Writer) error {
 	k := kernel.Lookup(name)
 	if k == nil {
@@ -55,9 +54,6 @@ func runKernelDemo(cfg core.Config, name string, w io.Writer) error {
 	}
 	seed := cfg.WorkloadSeed()
 	opts := par.Options{Procs: procs, Executor: cfg.Executor, Scratch: cfg.Scratch}
-	if cfg.Adaptive {
-		opts.Adaptive = adapt.Default()
-	}
 	fmt.Fprintf(w, "== kernel %s — %s (n=%d, P=%d)\n", k.Name, k.Title, n, procs)
 
 	// One-shot dispatched entrypoint, verified against the oracle.
@@ -75,7 +71,7 @@ func runKernelDemo(cfg core.Config, name string, w io.Writer) error {
 	fmt.Fprintf(w, "one-shot: %s (serial oracle %s) — verified\n",
 		perf.FormatDuration(runT), perf.FormatDuration(serialT))
 
-	// Each variant individually (the lattice candidates).
+	// Each variant individually.
 	for i, v := range k.Variants {
 		a := k.Gen(n, seed)
 		t0 := time.Now()

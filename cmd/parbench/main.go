@@ -14,19 +14,17 @@
 //
 // Flags -procs, -vprocs, -reps and -seed control the sweep; -executor
 // selects the dispatch runtime (the shared persistent pool or a
-// dedicated one), -scratch toggles the scratch-arena buffer reuse,
-// and -adapt=on replaces every hard-coded
-// grain/policy/cutoff with the online load-aware tuning runtime
-// (internal/adapt), so the runtime-overhead, GC-pressure and
-// self-tuning deltas are all observable from the CLI. Serving traffic
-// is measured by the tables: E23 (batching), E24 (shards and
+// dedicated one) and -scratch toggles the scratch-arena buffer reuse,
+// so the runtime-overhead and GC-pressure deltas are observable from
+// the CLI. Grain, policy and cutoffs are the static defaults or the
+// hand-swept values of each table (E10 and E11 sweep them). Serving
+// traffic is measured by the tables: E23 (batching), E24 (shards and
 // migration), E26 (open-loop arrivals and deadlines), E27 (result
 // cache and deltas), E28 (the wire front door) and E29 (the long
 // route); bench/ drives a real parserve over a socket. A summary line
 // after the experiments reports the executor's steal counters next to
-// the scratch pool's hit/miss/bytes gauges (plus, with -adapt=on, the
-// controller's site/exploration/convergence counters). Unknown flag
-// values are rejected with a usage error, never silently defaulted.
+// the scratch pool's hit/miss/bytes gauges. Unknown flag values are
+// rejected with a usage error, never silently defaulted.
 package main
 
 import (
@@ -38,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/perf"
@@ -59,8 +56,6 @@ func main() {
 			"dispatch runtime: 'pooled' (shared persistent pool) or 'dedicated' (fresh pool)")
 		scratchMode = flag.String("scratch", "on",
 			"scratch-arena buffer reuse: 'on' (pooled temporaries) or 'off' (fresh allocation per call)")
-		adaptMode = flag.String("adapt", "off",
-			"online load-aware tuning: 'on' (grain/policy/cutoffs picked per call site by the adapt runtime) or 'off'")
 		kernelsFlag = flag.Bool("kernels", false, "list the kernel registry (name, variants, stream/relation wiring) and exit")
 		kernelFlag  = flag.String("kernel", "",
 			"run one registered kernel through every ladder — dispatched one-shot vs serial oracle, each variant, and the serve batch path — and print verified timings instead of experiments")
@@ -89,9 +84,6 @@ func main() {
 		fatalf("%v", err)
 	} else if !scratchOn {
 		cfg.Scratch = scratch.Off // nil = the shared process-wide scratch pool
-	}
-	if cfg.Adaptive, err = onOff("adapt", *adaptMode, false); err != nil {
-		fatalf("%v", err)
 	}
 	if cfg.Procs, err = parseInts(*procsFlag); err != nil {
 		fatalf("bad -procs: %v", err)
@@ -145,9 +137,8 @@ func executorFor(mode string) (*exec.Executor, error) {
 	return nil, fmt.Errorf("bad -executor %q: want pooled or dedicated", mode)
 }
 
-// onOff resolves one of the on/off mode flags (-scratch, -adapt); an
-// empty mode means def. Unknown values are an
-// error, never a silent default.
+// onOff resolves an on/off mode flag (-scratch); an empty mode means
+// def. Unknown values are an error, never a silent default.
 func onOff(flagName, mode string, def bool) (bool, error) {
 	switch mode {
 	case "on":
@@ -161,10 +152,9 @@ func onOff(flagName, mode string, def bool) (bool, error) {
 }
 
 // printRuntimeStats reports the executor's steal counters alongside
-// the scratch pool's reuse gauges — and, with -adapt=on, the tuning
-// controller's counters — so one run shows every half of the runtime's
-// behavior: how work moved between workers, how buffer memory was
-// recycled, and how the parameter cache filled and converged.
+// the scratch pool's reuse gauges, so one run shows both halves of the
+// runtime's behavior: how work moved between workers and how buffer
+// memory was recycled.
 func printRuntimeStats(cfg core.Config) {
 	e := cfg.Executor
 	if e == nil {
@@ -178,11 +168,6 @@ func printRuntimeStats(cfg core.Config) {
 	fmt.Printf("runtime: steals=%d attempts=%d | scratch: hits=%d misses=%d bypasses=%d live=%s pooled=%s\n",
 		e.Steals(), e.StealAttempts(),
 		st.Hits, st.Misses, st.Bypasses, fmtBytes(st.BytesLive), fmtBytes(st.BytesPooled))
-	if cfg.Adaptive {
-		at := adapt.Default().Stats()
-		fmt.Printf("adapt: sites=%d classes=%d decisions=%d explorations=%d degraded=%d converged=%d\n",
-			at.Sites, at.Classes, at.Decisions, at.Explorations, at.Degraded, at.Converged)
-	}
 }
 
 func fmtBytes(b int64) string {

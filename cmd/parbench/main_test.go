@@ -28,7 +28,7 @@ func TestFlagModesRejectUnknownValues(t *testing.T) {
 }
 
 // onOffFlags are the flags parsed by onOff.
-var onOffFlags = []string{"scratch", "adapt"}
+var onOffFlags = []string{"scratch"}
 
 func TestFlagModesAcceptKnownValues(t *testing.T) {
 	for _, flagName := range onOffFlags {
@@ -39,8 +39,7 @@ func TestFlagModesAcceptKnownValues(t *testing.T) {
 			if on, err := onOff(flagName, "off", def); err != nil || on {
 				t.Errorf("onOff(%s, off, %v) = %v, %v", flagName, def, on, err)
 			}
-			// The empty mode is the flag's default: scratch defaults on,
-			// adapt off.
+			// The empty mode is the flag's default.
 			if on, err := onOff(flagName, "", def); err != nil || on != def {
 				t.Errorf("onOff(%s, \"\", %v) = %v, %v", flagName, def, on, err)
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/adapt"
 	"repro/internal/exec"
 	"repro/internal/par"
 	"repro/internal/perf"
@@ -32,39 +31,21 @@ type Config struct {
 	// per call (cmd/parbench -scratch=off) so the GC-pressure delta is
 	// observable.
 	Scratch *scratch.Pool
-	// Adaptive runs every kernel invocation under the online tuning
-	// runtime (cmd/parbench -adapt=on): grain, policy, worker count
-	// and serial cutoffs come from the process-wide adapt controller
-	// instead of the sweep's fixed values. The per-point (procs,
-	// policy, grain) parameters then act only as the controller's
-	// requested-parallelism ceiling, so tables produced this way
-	// measure the controller, not the lattice — useful to check how
-	// close "adaptive" lands to the best hand-swept row.
-	Adaptive bool
 }
 
 // opts builds the par.Options for one measured point, carrying the
 // harness executor and scratch pool into every kernel layer.
 func (c Config) opts(procs int, pol par.Policy, grain int) par.Options {
-	o := par.Options{Procs: procs, Policy: pol, Grain: grain, Executor: c.Executor, Scratch: c.Scratch}
-	if c.Adaptive {
-		o.Adaptive = adapt.Default()
-	}
-	return o
+	return par.Options{Procs: procs, Policy: pol, Grain: grain, Executor: c.Executor, Scratch: c.Scratch}
 }
 
 // ServeConfig is opts' serving-side sibling: the per-shard serve.Config
-// for batches of the given parallelism on the harness scratch pool and
-// (with Adaptive) the process-wide controller. Every shard brings its
-// own executor, so the harness executor does not carry over. Callers
-// set the per-table fields (SLO, Cache, PipelineCutoff, …) on the
-// result.
+// for batches of the given parallelism on the harness scratch pool.
+// Every shard brings its own executor, so the harness executor does
+// not carry over. Callers set the per-table fields (SLO, Cache,
+// PipelineCutoff, …) on the result.
 func (c Config) ServeConfig(workers int) serve.Config {
-	sc := serve.Config{Scratch: c.Scratch, Workers: workers}
-	if c.Adaptive {
-		sc.Adaptive = adapt.Default()
-	}
-	return sc
+	return serve.Config{Scratch: c.Scratch, Workers: workers}
 }
 
 func (c Config) procs() []int {

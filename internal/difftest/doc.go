@@ -3,12 +3,12 @@
 // sequential oracle (internal/seq, or a transparent reference loop)
 // over the full configuration matrix — sizes {0, 1, small, odd,
 // large}, every par.Policy, worker counts {1, 2, GOMAXPROCS}, scratch
-// on/off, and the adaptive tuning runtime mid-exploration, where the
-// controller may pick a different candidate on every call and the
-// results must nonetheless be bit-identical while only timings vary.
+// on/off, and adaptive cells, whose repeated calls each run under a
+// different schedule, as an online tuner would pick them, and must
+// nonetheless give bit-identical results while only timings vary.
 //
-// This is the determinism contract internal/adapt relies on (it may
-// change schedules freely because schedules never change results) made
-// executable. The package contains only tests; there is no library
-// code to import.
+// This is the determinism contract any schedule choice relies on (a
+// schedule may change freely because schedules never change results)
+// made executable. The package contains only tests; there is no
+// library code to import.
 package difftest

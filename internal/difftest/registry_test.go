@@ -51,7 +51,7 @@ func TestDiffRegistryKernels(t *testing.T) {
 // TestDiffRegistryVariants oracle-checks every algorithm variant
 // individually — dispatch may route around a broken variant for whole
 // input regimes, so each one is pinned against the serial oracle on
-// every input shape, not just the shapes the lattice sends it.
+// every input shape, not just the shapes Default sends it.
 func TestDiffRegistryVariants(t *testing.T) {
 	for _, k := range kernel.All() {
 		if len(k.Variants) < 2 {

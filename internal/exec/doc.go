@@ -40,5 +40,5 @@
 // Everything that runs in parallel dispatches onto it: par
 // schedules and fork/joins, sched's work-stealing tasks, bsp's
 // virtual processors, and serve's batch dispatcher. Its Occupancy
-// gauge drives load shedding in adapt and admission control in serve.
+// gauge drives load shedding and admission control in serve.
 package exec

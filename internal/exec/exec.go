@@ -142,9 +142,9 @@ func (e *Executor) BlockingGoroutines() int64 { return e.blocking.Load() }
 // tasks — fork/join helpers that lost the race to their Run's own
 // caller linger on the deques and run as no-ops, so the queue length
 // says nothing about load (conspicuously on few-core machines). It is
-// the gauge the adaptive tuning runtime (internal/adapt) consults to
-// shed parallelism under concurrent traffic — a cheap, racy snapshot,
-// deliberately: the reader wants a trend, not a linearizable count.
+// the gauge serve's admission ladder consults to shed parallelism
+// under concurrent traffic — a cheap, racy snapshot, deliberately:
+// the reader wants a trend, not a linearizable count.
 func (e *Executor) Occupancy() float64 {
 	if !e.started.Load() {
 		return 0

@@ -12,8 +12,8 @@ import "runtime"
 //
 // Occupancy is where sharding pays observability dividends: the old
 // process-wide gauge blurred every workload together — one busy
-// kernel made the whole process read loaded, so admission control and
-// adaptive shedding on an idle shard degraded for someone else's
+// kernel made the whole process read loaded, so admission control
+// and load shedding on an idle shard degraded for someone else's
 // traffic. Shard(i).Occupancy() is one shard's gauge (an idle
 // shard reads exactly 0 no matter how saturated its neighbors are),
 // and Occupancy keeps the cheap global aggregate for callers that

@@ -36,8 +36,8 @@ type Args struct {
 }
 
 // Len is the kernel's problem size: the node count for graph kernels,
-// the primary slice length otherwise. It sizes adaptive decisions,
-// long-route routing and per-element cost accounting.
+// the primary slice length otherwise. It sizes long-route routing and
+// per-element cost accounting.
 func (a *Args) Len() int {
 	if a.G != nil {
 		return a.G.N()

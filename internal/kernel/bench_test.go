@@ -5,16 +5,14 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/par"
 	"repro/internal/rng"
 )
 
 // Variant benchmarks: each algorithm candidate individually, plus the
-// no-controller default and the adaptive dispatch path with a
-// pre-warmed controller, over the two key regimes the sort feature
-// separates. The acceptance ratio is adaptive vs sample on narrow keys.
-// BenchmarkSortClasses sweeps every class the default table covers.
+// default dispatch, over the two key regimes the sort feature
+// separates. BenchmarkSortClasses sweeps every class the default table
+// covers.
 
 // sortBenchInputs is how many distinct inputs a sort benchmark row
 // cycles through. On one repeated input the branch predictor learns a
@@ -53,25 +51,9 @@ func sortBenchBases(n int, seed uint64, gen func(n int, seed uint64) []int64) []
 	return bases
 }
 
-// warmedController converges the sort kernel's variant lattice on
-// bases before timing starts, so the adaptive benchmark measures
-// steady-state dispatch (one feature probe + one table lookup), not
-// exploration.
-func warmedController(b *testing.B, bases [][]int64) *adapt.Controller {
-	b.Helper()
-	k := MustLookup("sort")
-	ctl := adapt.New(adapt.Config{ConvergeAfter: 12, Seed: 9})
-	xs := make([]int64, len(bases[0]))
-	for i := 0; i < 24; i++ {
-		copy(xs, bases[i%len(bases)])
-		k.Run(&Args{Xs: xs}, par.Options{Procs: 1, Adaptive: ctl})
-	}
-	return ctl
-}
-
 // benchSortVariants times every sort variant on bases at Procs 1, plus
-// "default": Kernel.Run with no controller, which is what a serve batch
-// slot on parserve runs.
+// "default": Kernel.Run, which is what a serve batch slot on parserve
+// runs.
 func benchSortVariants(b *testing.B, bases [][]int64) {
 	k := MustLookup("sort")
 	a := &Args{}
@@ -92,34 +74,20 @@ func benchSortVariants(b *testing.B, bases [][]int64) {
 	})
 }
 
-func benchSortRegime(b *testing.B, bases [][]int64) {
-	k := MustLookup("sort")
-	benchSortVariants(b, bases)
-	b.Run("adaptive", func(b *testing.B) {
-		ctl := warmedController(b, bases)
-		opts := par.Options{Procs: 1, Adaptive: ctl}
-		a := &Args{}
-		benchSortInput(b, bases, func(xs []int64) {
-			*a = Args{Xs: xs}
-			k.Run(a, opts)
-		})
-	})
-}
-
 // BenchmarkSortNarrow16: uniform keys masked to 16 bits — the regime
-// where a distribution sort beats the comparison baseline and adaptive
-// dispatch routes away from sample (radix reads 0.11× sample on fresh
+// where a distribution sort beats the comparison baseline and the
+// default routes away from sample (radix reads 0.11× sample on fresh
 // inputs).
 func BenchmarkSortNarrow16(b *testing.B) {
-	benchSortRegime(b, sortBenchBases(1<<15, 3, narrowInput))
+	benchSortVariants(b, sortBenchBases(1<<15, 3, narrowInput))
 }
 
 // BenchmarkSortWide64: full-range nearly-sorted keys, where sample
 // sort's comparisons predict well. Since the radix leaf sorts on a
 // 16-bit prefix with an insertion finish, radix runs near parity with
-// sample here, so adaptive dispatch may settle on either.
+// sample here; the default keeps sample.
 func BenchmarkSortWide64(b *testing.B) {
-	benchSortRegime(b, sortBenchBases(1<<15, 5, wideNearlySorted))
+	benchSortVariants(b, sortBenchBases(1<<15, 5, wideNearlySorted))
 }
 
 // BenchmarkSortClasses is the measurement sortDefaultTable is read
@@ -148,7 +116,7 @@ func BenchmarkSortClasses(b *testing.B) {
 
 // BenchmarkServeSlot times every registered kernel under the options a
 // serve batch slot runs it with on parserve (Procs 1, no parallel
-// cutoff, no controller) at 1 Ki to 64 Ki elements, input copy
+// cutoff) at 1 Ki to 64 Ki elements, input copy
 // included, and reports ns/elem. A row where one kernel's ns/elem jumps
 // between sizes is a cliff in its serial leaf.
 //

@@ -18,8 +18,8 @@ import (
 // runtime has offered since PR 5, re-declared as registrations. The
 // sort kernel is the multi-variant showcase — sample sort (the
 // comparison-sort incumbent), radix sort (splitter buckets, each
-// sorted by the serial radix leaf) and counting sort enter the variant
-// lattice and the adaptive runtime picks per feature class. GUPS lives
+// sorted by the serial radix leaf) and counting sort, one picked per
+// feature class by sortDefaultTable. GUPS lives
 // in its own file (gups.go) as the one-registration proof.
 
 // eqXs compares the primary slices elementwise.
@@ -108,9 +108,9 @@ const (
 	sortCounting
 )
 
-// sortDefaultTable is the variant sort runs without a controller, per
-// sortFeature class: [width bucket][size bucket][sorted bit]. It is read
-// off BenchmarkSortClasses, which times every variant at Procs 1 on
+// sortDefaultTable is the variant sort runs per sortFeature class:
+// [width bucket][size bucket][sorted bit]. It is read off
+// BenchmarkSortClasses, which times every variant at Procs 1 on
 // fourteen input shapes at 1 Ki to 1 Mi elements, each row cycling
 // through 16 fresh inputs so the branch predictor cannot learn one
 // (BENCHMARKS.md, "The sort default"; re-read in "Top-digit radix

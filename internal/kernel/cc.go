@@ -14,7 +14,7 @@ import (
 // component-minimum node ids. Both pgraph algorithms produce that
 // canonical form directly (hook attaches larger roots under smaller;
 // label propagation adopts neighborhood minima), so the registry gets
-// a genuine two-variant lattice and the oracle check is exact label
+// two genuine variants and the oracle check is exact label
 // equality, not just partition equivalence. Registered for the
 // standing-query path: ccDelta maintains the labels under edge
 // insertions without recomputing from scratch.

@@ -1,8 +1,8 @@
 // Conformance is the registry's contract test (package kernel_test so
 // it can drive the serve runtime, which imports kernel): one
 // table-driven sweep asserting that every registered kernel — present
-// and future — has a working serial oracle, a live adaptive site, and
-// an allocation-free ride through the serve batch path. A kernel that
+// and future — has a working serial oracle and an allocation-free
+// ride through the serve batch path. A kernel that
 // registers but fails any clause breaks this test by name.
 package kernel_test
 
@@ -11,7 +11,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/kernel"
 	"repro/internal/par"
 	"repro/internal/serve"
@@ -45,41 +44,19 @@ func TestKernelConformance(t *testing.T) {
 				}
 			})
 
-			t.Run("adaptive-site", func(t *testing.T) {
-				// Every kernel must consult the adaptive layer somewhere:
-				// multi-variant kernels through their variant lattice,
-				// single-variant kernels through the sites inside their
-				// implementation (grain/policy/worker lattices).
-				ctl := adapt.New(adapt.Config{Epsilon: 1, ConvergeAfter: 1 << 30, Seed: 7})
-				a := k.Gen(1<<14, 0)
-				// The dispatch class must be read before Run mutates the
-				// input (sorting flips the sortedness feature bit).
-				class := 0
-				if k.Feature != nil {
-					class = k.Feature(a)
-				}
-				k.Run(a, par.Options{Procs: 4, Adaptive: ctl})
-				if site := k.Site(); site != nil {
-					if ctl.ClassVisits(site, class) == 0 {
-						t.Error("variant site recorded no visits")
-					}
-				}
-				if st := ctl.Stats(); st.Decisions == 0 {
-					t.Error("no adaptive site consulted the controller")
-				}
-			})
-
 			if !k.Allocates {
 				t.Run("serve-zero-alloc", func(t *testing.T) {
-					s := serve.NewSharded(serve.ShardedConfig{Shards: 1, Config: serve.Config{Adaptive: adapt.New(adapt.Config{})}})
+					// s has the benchmark's shape, two 1-worker shards;
+					// plain is the zero-config one-shard server.
+					s := serve.NewSharded(serve.ShardedConfig{Shards: 2, ShardProcs: 1})
 					defer s.Close()
 					serveZeroAllocs(t, s, k, k.Gen(4096, 1))
 					plain := serve.NewSharded(serve.ShardedConfig{Shards: 1})
 					defer plain.Close()
 					// Above 4 096 elements, where Select leaves its serial
 					// leaf when given more than one worker, and below
-					// DefaultPipelineCutoff, so still the batch slot; with
-					// and without a controller.
+					// DefaultPipelineCutoff, so still the batch slot; on
+					// both servers.
 					for _, n := range []int{1 << 13, 1 << 16} {
 						a := k.Gen(n, 1)
 						t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -102,8 +79,8 @@ func TestKernelConformance(t *testing.T) {
 					if k.Default == nil {
 						return
 					}
-					// Without a controller Default picks per input: pin one
-					// Gen input for each variant it picks.
+					// Default picks per input: pin one Gen input for each
+					// variant it picks.
 					for _, a := range defaultInputs(k) {
 						t.Run("default="+k.Variants[k.Default(k.Feature(a))].Name, func(t *testing.T) {
 							serveZeroAllocs(t, plain, k, a)
@@ -127,8 +104,7 @@ func serveZeroAllocs(t *testing.T, s *serve.Sharded, k *kernel.Kernel, a *kernel
 			t.Fatal(err)
 		}
 	}
-	// Warm the pools and the variant lattice's exploration sweep so
-	// steady state is what gets measured.
+	// Warm the pools so steady state is what gets measured.
 	for i := 0; i < 64; i++ {
 		call()
 	}

@@ -4,10 +4,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"testing"
-	"time"
 
-	"repro/internal/adapt"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/par"
 	"repro/internal/racecheck"
@@ -130,7 +127,7 @@ func keysOfWidth(n, width int, lo int64, sorted bool) []int64 {
 	return xs
 }
 
-// TestSortDefaultTable pins the variant a no-controller sort runs at
+// TestSortDefaultTable pins the variant a sort dispatches to at
 // the edges of sortFeature's buckets: key widths either side of 8, 16
 // and 32 bits, spreads either side of n (the dense edge), sizes either
 // side of 4 096, 65 536 and 1 048 576, negative minima (the width is
@@ -184,7 +181,7 @@ func TestSortDefaultTable(t *testing.T) {
 }
 
 // TestSortDefaultMatchesSerial is the differential check on the
-// no-controller path: every table shape at every table size, at Procs 1
+// dispatch path: every table shape at every table size, at Procs 1
 // (a serve batch slot, parserve's long route) and Procs 2 (a wider long
 // route), against the serial oracle.
 func TestSortDefaultMatchesSerial(t *testing.T) {
@@ -209,9 +206,9 @@ func TestSortDefaultMatchesSerial(t *testing.T) {
 	}
 }
 
-// recordingSort is an unregistered copy of the sort descriptor, with a
-// variant site of its own, whose variants store their index in *ran
-// before running: the way a test sees which algorithm a dispatch chose.
+// recordingSort is an unregistered copy of the sort descriptor whose
+// variants store their index in *ran before running: the way a test
+// sees which algorithm a dispatch chose.
 func recordingSort(ran *int) *Kernel {
 	k := *MustLookup("sort")
 	k.Variants = slices.Clone(k.Variants)
@@ -222,7 +219,6 @@ func recordingSort(ran *int) *Kernel {
 			run(a, o)
 		}
 	}
-	k.site = adapt.NewVariantSite("test.recording-sort", len(k.Variants))
 	return &k
 }
 
@@ -244,39 +240,6 @@ func TestRunWithoutControllerRunsDefault(t *testing.T) {
 	}
 }
 
-// TestDegradedDecisionRunsDefault is the controller's fallback: on a
-// saturated executor DecideVariant sheds load and answers untimed, and
-// for a narrow-key class it never measured that answer must not be
-// variant 0 (sample) but the default, counting sort — or -adapt on
-// would sort slower under load than no controller.
-func TestDegradedDecisionRunsDefault(t *testing.T) {
-	e := exec.New(1)
-	defer e.Close()
-	release := make(chan struct{})
-	defer close(release)
-	e.Submit(func() { <-release })
-	for i := 0; e.Occupancy() < 1 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if e.Occupancy() < 1 {
-		t.Skip("could not saturate the executor")
-	}
-	ran := -1
-	k := recordingSort(&ran)
-	ctl := adapt.New(adapt.Config{Seed: 1})
-	a := &Args{Xs: narrowInput(1<<16, 2)}
-	k.Run(a, par.Options{Procs: 1, Executor: e, Adaptive: ctl})
-	if ctl.Stats().Degraded != 1 {
-		t.Fatalf("Degraded = %d, want 1: the controller was not past HighLoad", ctl.Stats().Degraded)
-	}
-	if ran != sortCounting {
-		t.Errorf("degraded decision on an unseen narrow class ran %s, want counting", k.Variants[ran].Name)
-	}
-	if !slices.IsSorted(a.Xs) {
-		t.Error("output not sorted")
-	}
-}
-
 func encodeKeys(xs []int64) []byte {
 	data := make([]byte, 8*len(xs))
 	for i, x := range xs {
@@ -290,7 +253,7 @@ func encodeKeys(xs []int64) []byte {
 // minimizer, which runs an input thousands of times, stays quick.
 const maxFuzzKeys = 1 << 13
 
-// FuzzSortDefault holds sort's no-controller dispatch, whichever
+// FuzzSortDefault holds sort's dispatch, whichever
 // variant the default picks for the input's class, to seq.Quicksort.
 // The fuzzed words are tiled out to n keys (so the fuzzer reaches the
 // sizes where radix and counting sort take over), masked to width bits

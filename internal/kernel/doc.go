@@ -2,13 +2,11 @@
 // place a computational kernel is declared once and threaded through
 // every runtime and testing layer.
 //
-// One Register call declares a kernel's name, its algorithm variants
-// (candidates in an adapt variant lattice, so the adaptive runtime
-// picks the algorithm — not just grain, policy and workers), its
-// serial oracle, argument validation, a deterministic input
+// One Register call declares a kernel's name, its algorithm variants,
+// its serial oracle, argument validation, a deterministic input
 // generator, an output checker, an input-feature extractor for
-// variant dispatch with a measured per-class default (the algorithm a
-// caller without a controller gets), an optional long-route adapter,
+// variant dispatch with a measured per-class default (the algorithm
+// Run picks for that class), an optional long-route adapter,
 // the Args field its result lives in, and its metamorphic relations.
 // The layers then derive everything from the descriptor:
 //
@@ -36,7 +34,7 @@
 // # Layering
 //
 // kernel sits above the kernel implementations (psort, psel, pgraph,
-// par) and the runtimes they share (adapt, exec, scratch), and below
+// par) and the runtimes they share (exec, scratch), and below
 // serve, difftest, metatest, core and cmd/parbench, which consume the
 // registry. It must not import serve: every long-route adapter is
 // one call of its kernel, run under the options serve hands it.

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/par"
 	"repro/internal/rng"
 )
@@ -24,9 +23,6 @@ import (
 // addition via atomic.AddInt64, so the parallel result is
 // deterministic and equal to the serial oracle's regardless of
 // interleaving.
-
-// siteGUPS tunes the update loop's chunking like any range site.
-var siteGUPS = adapt.NewSite("kernel.gups.update", adapt.KindRange)
 
 // gupsMix is splitmix64: the i-th update's random word is a pure
 // function of (Seed, i), so workers derive their updates with no
@@ -47,7 +43,6 @@ func runGUPS(a *Args, opts par.Options) {
 		return
 	}
 	mask := uint64(len(a.Xs) - 1)
-	opts.Site = siteGUPS
 	xs, seed := a.Xs, a.Seed
 	par.ForRange(a.K, opts, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -4,18 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
-	"repro/internal/adapt"
-	"repro/internal/exec"
 	"repro/internal/par"
 	"repro/internal/rng"
 )
 
 // Variant is one algorithm implementing a kernel. Variant 0 is the
-// kernel's general-purpose algorithm: what a caller without an adaptive
-// controller gets unless the kernel declares a Default, which picks a
-// variant per input feature class instead.
+// kernel's general-purpose algorithm: what Run executes unless the
+// kernel declares a Default, which picks a variant per input feature
+// class instead.
 type Variant struct {
 	// Name labels the variant in stats, benchmarks and demos.
 	Name string
@@ -56,16 +53,15 @@ const (
 )
 
 // Kernel is one registered kernel descriptor. Register validates the
-// required fields and wires the variant lattice; see the package
-// comment for what each layer derives from it.
+// required fields; see the package comment for what each layer
+// derives from it.
 type Kernel struct {
 	// Name is the registry key ("sort", "gups", ...).
 	Name string
 	// Title is the one-line description listings show.
 	Title string
-	// Variants are the algorithms the adaptive runtime chooses among;
-	// at least one. With more than one, Register creates a
-	// KindVariant adaptive site and Run dispatches through it.
+	// Variants are the algorithms implementing the kernel; at least
+	// one. Run dispatches among them through Default.
 	Variants []Variant
 	// Serial is the sequential oracle differential tests (and the
 	// serve batch slot's reference semantics) compare against.
@@ -82,15 +78,12 @@ type Kernel struct {
 	// same input and returns a descriptive error on mismatch.
 	Check func(got, want *Args) error
 	// Feature maps an input to its variant-dispatch class in [0, 63]
-	// (key-width × size × sortedness for sorts). Optional; class 0
-	// when nil. Only consulted for multi-variant kernels.
+	// (key-width × size × sortedness for sorts). Consulted only with
+	// Default; Register requires it there.
 	Feature func(a *Args) int
-	// Default names the variant to run for a Feature class when no
-	// controller has measured one: every call without Options.Adaptive,
-	// and a controller's untimed answer for a variant it never timed in
-	// that class (a degraded decision under load, or a class not yet
-	// seen). It is the kernel's measured answer to "which algorithm for
-	// this input" — sort's is a table read off BenchmarkSortClasses.
+	// Default names the variant Run executes for a Feature class. It
+	// is the kernel's measured answer to "which algorithm for this
+	// input" — sort's is a table read off BenchmarkSortClasses.
 	// Optional; variant 0 when nil. Register requires Feature and more
 	// than one variant with it, and an index into Variants for every
 	// class.
@@ -124,17 +117,10 @@ type Kernel struct {
 	// (BFS returns a fresh distance slice); the conformance test
 	// exempts them from the 0 allocs/op serve-path check.
 	Allocates bool
-
-	site *adapt.Site // variant-dispatch site; nil for single-variant kernels
 }
 
-// Site returns the kernel's variant-dispatch adaptive site (nil for
-// single-variant kernels, whose inner implementation sites do the
-// tuning).
-func (k *Kernel) Site() *adapt.Site { return k.site }
-
 // featureClasses bounds Feature's range: classes are [0, 63], the
-// range an adaptive variant site keeps state for.
+// range Register checks Default over.
 const featureClasses = 64
 
 var (
@@ -143,8 +129,7 @@ var (
 	order []*Kernel
 )
 
-// Register validates and installs a kernel descriptor, creating its
-// variant lattice when it declares alternatives, and returns the
+// Register validates and installs a kernel descriptor and returns the
 // installed kernel. It panics on incomplete descriptors and duplicate
 // names — registration is init-time wiring, not a runtime input.
 func Register(k Kernel) *Kernel {
@@ -170,9 +155,6 @@ func Register(k Kernel) *Kernel {
 		panic(fmt.Sprintf("kernel: Register(%q): Cache needs an Xs, Dst or Scalar output", k.Name))
 	}
 	kp := &k
-	if len(k.Variants) > 1 {
-		kp.site = adapt.NewVariantSite("kernel."+k.Name, len(k.Variants))
-	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := reg[k.Name]; dup {
@@ -232,55 +214,23 @@ func Names() []string {
 	return out
 }
 
-// Run executes the kernel on a. A multi-variant kernel picks its
-// algorithm per input: Feature gives the input's class (key width,
-// size, sortedness — orthogonal to parallelism, so the choice applies
-// even at Procs 1). Without an adaptive controller, Default(class)
-// runs under the caller's options unchanged and its own inner adaptive
-// sites keep tuning as before; a kernel with no Default, or a single
-// variant, runs variant 0. With a controller the variant lattice
-// decides: the chosen variant runs with Adaptive cleared (the variant
-// site owns this call's timing, mirroring par.BeginAdaptive's
-// whole-call contract) and the measured cost is fed back. An untimed
-// answer naming a variant the controller never measured in that class
-// carries no information, so Default(class) runs instead — otherwise a
-// controller under load would run a slower algorithm than no
-// controller at all.
+// Run executes the kernel on a under the caller's options. A kernel
+// with a Default picks its algorithm per input: Feature gives the
+// input's class (key width, size, sortedness — orthogonal to
+// parallelism, so the choice applies even at Procs 1) and
+// Default(class) names the variant. A kernel with no Default runs
+// variant 0.
 func (k *Kernel) Run(a *Args, opts par.Options) {
-	ctl := opts.Adaptive
-	if k.site == nil || (ctl == nil && k.Default == nil) {
+	if k.Default == nil {
 		k.Variants[0].Run(a, opts)
 		return
 	}
-	class := 0
-	if k.Feature != nil {
-		class = k.Feature(a)
-	}
-	if ctl == nil {
-		k.Variants[k.Default(class)].Run(a, opts)
-		return
-	}
-	e := opts.Executor
-	if e == nil {
-		e = exec.Default()
-	}
-	idx, tok := ctl.DecideVariant(k.site, class, e.Occupancy())
-	if !tok.Valid() && k.Default != nil && !ctl.VariantMeasured(k.site, class, idx) {
-		idx = k.Default(class)
-	}
-	inner := opts
-	inner.Adaptive = nil
-	t0 := time.Now()
-	k.Variants[idx].Run(a, inner)
-	if tok.Valid() {
-		ctl.Record(tok, time.Since(t0).Seconds(), a.Len())
-	}
+	k.Variants[k.Default(k.Feature(a))].Run(a, opts)
 }
 
 // RunVariant executes one specific variant by index, bypassing
 // dispatch — the hook differential tests use to oracle-check every
 // algorithm, not just the dispatched one.
 func (k *Kernel) RunVariant(i int, a *Args, opts par.Options) {
-	opts.Adaptive = nil
 	k.Variants[i].Run(a, opts)
 }

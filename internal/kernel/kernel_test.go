@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/gen"
 	"repro/internal/par"
 )
@@ -159,85 +158,43 @@ func wideNearlySorted(n int, seed uint64) []int64 {
 	return xs
 }
 
-// warmSortDispatch drives the sort kernel's variant lattice to
-// convergence on copies of base and returns the controller.
-func warmSortDispatch(t *testing.T, base []int64, rounds int) *adapt.Controller {
+// runSorted sorts a copy of base through Kernel.Run and fails unless
+// the result is sorted.
+func runSorted(t *testing.T, k *Kernel, base []int64) {
 	t.Helper()
-	k := MustLookup("sort")
-	ctl := adapt.New(adapt.Config{ConvergeAfter: 12, Seed: 9})
-	xs := make([]int64, len(base))
-	for i := 0; i < rounds; i++ {
-		copy(xs, base)
-		a := &Args{Xs: xs}
-		k.Run(a, par.Options{Procs: 1, Adaptive: ctl})
-		if !slices.IsSorted(xs) {
-			t.Fatal("dispatched variant failed to sort")
-		}
-	}
-	return ctl
-}
-
-// checkVariantSweep asserts the structural half of adaptive dispatch
-// through Kernel.Run: the controller created the input's feature class,
-// recorded visits under it and timed every variant there, so its best
-// is a timed one.
-func checkVariantSweep(t *testing.T, k *Kernel, ctl *adapt.Controller, class int) {
-	t.Helper()
-	if _, ok := ctl.BestVariant(k.Site(), class); !ok {
-		t.Fatalf("variant class %d never created", class)
-	}
-	for i, v := range k.Variants {
-		if !ctl.VariantMeasured(k.Site(), class, i) {
-			t.Errorf("variant %s never timed in class %d", v.Name, class)
-		}
-	}
-	if v := ctl.ClassVisits(k.Site(), class); v == 0 {
-		t.Error("variant site recorded no visits")
+	xs := slices.Clone(base)
+	k.Run(&Args{Xs: xs}, par.Options{Procs: 1})
+	if !slices.IsSorted(xs) {
+		t.Fatal("dispatched variant failed to sort")
 	}
 }
 
 // TestVariantDispatchPrefersCountingOnNarrowKeys: on uniform 16-bit
-// keys both dispatch paths leave sample sort for a narrow-key
-// specialist. The converged controller's pick is a wall-clock fact, but
-// not a close one: sample reads about 9x radix there (BENCHMARKS.md,
-// "Variant dispatch").
+// keys dispatch leaves sample sort for a narrow-key specialist: sample
+// reads about 9x radix there (BENCHMARKS.md, "Variant dispatch").
 func TestVariantDispatchPrefersCountingOnNarrowKeys(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-driven convergence test")
-	}
 	k := MustLookup("sort")
 	base := narrowInput(1<<15, 3)
 	class := k.Feature(&Args{Xs: base})
 	if d := k.Default(class); d == sortSample {
-		t.Errorf("no-controller default for narrow class %d is sample", class)
+		t.Errorf("default for narrow class %d is sample", class)
 	}
-	ctl := warmSortDispatch(t, base, 24)
-	checkVariantSweep(t, k, ctl, class)
-	if best, _ := ctl.BestVariant(k.Site(), class); best == sortSample {
-		t.Errorf("narrow keys converged to %q; want a narrow-key specialist (radix or counting)",
-			k.Variants[best].Name)
-	}
+	runSorted(t, k, base)
 }
 
 // TestVariantDispatchPrefersSampleOnWideSortedKeys: on wide nearly
-// sorted keys the no-controller dispatch runs sample sort, the entry
-// sortDefaultTable holds for that class, and the controller sweeps the
-// class. Which variant a converged controller settles on is not
-// asserted: since the top-digit radix leaf, radix reads about 1.08x
-// sample there, so the pick is a coin flip; the ratio is read off
-// BenchmarkSortWide64 (BENCHMARKS.md, "Top-digit radix leaf").
+// sorted keys dispatch runs sample sort, the entry sortDefaultTable
+// holds for that class. Radix reads about 1.08x sample there
+// (BENCHMARKS.md, "Top-digit radix leaf").
 func TestVariantDispatchPrefersSampleOnWideSortedKeys(t *testing.T) {
-	if testing.Short() {
-		t.Skip("24 sorts of 32 Ki keys")
-	}
 	k := MustLookup("sort")
 	base := wideNearlySorted(1<<15, 5)
 	class := k.Feature(&Args{Xs: base})
 	if d := k.Default(class); d != sortSample {
-		t.Errorf("no-controller default for wide nearly sorted class %d is %q; want sample",
+		t.Errorf("default for wide nearly sorted class %d is %q; want sample",
 			class, k.Variants[d].Name)
 	}
-	checkVariantSweep(t, k, warmSortDispatch(t, base, 24), class)
+	runSorted(t, k, base)
 }
 
 func TestSortFeatureSeparatesRegimes(t *testing.T) {

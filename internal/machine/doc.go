@@ -18,7 +18,5 @@
 //
 // Layering: machine is a leaf modeling package; it feeds bsp (the
 // simulated machine's cost accounting), core's calibration fits
-// (Fit/Calibration) and experiments, and adapt's default cost prior
-// (Controller.SetPrior can replace it, but no code in this repository
-// calls it; it is facade API).
+// (Fit/Calibration) and experiments.
 package machine

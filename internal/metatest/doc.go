@@ -16,8 +16,8 @@
 //
 // Like the differential suite (internal/difftest), every relation is
 // checked across the configuration matrix — schedules × worker counts
-// × scratch on/off × the adaptive runtime mid-exploration — because a
-// metamorphic violation that only appears under one schedule is
-// exactly the class of race the matrix exists to surface. The package
-// contains only tests.
+// × scratch on/off × adaptive cells that switch schedule per call —
+// because a metamorphic violation that only appears under one schedule
+// is exactly the class of race the matrix exists to surface. The
+// package contains only tests.
 package metatest

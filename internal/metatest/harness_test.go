@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/scratch"
@@ -34,18 +33,33 @@ func procCounts() []int {
 // cfg is one cell of the configuration matrix.
 type cfg struct {
 	name   string
-	opts   par.Options
-	rounds int // >1 for adaptive cells (each round may pick a new candidate)
+	rounds []par.Options // one per call; several for adaptive cells
 }
 
-// exploring returns a controller pinned mid-exploration (epsilon 1,
-// never converges) so repeated rounds sample different candidates.
-func exploring() *adapt.Controller {
-	return adapt.New(adapt.Config{Epsilon: 1, ConvergeAfter: 1 << 30, Seed: 161803})
+// switching returns the first n rounds of an adaptive cell, each under
+// a different schedule, the way an online tuner moves between calls:
+// serial, then a policy at a grain of 256 to 16 Ki with the serial
+// cutoff off, and half the workers. Pooled scratch carries over from
+// one round to the next, so a kernel whose result depended on the
+// schedule or on what an earlier call left in its buffers would
+// disagree with the oracle here.
+func switching(p, n int, pool *scratch.Pool) []par.Options {
+	half := max(1, p/2)
+	all := []par.Options{
+		{Procs: 1},
+		{Procs: p, Policy: par.Static, Grain: 256, SerialCutoff: 1},
+		{Procs: p, Policy: par.Guided, Grain: 16384, SerialCutoff: 1},
+		{Procs: half, Policy: par.Dynamic, Grain: 1024, SerialCutoff: 1},
+	}
+	out := all[:n]
+	for i := range out {
+		out[i].Scratch = pool
+	}
+	return out
 }
 
 // fullMatrix: every policy × worker count × scratch mode, plus the
-// adaptive mode — for the cheap array kernels.
+// adaptive cells — for the cheap array kernels.
 func fullMatrix() []cfg {
 	var out []cfg
 	for _, p := range procCounts() {
@@ -56,15 +70,13 @@ func fullMatrix() []cfg {
 			for _, pol := range par.Policies {
 				out = append(out, cfg{
 					name: fmt.Sprintf("p%d/%s/%s", p, sc.name, pol),
-					opts: par.Options{Procs: p, Policy: pol, Grain: 64,
-						SerialCutoff: 1, Scratch: sc.pool},
-					rounds: 1,
+					rounds: []par.Options{{Procs: p, Policy: pol, Grain: 64,
+						SerialCutoff: 1, Scratch: sc.pool}},
 				})
 			}
 			out = append(out, cfg{
 				name:   fmt.Sprintf("p%d/%s/adaptive", p, sc.name),
-				opts:   par.Options{Procs: p, Scratch: sc.pool, Adaptive: exploring()},
-				rounds: 3,
+				rounds: switching(p, 3, sc.pool),
 			})
 		}
 	}
@@ -78,19 +90,16 @@ func smallMatrix() []cfg {
 		for _, pol := range []par.Policy{par.Static, par.Dynamic} {
 			out = append(out, cfg{
 				name:   fmt.Sprintf("p%d/%s", p, pol),
-				opts:   par.Options{Procs: p, Policy: pol, Grain: 64, SerialCutoff: 1},
-				rounds: 1,
+				rounds: []par.Options{{Procs: p, Policy: pol, Grain: 64, SerialCutoff: 1}},
 			})
 		}
 		out = append(out, cfg{
 			name:   fmt.Sprintf("p%d/noscratch", p),
-			opts:   par.Options{Procs: p, Scratch: scratch.Off},
-			rounds: 1,
+			rounds: []par.Options{{Procs: p, Scratch: scratch.Off}},
 		})
 		out = append(out, cfg{
 			name:   fmt.Sprintf("p%d/adaptive", p),
-			opts:   par.Options{Procs: p, Adaptive: exploring()},
-			rounds: 2,
+			rounds: switching(p, 2, nil),
 		})
 	}
 	return out
@@ -101,8 +110,8 @@ func forEach(t *testing.T, matrix []cfg, body func(t *testing.T, opts par.Option
 	t.Helper()
 	for _, c := range matrix {
 		t.Run(c.name, func(t *testing.T) {
-			for round := 0; round < c.rounds; round++ {
-				body(t, c.opts)
+			for _, opts := range c.rounds {
+				body(t, opts)
 			}
 		})
 	}

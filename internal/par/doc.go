@@ -29,9 +29,8 @@
 // of side effects is not specified); scan and reduce require associative
 // operators and are exact for integer types.
 //
-// Layering: par consumes exec (dispatch), scratch (partials,
-// counts, privates) and adapt (per-site tuning via BeginAdaptive);
-// it feeds every case-study kernel (psort, psel, plist, pmat,
-// pstencil, pgraph), the serve batch loop, core's experiments and
+// Layering: par consumes exec (dispatch) and scratch (partials,
+// counts, privates); it feeds every case-study kernel (psort, psel,
+// plist, pmat, pstencil, pgraph), the serve batch loop, core's experiments and
 // the repro facade.
 package par

@@ -16,8 +16,6 @@ func Merge[T any](dst, a, b []T, opts Options, less func(x, y T) bool) {
 	if n == 0 {
 		return
 	}
-	opts, m := BeginAdaptive(siteMerge, n, opts)
-	defer m.Done()
 	p := opts.procs()
 	if p > n {
 		p = n

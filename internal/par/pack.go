@@ -18,8 +18,6 @@ func PackInto[T any](dst, xs []T, opts Options, pred func(T) bool) int {
 	if n == 0 {
 		return 0
 	}
-	opts, m := BeginAdaptive(sitePack, n, opts)
-	defer m.Done()
 	p := opts.procs()
 	if p > n {
 		p = n
@@ -89,8 +87,6 @@ func PackIndexInto(dst []int, n int, opts Options, pred func(i int) bool) int {
 	if n == 0 {
 		return 0
 	}
-	opts, m := BeginAdaptive(sitePackIdx, n, opts)
-	defer m.Done()
 	p := opts.procs()
 	if p > n {
 		p = n
@@ -159,8 +155,6 @@ func HistogramInto[T any](out []int, xs []T, opts Options, bucket func(T) int) {
 		clear(out)
 		return
 	}
-	opts, m := BeginAdaptive(siteHist, n, opts)
-	defer m.Done()
 	p := opts.procs()
 	if p > n {
 		p = n

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/exec"
 	"repro/internal/scratch"
 )
@@ -76,29 +75,6 @@ type Options struct {
 	// scratch.Off disables reuse (fresh allocation per call), the
 	// baseline cmd/parbench -scratch=off measures against.
 	Scratch *scratch.Pool
-	// Adaptive enables the online load-aware tuning runtime: when
-	// non-nil, Grain, Policy, the serial cutoff and (under load) the
-	// effective worker count are chosen per call by the controller,
-	// keyed by call site and input size class and refined from timing
-	// feedback. Explicit Grain/Policy/SerialCutoff values are treated
-	// as defaults the controller may override. adapt.Default() is the
-	// process-wide controller; repro.Adaptive() returns Options with
-	// it set.
-	Adaptive *adapt.Controller
-	// Site names the adaptive call site for the next primitive call.
-	// Kernels set it to give their inner loops stable identities; nil
-	// means the primitive's own named site, or (for For/ForRange) a
-	// site derived from the caller's program counter.
-	Site *adapt.Site
-	// inMeasured marks Options derived from an open adaptive region
-	// (BeginAdaptive sets it on the Options it returns). It is the
-	// reentrancy guard: a nested BeginAdaptive that sees it — a kernel
-	// with its own sites, like psel's count/pack phases or par.Merge,
-	// invoked with Adaptive restored inside an outer measured region —
-	// makes no decision and records no timing, so nested exploration
-	// can never corrupt the outer site's EWMA (or waste the inner
-	// site's sweep on timings that include the outer call's framing).
-	inMeasured bool
 }
 
 // DefaultGrain is the chunk size used when Options.Grain is unset.
@@ -183,11 +159,6 @@ func ForWorkersArena(p int, opts Options, fn func(w int, a *scratch.Arena)) {
 // For executes body(i) for every i in [0, n) in parallel according to the
 // schedule in opts. body must be safe to call concurrently for distinct i.
 func For(n int, opts Options, body func(i int)) {
-	if opts.Adaptive != nil && opts.Site == nil {
-		// Capture the site here, not in ForRange: every For call would
-		// otherwise share ForRange's view of this wrapper as "the caller".
-		opts.Site = adapt.SiteForPC(callerPC())
-	}
 	ForRange(n, opts, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			body(i)
@@ -198,29 +169,11 @@ func For(n int, opts Options, body func(i int)) {
 // ForRange executes body(lo, hi) over a partition of [0, n) in parallel.
 // Using the range form lets kernels hoist per-chunk state (buffers,
 // accumulators) out of the inner loop — the standard engineering move to
-// reduce scheduling overhead. With Options.Adaptive set, the grain,
-// policy, worker count and serial fallback come from the tuning
-// runtime instead of the remaining Options fields.
+// reduce scheduling overhead.
 func ForRange(n int, opts Options, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if opts.Adaptive != nil {
-		site := opts.Site
-		if site == nil {
-			site = adapt.SiteForPC(callerPC())
-		}
-		tuned, m := BeginAdaptive(site, n, opts)
-		forRangeExec(n, tuned, body)
-		m.Done()
-		return
-	}
-	forRangeExec(n, opts, body)
-}
-
-// forRangeExec is the schedule dispatch shared by the plain and
-// adaptive entry paths.
-func forRangeExec(n int, opts Options, body func(lo, hi int)) {
 	p := opts.procs()
 	if p > n {
 		p = n

@@ -14,8 +14,6 @@ func Reduce[T any](n int, opts Options, identity T, combine func(T, T) T, body f
 	if n <= 0 {
 		return identity
 	}
-	opts, m := BeginAdaptive(siteReduce, n, opts)
-	defer m.Done()
 	p := opts.procs()
 	if p > n {
 		p = n

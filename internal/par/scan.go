@@ -35,8 +35,6 @@ func scan[T any](dst, xs []T, opts Options, identity T, combine func(T, T) T, in
 	if n == 0 {
 		return
 	}
-	opts, m := BeginAdaptive(siteScan, n, opts)
-	defer m.Done()
 	p := opts.procs()
 	if p > n {
 		p = n

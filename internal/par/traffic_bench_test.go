@@ -3,7 +3,6 @@ package par
 import (
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/scratch"
 )
 
@@ -29,7 +28,7 @@ func benchmarkTraffic(b *testing.B, opts Options) {
 		dst := make([]int64, n)
 		hist := make([]int, 4096)
 		req := Options{Procs: 2, SerialCutoff: 1024,
-			Executor: opts.Executor, Scratch: opts.Scratch, Adaptive: opts.Adaptive}
+			Executor: opts.Executor, Scratch: opts.Scratch}
 		for pb.Next() {
 			HistogramInto(hist, xs, req, func(v int64) int { return int(v) & 4095 })
 			ScanInclusive(dst, xs, req, 0, func(a, b int64) int64 { return a + b })
@@ -40,13 +39,3 @@ func benchmarkTraffic(b *testing.B, opts Options) {
 
 func BenchmarkTrafficScratchOn(b *testing.B)  { benchmarkTraffic(b, Options{}) }
 func BenchmarkTrafficScratchOff(b *testing.B) { benchmarkTraffic(b, Options{Scratch: scratch.Off}) }
-
-// BenchmarkTrafficAdaptOn is the -adapt=on variant of the traffic
-// scenario: the controller observes the saturated pool through the
-// executor's occupancy gauge and sheds the per-request fork/joins
-// (request concurrency is already the parallelism), so throughput
-// should be at or above the fixed-grain BenchmarkTrafficScratchOn
-// baseline.
-func BenchmarkTrafficAdaptOn(b *testing.B) {
-	benchmarkTraffic(b, Options{Adaptive: adapt.Default()})
-}

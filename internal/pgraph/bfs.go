@@ -4,17 +4,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/scratch"
 )
-
-// siteBFSExpand keys the per-level frontier expansion: frontier sizes
-// swing by orders of magnitude within one BFS, so each level consults
-// the controller for the class of its own frontier — small fringe
-// levels converge to serial while the bulge stays parallel.
-var siteBFSExpand = adapt.NewSite("pgraph.BFS.expand", adapt.KindWorkers)
 
 // BFS performs a level-synchronous parallel breadth-first search from
 // src, returning each node's depth (-1 if unreachable). Each level
@@ -55,8 +48,6 @@ func BFS(g *graph.Graph, src int, opts par.Options) []int32 {
 // worker, avoiding a shared synchronized queue on the discovery path.
 func expand(g *graph.Graph, frontier []int32, visited []atomic.Bool, depth []int32, level int32, opts par.Options, next []int32) []int32 {
 	nf := len(frontier)
-	opts, m := par.BeginAdaptive(siteBFSExpand, nf, opts)
-	defer m.Done()
 	p := opts.Procs
 	if p <= 0 {
 		p = 1

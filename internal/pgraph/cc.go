@@ -3,18 +3,8 @@ package pgraph
 import (
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/graph"
 	"repro/internal/par"
-)
-
-// Adaptive call sites for the connectivity kernels' round loops. The
-// degree-dependent hook/propagate rounds and the uniform shortcut
-// rounds have different cost shapes, so they learn separately.
-var (
-	siteCCProp     = adapt.NewSite("pgraph.CCLabelProp.round", adapt.KindWorkers)
-	siteCCHook     = adapt.NewSite("pgraph.CCHook.hook", adapt.KindRange)
-	siteCCShortcut = adapt.NewSite("pgraph.CCHook.shortcut", adapt.KindWorkers)
 )
 
 // CCLabelProp computes connected components by synchronous label
@@ -28,10 +18,8 @@ func CCLabelProp(g *graph.Graph, opts par.Options) []int32 {
 	cur := make([]int32, n)
 	next := make([]int32, n)
 	par.For(n, opts, func(v int) { cur[v] = int32(v) })
-	roundOpts := opts
-	roundOpts.Site = siteCCProp
 	for {
-		changed := par.Count(n, roundOpts, func(v int) bool {
+		changed := par.Count(n, opts, func(v int) bool {
 			m := cur[v]
 			for _, w := range g.Neighbors(v) {
 				if cur[w] < m {
@@ -71,17 +59,13 @@ func CCHook(g *graph.Graph, opts par.Options) []int32 {
 		}
 	}
 
-	hookOpts := opts
-	hookOpts.Site = siteCCHook
-	shortcutOpts := opts
-	shortcutOpts.Site = siteCCShortcut
 	for {
 		// Hook phase: for every edge, attach the larger root beneath the
 		// smaller. CAS-min keeps the parent forest consistent under
 		// concurrent hooks.
 		hooked := int64(0)
 		var hookedAtomic atomic.Int64
-		par.For(n, hookOpts, func(u int) {
+		par.For(n, opts, func(u int) {
 			local := int64(0)
 			ru := root(int32(u))
 			for _, w := range g.Neighbors(u) {
@@ -115,7 +99,7 @@ func CCHook(g *graph.Graph, opts par.Options) []int32 {
 		// Shortcut phase: full pointer jumping until the forest is
 		// flat (every node points at its root).
 		for {
-			jumped := par.Count(n, shortcutOpts, func(v int) bool {
+			jumped := par.Count(n, opts, func(v int) bool {
 				p := parent[v].Load()
 				gp := parent[p].Load()
 				if p != gp {

@@ -1,17 +1,9 @@
 package plist
 
 import (
-	"repro/internal/adapt"
 	"repro/internal/gen"
 	"repro/internal/par"
 	"repro/internal/scratch"
-)
-
-// Adaptive call sites: the jump rounds dominate Rank, so they carry
-// their own identity; the init/finish element loops share another.
-var (
-	siteListJump = adapt.NewSite("plist.Rank.jump", adapt.KindWorkers)
-	siteListElem = adapt.NewSite("plist.Rank.elem", adapt.KindRange)
 )
 
 // Rank returns each node's distance from the head (head = 0) using
@@ -26,14 +18,10 @@ func Rank(l *gen.List, opts par.Options) []int {
 	}
 	a := scratch.AcquireArena(opts.ScratchPool())
 	defer a.Release()
-	elemOpts := opts
-	elemOpts.Site = siteListElem
-	jumpOpts := opts
-	jumpOpts.Site = siteListJump
 	// dist[i] counts links from i to the tail; next doubles each round.
 	next := scratch.Make[int](a, n)
 	dist := scratch.MakeZeroed[int](a, n)
-	par.For(n, elemOpts, func(i int) {
+	par.For(n, opts, func(i int) {
 		next[i] = l.Next[i]
 		if l.Next[i] != i {
 			dist[i] = 1
@@ -42,7 +30,7 @@ func Rank(l *gen.List, opts par.Options) []int {
 	next2 := scratch.Make[int](a, n)
 	dist2 := scratch.Make[int](a, n)
 	for {
-		changed := par.Count(n, jumpOpts, func(i int) bool {
+		changed := par.Count(n, opts, func(i int) bool {
 			if next[i] == i {
 				// Tail fixpoint: already fully ranked.
 				dist2[i] = dist[i]
@@ -65,6 +53,6 @@ func Rank(l *gen.List, opts par.Options) []int {
 	// dist is now distance-to-tail; convert to distance-from-head.
 	total := dist[l.Head]
 	ranks := make([]int, n)
-	par.For(n, elemOpts, func(i int) { ranks[i] = total - dist[i] })
+	par.For(n, opts, func(i int) { ranks[i] = total - dist[i] })
 	return ranks
 }

@@ -1,17 +1,8 @@
 package pmat
 
 import (
-	"repro/internal/adapt"
 	"repro/internal/gen"
 	"repro/internal/par"
-)
-
-// Adaptive call sites for the row-block loops. Matmul's per-iteration
-// work is n² operations, so the size classes here are tiny (row-block
-// counts) but the learned serial cutoff matters for small matrices.
-var (
-	siteMul      = adapt.NewSite("pmat.Mul", adapt.KindRange)
-	siteMulNaive = adapt.NewSite("pmat.MulNaive", adapt.KindRange)
 )
 
 // DefaultBlock is the block size used when Config.Block is unset; 64
@@ -43,11 +34,7 @@ func Mul(a, b *gen.Matrix, cfg Config) *gen.Matrix {
 	c := gen.NewMatrix(a.Rows, b.Cols)
 	bs := cfg.block()
 	rowBlocks := (a.Rows + bs - 1) / bs
-	opts := cfg.Opts
-	if opts.Site == nil {
-		opts.Site = siteMul
-	}
-	par.For(rowBlocks, opts, func(bi int) {
+	par.For(rowBlocks, cfg.Opts, func(bi int) {
 		i0 := bi * bs
 		i1 := min(i0+bs, a.Rows)
 		// Tile over k and j for cache reuse of B.
@@ -79,9 +66,6 @@ func MulNaive(a, b *gen.Matrix, opts par.Options) *gen.Matrix {
 		panic("pmat: dimension mismatch")
 	}
 	c := gen.NewMatrix(a.Rows, b.Cols)
-	if opts.Site == nil {
-		opts.Site = siteMulNaive
-	}
 	par.For(a.Rows, opts, func(i int) {
 		arow := a.Row(i)
 		crow := c.Row(i)

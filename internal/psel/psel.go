@@ -6,22 +6,10 @@ import (
 	"runtime"
 	"slices"
 
-	"repro/internal/adapt"
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/scratch"
 	"repro/internal/seq"
-)
-
-// Adaptive call sites. Select keeps Options.Adaptive set on its inner
-// primitives rather than deciding once up front: the surviving side
-// shrinks geometrically across rounds, so the count and pack passes
-// each want a per-size-class answer (late rounds converge to serial
-// while early rounds stay parallel). The named sites keep the two
-// phases' learned state apart.
-var (
-	siteSelectCount = adapt.NewSite("psel.Select.count", adapt.KindWorkers)
-	siteSelectPack  = adapt.NewSite("psel.Select.pack", adapt.KindWorkers)
 )
 
 // Select returns the k-th smallest element of xs (k is 0-based). It does
@@ -59,16 +47,12 @@ func Select(xs []int64, k int, opts par.Options) int64 {
 	cur := xs
 	var ping, pong []int64
 	r := rng.New(uint64(len(xs))*0x9E3779B9 + uint64(k) + 1)
-	countOpts := opts
-	countOpts.Site = siteSelectCount
-	packOpts := opts
-	packOpts.Site = siteSelectPack
 	pack := func(pred func(int64) bool) {
 		if ping == nil {
 			ping = scratch.Make[int64](a, len(xs))
 			pong = scratch.Make[int64](a, len(xs))
 		}
-		n := par.PackInto(ping, cur, packOpts, pred)
+		n := par.PackInto(ping, cur, opts, pred)
 		cur = ping[:n]
 		ping, pong = pong, ping
 	}
@@ -80,8 +64,8 @@ func Select(xs []int64, k int, opts par.Options) int64 {
 			return selectLeaf(cur, ping, k, a)
 		}
 		pivot := medianOfRandom(cur, r)
-		less := par.Count(n, countOpts, func(i int) bool { return cur[i] < pivot })
-		equal := par.Count(n, countOpts, func(i int) bool { return cur[i] == pivot })
+		less := par.Count(n, opts, func(i int) bool { return cur[i] < pivot })
+		equal := par.Count(n, opts, func(i int) bool { return cur[i] == pivot })
 		switch {
 		case k < less:
 			pack(func(v int64) bool { return v < pivot })

@@ -1,15 +1,10 @@
 package psort
 
 import (
-	"repro/internal/adapt"
 	"repro/internal/par"
 	"repro/internal/scratch"
 	"repro/internal/seq"
 )
-
-// siteCountingSort covers the whole count/regenerate pipeline, like
-// the other sort sites.
-var siteCountingSort = adapt.NewSite("psort.CountingSort", adapt.KindWorkers)
 
 // CountingMaxRange is the key spread (max-min) at or above which
 // CountingSort falls back to RadixSort: past it the counting array
@@ -21,15 +16,12 @@ const CountingMaxRange = 1 << 20
 // regenerate xs in order. O(n + range) with no comparisons — the
 // narrow-key specialist of the sorter roster. Keys spreading wider
 // than CountingMaxRange fall back to RadixSort, so it is safe to call
-// on any input (which is what lets the adaptive variant lattice
-// explore it blindly).
+// on any input.
 func CountingSort(xs []int64, opts par.Options) {
 	n := len(xs)
 	if n < 2 {
 		return
 	}
-	opts, m := par.BeginAdaptive(siteCountingSort, n, opts)
-	defer m.Done()
 	min, max, _ := seq.Bounds(xs)
 	// Two's-complement subtraction is exact for any int64 pair: the
 	// true spread always fits in uint64.

@@ -2,18 +2,27 @@ package psort
 
 import (
 	"encoding/binary"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/par"
 	"repro/internal/seq"
 )
 
-// fuzzCtl keeps the adaptive controller mid-exploration for the whole
-// fuzzing session: every execution may sort under a different
-// candidate (serial, different worker shares, different merge leaf
-// grains), and the output must always match the sequential oracle.
-var fuzzCtl = adapt.New(adapt.Config{Epsilon: 1, ConvergeAfter: 1 << 30, Seed: 0xF422})
+// fuzzSchedules are the options successive fuzz executions sort
+// under, in turn, the way an online tuner moves between calls: serial,
+// each worker share, and merge sort's leaf grain from 256 to 16 Ki.
+// The output must match the sequential oracle under every one.
+var fuzzSchedules = []par.Options{
+	{Procs: 1},
+	{Procs: 2},
+	{Procs: 4},
+	{Procs: 4, Grain: 256},
+	{Procs: 4, Grain: 16384},
+}
+
+// fuzzRound counts fuzz executions across the engine's workers.
+var fuzzRound atomic.Uint64
 
 // decodeKeys turns fuzz bytes into int64 keys (8 bytes each, tail
 // bytes dropped).
@@ -33,9 +42,10 @@ func encodeKeys(xs []int64) []byte {
 	return data
 }
 
-// FuzzSortAdaptive cross-checks every parallel sort, running in
-// adaptive mode mid-exploration, against the sequential oracle on
-// fuzzer-mutated inputs, seeded with the classic adversarial shapes.
+// FuzzSortAdaptive cross-checks every parallel sort, under a schedule
+// that changes from one execution to the next (fuzzSchedules), against
+// the sequential oracle on fuzzer-mutated inputs, seeded with the
+// classic adversarial shapes.
 func FuzzSortAdaptive(f *testing.F) {
 	sorted := make([]int64, 600)
 	reverse := make([]int64, 600)
@@ -64,7 +74,7 @@ func FuzzSortAdaptive(f *testing.F) {
 		xs := decodeKeys(data)
 		want := append([]int64(nil), xs...)
 		seq.Quicksort(want)
-		opts := par.Options{Procs: 4, Adaptive: fuzzCtl}
+		opts := fuzzSchedules[fuzzRound.Add(1)%uint64(len(fuzzSchedules))]
 		for _, s := range []struct {
 			name string
 			sort func([]int64, par.Options)

@@ -3,7 +3,6 @@ package psort
 import (
 	"sort"
 
-	"repro/internal/adapt"
 	"repro/internal/exec"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -15,24 +14,12 @@ import (
 // values even out bucket sizes at the cost of splitter-selection time.
 const oversample = 32
 
-// Adaptive call sites: each sort is one decision covering its whole
-// count/scan/scatter pipeline — the controller tunes the worker count
-// (and for merge sort the leaf grain) per input-size class, and sheds
-// parallelism when the executor is busy with other requests.
-var (
-	siteSampleSort = adapt.NewSite("psort.SampleSort", adapt.KindWorkers)
-	siteMergeSort  = adapt.NewSite("psort.MergeSort", adapt.KindRange)
-	siteRadixSort  = adapt.NewSite("psort.RadixSort", adapt.KindWorkers)
-)
-
 // SampleSort sorts xs in place using opts.Procs workers: distribute
 // splits the keys into one bucket per worker and quicksorts each
 // bucket. All temporaries come from the scratch pool, so repeated
 // sorts allocate only their closure frames at steady state.
 func SampleSort(xs []int64, opts par.Options) {
 	n := len(xs)
-	opts, m := par.BeginAdaptive(siteSampleSort, n, opts)
-	defer m.Done()
 	p := workers(opts, n)
 	if p == 1 || n < 2048 {
 		seq.Quicksort(xs)
@@ -151,8 +138,6 @@ func b2i(b bool) int {
 // to the sequential quicksort is taken from opts.Grain (default 4096).
 func MergeSort(xs []int64, opts par.Options) {
 	n := len(xs)
-	opts, m := par.BeginAdaptive(siteMergeSort, n, opts)
-	defer m.Done()
 	p := workers(opts, n)
 	grain := opts.Grain
 	if grain <= 0 {
@@ -218,8 +203,6 @@ func copyParallel(dst, src []int64, procs int, e *exec.Executor, sp *scratch.Poo
 // pattern.
 func RadixSort(xs []int64, opts par.Options) {
 	n := len(xs)
-	opts, m := par.BeginAdaptive(siteRadixSort, n, opts)
-	defer m.Done()
 	p := workers(opts, n)
 	if p == 1 || n < 2048 {
 		// The serial leaf scatters through the arena's buffer too: this

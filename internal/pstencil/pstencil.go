@@ -3,15 +3,9 @@ package pstencil
 import (
 	"math"
 
-	"repro/internal/adapt"
 	"repro/internal/gen"
 	"repro/internal/par"
 )
-
-// siteSweep keys the row-band loop every Jacobi sweep runs; with
-// Options.Adaptive set, the controller learns the band schedule per
-// grid magnitude and sheds the per-sweep fork/join under load.
-var siteSweep = adapt.NewSite("pstencil.sweep", adapt.KindRange)
 
 // Jacobi runs iters synchronous sweeps of the 5-point stencil over g's
 // interior, with row bands distributed across workers, and returns the
@@ -29,9 +23,6 @@ func Jacobi(g *gen.Grid, iters int, opts par.Options) *gen.Grid {
 }
 
 func sweep(cur, next *gen.Grid, n int, opts par.Options) {
-	if opts.Site == nil {
-		opts.Site = siteSweep
-	}
 	par.ForRange(n-2, opts, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			i := r + 1 // interior rows are 1..n-2

@@ -12,6 +12,6 @@
 // with SplitMix64's gamma mix.
 //
 // Layering: rng is a leaf utility package; it feeds gen's
-// workload generators, psort's splitter sampling, psel's pivot
-// choice and adapt's exploration policy.
+// workload generators, psort's splitter sampling and psel's pivot
+// choice.
 package rng

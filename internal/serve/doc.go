@@ -6,9 +6,9 @@
 // parbench experiments) assumes one caller invoking
 // one kernel at a time. Under request traffic — many goroutines each
 // issuing a small sort, selection, histogram, scan or graph query —
-// that model pays one fork/join, one adaptive decision and one set of
-// scratch acquisitions per tiny call, and lets any one caller flood
-// the shared executor. serve replaces it with one request interface,
+// that model pays one fork/join and one set of scratch acquisitions
+// per tiny call, and lets any one caller flood the shared executor.
+// serve replaces it with one request interface,
 // Front — CallBudget and CallDeltaBudget, implemented by Sharded and
 // (in internal/wire) the socket Client, with the typed
 // Sort/Select/Histogram/Scan/Sum/BFS helpers written once as package
@@ -24,20 +24,17 @@
 //     rises with load instead of queueing unboundedly. Batches formed
 //     while occupancy is moderate run with proportionally shed
 //     workers; at saturation they are shed to serial execution on the
-//     dispatcher goroutine — the same degrade-don't-pile-on discipline
-//     as internal/adapt, applied one layer up.
+//     dispatcher goroutine: degrade, don't pile on.
 //
 //   - Batched execution. A single dispatcher drains the tenant queues
 //     into one batch (bounded by maxBatch, accumulated for at most
 //     batchWindow) and executes the whole batch as ONE fused parallel
 //     loop over requests — one pooled fork/join amortized across N
 //     requests, each request running its kernel serially inside its
-//     slot. The batch loop is an adaptive call site ("serve.batch"),
-//     so the number of workers a batch runs on is learned per
-//     batch-size class like any kernel's; its slots claim requests
-//     off a shared cursor, and a warm batch allocates nothing. Request
-//     temporaries draw from the configured scratch pool exactly as
-//     direct kernel calls do.
+//     slot. The batch runs on Config.Workers workers, fewer under
+//     load; its slots claim requests off a shared cursor, and a warm
+//     batch allocates nothing. Request temporaries draw from the
+//     configured scratch pool exactly as direct kernel calls do.
 //
 //   - Fair-share scheduling. Batches are formed round-robin across
 //     tenants, one request per tenant per turn, so a hot tenant's
@@ -74,9 +71,9 @@
 // makes visible.
 //
 // Layering: serve sits above internal/exec (occupancy gauge, pooled
-// fork/join), internal/scratch (request temporaries), internal/adapt
-// (the batch site) and internal/kernel (the registry whose descriptors
-// it dispatches through, long-route adapters included); it feeds
+// fork/join), internal/scratch (request temporaries) and
+// internal/kernel (the registry whose descriptors it dispatches
+// through, long-route adapters included); it feeds
 // internal/wire (the listener serves onto a Front, the client is one),
 // and the repro facade (repro.NewShardedServer, repro.Front,
 // repro.ServeSort...). Experiment E23 quantifies

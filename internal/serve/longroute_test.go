@@ -122,12 +122,12 @@ func TestLongRouteMatchesSerial(t *testing.T) {
 // besides time: on a 1-worker shard a warm long-route request is the
 // pooled request record plus the kernel's serial leaf and allocates
 // nothing, where the cascade built channels, a free list and three
-// goroutines per call. Without a controller a long sort runs the sort's
-// default for the input, so the pin covers one input for each algorithm
-// it picks here — wide keys (radix) at 8 Ki and at wire_bulk's 256 Ki,
-// where the radix leaf's digits are 11 bits wide and its 2 048-bucket
-// counts must stay off the heap, and dense keys, a spread below n
-// (counting) — and one long scan.
+// goroutines per call. A long sort runs the sort's default for the
+// input, so the pin covers one input for each algorithm it picks here
+// — wide keys (radix) at 8 Ki and at wire_bulk's 256 Ki, where the
+// radix leaf's digits are 11 bits wide and its 2 048-bucket counts
+// must stay off the heap, and dense keys, a spread below n (counting)
+// — and one long scan.
 func TestLongRouteZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("race instrumentation allocates")

@@ -61,17 +61,12 @@ func (s *shard) putRequest(r *request) {
 // batch slot: strictly serial (the batch loop owns the parallelism —
 // one fused fork/join over requests, not one per request) but drawing
 // temporaries from the server's scratch pool like any kernel call.
-// Adaptive stays set: algorithm-variant dispatch is orthogonal to
-// parallelism (a counting sort beats a comparison sort on narrow keys
-// at one worker too), while the grain/policy/worker lattices are
-// inert at Procs 1.
 func (s *shard) serialOpts() par.Options {
 	return par.Options{
 		Procs:        1,
 		SerialCutoff: 1 << 62,
 		Executor:     s.cfg.executor,
 		Scratch:      s.cfg.Scratch,
-		Adaptive:     s.cfg.Adaptive,
 	}
 }
 
@@ -114,7 +109,6 @@ func (s *shard) longOpts() par.Options {
 		Procs:    s.cfg.executor.Procs(),
 		Executor: s.cfg.executor,
 		Scratch:  s.cfg.Scratch,
-		Adaptive: s.cfg.Adaptive,
 	}
 }
 

@@ -8,9 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/exec"
-	"repro/internal/par"
 	"repro/internal/rescache"
 	"repro/internal/scratch"
 )
@@ -37,24 +35,13 @@ var (
 	ErrDeadlineExceeded = errors.New("serve: deadline exceeded")
 )
 
-// siteBatch is the adaptive call site of the fused batch loop: the
-// controller learns how many workers a batch runs on per batch-size
-// class. A batch is at most maxBatch requests, far fewer than any grain
-// the KindRange lattice would try, so the worker count is the only
-// choice that changes anything.
-var siteBatch = adapt.NewSite("serve.batch", adapt.KindWorkers)
-
 // Config shapes one shard of a Sharded server: it is the per-shard
 // template ShardedConfig embeds. The zero value batches and admits at
-// the defaults, with no adaptive tuning, on the shard's own executor
-// and scratch pool.
+// the defaults on the shard's own executor and scratch pool.
 type Config struct {
 	// Scratch is the pool request temporaries draw from; nil gives
 	// every shard its own scratch.New(), scratch.Off disables reuse.
 	Scratch *scratch.Pool
-	// Adaptive, when non-nil, runs the fused batch loop under the
-	// online tuning runtime (site "serve.batch").
-	Adaptive *adapt.Controller
 	// Workers is the parallelism of one batch — how many requests
 	// execute concurrently inside the fused fork/join; <= 0 means the
 	// executor's worker count.
@@ -754,8 +741,7 @@ func (s *shard) execute(batch []*request) {
 		}
 	}
 	start := time.Now()
-	opts, m := par.BeginAdaptive(siteBatch, n, par.Options{Procs: workers, Executor: s.cfg.executor, Adaptive: s.cfg.Adaptive})
-	if p := min(opts.Procs, n); p <= 1 {
+	if p := min(workers, n); p <= 1 {
 		s.serialBatches.Add(1)
 		for _, r := range batch {
 			s.runOne(r)
@@ -766,7 +752,6 @@ func (s *shard) execute(batch []*request) {
 		s.batchNext.Store(0)
 		s.cfg.executor.Run(p, s.batchSlot)
 	}
-	m.Done()
 	// Fold this batch's per-request service time into the door's wait
 	// predictor. Single writer (the dispatcher), so a plain
 	// load/store EWMA is race-free; alpha 1/4 forgets a shed or

@@ -34,7 +34,7 @@ type ShardedConfig struct {
 	// between two adjacent shards below which no migration happens;
 	// <= 0 means DefaultMigrateHysteresis. Hysteresis is what
 	// preserves affinity: balanced traffic never diverges past it, so
-	// tenants stay home and their scratch/adaptive state stays hot.
+	// tenants stay home and their scratch state stays hot.
 	MigrateHysteresis int
 }
 
@@ -77,8 +77,7 @@ type ShardedStats struct {
 
 // Sharded is the request-serving runtime: N independent shards — each
 // with its own executor (work-stealing deques, occupancy gauges),
-// scratch arena pool and batch dispatcher, sharing the template's
-// adaptive controller when it sets one — plus a diffusive load
+// scratch arena pool and batch dispatcher — plus a diffusive load
 // balancer between them.
 //
 // Requests route to their tenant's home shard by stable hash, so in

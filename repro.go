@@ -14,7 +14,6 @@ package repro
 import (
 	"io"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gen"
@@ -74,21 +73,11 @@ type (
 	// ScratchStats is a snapshot of a scratch pool's reuse counters
 	// (hits, misses, bypasses) and its bytes on loan and parked.
 	ScratchStats = scratch.Stats
-	// AdaptiveController is the online load-aware tuning runtime: it
-	// picks grain, schedule policy, worker count and serial cutoffs
-	// per call site and input-size class, seeded from the machine
-	// model and refined from timing feedback, shedding parallelism
-	// when the executor is busy. Enable it with Adaptive() or by
-	// setting Options.Adaptive.
-	AdaptiveController = adapt.Controller
-	// AdaptiveStats is a snapshot of a controller's tuning counters.
-	AdaptiveStats = adapt.Stats
 	// ServerConfig shapes one shard of a ShardedServer — the template
 	// ShardedServerConfig embeds (batch worker count, per-tenant queue
 	// bound, pipeline cutoff, the per-request SLO deadline budget, an
-	// optional ResultCache fronting admission, and the scratch/adaptive
-	// runtimes the shard serves on; every shard brings its own
-	// executor).
+	// optional ResultCache fronting admission, and the scratch pool
+	// the shard serves on; every shard brings its own executor).
 	ServerConfig = serve.Config
 	// ShardedServer is the multi-tenant request-serving runtime: it
 	// coalesces concurrent small requests into fused batched kernel
@@ -205,28 +194,6 @@ func NewScratchPool() *ScratchPool { return scratch.New() }
 // scratch pool — the allocator-side companion to the executor's steal
 // counters.
 func DefaultScratchStats() ScratchStats { return scratch.Default().Stats() }
-
-// Adaptive returns Options that run every kernel under the process-wide
-// online tuning runtime: instead of hand-picking Grain, Policy and
-// SerialCutoff, each call site learns them per input-size class from
-// timing feedback (seeded by the machine model) and degrades toward
-// serial execution when the shared executor is under load. Results are
-// identical to any fixed configuration; only timings change.
-//
-//	sorted := make([]int64, len(xs))
-//	copy(sorted, xs)
-//	repro.Sort(sorted, repro.Adaptive())
-func Adaptive() Options { return Options{Adaptive: adapt.Default()} }
-
-// NewAdaptiveController creates a dedicated tuning controller (its
-// cache and counters isolated from the process-wide one); pin it via
-// Options.Adaptive.
-func NewAdaptiveController() *AdaptiveController { return adapt.New(adapt.Config{}) }
-
-// DefaultAdaptiveStats returns the tuning counters of the process-wide
-// adaptive controller: sites and size classes seen, decisions and
-// explorations made, load-degraded calls, and converged classes.
-func DefaultAdaptiveStats() AdaptiveStats { return adapt.Default().Stats() }
 
 // NewResultCache creates a generation-stamped result cache to hand to
 // ServerConfig.Cache. Repeated requests — same tenant, kernel and

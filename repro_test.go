@@ -115,43 +115,9 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 }
 
-func TestFacadeAdaptive(t *testing.T) {
-	opts := Adaptive()
-	if opts.Adaptive == nil {
-		t.Fatal("Adaptive() returned no controller")
-	}
-	// Request parallelism explicitly so the controller has something
-	// to tune even on a single-CPU runner.
-	opts.Procs = 4
-	xs := RandomInts(30_000, 99)
-	want := append([]int64(nil), xs...)
-	SequentialSort(want)
-	for round := 0; round < 8; round++ {
-		got := append([]int64(nil), xs...)
-		Sort(got, opts)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("round %d: adaptive Sort[%d] = %d, want %d", round, i, got[i], want[i])
-			}
-		}
-	}
-	if st := DefaultAdaptiveStats(); st.Decisions == 0 {
-		t.Fatalf("no adaptive decisions recorded: %+v", st)
-	}
-	ded := NewAdaptiveController()
-	got := Sum(xs, Options{Procs: 2, Adaptive: ded})
-	var want2 int64
-	for _, x := range xs {
-		want2 += x
-	}
-	if got != want2 {
-		t.Fatalf("dedicated-controller Sum = %d, want %d", got, want2)
-	}
-}
-
 // The Example functions below double as the package's godoc snippets:
 // `go test` compiles and runs them, so the documented usage of each
-// runtime layer (executor, scratch, adaptive tuning, server)
+// runtime layer (executor, scratch, server)
 // can never drift from the real API.
 
 // ExampleNewExecutor pins a dedicated worker pool, isolating one
@@ -175,22 +141,6 @@ func ExampleNewScratchPool() {
 	st := pool.Stats()
 	fmt.Println(st.BytesLive, st.BytesPooled > 0)
 	// Output: 0 true
-}
-
-// ExampleAdaptive runs a kernel under the online tuning runtime
-// instead of hand-picking grain/policy/cutoff values.
-func ExampleAdaptive() {
-	opts := Adaptive()
-	opts.Procs = 4 // parallelism to tune over, even on a 1-CPU runner
-	xs := RandomInts(1<<14, 3)
-	buf := make([]int64, len(xs))
-	for round := 0; round < 4; round++ {
-		copy(buf, xs)
-		Sort(buf, opts) // first calls explore, later calls exploit
-	}
-	st := DefaultAdaptiveStats()
-	fmt.Println(st.Decisions > 0, sort.SliceIsSorted(buf, func(i, j int) bool { return buf[i] < buf[j] }))
-	// Output: true true
 }
 
 // ExampleServeSort serves typed requests from multiple tenants
